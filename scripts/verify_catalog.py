@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run every catalogue entry through its pinned checks and print a table.
 
+Each row shows the live verdicts and the time the entry's checks took.
 Exit code 0 when every live verdict matches the catalogue's expectation.
 
     python3 scripts/verify_catalog.py
@@ -17,19 +18,22 @@ from homstruct.catalog import entries, run_expected_checks  # noqa: E402
 
 def main() -> int:
     start = time.monotonic()
+    catalogue = entries()
     mismatches = 0
-    name_width = max(len(e.name) for e in entries())
-    for entry in entries():
+    name_width = max(len(e.name) for e in catalogue)
+    for entry in catalogue:
+        checked = time.perf_counter()
         live = run_expected_checks(entry)
+        check_ms = (time.perf_counter() - checked) * 1000
         ok = live == entry.expected_verdicts
         mismatches += not ok
         verdicts = "  ".join(
             f"{axiom}={'pass' if value else 'fail'}" for axiom, value in live.items()
         )
         marker = "ok " if ok else "!! "
-        print(f"{marker}{entry.name:<{name_width}}  {verdicts}")
+        print(f"{marker}{entry.name:<{name_width}}  {check_ms:8.2f} ms  {verdicts}")
     elapsed = time.monotonic() - start
-    print(f"\n{len(entries())} entries checked in {elapsed:.2f}s, {mismatches} mismatches")
+    print(f"\n{len(catalogue)} entries checked in {elapsed:.2f}s, {mismatches} mismatches")
     return 1 if mismatches else 0
 
 

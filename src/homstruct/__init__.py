@@ -1,9 +1,10 @@
 """Exact structure-constant kernel for Hom-alternative algebras, Hom-Poisson
 coalgebras, and their modules and comodules.
 
-Every axiom is a multilinear identity in the structure constants, decided
-exactly over the rationals by scanning basis tuples; constructions (twists,
-opposites, negations) are exact tensor transforms.
+Every axiom is a multilinear identity in the structure constants, stated
+once as a row of signed contraction terms (``laws.Law``) and decided exactly
+over the rationals; constructions (twists, opposites, negations) are exact
+tensor transforms.
 """
 
 from .algebras import (
@@ -68,15 +69,10 @@ from .exact import (
     LinearMap,
     MulTensor,
     Vector,
-    apply_bilinear,
-    apply_coaction,
     compose,
-    cyclic_map,
     format_rational,
     parse_rational,
     rat,
-    swap_map,
-    tensor_product,
 )
 from .modules import (
     HomModule,

@@ -1,0 +1,115 @@
+"""The axiom registry: every id ``verify --suite`` accepts, by structure type.
+
+Keys are ``(structure type, axiom id)`` so that a structure finds its own
+checkers directly; an id registered for another type is unknown to it.
+The CLI and the catalogue both check through ``check``.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+from .algebras import (
+    HOM_ASSOC,
+    LEFT_HOM_ALT,
+    RIGHT_HOM_ALT,
+    HomAlgebra,
+    check_hom_associative,
+    check_left_hom_alternative,
+    check_right_hom_alternative,
+)
+from .coalgebras import (
+    COCOMMUTATIVITY,
+    DELTA_MULTIPLICATIVITY,
+    GAMMA_MULTIPLICATIVITY,
+    HOM_COASSOC_COALGEBRA,
+    HOM_COASSOCIATIVITY,
+    HOM_COJACOBI,
+    HOM_COLEIBNIZ,
+    HOM_LIE_COALGEBRA,
+    HOM_POISSON_COALGEBRA,
+    SKEW_COSYMMETRY,
+    HomPoissonCoalgebra,
+    check_cocommutativity,
+    check_coalgebra_law,
+    check_hom_coassociative,
+    check_hom_coleibniz,
+    check_hom_lie_coalgebra,
+    check_hom_poisson_coalgebra,
+)
+from .comodules import (
+    COASSOC_COMODULE,
+    LIE_COMODULE,
+    POISSON_COMODULE,
+    HomComodule,
+    check_coassoc_comodule,
+    check_lie_comodule,
+    check_poisson_comodule,
+)
+from .errors import FormatError
+from .modules import LEFT_MODULE, RIGHT_MODULE, HomModule, check_left_module, check_right_module
+from .report import AxiomReport
+
+
+def _law(axiom: str):
+    return partial(check_coalgebra_law, axiom=axiom)
+
+
+AXIOMS = {
+    (HomAlgebra, LEFT_HOM_ALT): check_left_hom_alternative,
+    (HomAlgebra, RIGHT_HOM_ALT): check_right_hom_alternative,
+    (HomAlgebra, HOM_ASSOC): check_hom_associative,
+    (HomModule, LEFT_MODULE): check_left_module,
+    (HomModule, RIGHT_MODULE): check_right_module,
+    (HomPoissonCoalgebra, COCOMMUTATIVITY): check_cocommutativity,
+    (HomPoissonCoalgebra, HOM_COASSOC_COALGEBRA): check_hom_coassociative,
+    (HomPoissonCoalgebra, DELTA_MULTIPLICATIVITY): _law(DELTA_MULTIPLICATIVITY),
+    (HomPoissonCoalgebra, HOM_COASSOCIATIVITY): _law(HOM_COASSOCIATIVITY),
+    (HomPoissonCoalgebra, HOM_LIE_COALGEBRA): check_hom_lie_coalgebra,
+    (HomPoissonCoalgebra, SKEW_COSYMMETRY): _law(SKEW_COSYMMETRY),
+    (HomPoissonCoalgebra, GAMMA_MULTIPLICATIVITY): _law(GAMMA_MULTIPLICATIVITY),
+    (HomPoissonCoalgebra, HOM_COJACOBI): _law(HOM_COJACOBI),
+    (HomPoissonCoalgebra, HOM_COLEIBNIZ): check_hom_coleibniz,
+    (HomPoissonCoalgebra, HOM_POISSON_COALGEBRA): check_hom_poisson_coalgebra,
+    (HomComodule, COASSOC_COMODULE): check_coassoc_comodule,
+    (HomComodule, LIE_COMODULE): check_lie_comodule,
+    (HomComodule, POISSON_COMODULE): check_poisson_comodule,
+}
+"""(structure type, axiom id) -> checker taking the structure."""
+
+_KIND = {
+    HomAlgebra: "algebra",
+    HomModule: "module",
+    HomPoissonCoalgebra: "coalgebra",
+    HomComodule: "comodule",
+}
+
+_COMODULE_NATIVE = {
+    "coassociative": COASSOC_COMODULE,
+    "lie": LIE_COMODULE,
+    "poisson": POISSON_COMODULE,
+}
+
+
+def native_suite(structure) -> list[str]:
+    """The ids ``--suite all`` runs: every algebra law, else the structure's own aggregate."""
+    if isinstance(structure, HomAlgebra):
+        return [LEFT_HOM_ALT, RIGHT_HOM_ALT, HOM_ASSOC]
+    if isinstance(structure, HomModule):
+        return [LEFT_MODULE if structure.side == "left" else RIGHT_MODULE]
+    if isinstance(structure, HomPoissonCoalgebra):
+        return [HOM_POISSON_COALGEBRA]
+    if isinstance(structure, HomComodule):
+        return [_COMODULE_NATIVE[structure.kind]]
+    raise FormatError("structure kind cannot be verified")
+
+
+def check(structure, axiom: str) -> AxiomReport:
+    """Run one registered axiom; ``FormatError`` if the structure's type lacks it."""
+    kind = _KIND.get(type(structure))
+    if kind is None:
+        raise FormatError("structure kind cannot be verified")
+    checker = AXIOMS.get((type(structure), axiom))
+    if checker is None:
+        raise FormatError(f"unknown {kind} axiom {axiom!r}")
+    return checker(structure)

@@ -20,32 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping, Union
 
-from .algebras import (
-    HOM_ASSOC,
-    LEFT_HOM_ALT,
-    RIGHT_HOM_ALT,
-    HomAlgebra,
-    check_hom_associative,
-    check_left_hom_alternative,
-    check_right_hom_alternative,
-    yau_twist,
-)
-from .coalgebras import (
-    HOM_POISSON_COALGEBRA,
-    HomPoissonCoalgebra,
-    check_hom_poisson_coalgebra,
-    yau_twist_coalgebra,
-)
+from . import axioms
+from .algebras import HOM_ASSOC, LEFT_HOM_ALT, RIGHT_HOM_ALT, HomAlgebra, yau_twist
+from .coalgebras import HOM_POISSON_COALGEBRA, HomPoissonCoalgebra, yau_twist_coalgebra
 from .comodules import (
     COASSOC_COMODULE,
     LIE_COMODULE,
     POISSON_COMODULE,
     HomComodule,
-    check_coassoc_comodule,
-    check_lie_comodule,
-    check_poisson_comodule,
     regular_comodule,
 )
 from .errors import DimensionMismatch
@@ -58,14 +44,7 @@ from .exact import (
     Vector,
     rat,
 )
-from .modules import (
-    LEFT_MODULE,
-    RIGHT_MODULE,
-    HomModule,
-    check_left_module,
-    check_right_module,
-    regular_module,
-)
+from .modules import LEFT_MODULE, RIGHT_MODULE, HomModule, regular_module
 
 Payload = Union[HomAlgebra, HomPoissonCoalgebra, HomModule, HomComodule]
 
@@ -76,7 +55,11 @@ OCTONION_TRIPLES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7), (2, 5, 7), (3, 6
 class CatalogEntry:
     name: str
     payload: Payload
-    expected_verdicts: dict[str, bool] = field(default_factory=dict)
+    expected_verdicts: Mapping[str, bool] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # entries are built once and shared, so their verdicts are read-only
+        object.__setattr__(self, "expected_verdicts", MappingProxyType(dict(self.expected_verdicts)))
 
 
 def matrix_algebra(k: int) -> HomAlgebra:
@@ -356,6 +339,12 @@ def lie_only_coalgebra_twisted() -> HomPoissonCoalgebra:
 
 
 def entries() -> list[CatalogEntry]:
+    """All named entries, in catalogue order (built once per process)."""
+    return list(_entries())
+
+
+@cache
+def _entries() -> tuple[CatalogEntry, ...]:
     octo = octonions()
     dual, _ = dual_numbers(2)
     dual_tw = dual_numbers_twisted()
@@ -509,7 +498,7 @@ def entries() -> list[CatalogEntry]:
             {POISSON_COMODULE: False},
         )
     )
-    return out
+    return tuple(out)
 
 
 def get(name: str) -> CatalogEntry:
@@ -523,19 +512,6 @@ def names() -> list[str]:
     return [e.name for e in entries()]
 
 
-_CHECKERS = {
-    LEFT_HOM_ALT: check_left_hom_alternative,
-    RIGHT_HOM_ALT: check_right_hom_alternative,
-    HOM_ASSOC: check_hom_associative,
-    LEFT_MODULE: check_left_module,
-    RIGHT_MODULE: check_right_module,
-    HOM_POISSON_COALGEBRA: check_hom_poisson_coalgebra,
-    POISSON_COMODULE: check_poisson_comodule,
-    LIE_COMODULE: check_lie_comodule,
-    COASSOC_COMODULE: check_coassoc_comodule,
-}
-
-
 def run_expected_checks(entry: CatalogEntry) -> dict[str, bool]:
     """Live verdicts for the axioms an entry pins down."""
-    return {axiom: _CHECKERS[axiom](entry.payload).holds for axiom in entry.expected_verdicts}
+    return {axiom: axioms.check(entry.payload, axiom).holds for axiom in entry.expected_verdicts}

@@ -10,51 +10,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import catalog
+from . import axioms, catalog
 from .algebras import (
-    HOM_ASSOC,
-    LEFT_HOM_ALT,
-    RIGHT_HOM_ALT,
     HomAlgebra,
-    check_hom_associative,
-    check_left_hom_alternative,
     check_morphism,
-    check_right_hom_alternative,
     negate as negate_algebra,
     opposite as opposite_algebra,
     yau_twist,
 )
 from .coalgebras import (
-    COCOMMUTATIVITY,
-    DELTA_MULTIPLICATIVITY,
-    GAMMA_MULTIPLICATIVITY,
-    HOM_COASSOC_COALGEBRA,
-    HOM_COASSOCIATIVITY,
-    HOM_COJACOBI,
-    HOM_COLEIBNIZ,
-    HOM_LIE_COALGEBRA,
-    HOM_POISSON_COALGEBRA,
-    SKEW_COSYMMETRY,
     HomPoissonCoalgebra,
     check_coalgebra_morphism,
-    check_cocommutativity,
-    check_hom_coassociative,
-    check_hom_coleibniz,
-    check_hom_lie_coalgebra,
-    check_hom_poisson_coalgebra,
     negate_coalgebra,
     opposite_coalgebra,
     yau_twist_coalgebra,
 )
 from .comodules import (
-    COASSOC_COMODULE,
-    LIE_COMODULE,
-    POISSON_COMODULE,
     HomComodule,
-    check_coassoc_comodule,
     check_comodule_morphism,
-    check_lie_comodule,
-    check_poisson_comodule,
     negate_poisson_comodule,
     twist_coassoc_comodule,
     twist_lie_comodule,
@@ -71,93 +44,13 @@ from .fileformat import (
     write_file,
 )
 from .modules import (
-    LEFT_MODULE,
-    RIGHT_MODULE,
     HomModule,
-    check_left_module,
     check_module_morphism,
-    check_right_module,
     negate_module,
     opposite_module,
     twist_module,
 )
 from .report import AxiomReport
-
-_ALGEBRA_AXIOMS = {
-    LEFT_HOM_ALT: check_left_hom_alternative,
-    RIGHT_HOM_ALT: check_right_hom_alternative,
-    HOM_ASSOC: check_hom_associative,
-}
-
-_COALGEBRA_AXIOMS = {
-    COCOMMUTATIVITY: lambda p: check_cocommutativity(p.coassociative_part()),
-    HOM_COASSOC_COALGEBRA: lambda p: check_hom_coassociative(p.coassociative_part()),
-    DELTA_MULTIPLICATIVITY: lambda p: check_hom_coassociative(p.coassociative_part()).part(
-        DELTA_MULTIPLICATIVITY
-    ),
-    HOM_COASSOCIATIVITY: lambda p: check_hom_coassociative(p.coassociative_part()).part(
-        HOM_COASSOCIATIVITY
-    ),
-    HOM_LIE_COALGEBRA: lambda p: check_hom_lie_coalgebra(p.lie_part()),
-    SKEW_COSYMMETRY: lambda p: check_hom_lie_coalgebra(p.lie_part()).part(SKEW_COSYMMETRY),
-    GAMMA_MULTIPLICATIVITY: lambda p: check_hom_lie_coalgebra(p.lie_part()).part(
-        GAMMA_MULTIPLICATIVITY
-    ),
-    HOM_COJACOBI: lambda p: check_hom_lie_coalgebra(p.lie_part()).part(HOM_COJACOBI),
-    HOM_COLEIBNIZ: check_hom_coleibniz,
-    HOM_POISSON_COALGEBRA: check_hom_poisson_coalgebra,
-}
-
-_COMODULE_AXIOMS = {
-    COASSOC_COMODULE: check_coassoc_comodule,
-    LIE_COMODULE: check_lie_comodule,
-    POISSON_COMODULE: check_poisson_comodule,
-}
-
-
-def _reports_for(structure, suite: list[str]) -> list[AxiomReport]:
-    if isinstance(structure, HomAlgebra):
-        axioms = list(_ALGEBRA_AXIOMS) if suite == ["all"] else suite
-        out = []
-        for axiom in axioms:
-            if axiom not in _ALGEBRA_AXIOMS:
-                raise FormatError(f"unknown algebra axiom {axiom!r}")
-            out.append(_ALGEBRA_AXIOMS[axiom](structure))
-        return out
-    if isinstance(structure, HomModule):
-        native = LEFT_MODULE if structure.side == "left" else RIGHT_MODULE
-        axioms = [native] if suite == ["all"] else suite
-        out = []
-        for axiom in axioms:
-            if axiom == LEFT_MODULE:
-                out.append(check_left_module(structure))
-            elif axiom == RIGHT_MODULE:
-                out.append(check_right_module(structure))
-            else:
-                raise FormatError(f"unknown module axiom {axiom!r}")
-        return out
-    if isinstance(structure, HomPoissonCoalgebra):
-        axioms = [HOM_POISSON_COALGEBRA] if suite == ["all"] else suite
-        out = []
-        for axiom in axioms:
-            if axiom not in _COALGEBRA_AXIOMS:
-                raise FormatError(f"unknown coalgebra axiom {axiom!r}")
-            out.append(_COALGEBRA_AXIOMS[axiom](structure))
-        return out
-    if isinstance(structure, HomComodule):
-        native = {
-            "coassociative": COASSOC_COMODULE,
-            "lie": LIE_COMODULE,
-            "poisson": POISSON_COMODULE,
-        }[structure.kind]
-        axioms = [native] if suite == ["all"] else suite
-        out = []
-        for axiom in axioms:
-            if axiom not in _COMODULE_AXIOMS:
-                raise FormatError(f"unknown comodule axiom {axiom!r}")
-            out.append(_COMODULE_AXIOMS[axiom](structure))
-        return out
-    raise FormatError("structure kind cannot be verified")
 
 
 def _print_report(report: AxiomReport, max_witnesses: int, indent: str = ""):
@@ -184,7 +77,9 @@ def cmd_verify(args) -> int:
     suite = [token.strip() for token in args.suite.split(",") if token.strip()]
     if not suite:
         raise FormatError("empty suite")
-    reports = _reports_for(structure, suite)
+    if suite == ["all"]:
+        suite = axioms.native_suite(structure)
+    reports = [axioms.check(structure, axiom) for axiom in suite]
     for report in reports:
         _print_report(report, args.max_witnesses)
     return 0 if all(r.holds for r in reports) else 1
@@ -401,6 +296,8 @@ def main(argv=None) -> int:
         print("error: catalog export needs a name", file=sys.stderr)
         return 2
     try:
+        if getattr(args, "max_witnesses", 0) < 0:
+            raise FormatError("--max-witnesses must be nonnegative")
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 A Hom-Poisson coalgebra is a quadruple (A, delta, gamma, alpha) where delta
 is a Hom-coassociative comultiplication, gamma a Hom-Lie cobracket, and the
-two are linked by the co-Leibniz law.  All identities are expanded into
-structure-constant sums per basis vector; residuals in a tensor square or
-cube are flattened lexicographically.  The seven individual checks:
+two are linked by the co-Leibniz law.  Each identity is a row of
+``laws.Law`` checked per basis vector; residuals in a tensor square or cube
+are flattened lexicographically.  The seven individual checks:
 
     cocommutativity      delta = tau . delta
     delta mult.          delta . alpha = (alpha @ alpha) . delta
@@ -21,12 +21,12 @@ where tau flips a tensor square and rot(x @ y @ z) = z @ x @ y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from typing import Union
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
-from .exact import ComulTensor, LinearMap, compose, flatten_cube, flatten_matrix
-from .report import AxiomReport, Witness
+from .exact import ComulTensor, LinearMap
+from .laws import COMMUTES, Law
+from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
 DELTA_MULTIPLICATIVITY = "DELTA_MULTIPLICATIVITY"
@@ -42,8 +42,6 @@ COALGEBRA_MORPHISM = "COALGEBRA_MORPHISM"
 COALGEBRA_MORPHISM_DELTA = "COALGEBRA_MORPHISM_DELTA"
 COALGEBRA_MORPHISM_GAMMA = "COALGEBRA_MORPHISM_GAMMA"
 COALGEBRA_MORPHISM_TWIST_COMMUTES = "COALGEBRA_MORPHISM_TWIST_COMMUTES"
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -91,261 +89,83 @@ class HomPoissonCoalgebra:
         return HomLieCoalgebra(self.dim, self.gamma, self.alpha)
 
 
-def _comul_of_alpha_image(t: ComulTensor, alpha: LinearMap, k: int):
-    """Coefficient matrix of comul(alpha(e_k))."""
-    n = t.dim
-    out = [[_ZERO] * n for _ in range(n)]
-    for l in range(n):
-        a = alpha.entries[l][k]
-        if not a:
-            continue
-        plane = t.d[l]
-        for i in range(n):
-            for j in range(n):
-                v = plane[i][j]
-                if v:
-                    out[i][j] += a * v
-    return out
+_AnyCoalgebra = Union[HomCoassocCoalgebra, HomLieCoalgebra, HomPoissonCoalgebra]
+
+# The six laws that involve one comultiplication t and the twist alpha.
+_MULTIPLICATIVE = Law("k", "ij", "+ alpha.lk t.lij", "- t.kab alpha.ia alpha.jb")
+_ONE_MAP_LAWS = {
+    COCOMMUTATIVITY: Law("k", "ij", "+ t.kij", "- t.kji"),
+    DELTA_MULTIPLICATIVITY: _MULTIPLICATIVE,
+    HOM_COASSOCIATIVITY: Law("k", "ijl", "+ t.kab alpha.ia t.bjl", "- t.kab alpha.lb t.aij"),
+    SKEW_COSYMMETRY: Law("k", "ij", "+ t.kij", "+ t.kji"),
+    GAMMA_MULTIPLICATIVITY: _MULTIPLICATIVE,
+    HOM_COJACOBI: Law(
+        "k", "ijl",
+        "+ t.kab alpha.ia t.bjl",  # (alpha @ t) . t
+        "+ t.kab alpha.ja t.bli",  # rotated once
+        "+ t.kab alpha.la t.bij",  # rotated twice
+    ),
+}
+_ON_DELTA = (COCOMMUTATIVITY, DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY)
+_COLEIBNIZ = Law(
+    "k", "ijl",
+    "+ gamma.kab alpha.ia delta.bjl",  # (alpha @ delta) . gamma
+    "- delta.kab alpha.lb gamma.aij",  # (gamma @ alpha) . delta
+    "- delta.kab alpha.ja gamma.bil",  # (tau @ id) . (alpha @ gamma) . delta
+)
+# (f @ f) . src = dst . f for a map f between coalgebras.
+_MORPHISM = Law("k", "ij", "+ src.kab f.ia f.jb", "- f.lk dst.lij")
 
 
-def _two_leg_alpha(t: ComulTensor, alpha: LinearMap, k: int):
-    """Coefficient matrix of (alpha @ alpha)(comul(e_k))."""
-    n = t.dim
-    out = [[_ZERO] * n for _ in range(n)]
-    plane = t.d[k]
-    for a_idx in range(n):
-        for b_idx in range(n):
-            v = plane[a_idx][b_idx]
-            if not v:
-                continue
-            for i in range(n):
-                ai = alpha.entries[i][a_idx]
-                if not ai:
-                    continue
-                for j in range(n):
-                    bj = alpha.entries[j][b_idx]
-                    if bj:
-                        out[i][j] += v * ai * bj
-    return out
+def check_coalgebra_law(c: _AnyCoalgebra, axiom: str) -> AxiomReport:
+    """One of the seven individual laws of ``c``, by id.
+
+    ``c`` is any coalgebra carrying the maps the law needs: ``delta`` for
+    the first three, ``gamma`` for the next three, both for co-Leibniz.
+    """
+    if axiom == HOM_COLEIBNIZ:
+        return _COLEIBNIZ.check(axiom, delta=c.delta, gamma=c.gamma, alpha=c.alpha)
+    t = c.delta if axiom in _ON_DELTA else c.gamma
+    return _ONE_MAP_LAWS[axiom].check(axiom, t=t, alpha=c.alpha)
+
+
+def _aggregate(axiom: str, c: _AnyCoalgebra, parts: tuple[str, ...]) -> AxiomReport:
+    return AxiomReport.aggregate(axiom, [check_coalgebra_law(c, part) for part in parts])
 
 
 def check_cocommutativity(c: HomCoassocCoalgebra) -> AxiomReport:
     """delta = tau . delta, i.e. the output coefficient matrix is symmetric."""
-    n = c.dim
-
-    def scan() -> Iterator[Witness]:
-        for k in range(n):
-            plane = c.delta.d[k]
-            res = [[plane[i][j] - plane[j][i] for j in range(n)] for i in range(n)]
-            if any(x for row in res for x in row):
-                yield Witness((k,), flatten_matrix(res))
-
-    return AxiomReport.from_scan(COCOMMUTATIVITY, scan())
-
-
-def _multiplicativity_report(axiom: str, t: ComulTensor, alpha: LinearMap) -> AxiomReport:
-    n = t.dim
-
-    def scan() -> Iterator[Witness]:
-        for k in range(n):
-            lhs = _comul_of_alpha_image(t, alpha, k)
-            rhs = _two_leg_alpha(t, alpha, k)
-            res = [[lhs[i][j] - rhs[i][j] for j in range(n)] for i in range(n)]
-            if any(x for row in res for x in row):
-                yield Witness((k,), flatten_matrix(res))
-
-    return AxiomReport.from_scan(axiom, scan())
-
-
-def _coassociativity_report(t: ComulTensor, alpha: LinearMap) -> AxiomReport:
-    n = t.dim
-
-    def scan() -> Iterator[Witness]:
-        for k in range(n):
-            lhs = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-            rhs = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-            plane = t.d[k]
-            for a_idx in range(n):
-                for b_idx in range(n):
-                    v = plane[a_idx][b_idx]
-                    if not v:
-                        continue
-                    # (alpha @ delta): alpha on the first leg, split the second
-                    for i in range(n):
-                        ai = alpha.entries[i][a_idx]
-                        if ai:
-                            inner = t.d[b_idx]
-                            for j in range(n):
-                                for l in range(n):
-                                    w = inner[j][l]
-                                    if w:
-                                        lhs[i][j][l] += v * ai * w
-                    # (delta @ alpha): split the first leg, alpha on the second
-                    inner = t.d[a_idx]
-                    for i in range(n):
-                        for j in range(n):
-                            w = inner[i][j]
-                            if not w:
-                                continue
-                            for l in range(n):
-                                al = alpha.entries[l][b_idx]
-                                if al:
-                                    rhs[i][j][l] += v * w * al
-            res = [
-                [[lhs[i][j][l] - rhs[i][j][l] for l in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-            if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((k,), flatten_cube(res))
-
-    return AxiomReport.from_scan(HOM_COASSOCIATIVITY, scan())
+    return check_coalgebra_law(c, COCOMMUTATIVITY)
 
 
 def check_hom_coassociative(c: HomCoassocCoalgebra) -> AxiomReport:
     """Multiplicativity of alpha for delta plus Hom-coassociativity."""
-    parts = (
-        _multiplicativity_report(DELTA_MULTIPLICATIVITY, c.delta, c.alpha),
-        _coassociativity_report(c.delta, c.alpha),
-    )
-    return AxiomReport.aggregate(HOM_COASSOC_COALGEBRA, parts)
-
-
-def _skew_report(t: ComulTensor) -> AxiomReport:
-    n = t.dim
-
-    def scan() -> Iterator[Witness]:
-        for k in range(n):
-            plane = t.d[k]
-            res = [[plane[i][j] + plane[j][i] for j in range(n)] for i in range(n)]
-            if any(x for row in res for x in row):
-                yield Witness((k,), flatten_matrix(res))
-
-    return AxiomReport.from_scan(SKEW_COSYMMETRY, scan())
-
-
-def _alpha_gamma_gamma(t: ComulTensor, alpha: LinearMap, k: int):
-    """(alpha @ gamma) . gamma applied to e_k, as an n x n x n coefficient cube."""
-    n = t.dim
-    out = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    plane = t.d[k]
-    for a_idx in range(n):
-        for b_idx in range(n):
-            v = plane[a_idx][b_idx]
-            if not v:
-                continue
-            inner = t.d[b_idx]
-            for i in range(n):
-                ai = alpha.entries[i][a_idx]
-                if not ai:
-                    continue
-                for j in range(n):
-                    for l in range(n):
-                        w = inner[j][l]
-                        if w:
-                            out[i][j][l] += v * ai * w
-    return out
-
-
-def _cojacobi_report(t: ComulTensor, alpha: LinearMap) -> AxiomReport:
-    n = t.dim
-
-    def scan() -> Iterator[Witness]:
-        for k in range(n):
-            base = _alpha_gamma_gamma(t, alpha, k)
-            res = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    for l in range(n):
-                        # identity + rotation + rotation^2 of x1@x2@x3 -> x3@x1@x2
-                        res[i][j][l] = base[i][j][l] + base[j][l][i] + base[l][i][j]
-            if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((k,), flatten_cube(res))
-
-    return AxiomReport.from_scan(HOM_COJACOBI, scan())
+    return _aggregate(HOM_COASSOC_COALGEBRA, c, (DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY))
 
 
 def check_hom_lie_coalgebra(l: HomLieCoalgebra) -> AxiomReport:
-    parts = (
-        _skew_report(l.gamma),
-        _multiplicativity_report(GAMMA_MULTIPLICATIVITY, l.gamma, l.alpha),
-        _cojacobi_report(l.gamma, l.alpha),
+    return _aggregate(
+        HOM_LIE_COALGEBRA, l, (SKEW_COSYMMETRY, GAMMA_MULTIPLICATIVITY, HOM_COJACOBI)
     )
-    return AxiomReport.aggregate(HOM_LIE_COALGEBRA, parts)
-
-
-def _coleibniz_report(delta: ComulTensor, gamma: ComulTensor, alpha: LinearMap) -> AxiomReport:
-    n = delta.dim
-
-    def scan() -> Iterator[Witness]:
-        for k in range(n):
-            lhs = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-            rhs = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-            # (alpha @ delta) . gamma
-            for a_idx in range(n):
-                for b_idx in range(n):
-                    v = gamma.d[k][a_idx][b_idx]
-                    if not v:
-                        continue
-                    inner = delta.d[b_idx]
-                    for i in range(n):
-                        ai = alpha.entries[i][a_idx]
-                        if not ai:
-                            continue
-                        for j in range(n):
-                            for l in range(n):
-                                w = inner[j][l]
-                                if w:
-                                    lhs[i][j][l] += v * ai * w
-            for a_idx in range(n):
-                for b_idx in range(n):
-                    v = delta.d[k][a_idx][b_idx]
-                    if not v:
-                        continue
-                    # (gamma @ alpha) . delta
-                    inner = gamma.d[a_idx]
-                    for i in range(n):
-                        for j in range(n):
-                            w = inner[i][j]
-                            if not w:
-                                continue
-                            for l in range(n):
-                                al = alpha.entries[l][b_idx]
-                                if al:
-                                    rhs[i][j][l] += v * w * al
-                    # (tau @ id) . (alpha @ gamma) . delta: swap the first two legs
-                    inner = gamma.d[b_idx]
-                    for j in range(n):
-                        aj = alpha.entries[j][a_idx]
-                        if not aj:
-                            continue
-                        for i in range(n):
-                            for l in range(n):
-                                w = inner[i][l]
-                                if w:
-                                    rhs[i][j][l] += v * aj * w
-            res = [
-                [[lhs[i][j][l] - rhs[i][j][l] for l in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-            if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((k,), flatten_cube(res))
-
-    return AxiomReport.from_scan(HOM_COLEIBNIZ, scan())
 
 
 def check_hom_coleibniz(p: HomPoissonCoalgebra) -> AxiomReport:
-    return _coleibniz_report(p.delta, p.gamma, p.alpha)
+    return check_coalgebra_law(p, HOM_COLEIBNIZ)
 
 
 def check_hom_poisson_coalgebra(p: HomPoissonCoalgebra) -> AxiomReport:
     """Aggregate verdict over all axioms; cocommutativity only when expected."""
-    parts: list[AxiomReport] = []
+    parts = (
+        DELTA_MULTIPLICATIVITY,
+        HOM_COASSOCIATIVITY,
+        SKEW_COSYMMETRY,
+        GAMMA_MULTIPLICATIVITY,
+        HOM_COJACOBI,
+        HOM_COLEIBNIZ,
+    )
     if p.cocommutative_expected:
-        parts.append(check_cocommutativity(p.coassociative_part()))
-    parts.extend(check_hom_coassociative(p.coassociative_part()).parts)
-    parts.extend(check_hom_lie_coalgebra(p.lie_part()).parts)
-    parts.append(_coleibniz_report(p.delta, p.gamma, p.alpha))
-    return AxiomReport.aggregate(HOM_POISSON_COALGEBRA, parts)
+        parts = (COCOMMUTATIVITY,) + parts
+    return _aggregate(HOM_POISSON_COALGEBRA, p, parts)
 
 
 def opposite_coalgebra(p: HomPoissonCoalgebra) -> HomPoissonCoalgebra:
@@ -364,20 +184,10 @@ def check_coendomorphism(p: HomPoissonCoalgebra, phi: LinearMap) -> AxiomReport:
     """Verify delta . phi = (phi @ phi) . delta and likewise for gamma."""
     if not phi.is_square(p.dim):
         raise DimensionMismatch("coendomorphism candidate has wrong shape")
-    n = p.dim
-
-    def scan(t: ComulTensor, tag: str) -> AxiomReport:
-        def gen() -> Iterator[Witness]:
-            for k in range(n):
-                lhs = _comul_of_alpha_image(t, phi, k)
-                rhs = _two_leg_alpha(t, phi, k)
-                res = [[lhs[i][j] - rhs[i][j] for j in range(n)] for i in range(n)]
-                if any(x for row in res for x in row):
-                    yield Witness((k,), flatten_matrix(res))
-
-        return AxiomReport.from_scan(tag, gen())
-
-    parts = (scan(p.delta, COALGEBRA_MORPHISM_DELTA), scan(p.gamma, COALGEBRA_MORPHISM_GAMMA))
+    parts = (
+        _MULTIPLICATIVE.check(COALGEBRA_MORPHISM_DELTA, t=p.delta, alpha=phi),
+        _MULTIPLICATIVE.check(COALGEBRA_MORPHISM_GAMMA, t=p.gamma, alpha=phi),
+    )
     return AxiomReport.aggregate(COALGEBRA_MORPHISM, parts)
 
 
@@ -401,53 +211,9 @@ def check_coalgebra_morphism(
     """(f @ f) . delta1 = delta2 . f, same for gamma, and f . alpha1 = alpha2 . f."""
     if f.dim_in != p1.dim or f.dim_out != p2.dim:
         raise DimensionMismatch("morphism candidate has wrong shape")
-    n1, n2 = p1.dim, p2.dim
-
-    def tensor_side(t1: ComulTensor, t2: ComulTensor, tag: str) -> AxiomReport:
-        def gen() -> Iterator[Witness]:
-            for k in range(n1):
-                lhs = [[_ZERO] * n2 for _ in range(n2)]
-                for a_idx in range(n1):
-                    for b_idx in range(n1):
-                        v = t1.d[k][a_idx][b_idx]
-                        if not v:
-                            continue
-                        for i in range(n2):
-                            fi = f.entries[i][a_idx]
-                            if not fi:
-                                continue
-                            for j in range(n2):
-                                fj = f.entries[j][b_idx]
-                                if fj:
-                                    lhs[i][j] += v * fi * fj
-                rhs = [[_ZERO] * n2 for _ in range(n2)]
-                for l in range(n2):
-                    fl = f.entries[l][k]
-                    if not fl:
-                        continue
-                    plane = t2.d[l]
-                    for i in range(n2):
-                        for j in range(n2):
-                            w = plane[i][j]
-                            if w:
-                                rhs[i][j] += fl * w
-                res = [[lhs[i][j] - rhs[i][j] for j in range(n2)] for i in range(n2)]
-                if any(x for row in res for x in row):
-                    yield Witness((k,), flatten_matrix(res))
-
-        return AxiomReport.from_scan(tag, gen())
-
-    def commute() -> Iterator[Witness]:
-        fa = compose(f, p1.alpha)
-        af = compose(p2.alpha, f)
-        for k in range(n1):
-            r = fa.column(k) - af.column(k)
-            if not r.is_zero():
-                yield Witness((k,), r)
-
     parts = (
-        tensor_side(p1.delta, p2.delta, COALGEBRA_MORPHISM_DELTA),
-        tensor_side(p1.gamma, p2.gamma, COALGEBRA_MORPHISM_GAMMA),
-        AxiomReport.from_scan(COALGEBRA_MORPHISM_TWIST_COMMUTES, commute()),
+        _MORPHISM.check(COALGEBRA_MORPHISM_DELTA, src=p1.delta, dst=p2.delta, f=f),
+        _MORPHISM.check(COALGEBRA_MORPHISM_GAMMA, src=p1.gamma, dst=p2.gamma, f=f),
+        COMMUTES.check(COALGEBRA_MORPHISM_TWIST_COMMUTES, f=f, x=p1.alpha, y=p2.alpha),
     )
     return AxiomReport.aggregate(COALGEBRA_MORPHISM, parts)

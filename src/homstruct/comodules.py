@@ -17,20 +17,21 @@ of M and with residuals flattened lexicographically:
         delta(m[-1]) @ beta(m[0]) =  alpha(m(-1)) @ gm(m(0))
                                   + swap12( alpha(m(-1)) @ gm(m(0)) )
 
-The mixed laws are implemented in exactly these component (Sweedler) forms;
-swap12 exchanges the first two tensor legs.
+Each law is a row of ``laws.Law``; the mixed laws are stated in exactly
+these component (Sweedler) forms, and swap12 exchanges the first two tensor
+legs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
-from .exact import CoactionTensor, ComulTensor, LinearMap, compose, flatten_cube, flatten_matrix, squared
-from .report import AxiomReport, Witness
+from .exact import CoactionTensor, LinearMap, squared
+from .laws import COMMUTES, Law
+from .report import AxiomReport
 
 COASSOC_COMODULE = "COASSOC_COMODULE"
 LIE_COMODULE = "LIE_COMODULE"
@@ -47,8 +48,6 @@ COMODULE_MORPHISM_GAMMA = "COMODULE_MORPHISM_GAMMA"
 COMODULE_MORPHISM_BETA_COMMUTES = "COMODULE_MORPHISM_BETA_COMMUTES"
 
 KINDS = ("coassociative", "lie", "poisson")
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -83,285 +82,71 @@ def with_coalgebra(c: HomComodule, base: HomPoissonCoalgebra) -> HomComodule:
     return HomComodule(base, c.dim_mod, c.beta, c.kind, c.delta_m, c.gamma_m)
 
 
-def _beta_compat_report(axiom: str, t: CoactionTensor, alpha: LinearMap, beta: LinearMap) -> AxiomReport:
-    """coaction . beta = (alpha @ beta) . coaction, per basis vector of M."""
-    n, m = t.dim_coalg, t.dim_mod
-
-    def scan() -> Iterator[Witness]:
-        for p in range(m):
-            lhs = [[_ZERO] * m for _ in range(n)]
-            for r in range(m):
-                b = beta.entries[r][p]
-                if not b:
-                    continue
-                plane = t.g[r]
-                for i in range(n):
-                    for q in range(m):
-                        v = plane[i][q]
-                        if v:
-                            lhs[i][q] += b * v
-            rhs = [[_ZERO] * m for _ in range(n)]
-            plane = t.g[p]
-            for a_idx in range(n):
-                for q_idx in range(m):
-                    v = plane[a_idx][q_idx]
-                    if not v:
-                        continue
-                    for i in range(n):
-                        ai = alpha.entries[i][a_idx]
-                        if not ai:
-                            continue
-                        for q in range(m):
-                            bq = beta.entries[q][q_idx]
-                            if bq:
-                                rhs[i][q] += v * ai * bq
-            res = [[lhs[i][q] - rhs[i][q] for q in range(m)] for i in range(n)]
-            if any(x for row in res for x in row):
-                yield Witness((p,), flatten_matrix(res))
-
-    return AxiomReport.from_scan(axiom, scan())
+# coaction . beta = (alpha @ beta) . coaction, for the coaction t of the part.
+_MULTIPLICATIVE = Law("p", "iq", "+ beta.rp t.riq", "- t.pas alpha.ia beta.qs")
+_LAWS = {
+    DELTA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
+    DELTA_COACTION_COASSOCIATIVITY: Law(
+        "p", "ijq",
+        "+ dm.pas alpha.ia dm.sjq",    # (alpha @ dm) . dm
+        "- dm.pas beta.qs delta.aij",  # (delta @ beta) . dm
+    ),
+    GAMMA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
+    GAMMA_COACTION_COMPATIBILITY: Law(
+        "p", "ijq",
+        "+ gm.pas beta.qs gamma.aij",  # (gamma @ beta) . gm
+        "- gm.pas alpha.ia gm.sjq",    # (alpha @ gm) . gm
+        "+ gm.pas alpha.ja gm.siq",    # (tau @ id) . (alpha @ gm) . gm
+    ),
+    COMODULE_COLEIBNIZ: Law(
+        "p", "ijq",
+        "+ gm.pas alpha.ia dm.sjq",    # alpha(m[-1]) @ dm(m[0])
+        "- dm.pas beta.qs gamma.aij",  # gamma(m(-1)) @ beta(m(0))
+        "- dm.pas alpha.ja gm.siq",    # swap12(alpha(m(-1)) @ gm(m(0)))
+    ),
+    COMODULE_COMULT_COMPAT: Law(
+        "p", "ijq",
+        "+ gm.pas beta.qs delta.aij",  # delta(m[-1]) @ beta(m[0])
+        "- dm.pas alpha.ia gm.sjq",    # alpha(m(-1)) @ gm(m(0))
+        "- dm.pas alpha.ja gm.siq",    # swap12 of the same
+    ),
+}
+_COASSOC_PARTS = (DELTA_COACTION_MULTIPLICATIVITY, DELTA_COACTION_COASSOCIATIVITY)
+_LIE_PARTS = (GAMMA_COACTION_MULTIPLICATIVITY, GAMMA_COACTION_COMPATIBILITY)
+# (id @ f) . src = dst . f for a map f between comodules.
+_INTERTWINES = Law("p", "iq", "+ src.pis f.qs", "- f.rp dst.riq")
 
 
-def _coassoc_compat_report(t: CoactionTensor, delta: ComulTensor, alpha: LinearMap, beta: LinearMap) -> AxiomReport:
-    """(alpha @ dm) . dm = (delta @ beta) . dm in A @ A @ M."""
-    n, m = t.dim_coalg, t.dim_mod
-
-    def scan() -> Iterator[Witness]:
-        for p in range(m):
-            lhs = [[[_ZERO] * m for _ in range(n)] for _ in range(n)]
-            rhs = [[[_ZERO] * m for _ in range(n)] for _ in range(n)]
-            plane = t.g[p]
-            for a_idx in range(n):
-                for q_idx in range(m):
-                    v = plane[a_idx][q_idx]
-                    if not v:
-                        continue
-                    inner = t.g[q_idx]
-                    for i in range(n):
-                        ai = alpha.entries[i][a_idx]
-                        if not ai:
-                            continue
-                        for j in range(n):
-                            for q in range(m):
-                                w = inner[j][q]
-                                if w:
-                                    lhs[i][j][q] += v * ai * w
-                    dplane = delta.d[a_idx]
-                    for i in range(n):
-                        for j in range(n):
-                            w = dplane[i][j]
-                            if not w:
-                                continue
-                            for q in range(m):
-                                bq = beta.entries[q][q_idx]
-                                if bq:
-                                    rhs[i][j][q] += v * w * bq
-            res = [
-                [[lhs[i][j][q] - rhs[i][j][q] for q in range(m)] for j in range(n)]
-                for i in range(n)
-            ]
-            if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((p,), flatten_cube(res))
-
-    return AxiomReport.from_scan(DELTA_COACTION_COASSOCIATIVITY, scan())
+def _aggregate(axiom: str, c: HomComodule, parts: tuple[str, ...]) -> AxiomReport:
+    base = c.coalgebra
+    reports = [
+        _LAWS[part].check(
+            part, delta=base.delta, gamma=base.gamma, alpha=base.alpha, beta=c.beta,
+            dm=c.delta_m, gm=c.gamma_m,
+            t=c.delta_m if part == DELTA_COACTION_MULTIPLICATIVITY else c.gamma_m,
+        )
+        for part in parts
+    ]
+    return AxiomReport.aggregate(axiom, reports)
 
 
 def check_coassoc_comodule(c: HomComodule) -> AxiomReport:
     if c.kind not in ("coassociative", "poisson"):
         raise KindMismatch("comultiplication-side check needs a coassociative or poisson comodule")
-    base = c.coalgebra
-    parts = (
-        _beta_compat_report(DELTA_COACTION_MULTIPLICATIVITY, c.delta_m, base.alpha, c.beta),
-        _coassoc_compat_report(c.delta_m, base.delta, base.alpha, c.beta),
-    )
-    return AxiomReport.aggregate(COASSOC_COMODULE, parts)
-
-
-def _lie_compat_report(t: CoactionTensor, gamma: ComulTensor, alpha: LinearMap, beta: LinearMap) -> AxiomReport:
-    """(gamma @ beta) . gm = (alpha @ gm) . gm - swap12 . (alpha @ gm) . gm."""
-    n, m = t.dim_coalg, t.dim_mod
-
-    def scan() -> Iterator[Witness]:
-        for p in range(m):
-            lhs = [[[_ZERO] * m for _ in range(n)] for _ in range(n)]
-            plane = t.g[p]
-            for a_idx in range(n):
-                for q_idx in range(m):
-                    v = plane[a_idx][q_idx]
-                    if not v:
-                        continue
-                    gplane = gamma.d[a_idx]
-                    for i in range(n):
-                        for j in range(n):
-                            w = gplane[i][j]
-                            if not w:
-                                continue
-                            for q in range(m):
-                                bq = beta.entries[q][q_idx]
-                                if bq:
-                                    lhs[i][j][q] += v * w * bq
-            rhs = [[[_ZERO] * m for _ in range(n)] for _ in range(n)]
-            for a_idx in range(n):
-                for q_idx in range(m):
-                    v = plane[a_idx][q_idx]
-                    if not v:
-                        continue
-                    inner = t.g[q_idx]
-                    for i in range(n):
-                        ai = alpha.entries[i][a_idx]
-                        if not ai:
-                            continue
-                        for j in range(n):
-                            for q in range(m):
-                                w = inner[j][q]
-                                if w:
-                                    s = v * ai * w
-                                    rhs[i][j][q] += s
-                                    rhs[j][i][q] -= s
-            res = [
-                [[lhs[i][j][q] - rhs[i][j][q] for q in range(m)] for j in range(n)]
-                for i in range(n)
-            ]
-            if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((p,), flatten_cube(res))
-
-    return AxiomReport.from_scan(GAMMA_COACTION_COMPATIBILITY, scan())
+    return _aggregate(COASSOC_COMODULE, c, _COASSOC_PARTS)
 
 
 def check_lie_comodule(c: HomComodule) -> AxiomReport:
     if c.kind not in ("lie", "poisson"):
         raise KindMismatch("cobracket-side check needs a lie or poisson comodule")
-    base = c.coalgebra
-    parts = (
-        _beta_compat_report(GAMMA_COACTION_MULTIPLICATIVITY, c.gamma_m, base.alpha, c.beta),
-        _lie_compat_report(c.gamma_m, base.gamma, base.alpha, c.beta),
-    )
-    return AxiomReport.aggregate(LIE_COMODULE, parts)
-
-
-def _mixed_coleibniz_report(c: HomComodule) -> AxiomReport:
-    """alpha(m[-1]) @ dm(m[0]) = gamma(m(-1)) @ beta(m(0)) + swap12(alpha(m(-1)) @ gm(m(0)))."""
-    base = c.coalgebra
-    dm, gm = c.delta_m, c.gamma_m
-    n, m = base.dim, c.dim_mod
-    alpha, beta = base.alpha, c.beta
-
-    def scan() -> Iterator[Witness]:
-        for p in range(m):
-            lhs = [[[_ZERO] * m for _ in range(n)] for _ in range(n)]
-            for a_idx in range(n):
-                for q_idx in range(m):
-                    v = gm.g[p][a_idx][q_idx]
-                    if not v:
-                        continue
-                    inner = dm.g[q_idx]
-                    for i in range(n):
-                        ai = alpha.entries[i][a_idx]
-                        if not ai:
-                            continue
-                        for j in range(n):
-                            for q in range(m):
-                                w = inner[j][q]
-                                if w:
-                                    lhs[i][j][q] += v * ai * w
-            rhs = [[[_ZERO] * m for _ in range(n)] for _ in range(n)]
-            for a_idx in range(n):
-                for q_idx in range(m):
-                    v = dm.g[p][a_idx][q_idx]
-                    if not v:
-                        continue
-                    gplane = base.gamma.d[a_idx]
-                    for i in range(n):
-                        for j in range(n):
-                            w = gplane[i][j]
-                            if not w:
-                                continue
-                            for q in range(m):
-                                bq = beta.entries[q][q_idx]
-                                if bq:
-                                    rhs[i][j][q] += v * w * bq
-                    inner = gm.g[q_idx]
-                    for j in range(n):
-                        aj = alpha.entries[j][a_idx]
-                        if not aj:
-                            continue
-                        for i in range(n):
-                            for q in range(m):
-                                w = inner[i][q]
-                                if w:
-                                    rhs[i][j][q] += v * aj * w
-            res = [
-                [[lhs[i][j][q] - rhs[i][j][q] for q in range(m)] for j in range(n)]
-                for i in range(n)
-            ]
-            if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((p,), flatten_cube(res))
-
-    return AxiomReport.from_scan(COMODULE_COLEIBNIZ, scan())
-
-
-def _mixed_comult_report(c: HomComodule) -> AxiomReport:
-    """delta(m[-1]) @ beta(m[0]) = alpha(m(-1)) @ gm(m(0)) + swap12 of the same."""
-    base = c.coalgebra
-    dm, gm = c.delta_m, c.gamma_m
-    n, m = base.dim, c.dim_mod
-    alpha, beta = base.alpha, c.beta
-
-    def scan() -> Iterator[Witness]:
-        for p in range(m):
-            lhs = [[[_ZERO] * m for _ in range(n)] for _ in range(n)]
-            for a_idx in range(n):
-                for q_idx in range(m):
-                    v = gm.g[p][a_idx][q_idx]
-                    if not v:
-                        continue
-                    dplane = base.delta.d[a_idx]
-                    for i in range(n):
-                        for j in range(n):
-                            w = dplane[i][j]
-                            if not w:
-                                continue
-                            for q in range(m):
-                                bq = beta.entries[q][q_idx]
-                                if bq:
-                                    lhs[i][j][q] += v * w * bq
-            rhs = [[[_ZERO] * m for _ in range(n)] for _ in range(n)]
-            for a_idx in range(n):
-                for q_idx in range(m):
-                    v = dm.g[p][a_idx][q_idx]
-                    if not v:
-                        continue
-                    inner = gm.g[q_idx]
-                    for i in range(n):
-                        ai = alpha.entries[i][a_idx]
-                        if not ai:
-                            continue
-                        for j in range(n):
-                            for q in range(m):
-                                w = inner[j][q]
-                                if w:
-                                    s = v * ai * w
-                                    rhs[i][j][q] += s
-                                    rhs[j][i][q] += s
-            res = [
-                [[lhs[i][j][q] - rhs[i][j][q] for q in range(m)] for j in range(n)]
-                for i in range(n)
-            ]
-            if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((p,), flatten_cube(res))
-
-    return AxiomReport.from_scan(COMODULE_COMULT_COMPAT, scan())
+    return _aggregate(LIE_COMODULE, c, _LIE_PARTS)
 
 
 def check_poisson_comodule(c: HomComodule) -> AxiomReport:
     if c.kind != "poisson":
         raise KindMismatch("poisson check needs a poisson comodule")
-    parts: list[AxiomReport] = []
-    parts.extend(check_coassoc_comodule(c).parts)
-    parts.extend(check_lie_comodule(c).parts)
-    parts.append(_mixed_coleibniz_report(c))
-    parts.append(_mixed_comult_report(c))
-    return AxiomReport.aggregate(POISSON_COMODULE, parts)
+    mixed = (COMODULE_COLEIBNIZ, COMODULE_COMULT_COMPAT)
+    return _aggregate(POISSON_COMODULE, c, _COASSOC_PARTS + _LIE_PARTS + mixed)
 
 
 def twist_coassoc_comodule(c: HomComodule) -> HomComodule:
@@ -423,55 +208,13 @@ def check_comodule_morphism(
         raise KindMismatch("comodules have different kinds")
     if f.dim_in != c1.dim_mod or f.dim_out != c2.dim_mod:
         raise DimensionMismatch("morphism candidate has wrong shape")
-    n = c1.coalgebra.dim
-
-    def intertwine(t1: CoactionTensor, t2: CoactionTensor, tag: str) -> AxiomReport:
-        def gen() -> Iterator[Witness]:
-            for p in range(c1.dim_mod):
-                lhs = [[_ZERO] * c2.dim_mod for _ in range(n)]
-                plane = t1.g[p]
-                for i in range(n):
-                    for q_idx in range(c1.dim_mod):
-                        v = plane[i][q_idx]
-                        if not v:
-                            continue
-                        for q in range(c2.dim_mod):
-                            fq = f.entries[q][q_idx]
-                            if fq:
-                                lhs[i][q] += v * fq
-                rhs = [[_ZERO] * c2.dim_mod for _ in range(n)]
-                for r in range(c2.dim_mod):
-                    fr = f.entries[r][p]
-                    if not fr:
-                        continue
-                    plane2 = t2.g[r]
-                    for i in range(n):
-                        for q in range(c2.dim_mod):
-                            w = plane2[i][q]
-                            if w:
-                                rhs[i][q] += fr * w
-                res = [[lhs[i][q] - rhs[i][q] for q in range(c2.dim_mod)] for i in range(n)]
-                if any(x for row in res for x in row):
-                    yield Witness((p,), flatten_matrix(res))
-
-        return AxiomReport.from_scan(tag, gen())
-
     parts: list[AxiomReport] = []
     if c1.kind in ("coassociative", "poisson"):
-        parts.append(intertwine(c1.delta_m, c2.delta_m, COMODULE_MORPHISM_DELTA))
+        parts.append(_INTERTWINES.check(COMODULE_MORPHISM_DELTA, src=c1.delta_m, dst=c2.delta_m, f=f))
     if c1.kind in ("lie", "poisson"):
-        parts.append(intertwine(c1.gamma_m, c2.gamma_m, COMODULE_MORPHISM_GAMMA))
+        parts.append(_INTERTWINES.check(COMODULE_MORPHISM_GAMMA, src=c1.gamma_m, dst=c2.gamma_m, f=f))
     if strict:
-
-        def scan_beta() -> Iterator[Witness]:
-            fb = compose(f, c1.beta)
-            bf = compose(c2.beta, f)
-            for p in range(c1.dim_mod):
-                r = fb.column(p) - bf.column(p)
-                if not r.is_zero():
-                    yield Witness((p,), r)
-
-        parts.append(AxiomReport.from_scan(COMODULE_MORPHISM_BETA_COMMUTES, scan_beta()))
+        parts.append(COMMUTES.check(COMODULE_MORPHISM_BETA_COMMUTES, f=f, x=c1.beta, y=c2.beta))
     return AxiomReport.aggregate(COMODULE_MORPHISM, parts)
 
 

@@ -18,18 +18,26 @@ conventions are pinned here once:
   sits at flat index ``i*n + j``, and ``e_i @ e_j @ e_k`` at ``i*n*n + j*n + k``
   (with the middle/last factor sizes adjusted for mixed products).
 
-Scalars are ``fractions.Fraction`` throughout; no floating point enters the
-kernel, so every identity check is an exact zero test.  All values are
+Maps and tensors also expose ``shape`` (axis sizes in the index order above)
+and ``nonzeros``, their nonzero entries as ``{index tuple: value}``; that is
+the form ``contract``, the one exact contraction every law check and tensor
+transform goes through, works on.
+
+Scalars are ``fractions.Fraction`` throughout (``contract`` carries integral
+values as ``int``); no floating point enters the kernel, so every identity
+check is an exact zero test.  All values are
 immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from operator import itemgetter
 
 from .errors import DimensionMismatch, FormatError
 
@@ -59,10 +67,13 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if m is None or m.group(1) == "-0":
         raise FormatError(f"malformed rational {text!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
+    try:
+        num = int(m.group(1))
+        den = 1 if m.group(2) is None else int(m.group(2))
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"rational numeral is too long: {exc}") from None
+    if den == 1:
         return Fraction(num)
-    den = int(m.group(2))
     if gcd(abs(num), den) != 1:
         raise FormatError(f"rational {text!r} is not in lowest terms")
     return Fraction(num, den)
@@ -87,15 +98,42 @@ def _freeze_cube(cube) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     return tuple(tuple(tuple(rat(x) for x in row) for row in plane) for plane in cube)
 
 
+def _exact(x: Fraction):
+    """Integral values as ``int``: the same rational, far cheaper to multiply."""
+    return x.numerator if x.denominator == 1 else x
+
+
+class _Tensor:
+    """Nonzero entries of a map or structure tensor, built once per value.
+
+    A subclass names the field holding its (nested) entry tuples in
+    ``_nested`` and gives ``shape``.
+    """
+
+    _nested: str
+
+    @cached_property
+    def nonzeros(self) -> dict[tuple[int, ...], Fraction | int]:
+        entries = {(): getattr(self, self._nested)}
+        for _ in self.shape:
+            entries = {key + (i,): x for key, xs in entries.items() for i, x in enumerate(xs)}
+        return {key: _exact(x) for key, x in entries.items() if x}
+
+
 @dataclass(frozen=True)
-class Vector:
+class Vector(_Tensor):
     """Element of K^n with exact rational coordinates."""
 
     entries: tuple[Fraction, ...]
+    _nested = "entries"
 
     @property
     def dim(self) -> int:
         return len(self.entries)
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.dim,)
 
     @classmethod
     def from_entries(cls, entries) -> "Vector":
@@ -131,10 +169,11 @@ class Vector:
 
 
 @dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_Tensor):
     """Matrix of a linear map K^dim_in -> K^dim_out; column j is the image of e_j."""
 
     entries: tuple[tuple[Fraction, ...], ...]
+    _nested = "entries"
 
     def __post_init__(self):
         widths = {len(row) for row in self.entries}
@@ -148,6 +187,10 @@ class LinearMap:
     @property
     def dim_in(self) -> int:
         return len(self.entries[0]) if self.entries else 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim_out, self.dim_in)
 
     @classmethod
     def from_rows(cls, rows) -> "LinearMap":
@@ -185,86 +228,34 @@ class LinearMap:
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim_in:
             raise DimensionMismatch(f"map expects dim {self.dim_in}, got {v.dim}")
-        out = [_ZERO] * self.dim_out
-        for j, xj in enumerate(v.entries):
-            if not xj:
-                continue
-            for i in range(self.dim_out):
-                a = self.entries[i][j]
-                if a:
-                    out[i] += a * xj
-        return Vector(tuple(out))
+        return Vector(_dense(contract("ij,j->i", self.nonzeros, v.nonzeros), (self.dim_out,)))
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Composite f . g (apply g first)."""
     if f.dim_in != g.dim_out:
         raise DimensionMismatch(f"cannot compose {f.dim_out}x{f.dim_in} after {g.dim_out}x{g.dim_in}")
-    rows = []
-    for i in range(f.dim_out):
-        frow = f.entries[i]
-        row = []
-        for j in range(g.dim_in):
-            acc = _ZERO
-            for l in range(g.dim_out):
-                a = frow[l]
-                if a:
-                    b = g.entries[l][j]
-                    if b:
-                        acc += a * b
-            row.append(acc)
-        rows.append(tuple(row))
-    return LinearMap(tuple(rows))
+    return LinearMap(_dense(contract("il,lj->ij", f.nonzeros, g.nonzeros), (f.dim_out, g.dim_in)))
 
 
 def squared(f: LinearMap) -> LinearMap:
     return compose(f, f)
 
 
-def tensor_product(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Kronecker product acting on e_i @ e_j in lexicographic order."""
-    rows = []
-    for i in range(f.dim_out):
-        for p in range(g.dim_out):
-            row = []
-            for j in range(f.dim_in):
-                fij = f.entries[i][j]
-                for q in range(g.dim_in):
-                    row.append(fij * g.entries[p][q])
-            rows.append(tuple(row))
-    return LinearMap(tuple(rows))
-
-
-def swap_map(n: int) -> LinearMap:
-    """The flip e_i @ e_j -> e_j @ e_i on K^n @ K^n."""
-    size = n * n
-    rows = [[_ZERO] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            rows[j * n + i][i * n + j] = _ONE
-    return LinearMap(tuple(tuple(r) for r in rows))
-
-
-def cyclic_map(n: int) -> LinearMap:
-    """The rotation e_a @ e_b @ e_c -> e_c @ e_a @ e_b on the triple tensor power."""
-    size = n * n * n
-    rows = [[_ZERO] * size for _ in range(size)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                rows[c * n * n + a * n + b][a * n * n + b * n + c] = _ONE
-    return LinearMap(tuple(tuple(r) for r in rows))
-
-
 @dataclass(frozen=True)
-class MulTensor:
+class MulTensor(_Tensor):
     """Structure constants of a bilinear multiplication on K^n."""
 
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _nested = "c"
 
     @property
     def dim(self) -> int:
         return len(self.c)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.dim,) * 3
 
     @classmethod
     def from_entries(cls, cube) -> "MulTensor":
@@ -288,19 +279,7 @@ class MulTensor:
         n = self.dim
         if x.dim != n or y.dim != n:
             raise DimensionMismatch(f"expected dim {n}, got {x.dim} and {y.dim}")
-        out = [_ZERO] * n
-        for i, xi in enumerate(x.entries):
-            if not xi:
-                continue
-            ci = self.c[i]
-            for j, yj in enumerate(y.entries):
-                if not yj:
-                    continue
-                s = xi * yj
-                for k, ck in enumerate(ci[j]):
-                    if ck:
-                        out[k] += s * ck
-        return Vector(tuple(out))
+        return Vector(_dense(contract("i,ijk,j->k", x.nonzeros, self.nonzeros, y.nonzeros), (n,)))
 
     def negated(self) -> "MulTensor":
         return MulTensor(tuple(tuple(tuple(-x for x in row) for row in plane) for plane in self.c))
@@ -312,36 +291,25 @@ class MulTensor:
 
     def then_map(self, phi: LinearMap) -> "MulTensor":
         """Post-compose with a linear map: c'[i][j][k] = sum_l c[i][j][l] phi[k][l]."""
-        n = self.dim
-        if not phi.is_square(n):
+        if not phi.is_square(self.dim):
             raise DimensionMismatch("map size does not match tensor")
-        cube = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                row = self.c[i][j]
-                out = [_ZERO] * n
-                for l, cl in enumerate(row):
-                    if not cl:
-                        continue
-                    for k in range(n):
-                        p = phi.entries[k][l]
-                        if p:
-                            out[k] += cl * p
-                plane.append(tuple(out))
-            cube.append(tuple(plane))
-        return MulTensor(tuple(cube))
+        return MulTensor(_dense(contract("ijl,kl->ijk", self.nonzeros, phi.nonzeros), self.shape))
 
 
 @dataclass(frozen=True)
-class ComulTensor:
+class ComulTensor(_Tensor):
     """Structure constants of a comultiplication K^n -> K^n @ K^n."""
 
     d: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _nested = "d"
 
     @property
     def dim(self) -> int:
         return len(self.d)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.dim,) * 3
 
     @classmethod
     def from_entries(cls, cube) -> "ComulTensor":
@@ -356,24 +324,11 @@ class ComulTensor:
     def zero(cls, dim: int) -> "ComulTensor":
         return cls((((_ZERO,) * dim,) * dim,) * dim)
 
-    def of_basis(self, k: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Image of e_k as an n x n coefficient matrix on e_i @ e_j."""
-        return self.d[k]
-
     def apply(self, v: Vector) -> tuple[tuple[Fraction, ...], ...]:
         n = self.dim
         if v.dim != n:
             raise DimensionMismatch(f"expected dim {n}, got {v.dim}")
-        out = [[_ZERO] * n for _ in range(n)]
-        for k, xk in enumerate(v.entries):
-            if not xk:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    val = self.d[k][i][j]
-                    if val:
-                        out[i][j] += xk * val
-        return tuple(tuple(row) for row in out)
+        return _dense(contract("k,kij->ij", v.nonzeros, self.nonzeros), (n, n))
 
     def negated(self) -> "ComulTensor":
         return ComulTensor(tuple(tuple(tuple(-x for x in row) for row in plane) for plane in self.d))
@@ -390,23 +345,9 @@ class ComulTensor:
 
     def precompose(self, phi: LinearMap) -> "ComulTensor":
         """Pre-compose with a linear map: d'[k][i][j] = sum_l phi[l][k] d[l][i][j]."""
-        n = self.dim
-        if not phi.is_square(n):
+        if not phi.is_square(self.dim):
             raise DimensionMismatch("map size does not match tensor")
-        cube = []
-        for k in range(n):
-            out = [[_ZERO] * n for _ in range(n)]
-            for l in range(n):
-                p = phi.entries[l][k]
-                if not p:
-                    continue
-                for i in range(n):
-                    for j in range(n):
-                        val = self.d[l][i][j]
-                        if val:
-                            out[i][j] += p * val
-            cube.append(tuple(tuple(row) for row in out))
-        return ComulTensor(tuple(cube))
+        return ComulTensor(_dense(contract("lk,lij->kij", phi.nonzeros, self.nonzeros), self.shape))
 
     def is_symmetric(self) -> bool:
         n = self.dim
@@ -419,13 +360,14 @@ class ComulTensor:
 
 
 @dataclass(frozen=True)
-class ActionTensor:
+class ActionTensor(_Tensor):
     """Structure constants of a module action, sided as documented above."""
 
     a: tuple[tuple[tuple[Fraction, ...], ...], ...]
     dim_alg: int
     dim_mod: int
     side: str
+    _nested = "a"
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
@@ -439,6 +381,12 @@ class ActionTensor:
             if len(plane) != second or any(len(row) != self.dim_mod for row in plane):
                 raise DimensionMismatch("action tensor shape does not match side convention")
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        if self.side == "left":
+            return (self.dim_alg, self.dim_mod, self.dim_mod)
+        return (self.dim_mod, self.dim_alg, self.dim_mod)
+
     @classmethod
     def from_entries(cls, cube, dim_alg: int, dim_mod: int, side: str) -> "ActionTensor":
         return cls(_freeze_cube(cube), dim_alg, dim_mod, side)
@@ -451,40 +399,18 @@ class ActionTensor:
     def apply_left(self, x: Vector, m: Vector) -> Vector:
         if self.side != "left":
             raise DimensionMismatch("left application of a right action")
-        if x.dim != self.dim_alg or m.dim != self.dim_mod:
-            raise DimensionMismatch("action operand dims do not match")
-        out = [_ZERO] * self.dim_mod
-        for i, xi in enumerate(x.entries):
-            if not xi:
-                continue
-            ai = self.a[i]
-            for p, mp in enumerate(m.entries):
-                if not mp:
-                    continue
-                s = xi * mp
-                for q, aq in enumerate(ai[p]):
-                    if aq:
-                        out[q] += s * aq
-        return Vector(tuple(out))
+        return self._act("i,ipq,p->q", x, m)
 
     def apply_right(self, m: Vector, x: Vector) -> Vector:
         if self.side != "right":
             raise DimensionMismatch("right application of a left action")
+        return self._act("i,piq,p->q", x, m)
+
+    def _act(self, spec: str, x: Vector, m: Vector) -> Vector:
         if x.dim != self.dim_alg or m.dim != self.dim_mod:
             raise DimensionMismatch("action operand dims do not match")
-        out = [_ZERO] * self.dim_mod
-        for p, mp in enumerate(m.entries):
-            if not mp:
-                continue
-            ap = self.a[p]
-            for i, xi in enumerate(x.entries):
-                if not xi:
-                    continue
-                s = mp * xi
-                for q, aq in enumerate(ap[i]):
-                    if aq:
-                        out[q] += s * aq
-        return Vector(tuple(out))
+        out = contract(spec, x.nonzeros, self.nonzeros, m.nonzeros)
+        return Vector(_dense(out, (self.dim_mod,)))
 
     def negated(self) -> "ActionTensor":
         return ActionTensor(
@@ -506,44 +432,19 @@ class ActionTensor:
         """Feed the algebra argument through phi first."""
         if not phi.is_square(self.dim_alg):
             raise DimensionMismatch("map size does not match algebra dim")
-        if self.side == "left":
-            cube = []
-            for i in range(self.dim_alg):
-                plane = [[_ZERO] * self.dim_mod for _ in range(self.dim_mod)]
-                for j in range(self.dim_alg):
-                    p = phi.entries[j][i]
-                    if not p:
-                        continue
-                    for q_row in range(self.dim_mod):
-                        for q in range(self.dim_mod):
-                            val = self.a[j][q_row][q]
-                            if val:
-                                plane[q_row][q] += p * val
-                cube.append(tuple(tuple(r) for r in plane))
-            return ActionTensor(tuple(cube), self.dim_alg, self.dim_mod, "left")
-        cube = []
-        for p_idx in range(self.dim_mod):
-            plane = [[_ZERO] * self.dim_mod for _ in range(self.dim_alg)]
-            for i in range(self.dim_alg):
-                for j in range(self.dim_alg):
-                    p = phi.entries[j][i]
-                    if not p:
-                        continue
-                    for q in range(self.dim_mod):
-                        val = self.a[p_idx][j][q]
-                        if val:
-                            plane[i][q] += p * val
-            cube.append(tuple(tuple(r) for r in plane))
-        return ActionTensor(tuple(cube), self.dim_alg, self.dim_mod, "right")
+        spec = "ji,jpq->ipq" if self.side == "left" else "ji,pjq->piq"
+        cube = _dense(contract(spec, phi.nonzeros, self.nonzeros), self.shape)
+        return ActionTensor(cube, self.dim_alg, self.dim_mod, self.side)
 
 
 @dataclass(frozen=True)
-class CoactionTensor:
+class CoactionTensor(_Tensor):
     """Structure constants of a coaction M -> C @ M."""
 
     g: tuple[tuple[tuple[Fraction, ...], ...], ...]
     dim_coalg: int
     dim_mod: int
+    _nested = "g"
 
     def __post_init__(self):
         if len(self.g) != self.dim_mod:
@@ -551,6 +452,10 @@ class CoactionTensor:
         for plane in self.g:
             if len(plane) != self.dim_coalg or any(len(row) != self.dim_mod for row in plane):
                 raise DimensionMismatch("coaction tensor is not m x n x m")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.dim_mod, self.dim_coalg, self.dim_mod)
 
     @classmethod
     def from_entries(cls, cube, dim_coalg: int, dim_mod: int) -> "CoactionTensor":
@@ -560,23 +465,11 @@ class CoactionTensor:
     def zero(cls, dim_coalg: int, dim_mod: int) -> "CoactionTensor":
         return cls((((_ZERO,) * dim_mod,) * dim_coalg,) * dim_mod, dim_coalg, dim_mod)
 
-    def of_basis(self, p: int) -> tuple[tuple[Fraction, ...], ...]:
-        return self.g[p]
-
     def apply(self, m: Vector) -> tuple[tuple[Fraction, ...], ...]:
         """Image of m as an n x m coefficient matrix: out[i][q] = sum_p m_p g[p][i][q]."""
         if m.dim != self.dim_mod:
             raise DimensionMismatch(f"expected dim {self.dim_mod}, got {m.dim}")
-        out = [[_ZERO] * self.dim_mod for _ in range(self.dim_coalg)]
-        for p, mp in enumerate(m.entries):
-            if not mp:
-                continue
-            for i in range(self.dim_coalg):
-                for q in range(self.dim_mod):
-                    val = self.g[p][i][q]
-                    if val:
-                        out[i][q] += mp * val
-        return tuple(tuple(row) for row in out)
+        return _dense(contract("p,piq->iq", m.nonzeros, self.nonzeros), (self.dim_coalg, self.dim_mod))
 
     def negated(self) -> "CoactionTensor":
         return CoactionTensor(
@@ -589,34 +482,109 @@ class CoactionTensor:
         """Apply phi to the coalgebra leg: g'[p][i][q] = sum_l phi[i][l] g[p][l][q]."""
         if not phi.is_square(self.dim_coalg):
             raise DimensionMismatch("map size does not match coalgebra dim")
-        cube = []
-        for p in range(self.dim_mod):
-            plane = [[_ZERO] * self.dim_mod for _ in range(self.dim_coalg)]
-            for l in range(self.dim_coalg):
-                for i in range(self.dim_coalg):
-                    f = phi.entries[i][l]
-                    if not f:
-                        continue
-                    for q in range(self.dim_mod):
-                        val = self.g[p][l][q]
-                        if val:
-                            plane[i][q] += f * val
-            cube.append(tuple(tuple(r) for r in plane))
-        return CoactionTensor(tuple(cube), self.dim_coalg, self.dim_mod)
+        cube = _dense(contract("plq,il->piq", self.nonzeros, phi.nonzeros), self.shape)
+        return CoactionTensor(cube, self.dim_coalg, self.dim_mod)
 
 
-def apply_bilinear(t: MulTensor, x: Vector, y: Vector) -> Vector:
-    return t.apply(x, y)
+_PLANS: dict[str, tuple] = {}
 
 
-def apply_coaction(t: CoactionTensor, m: Vector) -> tuple[tuple[Fraction, ...], ...]:
-    return t.apply(m)
+def _tuple_of(letters: str, chosen: str):
+    """Function taking a key over ``letters`` to the tuple of its ``chosen`` letters."""
+    positions = [letters.index(c) for c in chosen]
+    if not positions:
+        return lambda key: ()
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda key: (key[p],)
+    return itemgetter(*positions)
 
 
-def flatten_matrix(mat: Sequence[Sequence[Fraction]]) -> Vector:
-    """Flatten an n1 x n2 coefficient matrix to the lexicographic tensor basis."""
-    return Vector(tuple(x for row in mat for x in row))
+def _join_key(letters: str, shared: str):
+    """Function taking a key over ``letters`` to its join key on ``shared``.
+
+    Both sides of a join use the same form: a bare index for one shared
+    letter, a tuple otherwise.
+    """
+    if not shared:
+        return lambda key: ()
+    return itemgetter(*[letters.index(c) for c in shared])
 
 
-def flatten_cube(cube: Iterable[Iterable[Iterable[Fraction]]]) -> Vector:
-    return Vector(tuple(x for plane in cube for row in plane for x in row))
+def _compile(spec: str) -> tuple:
+    """Plan for ``contract``: one step per joined operand, then the output order.
+
+    A step holds the left join key, the left letters kept (None: all), the
+    right join key and the right letters kept.  A letter is kept while a
+    later operand or the output still needs it.
+    """
+    inputs, out = spec.split("->")
+    operands = inputs.split(",")
+    letters = operands[0]
+    steps = []
+    for t, right in enumerate(operands[1:], 1):
+        later = set(out).union(*operands[t + 1 :])
+        shared = "".join(c for c in letters if c in right)
+        keep = "".join(c for c in letters if c in later)
+        new = "".join(c for c in right if c not in letters and c in later)
+        steps.append((
+            _join_key(letters, shared),
+            None if keep == letters else _tuple_of(letters, keep),
+            _join_key(right, shared),
+            _tuple_of(right, new),
+        ))
+        letters = keep + new
+    if not set(out) <= set(letters) or any(len(set(x)) != len(x) for x in operands + [out]):
+        raise ValueError(f"bad contraction spec {spec!r}")
+    summing = len(letters) > len(out)  # only a lone operand can still hold extra letters
+    return steps, None if letters == out else _tuple_of(letters, out), summing
+
+
+def contract(spec: str, *tensors: dict) -> dict:
+    """Exact einsum over nonzero entries, e.g. ``contract("ij,jk->ik", f, g)``.
+
+    Operands and result are ``{index tuple: value}`` maps of nonzero entries
+    (the result may also hold entries that cancelled to zero, and may be an
+    operand itself: treat both as read-only).  Operands are joined pairwise
+    in the order the spec lists them, and a letter is summed over as soon as
+    no later operand and not the output needs it.  Plans are compiled once
+    per spec.
+    """
+    plan = _PLANS.get(spec)
+    if plan is None:
+        plan = _PLANS[spec] = _compile(spec)
+    steps, reorder, summing = plan
+    acc = tensors[0]
+    for (left_join, left_keep, right_join, right_keep), right in zip(steps, tensors[1:]):
+        groups: dict = {}
+        for key, w in right.items():
+            join = right_join(key)
+            if join in groups:
+                groups[join].append((right_keep(key), w))
+            else:
+                groups[join] = [(right_keep(key), w)]
+        out: dict = defaultdict(int)
+        for key, v in acc.items():
+            group = groups.get(left_join(key))
+            if group is not None:
+                head = key if left_keep is None else left_keep(key)
+                for tail, w in group:
+                    out[head + tail] += v * w
+        acc = out
+    if summing:
+        out = defaultdict(int)
+        for key, v in acc.items():
+            out[reorder(key)] += v
+        return out
+    if reorder is not None:
+        return {reorder(key): v for key, v in acc.items()}
+    return acc
+
+
+def _dense(entries: dict, shape: tuple[int, ...], prefix: tuple[int, ...] = ()) -> tuple:
+    """Nested tuples of Fractions holding ``entries``, zeros elsewhere."""
+    if len(prefix) + 1 == len(shape):
+        return tuple(
+            Fraction(x) if (x := entries.get(prefix + (i,))) else _ZERO for i in range(shape[-1])
+        )
+    return tuple(_dense(entries, shape, prefix + (i,)) for i in range(shape[len(prefix)]))

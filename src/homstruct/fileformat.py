@@ -99,11 +99,25 @@ def _parse_dim(raw, what: str) -> int:
     return raw
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a repeated key would otherwise silently keep the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_bytes(data: bytes) -> StructureFile:
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError("not valid JSON: nested too deeply") from None
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("version") == FILE_VERSION, f"unsupported version {doc.get('version')!r}")
     raw = doc.get("structures")

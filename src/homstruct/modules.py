@@ -3,7 +3,7 @@
 A left module over (A, mul, alpha) is (M, act, beta) with ``act(alpha(x),
 act(x, m)) = act(mul(x, x), beta(m))``; right modules mirror the slots.  As
 with the algebra laws, checks run on the polarized basis form, equivalent in
-characteristic zero:
+characteristic zero, each stated as a row of ``laws.Law``:
 
     left:  act(a(x), act(y, m)) - act(mul(x, y), b(m))
          + act(a(y), act(x, m)) - act(mul(y, x), b(m)) = 0
@@ -19,12 +19,12 @@ x = y and is antisymmetric in (x, y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .algebras import HomAlgebra, negate as negate_algebra, opposite as opposite_algebra
 from .errors import AlgebraMismatch, DimensionMismatch, WrongSide
-from .exact import ActionTensor, LinearMap, Vector, compose, squared
-from .report import AxiomReport, Witness
+from .exact import ActionTensor, LinearMap, Vector, squared
+from .laws import COMMUTES, Law
+from .report import AxiomReport
 
 LEFT_MODULE = "LEFT_MODULE"
 RIGHT_MODULE = "RIGHT_MODULE"
@@ -52,70 +52,46 @@ class HomModule:
             raise DimensionMismatch("beta is not square of size dim_mod")
 
 
-def _mod_basis(mod: HomModule) -> list[Vector]:
-    return [Vector.basis(mod.dim_mod, p) for p in range(mod.dim_mod)]
+# Polarized laws, one row each; operands are mu, alpha, act and beta.
+_LAWS = {
+    LEFT_MODULE: Law(
+        "ijp", "q",
+        "+ act.jpr act.arq alpha.ai",  # act(a(x), act(y, m))
+        "- mu.ija act.arq beta.rp",    # act(mul(x, y), b(m))
+        "+ act.ipr act.arq alpha.aj",  # act(a(y), act(x, m))
+        "- mu.jia act.arq beta.rp",    # act(mul(y, x), b(m))
+    ),
+    RIGHT_MODULE: Law(
+        "pij", "q",
+        "+ act.pir act.raq alpha.aj",  # act(act(m, x), a(y))
+        "+ act.pjr act.raq alpha.ai",  # act(act(m, y), a(x))
+        "- mu.ija act.raq beta.rp",    # act(b(m), mul(x, y))
+        "- mu.jia act.raq beta.rp",    # act(b(m), mul(y, x))
+    ),
+}
+
+# f(act(x, m)) = act'(x, f(m)) on basis pairs, per side of the action tensors.
+_INTERTWINES = {
+    "left": Law("ip", "q", "+ act.ipr f.qr", "- f.rp act2.irq"),
+    "right": Law("ip", "q", "+ act.pir f.qr", "- f.rp act2.riq"),
+}
+
+
+def _check(axiom: str, mod: HomModule) -> AxiomReport:
+    alg = mod.algebra
+    return _LAWS[axiom].check(axiom, mu=alg.mu, alpha=alg.alpha, act=mod.action, beta=mod.beta)
 
 
 def check_left_module(mod: HomModule) -> AxiomReport:
     if mod.side != "left":
         raise WrongSide("left check on a right module")
-    alg = mod.algebra
-    act = mod.action
-    acols = [alg.alpha.column(i) for i in range(alg.dim)]
-    bcols = [mod.beta.column(p) for p in range(mod.dim_mod)]
-    basis_a = [Vector.basis(alg.dim, i) for i in range(alg.dim)]
-    basis_m = _mod_basis(mod)
-    inner = [
-        [act.apply_left(basis_a[i], basis_m[p]) for p in range(mod.dim_mod)]
-        for i in range(alg.dim)
-    ]
-
-    def scan() -> Iterator[Witness]:
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                mu_ij = alg.mu.product(i, j)
-                mu_ji = alg.mu.product(j, i)
-                for p in range(mod.dim_mod):
-                    r = (
-                        act.apply_left(acols[i], inner[j][p])
-                        - act.apply_left(mu_ij, bcols[p])
-                        + act.apply_left(acols[j], inner[i][p])
-                        - act.apply_left(mu_ji, bcols[p])
-                    )
-                    if not r.is_zero():
-                        yield Witness((i, j, p), r)
-
-    return AxiomReport.from_scan(LEFT_MODULE, scan())
+    return _check(LEFT_MODULE, mod)
 
 
 def check_right_module(mod: HomModule) -> AxiomReport:
     if mod.side != "right":
         raise WrongSide("right check on a left module")
-    alg = mod.algebra
-    act = mod.action
-    acols = [alg.alpha.column(i) for i in range(alg.dim)]
-    bcols = [mod.beta.column(p) for p in range(mod.dim_mod)]
-    basis_m = _mod_basis(mod)
-    basis_a = [Vector.basis(alg.dim, i) for i in range(alg.dim)]
-    inner = [
-        [act.apply_right(basis_m[p], basis_a[i]) for i in range(alg.dim)]
-        for p in range(mod.dim_mod)
-    ]
-
-    def scan() -> Iterator[Witness]:
-        for p in range(mod.dim_mod):
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    r = (
-                        act.apply_right(inner[p][i], acols[j])
-                        + act.apply_right(inner[p][j], acols[i])
-                        - act.apply_right(bcols[p], alg.mu.product(i, j))
-                        - act.apply_right(bcols[p], alg.mu.product(j, i))
-                    )
-                    if not r.is_zero():
-                        yield Witness((p, i, j), r)
-
-    return AxiomReport.from_scan(RIGHT_MODULE, scan())
+    return _check(RIGHT_MODULE, mod)
 
 
 def left_module_defect(mod: HomModule, x: Vector, m: Vector) -> Vector:
@@ -181,36 +157,13 @@ def check_module_morphism(
         raise WrongSide("modules have different sides")
     if f.dim_in != m1.dim_mod or f.dim_out != m2.dim_mod:
         raise DimensionMismatch("morphism candidate has wrong shape")
-    alg = m1.algebra
-    basis_a = [Vector.basis(alg.dim, i) for i in range(alg.dim)]
-    basis_m = [Vector.basis(m1.dim_mod, p) for p in range(m1.dim_mod)]
-    fcols = [f.column(p) for p in range(m1.dim_mod)]
-
-    def scan_intertwine() -> Iterator[Witness]:
-        for i in range(alg.dim):
-            for p in range(m1.dim_mod):
-                if m1.side == "left":
-                    lhs = f.apply(m1.action.apply_left(basis_a[i], basis_m[p]))
-                    rhs = m2.action.apply_left(basis_a[i], fcols[p])
-                else:
-                    lhs = f.apply(m1.action.apply_right(basis_m[p], basis_a[i]))
-                    rhs = m2.action.apply_right(fcols[p], basis_a[i])
-                r = lhs - rhs
-                if not r.is_zero():
-                    yield Witness((i, p), r)
-
-    parts = [AxiomReport.from_scan(MODULE_MORPHISM_INTERTWINES, scan_intertwine())]
+    parts = [
+        _INTERTWINES[m1.side].check(
+            MODULE_MORPHISM_INTERTWINES, act=m1.action, act2=m2.action, f=f
+        )
+    ]
     if strict:
-
-        def scan_beta() -> Iterator[Witness]:
-            fb = compose(f, m1.beta)
-            bf = compose(m2.beta, f)
-            for p in range(m1.dim_mod):
-                r = fb.column(p) - bf.column(p)
-                if not r.is_zero():
-                    yield Witness((p,), r)
-
-        parts.append(AxiomReport.from_scan(MODULE_MORPHISM_BETA_COMMUTES, scan_beta()))
+        parts.append(COMMUTES.check(MODULE_MORPHISM_BETA_COMMUTES, f=f, x=m1.beta, y=m2.beta))
     return AxiomReport.aggregate(MODULE_MORPHISM, parts)
 
 

@@ -3,13 +3,15 @@
 A witness records the basis index tuple at which a residual is nonzero plus
 the residual itself (flattened to the lexicographic tensor basis when the
 identity lives in a tensor power).  Reports keep at most ``WITNESS_CAP``
-witnesses, in deterministic scan order, together with the total count.
+witnesses, in lexicographic index order, together with the total count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from fractions import Fraction
+from itertools import product
+from typing import Iterable
 
 from .exact import Vector
 
@@ -31,14 +33,27 @@ class AxiomReport:
     parts: tuple["AxiomReport", ...] = field(default=())
 
     @classmethod
-    def from_scan(cls, axiom: str, failures: Iterator[Witness]) -> "AxiomReport":
-        kept: list[Witness] = []
-        total = 0
-        for w in failures:
-            total += 1
-            if len(kept) < WITNESS_CAP:
-                kept.append(w)
-        return cls(axiom, total == 0, tuple(kept), total)
+    def from_residual(
+        cls, axiom: str, residual: dict, width: int, shape: tuple[int, ...]
+    ) -> "AxiomReport":
+        """Report on a sparse residual ``{index + position: value}``.
+
+        The first ``width`` entries of a key are the witness index, the rest
+        a position in a residual of the given ``shape``.  Dense residual
+        vectors are built for the kept witnesses only.
+        """
+        failing = sorted({key[:width] for key, v in residual.items() if v})
+        if not failing:
+            return cls(axiom, True, (), 0)
+        zero = Fraction(0)
+        positions = list(product(*map(range, shape)))
+        kept = tuple(
+            Witness(index, Vector(tuple(
+                Fraction(x) if (x := residual.get(index + p)) else zero for p in positions
+            )))
+            for index in failing[:WITNESS_CAP]
+        )
+        return cls(axiom, False, kept, len(failing))
 
     @classmethod
     def aggregate(cls, axiom: str, parts: Iterable["AxiomReport"]) -> "AxiomReport":

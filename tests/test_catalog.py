@@ -174,3 +174,11 @@ def test_lookup_helpers():
     assert get("octonions").payload.dim == 8
     with pytest.raises(KeyError):
         get("no_such_entry")
+
+
+def test_catalogue_is_built_once_and_read_only():
+    assert get("octonions") is get("octonions")
+    entry = get("matrix2")
+    with pytest.raises(TypeError):
+        entry.expected_verdicts["LEFT_HOM_ALT"] = False
+    assert [e.name for e in entries()] == names()

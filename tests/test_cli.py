@@ -268,3 +268,31 @@ def test_module_invocation_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_negative_max_witnesses_is_format_error(capsys):
+    assert run("verify", CORPUS, "non_alternative2", "--max-witnesses", "-1") == 2
+    assert run("check-morphism", CORPUS, "bad_scale", "dual_numbers", "dual_numbers",
+               "--max-witnesses", "-15") == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("FORMAT_ERROR") == 2 and captured.out == ""
+    assert run("verify", CORPUS, "non_alternative2", "--max-witnesses", "0") == 1
+    assert "showing 0" in capsys.readouterr().out
+
+
+def test_suite_accepts_exactly_the_registered_ids():
+    from homstruct.axioms import AXIOMS
+
+    assert sorted(axiom for _, axiom in AXIOMS) == sorted([
+        "LEFT_HOM_ALT", "RIGHT_HOM_ALT", "HOM_ASSOC", "LEFT_MODULE", "RIGHT_MODULE",
+        "COCOMMUTATIVITY", "HOM_COASSOC_COALGEBRA", "DELTA_MULTIPLICATIVITY",
+        "HOM_COASSOCIATIVITY", "HOM_LIE_COALGEBRA", "SKEW_COSYMMETRY", "GAMMA_MULTIPLICATIVITY",
+        "HOM_COJACOBI", "HOM_COLEIBNIZ", "HOM_POISSON_COALGEBRA",
+        "COASSOC_COMODULE", "LIE_COMODULE", "POISSON_COMODULE",
+    ])
+
+
+def test_coalgebra_part_id_runs_its_own_law(capsys):
+    assert run("verify", CORPUS, "primitive2", "--suite", "HOM_COASSOCIATIVITY,SKEW_COSYMMETRY") == 0
+    assert capsys.readouterr().out == "HOM_COASSOCIATIVITY: PASS\nSKEW_COSYMMETRY: PASS\n"
+    assert run("verify", CORPUS, "primitive2_regular", "--suite", "HOM_COJACOBI") == 2

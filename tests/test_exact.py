@@ -10,16 +10,11 @@ from homstruct.exact import (
     LinearMap,
     MulTensor,
     Vector,
-    apply_bilinear,
-    apply_coaction,
     compose,
-    cyclic_map,
-    flatten_cube,
     format_rational,
     parse_rational,
-    swap_map,
-    tensor_product,
 )
+from homstruct.laws import contract
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 nonzero_fractions = small_fractions.filter(lambda q: q != 0)
@@ -92,39 +87,50 @@ def test_compose_matches_sequential_application():
         compose(f, LinearMap.identity(3))
 
 
-# --- permutation operators -------------------------------------------------
+# --- leg permutations and Kronecker products, done by contract -------------
+
+def cube_tensor(n):
+    return {(i, j, l): i * 9 + j * 3 + l + 1 for i in range(n) for j in range(n) for l in range(n)}
+
 
 def test_swap_map_dim_one_is_identity():
-    assert swap_map(1).is_identity()
+    t = {(0, 0): 5}
+    assert contract("ij->ji", t) == t
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_swap_map_squares_to_identity(n):
-    assert compose(swap_map(n), swap_map(n)).is_identity()
+    t = {(i, j): i * n + j + 1 for i in range(n) for j in range(n)}
+    assert contract("ij->ji", contract("ij->ji", t)) == t
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cyclic_map_cubes_to_identity(n):
-    s = cyclic_map(n)
-    assert compose(s, compose(s, s)).is_identity()
+    t = cube_tensor(n)
+    rotate = lambda x: contract("abc->cab", x)
+    assert rotate(rotate(rotate(t))) == t
 
 
 def test_cyclic_map_matches_index_rotation():
-    # matrix action on a flattened cube == T[j][l][i] reindexing
+    # the rotation e_a @ e_b @ e_c -> e_c @ e_a @ e_b reindexes T[j][l][i]
     n = 3
-    cube = [[[Fraction(i * 9 + j * 3 + l + 1) for l in range(n)] for j in range(n)] for i in range(n)]
-    flat = flatten_cube(cube)
-    rotated = cyclic_map(n).apply(flat)
-    expected = flatten_cube(
-        [[[cube[j][l][i] for l in range(n)] for j in range(n)] for i in range(n)]
-    )
-    assert rotated == expected
+    cube = cube_tensor(n)
+    rotated = contract("jli->ijl", cube)
+    assert rotated == {(i, j, l): cube[j, l, i] for (i, j, l) in cube}
+
+
+def kronecker(f: LinearMap, g: LinearMap) -> dict:
+    m = g.dim_out
+    return {
+        (i * m + p, j * m + q): v
+        for (i, p, j, q), v in contract("ij,pq->ipjq", f.nonzeros, g.nonzeros).items()
+    }
 
 
 def test_tensor_product_of_diagonals():
     f = LinearMap.diagonal([1, 2])
     g = LinearMap.diagonal([1, 3])
-    assert tensor_product(f, g) == LinearMap.diagonal([1, 3, 2, 6])
+    assert kronecker(f, g) == LinearMap.diagonal([1, 3, 2, 6]).nonzeros
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
@@ -133,13 +139,32 @@ def test_tensor_product_on_basis_pairs(n, m, data):
     rows_f = data.draw(st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n))
     rows_g = data.draw(st.lists(st.lists(small_fractions, min_size=m, max_size=m), min_size=m, max_size=m))
     f, g = LinearMap.from_rows(rows_f), LinearMap.from_rows(rows_g)
-    fg = tensor_product(f, g)
+    fg = kronecker(f, g)
     for i in range(n):
         fi = f.column(i)
         for j in range(m):
             gj = g.column(j)
             expected = tuple(a * b for a in fi.entries for b in gj.entries)
-            assert fg.column(i * m + j).entries == expected
+            assert tuple(fg.get((row, i * m + j), 0) for row in range(n * m)) == expected
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=40)
+def test_contract_matrix_product_matches_compose(n, data):
+    square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+    f, g = LinearMap.from_rows(data.draw(square)), LinearMap.from_rows(data.draw(square))
+    product = {k: v for k, v in contract("ij,jk->ik", f.nonzeros, g.nonzeros).items() if v}
+    assert product == compose(f, g).nonzeros
+
+
+def test_contract_sums_letters_dropped_from_the_output():
+    t = {(0, 0): 1, (0, 1): 2, (1, 1): Fraction(1, 3)}
+    assert contract("ij->i", t) == {(0,): 3, (1,): Fraction(1, 3)}
+    assert contract("ij,j->i", t, {(1,): 3}) == {(0,): 6, (1,): 1}
+    assert contract("ij,k->ik", t, {}) == {}
+    for bad in ("ij->ik", "ii->i", "ij->ii"):
+        with pytest.raises(ValueError):
+            contract(bad, t)
 
 
 # --- structure tensor contractions ------------------------------------------
@@ -154,12 +179,12 @@ def dual_number_tensor():
 
 def test_apply_bilinear_zero_tensor():
     t = MulTensor.zero(3)
-    assert apply_bilinear(t, vec(1, 2, 3), vec(-1, 0, 5)).is_zero()
+    assert t.apply(vec(1, 2, 3), vec(-1, 0, 5)).is_zero()
 
 
 def test_apply_bilinear_nilpotent_square():
     t = dual_number_tensor()
-    assert apply_bilinear(t, vec(0, 1), vec(0, 1)).is_zero()
+    assert t.apply(vec(0, 1), vec(0, 1)).is_zero()
 
 
 def test_apply_bilinear_right_unit_tensor():
@@ -167,7 +192,7 @@ def test_apply_bilinear_right_unit_tensor():
     n = 3
     cube = [[[1 if (i == k and j == 0) else 0 for k in range(n)] for j in range(n)] for i in range(n)]
     t = MulTensor.from_entries(cube)
-    assert apply_bilinear(t, Vector.basis(3, 1), Vector.basis(3, 0)) == Vector.basis(3, 1)
+    assert t.apply(Vector.basis(3, 1), Vector.basis(3, 0)) == Vector.basis(3, 1)
 
 
 @given(st.integers(1, 3), st.data())
@@ -181,25 +206,25 @@ def test_apply_bilinear_is_bilinear(n, data):
     t = MulTensor.from_entries(data.draw(entries))
     pts = st.lists(small_fractions, min_size=n, max_size=n)
     x, x2, y = (Vector.from_entries(data.draw(pts)) for _ in range(3))
-    assert apply_bilinear(t, x + x2, y) == apply_bilinear(t, x, y) + apply_bilinear(t, x2, y)
-    assert apply_bilinear(t, y, x + x2) == apply_bilinear(t, y, x) + apply_bilinear(t, y, x2)
+    assert t.apply(x + x2, y) == t.apply(x, y) + t.apply(x2, y)
+    assert t.apply(y, x + x2) == t.apply(y, x) + t.apply(y, x2)
 
 
 def test_apply_coaction_zero():
     t = CoactionTensor.zero(2, 3)
-    out = apply_coaction(t, vec(1, 2, 3))
+    out = t.apply(vec(1, 2, 3))
     assert all(x == 0 for row in out for x in row)
 
 
 def test_apply_coaction_grouplike():
     t = CoactionTensor.from_entries([[[1]]], 1, 1)
-    assert apply_coaction(t, vec(1)) == ((Fraction(1),),)
+    assert t.apply(vec(1)) == ((Fraction(1),),)
 
 
 def test_apply_coaction_single_entry():
     cube = [[[0, 0], [0, 2]], [[0, 0], [0, 0]]]
     t = CoactionTensor.from_entries(cube, 2, 2)
-    out = apply_coaction(t, Vector.basis(2, 0))
+    out = t.apply(Vector.basis(2, 0))
     # brute-force cross-check of out[i][q] = sum_p m_p g[p][i][q]
     for i in range(2):
         for q in range(2):

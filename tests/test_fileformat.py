@@ -132,3 +132,41 @@ def test_fraction_entries_survive_round_trip():
     data = serialize(sf)
     assert b'"3/2"' in data
     assert parse_bytes(data).get("m").linear_map == phi
+
+
+def test_huge_numeral_is_format_error(tmp_path, capsys):
+    from homstruct.cli import main
+
+    digits = "1" * 5001
+    for entry in (digits, f"1/{digits}", f"-{digits}/7"):
+        body = (
+            '{"version":1,"structures":{"a":{"kind":"linear_map","dim_in":1,"dim_out":1,'
+            f'"matrix":[["{entry}"]]}}}}}}'
+        )
+        with pytest.raises(FormatError):
+            parse_bytes(body.encode())
+    sf = single_structure_file("z", dual_numbers(2)[0])
+    path = tmp_path / "huge_numeral.json"
+    path.write_bytes(serialize(sf).replace(b'"alpha":[["1"', b'"alpha":[["' + digits.encode() + b'"'))
+    assert main(["verify", str(path), "z"]) == 2
+    captured = capsys.readouterr()
+    assert "FORMAT_ERROR" in captured.err and captured.out == ""
+
+
+def test_duplicate_keys_rejected_at_every_level():
+    zero2 = serialize(single_structure_file("zero2", dual_numbers(2)[0])).decode()
+    entry = zero2[zero2.index('{"kind"') : -3]
+    twice = '{"version":1,"structures":{"zero2":%s,"zero2":%s}}' % (entry, entry)
+    with pytest.raises(FormatError, match="duplicate key 'zero2'"):
+        parse_bytes(twice.encode())
+    with pytest.raises(FormatError, match="duplicate key 'dim'"):
+        parse_bytes(zero2.replace('"dim":2', '"dim":2,"dim":2').encode())
+    with pytest.raises(FormatError, match="duplicate key 'version'"):
+        parse_bytes(zero2.replace('{"version":1', '{"version":1,"version":1').encode())
+
+
+def test_deep_nesting_is_format_error():
+    with pytest.raises(FormatError):
+        parse_bytes(b"[" * 200_000)
+    with pytest.raises(FormatError):
+        parse_bytes(b'{"version":1,"structures":' + b"[" * 200_000 + b"]" * 200_000 + b"}")
