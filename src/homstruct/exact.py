@@ -23,10 +23,13 @@ and ``nonzeros``, their nonzero entries as ``{index tuple: value}``; that is
 the form ``contract``, the one exact contraction every law check and tensor
 transform goes through, works on.
 
-Scalars are ``fractions.Fraction`` throughout (``contract`` carries integral
-values as ``int``); no floating point enters the kernel, so every identity
-check is an exact zero test.  All values are
-immutable after construction and safe to share across threads.
+Entries are exact rationals (``fractions.Fraction``; ``nonzeros`` carries
+integral values as ``int``).  Law checks contract ``scaled``, the same
+entries times the lcm of their denominators: plain ``int`` arithmetic, with
+the scale kept beside the map and divided back out only for the reported
+witnesses.  No floating point enters the kernel, so every identity check is
+an exact zero test.  All values are immutable after construction and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import DimensionMismatch, FormatError
@@ -61,11 +64,12 @@ def rat(value) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse the wire form ``p`` or ``p/q``.
 
-    The denominator must be positive and the fraction already in lowest
-    terms; anything else is rejected so that files round-trip byte-exactly.
+    The denominator must be at least 2 (write an integer bare) and the
+    fraction already in lowest terms; anything else is rejected so that
+    files round-trip byte-exactly.
     """
     m = _RATIONAL_RE.match(text)
-    if m is None or m.group(1) == "-0":
+    if m is None or m.group(1) == "-0" or m.group(2) == "1":
         raise FormatError(f"malformed rational {text!r}")
     try:
         num = int(m.group(1))
@@ -119,6 +123,18 @@ class _Tensor:
             entries = {key + (i,): x for key, xs in entries.items() for i, x in enumerate(xs)}
         return {key: _exact(x) for key, x in entries.items() if x}
 
+    @cached_property
+    def scaled(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """``(s, s * nonzeros)``: ``s`` is the lcm of the entries' denominators.
+
+        When ``s`` is 1 the map is ``nonzeros`` itself.
+        """
+        entries = self.nonzeros
+        s = lcm(*{x.denominator for x in entries.values()})
+        if s == 1:
+            return 1, entries
+        return s, {key: x.numerator * (s // x.denominator) for key, x in entries.items()}
+
 
 @dataclass(frozen=True)
 class Vector(_Tensor):
@@ -170,31 +186,33 @@ class Vector(_Tensor):
 
 @dataclass(frozen=True)
 class LinearMap(_Tensor):
-    """Matrix of a linear map K^dim_in -> K^dim_out; column j is the image of e_j."""
+    """Matrix of a linear map K^dim_in -> K^dim_out; column j is the image of e_j.
+
+    ``dim_in`` defaults to the row width; give it when there are no rows.
+    """
 
     entries: tuple[tuple[Fraction, ...], ...]
+    dim_in: int | None = None
     _nested = "entries"
 
     def __post_init__(self):
         widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise DimensionMismatch("ragged matrix")
+        if self.dim_in is None:
+            object.__setattr__(self, "dim_in", max(widths, default=0))
+        if widths - {self.dim_in}:
+            raise DimensionMismatch(f"matrix rows are not all {self.dim_in} wide")
 
     @property
     def dim_out(self) -> int:
         return len(self.entries)
 
     @property
-    def dim_in(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (self.dim_out, self.dim_in)
 
     @classmethod
-    def from_rows(cls, rows) -> "LinearMap":
-        return cls(_freeze_matrix(rows))
+    def from_rows(cls, rows, dim_in: int | None = None) -> "LinearMap":
+        return cls(_freeze_matrix(rows), dim_in)
 
     @classmethod
     def identity(cls, dim: int) -> "LinearMap":
@@ -202,7 +220,7 @@ class LinearMap(_Tensor):
 
     @classmethod
     def zero(cls, dim_out: int, dim_in: int) -> "LinearMap":
-        return cls(((_ZERO,) * dim_in,) * dim_out)
+        return cls(((_ZERO,) * dim_in,) * dim_out, dim_in)
 
     @classmethod
     def diagonal(cls, values) -> "LinearMap":
@@ -235,7 +253,8 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Composite f . g (apply g first)."""
     if f.dim_in != g.dim_out:
         raise DimensionMismatch(f"cannot compose {f.dim_out}x{f.dim_in} after {g.dim_out}x{g.dim_in}")
-    return LinearMap(_dense(contract("il,lj->ij", f.nonzeros, g.nonzeros), (f.dim_out, g.dim_in)))
+    shape = (f.dim_out, g.dim_in)
+    return LinearMap(_dense(contract("il,lj->ij", f.nonzeros, g.nonzeros), shape), g.dim_in)
 
 
 def squared(f: LinearMap) -> LinearMap:

@@ -147,7 +147,8 @@ def parse_bytes(data: bytes) -> StructureFile:
         elif kind == "linear_map":
             dim_in = _parse_dim(entry.get("dim_in"), name)
             dim_out = _parse_dim(entry.get("dim_out"), name)
-            matrix = LinearMap.from_rows(_parse_matrix(entry.get("matrix"), dim_out, dim_in, name))
+            rows = _parse_matrix(entry.get("matrix"), dim_out, dim_in, name)
+            matrix = LinearMap.from_rows(rows, dim_in)
             structures[name] = NamedMap(matrix)
         elif kind in ("hom_module", "hom_comodule"):
             pending.append((name, entry))

@@ -34,13 +34,13 @@ class AxiomReport:
 
     @classmethod
     def from_residual(
-        cls, axiom: str, residual: dict, width: int, shape: tuple[int, ...]
+        cls, axiom: str, residual: dict, width: int, shape: tuple[int, ...], scale: int
     ) -> "AxiomReport":
-        """Report on a sparse residual ``{index + position: value}``.
+        """Report on a sparse residual ``{index + position: value * scale}``.
 
         The first ``width`` entries of a key are the witness index, the rest
         a position in a residual of the given ``shape``.  Dense residual
-        vectors are built for the kept witnesses only.
+        vectors, divided by ``scale``, are built for the kept witnesses only.
         """
         failing = sorted({key[:width] for key, v in residual.items() if v})
         if not failing:
@@ -49,7 +49,7 @@ class AxiomReport:
         positions = list(product(*map(range, shape)))
         kept = tuple(
             Witness(index, Vector(tuple(
-                Fraction(x) if (x := residual.get(index + p)) else zero for p in positions
+                Fraction(x, scale) if (x := residual.get(index + p)) else zero for p in positions
             )))
             for index in failing[:WITNESS_CAP]
         )

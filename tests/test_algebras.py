@@ -236,6 +236,11 @@ def test_zero_morphism_holds():
     assert check_morphism(LinearMap.zero(8, 8), alg, alg).holds
 
 
+def test_zero_morphism_into_dim_zero_holds():
+    assert check_morphism(LinearMap.zero(0, 8), octonions(), zero_algebra(0)).holds
+    assert check_morphism(LinearMap.zero(8, 0), zero_algebra(0), octonions()).holds
+
+
 def test_morphism_survives_twisting():
     # an algebra morphism commuting with the twists stays a morphism of the twists
     alg, alpha = dual_numbers(2)

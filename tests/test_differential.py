@@ -46,7 +46,7 @@ from homstruct.comodules import (
     check_poisson_comodule,
 )
 from homstruct.errors import KernelError
-from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap
+from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor
 from homstruct.modules import (
     HomModule,
     check_left_module,
@@ -108,58 +108,104 @@ def agree(pair, *args, **kwargs):
 
 # --- seeded random inputs ------------------------------------------------------
 
+# Mixed scales: each operand over its own prime, with large numerators, so
+# the terms of one law carry different denominators (LEFT_MODULE's
+# act.act.alpha over 13^2 * 11 against mu.act.beta over 7 * 13 * 17).
+OVER = {"mu": 7, "alpha": 11, "act": 13, "beta": 17, "delta": 7, "gamma": 19, "f": 23}
+NO_SCALE: dict = {}
+
 
 class Draw:
-    """Entries from a seeded LCG: integers or small fractions, dense or sparse."""
+    """Entries from a seeded LCG: integers or small fractions, dense or sparse.
+
+    Given ``over``, an entry is instead a numerator of up to 62 bits over it.
+    """
 
     def __init__(self, seed: int):
         self.rng = DeterministicRng(seed)
         self.rational = seed % 3 == 1
         self.sparse = seed % 2 == 0
 
-    def entry(self) -> Fraction:
+    def entry(self, over: int | None = None) -> Fraction:
         if self.sparse and self.rng.int_between(0, 2):
             return Fraction(0)
+        if over is not None:
+            return Fraction((self.rng.next_raw() << 31 | self.rng.next_raw()) - (1 << 61), over)
         return self.rng.point_entry() if self.rational else self.rng.tensor_entry()
 
-    def matrix(self, rows: int, cols: int):
-        return [[self.entry() for _ in range(cols)] for _ in range(rows)]
+    def matrix(self, rows: int, cols: int, over: int | None = None):
+        return [[self.entry(over) for _ in range(cols)] for _ in range(rows)]
 
-    def cube(self, a: int, b: int, c: int):
-        return [self.matrix(b, c) for _ in range(a)]
+    def cube(self, a: int, b: int, c: int, over: int | None = None):
+        return [self.matrix(b, c, over) for _ in range(a)]
 
-    def map(self, dim_out: int, dim_in: int) -> LinearMap:
-        return LinearMap.from_rows(self.matrix(dim_out, dim_in))
+    def map(self, dim_out: int, dim_in: int, over: int | None = None) -> LinearMap:
+        return LinearMap.from_rows(self.matrix(dim_out, dim_in, over), dim_in)
 
 
-def random_coalgebra(seed: int, dim: int) -> HomPoissonCoalgebra:
+def random_algebra(seed: int, dim: int, over: dict = NO_SCALE) -> HomAlgebra:
+    d = Draw(seed)
+    mu = MulTensor.from_entries(d.cube(dim, dim, dim, over.get("mu")))
+    return HomAlgebra(dim, mu, d.map(dim, dim, over.get("alpha")))
+
+
+def random_coalgebra(seed: int, dim: int, over: dict = NO_SCALE) -> HomPoissonCoalgebra:
     d = Draw(seed)
     return HomPoissonCoalgebra(
         dim,
-        ComulTensor.from_entries(d.cube(dim, dim, dim)),
-        ComulTensor.from_entries(d.cube(dim, dim, dim)),
-        d.map(dim, dim),
+        ComulTensor.from_entries(d.cube(dim, dim, dim, over.get("delta"))),
+        ComulTensor.from_entries(d.cube(dim, dim, dim, over.get("gamma"))),
+        d.map(dim, dim, over.get("alpha")),
         seed % 4 < 2,
     )
 
 
-def random_comodule(seed: int, base: HomPoissonCoalgebra, dim: int, kind: str) -> HomComodule:
+def random_comodule(
+    seed: int, base: HomPoissonCoalgebra, dim: int, kind: str, over: dict = NO_SCALE
+) -> HomComodule:
     d = Draw(seed)
     n = base.dim
 
     def coaction():
-        return CoactionTensor.from_entries(d.cube(dim, n, dim), n, dim)
+        return CoactionTensor.from_entries(d.cube(dim, n, dim, over.get("act")), n, dim)
 
     dm = coaction() if kind in ("coassociative", "poisson") else None
     gm = coaction() if kind in ("lie", "poisson") else None
-    return HomComodule(base, dim, d.map(dim, dim), kind, dm, gm)
+    return HomComodule(base, dim, d.map(dim, dim, over.get("beta")), kind, dm, gm)
 
 
-def random_module(seed: int, alg: HomAlgebra, dim: int, side: str) -> HomModule:
+def random_module(
+    seed: int, alg: HomAlgebra, dim: int, side: str, over: dict = NO_SCALE
+) -> HomModule:
     d = Draw(seed)
     shape = (alg.dim, dim, dim) if side == "left" else (dim, alg.dim, dim)
-    action = ActionTensor.from_entries(d.cube(*shape), alg.dim, dim, side)
-    return HomModule(alg, dim, d.map(dim, dim), action, side)
+    action = ActionTensor.from_entries(d.cube(*shape, over.get("act")), alg.dim, dim, side)
+    return HomModule(alg, dim, d.map(dim, dim, over.get("beta")), action, side)
+
+
+def zero_algebra(dim: int) -> HomAlgebra:
+    return HomAlgebra(dim, MulTensor.zero(dim), LinearMap.zero(dim, dim))
+
+
+def zero_coalgebra(dim: int) -> HomPoissonCoalgebra:
+    return HomPoissonCoalgebra(
+        dim, ComulTensor.zero(dim), ComulTensor.zero(dim), LinearMap.zero(dim, dim), True
+    )
+
+
+def zero_module(alg: HomAlgebra, dim: int, side: str) -> HomModule:
+    return HomModule(alg, dim, LinearMap.zero(dim, dim), ActionTensor.zero(alg.dim, dim, side), side)
+
+
+def zero_comodule(base: HomPoissonCoalgebra, dim: int, kind: str) -> HomComodule:
+    zero = CoactionTensor.zero(base.dim, dim)
+    dm = zero if kind in ("coassociative", "poisson") else None
+    gm = zero if kind in ("lie", "poisson") else None
+    return HomComodule(base, dim, LinearMap.zero(dim, dim), kind, dm, gm)
+
+
+def scaled_map(dim: int) -> LinearMap:
+    return Draw(dim + 3).map(dim, dim, OVER["f"])
 
 
 # --- catalogue -------------------------------------------------------------------
@@ -171,14 +217,14 @@ def check_everything(structure):
         for pair in ALGEBRA_LAWS:
             agree(pair, structure)
         n = structure.dim
-        for phi in (LinearMap.identity(n), LinearMap.zero(n, n), Draw(n).map(n, n)):
+        for phi in (LinearMap.identity(n), LinearMap.zero(n, n), Draw(n).map(n, n), scaled_map(n)):
             agree((check_endomorphism, ref.check_endomorphism), structure, phi)
             agree((check_morphism, ref.check_morphism), phi, structure, structure)
     elif isinstance(structure, HomModule):
         for pair in MODULE_LAWS:
             agree(pair, structure)
         m = structure.dim_mod
-        for f in (LinearMap.identity(m), Draw(m).map(m, m)):
+        for f in (LinearMap.identity(m), Draw(m).map(m, m), scaled_map(m)):
             for strict in (False, True):
                 pair = (check_module_morphism, ref.check_module_morphism)
                 agree(pair, f, structure, structure, strict=strict)
@@ -186,14 +232,14 @@ def check_everything(structure):
         for axiom, old in REFERENCE_COALGEBRA_SUITE.items():
             assert axioms.check(structure, axiom) == old(structure), axiom
         n = structure.dim
-        for phi in (LinearMap.identity(n), Draw(n + 1).map(n, n)):
+        for phi in (LinearMap.identity(n), Draw(n + 1).map(n, n), scaled_map(n)):
             agree((check_coendomorphism, ref.check_coendomorphism), structure, phi)
             agree((check_coalgebra_morphism, ref.check_coalgebra_morphism), phi, structure, structure)
     else:
         for pair in COMODULE_LAWS:
             agree(pair, structure)
         m = structure.dim_mod
-        for f in (LinearMap.identity(m), Draw(m + 2).map(m, m)):
+        for f in (LinearMap.identity(m), Draw(m + 2).map(m, m), scaled_map(m)):
             for strict in (False, True):
                 pair = (check_comodule_morphism, ref.check_comodule_morphism)
                 agree(pair, f, structure, structure, strict=strict)
@@ -213,6 +259,12 @@ def test_algebra_corpus_matches_reference():
         f = Draw(seed).map(b.dim, a.dim)
         agree((check_morphism, ref.check_morphism), f, a, b)
         agree((check_endomorphism, ref.check_endomorphism), a, Draw(seed).map(a.dim, a.dim))
+    for dim in range(5):
+        scaled = [random_algebra(700 + 10 * dim + seed, dim, OVER) for seed in range(2)]
+        for alg in scaled + [zero_algebra(dim)]:
+            check_everything(alg)
+        f = Draw(dim).map((dim + 2) % 5, dim, OVER["f"])
+        agree((check_morphism, ref.check_morphism), f, scaled[0], random_algebra(dim, f.dim_out, OVER))
 
 
 def test_module_corpus_matches_reference():
@@ -236,6 +288,17 @@ def test_random_modules_both_sides_match_reference(side):
         for strict in (False, True):
             f = Draw(seed).map(other.dim_mod, mod.dim_mod)
             agree((check_module_morphism, ref.check_module_morphism), f, mod, other, strict=strict)
+    for seed in range(8):
+        alg = random_algebra(800 + seed, seed % 4, OVER)
+        mod = random_module(900 + seed, alg, (seed + 1) % 4, side, OVER)
+        other = random_module(950 + seed, alg, seed % 3, side, OVER)
+        over_zero = random_module(seed, zero_algebra(seed % 4), seed % 3, side, OVER)
+        for structure in (mod, over_zero, zero_module(alg, seed % 3, side)):
+            check_everything(structure)
+        for strict in (False, True):
+            f = Draw(seed).map(other.dim_mod, mod.dim_mod, OVER["f"])
+            agree((check_module_morphism, ref.check_module_morphism), f, mod, other, strict=strict)
+
 
 
 @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
@@ -246,6 +309,13 @@ def test_random_coalgebras_match_reference(dim):
         q = random_coalgebra(100 * dim + seed + 50, (dim + seed) % 5)
         f = Draw(seed).map(q.dim, p.dim)
         agree((check_coalgebra_morphism, ref.check_coalgebra_morphism), f, p, q)
+    for seed in range(4):
+        p = random_coalgebra(700 + 10 * dim + seed, dim, OVER)
+        check_everything(p)
+        q = random_coalgebra(750 + 10 * dim + seed, (dim + seed) % 5, OVER)
+        f = Draw(seed).map(q.dim, p.dim, OVER["f"])
+        agree((check_coalgebra_morphism, ref.check_coalgebra_morphism), f, p, q)
+    check_everything(zero_coalgebra(dim))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -258,5 +328,17 @@ def test_random_comodules_match_reference(kind, dim):
         other = random_comodule(3000 + 10 * dim + seed, base, (dim + 1 + seed) % 5, kind)
         for strict in (False, True):
             f = Draw(seed).map(other.dim_mod, c.dim_mod)
+            pair = (check_comodule_morphism, ref.check_comodule_morphism)
+            agree(pair, f, c, other, strict=strict)
+    for seed in range(2):
+        base = random_coalgebra(1100 + 10 * dim + seed, (dim + seed) % 5, OVER)
+        c = random_comodule(2100 + 10 * dim + seed, base, dim, kind, OVER)
+        zero = zero_coalgebra((dim + seed) % 5)
+        over_zero = random_comodule(seed, zero, dim, kind, OVER)
+        for structure in (c, over_zero, zero_comodule(zero, dim, kind)):
+            check_everything(structure)
+        other = random_comodule(3100 + 10 * dim + seed, base, (dim + 1 + seed) % 5, kind, OVER)
+        for strict in (False, True):
+            f = Draw(seed).map(other.dim_mod, c.dim_mod, OVER["f"])
             pair = (check_comodule_morphism, ref.check_comodule_morphism)
             agree(pair, f, c, other, strict=strict)

@@ -35,7 +35,8 @@ def test_parse_rational_valid(text, value):
 
 
 @pytest.mark.parametrize(
-    "text", ["1/0", "2/4", "1/-2", "-2/-4", "x", "+1", "1.5", "", "3/02", "007", "-0"]
+    "text",
+    ["1/0", "2/4", "1/-2", "-2/-4", "x", "+1", "1.5", "", "3/02", "007", "-0", "5/1", "-5/1", "0/1"],
 )
 def test_parse_rational_rejects(text):
     with pytest.raises(FormatError):
@@ -85,6 +86,17 @@ def test_compose_matches_sequential_application():
         assert fg.column(j) == f.apply(g.column(j))
     with pytest.raises(DimensionMismatch):
         compose(f, LinearMap.identity(3))
+
+
+def test_maps_without_rows_keep_their_column_count():
+    empty = LinearMap.zero(0, 3)
+    assert (empty.dim_out, empty.dim_in) == (0, 3)
+    assert LinearMap.from_rows([], 3) == empty != LinearMap.zero(0, 2)
+    through_zero = compose(LinearMap.zero(2, 0), LinearMap.zero(0, 3))
+    assert through_zero.shape == (2, 3) and through_zero == LinearMap.zero(2, 3)
+    assert compose(empty, LinearMap.identity(3)).shape == (0, 3)
+    with pytest.raises(DimensionMismatch):
+        LinearMap.from_rows([[1, 2]], 3)
 
 
 # --- leg permutations and Kronecker products, done by contract -------------

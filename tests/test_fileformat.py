@@ -42,14 +42,40 @@ def test_serialization_is_canonicalizing_and_idempotent():
     messy = b"""{
       "version": 1,
       "structures": {
-        "zzz": {"kind": "hom_algebra", "dim": 1, "mul": [[["3/1"]]], "alpha": [["1"]]},
+        "zzz": {"alpha": [["1"]], "mul": [[["3"]]], "dim": 1, "kind": "hom_algebra"},
         "aaa": {"kind": "linear_map", "dim_in": 1, "dim_out": 1, "matrix": [["-2"]]}
       }
     }"""
     once = serialize(parse_bytes(messy))
     assert once.index(b'"aaa"') < once.index(b'"zzz"')
-    assert b'"3"' in once and b"3/1" not in once
+    assert once.index(b'"mul"') < once.index(b'"alpha"') and b" " not in once
     assert serialize(parse_bytes(once)) == once
+
+
+def test_denominator_one_is_format_error(tmp_path, capsys):
+    from homstruct.cli import main
+
+    body = (
+        '{"version":1,"structures":{"f":{"kind":"linear_map","dim_in":1,"dim_out":1,'
+        '"matrix":[["5/1"]]}}}\n'
+    )
+    with pytest.raises(FormatError):
+        parse_bytes(body.encode())
+    path = tmp_path / "denominator_one.json"
+    path.write_text(body)
+    assert main(["verify", str(path), "f"]) == 2
+    captured = capsys.readouterr()
+    assert "FORMAT_ERROR" in captured.err and captured.out == ""
+
+
+def test_map_without_rows_round_trips():
+    body = (
+        b'{"version":1,"structures":{"f":{"kind":"linear_map","dim_in":3,"dim_out":0,'
+        b'"matrix":[]}}}\n'
+    )
+    sf = parse_bytes(body)
+    assert sf.get("f").linear_map.shape == (0, 3)
+    assert serialize(sf) == body
 
 
 def test_comodule_kinds_round_trip():
