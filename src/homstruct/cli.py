@@ -8,6 +8,7 @@ precondition failure, 2 on input or format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import axioms, catalog
@@ -242,7 +243,9 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="homstruct",
         description="Exact verification and twisting of Hom-algebraic structures",

@@ -441,8 +441,7 @@ class ActionTensor(_Tensor):
 
     def mirrored(self) -> "ActionTensor":
         """Exchange the algebra and module slots, flipping the side."""
-        first = len(self.a)
-        second = len(self.a[0]) if first else 0
+        first, second, _ = self.shape
         cube = tuple(tuple(self.a[u][v] for u in range(first)) for v in range(second))
         other = "right" if self.side == "left" else "left"
         return ActionTensor(cube, self.dim_alg, self.dim_mod, other)

@@ -16,6 +16,11 @@ Entry kinds and fields:
 
 Modules name their base algebra and comodules their base coalgebra; all
 references must resolve inside the same file.
+
+Each distinct numeral is validated and decoded once per file: ``parse_bytes``
+keeps a ``{numeral: Fraction}`` memo for the one call, and the decoded rows go
+straight into the tensor constructors.  Only valid numerals enter the memo,
+so every bad entry is rejected where it first occurs.
 """
 
 from __future__ import annotations
@@ -72,18 +77,34 @@ def _parse_scalar(value) -> Fraction:
     return parse_rational(value)
 
 
-def _parse_matrix(data, rows: int, cols: int, what: str):
-    _require(isinstance(data, list) and len(data) == rows, f"{what}: expected {rows} rows")
-    out = []
-    for row in data:
-        _require(isinstance(row, list) and len(row) == cols, f"{what}: expected {cols} columns")
-        out.append([_parse_scalar(x) for x in row])
-    return out
+class _Numerals(dict):
+    """The numerals of one file, ``{numeral: Fraction}``, and the readers that use them.
 
+    A miss validates and decodes the entry.  Only strings that parse are
+    stored, so any other entry misses (a list or object raises ``TypeError``
+    on lookup) and is rejected by ``_parse_scalar``.
+    """
 
-def _parse_cube(data, d0: int, d1: int, d2: int, what: str):
-    _require(isinstance(data, list) and len(data) == d0, f"{what}: expected {d0} planes")
-    return [_parse_matrix(plane, d1, d2, what) for plane in data]
+    def __missing__(self, value) -> Fraction:
+        self[value] = number = _parse_scalar(value)
+        return number
+
+    def matrix(self, data, rows: int, cols: int, what: str) -> tuple[tuple[Fraction, ...], ...]:
+        _require(isinstance(data, list) and len(data) == rows, f"{what}: expected {rows} rows")
+        out = []
+        for row in data:
+            _require(isinstance(row, list) and len(row) == cols, f"{what}: expected {cols} columns")
+            try:
+                out.append(tuple(map(self.__getitem__, row)))
+            except TypeError:  # an unhashable entry; the entries before it are valid
+                for x in row:
+                    _parse_scalar(x)
+                raise
+        return tuple(out)
+
+    def cube(self, data, d0: int, d1: int, d2: int, what: str) -> tuple:
+        _require(isinstance(data, list) and len(data) == d0, f"{what}: expected {d0} planes")
+        return tuple(self.matrix(plane, d1, d2, what) for plane in data)
 
 
 def _dump_matrix(rows) -> list:
@@ -114,7 +135,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def parse_bytes(data: bytes) -> StructureFile:
     try:
         doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer over 4,300 digits
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise FormatError("not valid JSON: nested too deeply") from None
@@ -126,6 +147,7 @@ def parse_bytes(data: bytes) -> StructureFile:
     structures: dict[str, object] = {}
     base_of: dict[str, str] = {}
     pending: list[tuple[str, dict]] = []
+    numerals = _Numerals()
 
     for name, entry in raw.items():
         _require(isinstance(name, str) and name != "", "structure names must be nonempty strings")
@@ -133,23 +155,22 @@ def parse_bytes(data: bytes) -> StructureFile:
         kind = entry.get("kind")
         if kind == "hom_algebra":
             dim = _parse_dim(entry.get("dim"), name)
-            mul = MulTensor.from_entries(_parse_cube(entry.get("mul"), dim, dim, dim, name))
-            alpha = LinearMap.from_rows(_parse_matrix(entry.get("alpha"), dim, dim, name))
+            mul = MulTensor(numerals.cube(entry.get("mul"), dim, dim, dim, name))
+            alpha = LinearMap(numerals.matrix(entry.get("alpha"), dim, dim, name), dim)
             structures[name] = HomAlgebra(dim, mul, alpha)
         elif kind == "hom_poisson_coalgebra":
             dim = _parse_dim(entry.get("dim"), name)
-            delta = ComulTensor.from_entries(_parse_cube(entry.get("delta"), dim, dim, dim, name))
-            gamma = ComulTensor.from_entries(_parse_cube(entry.get("gamma"), dim, dim, dim, name))
-            alpha = LinearMap.from_rows(_parse_matrix(entry.get("alpha"), dim, dim, name))
+            delta = ComulTensor(numerals.cube(entry.get("delta"), dim, dim, dim, name))
+            gamma = ComulTensor(numerals.cube(entry.get("gamma"), dim, dim, dim, name))
+            alpha = LinearMap(numerals.matrix(entry.get("alpha"), dim, dim, name), dim)
             flag = entry.get("cocommutative")
             _require(isinstance(flag, bool), f"{name}: cocommutative must be a boolean")
             structures[name] = HomPoissonCoalgebra(dim, delta, gamma, alpha, flag)
         elif kind == "linear_map":
             dim_in = _parse_dim(entry.get("dim_in"), name)
             dim_out = _parse_dim(entry.get("dim_out"), name)
-            rows = _parse_matrix(entry.get("matrix"), dim_out, dim_in, name)
-            matrix = LinearMap.from_rows(rows, dim_in)
-            structures[name] = NamedMap(matrix)
+            rows = numerals.matrix(entry.get("matrix"), dim_out, dim_in, name)
+            structures[name] = NamedMap(LinearMap(rows, dim_in))
         elif kind in ("hom_module", "hom_comodule"):
             pending.append((name, entry))
         else:
@@ -164,14 +185,10 @@ def parse_bytes(data: bytes) -> StructureFile:
             side = entry.get("side")
             _require(side in ("left", "right"), f"{name}: bad side {side!r}")
             dim = _parse_dim(entry.get("dim"), name)
-            beta = LinearMap.from_rows(_parse_matrix(entry.get("beta"), dim, dim, name))
+            beta = LinearMap(numerals.matrix(entry.get("beta"), dim, dim, name), dim)
             shape = (base.dim, dim) if side == "left" else (dim, base.dim)
-            action = ActionTensor.from_entries(
-                _parse_cube(entry.get("action"), shape[0], shape[1], dim, name),
-                base.dim,
-                dim,
-                side,
-            )
+            cube = numerals.cube(entry.get("action"), shape[0], shape[1], dim, name)
+            action = ActionTensor(cube, base.dim, dim, side)
             structures[name] = HomModule(base, dim, beta, action, side)
             base_of[name] = ref
         else:
@@ -187,17 +204,17 @@ def parse_bytes(data: bytes) -> StructureFile:
                 f"{name}: bad comodule structure {comodule_kind!r}",
             )
             dim = _parse_dim(entry.get("dim"), name)
-            beta = LinearMap.from_rows(_parse_matrix(entry.get("beta"), dim, dim, name))
+            beta = LinearMap(numerals.matrix(entry.get("beta"), dim, dim, name), dim)
             delta_m = gamma_m = None
             if comodule_kind in ("coassociative", "poisson"):
-                delta_m = CoactionTensor.from_entries(
-                    _parse_cube(entry.get("delta_m"), dim, base.dim, dim, name), base.dim, dim
+                delta_m = CoactionTensor(
+                    numerals.cube(entry.get("delta_m"), dim, base.dim, dim, name), base.dim, dim
                 )
             else:
                 _require("delta_m" not in entry, f"{name}: delta_m not allowed for this kind")
             if comodule_kind in ("lie", "poisson"):
-                gamma_m = CoactionTensor.from_entries(
-                    _parse_cube(entry.get("gamma_m"), dim, base.dim, dim, name), base.dim, dim
+                gamma_m = CoactionTensor(
+                    numerals.cube(entry.get("gamma_m"), dim, base.dim, dim, name), base.dim, dim
                 )
             else:
                 _require("gamma_m" not in entry, f"{name}: gamma_m not allowed for this kind")

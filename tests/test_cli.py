@@ -45,6 +45,17 @@ def test_verify_comodule_and_witness_cap(capsys):
     assert "showing 2" in out
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from homstruct.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert run("verify", CORPUS, "non_alternative2", "--max-witnesses", "1") == 1
+    assert "showing 1)" in capsys.readouterr().out
+    assert run("verify", CORPUS, "non_alternative2") == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "showing 1)" not in out
+
+
 def test_verify_malformed_rational_exits_2(capsys):
     assert run("verify", DATA / "bad_rational.json", "a") == 2
     assert "FORMAT_ERROR" in capsys.readouterr().err
@@ -177,6 +188,22 @@ def test_opposite_module_flips_side(tmp_path):
     sf = parse_file(out)
     assert sf.get("dual_regular").side == "right"
     assert run("verify", out, "dual_regular") == 0
+
+
+def test_opposite_module_over_dim_zero_algebra(tmp_path):
+    from homstruct.catalog import zero_algebra
+    from homstruct.exact import ActionTensor, LinearMap
+    from homstruct.fileformat import serialize, single_structure_file, write_file
+    from homstruct.modules import HomModule
+
+    mod = HomModule(zero_algebra(0), 2, LinearMap.identity(2), ActionTensor.zero(0, 2, "left"), "left")
+    src, out = tmp_path / "zero.json", tmp_path / "opp.json"
+    write_file(src, single_structure_file("m", mod, ("z0", zero_algebra(0))))
+    assert run("transform", src, "m", "opposite", "--out", out) == 0
+    sf = parse_file(out)
+    assert sf.get("m").side == "right" and sf.get("m").action.shape == (2, 0, 2)
+    assert serialize(sf) == out.read_bytes()
+    assert run("verify", out, "m") == 0
 
 
 def test_negate_comodule_and_coalgebra(tmp_path):

@@ -1,11 +1,18 @@
+import dataclasses
+import importlib.util
+import json
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homstruct import HomAlgebra, HomComodule, HomModule, HomPoissonCoalgebra
-from homstruct.catalog import dual_numbers, lie_only_coalgebra, octonions
+from homstruct.catalog import DeterministicRng, dual_numbers, lie_only_coalgebra, octonions
 from homstruct.comodules import regular_comodule
 from homstruct.errors import FormatError
+from homstruct.exact import ActionTensor, LinearMap, MulTensor, _Tensor, format_rational
 from homstruct.fileformat import (
     NamedMap,
     StructureFile,
@@ -105,6 +112,7 @@ def test_malformed_files_rejected(name):
         '{"version":1,"structures":{"a":{"kind":"hom_poisson_coalgebra","dim":1,'
         '"delta":[[["1"]]],"gamma":[[["0"]]],"alpha":[["1"]],"cocommutative":"yes"}}}',
         "not json at all",
+        pytest.param('{"version":%s,"structures":{}}' % ("1" * 4301), id="huge-json-integer"),
     ],
 )
 def test_other_invalid_documents(body):
@@ -196,3 +204,217 @@ def test_deep_nesting_is_format_error():
         parse_bytes(b"[" * 200_000)
     with pytest.raises(FormatError):
         parse_bytes(b'{"version":1,"structures":' + b"[" * 200_000 + b"]" * 200_000 + b"}")
+
+
+# --- each distinct numeral is decoded once per file -------------------------------
+
+ONE_ROW_MAP = (
+    '{"version":1,"structures":{"f":{"kind":"linear_map","dim_in":%d,"dim_out":1,'
+    '"matrix":[[%s]]}}}\n'
+)
+
+
+def _rejects(body: str, message: str, tmp_path, capsys):
+    """``body`` is FORMAT_ERROR with ``message`` from parse_bytes, and exits 2 from the CLI."""
+    from homstruct.cli import main
+
+    for _ in range(2):  # nothing learnt from a failed parse survives it
+        with pytest.raises(FormatError) as excinfo:
+            parse_bytes(body.encode())
+        assert str(excinfo.value).startswith(message)
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    assert main(["verify", str(path), "f"]) == 2
+    captured = capsys.readouterr()
+    assert "FORMAT_ERROR" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "twin, entry",
+    [
+        ('"1"', "1"), ('"1"', "true"), ('"1"', "1.0"), ('"0"', "0"), ('"0"', "false"),
+        ('"1"', "null"), ('"1"', "[]"), ('"1"', "{}"), ('"0"', '["0"]'), ('"0"', '{"0":"0"}'),
+    ],
+)
+def test_non_string_entry_after_its_twin_is_format_error(twin, entry, tmp_path, capsys):
+    message = f"rational entries must be strings, got {json.loads(entry)!r}"
+    _rejects(ONE_ROW_MAP % (2, f"{twin},{entry}"), message, tmp_path, capsys)
+    _rejects(ONE_ROW_MAP % (2, f"{entry},{twin}"), message, tmp_path, capsys)
+
+
+TOO_LONG = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "twin, bad, message",
+    [
+        ("0", "-0", "malformed rational '-0'"),
+        ("5", "5/1", "malformed rational '5/1'"),
+        ("1/2", "2/4", "rational '2/4' is not in lowest terms"),
+        ("1", "01", "malformed rational '01'"),
+        ("1" * 4300, TOO_LONG, "rational numeral is too long"),
+    ],
+)
+def test_bad_numeral_is_format_error_on_first_sight_and_after_its_twin(
+    twin, bad, message, tmp_path, capsys
+):
+    _rejects(ONE_ROW_MAP % (1, f'"{bad}"'), message, tmp_path, capsys)
+    _rejects(ONE_ROW_MAP % (3, f'"{twin}","{bad}","{twin}"'), message, tmp_path, capsys)
+    twice = ONE_ROW_MAP.replace('"dim_out":1', '"dim_out":2') % (1, f'"{twin}"],["{bad}"')
+    _rejects(twice, message, tmp_path, capsys)
+
+
+def test_first_bad_entry_in_scan_order_is_reported(tmp_path, capsys):
+    _rejects(ONE_ROW_MAP % (4, '"1","01","2/4",1'), "malformed rational '01'", tmp_path, capsys)
+    _rejects(ONE_ROW_MAP % (4, '"1",[],"01","2/4"'), "rational entries must be strings, got []",
+             tmp_path, capsys)
+    algebra_then_bad_map = (
+        '{"version":1,"structures":{'
+        '"a":{"kind":"hom_algebra","dim":1,"mul":[[["-1"]]],"alpha":[["1"]]},'
+        '"f":{"kind":"linear_map","dim_in":2,"dim_out":1,"matrix":[["-1",-1]]}}}\n'
+    )
+    _rejects(algebra_then_bad_map, "rational entries must be strings, got -1", tmp_path, capsys)
+
+
+# --- what parsing builds ----------------------------------------------------------
+
+def _regen_golden():
+    path = DATA.parent.parent / "scripts" / "regen_golden.py"
+    spec = importlib.util.spec_from_file_location("regen_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tensors(structure) -> list:
+    if isinstance(structure, NamedMap):
+        return [structure.linear_map]
+    values = [getattr(structure, f.name) for f in dataclasses.fields(structure)]
+    return [v for v in values if isinstance(v, _Tensor)]
+
+
+def _entries(nested):
+    if isinstance(nested, tuple):
+        for x in nested:
+            yield from _entries(x)
+    else:
+        yield nested
+
+
+def _dense_rational_module_file(n: int) -> StructureFile:
+    rng = DeterministicRng(n)
+
+    def cube():
+        return [[[rng.point_entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+    def square():
+        return LinearMap.from_rows([[rng.point_entry() for _ in range(n)] for _ in range(n)])
+
+    alg = HomAlgebra(n, MulTensor.from_entries(cube()), square())
+    mod = HomModule(alg, n, square(), ActionTensor.from_entries(cube(), n, n, "left"), "left")
+    return single_structure_file("module", mod, ("algebra", alg))
+
+
+def test_parse_builds_the_serialized_structures_from_fractions():
+    originals = [
+        (_regen_golden().corpus_file(), (DATA / "corpus.json").read_bytes()),
+        (single_structure_file("octonions", octonions()),
+         (DATA / "golden_octonions.json").read_bytes()),
+        (_dense_rational_module_file(16), None),
+    ]
+    for original, raw in originals:
+        data = serialize(original)
+        assert raw is None or data == raw
+        back = parse_bytes(data)
+        assert back.structures.keys() == original.structures.keys()
+        assert back.base_of == original.base_of
+        for name, structure in original.structures.items():
+            parsed = back.get(name)
+            assert parsed == structure, name
+            for mine, theirs in zip(_tensors(parsed), _tensors(structure), strict=True):
+                assert mine.nonzeros == theirs.nonzeros and mine.scaled == theirs.scaled, name
+                # Fraction(1) == 1, so == above would not see an int or str entry
+                assert all(type(x) is Fraction for x in _entries(getattr(mine, mine._nested))), name
+        assert serialize(back) == data
+    dense = originals[2][0].get("module")
+    assert dense.action.scaled[0] > 1 and len(dense.algebra.mu.nonzeros) > 3000
+
+
+# --- hostile input ----------------------------------------------------------------
+
+CORPUS_BYTES = (DATA / "corpus.json").read_bytes()
+TENSOR_FIELDS = ("mul", "alpha", "delta", "gamma", "matrix", "beta", "action", "delta_m", "gamma_m")
+
+
+def _scalar_slots(doc) -> list[tuple]:
+    """The key-and-index path of every rational entry in a decoded document."""
+    slots = []
+
+    def walk(value, path):
+        if isinstance(value, list):
+            for i, x in enumerate(value):
+                walk(x, path + (i,))
+        else:
+            slots.append(path)
+
+    for name, entry in doc["structures"].items():
+        for field in TENSOR_FIELDS:
+            if field in entry:
+                walk(entry[field], ("structures", name, field))
+    return slots
+
+
+def _mutated_bytes():
+    """A canonical file with bytes overwritten, dropped or inserted."""
+    edit = st.tuples(
+        st.integers(0, len(CORPUS_BYTES)), st.integers(0, 4), st.binary(max_size=4)
+    )
+
+    def apply(edits):
+        data = CORPUS_BYTES
+        for at, drop, insert in edits:
+            data = data[:at] + insert + data[at + drop :]
+        return data
+
+    return st.lists(edit, min_size=1, max_size=3).map(apply)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _mutated_bytes()))
+def test_any_bytes_parse_or_fail_with_format_error(data):
+    try:
+        sf = parse_bytes(data)
+    except FormatError:
+        return
+    assert isinstance(sf, StructureFile)
+
+
+NUMERALS = st.one_of(
+    st.fractions(max_denominator=50).map(format_rational),
+    st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,2})?", fullmatch=True),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | NUMERALS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), JSON_VALUES)
+def test_one_replaced_scalar_is_format_error_or_a_canonical_file(data, value):
+    doc = json.loads(CORPUS_BYTES)
+    *path, last = data.draw(st.sampled_from(_scalar_slots(doc)))
+    slot = doc
+    for key in path:
+        slot = slot[key]
+    slot[last] = value
+    mutated = (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+    try:
+        sf = parse_bytes(mutated)
+    except FormatError:
+        return
+    once = serialize(sf)
+    assert serialize(parse_bytes(once)) == once
+    if isinstance(value, str) and value == format_rational(Fraction(value)):
+        assert once == mutated

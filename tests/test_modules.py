@@ -16,7 +16,7 @@ from homstruct import (
     regular_module,
     twist_module,
 )
-from homstruct.catalog import dual_numbers, dual_numbers_twisted, entries, octonions
+from homstruct.catalog import dual_numbers, dual_numbers_twisted, entries, octonions, zero_algebra
 from homstruct.errors import AlgebraMismatch, DimensionMismatch, WrongSide
 from homstruct.exact import ActionTensor, LinearMap
 
@@ -168,6 +168,14 @@ def test_opposite_module_passes_right_check_over_opposite_algebra():
     opp = opposite_module(mod)
     assert opp.side == "right"
     assert opp.algebra == opposite(octonions())
+    assert check_right_module(opp).holds
+
+
+def test_opposite_module_over_dim_zero_algebra():
+    mod = HomModule(zero_algebra(0), 2, LinearMap.identity(2), ActionTensor.zero(0, 2, "left"), "left")
+    opp = opposite_module(mod)
+    assert opp.side == "right" and opp.action.shape == (2, 0, 2)
+    assert opp.action == ActionTensor.zero(0, 2, "right")
     assert check_right_module(opp).holds
 
 

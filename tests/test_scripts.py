@@ -29,3 +29,15 @@ def test_regen_golden_reproduces_the_checked_in_files(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in DATA.iterdir())
     for path in DATA.iterdir():
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_benchmark_own_tests_pass():
+    # perfbench/tests has its own conftest module, so it cannot share this session
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
