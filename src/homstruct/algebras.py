@@ -50,19 +50,19 @@ class HomAlgebra:
 _LAWS = {
     LEFT_HOM_ALT: Law(
         "ijk", "o",
-        "+ mu.jkb mu.abo alpha.ai",  # mul(a(x), mul(y, z))
-        "- mu.ija mu.abo alpha.bk",  # mul(mul(x, y), a(z))
-        "+ mu.ikb mu.abo alpha.aj",  # mul(a(y), mul(x, z))
-        "- mu.jia mu.abo alpha.bk",  # mul(mul(y, x), a(z))
+        "+ alpha.ai mu.abo mu.jkb",  # mul(a(x), mul(y, z))
+        "- alpha.bk mu.abo mu.ija",  # mul(mul(x, y), a(z))
+        "+ alpha.aj mu.abo mu.ikb",  # mul(a(y), mul(x, z))
+        "- alpha.bk mu.abo mu.jia",  # mul(mul(y, x), a(z))
     ),
     RIGHT_HOM_ALT: Law(
         "ijk", "o",
-        "+ mu.jkb mu.abo alpha.ai",  # mul(a(x), mul(y, z))
-        "- mu.ija mu.abo alpha.bk",  # mul(mul(x, y), a(z))
-        "+ mu.kjb mu.abo alpha.ai",  # mul(a(x), mul(z, y))
-        "- mu.ika mu.abo alpha.bj",  # mul(mul(x, z), a(y))
+        "+ alpha.ai mu.abo mu.jkb",  # mul(a(x), mul(y, z))
+        "- alpha.bk mu.abo mu.ija",  # mul(mul(x, y), a(z))
+        "+ alpha.ai mu.abo mu.kjb",  # mul(a(x), mul(z, y))
+        "- alpha.bj mu.abo mu.ika",  # mul(mul(x, z), a(y))
     ),
-    HOM_ASSOC: Law("ijk", "o", "+ mu.jkb mu.abo alpha.ai", "- mu.ija mu.abo alpha.bk"),
+    HOM_ASSOC: Law("ijk", "o", "+ alpha.ai mu.abo mu.jkb", "- alpha.bk mu.abo mu.ija"),
 }
 
 # f(mul(x, y)) = mul'(f(x), f(y)) on basis pairs, for f from (mu) to (nu).

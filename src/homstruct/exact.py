@@ -27,9 +27,12 @@ Entries are exact rationals (``fractions.Fraction``; ``nonzeros`` carries
 integral values as ``int``).  Law checks contract ``scaled``, the same
 entries times the lcm of their denominators: plain ``int`` arithmetic, with
 the scale kept beside the map and divided back out only for the reported
-witnesses.  No floating point enters the kernel, so every identity check is
-an exact zero test.  All values are immutable after construction and safe
-to share across threads.
+witnesses.  One axis of an operand can also be ``pack``-ed into fixed-width
+slots of a single ``int``, so that ``contract``'s Python-level multiply-adds
+each act on a whole vector of coefficients inside CPython's bignum code;
+``unpack`` reads the slots back.  No floating point enters the kernel, so
+every identity check is an exact zero test.  All values are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -102,11 +105,6 @@ def _freeze_cube(cube) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     return tuple(tuple(tuple(rat(x) for x in row) for row in plane) for plane in cube)
 
 
-def _exact(x: Fraction):
-    """Integral values as ``int``: the same rational, far cheaper to multiply."""
-    return x.numerator if x.denominator == 1 else x
-
-
 class _Tensor:
     """Nonzero entries of a map or structure tensor, built once per value.
 
@@ -118,22 +116,29 @@ class _Tensor:
 
     @cached_property
     def nonzeros(self) -> dict[tuple[int, ...], Fraction | int]:
-        entries = {(): getattr(self, self._nested)}
-        for _ in self.shape:
-            entries = {key + (i,): x for key, xs in entries.items() for i, x in enumerate(xs)}
-        return {key: _exact(x) for key, x in entries.items() if x}
+        rows = [((), getattr(self, self._nested))]
+        for _ in self.shape[1:]:
+            rows = [(key + (i,), row) for key, xs in rows for i, row in enumerate(xs)]
+        return {
+            key + (i,): x.numerator if x.denominator == 1 else x
+            for key, row in rows
+            for i, x in enumerate(row)
+            if x
+        }
 
     @cached_property
-    def scaled(self) -> tuple[int, dict[tuple[int, ...], int]]:
-        """``(s, s * nonzeros)``: ``s`` is the lcm of the entries' denominators.
+    def scaled(self) -> tuple[int, dict[tuple[int, ...], int], int]:
+        """``(s, s * nonzeros, bits)``: ``s`` is the lcm of the entries' denominators.
 
-        When ``s`` is 1 the map is ``nonzeros`` itself.
+        When ``s`` is 1 the map is ``nonzeros`` itself.  ``bits`` is the bit
+        length of the largest scaled entry's absolute value (0 when there
+        are none), from which ``laws.Law`` bounds its packed slots.
         """
         entries = self.nonzeros
         s = lcm(*{x.denominator for x in entries.values()})
-        if s == 1:
-            return 1, entries
-        return s, {key: x.numerator * (s // x.denominator) for key, x in entries.items()}
+        if s != 1:
+            entries = {key: x.numerator * (s // x.denominator) for key, x in entries.items()}
+        return s, entries, max(map(abs, entries.values()), default=0).bit_length()
 
 
 @dataclass(frozen=True)
@@ -563,10 +568,12 @@ def contract(spec: str, *tensors: dict) -> dict:
 
     Operands and result are ``{index tuple: value}`` maps of nonzero entries
     (the result may also hold entries that cancelled to zero, and may be an
-    operand itself: treat both as read-only).  Operands are joined pairwise
-    in the order the spec lists them, and a letter is summed over as soon as
-    no later operand and not the output needs it.  Plans are compiled once
-    per spec.
+    operand itself: treat both as read-only).  Values are rationals or
+    ``int``; a ``pack``-ed operand's values are ints whose packed axis rides
+    along through every product and sum.  Operands are joined pairwise in
+    the order the spec lists them, and a letter is summed over as soon as no
+    later operand and not the output needs it.  Plans are compiled once per
+    spec.
     """
     plan = _PLANS.get(spec)
     if plan is None:
@@ -597,6 +604,41 @@ def contract(spec: str, *tensors: dict) -> dict:
     if reorder is not None:
         return {reorder(key): v for key, v in acc.items()}
     return acc
+
+
+def pack(entries: dict, axis: int, bits: int) -> dict:
+    """``entries`` with ``axis`` moved into ``bits``-bit slots of one ``int``.
+
+    The key loses that axis and its value is ``sum_o entries[..o..] << (o *
+    bits)``, the entries read as polynomial coefficients evaluated at ``2**
+    bits`` (Kronecker substitution).  Signed coefficients are fine: ``+``
+    and ``*`` by an unpacked ``int`` act on every slot at once, and a result
+    whose coefficients all lie strictly between ``-2**(bits - 1)`` and
+    ``2**(bits - 1)`` decodes exactly with ``unpack``.
+    """
+    out: dict = {}
+    get = out.get
+    for key, v in entries.items():
+        rest = key[:axis] + key[axis + 1 :]
+        out[rest] = get(rest, 0) + (v << (key[axis] * bits))
+    return out
+
+
+def unpack(value: int, slots: int, bits: int) -> list[int]:
+    """The ``slots`` coefficients of a packed ``value``, lowest slot first.
+
+    Each slot is read as a balanced digit in ``[-2**(bits - 1), 2**(bits -
+    1))``, so a borrow from a negative slot is given back to the next one.
+    """
+    mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    digits = []
+    for _ in range(slots):
+        d = value & mask
+        if d >= half:
+            d -= base
+        digits.append(d)
+        value = (value - d) >> bits
+    return digits
 
 
 def _dense(entries: dict, shape: tuple[int, ...], prefix: tuple[int, ...] = ()) -> tuple:

@@ -140,7 +140,9 @@ def parse_bytes(data: bytes) -> StructureFile:
     except RecursionError:
         raise FormatError("not valid JSON: nested too deeply") from None
     _require(isinstance(doc, dict), "top level must be an object")
-    _require(doc.get("version") == FILE_VERSION, f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    # type(...) is int: true == 1 and 1.0 == 1 would let other bytes give the same file
+    _require(type(version) is int and version == FILE_VERSION, f"unsupported version {version!r}")
     raw = doc.get("structures")
     _require(isinstance(raw, dict) and raw is not None, "missing structures map")
 

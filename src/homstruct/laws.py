@@ -4,8 +4,8 @@ Each law the kernel checks is a multilinear identity, a signed sum of
 contractions of structure tensors that must vanish.  A ``Law`` states one:
 
     Law("ijk", "o",
-        "+ mu.jkb mu.abo alpha.ai",     # mu(alpha(e_i), mu(e_j, e_k))
-        "- mu.ija mu.abo alpha.bk")     # mu(mu(e_i, e_j), alpha(e_k))
+        "+ alpha.ai mu.abo mu.jkb",     # mu(alpha(e_i), mu(e_j, e_k))
+        "- alpha.bk mu.abo mu.ija")     # mu(mu(e_i, e_j), alpha(e_k))
 
 The first string names the letters of the witness index, scanned in
 lexicographic order; the second the letters of the residual vector at each
@@ -14,82 +14,144 @@ as ``name.letters``, with letters following the index conventions of
 ``exact.py``; a letter shared by operands and absent from the output is
 summed over.  ``Law.check`` binds names to maps and tensors by keyword.
 
-``exact.contract`` joins a term's operands pairwise in the order the term
-lists them, so order them to keep every join within O(n^5): ``mu.jkb mu.abo
-alpha.ai`` joins two n^3 tensors on one letter first, while ``alpha.ai
-mu.jkb mu.abo`` would start with an n^5 outer product.
-
 Evaluation is in ``int``: each operand enters as ``scaled``, its entries
 times the lcm of their denominators, so a term's contraction carries the
 product of its operands' scales.  The signed terms are brought to the lcm
 of those products and summed, and only the reported witnesses are divided
-back.  Terms that are one contraction up to a permutation of the output
-letters (the third term above is the first with ``i`` and ``j`` swapped)
-are contracted once, and each adds that result under its own key order.
+back.
+
+The last residual letter (``o`` above) is packed: the one operand of each
+term that holds it enters ``exact.pack``-ed over that axis, B bits a slot,
+so the first term contracts as ``ai,ab,jkb->ijk`` with ``mu.ab`` standing
+for ``sum_o mu[a,b,o] << (o*B)``.  Every multiply-add in ``contract`` then
+moves a whole residual vector inside CPython's bignum code, and a law over
+n-dim tensors costs O(n^4) Python steps instead of O(n^5).  Hence a row
+must hold that letter in exactly one operand of every term (``Law`` raises
+``ValueError`` otherwise).  B is fixed before any multiply: the sum over
+terms of the term's factor, times the product of its operands' largest
+scaled entries, times the product of the sizes of its summed letters,
+bounds every residual coefficient, and B is that bound's bit length plus
+2.  A packed residual is then 0 exactly when every slot is, and slots are
+decoded only for the reported witnesses.  Only one letter is packed:
+packing more makes large ints of mostly empty slots when the structure is
+sparse.
+
+``exact.contract`` joins a term's operands pairwise in the order the term
+lists them, so order them to keep the joins small: ``alpha.ai mu.abo
+mu.jkb`` first sums ``a`` into an n^2 table of packed values in O(n^3)
+steps and then joins ``mu.jkb`` in O(n^4), while ``alpha.ai mu.jkb mu.abo``
+would start with an n^5 outer product.
+
+Terms that are one contraction up to a permutation of the unpacked output
+letters (``+ alpha.aj mu.abo mu.ikb`` is the first term above with ``i``
+and ``j`` swapped) are contracted once, and each adds that result under
+its own key order.  A term that moves the packed letter elsewhere is a
+contraction of its own.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from math import lcm, prod
+from math import lcm
 from operator import itemgetter
 
-from .exact import contract
+from .exact import contract, pack
 from .report import AxiomReport
 
 
 class Law:
     """One law: witness index letters, residual letters, signed terms.
 
-    ``groups`` lists the distinct contractions the terms compile to, each as
-    ``(operand names, contract spec, uses)``; a use is the sign of one term
-    and the key permutation (None: none) that takes the group's result to
-    that term's output order.
+    ``terms`` keeps the row as stated.  ``packed`` is the residual letter
+    carried in packed slots.  ``groups`` lists the distinct contractions the
+    terms compile to, each as ``(operands, contract spec, summed, uses)``:
+    an operand is ``(name, axis)``, with the axis of the packed letter or
+    None; ``summed`` holds one ``(name, axis)`` per summed letter, to size
+    it; a use is the sign of one term and the key permutation (None: none)
+    that takes the group's result to that term's output order.
     """
 
     def __init__(self, index: str, residual: str, *terms: str):
-        self.index, self.residual = index, residual
-        out = index + residual
+        if not residual or not terms:
+            raise ValueError("a law needs a residual letter to pack and a term")
+        self.index, self.residual, self.terms = index, residual, terms
+        self.packed = packed = residual[-1]
+        out = index + residual[:-1]
         groups: dict[tuple, tuple] = {}
-        sizes: dict[str, tuple[str, int]] = {}
         for term in terms:
             sign, *operands = term.split()
-            names = tuple(op.split(".")[0] for op in operands)
+            names = [op.split(".")[0] for op in operands]
             subscripts = [op.split(".")[1] for op in operands]
             if sign not in "+-":
                 raise ValueError(f"term {term!r} needs a sign")
+            if "".join(subscripts).count(packed) != 1:
+                raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
+            local = {}  # letter -> (name, axis) of an operand of this term that has it
             for name, sub in zip(names, subscripts):
                 for axis, c in enumerate(sub):
-                    sizes.setdefault(c, (name, axis))
+                    local.setdefault(c, (name, axis))
+            ids = tuple((name, sub.index(packed) if packed in sub else None)
+                        for name, sub in zip(names, subscripts))
+            subscripts = [sub.replace(packed, "") for sub in subscripts]
             # Letters renamed in order of first appearance: equal forms are
             # one contraction with the output letters permuted.
             rename = {c: i for i, c in enumerate(dict.fromkeys("".join(subscripts)))}
             form = (
-                names,
+                ids,
                 tuple(tuple(rename[c] for c in sub) for sub in subscripts),
                 frozenset(map(rename.get, out)),
             )
             if form not in groups:
-                groups[form] = (names, ",".join(subscripts) + "->" + out, rename, [])
-            _, _, first, uses = groups[form]
+                summed = tuple(local[c] for c in rename if c not in out)
+                groups[form] = (ids, ",".join(subscripts) + "->" + out, summed, rename, [])
+            first, uses = groups[form][3:]
             letter_of = {i: c for c, i in first.items()}
             positions = [out.index(letter_of[rename[c]]) for c in out]
             permute = None if positions == list(range(len(out))) else itemgetter(*positions)
             uses.append((sign == "+", permute))
-        self.groups = [(names, spec, tuple(uses)) for names, spec, _, uses in groups.values()]
-        self._names = {name for names, _, _ in self.groups for name in names}
-        self._sizes = [sizes[c] for c in residual]
+        self.groups = [
+            (ids, spec, summed, tuple(uses)) for ids, spec, summed, _, uses in groups.values()
+        ]
+        self._names = {name for ids, _, _, _ in self.groups for name, _ in ids}
+        self._sizes = [local[c] for c in residual]  # every term holds every output letter
 
     def check(self, axiom: str, **operands) -> AxiomReport:
         """Evaluate the law on the bound maps and tensors and report it as ``axiom``."""
-        scaled = {name: operands[name].scaled for name in self._names}
-        terms = []
-        for names, spec, uses in self.groups:
-            scale = prod(scaled[name][0] for name in names)
-            terms.append((scale, contract(spec, *(scaled[name][1] for name in names)), uses))
-        common = lcm(*(scale for scale, _, _ in terms))
+        scaled, shapes = {}, {}
+        for name in self._names:
+            scaled[name] = operands[name].scaled
+            shapes[name] = operands[name].shape
+        terms = []  # (scale, bound on one use's coefficients times its use count)
+        for ids, _, summed, uses in self.groups:
+            scale, bits = 1, 0
+            for name, _ in ids:
+                s, _, b = scaled[name]
+                scale *= s
+                bits += b
+            count = len(uses)
+            for name, axis in summed:
+                count *= shapes[name][axis]
+            terms.append((scale, count << bits))
+        common = lcm(*(scale for scale, _ in terms))
+        # Every residual coefficient is less than this in absolute value.
+        bound = 0
+        for scale, most in terms:
+            bound += common // scale * most
+        bits = bound.bit_length() + 2
+        packs: dict[tuple[str, int], dict] = {}
         residual: dict = defaultdict(int)
-        for scale, value, uses in terms:
+        for (ids, spec, _, uses), (scale, _) in zip(self.groups, terms):
+            tensors = []
+            for op in ids:
+                name, axis = op
+                if axis is None:
+                    tensors.append(scaled[name][1])
+                    continue
+                packed = packs.get(op)
+                if packed is None:
+                    packed = packs[op] = pack(scaled[name][1], axis, bits)
+                tensors.append(packed)
+            value = contract(spec, *tensors)
             factor = common // scale
             for positive, permute in uses:
                 m = factor if positive else -factor
@@ -99,8 +161,8 @@ class Law:
                 else:
                     for key, v in value.items():
                         residual[permute(key)] += m * v
-        shape = tuple(operands[name].shape[axis] for name, axis in self._sizes)
-        return AxiomReport.from_residual(axiom, residual, len(self.index), shape, common)
+        shape = tuple(shapes[name][axis] for name, axis in self._sizes)
+        return AxiomReport.from_residual(axiom, residual, len(self.index), shape, common, bits)
 
 
 COMMUTES = Law("i", "o", "+ f.oa x.ai", "- y.oa f.ai")

@@ -56,17 +56,17 @@ class HomModule:
 _LAWS = {
     LEFT_MODULE: Law(
         "ijp", "q",
-        "+ act.jpr act.arq alpha.ai",  # act(a(x), act(y, m))
-        "- mu.ija act.arq beta.rp",    # act(mul(x, y), b(m))
-        "+ act.ipr act.arq alpha.aj",  # act(a(y), act(x, m))
-        "- mu.jia act.arq beta.rp",    # act(mul(y, x), b(m))
+        "+ alpha.ai act.arq act.jpr",  # act(a(x), act(y, m))
+        "- beta.rp act.arq mu.ija",    # act(mul(x, y), b(m))
+        "+ alpha.aj act.arq act.ipr",  # act(a(y), act(x, m))
+        "- beta.rp act.arq mu.jia",    # act(mul(y, x), b(m))
     ),
     RIGHT_MODULE: Law(
         "pij", "q",
-        "+ act.pir act.raq alpha.aj",  # act(act(m, x), a(y))
-        "+ act.pjr act.raq alpha.ai",  # act(act(m, y), a(x))
-        "- mu.ija act.raq beta.rp",    # act(b(m), mul(x, y))
-        "- mu.jia act.raq beta.rp",    # act(b(m), mul(y, x))
+        "+ alpha.aj act.raq act.pir",  # act(act(m, x), a(y))
+        "+ alpha.ai act.raq act.pjr",  # act(act(m, y), a(x))
+        "- beta.rp act.raq mu.ija",    # act(b(m), mul(x, y))
+        "- beta.rp act.raq mu.jia",    # act(b(m), mul(y, x))
     ),
 }
 

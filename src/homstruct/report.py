@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .exact import Vector
+from .exact import Vector, unpack
 
 WITNESS_CAP = 16
 
@@ -34,26 +34,35 @@ class AxiomReport:
 
     @classmethod
     def from_residual(
-        cls, axiom: str, residual: dict, width: int, shape: tuple[int, ...], scale: int
+        cls, axiom: str, residual: dict, width: int, shape: tuple[int, ...], scale: int, bits: int
     ) -> "AxiomReport":
-        """Report on a sparse residual ``{index + position: value * scale}``.
+        """Report on a sparse packed residual ``{index + position: packed int}``.
 
         The first ``width`` entries of a key are the witness index, the rest
-        a position in a residual of the given ``shape``.  Dense residual
-        vectors, divided by ``scale``, are built for the kept witnesses only.
+        a position over all but the last axis of a residual of the given
+        ``shape``; the value holds that last axis, times ``scale``, in
+        ``bits``-bit slots (``exact.pack``).  An index fails when any of its
+        values is nonzero.  Slots are decoded, and divided by ``scale``,
+        for the kept witnesses only.
         """
         failing = sorted({key[:width] for key, v in residual.items() if v})
         if not failing:
             return cls(axiom, True, (), 0)
         zero = Fraction(0)
-        positions = list(product(*map(range, shape)))
-        kept = tuple(
-            Witness(index, Vector(tuple(
-                Fraction(x, scale) if (x := residual.get(index + p)) else zero for p in positions
-            )))
-            for index in failing[:WITNESS_CAP]
-        )
-        return cls(axiom, False, kept, len(failing))
+        *outer, slots = shape
+        positions = list(product(*map(range, outer)))
+        kept = []
+        for index in failing[:WITNESS_CAP]:
+            entries = []
+            for p in positions:
+                packed = residual.get(index + p)
+                if packed:
+                    digits = unpack(packed, slots, bits)
+                    entries.extend(Fraction(d, scale) if d else zero for d in digits)
+                else:
+                    entries.extend([zero] * slots)
+            kept.append(Witness(index, Vector(tuple(entries))))
+        return cls(axiom, False, tuple(kept), len(failing))
 
     @classmethod
     def aggregate(cls, axiom: str, parts: Iterable["AxiomReport"]) -> "AxiomReport":

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +7,17 @@ from hypothesis import strategies as st
 
 from homstruct.errors import DimensionMismatch, FormatError
 from homstruct.exact import (
+    ActionTensor,
     CoactionTensor,
+    ComulTensor,
     LinearMap,
     MulTensor,
     Vector,
     compose,
     format_rational,
+    pack,
     parse_rational,
+    unpack,
 )
 from homstruct.laws import contract
 
@@ -258,3 +263,69 @@ def test_mul_tensor_opposite_and_negation():
     assert t.opposite().c[1][0][1] == t.c[0][1][1]
     assert t.negated().c[0][0][0] == -1
     assert t.negated().negated() == t
+
+
+# --- nonzero entries and packed slots ------------------------------------------
+
+
+def entry(*index) -> Fraction:
+    """A deterministic mix of zeros, integers and fractions, both signs."""
+    h = sum((i + 1) * 7 ** axis for axis, i in enumerate(index)) % 5
+    return [Fraction(0), Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(-4)][h]
+
+
+def each_kind(n: int, value=entry):
+    """One tensor of every kind at dim n (module dims n and n + 1), entries from ``value``."""
+    m = n + 1
+
+    def cube(a, b, c):
+        return [[[value(i, j, k) for k in range(c)] for j in range(b)] for i in range(a)]
+
+    return [
+        Vector.from_entries([value(i) for i in range(n)]),
+        LinearMap.from_rows(cube(1, n, m)[0], m),
+        LinearMap.from_rows([], n),
+        MulTensor.from_entries(cube(n, n, n)),
+        ComulTensor.from_entries(cube(n, n, n)),
+        ActionTensor.from_entries(cube(n, m, m), n, m, "left"),
+        ActionTensor.from_entries(cube(m, n, m), n, m, "right"),
+        CoactionTensor.from_entries(cube(m, n, m), n, m),
+    ]
+
+
+def nested_entry(tensor, index):
+    x = getattr(tensor, tensor._nested)
+    for i in index:
+        x = x[i]
+    return x
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_nonzeros_of_every_kind(n):
+    for tensor in each_kind(n) + each_kind(n, lambda *index: Fraction(0)):
+        want = {}
+        for index in product(*map(range, tensor.shape)):
+            x = nested_entry(tensor, index)
+            if x:
+                want[index] = x.numerator if x.denominator == 1 else x
+        assert tensor.nonzeros == want
+        assert list(tensor.nonzeros) == sorted(want)
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for x in tensor.nonzeros.values())
+        s, scaled, bits = tensor.scaled
+        assert scaled == {k: x * s for k, x in want.items()}
+        assert bits == max((abs(x) for x in scaled.values()), default=0).bit_length()
+
+
+def test_pack_and_unpack_are_inverse():
+    entries = {(0, 0): 5, (0, 2): -7, (1, 1): -1, (2, 0): 2**40, (2, 2): -(2**40)}
+    for axis in (0, 1):
+        packed = pack(entries, axis, 43)
+        for key, value in packed.items():
+            slots = unpack(value, 3, 43)
+            for o, x in enumerate(slots):
+                full = key[:axis] + (o,) + key[axis:]
+                assert x == entries.get(full, 0)
+    assert unpack(0, 4, 8) == [0, 0, 0, 0]
+    assert unpack(-1, 3, 8) == [-1, 0, 0]
+    assert unpack((1 << 8) - 1, 2, 8) == [-1, 1]

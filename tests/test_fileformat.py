@@ -75,6 +75,27 @@ def test_denominator_one_is_format_error(tmp_path, capsys):
     assert "FORMAT_ERROR" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_version_must_be_the_integer_one(version, tmp_path, capsys):
+    from homstruct.cli import main
+
+    body = (
+        '{"version":%s,"structures":{"a":{"kind":"hom_algebra","dim":1,'
+        '"mul":[[["0"]]],"alpha":[["1"]]}}}\n'
+    )
+    good = tmp_path / "good.json"
+    good.write_text(body % "1")
+    assert main(["verify", str(good), "a"]) == 0
+    capsys.readouterr()
+    with pytest.raises(FormatError, match="unsupported version"):
+        parse_bytes((body % version).encode())
+    path = tmp_path / "version.json"
+    path.write_text(body % version)
+    assert main(["verify", str(path), "a"]) == 2
+    captured = capsys.readouterr()
+    assert "FORMAT_ERROR" in captured.err and captured.out == ""
+
+
 def test_map_without_rows_round_trips():
     body = (
         b'{"version":1,"structures":{"f":{"kind":"linear_map","dim_in":3,"dim_out":0,'

@@ -1,4 +1,8 @@
-"""Guards on the law core: shared contractions, and joint scaling of the inputs."""
+"""Guards on the law core: the packed plan, its slots, and invariances of the inputs."""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,54 +15,252 @@ from homstruct.algebras import (
     check_left_hom_alternative,
     check_right_hom_alternative,
 )
-from homstruct.exact import ActionTensor, LinearMap, MulTensor
+from homstruct.catalog import matrix_algebra
+from homstruct.coalgebras import HomPoissonCoalgebra, check_hom_poisson_coalgebra
+from homstruct.comodules import HomComodule, check_poisson_comodule
+from homstruct.exact import (
+    ActionTensor,
+    CoactionTensor,
+    ComulTensor,
+    LinearMap,
+    MulTensor,
+    _Tensor,
+)
 from homstruct.laws import COMMUTES, Law
 from homstruct.modules import HomModule, check_left_module, check_right_module
+from reference_laws import UnpackedLaw
 
-# (terms, distinct contractions) of every row: terms that are one contraction
-# up to a permutation of the output letters are contracted once.
+# (terms, distinct contractions, packed letter) of every row.  Terms that are
+# one contraction up to a permutation of the unpacked output letters are
+# contracted once; a term that moves the packed (last residual) letter to
+# another operand axis is a contraction of its own.
 ROWS = {
-    "LEFT_HOM_ALT": (algebras._LAWS[algebras.LEFT_HOM_ALT], 4, 2),
-    "RIGHT_HOM_ALT": (algebras._LAWS[algebras.RIGHT_HOM_ALT], 4, 2),
-    "HOM_ASSOC": (algebras._LAWS[algebras.HOM_ASSOC], 2, 2),
-    "algebra multiplicative": (algebras._MULTIPLICATIVE, 2, 2),
-    "COMMUTES": (COMMUTES, 2, 2),
-    "LEFT_MODULE": (modules._LAWS[modules.LEFT_MODULE], 4, 2),
-    "RIGHT_MODULE": (modules._LAWS[modules.RIGHT_MODULE], 4, 2),
-    "module intertwines left": (modules._INTERTWINES["left"], 2, 2),
-    "module intertwines right": (modules._INTERTWINES["right"], 2, 2),
-    "COCOMMUTATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.COCOMMUTATIVITY], 2, 1),
-    "coalgebra multiplicative": (coalgebras._MULTIPLICATIVE, 2, 2),
-    "HOM_COASSOCIATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COASSOCIATIVITY], 2, 2),
-    "SKEW_COSYMMETRY": (coalgebras._ONE_MAP_LAWS[coalgebras.SKEW_COSYMMETRY], 2, 1),
-    "HOM_COJACOBI": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COJACOBI], 3, 1),
-    "HOM_COLEIBNIZ": (coalgebras._COLEIBNIZ, 3, 3),
-    "coalgebra morphism": (coalgebras._MORPHISM, 2, 2),
-    "coaction multiplicative": (comodules._MULTIPLICATIVE, 2, 2),
+    "LEFT_HOM_ALT": (algebras._LAWS[algebras.LEFT_HOM_ALT], 4, 2, "o"),
+    "RIGHT_HOM_ALT": (algebras._LAWS[algebras.RIGHT_HOM_ALT], 4, 2, "o"),
+    "HOM_ASSOC": (algebras._LAWS[algebras.HOM_ASSOC], 2, 2, "o"),
+    "algebra multiplicative": (algebras._MULTIPLICATIVE, 2, 2, "o"),
+    "COMMUTES": (COMMUTES, 2, 2, "o"),
+    "LEFT_MODULE": (modules._LAWS[modules.LEFT_MODULE], 4, 2, "q"),
+    "RIGHT_MODULE": (modules._LAWS[modules.RIGHT_MODULE], 4, 2, "q"),
+    "module intertwines left": (modules._INTERTWINES["left"], 2, 2, "q"),
+    "module intertwines right": (modules._INTERTWINES["right"], 2, 2, "q"),
+    "COCOMMUTATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.COCOMMUTATIVITY], 2, 2, "j"),
+    "coalgebra multiplicative": (coalgebras._MULTIPLICATIVE, 2, 2, "j"),
+    "HOM_COASSOCIATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COASSOCIATIVITY], 2, 2, "l"),
+    "SKEW_COSYMMETRY": (coalgebras._ONE_MAP_LAWS[coalgebras.SKEW_COSYMMETRY], 2, 2, "j"),
+    "HOM_COJACOBI": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COJACOBI], 3, 3, "l"),
+    "HOM_COLEIBNIZ": (coalgebras._COLEIBNIZ, 3, 3, "l"),
+    "coalgebra morphism": (coalgebras._MORPHISM, 2, 2, "j"),
+    "coaction multiplicative": (comodules._MULTIPLICATIVE, 2, 2, "q"),
     "DELTA_COACTION_COASSOCIATIVITY": (
-        comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY], 2, 2
+        comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY], 2, 2, "q"
     ),
-    "GAMMA_COACTION_COMPATIBILITY": (comodules._LAWS[comodules.GAMMA_COACTION_COMPATIBILITY], 3, 2),
-    "COMODULE_COLEIBNIZ": (comodules._LAWS[comodules.COMODULE_COLEIBNIZ], 3, 3),
-    "COMODULE_COMULT_COMPAT": (comodules._LAWS[comodules.COMODULE_COMULT_COMPAT], 3, 2),
-    "comodule intertwines": (comodules._INTERTWINES, 2, 2),
+    "GAMMA_COACTION_COMPATIBILITY": (
+        comodules._LAWS[comodules.GAMMA_COACTION_COMPATIBILITY], 3, 2, "q"
+    ),
+    "COMODULE_COLEIBNIZ": (comodules._LAWS[comodules.COMODULE_COLEIBNIZ], 3, 3, "q"),
+    "COMODULE_COMULT_COMPAT": (comodules._LAWS[comodules.COMODULE_COMULT_COMPAT], 3, 2, "q"),
+    "comodule intertwines": (comodules._INTERTWINES, 2, 2, "q"),
 }
 
 
 @pytest.mark.parametrize("row", list(ROWS))
 def test_row_compiles_to_its_distinct_contractions(row):
-    law, terms, contractions = ROWS[row]
-    assert sum(len(uses) for _, _, uses in law.groups) == terms
+    law, terms, contractions, packed = ROWS[row]
+    assert sum(len(uses) for *_, uses in law.groups) == terms == len(law.terms)
     assert len(law.groups) == contractions
+    assert law.packed == packed == law.residual[-1]
+    for ids, spec, _, _ in law.groups:
+        assert sum(axis is not None for _, axis in ids) == 1
+        assert packed not in spec
 
 
 def test_shared_term_adds_under_its_own_permutation():
-    # t.kji is t.kij with the output legs swapped: one contraction, two uses.
-    law = Law("k", "ij", "+ t.kij", "+ t.kji", "- t.kij")
+    # t.ikj is t.kij with the unpacked letters k and i swapped: one contraction, two uses.
     t = MulTensor.from_entries([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
-    report = law.check("SYMMETRIC_PART", t=t)
+    law = Law("ki", "j", "+ t.kij", "+ t.ikj", "- t.kij")
+    report = law.check("TRANSPOSED", t=t)
     assert len(law.groups) == 1
+    assert [w.residual.entries for w in report.witnesses] == [(1, 2), (5, 6), (3, 4), (7, 8)]
+    # t.kji moves the packed letter j to another axis of t: a contraction of its own.
+    law = Law("k", "ij", "+ t.kij", "+ t.kji", "- t.kij")
+    report = law.check("SYMMETRIC_PART", t=t)
+    assert len(law.groups) == 2
     assert [w.residual.entries for w in report.witnesses] == [(1, 3, 2, 4), (5, 7, 6, 8)]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        ("+ f.oa g.ao",),  # the packed letter in two operands
+        ("+ t.ioo",),  # twice in one operand
+        ("+ f.ia",),  # missing from a term
+        ("+ f.oa x.ai", "- x.ia"),  # missing from one term of several
+    ],
+)
+def test_row_must_hold_the_packed_letter_in_exactly_one_operand(terms):
+    with pytest.raises(ValueError, match="exactly one operand"):
+        Law("i", "o", *terms)
+
+
+# --- packed against per-coordinate evaluation ------------------------------------
+
+
+@dataclass(frozen=True)
+class Block(_Tensor):
+    """Nested tuples of Fractions of any shape, as a law operand."""
+
+    rows: tuple
+    shape: tuple
+    _nested = "rows"
+
+
+def nest(flat: list, shape: tuple) -> tuple:
+    if len(shape) == 1:
+        return tuple(flat)
+    step = len(flat) // shape[0] if shape[0] else 0
+    return tuple(nest(flat[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0]))
+
+
+def operand_axes(law: Law) -> dict[str, list]:
+    """Each operand's axes as size classes: axes one letter binds share a size.
+
+    Output letters bind across terms; a summed letter binds within its term.
+    """
+    parent: dict = {}
+
+    def find(node):
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
+
+    out = set(law.index + law.residual)
+    shared: dict = {}
+    arity: dict = {}
+    for term in law.terms:
+        local: dict = {}
+        for op in term.split()[1:]:
+            name, letters = op.split(".")
+            arity[name] = len(letters)
+            for axis, c in enumerate(letters):
+                seen = shared if c in out else local
+                if c in seen:
+                    parent[find((name, axis))] = find(seen[c])
+                else:
+                    seen[c] = find((name, axis))
+    return {name: [find((name, axis)) for axis in range(k)] for name, k in arity.items()}
+
+
+def draw_operands(data, law: Law, max_size: int = 3) -> dict:
+    """Random operands for ``law``: sizes 0..max_size, 62-bit numerators, mixed scales."""
+    axes = operand_axes(law)
+    sizes: dict = {}
+    operands = {}
+    for name, classes in axes.items():
+        for c in classes:
+            if c not in sizes:
+                sizes[c] = data.draw(st.integers(0, max_size))
+        shape = tuple(sizes[c] for c in classes)
+        over = data.draw(st.sampled_from([1, 1, 3, 7, 11, 13]))
+        numerators = st.one_of(st.just(0), st.integers(-(2**62), 2**62))
+        denominators = st.sampled_from([1, over])
+        flat = data.draw(st.lists(
+            st.builds(Fraction, numerators, denominators), min_size=prod(shape), max_size=prod(shape)
+        ))
+        operands[name] = Block(nest(flat, shape), shape)
+    return operands
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_packed_check_equals_per_coordinate_evaluation(row, data):
+    law = ROWS[row][0]
+    operands = draw_operands(data, law)
+    assert law.check(row, **operands) == UnpackedLaw.of(law).check(row, **operands)
+
+
+def filled(shape: tuple, value) -> Block:
+    return Block(nest([Fraction(value)] * prod(shape), shape), shape)
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+@pytest.mark.parametrize("size", [0, 1])
+def test_every_row_at_dims_zero_and_one(row, size):
+    law = ROWS[row][0]
+    for value in (0, 5, Fraction(-3, 7)):
+        operands = {name: filled((size,) * len(axes), value) for name, axes in operand_axes(law).items()}
+        report = law.check(row, **operands)
+        assert report == UnpackedLaw.of(law).check(row, **operands)
+        if size == 0 or value == 0:
+            assert report.holds and report.total_failures == 0
+
+
+# --- slot boundaries ----------------------------------------------------------
+
+TOP = 2**62 - 1
+COPY = Law("k", "ij", "+ t.kij")  # the residual is t itself, one packed row per k
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_slot_at_the_bound(sign, n):
+    """Every entry at the largest magnitude, one sign: slots meet the bound B was sized for."""
+    t = filled((n, n, n), sign * TOP)
+    report = COPY.check("COPY", t=t)
+    assert report.total_failures == n
+    assert all(x == sign * TOP for w in report.witnesses for x in w.residual.entries)
+    # Eight uses of one contraction: the bound counts every use.
+    eight = Law("k", "ij", *["+ t.kij"] * 8)
+    report = eight.check("EIGHT", t=t)
+    assert all(x == 8 * sign * TOP for w in report.witnesses for x in w.residual.entries)
+    # Three terms of one sign add up with no cancellation: sum 3 n^2 TOP^3 per slot.
+    cojacobi = ROWS["HOM_COJACOBI"][0]
+    operands = {"t": t, "alpha": filled((n, n), sign * TOP)}
+    report = cojacobi.check("HOM_COJACOBI", **operands)
+    assert {x for w in report.witnesses for x in w.residual.entries} == {3 * n * n * (sign * TOP) ** 3}
+    assert report == UnpackedLaw.of(cojacobi).check("HOM_COJACOBI", **operands)
+
+
+@pytest.mark.parametrize("x", [1, 2**31, TOP, Fraction(TOP, 13)])
+def test_borrows_across_adjacent_slots_decode_exactly(x):
+    """+x next to -x: a negative slot borrows from the one above it."""
+    rows = [[x, -x, x], [-x, x, -x], [-x, -x, x]]
+    t = MulTensor.from_entries([rows, [[-v for v in row] for row in rows], [[0, 0, 0]] * 3])
+    report = COPY.check("COPY", t=t)
+    assert [w.index for w in report.witnesses] == [(0,), (1,)]
+    assert [w.residual.entries for w in report.witnesses] == [
+        tuple(Fraction(v) for row in plane for v in row) for plane in t.c[:2]
+    ]
+    assert report == UnpackedLaw.of(COPY).check("COPY", t=t)
+
+
+def test_negative_witness_coordinates_decode_exactly():
+    t = MulTensor.from_entries([[[-1, 0], [0, -TOP]], [[Fraction(-1, 3), TOP], [-TOP, -2]]])
+    report = COPY.check("COPY", t=t)
+    assert [w.residual.entries for w in report.witnesses] == [
+        (-1, 0, 0, -TOP), (Fraction(-1, 3), TOP, -TOP, -2)
+    ]
+
+
+def test_nonzero_terms_that_cancel_exactly_pass():
+    # Cocommutativity of a symmetric delta: t.kij and t.kji are two packed
+    # contractions (the packed letter j moves), each nonzero, summing to 0.
+    sym = [[[TOP, -TOP, 3], [-TOP, 2, 0], [3, 0, -1]], [[1, 5, 0], [5, 0, 7], [0, 7, TOP]],
+           [[0] * 3] * 3]
+    law = ROWS["COCOMMUTATIVITY"][0]
+    t = ComulTensor.from_entries(sym)
+    assert law.check("COCOMMUTATIVITY", t=t).holds
+    assert not COPY.check("COPY", t=t).holds
+    # Hom-associativity of the 2x2 matrices with large twisting-free scales:
+    # both terms are nonzero and equal.
+    alg = matrix_algebra(2)
+    scaled = HomAlgebra(alg.dim, MulTensor.from_entries(
+        [[[TOP * x for x in row] for row in plane] for plane in alg.mu.c]
+    ), alg.alpha)
+    for a in (alg, scaled):
+        assert check_hom_associative(a).holds
+        assert not COPY.check("COPY", t=a.mu).holds
 
 
 # --- joint scaling ------------------------------------------------------------
@@ -108,3 +310,121 @@ def test_jointly_scaled_laws_scale_residuals_by_c_squared(data, n, m, c):
         )
         assert_scaled(check(mod), check(mod_c), c**2)
 
+
+# --- relabelling ----------------------------------------------------------------
+
+
+def relabel(nested, perms):
+    """``out[p0[i]][p1[j]]... = nested[i][j]...``: the same tensor in a permuted basis."""
+    if not perms:
+        return nested
+    first, *rest = perms
+    out = [None] * len(nested)
+    for i, sub in enumerate(nested):
+        out[first[i]] = relabel(sub, rest)
+    return out
+
+
+def relabelled_report(report, index_perms, residual_perms, residual_shape):
+    """``report``'s witnesses with indices and residual positions mapped."""
+    mapped = {}
+    for w in report.witnesses:
+        moved = relabel(nest(list(w.residual.entries), residual_shape), residual_perms)
+        for _ in residual_shape[1:]:
+            moved = [x for row in moved for x in row]
+        mapped[tuple(p[i] for p, i in zip(index_perms, w.index))] = tuple(moved)
+    return mapped
+
+
+def assert_relabelled(report, moved, index_perms, residual_perms, residual_shape):
+    """Same verdicts and counts per part; witnesses map under the permutation."""
+    parts, moved_parts = report.parts or (report,), moved.parts or (moved,)
+    assert [p.axiom for p in parts] == [p.axiom for p in moved_parts]
+    for part, other in zip(parts, moved_parts):
+        assert (part.holds, part.total_failures) == (other.holds, other.total_failures)
+        perms = index_perms(part.axiom), residual_perms(part.axiom)
+        want = relabelled_report(part, *perms, residual_shape(part.axiom))
+        got = {w.index: w.residual.entries for w in other.witnesses}
+        if part.total_failures <= len(part.witnesses):
+            assert got == want
+        for index in want.keys() & got.keys():
+            assert got[index] == want[index]
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def draw_cube(data, a, b, c):
+    flat = data.draw(st.lists(st.one_of(st.just(Fraction(0)), small), min_size=a * b * c,
+                              max_size=a * b * c))
+    return [[[flat[(i * b + j) * c + k] for k in range(c)] for j in range(b)] for i in range(a)]
+
+
+def draw_square(data, n):
+    return draw_cube(data, 1, n, n)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), m=st.integers(1, 3))
+def test_relabelling_the_basis_maps_reports(data, n, m):
+    P = data.draw(st.permutations(range(n)))
+    Q = data.draw(st.permutations(range(m)))
+    mu, alpha = draw_cube(data, n, n, n), draw_square(data, n)
+    act_l, act_r, beta = draw_cube(data, n, m, m), draw_cube(data, m, n, m), draw_square(data, m)
+    delta, gamma, coalpha = draw_cube(data, n, n, n), draw_cube(data, n, n, n), draw_square(data, n)
+    dm, gm, cobeta = draw_cube(data, m, n, m), draw_cube(data, m, n, m), draw_square(data, m)
+    cocommutative = data.draw(st.booleans())
+
+    def build(p, q):
+        alg = HomAlgebra(n, MulTensor.from_entries(relabel(mu, [p, p, p])),
+                         LinearMap.from_rows(relabel(alpha, [p, p])))
+        left = HomModule(alg, m, LinearMap.from_rows(relabel(beta, [q, q])),
+                         ActionTensor.from_entries(relabel(act_l, [p, q, q]), n, m, "left"), "left")
+        right = HomModule(alg, m, LinearMap.from_rows(relabel(beta, [q, q])),
+                          ActionTensor.from_entries(relabel(act_r, [q, p, q]), n, m, "right"), "right")
+        coalg = HomPoissonCoalgebra(
+            n, ComulTensor.from_entries(relabel(delta, [p, p, p])),
+            ComulTensor.from_entries(relabel(gamma, [p, p, p])),
+            LinearMap.from_rows(relabel(coalpha, [p, p])), cocommutative,
+        )
+        comod = HomComodule(
+            coalg, m, LinearMap.from_rows(relabel(cobeta, [q, q])), "poisson",
+            CoactionTensor.from_entries(relabel(dm, [q, p, q]), n, m),
+            CoactionTensor.from_entries(relabel(gm, [q, p, q]), n, m),
+        )
+        return alg, left, right, coalg, comod
+
+    ident_n, ident_m = list(range(n)), list(range(m))
+    before, after = build(ident_n, ident_m), build(P, Q)
+    alg_side = [
+        (check_left_hom_alternative, 0, [P, P, P], [P], (n,)),
+        (check_right_hom_alternative, 0, [P, P, P], [P], (n,)),
+        (check_hom_associative, 0, [P, P, P], [P], (n,)),
+        (check_left_module, 1, [P, P, Q], [Q], (m,)),
+        (check_right_module, 2, [Q, P, P], [Q], (m,)),
+    ]
+    for check, k, index, residual, shape in alg_side:
+        assert_relabelled(check(before[k]), check(after[k]), lambda _: index, lambda _: residual,
+                          lambda _: shape)
+    # Coalgebra parts: index k, residual ij or ijl, all in the one basis.
+    assert_relabelled(
+        check_hom_poisson_coalgebra(before[3]), check_hom_poisson_coalgebra(after[3]),
+        lambda _: [P], lambda axiom: [P] * len(coalgebra_shape(axiom, n)),
+        lambda axiom: coalgebra_shape(axiom, n),
+    )
+    # Comodule parts: index p in M, residual iq or ijq with q in M.
+    assert_relabelled(
+        check_poisson_comodule(before[4]), check_poisson_comodule(after[4]),
+        lambda _: [Q], lambda axiom: [P] * (len(comodule_shape(axiom, n, m)) - 1) + [Q],
+        lambda axiom: comodule_shape(axiom, n, m),
+    )
+
+
+def coalgebra_shape(axiom: str, n: int) -> tuple:
+    three = {coalgebras.HOM_COASSOCIATIVITY, coalgebras.HOM_COJACOBI, coalgebras.HOM_COLEIBNIZ}
+    return (n,) * (3 if axiom in three else 2)
+
+
+def comodule_shape(axiom: str, n: int, m: int) -> tuple:
+    two = {comodules.DELTA_COACTION_MULTIPLICATIVITY, comodules.GAMMA_COACTION_MULTIPLICATIVITY}
+    return (n, m) if axiom in two else (n, n, m)

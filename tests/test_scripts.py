@@ -41,3 +41,21 @@ def test_benchmark_own_tests_pass():
         timeout=300,
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_time_laws_prints_one_line_per_law():
+    from homstruct.axioms import AXIOMS
+
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_laws.py"), "--dims", "2,3"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    header, *rows = run.stdout.splitlines()
+    assert header.split() == ["dim", "law", "ms", "failures"]
+    assert [row.split()[:2] for row in rows] == [
+        [str(n), axiom] for n in (2, 3) for _, axiom in AXIOMS
+    ]
+    assert all(float(row.split()[2]) >= 0 and int(row.split()[3]) >= 0 for row in rows)
