@@ -52,17 +52,19 @@ contraction of its own.
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import itemgetter
 
-from .exact import contract, pack
-from .report import AxiomReport
+from .exact import Vector, contract, pack, unpack
+from .report import WITNESS_CAP, AxiomReport, Witness
 
 
 class Law:
     """One law: witness index letters, residual letters, signed terms.
 
-    ``terms`` keeps the row as stated.  ``packed`` is the residual letter
+    ``terms`` keeps the row as stated; its last residual letter is the one
     carried in packed slots.  ``groups`` lists the distinct contractions the
     terms compile to, each as ``(operands, contract spec, summed, uses)``:
     an operand is ``(name, axis)``, with the axis of the packed letter or
@@ -75,7 +77,7 @@ class Law:
         if not residual or not terms:
             raise ValueError("a law needs a residual letter to pack and a term")
         self.index, self.residual, self.terms = index, residual, terms
-        self.packed = packed = residual[-1]
+        packed = residual[-1]
         out = index + residual[:-1]
         groups: dict[tuple, tuple] = {}
         for term in terms:
@@ -162,7 +164,39 @@ class Law:
                     for key, v in value.items():
                         residual[permute(key)] += m * v
         shape = tuple(shapes[name][axis] for name, axis in self._sizes)
-        return AxiomReport.from_residual(axiom, residual, len(self.index), shape, common, bits)
+        return _report(axiom, residual, len(self.index), shape, common, bits)
+
+
+def _report(
+    axiom: str, residual: dict, width: int, shape: tuple[int, ...], scale: int, bits: int
+) -> AxiomReport:
+    """Report on a sparse packed residual ``{index + position: packed int}``.
+
+    The first ``width`` entries of a key are the witness index, the rest a
+    position over all but the last axis of a residual of the given
+    ``shape``; the value holds that last axis, times ``scale``, in
+    ``bits``-bit slots (``exact.pack``).  An index fails when any of its
+    values is nonzero.  Slots are decoded, and divided by ``scale``, for
+    the kept witnesses only.
+    """
+    failing = sorted({key[:width] for key, v in residual.items() if v})
+    if not failing:
+        return AxiomReport(axiom, True, (), 0)
+    zero = Fraction(0)
+    *outer, slots = shape
+    positions = list(product(*map(range, outer)))
+    kept = []
+    for index in failing[:WITNESS_CAP]:
+        entries = []
+        for p in positions:
+            packed = residual.get(index + p)
+            if packed:
+                digits = unpack(packed, slots, bits)
+                entries.extend(Fraction(d, scale) if d else zero for d in digits)
+            else:
+                entries.extend([zero] * slots)
+        kept.append(Witness(index, Vector(tuple(entries))))
+    return AxiomReport(axiom, False, tuple(kept), len(failing))
 
 
 COMMUTES = Law("i", "o", "+ f.oa x.ai", "- y.oa f.ai")

@@ -9,11 +9,9 @@ witnesses, in lexicographic index order, together with the total count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import product
 from typing import Iterable
 
-from .exact import Vector, unpack
+from .exact import Vector
 
 WITNESS_CAP = 16
 
@@ -31,38 +29,6 @@ class AxiomReport:
     witnesses: tuple[Witness, ...]
     total_failures: int
     parts: tuple["AxiomReport", ...] = field(default=())
-
-    @classmethod
-    def from_residual(
-        cls, axiom: str, residual: dict, width: int, shape: tuple[int, ...], scale: int, bits: int
-    ) -> "AxiomReport":
-        """Report on a sparse packed residual ``{index + position: packed int}``.
-
-        The first ``width`` entries of a key are the witness index, the rest
-        a position over all but the last axis of a residual of the given
-        ``shape``; the value holds that last axis, times ``scale``, in
-        ``bits``-bit slots (``exact.pack``).  An index fails when any of its
-        values is nonzero.  Slots are decoded, and divided by ``scale``,
-        for the kept witnesses only.
-        """
-        failing = sorted({key[:width] for key, v in residual.items() if v})
-        if not failing:
-            return cls(axiom, True, (), 0)
-        zero = Fraction(0)
-        *outer, slots = shape
-        positions = list(product(*map(range, outer)))
-        kept = []
-        for index in failing[:WITNESS_CAP]:
-            entries = []
-            for p in positions:
-                packed = residual.get(index + p)
-                if packed:
-                    digits = unpack(packed, slots, bits)
-                    entries.extend(Fraction(d, scale) if d else zero for d in digits)
-                else:
-                    entries.extend([zero] * slots)
-            kept.append(Witness(index, Vector(tuple(entries))))
-        return cls(axiom, False, tuple(kept), len(failing))
 
     @classmethod
     def aggregate(cls, axiom: str, parts: Iterable["AxiomReport"]) -> "AxiomReport":
