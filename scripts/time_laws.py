@@ -8,12 +8,15 @@ coalgebra and a Poisson comodule of dim n over that.  Then it runs every
 id of ``axioms.AXIOMS`` on the structure of its type and prints one line
 per law: dim, id, best wall time in ms and ``total_failures``.  The first
 run on each structure also builds its tensors' cached nonzero and scaled
-entries; with ``--repeat`` above 1 the best time leaves that out.
+entries; with ``--repeat`` above 1 the best time leaves that out.  Each
+law starts after a full garbage collection and runs with the collector
+off, so no collection pause lands in its time.
 
     python3 scripts/time_laws.py --dims 6,10,16 [--repeat 3]
 """
 
 import argparse
+import gc
 import pathlib
 import sys
 import time
@@ -63,10 +66,13 @@ def time_laws(n: int, repeat: int) -> list[tuple[str, float, int]]:
     for (kind, axiom), checker in AXIOMS.items():
         structure = by_type.get(kind) or (left if axiom == LEFT_MODULE else right)
         best = float("inf")
+        gc.collect()
+        gc.disable()
         for _ in range(repeat):
             start = time.perf_counter()
             report = checker(structure)
             best = min(best, time.perf_counter() - start)
+        gc.enable()
         rows.append((axiom, best, report.total_failures))
     return rows
 
@@ -76,7 +82,10 @@ def main(argv=None) -> int:
     parser.add_argument("--dims", default="6,10,16", help="comma-separated dims (default 6,10,16)")
     parser.add_argument("--repeat", type=int, default=1, help="runs per law; the best is printed")
     args = parser.parse_args(argv)
-    dims = [int(d) for d in args.dims.split(",")]
+    try:
+        dims = [int(d) for d in args.dims.split(",")]
+    except ValueError:
+        parser.error(f"--dims must be comma-separated integers, not {args.dims!r}")
     if args.repeat < 1 or any(d < 0 for d in dims):
         parser.error("--repeat must be >= 1 and every dim >= 0")
     print(f"{'dim':>3}  {'law':<32} {'ms':>10}  failures")

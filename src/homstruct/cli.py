@@ -221,6 +221,8 @@ def _catalog_file(entry: catalog.CatalogEntry) -> StructureFile:
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
+        if args.name is not None or args.out is not None:
+            raise FormatError("catalog list takes no name and no --out")
         for entry in catalog.entries():
             kind = type(entry.payload).__name__
             verdicts = ",".join(
@@ -229,6 +231,8 @@ def cmd_catalog(args) -> int:
             )
             print(f"{entry.name}  {kind}  {verdicts}")
         return 0
+    if not args.name:
+        raise FormatError("catalog export needs a name")
     try:
         entry = catalog.get(args.name)
     except KeyError:
@@ -295,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "catalog" and args.action == "export" and not args.name:
-        print("error: catalog export needs a name", file=sys.stderr)
-        return 2
     try:
         if getattr(args, "max_witnesses", 0) < 0:
             raise FormatError("--max-witnesses must be nonnegative")

@@ -534,31 +534,57 @@ def _join_key(letters: str, shared: str):
     return itemgetter(*[letters.index(c) for c in shared])
 
 
-def _compile(spec: str) -> tuple:
-    """Plan for ``contract``: one step per joined operand, then the output order.
+def _joins(spec: str) -> tuple[list, str, str]:
+    """How ``contract`` carries letters through the joins of ``spec``.
 
-    A step holds the left join key, the left letters kept (None: all), the
-    right join key and the right letters kept.  A letter is kept while a
+    Returns one ``(left, right, shared, keep, new)`` per joined operand (the
+    letters of the left side and of the right operand, the letters joined
+    on, the left letters kept and the right letters added), the letters
+    left after the last join, and the output.  A letter is kept while a
     later operand or the output still needs it.
     """
     inputs, out = spec.split("->")
     operands = inputs.split(",")
     letters = operands[0]
-    steps = []
+    joins = []
     for t, right in enumerate(operands[1:], 1):
         later = set(out).union(*operands[t + 1 :])
         shared = "".join(c for c in letters if c in right)
         keep = "".join(c for c in letters if c in later)
         new = "".join(c for c in right if c not in letters and c in later)
-        steps.append((
-            _join_key(letters, shared),
-            None if keep == letters else _tuple_of(letters, keep),
-            _join_key(right, shared),
-            _tuple_of(right, new),
-        ))
+        joins.append((letters, right, shared, keep, new))
         letters = keep + new
     if not set(out) <= set(letters) or any(len(set(x)) != len(x) for x in operands + [out]):
         raise ValueError(f"bad contraction spec {spec!r}")
+    return joins, letters, out
+
+
+def join_order(spec: str) -> str:
+    """The output letters of ``spec`` in the order ``contract``'s joins leave them.
+
+    ``contract`` on the spec with its output written in this order returns
+    the joined keys as they are, with no pass to reorder them.
+    """
+    _, letters, out = _joins(spec)
+    return "".join(c for c in letters if c in out)
+
+
+def _compile(spec: str) -> tuple:
+    """Plan for ``contract``: one step per joined operand, then the output order.
+
+    A step holds the left join key, the left letters kept (None: all), the
+    right join key and the right letters kept.
+    """
+    joins, letters, out = _joins(spec)
+    steps = [
+        (
+            _join_key(left, shared),
+            None if keep == left else _tuple_of(left, keep),
+            _join_key(right, shared),
+            _tuple_of(right, new),
+        )
+        for left, right, shared, keep, new in joins
+    ]
     summing = len(letters) > len(out)  # only a lone operand can still hold extra letters
     return steps, None if letters == out else _tuple_of(letters, out), summing
 

@@ -44,20 +44,36 @@ would start with an n^5 outer product.
 
 Terms that are one contraction up to a permutation of the unpacked output
 letters (``+ alpha.aj mu.abo mu.ikb`` is the first term above with ``i``
-and ``j`` swapped) are contracted once, and each adds that result under
-its own key order.  A term that moves the packed letter elsewhere is a
-contraction of its own.
+and ``j`` swapped) are contracted once.  A term that moves the packed letter
+elsewhere is a contraction of its own.
+
+The residual is assembled by key permutation, not term by term.  For each
+permutation of the output keys that some term adds under, the signed count
+of its uses of each contraction is that permutation's coefficient row.
+Permutations whose rows agree up to sign form one class, which sums its
+contractions once, ``W = sum_g c_g * (common // scale_g) * value_g``, and
+adds ``W`` under each of its permutations with that permutation's sign.  So
+``LEFT_HOM_ALT`` (``as(x,y,z) + as(y,x,z)``) is ``W = A - B`` and then
+``W + swap(W)``, two passes over the keys.  A class of one permutation adds
+its contractions straight into the residual, and most rows are one identity
+class.  Zero coefficients (a term cancelled by its negation) are dropped.
+
+Each contraction is computed with its output letters in the order
+``contract``'s joins leave them (``exact.join_order``), so ``contract``
+makes no reorder pass; the map from that order to the output order is
+folded into the add.  A contraction can be an operand itself (``t.kij``
+alone is the packed ``t``), so assembly copies it into a dict of its own
+and never changes a contraction in place.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import itemgetter
 
-from .exact import Vector, contract, pack, unpack
+from .exact import Vector, contract, join_order, pack, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
 
 
@@ -68,9 +84,12 @@ class Law:
     carried in packed slots.  ``groups`` lists the distinct contractions the
     terms compile to, each as ``(operands, contract spec, summed, uses)``:
     an operand is ``(name, axis)``, with the axis of the packed letter or
-    None; ``summed`` holds one ``(name, axis)`` per summed letter, to size
-    it; a use is the sign of one term and the key permutation (None: none)
-    that takes the group's result to that term's output order.
+    None; the spec's output is in join order; ``summed`` holds one ``(name,
+    axis)`` per summed letter, to size it; a use is one term's sign (True: +).
+    ``classes`` lists the assembly: ``(row, permutations)`` with ``row`` the
+    ``(group, coefficient)`` pairs summed into ``W`` and each permutation a
+    ``(sign, positions)`` pair, ``positions`` taking an output-order key of
+    ``W`` to the residual key (``key[p] for p in positions``).
     """
 
     def __init__(self, index: str, residual: str, *terms: str):
@@ -80,6 +99,7 @@ class Law:
         packed = residual[-1]
         out = index + residual[:-1]
         groups: dict[tuple, tuple] = {}
+        rows: dict[tuple, dict] = {}  # key permutation -> {group: signed use count}
         for term in terms:
             sign, *operands = term.split()
             names = [op.split(".")[0] for op in operands]
@@ -105,15 +125,38 @@ class Law:
             )
             if form not in groups:
                 summed = tuple(local[c] for c in rename if c not in out)
-                groups[form] = (ids, ",".join(subscripts) + "->" + out, summed, rename, [])
-            first, uses = groups[form][3:]
+                inputs = ",".join(subscripts)
+                spec = inputs + "->" + join_order(inputs + "->" + out)
+                groups[form] = (len(groups), ids, spec, summed, rename, [])
+            g, _, _, _, first, uses = groups[form]
             letter_of = {i: c for c, i in first.items()}
-            positions = [out.index(letter_of[rename[c]]) for c in out]
-            permute = None if positions == list(range(len(out))) else itemgetter(*positions)
-            uses.append((sign == "+", permute))
+            permutation = tuple(out.index(letter_of[rename[c]]) for c in out)
+            uses.append(sign == "+")
+            row = rows.setdefault(permutation, {})
+            row[g] = row.get(g, 0) + (1 if sign == "+" else -1)
         self.groups = [
-            (ids, spec, summed, tuple(uses)) for ids, spec, summed, _, uses in groups.values()
+            (ids, spec, summed, tuple(uses)) for _, ids, spec, summed, _, uses in groups.values()
         ]
+        classes: dict[tuple, list] = {}
+        for permutation, row in rows.items():
+            row = sorted((g, c) for g, c in row.items() if c)
+            if row:
+                s = 1 if row[0][1] > 0 else -1
+                classes.setdefault(tuple((g, s * c) for g, c in row), []).append((s, permutation))
+        self.classes = tuple((row, tuple(perms)) for row, perms in classes.items())
+        # The same, as key functions: a contraction's join-order key goes to
+        # output order (and on through the permutation of a one-permutation
+        # class, which adds straight into the residual).
+        to_out = [[spec.split("->")[1].index(c) for c in out] for _, spec, _, _ in self.groups]
+        self._plan = []
+        for row, perms in self.classes:
+            if len(perms) == 1:
+                (s, permutation), = perms
+                adds = [(g, s * c, _getter([to_out[g][p] for p in permutation])) for g, c in row]
+                self._plan.append((adds, None))
+            else:
+                adds = [(g, c, _getter(to_out[g])) for g, c in row]
+                self._plan.append((adds, [(s, _getter(p)) for s, p in perms]))
         self._names = {name for ids, _, _, _ in self.groups for name, _ in ids}
         self._sizes = [local[c] for c in residual]  # every term holds every output letter
 
@@ -141,8 +184,8 @@ class Law:
             bound += common // scale * most
         bits = bound.bit_length() + 2
         packs: dict[tuple[str, int], dict] = {}
-        residual: dict = defaultdict(int)
-        for (ids, spec, _, uses), (scale, _) in zip(self.groups, terms):
+        values = []  # (contraction in join order, common // its scale) per group
+        for (ids, spec, _, _), (scale, _) in zip(self.groups, terms):
             tensors = []
             for op in ids:
                 name, axis = op
@@ -153,18 +196,53 @@ class Law:
                 if packed is None:
                     packed = packs[op] = pack(scaled[name][1], axis, bits)
                 tensors.append(packed)
-            value = contract(spec, *tensors)
-            factor = common // scale
-            for positive, permute in uses:
-                m = factor if positive else -factor
-                if permute is None:
-                    for key, v in value.items():
-                        residual[key] += m * v
-                else:
-                    for key, v in value.items():
-                        residual[permute(key)] += m * v
+            values.append((contract(spec, *tensors), common // scale))
+        residual = None
+        for adds, spreads in self._plan:
+            w = residual if spreads is None else None
+            for g, c, key in adds:
+                value, factor = values[g]
+                w = _add(w, value, key, c * factor)
+            if spreads is None:
+                residual = w
+            else:
+                for s, key in spreads:
+                    residual = _add(residual, w, key, s)
         shape = tuple(shapes[name][axis] for name, axis in self._sizes)
-        return _report(axiom, residual, len(self.index), shape, common, bits)
+        return _report(axiom, residual or {}, len(self.index), shape, common, bits)
+
+
+def _getter(positions):
+    """The key function ``key -> tuple(key[p] for p in positions)``; None for the identity."""
+    if list(positions) == list(range(len(positions))):
+        return None
+    return itemgetter(*positions)
+
+
+def _add(into: dict | None, value: dict, key, m: int) -> dict:
+    """``into`` plus ``m`` times ``value``, its keys taken through ``key`` (None: as they are).
+
+    Adds in place and returns ``into``; a new dict when ``into`` is None.
+    ``value`` is read only (it may be an operand) and is never ``into``.
+    A first add with ``m == 1`` copies in C; later adds skip the multiply
+    when ``m`` is 1 or -1.
+    """
+    pairs = zip(value if key is None else map(key, value), value.values())
+    if into is None:
+        if m == 1:
+            return dict(value) if key is None else dict(pairs)
+        return {k: m * v for k, v in pairs}
+    get = into.get
+    if m == 1:
+        for k, v in pairs:
+            into[k] = get(k, 0) + v
+    elif m == -1:
+        for k, v in pairs:
+            into[k] = get(k, 0) - v
+    else:
+        for k, v in pairs:
+            into[k] = get(k, 0) + m * v
+    return into
 
 
 def _report(

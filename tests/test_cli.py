@@ -279,6 +279,18 @@ def test_catalog_export_module_includes_base(tmp_path):
 def test_catalog_export_unknown_or_missing_name(capsys):
     assert run("catalog", "export", "not_a_thing") == 2
     assert run("catalog", "export") == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error: FORMAT_ERROR: ") == 2 and captured.out == ""
+    assert "catalog export needs a name" in captured.err
+
+
+def test_catalog_list_rejects_a_name_or_out(capsys, tmp_path):
+    out = tmp_path / "y.json"
+    assert run("catalog", "list", "extra") == 2
+    assert run("catalog", "list", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error: FORMAT_ERROR: ") == 2 and captured.out == ""
+    assert not out.exists()
 
 
 # --- console entry point ------------------------------------------------------------

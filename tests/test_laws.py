@@ -196,6 +196,133 @@ def test_every_row_at_dims_zero_and_one(row, size):
             assert report.holds and report.total_failures == 0
 
 
+# --- assembly by key permutation ---------------------------------------------------
+
+# The rows whose assembly is more than one identity class: (coefficient row,
+# permutations) per class, a permutation as (sign, output positions).
+CLASSES = {
+    "LEFT_HOM_ALT": [(((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (1, 0, 2))))],
+    "RIGHT_HOM_ALT": [(((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (0, 2, 1))))],
+    "LEFT_MODULE": [(((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (1, 0, 2))))],
+    "RIGHT_MODULE": [(((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (0, 2, 1))))],
+    "GAMMA_COACTION_COMPATIBILITY": [
+        (((0, 1), (1, -1)), ((1, (0, 1, 2)),)),
+        (((1, 1),), ((1, (0, 2, 1)),)),
+    ],
+    "COMODULE_COMULT_COMPAT": [
+        (((0, 1), (1, -1)), ((1, (0, 1, 2)),)),
+        (((1, 1),), ((-1, (0, 2, 1)),)),
+    ],
+}
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_row_assembles_by_key_permutation(row):
+    law = ROWS[row][0]
+    identity = tuple(range(len(law.index) + len(law.residual) - 1))
+    if row in CLASSES:
+        assert list(law.classes) == CLASSES[row]
+    else:
+        # One identity class: every contraction adds straight into the residual.
+        (coefficients, permutations), = law.classes
+        assert [g for g, _ in coefficients] == list(range(len(law.groups)))
+        assert permutations == ((1, identity),)
+    # Nothing cancels in a stated row: the classes account for every term.
+    assert len(law.terms) == sum(
+        abs(c) * len(permutations) for coefficients, permutations in law.classes
+        for _, c in coefficients
+    )
+
+
+def fractions_block(shape: tuple, denominator: int) -> Block:
+    """Distinct nonzero entries ``(1 + position) / denominator``."""
+    flat = [Fraction(1 + i, denominator) for i in range(prod(shape))]
+    return Block(nest(flat, shape), shape)
+
+
+SYNTHETIC = {
+    # The identity and the swap of k and i weigh t and s differently: two classes.
+    "differing": (
+        Law("ki", "j", "+ t.kij", "+ t.ikj", "- s.kij"),
+        ((((0, 1), (1, -1)), ((1, (0, 1)),)), (((0, 1),), ((1, (1, 0)),))),
+    ),
+    # Symmetrised, as the alternative laws are: one class, W = t - s, then W + swap(W).
+    "symmetrised": (
+        Law("ki", "j", "+ t.kij", "- s.kij", "+ t.ikj", "- s.ikj"),
+        ((((0, 1), (1, -1)), ((1, (0, 1)), (1, (1, 0)))),),
+    ),
+    # The same, with the swap's row negated: one class, the swap added with sign -1.
+    "antisymmetrised": (
+        Law("ki", "j", "+ t.kij", "- s.kij", "- t.ikj", "+ s.ikj"),
+        ((((0, 1), (1, -1)), ((1, (0, 1)), (-1, (1, 0)))),),
+    ),
+    # t cancels against its negation: its zero coefficient is dropped.
+    "cancelled": (
+        Law("ki", "j", "+ t.kij", "+ s.kij", "- t.kij"),
+        ((((1, 1),), ((1, (0, 1)),)),),
+    ),
+    # A doubled term has coefficient 2, under one permutation and under two.
+    "doubled": (
+        Law("ki", "j", "+ t.kij", "+ t.kij", "- s.kij"),
+        ((((0, 2), (1, -1)), ((1, (0, 1)),)),),
+    ),
+    "doubled symmetrised": (
+        Law("ki", "j", "+ t.kij", "+ t.kij", "+ t.ikj", "+ t.ikj", "- s.ikj", "- s.kij"),
+        ((((0, 2), (1, -1)), ((1, (0, 1)), (1, (1, 0)))),),
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(SYNTHETIC))
+def test_synthetic_row_classes_and_reports(row):
+    law, classes = SYNTHETIC[row]
+    assert law.classes == classes
+    # Mixed scales: t carries 3, s carries 5, so common // scale is 5 for t and 3 for s.
+    operands = {"t": fractions_block((3, 3, 2), 3), "s": fractions_block((3, 3, 2), 5)}
+    report = law.check(row, **operands)
+    assert not report.holds and report.witnesses
+    assert report == UnpackedLaw.of(law).check(row, **operands)
+
+
+@pytest.mark.parametrize("row", list(SYNTHETIC))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_synthetic_row_equals_per_coordinate_evaluation(row, data):
+    law = SYNTHETIC[row][0]
+    operands = draw_operands(data, law)
+    assert law.check(row, **operands) == UnpackedLaw.of(law).check(row, **operands)
+
+
+def test_a_row_that_cancels_entirely_holds():
+    law = Law("k", "ij", "+ t.kij", "- t.kij")
+    assert law.classes == ()
+    t = fractions_block((2, 2, 2), 7)
+    report = law.check("CANCELLED", t=t)
+    assert report.holds and report.total_failures == 0
+    assert report == UnpackedLaw.of(law).check("CANCELLED", t=t)
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_check_leaves_its_operands_unchanged(row, data):
+    """A contraction can be an operand (``t.kij`` alone): assembly must never write to one."""
+    law = ROWS[row][0]
+    operands = draw_operands(data, law)
+
+    def state():
+        return {
+            name: (dict(op.nonzeros), op.scaled[0], dict(op.scaled[1]), op.scaled[2])
+            for name, op in operands.items()
+        }
+
+    before = state()
+    first = law.check(row, **operands)
+    assert state() == before
+    assert law.check(row, **operands) == first
+    assert state() == before
+
+
 # --- slot boundaries ----------------------------------------------------------
 
 TOP = 2**62 - 1

@@ -43,15 +43,19 @@ def test_benchmark_own_tests_pass():
     assert run.returncode == 0, run.stdout + run.stderr
 
 
-def test_time_laws_prints_one_line_per_law():
-    from homstruct.axioms import AXIOMS
-
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "time_laws.py"), "--dims", "2,3"],
+def time_laws(*argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_laws.py"), *argv],
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_time_laws_prints_one_line_per_law():
+    from homstruct.axioms import AXIOMS
+
+    run = time_laws("--dims", "2,3")
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
     assert header.split() == ["dim", "law", "ms", "failures"]
@@ -59,3 +63,7 @@ def test_time_laws_prints_one_line_per_law():
         [str(n), axiom] for n in (2, 3) for _, axiom in AXIOMS
     ]
     assert all(float(row.split()[2]) >= 0 and int(row.split()[3]) >= 0 for row in rows)
+    for dims in ("6,,10", "x", "-1"):
+        bad = time_laws("--dims", dims)
+        assert bad.returncode == 2 and bad.stdout == "", dims
+        assert "usage:" in bad.stderr and "Traceback" not in bad.stderr, dims
