@@ -6,7 +6,9 @@ For each dim n it builds, from ``DeterministicRng(1)`` entries (numerators
 algebra, a left and a right module of dim n over it, a Hom-Poisson
 coalgebra and a Poisson comodule of dim n over that.  Then it runs every
 id of ``axioms.AXIOMS`` on the structure of its type and prints one line
-per law: dim, id, best wall time in ms and ``total_failures``.  The first
+per law: dim, id, best wall time in ms, best time in ms of
+``report.format_report`` on its report (the text ``verify`` prints, up to
+16 witnesses) and ``total_failures``.  The first
 run on each structure also builds its tensors' cached nonzero and scaled
 entries; with ``--repeat`` above 1 the best time leaves that out.  Each
 law starts after a full garbage collection and runs with the collector
@@ -30,6 +32,7 @@ from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
 from homstruct.comodules import HomComodule  # noqa: E402
 from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor  # noqa: E402
 from homstruct.modules import LEFT_MODULE, HomModule  # noqa: E402
+from homstruct.report import WITNESS_CAP, format_report  # noqa: E402
 
 
 def dense_structures(n: int) -> list:
@@ -58,22 +61,26 @@ def dense_structures(n: int) -> list:
     return [alg, left, right, coalg, comod]
 
 
-def time_laws(n: int, repeat: int) -> list[tuple[str, float, int]]:
-    """(law id, best seconds, total_failures) for every law at dim n."""
+def time_laws(n: int, repeat: int) -> list[tuple[str, float, float, int]]:
+    """(law id, best check seconds, best format seconds, total_failures) for every law at dim n."""
     alg, left, right, coalg, comod = dense_structures(n)
     by_type = {HomAlgebra: alg, HomPoissonCoalgebra: coalg, HomComodule: comod}
     rows = []
     for (kind, axiom), checker in AXIOMS.items():
         structure = by_type.get(kind) or (left if axiom == LEFT_MODULE else right)
-        best = float("inf")
+        best = best_fmt = float("inf")
         gc.collect()
         gc.disable()
         for _ in range(repeat):
             start = time.perf_counter()
             report = checker(structure)
             best = min(best, time.perf_counter() - start)
+        for _ in range(repeat):
+            start = time.perf_counter()
+            format_report(report, WITNESS_CAP)
+            best_fmt = min(best_fmt, time.perf_counter() - start)
         gc.enable()
-        rows.append((axiom, best, report.total_failures))
+        rows.append((axiom, best, best_fmt, report.total_failures))
     return rows
 
 
@@ -88,10 +95,11 @@ def main(argv=None) -> int:
         parser.error(f"--dims must be comma-separated integers, not {args.dims!r}")
     if args.repeat < 1 or any(d < 0 for d in dims):
         parser.error("--repeat must be >= 1 and every dim >= 0")
-    print(f"{'dim':>3}  {'law':<32} {'ms':>10}  failures")
+    print(f"{'dim':>3}  {'law':<32} {'ms':>10} {'fmt_ms':>8}  failures")
     for n in dims:
-        for axiom, seconds, failures in time_laws(n, args.repeat):
-            print(f"{n:>3}  {axiom:<32} {seconds * 1000:>10.2f}  {failures}", flush=True)
+        for axiom, seconds, fmt_seconds, failures in time_laws(n, args.repeat):
+            print(f"{n:>3}  {axiom:<32} {seconds * 1000:>10.2f} {fmt_seconds * 1000:>8.2f}"
+                  f"  {failures}", flush=True)
     return 0
 
 

@@ -35,7 +35,7 @@ from .comodules import (
     twist_poisson_comodule,
 )
 from .errors import FormatError, KernelError, KindMismatch
-from .exact import LinearMap, format_rational, rat
+from .exact import LinearMap, rat
 from .fileformat import (
     NamedMap,
     StructureFile,
@@ -51,25 +51,7 @@ from .modules import (
     opposite_module,
     twist_module,
 )
-from .report import AxiomReport
-
-
-def _print_report(report: AxiomReport, max_witnesses: int, indent: str = ""):
-    if report.holds:
-        print(f"{indent}{report.axiom}: PASS")
-    else:
-        shown = min(len(report.witnesses), max_witnesses)
-        print(
-            f"{indent}{report.axiom}: FAIL"
-            f" ({report.total_failures} failing indices; showing {shown})"
-        )
-    for part in report.parts:
-        _print_report(part, max_witnesses, indent + "  ")
-    if not report.parts:
-        for witness in report.witnesses[:max_witnesses]:
-            coords = ",".join(str(i) for i in witness.index)
-            values = ", ".join(format_rational(x) for x in witness.residual.entries)
-            print(f"{indent}  ({coords}): [{values}]")
+from .report import format_report
 
 
 def cmd_verify(args) -> int:
@@ -82,7 +64,7 @@ def cmd_verify(args) -> int:
         suite = axioms.native_suite(structure)
     reports = [axioms.check(structure, axiom) for axiom in suite]
     for report in reports:
-        _print_report(report, args.max_witnesses)
+        print("\n".join(format_report(report, args.max_witnesses)))
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -202,7 +184,7 @@ def cmd_check_morphism(args) -> int:
         report = check_comodule_morphism(f, src, dst, strict=args.strict)
     else:
         raise KindMismatch("morphism endpoints have different or unsupported kinds")
-    _print_report(report, args.max_witnesses)
+    print("\n".join(format_report(report, args.max_witnesses)))
     return 0 if report.holds else 1
 
 

@@ -41,7 +41,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -86,11 +86,20 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def format_ratio(num: int, den: int) -> str:
+    """Canonical wire form of ``num / den`` (``den > 0``): ``p/q`` in lowest
+    terms with q > 1, bare ``p`` otherwise."""
+    if den == 1:
+        return str(num)
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
+
+
 def format_rational(value: Fraction) -> str:
-    """Canonical wire form: ``p/q`` with q > 1, bare ``p`` otherwise."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical wire form of a Fraction (``format_ratio`` of its terms)."""
+    return format_ratio(value.numerator, value.denominator)
 
 
 def _freeze_vector(entries) -> tuple[Fraction, ...]:
@@ -654,17 +663,21 @@ def unpack(value: int, slots: int, bits: int) -> list[int]:
     """The ``slots`` coefficients of a packed ``value``, lowest slot first.
 
     Each slot is read as a balanced digit in ``[-2**(bits - 1), 2**(bits -
-    1))``, so a borrow from a negative slot is given back to the next one.
+    1))``.  Adding ``2**(bits - 1)`` to every slot at once makes every digit
+    nonnegative with no borrow between slots, so each is read off with one
+    shift and mask and shifted back.
     """
-    mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
-    digits = []
-    for _ in range(slots):
-        d = value & mask
-        if d >= half:
-            d -= base
-        digits.append(d)
-        value = (value - d) >> bits
-    return digits
+    offset, mask, half, shifts = _slot_layout(slots, bits)
+    value += offset
+    return [(value >> shift & mask) - half for shift in shifts]
+
+
+@lru_cache(maxsize=64)
+def _slot_layout(slots: int, bits: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """``(sum_o 2**(bits - 1) << (o * bits), slot mask, 2**(bits - 1), slot shifts)``."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    offset = ((1 << (slots * bits)) - 1) // mask * half
+    return offset, mask, half, tuple(range(0, slots * bits, bits))
 
 
 def _dense(entries: dict, shape: tuple[int, ...], prefix: tuple[int, ...] = ()) -> tuple:

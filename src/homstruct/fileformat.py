@@ -39,7 +39,7 @@ from .exact import (
     ComulTensor,
     LinearMap,
     MulTensor,
-    format_rational,
+    format_ratio,
     parse_rational,
 )
 from .modules import HomModule
@@ -108,7 +108,7 @@ class _Numerals(dict):
 
 
 def _dump_matrix(rows) -> list:
-    return [[format_rational(x) for x in row] for row in rows]
+    return [[format_ratio(x.numerator, x.denominator) for x in row] for row in rows]
 
 
 def _dump_cube(cube) -> list:

@@ -17,8 +17,8 @@ summed over.  ``Law.check`` binds names to maps and tensors by keyword.
 Evaluation is in ``int``: each operand enters as ``scaled``, its entries
 times the lcm of their denominators, so a term's contraction carries the
 product of its operands' scales.  The signed terms are brought to the lcm
-of those products and summed, and only the reported witnesses are divided
-back.
+of those products and summed, and a reported witness keeps its residual as
+integer digits over that lcm (``report.Witness``), reduced by their gcd.
 
 The last residual letter (``o`` above) is packed: the one operand of each
 term that holds it enters ``exact.pack``-ed over that axis, B bits a slot,
@@ -32,7 +32,8 @@ terms of the term's factor, times the product of its operands' largest
 scaled entries, times the product of the sizes of its summed letters,
 bounds every residual coefficient, and B is that bound's bit length plus
 2.  A packed residual is then 0 exactly when every slot is, and slots are
-decoded only for the reported witnesses.  Only one letter is packed:
+decoded, in one pass per value (``exact.unpack``), only for the reported
+witnesses; no ``Fraction`` is built for them.  Only one letter is packed:
 packing more makes large ints of mostly empty slots when the structure is
 sparse.
 
@@ -68,12 +69,12 @@ and never changes a contraction in place.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 from operator import itemgetter
 
-from .exact import Vector, contract, join_order, pack, unpack
+from .exact import contract, join_order, pack, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
 
 
@@ -89,25 +90,44 @@ class Law:
     ``classes`` lists the assembly: ``(row, permutations)`` with ``row`` the
     ``(group, coefficient)`` pairs summed into ``W`` and each permutation a
     ``(sign, positions)`` pair, ``positions`` taking an output-order key of
-    ``W`` to the residual key (``key[p] for p in positions``).
+    ``W`` to the residual key (``key[p] for p in positions``).  Both are
+    compiled on first use; stating a row only checks each term's sign and
+    packed letter.
     """
 
     def __init__(self, index: str, residual: str, *terms: str):
         if not residual or not terms:
             raise ValueError("a law needs a residual letter to pack and a term")
-        self.index, self.residual, self.terms = index, residual, terms
         packed = residual[-1]
-        out = index + residual[:-1]
-        groups: dict[tuple, tuple] = {}
-        rows: dict[tuple, dict] = {}  # key permutation -> {group: signed use count}
         for term in terms:
             sign, *operands = term.split()
-            names = [op.split(".")[0] for op in operands]
             subscripts = [op.split(".")[1] for op in operands]
             if sign not in "+-":
                 raise ValueError(f"term {term!r} needs a sign")
             if "".join(subscripts).count(packed) != 1:
                 raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
+        self.index, self.residual, self.terms = index, residual, terms
+
+    @property
+    def groups(self) -> list[tuple]:
+        return self._compiled[0]
+
+    @property
+    def classes(self) -> tuple[tuple, ...]:
+        return self._compiled[1]
+
+    @cached_property
+    def _compiled(self) -> tuple:
+        """``(groups, classes, plan, operand names, residual axis sizes)``."""
+        index, residual = self.index, self.residual
+        packed = residual[-1]
+        out = index + residual[:-1]
+        groups: dict[tuple, tuple] = {}
+        rows: dict[tuple, dict] = {}  # key permutation -> {group: signed use count}
+        for term in self.terms:
+            sign, *operands = term.split()
+            names = [op.split(".")[0] for op in operands]
+            subscripts = [op.split(".")[1] for op in operands]
             local = {}  # letter -> (name, axis) of an operand of this term that has it
             for name, sub in zip(names, subscripts):
                 for axis, c in enumerate(sub):
@@ -134,40 +154,42 @@ class Law:
             uses.append(sign == "+")
             row = rows.setdefault(permutation, {})
             row[g] = row.get(g, 0) + (1 if sign == "+" else -1)
-        self.groups = [
+        compiled = [
             (ids, spec, summed, tuple(uses)) for _, ids, spec, summed, _, uses in groups.values()
         ]
-        classes: dict[tuple, list] = {}
+        by_row: dict[tuple, list] = {}
         for permutation, row in rows.items():
             row = sorted((g, c) for g, c in row.items() if c)
             if row:
                 s = 1 if row[0][1] > 0 else -1
-                classes.setdefault(tuple((g, s * c) for g, c in row), []).append((s, permutation))
-        self.classes = tuple((row, tuple(perms)) for row, perms in classes.items())
+                by_row.setdefault(tuple((g, s * c) for g, c in row), []).append((s, permutation))
+        classes = tuple((row, tuple(perms)) for row, perms in by_row.items())
         # The same, as key functions: a contraction's join-order key goes to
         # output order (and on through the permutation of a one-permutation
         # class, which adds straight into the residual).
-        to_out = [[spec.split("->")[1].index(c) for c in out] for _, spec, _, _ in self.groups]
-        self._plan = []
-        for row, perms in self.classes:
+        to_out = [[spec.split("->")[1].index(c) for c in out] for _, spec, _, _ in compiled]
+        plan = []
+        for row, perms in classes:
             if len(perms) == 1:
                 (s, permutation), = perms
                 adds = [(g, s * c, _getter([to_out[g][p] for p in permutation])) for g, c in row]
-                self._plan.append((adds, None))
+                plan.append((adds, None))
             else:
                 adds = [(g, c, _getter(to_out[g])) for g, c in row]
-                self._plan.append((adds, [(s, _getter(p)) for s, p in perms]))
-        self._names = {name for ids, _, _, _ in self.groups for name, _ in ids}
-        self._sizes = [local[c] for c in residual]  # every term holds every output letter
+                plan.append((adds, [(s, _getter(p)) for s, p in perms]))
+        names = {name for ids, _, _, _ in compiled for name, _ in ids}
+        sizes = [local[c] for c in residual]  # every term holds every output letter
+        return compiled, classes, plan, names, sizes
 
     def check(self, axiom: str, **operands) -> AxiomReport:
         """Evaluate the law on the bound maps and tensors and report it as ``axiom``."""
+        groups, _, plan, names, sizes = self._compiled
         scaled, shapes = {}, {}
-        for name in self._names:
+        for name in names:
             scaled[name] = operands[name].scaled
             shapes[name] = operands[name].shape
         terms = []  # (scale, bound on one use's coefficients times its use count)
-        for ids, _, summed, uses in self.groups:
+        for ids, _, summed, uses in groups:
             scale, bits = 1, 0
             for name, _ in ids:
                 s, _, b = scaled[name]
@@ -185,7 +207,7 @@ class Law:
         bits = bound.bit_length() + 2
         packs: dict[tuple[str, int], dict] = {}
         values = []  # (contraction in join order, common // its scale) per group
-        for (ids, spec, _, _), (scale, _) in zip(self.groups, terms):
+        for (ids, spec, _, _), (scale, _) in zip(groups, terms):
             tensors = []
             for op in ids:
                 name, axis = op
@@ -198,7 +220,7 @@ class Law:
                 tensors.append(packed)
             values.append((contract(spec, *tensors), common // scale))
         residual = None
-        for adds, spreads in self._plan:
+        for adds, spreads in plan:
             w = residual if spreads is None else None
             for g, c, key in adds:
                 value, factor = values[g]
@@ -208,7 +230,7 @@ class Law:
             else:
                 for s, key in spreads:
                     residual = _add(residual, w, key, s)
-        shape = tuple(shapes[name][axis] for name, axis in self._sizes)
+        shape = tuple(shapes[name][axis] for name, axis in sizes)
         return _report(axiom, residual or {}, len(self.index), shape, common, bits)
 
 
@@ -254,26 +276,22 @@ def _report(
     position over all but the last axis of a residual of the given
     ``shape``; the value holds that last axis, times ``scale``, in
     ``bits``-bit slots (``exact.pack``).  An index fails when any of its
-    values is nonzero.  Slots are decoded, and divided by ``scale``, for
-    the kept witnesses only.
+    values is nonzero.  Slots are decoded for the kept witnesses only, and
+    a witness keeps them as integer digits over ``scale``.
     """
     failing = sorted({key[:width] for key, v in residual.items() if v})
     if not failing:
         return AxiomReport(axiom, True, (), 0)
-    zero = Fraction(0)
     *outer, slots = shape
     positions = list(product(*map(range, outer)))
+    zeros = (0,) * slots
     kept = []
     for index in failing[:WITNESS_CAP]:
-        entries = []
+        digits = []
         for p in positions:
             packed = residual.get(index + p)
-            if packed:
-                digits = unpack(packed, slots, bits)
-                entries.extend(Fraction(d, scale) if d else zero for d in digits)
-            else:
-                entries.extend([zero] * slots)
-        kept.append(Witness(index, Vector(tuple(entries))))
+            digits += unpack(packed, slots, bits) if packed else zeros
+        kept.append(Witness(index, tuple(digits), scale))
     return AxiomReport(axiom, False, tuple(kept), len(failing))
 
 

@@ -1,25 +1,57 @@
-"""Verdicts and failure witnesses for axiom checks.
+"""Verdicts and failure witnesses for axiom checks, and their text form.
 
 A witness records the basis index tuple at which a residual is nonzero plus
 the residual itself (flattened to the lexicographic tensor basis when the
-identity lives in a tensor power).  Reports keep at most ``WITNESS_CAP``
-witnesses, in lexicographic index order, together with the total count.
+identity lives in a tensor power).  It holds the residual as exact integers,
+``digits`` over a positive common ``scale``, reduced so that ``gcd(scale,
+*digits) == 1``: the form is canonical, so equal witnesses are equal
+rationals.  ``Witness.residual`` builds the ``Vector`` of Fractions only
+when read.  Reports keep at most ``WITNESS_CAP`` witnesses, in lexicographic
+index order, together with the total count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable
 
-from .exact import Vector
+from .exact import Vector, format_ratio
 
 WITNESS_CAP = 16
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class Witness:
+    """Residual ``digits[i] / scale`` at basis index ``index``, in lowest common terms."""
+
     index: tuple[int, ...]
-    residual: Vector
+    digits: tuple[int, ...]
+    scale: int = 1
+
+    def __post_init__(self):
+        if self.scale <= 0:
+            raise ValueError(f"witness scale {self.scale} is not positive")
+        g = gcd(self.scale, *self.digits)
+        if g != 1:
+            object.__setattr__(self, "digits", tuple(d // g for d in self.digits))
+            object.__setattr__(self, "scale", self.scale // g)
+
+    @classmethod
+    def of(cls, index: tuple[int, ...], residual: Vector) -> "Witness":
+        """The witness of a residual given as a ``Vector`` of rationals."""
+        scale = lcm(*(x.denominator for x in residual.entries))
+        return cls(index, tuple(x.numerator * (scale // x.denominator) for x in residual.entries),
+                   scale)
+
+    @cached_property
+    def residual(self) -> Vector:
+        s = self.scale
+        return Vector(tuple(Fraction(d, s) if d else _ZERO for d in self.digits))
 
 
 @dataclass(frozen=True)
@@ -47,3 +79,25 @@ class AxiomReport:
             if p.axiom == axiom:
                 return p
         raise KeyError(axiom)
+
+
+def format_report(report: AxiomReport, max_witnesses: int, indent: str = "") -> list[str]:
+    """The text lines of ``report``: a PASS or FAIL line, its parts indented
+    below it, and for a leaf up to ``max_witnesses`` lines ``(index): [residual]``."""
+    if report.holds:
+        lines = [f"{indent}{report.axiom}: PASS"]
+    else:
+        shown = min(len(report.witnesses), max_witnesses)
+        lines = [
+            f"{indent}{report.axiom}: FAIL"
+            f" ({report.total_failures} failing indices; showing {shown})"
+        ]
+    for part in report.parts:
+        lines += format_report(part, max_witnesses, indent + "  ")
+    if not report.parts:
+        for witness in report.witnesses[:max_witnesses]:
+            coords = ",".join(map(str, witness.index))
+            s = witness.scale
+            values = ", ".join([format_ratio(d, s) for d in witness.digits])
+            lines.append(f"{indent}  ({coords}): [{values}]")
+    return lines

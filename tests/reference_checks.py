@@ -121,7 +121,7 @@ def check_left_hom_alternative(a: HomAlgebra) -> AxiomReport:
                         - mu.apply(mu.product(j, i), cols[k])
                     )
                     if not r.is_zero():
-                        yield Witness((i, j, k), r)
+                        yield Witness.of((i, j, k), r)
 
     return from_scan(LEFT_HOM_ALT, scan())
 
@@ -143,7 +143,7 @@ def check_right_hom_alternative(a: HomAlgebra) -> AxiomReport:
                         - mu.apply(mu.product(i, k), cols[j])
                     )
                     if not r.is_zero():
-                        yield Witness((i, j, k), r)
+                        yield Witness.of((i, j, k), r)
 
     return from_scan(RIGHT_HOM_ALT, scan())
 
@@ -159,7 +159,7 @@ def check_hom_associative(a: HomAlgebra) -> AxiomReport:
                 for k in range(n):
                     r = mu.apply(cols[i], mu.product(j, k)) - mu.apply(mu.product(i, j), cols[k])
                     if not r.is_zero():
-                        yield Witness((i, j, k), r)
+                        yield Witness.of((i, j, k), r)
 
     return from_scan(HOM_ASSOC, scan())
 
@@ -176,7 +176,7 @@ def check_endomorphism(a: HomAlgebra, phi: LinearMap) -> AxiomReport:
             for j in range(a.dim):
                 r = phi.apply(mu.product(i, j)) - mu.apply(cols[i], cols[j])
                 if not r.is_zero():
-                    yield Witness((i, j), r)
+                    yield Witness.of((i, j), r)
 
     return from_scan(ENDOMORPHISM, scan())
 
@@ -192,7 +192,7 @@ def check_morphism(f: LinearMap, a: HomAlgebra, b: HomAlgebra) -> AxiomReport:
             for j in range(a.dim):
                 r = f.apply(a.mu.product(i, j)) - b.mu.apply(cols[i], cols[j])
                 if not r.is_zero():
-                    yield Witness((i, j), r)
+                    yield Witness.of((i, j), r)
 
     def scan_comm() -> Iterator[Witness]:
         fa = compose(f, a.alpha)
@@ -200,7 +200,7 @@ def check_morphism(f: LinearMap, a: HomAlgebra, b: HomAlgebra) -> AxiomReport:
         for i in range(a.dim):
             r = fa.column(i) - af.column(i)
             if not r.is_zero():
-                yield Witness((i,), r)
+                yield Witness.of((i,), r)
 
     parts = (
         from_scan(MORPHISM_MULTIPLICATIVE, scan_mult()),
@@ -243,7 +243,7 @@ def check_left_module(mod: HomModule) -> AxiomReport:
                         - act.apply_left(mu_ji, bcols[p])
                     )
                     if not r.is_zero():
-                        yield Witness((i, j, p), r)
+                        yield Witness.of((i, j, p), r)
 
     return from_scan(LEFT_MODULE, scan())
 
@@ -273,7 +273,7 @@ def check_right_module(mod: HomModule) -> AxiomReport:
                         - act.apply_right(bcols[p], alg.mu.product(j, i))
                     )
                     if not r.is_zero():
-                        yield Witness((p, i, j), r)
+                        yield Witness.of((p, i, j), r)
 
     return from_scan(RIGHT_MODULE, scan())
 
@@ -308,7 +308,7 @@ def check_module_morphism(
                     rhs = m2.action.apply_right(fcols[p], basis_a[i])
                 r = lhs - rhs
                 if not r.is_zero():
-                    yield Witness((i, p), r)
+                    yield Witness.of((i, p), r)
 
     parts = [from_scan(MODULE_MORPHISM_INTERTWINES, scan_intertwine())]
     if strict:
@@ -319,7 +319,7 @@ def check_module_morphism(
             for p in range(m1.dim_mod):
                 r = fb.column(p) - bf.column(p)
                 if not r.is_zero():
-                    yield Witness((p,), r)
+                    yield Witness.of((p,), r)
 
         parts.append(from_scan(MODULE_MORPHISM_BETA_COMMUTES, scan_beta()))
     return AxiomReport.aggregate(MODULE_MORPHISM, parts)
@@ -375,7 +375,7 @@ def check_cocommutativity(c: HomCoassocCoalgebra) -> AxiomReport:
             plane = c.delta.d[k]
             res = [[plane[i][j] - plane[j][i] for j in range(n)] for i in range(n)]
             if any(x for row in res for x in row):
-                yield Witness((k,), flatten_matrix(res))
+                yield Witness.of((k,), flatten_matrix(res))
 
     return from_scan(COCOMMUTATIVITY, scan())
 
@@ -389,7 +389,7 @@ def _multiplicativity_report(axiom: str, t: ComulTensor, alpha: LinearMap) -> Ax
             rhs = _two_leg_alpha(t, alpha, k)
             res = [[lhs[i][j] - rhs[i][j] for j in range(n)] for i in range(n)]
             if any(x for row in res for x in row):
-                yield Witness((k,), flatten_matrix(res))
+                yield Witness.of((k,), flatten_matrix(res))
 
     return from_scan(axiom, scan())
 
@@ -433,7 +433,7 @@ def _coassociativity_report(t: ComulTensor, alpha: LinearMap) -> AxiomReport:
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((k,), flatten_cube(res))
+                yield Witness.of((k,), flatten_cube(res))
 
     return from_scan(HOM_COASSOCIATIVITY, scan())
 
@@ -455,7 +455,7 @@ def _skew_report(t: ComulTensor) -> AxiomReport:
             plane = t.d[k]
             res = [[plane[i][j] + plane[j][i] for j in range(n)] for i in range(n)]
             if any(x for row in res for x in row):
-                yield Witness((k,), flatten_matrix(res))
+                yield Witness.of((k,), flatten_matrix(res))
 
     return from_scan(SKEW_COSYMMETRY, scan())
 
@@ -496,7 +496,7 @@ def _cojacobi_report(t: ComulTensor, alpha: LinearMap) -> AxiomReport:
                         # identity + rotation + rotation^2 of x1@x2@x3 -> x3@x1@x2
                         res[i][j][l] = base[i][j][l] + base[j][l][i] + base[l][i][j]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((k,), flatten_cube(res))
+                yield Witness.of((k,), flatten_cube(res))
 
     return from_scan(HOM_COJACOBI, scan())
 
@@ -565,7 +565,7 @@ def _coleibniz_report(delta: ComulTensor, gamma: ComulTensor, alpha: LinearMap) 
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((k,), flatten_cube(res))
+                yield Witness.of((k,), flatten_cube(res))
 
     return from_scan(HOM_COLEIBNIZ, scan())
 
@@ -598,7 +598,7 @@ def check_coendomorphism(p: HomPoissonCoalgebra, phi: LinearMap) -> AxiomReport:
                 rhs = _two_leg_alpha(t, phi, k)
                 res = [[lhs[i][j] - rhs[i][j] for j in range(n)] for i in range(n)]
                 if any(x for row in res for x in row):
-                    yield Witness((k,), flatten_matrix(res))
+                    yield Witness.of((k,), flatten_matrix(res))
 
         return from_scan(tag, gen())
 
@@ -644,7 +644,7 @@ def check_coalgebra_morphism(
                                 rhs[i][j] += fl * w
                 res = [[lhs[i][j] - rhs[i][j] for j in range(n2)] for i in range(n2)]
                 if any(x for row in res for x in row):
-                    yield Witness((k,), flatten_matrix(res))
+                    yield Witness.of((k,), flatten_matrix(res))
 
         return from_scan(tag, gen())
 
@@ -654,7 +654,7 @@ def check_coalgebra_morphism(
         for k in range(n1):
             r = fa.column(k) - af.column(k)
             if not r.is_zero():
-                yield Witness((k,), r)
+                yield Witness.of((k,), r)
 
     parts = (
         tensor_side(p1.delta, p2.delta, COALGEBRA_MORPHISM_DELTA),
@@ -701,7 +701,7 @@ def _beta_compat_report(axiom: str, t: CoactionTensor, alpha: LinearMap, beta: L
                                 rhs[i][q] += v * ai * bq
             res = [[lhs[i][q] - rhs[i][q] for q in range(m)] for i in range(n)]
             if any(x for row in res for x in row):
-                yield Witness((p,), flatten_matrix(res))
+                yield Witness.of((p,), flatten_matrix(res))
 
     return from_scan(axiom, scan())
 
@@ -745,7 +745,7 @@ def _coassoc_compat_report(t: CoactionTensor, delta: ComulTensor, alpha: LinearM
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((p,), flatten_cube(res))
+                yield Witness.of((p,), flatten_cube(res))
 
     return from_scan(DELTA_COACTION_COASSOCIATIVITY, scan())
 
@@ -807,7 +807,7 @@ def _lie_compat_report(t: CoactionTensor, gamma: ComulTensor, alpha: LinearMap, 
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((p,), flatten_cube(res))
+                yield Witness.of((p,), flatten_cube(res))
 
     return from_scan(GAMMA_COACTION_COMPATIBILITY, scan())
 
@@ -879,7 +879,7 @@ def _mixed_coleibniz_report(c: HomComodule) -> AxiomReport:
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((p,), flatten_cube(res))
+                yield Witness.of((p,), flatten_cube(res))
 
     return from_scan(COMODULE_COLEIBNIZ, scan())
 
@@ -932,7 +932,7 @@ def _mixed_comult_report(c: HomComodule) -> AxiomReport:
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness((p,), flatten_cube(res))
+                yield Witness.of((p,), flatten_cube(res))
 
     return from_scan(COMODULE_COMULT_COMPAT, scan())
 
@@ -987,7 +987,7 @@ def check_comodule_morphism(
                                 rhs[i][q] += fr * w
                 res = [[lhs[i][q] - rhs[i][q] for q in range(c2.dim_mod)] for i in range(n)]
                 if any(x for row in res for x in row):
-                    yield Witness((p,), flatten_matrix(res))
+                    yield Witness.of((p,), flatten_matrix(res))
 
         return from_scan(tag, gen())
 
@@ -1004,7 +1004,7 @@ def check_comodule_morphism(
             for p in range(c1.dim_mod):
                 r = fb.column(p) - bf.column(p)
                 if not r.is_zero():
-                    yield Witness((p,), r)
+                    yield Witness.of((p,), r)
 
         parts.append(from_scan(COMODULE_MORPHISM_BETA_COMMUTES, scan_beta()))
     return AxiomReport.aggregate(COMODULE_MORPHISM, parts)

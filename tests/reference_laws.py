@@ -27,7 +27,7 @@ def report(axiom: str, residual: dict, width: int, shape: tuple, scale: int) -> 
     zero = Fraction(0)
     positions = list(product(*map(range, shape)))
     kept = tuple(
-        Witness(index, Vector(tuple(
+        Witness.of(index, Vector(tuple(
             Fraction(x, scale) if (x := residual.get(index + p)) else zero for p in positions
         )))
         for index in failing[:WITNESS_CAP]

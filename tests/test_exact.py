@@ -329,3 +329,35 @@ def test_pack_and_unpack_are_inverse():
     assert unpack(0, 4, 8) == [0, 0, 0, 0]
     assert unpack(-1, 3, 8) == [-1, 0, 0]
     assert unpack((1 << 8) - 1, 2, 8) == [-1, 1]
+
+
+def unpack_by_borrowing(value: int, slots: int, bits: int) -> list[int]:
+    """Slot by slot, giving a negative slot's borrow back to the next: the oracle for ``unpack``."""
+    mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    digits = []
+    for _ in range(slots):
+        d = value & mask
+        if d >= half:
+            d -= base
+        digits.append(d)
+        value = (value - d) >> bits
+    return digits
+
+
+@st.composite
+def balanced_digits(draw):
+    bits = draw(st.integers(2, 80))
+    half = 1 << (bits - 1)
+    digit = st.one_of(st.sampled_from([-half, half - 1, 0]), st.integers(-half, half - 1))
+    return bits, draw(st.lists(digit, min_size=1, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(balanced_digits())
+def test_unpack_reads_back_packed_balanced_digits(case):
+    bits, digits = case
+    slots = len(digits)
+    half = 1 << (bits - 1)
+    for ds in (digits, [-half] * slots, [half - 1] * slots, [0] * slots):
+        (value,) = pack({(o,): d for o, d in enumerate(ds)}, 0, bits).values()
+        assert unpack(value, slots, bits) == unpack_by_borrowing(value, slots, bits) == ds
