@@ -5,16 +5,17 @@ For each dim n it builds, from ``DeterministicRng(1)`` entries (numerators
 -4..4, denominators 1..3, so every tensor is dense and rational): an
 algebra, a left and a right module of dim n over it, a Hom-Poisson
 coalgebra and a Poisson comodule of dim n over that.  Then it runs every
-id of ``axioms.AXIOMS`` on the structure of its type and prints one line
-per law: dim, id, best wall time in ms, best time in ms of
-``report.format_report`` on its report (the text ``verify`` prints, up to
-16 witnesses) and ``total_failures``.  The first
+id of ``axioms.AXIOMS`` (or only the ids ``--laws`` names) on the
+structure of its type and prints one line per law: dim, id, best wall time
+in ms, best time in ms of ``report.format_report`` on its report (the text
+``verify`` prints, up to 16 witnesses) and ``total_failures``.  An unknown
+``--laws`` id is a usage error (exit 2).  The first
 run on each structure also builds its tensors' cached nonzero and scaled
 entries; with ``--repeat`` above 1 the best time leaves that out.  Each
 law starts after a full garbage collection and runs with the collector
 off, so no collection pause lands in its time.
 
-    python3 scripts/time_laws.py --dims 6,10,16 [--repeat 3]
+    python3 scripts/time_laws.py --dims 6,10,16 [--repeat 3] [--laws ID[,ID...]]
 """
 
 import argparse
@@ -61,12 +62,15 @@ def dense_structures(n: int) -> list:
     return [alg, left, right, coalg, comod]
 
 
-def time_laws(n: int, repeat: int) -> list[tuple[str, float, float, int]]:
-    """(law id, best check seconds, best format seconds, total_failures) for every law at dim n."""
+def time_laws(n: int, repeat: int, laws=None) -> list[tuple[str, float, float, int]]:
+    """(law id, best check seconds, best format seconds, total_failures) at dim n,
+    for every registered law or only the ids in ``laws``."""
     alg, left, right, coalg, comod = dense_structures(n)
     by_type = {HomAlgebra: alg, HomPoissonCoalgebra: coalg, HomComodule: comod}
     rows = []
     for (kind, axiom), checker in AXIOMS.items():
+        if laws is not None and axiom not in laws:
+            continue
         structure = by_type.get(kind) or (left if axiom == LEFT_MODULE else right)
         best = best_fmt = float("inf")
         gc.collect()
@@ -88,7 +92,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", default="6,10,16", help="comma-separated dims (default 6,10,16)")
     parser.add_argument("--repeat", type=int, default=1, help="runs per law; the best is printed")
+    parser.add_argument("--laws", help="comma-separated registry ids to time (default: all)")
     args = parser.parse_args(argv)
+    laws = None
+    if args.laws is not None:
+        laws = set(args.laws.split(","))
+        unknown = sorted(laws - {axiom for _, axiom in AXIOMS})
+        if unknown:
+            parser.error(f"--laws names unknown ids: {', '.join(unknown)}")
     try:
         dims = [int(d) for d in args.dims.split(",")]
     except ValueError:
@@ -97,7 +108,7 @@ def main(argv=None) -> int:
         parser.error("--repeat must be >= 1 and every dim >= 0")
     print(f"{'dim':>3}  {'law':<32} {'ms':>10} {'fmt_ms':>8}  failures")
     for n in dims:
-        for axiom, seconds, fmt_seconds, failures in time_laws(n, args.repeat):
+        for axiom, seconds, fmt_seconds, failures in time_laws(n, args.repeat, laws):
             print(f"{n:>3}  {axiom:<32} {seconds * 1000:>10.2f} {fmt_seconds * 1000:>8.2f}"
                   f"  {failures}", flush=True)
     return 0

@@ -35,7 +35,7 @@ from .comodules import (
     twist_poisson_comodule,
 )
 from .errors import FormatError, KernelError, KindMismatch
-from .exact import LinearMap, rat
+from .exact import LinearMap, parse_rational
 from .fileformat import (
     NamedMap,
     StructureFile,
@@ -63,8 +63,8 @@ def cmd_verify(args) -> int:
     if suite == ["all"]:
         suite = axioms.native_suite(structure)
     reports = [axioms.check(structure, axiom) for axiom in suite]
-    for report in reports:
-        print("\n".join(format_report(report, args.max_witnesses)))
+    # Format every report before printing any, so a FormatError prints nothing.
+    print("\n".join(line for report in reports for line in format_report(report, args.max_witnesses)))
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -72,10 +72,7 @@ def _resolve_endo(sf: StructureFile, spec: str, dim: int) -> LinearMap:
     if spec == "id":
         return LinearMap.identity(dim)
     if spec.startswith("diag:"):
-        try:
-            values = [rat(piece) for piece in spec[len("diag:") :].split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"bad diagonal entries in {spec!r}")
+        values = [parse_rational(piece) for piece in spec[len("diag:") :].split(",")]
         if len(values) != dim:
             raise FormatError(f"diag endomorphism needs {dim} entries")
         return LinearMap.diagonal(values)

@@ -96,12 +96,12 @@ _MULTIPLICATIVE = Law("k", "ij", "+ alpha.lk t.lij", "- t.kab alpha.ia alpha.jb"
 _ONE_MAP_LAWS = {
     COCOMMUTATIVITY: Law("k", "ij", "+ t.kij", "- t.kji"),
     DELTA_MULTIPLICATIVITY: _MULTIPLICATIVE,
-    HOM_COASSOCIATIVITY: Law("k", "ijl", "+ t.kab alpha.ia t.bjl", "- t.kab alpha.lb t.aij"),
+    HOM_COASSOCIATIVITY: Law("k", "ijl", "+ t.kab t.bjl alpha.ia", "- t.kab alpha.lb t.aij"),
     SKEW_COSYMMETRY: Law("k", "ij", "+ t.kij", "+ t.kji"),
     GAMMA_MULTIPLICATIVITY: _MULTIPLICATIVE,
     HOM_COJACOBI: Law(
         "k", "ijl",
-        "+ t.kab alpha.ia t.bjl",  # (alpha @ t) . t
+        "+ t.kab t.bjl alpha.ia",  # (alpha @ t) . t
         "+ t.kab alpha.ja t.bli",  # rotated once
         "+ t.kab alpha.la t.bij",  # rotated twice
     ),
@@ -109,7 +109,7 @@ _ONE_MAP_LAWS = {
 _ON_DELTA = (COCOMMUTATIVITY, DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY)
 _COLEIBNIZ = Law(
     "k", "ijl",
-    "+ gamma.kab alpha.ia delta.bjl",  # (alpha @ delta) . gamma
+    "+ gamma.kab delta.bjl alpha.ia",  # (alpha @ delta) . gamma
     "- delta.kab alpha.lb gamma.aij",  # (gamma @ alpha) . delta
     "- delta.kab alpha.ja gamma.bil",  # (tau @ id) . (alpha @ gamma) . delta
 )

@@ -88,26 +88,26 @@ _LAWS = {
     DELTA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
     DELTA_COACTION_COASSOCIATIVITY: Law(
         "p", "ijq",
-        "+ dm.pas alpha.ia dm.sjq",    # (alpha @ dm) . dm
+        "+ dm.pas dm.sjq alpha.ia",    # (alpha @ dm) . dm
         "- dm.pas beta.qs delta.aij",  # (delta @ beta) . dm
     ),
     GAMMA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
     GAMMA_COACTION_COMPATIBILITY: Law(
         "p", "ijq",
         "+ gm.pas beta.qs gamma.aij",  # (gamma @ beta) . gm
-        "- gm.pas alpha.ia gm.sjq",    # (alpha @ gm) . gm
+        "- gm.pas gm.sjq alpha.ia",    # (alpha @ gm) . gm
         "+ gm.pas alpha.ja gm.siq",    # (tau @ id) . (alpha @ gm) . gm
     ),
     COMODULE_COLEIBNIZ: Law(
         "p", "ijq",
-        "+ gm.pas alpha.ia dm.sjq",    # alpha(m[-1]) @ dm(m[0])
+        "+ gm.pas dm.sjq alpha.ia",    # alpha(m[-1]) @ dm(m[0])
         "- dm.pas beta.qs gamma.aij",  # gamma(m(-1)) @ beta(m(0))
         "- dm.pas alpha.ja gm.siq",    # swap12(alpha(m(-1)) @ gm(m(0)))
     ),
     COMODULE_COMULT_COMPAT: Law(
         "p", "ijq",
         "+ gm.pas beta.qs delta.aij",  # delta(m[-1]) @ beta(m[0])
-        "- dm.pas alpha.ia gm.sjq",    # alpha(m(-1)) @ gm(m(0))
+        "- dm.pas gm.sjq alpha.ia",    # alpha(m(-1)) @ gm(m(0))
         "- dm.pas alpha.ja gm.siq",    # swap12 of the same
     ),
 }

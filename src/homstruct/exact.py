@@ -27,17 +27,18 @@ Entries are exact rationals (``fractions.Fraction``; ``nonzeros`` carries
 integral values as ``int``).  Law checks contract ``scaled``, the same
 entries times the lcm of their denominators: plain ``int`` arithmetic, with
 the scale kept beside the map and divided back out only for the reported
-witnesses.  One axis of an operand can also be ``pack``-ed into fixed-width
-slots of a single ``int``, so that ``contract``'s Python-level multiply-adds
-each act on a whole vector of coefficients inside CPython's bignum code;
-``unpack`` reads the slots back.  No floating point enters the kernel, so
-every identity check is an exact zero test.  All values are immutable after
-construction and safe to share across threads.
+witnesses.  One or two axes of an operand can also be ``pack``-ed into
+fixed-width slots of a single ``int``, so that ``contract``'s Python-level
+multiply-adds each act on a whole vector of coefficients inside CPython's
+bignum code; ``unpack`` reads the slots back.  No floating point enters the
+kernel, so every identity check is an exact zero test.  All values are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,13 +89,22 @@ def parse_rational(text: str) -> Fraction:
 
 def format_ratio(num: int, den: int) -> str:
     """Canonical wire form of ``num / den`` (``den > 0``): ``p/q`` in lowest
-    terms with q > 1, bare ``p`` otherwise."""
-    if den == 1:
-        return str(num)
-    g = gcd(num, den)
-    if g == den:
-        return str(num // den)
-    return f"{num // g}/{den // g}"
+    terms with q > 1, bare ``p`` otherwise.
+
+    A term with more decimal digits than CPython converts to text
+    (``sys.get_int_max_str_digits()``, 4,300 by default) is a
+    ``FormatError``, as such a numeral is on input.
+    """
+    try:
+        if den == 1:
+            return str(num)
+        g = gcd(num, den)
+        if g == den:
+            return str(num // den)
+        return f"{num // g}/{den // g}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(f"a rational term has more than {limit} digits to write") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -582,7 +592,8 @@ def _compile(spec: str) -> tuple:
     """Plan for ``contract``: one step per joined operand, then the output order.
 
     A step holds the left join key, the left letters kept (None: all), the
-    right join key and the right letters kept.
+    right join key, the right letters kept, and whether every right letter
+    is joined on (then each join key has one right value).
     """
     joins, letters, out = _joins(spec)
     steps = [
@@ -591,6 +602,7 @@ def _compile(spec: str) -> tuple:
             None if keep == left else _tuple_of(left, keep),
             _join_key(right, shared),
             _tuple_of(right, new),
+            len(shared) == len(right),
         )
         for left, right, shared, keep, new in joins
     ]
@@ -604,18 +616,29 @@ def contract(spec: str, *tensors: dict) -> dict:
     Operands and result are ``{index tuple: value}`` maps of nonzero entries
     (the result may also hold entries that cancelled to zero, and may be an
     operand itself: treat both as read-only).  Values are rationals or
-    ``int``; a ``pack``-ed operand's values are ints whose packed axis rides
+    ``int``; a ``pack``-ed operand's values are ints whose packed axes ride
     along through every product and sum.  Operands are joined pairwise in
     the order the spec lists them, and a letter is summed over as soon as no
-    later operand and not the output needs it.  Plans are compiled once per
-    spec.
+    later operand and not the output needs it.  A join on every letter of
+    its right operand (``t.kab`` then the packed ``t.b``) finds at most one
+    right value per left key, so it is one dict lookup per left key.  Plans
+    are compiled once per spec.
     """
     plan = _PLANS.get(spec)
     if plan is None:
         plan = _PLANS[spec] = _compile(spec)
     steps, reorder, summing = plan
     acc = tensors[0]
-    for (left_join, left_keep, right_join, right_keep), right in zip(steps, tensors[1:]):
+    for (left_join, left_keep, right_join, right_keep, lookup), right in zip(steps, tensors[1:]):
+        out: dict = defaultdict(int)
+        if lookup:
+            get = {right_join(key): w for key, w in right.items()}.get
+            for key, v in acc.items():
+                w = get(left_join(key))
+                if w is not None:
+                    out[key if left_keep is None else left_keep(key)] += v * w
+            acc = out
+            continue
         groups: dict = {}
         for key, w in right.items():
             join = right_join(key)
@@ -623,7 +646,6 @@ def contract(spec: str, *tensors: dict) -> dict:
                 groups[join].append((right_keep(key), w))
             else:
                 groups[join] = [(right_keep(key), w)]
-        out: dict = defaultdict(int)
         for key, v in acc.items():
             group = groups.get(left_join(key))
             if group is not None:
@@ -641,21 +663,52 @@ def contract(spec: str, *tensors: dict) -> dict:
     return acc
 
 
-def pack(entries: dict, axis: int, bits: int) -> dict:
-    """``entries`` with ``axis`` moved into ``bits``-bit slots of one ``int``.
+def packing(arity: int, axes: tuple[tuple[int, int], ...]) -> tuple:
+    """How ``pack`` moves ``axes`` out of keys of ``arity`` axes, worked out once.
 
-    The key loses that axis and its value is ``sum_o entries[..o..] << (o *
-    bits)``, the entries read as polynomial coefficients evaluated at ``2**
-    bits`` (Kronecker substitution).  Signed coefficients are fine: ``+``
-    and ``*`` by an unpacked ``int`` act on every slot at once, and a result
-    whose coefficients all lie strictly between ``-2**(bits - 1)`` and
-    ``2**(bits - 1)`` decodes exactly with ``unpack``.
+    ``axes`` holds an ``(axis, letter)`` pair for each of the one or two
+    packed axes.  Returns ``(axes, lo, hi, getter)``: the key left is
+    ``key[lo:hi]`` when the kept axes are contiguous (getter None), so no
+    call is made per key; otherwise they are at least two, and
+    ``getter(key)`` is their tuple.
     """
+    packed = [a for a, _ in axes]
+    kept = [p for p in range(arity) if p not in packed]
+    lo, hi = (kept[0], kept[-1] + 1) if kept else (0, 0)
+    return axes, lo, hi, None if hi - lo == len(kept) else itemgetter(*kept)
+
+
+def pack(entries: dict, layout: tuple, steps) -> dict:
+    """``entries`` with one or two axes moved into the slots of one ``int``.
+
+    ``layout`` is a ``packing`` of the axes; an ``(axis, letter)`` pair
+    steps that axis by ``steps[letter]`` bits.  The key loses those axes
+    and its value is the sum of the entries, each shifted left by its index
+    times the step, summed over the packed axes: with one axis at step
+    ``bits``, ``sum_o entries[..o..] << (o * bits)``, the entries read as
+    polynomial coefficients evaluated at ``2**bits`` (Kronecker
+    substitution); with axes ``x`` and ``y`` of sizes ``n_x`` and ``n_y`` at
+    steps ``n_y * bits`` and ``bits``, entry ``(x, y)`` lands in slot ``x *
+    n_y + y``.  Signed coefficients are fine: ``+`` and ``*`` by an unpacked
+    ``int`` act on every slot at once, and a result whose coefficients all
+    lie strictly between ``-2**(bits - 1)`` and ``2**(bits - 1)`` decodes
+    exactly with ``unpack``.
+    """
+    axes, lo, hi, rest = layout
     out: dict = {}
     get = out.get
-    for key, v in entries.items():
-        rest = key[:axis] + key[axis + 1 :]
-        out[rest] = get(rest, 0) + (v << (key[axis] * bits))
+    if len(axes) == 1:
+        ((a, x),) = axes
+        s = steps[x]
+        for key, v in entries.items():
+            r = key[lo:hi] if rest is None else rest(key)
+            out[r] = get(r, 0) + (v << key[a] * s)
+    else:
+        (a, x), (b, y) = axes
+        s, t = steps[x], steps[y]
+        for key, v in entries.items():
+            r = key[lo:hi] if rest is None else rest(key)
+            out[r] = get(r, 0) + (v << key[a] * s + key[b] * t)
     return out
 
 

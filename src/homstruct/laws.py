@@ -20,33 +20,40 @@ product of its operands' scales.  The signed terms are brought to the lcm
 of those products and summed, and a reported witness keeps its residual as
 integer digits over that lcm (``report.Witness``), reduced by their gcd.
 
-The last residual letter (``o`` above) is packed: the one operand of each
-term that holds it enters ``exact.pack``-ed over that axis, B bits a slot,
-so the first term contracts as ``ai,ab,jkb->ijk`` with ``mu.ab`` standing
-for ``sum_o mu[a,b,o] << (o*B)``.  Every multiply-add in ``contract`` then
-moves a whole residual vector inside CPython's bignum code, and a law over
-n-dim tensors costs O(n^4) Python steps instead of O(n^5).  Hence a row
-must hold that letter in exactly one operand of every term (``Law`` raises
-``ValueError`` otherwise).  B is fixed before any multiply: the sum over
-terms of the term's factor, times the product of its operands' largest
+The residual's last two letters, or its only one, are packed.  With one
+letter (``o`` above) the one operand of each term that holds it enters
+``exact.pack``-ed over that axis, B bits a slot, so the first term
+contracts as ``ai,ab,jkb->ijk`` with ``mu.ab`` standing for ``sum_o
+mu[a,b,o] << (o*B)``.  With two letters ``(x, y)`` of sizes ``(n_x, n_y)``
+(``j`` and ``l`` of a coalgebra row's ``ijl``) residual coefficient ``(x,
+y)`` sits in slot ``x*n_y + y``: an operand that holds ``x`` is packed at
+stride ``n_y*B``, one that holds ``y`` at stride ``B``, one that holds both
+at ``x*n_y*B + y*B``.  A packed residual value is then the one-letter
+layout over one fused letter of ``n_x*n_y`` slots.  Every multiply-add in
+``contract`` moves a whole residual vector inside CPython's bignum code, so
+a law with one packed letter costs O(n^4) Python steps over n-dim tensors
+instead of O(n^5), and the coalgebra and comodule laws O(n^3).  Hence a row
+must hold each packed letter in exactly one operand of every term (``Law``
+raises ``ValueError`` otherwise).  B is fixed before any multiply: the sum
+over terms of the term's factor, times the product of its operands' largest
 scaled entries, times the product of the sizes of its summed letters,
 bounds every residual coefficient, and B is that bound's bit length plus
 2.  A packed residual is then 0 exactly when every slot is, and slots are
 decoded, in one pass per value (``exact.unpack``), only for the reported
-witnesses; no ``Fraction`` is built for them.  Only one letter is packed:
-packing more makes large ints of mostly empty slots when the structure is
-sparse.
+witnesses; no ``Fraction`` is built for them.  No index letter is packed:
+on sparse structures that makes large ints of mostly empty slots.
 
 ``exact.contract`` joins a term's operands pairwise in the order the term
 lists them, so order them to keep the joins small: ``alpha.ai mu.abo
 mu.jkb`` first sums ``a`` into an n^2 table of packed values in O(n^3)
 steps and then joins ``mu.jkb`` in O(n^4), while ``alpha.ai mu.jkb mu.abo``
-would start with an n^5 outer product.
+would start with an n^5 outer product.  Likewise ``t.kab t.bjl alpha.ia``
+joins the operand holding both packed letters second, in O(n^3).
 
 Terms that are one contraction up to a permutation of the unpacked output
 letters (``+ alpha.aj mu.abo mu.ikb`` is the first term above with ``i``
-and ``j`` swapped) are contracted once.  A term that moves the packed letter
-elsewhere is a contraction of its own.
+and ``j`` swapped) are contracted once.  A term that moves either packed
+letter to another operand or axis is a contraction of its own.
 
 The residual is assembled by key permutation, not term by term.  For each
 permutation of the output keys that some term adds under, the signed count
@@ -74,38 +81,40 @@ from itertools import product
 from math import lcm
 from operator import itemgetter
 
-from .exact import contract, join_order, pack, unpack
+from .exact import contract, join_order, pack, packing, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
 
 
 class Law:
     """One law: witness index letters, residual letters, signed terms.
 
-    ``terms`` keeps the row as stated; its last residual letter is the one
-    carried in packed slots.  ``groups`` lists the distinct contractions the
-    terms compile to, each as ``(operands, contract spec, summed, uses)``:
-    an operand is ``(name, axis)``, with the axis of the packed letter or
-    None; the spec's output is in join order; ``summed`` holds one ``(name,
-    axis)`` per summed letter, to size it; a use is one term's sign (True: +).
+    ``terms`` keeps the row as stated; its last two residual letters (or its
+    only one) are carried in packed slots.  ``groups`` lists the distinct
+    contractions the terms compile to, each as ``(operands, contract spec,
+    summed, uses)``: an operand is ``(name, packed)``, ``packed`` holding an
+    ``(axis, p)`` pair for each packed letter it has, ``p`` that letter's
+    place among the packed ones (empty: unpacked); the spec's output is in
+    join order; ``summed`` holds one ``(name, axis)`` per summed letter, to
+    size it; a use is one term's sign (True: +).
     ``classes`` lists the assembly: ``(row, permutations)`` with ``row`` the
     ``(group, coefficient)`` pairs summed into ``W`` and each permutation a
     ``(sign, positions)`` pair, ``positions`` taking an output-order key of
     ``W`` to the residual key (``key[p] for p in positions``).  Both are
     compiled on first use; stating a row only checks each term's sign and
-    packed letter.
+    packed letters.
     """
 
     def __init__(self, index: str, residual: str, *terms: str):
         if not residual or not terms:
             raise ValueError("a law needs a residual letter to pack and a term")
-        packed = residual[-1]
         for term in terms:
             sign, *operands = term.split()
-            subscripts = [op.split(".")[1] for op in operands]
+            letters = "".join(op.split(".")[1] for op in operands)
             if sign not in "+-":
                 raise ValueError(f"term {term!r} needs a sign")
-            if "".join(subscripts).count(packed) != 1:
-                raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
+            for packed in residual[-2:]:
+                if letters.count(packed) != 1:
+                    raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
         self.index, self.residual, self.terms = index, residual, terms
 
     @property
@@ -118,23 +127,31 @@ class Law:
 
     @cached_property
     def _compiled(self) -> tuple:
-        """``(groups, classes, plan, operand names, residual axis sizes)``."""
+        """``(groups, classes, plan, operand names, residual axis sizes, loads)``.
+
+        ``loads`` holds, per group, an ``(operand, packing or None)`` pair
+        for each of its operands.
+        """
         index, residual = self.index, self.residual
-        packed = residual[-1]
-        out = index + residual[:-1]
+        packed = residual[-2:]
+        out = index + residual[: -len(packed)]
         groups: dict[tuple, tuple] = {}
         rows: dict[tuple, dict] = {}  # key permutation -> {group: signed use count}
+        arity: dict[str, int] = {}
         for term in self.terms:
             sign, *operands = term.split()
             names = [op.split(".")[0] for op in operands]
             subscripts = [op.split(".")[1] for op in operands]
             local = {}  # letter -> (name, axis) of an operand of this term that has it
             for name, sub in zip(names, subscripts):
+                arity[name] = len(sub)
                 for axis, c in enumerate(sub):
                     local.setdefault(c, (name, axis))
-            ids = tuple((name, sub.index(packed) if packed in sub else None)
-                        for name, sub in zip(names, subscripts))
-            subscripts = [sub.replace(packed, "") for sub in subscripts]
+            ids = tuple(
+                (name, tuple((sub.index(c), p) for p, c in enumerate(packed) if c in sub))
+                for name, sub in zip(names, subscripts)
+            )
+            subscripts = ["".join(c for c in sub if c not in packed) for sub in subscripts]
             # Letters renamed in order of first appearance: equal forms are
             # one contraction with the output letters permuted.
             rename = {c: i for i, c in enumerate(dict.fromkeys("".join(subscripts)))}
@@ -179,11 +196,15 @@ class Law:
                 plan.append((adds, [(s, _getter(p)) for s, p in perms]))
         names = {name for ids, _, _, _ in compiled for name, _ in ids}
         sizes = [local[c] for c in residual]  # every term holds every output letter
-        return compiled, classes, plan, names, sizes
+        loads = [
+            [(op, packing(arity[op[0]], op[1]) if op[1] else None) for op in ids]
+            for ids, _, _, _ in compiled
+        ]
+        return compiled, classes, plan, names, sizes, loads
 
     def check(self, axiom: str, **operands) -> AxiomReport:
         """Evaluate the law on the bound maps and tensors and report it as ``axiom``."""
-        groups, _, plan, names, sizes = self._compiled
+        groups, _, plan, names, sizes, loads = self._compiled
         scaled, shapes = {}, {}
         for name in names:
             scaled[name] = operands[name].scaled
@@ -205,18 +226,25 @@ class Law:
         for scale, most in terms:
             bound += common // scale * most
         bits = bound.bit_length() + 2
-        packs: dict[tuple[str, int], dict] = {}
+        # Packed letter x (of two) steps over the n_y slots of y; the residual
+        # is reported over one fused packed axis of n_x * n_y slots.
+        shape = tuple(shapes[name][axis] for name, axis in sizes)
+        if len(self.residual) > 1:
+            *outer, n_x, n_y = shape
+            steps, fused = (n_y * bits, bits), (*outer, n_x * n_y)
+        else:
+            steps, fused = (bits,), shape
+        packs: dict[tuple, dict] = {}
         values = []  # (contraction in join order, common // its scale) per group
-        for (ids, spec, _, _), (scale, _) in zip(groups, terms):
+        for (_, spec, _, _), load, (scale, _) in zip(groups, loads, terms):
             tensors = []
-            for op in ids:
-                name, axis = op
-                if axis is None:
-                    tensors.append(scaled[name][1])
+            for op, layout in load:
+                if layout is None:
+                    tensors.append(scaled[op[0]][1])
                     continue
                 packed = packs.get(op)
                 if packed is None:
-                    packed = packs[op] = pack(scaled[name][1], axis, bits)
+                    packed = packs[op] = pack(scaled[op[0]][1], layout, steps)
                 tensors.append(packed)
             values.append((contract(spec, *tensors), common // scale))
         residual = None
@@ -230,8 +258,7 @@ class Law:
             else:
                 for s, key in spreads:
                     residual = _add(residual, w, key, s)
-        shape = tuple(shapes[name][axis] for name, axis in sizes)
-        return _report(axiom, residual or {}, len(self.index), shape, common, bits)
+        return _report(axiom, residual or {}, len(self.index), fused, common, bits)
 
 
 def _getter(positions):
@@ -274,8 +301,9 @@ def _report(
 
     The first ``width`` entries of a key are the witness index, the rest a
     position over all but the last axis of a residual of the given
-    ``shape``; the value holds that last axis, times ``scale``, in
-    ``bits``-bit slots (``exact.pack``).  An index fails when any of its
+    ``shape``, whose last axis is the packed letters fused into one; the
+    value holds that axis, times ``scale``, in ``bits``-bit slots
+    (``exact.pack``).  An index fails when any of its
     values is nonzero.  Slots are decoded for the kept witnesses only, and
     a witness keeps them as integer digits over ``scale``.
     """

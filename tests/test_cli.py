@@ -1,7 +1,11 @@
 import pathlib
 
+import pytest
+
+from homstruct.algebras import HomAlgebra
 from homstruct.cli import main
-from homstruct.fileformat import parse_file
+from homstruct.exact import MulTensor
+from homstruct.fileformat import parse_file, single_structure_file, write_file
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = DATA / "corpus.json"
@@ -145,6 +149,40 @@ def test_twist_endo_requires_algebra_dim(tmp_path, capsys):
     assert run("twist", CORPUS, "dual_numbers", "--out", tmp_path / "x.json") == 2
     assert run("twist", CORPUS, "dual_numbers", "--endo", "diag:x,y", "--out", tmp_path / "x.json") == 2
     assert run("twist", CORPUS, "dual_numbers", "--endo", "diag:1/0,1", "--out", tmp_path / "x.json") == 2
+
+
+@pytest.mark.parametrize("entry", ["1.5", "1e3", " 2", "1_0", "2/4", "4/1", "-0", "1e5000", "9" * 4301])
+def test_twist_diag_entries_follow_the_wire_grammar(tmp_path, capsys, entry):
+    out = tmp_path / "x.json"
+    assert run("twist", CORPUS, "dual_numbers", "--endo", f"diag:1,{entry}", "--out", out) == 2
+    assert "FORMAT_ERROR" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("twist", CORPUS, "dual_numbers", "--endo", "diag:1,-3/2", "--out", out) == 0
+
+
+def scaled_algebra_file(path, name: str, factor: int):
+    """A file holding the corpus algebra ``name`` with its ``mul`` times ``factor``."""
+    alg = parse_file(CORPUS).get(name)
+    mu = MulTensor.from_entries([[[factor * x for x in row] for row in plane] for plane in alg.mu.c])
+    write_file(path, single_structure_file(name, HomAlgebra(alg.dim, mu, alg.alpha)))
+    return path
+
+
+def test_output_rational_past_the_digit_limit_is_format_error(tmp_path, capsys):
+    # Entries of 2,201 digits parse; a witness or an entry that is a product
+    # of two of them has ~4,400, more than CPython writes as text.
+    big = 10**2200 + 1
+    path = scaled_algebra_file(tmp_path / "big.json", "non_alternative2", big)
+    assert run("verify", path, "non_alternative2", "--suite", "LEFT_HOM_ALT") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "FORMAT_ERROR" in captured.err and "more than 4300 digits" in captured.err
+    path = scaled_algebra_file(tmp_path / "dual.json", "dual_numbers", big)
+    out = tmp_path / "t.json"
+    assert run("twist", path, "dual_numbers", "--endo", f"diag:1,{big}", "--out", out) == 2
+    assert "more than 4300 digits" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("twist", path, "dual_numbers", "--endo", "diag:1,2", "--out", out) == 0
 
 
 # --- transform ----------------------------------------------------------------

@@ -16,6 +16,7 @@ from homstruct.exact import (
     compose,
     format_rational,
     pack,
+    packing,
     parse_rational,
     unpack,
 )
@@ -320,12 +321,29 @@ def test_nonzeros_of_every_kind(n):
 def test_pack_and_unpack_are_inverse():
     entries = {(0, 0): 5, (0, 2): -7, (1, 1): -1, (2, 0): 2**40, (2, 2): -(2**40)}
     for axis in (0, 1):
-        packed = pack(entries, axis, 43)
+        packed = pack(entries, packing(2, ((axis, 0),)), (43,))
         for key, value in packed.items():
             slots = unpack(value, 3, 43)
             for o, x in enumerate(slots):
                 full = key[:axis] + (o,) + key[axis:]
                 assert x == entries.get(full, 0)
+    # Two axes x and y of size 3: x steps three slots, y one, so entry
+    # (x, y) lands in slot 3x + y, whichever axes of the key they are.
+    cube = {(k, x, y): (k + 1) * (-1) ** x * (10 * x + y + 1) for k in range(3)
+            for x in range(3) for y in range(3) if (k + x + y) % 4}
+    for ax, ay in ((1, 2), (2, 1), (0, 2)):
+        kept = [p for p in range(3) if p not in (ax, ay)]
+        moved: dict = {}
+        for key, v in cube.items():
+            moved.setdefault(tuple(key[p] for p in kept), {})[key[ax], key[ay]] = v
+        packed = pack(cube, packing(3, ((ax, 0), (ay, 1))), (3 * 43, 43))
+        assert packed.keys() == moved.keys()
+        for key, value in packed.items():
+            assert unpack(value, 9, 43) == [moved[key].get(divmod(o, 3), 0) for o in range(9)]
+    # One axis of three, the middle one: the key keeps the first and the last.
+    for key, value in pack(cube, packing(3, ((1, 0),)), (43,)).items():
+        assert unpack(value, 3, 43) == [cube.get((key[0], o, key[1]), 0) for o in range(3)]
+    assert pack({}, packing(2, ((0, 0), (1, 1))), (8, 4)) == {}
     assert unpack(0, 4, 8) == [0, 0, 0, 0]
     assert unpack(-1, 3, 8) == [-1, 0, 0]
     assert unpack((1 << 8) - 1, 2, 8) == [-1, 1]
@@ -359,5 +377,5 @@ def test_unpack_reads_back_packed_balanced_digits(case):
     slots = len(digits)
     half = 1 << (bits - 1)
     for ds in (digits, [-half] * slots, [half - 1] * slots, [0] * slots):
-        (value,) = pack({(o,): d for o, d in enumerate(ds)}, 0, bits).values()
+        (value,) = pack({(o,): d for o, d in enumerate(ds)}, packing(1, ((0, 0),)), (bits,)).values()
         assert unpack(value, slots, bits) == unpack_by_borrowing(value, slots, bits) == ds

@@ -30,10 +30,11 @@ from homstruct.laws import COMMUTES, Law
 from homstruct.modules import HomModule, check_left_module, check_right_module
 from reference_laws import UnpackedLaw
 
-# (terms, distinct contractions, packed letter) of every row.  Terms that are
-# one contraction up to a permutation of the unpacked output letters are
-# contracted once; a term that moves the packed (last residual) letter to
-# another operand axis is a contraction of its own.
+# (terms, distinct contractions, packed letters) of every row.  The packed
+# letters are the residual's last two, or its only one.  Terms that are one
+# contraction up to a permutation of the unpacked output letters are
+# contracted once; a term that moves a packed letter to another operand or
+# axis is a contraction of its own.
 ROWS = {
     "LEFT_HOM_ALT": (algebras._LAWS[algebras.LEFT_HOM_ALT], 4, 2, "o"),
     "RIGHT_HOM_ALT": (algebras._LAWS[algebras.RIGHT_HOM_ALT], 4, 2, "o"),
@@ -44,23 +45,23 @@ ROWS = {
     "RIGHT_MODULE": (modules._LAWS[modules.RIGHT_MODULE], 4, 2, "q"),
     "module intertwines left": (modules._INTERTWINES["left"], 2, 2, "q"),
     "module intertwines right": (modules._INTERTWINES["right"], 2, 2, "q"),
-    "COCOMMUTATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.COCOMMUTATIVITY], 2, 2, "j"),
-    "coalgebra multiplicative": (coalgebras._MULTIPLICATIVE, 2, 2, "j"),
-    "HOM_COASSOCIATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COASSOCIATIVITY], 2, 2, "l"),
-    "SKEW_COSYMMETRY": (coalgebras._ONE_MAP_LAWS[coalgebras.SKEW_COSYMMETRY], 2, 2, "j"),
-    "HOM_COJACOBI": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COJACOBI], 3, 3, "l"),
-    "HOM_COLEIBNIZ": (coalgebras._COLEIBNIZ, 3, 3, "l"),
-    "coalgebra morphism": (coalgebras._MORPHISM, 2, 2, "j"),
-    "coaction multiplicative": (comodules._MULTIPLICATIVE, 2, 2, "q"),
+    "COCOMMUTATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.COCOMMUTATIVITY], 2, 2, "ij"),
+    "coalgebra multiplicative": (coalgebras._MULTIPLICATIVE, 2, 2, "ij"),
+    "HOM_COASSOCIATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COASSOCIATIVITY], 2, 2, "jl"),
+    "SKEW_COSYMMETRY": (coalgebras._ONE_MAP_LAWS[coalgebras.SKEW_COSYMMETRY], 2, 2, "ij"),
+    "HOM_COJACOBI": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COJACOBI], 3, 3, "jl"),
+    "HOM_COLEIBNIZ": (coalgebras._COLEIBNIZ, 3, 3, "jl"),
+    "coalgebra morphism": (coalgebras._MORPHISM, 2, 2, "ij"),
+    "coaction multiplicative": (comodules._MULTIPLICATIVE, 2, 2, "iq"),
     "DELTA_COACTION_COASSOCIATIVITY": (
-        comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY], 2, 2, "q"
+        comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY], 2, 2, "jq"
     ),
     "GAMMA_COACTION_COMPATIBILITY": (
-        comodules._LAWS[comodules.GAMMA_COACTION_COMPATIBILITY], 3, 2, "q"
+        comodules._LAWS[comodules.GAMMA_COACTION_COMPATIBILITY], 3, 3, "jq"
     ),
-    "COMODULE_COLEIBNIZ": (comodules._LAWS[comodules.COMODULE_COLEIBNIZ], 3, 3, "q"),
-    "COMODULE_COMULT_COMPAT": (comodules._LAWS[comodules.COMODULE_COMULT_COMPAT], 3, 2, "q"),
-    "comodule intertwines": (comodules._INTERTWINES, 2, 2, "q"),
+    "COMODULE_COLEIBNIZ": (comodules._LAWS[comodules.COMODULE_COLEIBNIZ], 3, 3, "jq"),
+    "COMODULE_COMULT_COMPAT": (comodules._LAWS[comodules.COMODULE_COMULT_COMPAT], 3, 3, "jq"),
+    "comodule intertwines": (comodules._INTERTWINES, 2, 2, "iq"),
 }
 
 
@@ -69,10 +70,11 @@ def test_row_compiles_to_its_distinct_contractions(row):
     law, terms, contractions, packed = ROWS[row]
     assert sum(len(uses) for *_, uses in law.groups) == terms == len(law.terms)
     assert len(law.groups) == contractions
-    assert law.residual[-1] == packed
+    assert law.residual[-2:] == packed
     for ids, spec, _, _ in law.groups:
-        assert sum(axis is not None for _, axis in ids) == 1
-        assert packed not in spec
+        # Each packed letter rides in exactly one operand axis of each contraction.
+        assert sorted(p for _, axes in ids for _, p in axes) == list(range(len(packed)))
+        assert not set(packed) & set(spec)
 
 
 def test_shared_term_adds_under_its_own_permutation():
@@ -96,11 +98,17 @@ def test_shared_term_adds_under_its_own_permutation():
         ("+ t.ioo",),  # twice in one operand
         ("+ f.ia",),  # missing from a term
         ("+ f.oa x.ai", "- x.ia"),  # missing from one term of several
+        # A residual "po" packs p as well: each letter must be held once.
+        ("+ f.pao g.ap",),  # the second letter in two operands
+        ("+ t.ippo",),  # twice in one operand
+        ("+ f.oa x.ai", "- f.oa y.ap"),  # missing from one term of several
+        ("+ f.po", "- g.pa h.ao k.ob"),  # the first letter in two operands of one term
     ],
 )
 def test_row_must_hold_the_packed_letter_in_exactly_one_operand(terms):
+    residual = "po" if any("p" in term for term in terms) else "o"
     with pytest.raises(ValueError, match="exactly one operand"):
-        Law("i", "o", *terms)
+        Law("i", residual, *terms)
 
 
 # --- packed against per-coordinate evaluation ------------------------------------
@@ -205,21 +213,17 @@ CLASSES = {
     "RIGHT_HOM_ALT": [(((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (0, 2, 1))))],
     "LEFT_MODULE": [(((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (1, 0, 2))))],
     "RIGHT_MODULE": [(((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (0, 2, 1))))],
-    "GAMMA_COACTION_COMPATIBILITY": [
-        (((0, 1), (1, -1)), ((1, (0, 1, 2)),)),
-        (((1, 1),), ((1, (0, 2, 1)),)),
-    ],
-    "COMODULE_COMULT_COMPAT": [
-        (((0, 1), (1, -1)), ((1, (0, 1, 2)),)),
-        (((1, 1),), ((-1, (0, 2, 1)),)),
-    ],
+    # Packing j makes the i <-> j swap of the last term a contraction of its
+    # own: one class of three contractions, not a second permutation.
+    "GAMMA_COACTION_COMPATIBILITY": [(((0, 1), (1, -1), (2, 1)), ((1, (0, 1)),))],
+    "COMODULE_COMULT_COMPAT": [(((0, 1), (1, -1), (2, -1)), ((1, (0, 1)),))],
 }
 
 
 @pytest.mark.parametrize("row", list(ROWS))
 def test_row_assembles_by_key_permutation(row):
     law = ROWS[row][0]
-    identity = tuple(range(len(law.index) + len(law.residual) - 1))
+    identity = tuple(range(len(law.index) + len(law.residual) - len(law.residual[-2:])))
     if row in CLASSES:
         assert list(law.classes) == CLASSES[row]
     else:
@@ -293,6 +297,58 @@ def test_synthetic_row_equals_per_coordinate_evaluation(row, data):
     assert law.check(row, **operands) == UnpackedLaw.of(law).check(row, **operands)
 
 
+# Rows whose residual's last two letters i and j are packed together, as
+# the coalgebra and comodule rows' are: (law, distinct contractions).
+TWO_LETTER = {
+    # Both packed letters in one operand; t.xkij is t.kxij with the unpacked
+    # letters k and x swapped, so it adds the same contraction.
+    "one operand": (Law("k", "xij", "+ t.kxij", "- s.kxij", "+ t.xkij"), 2),
+    # i rides in f and j in g, summed over a; the other term holds both in t.
+    "two operands": (Law("k", "xij", "+ f.kai g.axj", "- t.kxij"), 2),
+    # t.kjix moves j alone to another axis of t, and f.kaj g.axi swaps which
+    # operand holds which letter: each is a contraction of its own.
+    "moved": (Law("k", "xij", "+ t.kxij", "- t.kjix", "+ f.kai g.axj", "- f.kaj g.axi"), 4),
+    # Packed letters split over three operands and a summed letter.
+    "three operands": (Law("k", "ij", "+ t.kab f.ia f.jb", "- f.lk t.lij"), 2),
+}
+
+
+@pytest.mark.parametrize("row", list(TWO_LETTER))
+def test_two_letter_row_compiles_to_its_distinct_contractions(row):
+    law, contractions = TWO_LETTER[row]
+    assert len(law.groups) == contractions
+    for ids, spec, _, _ in law.groups:
+        assert sorted(p for _, axes in ids for _, p in axes) == [0, 1]
+        assert not {"i", "j"} & set(spec)
+
+
+@pytest.mark.parametrize("row", list(TWO_LETTER))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_two_letter_row_equals_per_coordinate_evaluation(row, data):
+    law = TWO_LETTER[row][0]
+    operands = draw_operands(data, law)
+    assert law.check(row, **operands) == UnpackedLaw.of(law).check(row, **operands)
+
+
+def test_two_letter_terms_that_cancel_exactly_pass():
+    # t.kij holds both packed letters in t; u.kab f.ia g.jb splits them over
+    # f and g.  With u = t and f = g = 1 the two terms are equal and nonzero.
+    law = Law("k", "ij", "+ t.kij", "- u.kab f.ia g.jb")
+    t = ComulTensor.from_entries([[[TOP, -TOP, Fraction(1, 3)], [-TOP, 2, 0], [3, 0, -1]],
+                                  [[1, 5, 0], [5, 0, 7], [0, 7, TOP]], [[0] * 3] * 3])
+    one = LinearMap.identity(3)
+    report = law.check("CANCELLED", t=t, u=t, f=one, g=one)
+    assert report.holds and report.total_failures == 0
+    # Doubling g leaves -t, slot for slot, in both packed layouts.
+    two = LinearMap.diagonal([2, 2, 2])
+    report = law.check("HALF", t=t, u=t, f=one, g=two)
+    assert report == UnpackedLaw.of(law).check("HALF", t=t, u=t, f=one, g=two)
+    assert [w.residual.entries for w in report.witnesses] == [
+        tuple(-x for row in plane for x in row) for plane in t.d[:2]
+    ]
+
+
 def test_a_row_that_cancels_entirely_holds():
     law = Law("k", "ij", "+ t.kij", "- t.kij")
     assert law.classes == ()
@@ -347,6 +403,14 @@ def test_every_slot_at_the_bound(sign, n):
     report = cojacobi.check("HOM_COJACOBI", **operands)
     assert {x for w in report.witnesses for x in w.residual.entries} == {3 * n * n * (sign * TOP) ** 3}
     assert report == UnpackedLaw.of(cojacobi).check("HOM_COJACOBI", **operands)
+    # Packed (i, j) of sizes 2 and 3: two x blocks of three slots, every slot
+    # at the bound, the sign flipping where one x block meets the next.
+    flat = [sign * TOP * (-1) ** i for _ in range(n) for i in range(2) for _ in range(3)]
+    t = Block(nest(flat, (n, 2, 3)), (n, 2, 3))
+    report = COPY.check("COPY", t=t)
+    assert report.total_failures == n
+    assert {w.residual.entries for w in report.witnesses} == {tuple(flat[:6])}
+    assert report == UnpackedLaw.of(COPY).check("COPY", t=t)
 
 
 @pytest.mark.parametrize("x", [1, 2**31, TOP, Fraction(TOP, 13)])
@@ -358,6 +422,16 @@ def test_borrows_across_adjacent_slots_decode_exactly(x):
     assert [w.index for w in report.witnesses] == [(0,), (1,)]
     assert [w.residual.entries for w in report.witnesses] == [
         tuple(Fraction(v) for row in plane for v in row) for plane in t.c[:2]
+    ]
+    assert report == UnpackedLaw.of(COPY).check("COPY", t=t)
+    # Three x blocks of two slots: a negative last slot of one block borrows
+    # from the first slot of the next, and the top block ends negative.
+    planes = [[[x, -x], [-x, x], [x, -x]], [[-x, x], [x, -x], [-x, -x]]]
+    t = Block(tuple(tuple(tuple(Fraction(v) for v in row) for row in plane) for plane in planes),
+              (2, 3, 2))
+    report = COPY.check("COPY", t=t)
+    assert [w.residual.entries for w in report.witnesses] == [
+        tuple(v for row in plane for v in row) for plane in planes
     ]
     assert report == UnpackedLaw.of(COPY).check("COPY", t=t)
 

@@ -69,3 +69,14 @@ def test_time_laws_prints_one_line_per_law():
         bad = time_laws("--dims", dims)
         assert bad.returncode == 2 and bad.stdout == "", dims
         assert "usage:" in bad.stderr and "Traceback" not in bad.stderr, dims
+
+
+def test_time_laws_times_only_the_named_laws():
+    run = time_laws("--dims", "2", "--laws", "HOM_POISSON_COALGEBRA")
+    assert run.returncode == 0, run.stdout + run.stderr
+    header, *rows = run.stdout.splitlines()
+    assert [row.split()[:2] for row in rows] == [["2", "HOM_POISSON_COALGEBRA"]]
+    for laws in ("NO_SUCH_LAW", "HOM_ASSOC,NO_SUCH_LAW", ""):
+        bad = time_laws("--dims", "2", "--laws", laws)
+        assert bad.returncode == 2 and bad.stdout == "", laws
+        assert "usage:" in bad.stderr and "Traceback" not in bad.stderr, laws
