@@ -106,6 +106,8 @@ def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None,
 def cmd_twist(args) -> int:
     sf = parse_file(args.file)
     structure = sf.get(args.name)
+    if args.rename in sf.structures:
+        raise FormatError(f"--as {args.rename!r} names an entry already in the file")
     if isinstance(structure, (HomAlgebra, HomPoissonCoalgebra)):
         if args.endo is None:
             raise FormatError("this twist needs --endo")

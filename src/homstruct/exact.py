@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import DimensionMismatch, FormatError
 
@@ -529,6 +529,7 @@ class CoactionTensor(_Tensor):
 
 
 _PLANS: dict[str, tuple] = {}
+_OFFSETS: dict[tuple, list] = {}  # (spec, strides) -> head and tail offset functions
 
 
 def _tuple_of(letters: str, chosen: str):
@@ -578,22 +579,15 @@ def _joins(spec: str) -> tuple[list, str, str]:
     return joins, letters, out
 
 
-def join_order(spec: str) -> str:
-    """The output letters of ``spec`` in the order ``contract``'s joins leave them.
-
-    ``contract`` on the spec with its output written in this order returns
-    the joined keys as they are, with no pass to reorder them.
-    """
-    _, letters, out = _joins(spec)
-    return "".join(c for c in letters if c in out)
-
-
 def _compile(spec: str) -> tuple:
-    """Plan for ``contract``: one step per joined operand, then the output order.
+    """Plan for ``contract``: one step per joined operand, the output order, the sink places.
 
     A step holds the left join key, the left letters kept (None: all), the
     right join key, the right letters kept, and whether every right letter
-    is joined on (then each join key has one right value).
+    is joined on (then each join key has one right value).  The sink places
+    give, for each letter of the last join's left key and of its right
+    operand's key (of a lone operand's key, with no right), that letter's
+    place in the output, or -1 where it is joined on or summed.
     """
     joins, letters, out = _joins(spec)
     steps = [
@@ -606,11 +600,23 @@ def _compile(spec: str) -> tuple:
         )
         for left, right, shared, keep, new in joins
     ]
+    left, right, _, keep, new = joins[-1] if joins else (letters, "", "", out, "")
+    places = [tuple(out.index(c) if c in chosen else -1 for c in side)
+              for side, chosen in ((left, keep), (right, new))]
     summing = len(letters) > len(out)  # only a lone operand can still hold extra letters
-    return steps, None if letters == out else _tuple_of(letters, out), summing
+    return steps, None if letters == out else _tuple_of(letters, out), summing, places
 
 
-def contract(spec: str, *tensors: dict) -> dict:
+def _offset(places: tuple[int, ...], strides):
+    """Function taking a key to ``sum key[i] * strides[places[i]]`` (0 where a place is -1)."""
+    steps = [0 if p < 0 else strides[p] for p in places]
+    used = [i for i, s in enumerate(steps) if s]
+    if len(used) == 1 and steps[used[0]] == 1:
+        return itemgetter(used[0])
+    return lambda key: sum(map(mul, key, steps))
+
+
+def contract(spec: str, *tensors: dict, into: tuple | None = None) -> dict | None:
     """Exact einsum over nonzero entries, e.g. ``contract("ij,jk->ik", f, g)``.
 
     Operands and result are ``{index tuple: value}`` maps of nonzero entries
@@ -623,16 +629,36 @@ def contract(spec: str, *tensors: dict) -> dict:
     its right operand (``t.kab`` then the packed ``t.b``) finds at most one
     right value per left key, so it is one dict lookup per left key.  Plans
     are compiled once per spec.
+
+    With ``into=(sink, strides, factor)`` the last join instead adds
+    ``factor`` times the entry at output key ``k`` into the list ``sink`` at
+    ``sum_i k[i] * strides[i]``, building no key tuple and no dict, and the
+    call returns None; ``factor`` is multiplied into the right operand's
+    values (a lone operand's own) before the join.
     """
     plan = _PLANS.get(spec)
     if plan is None:
         plan = _PLANS[spec] = _compile(spec)
-    steps, reorder, summing = plan
+    steps, reorder, summing, places = plan
     acc = tensors[0]
-    for (left_join, left_keep, right_join, right_keep, lookup), right in zip(steps, tensors[1:]):
-        out: dict = defaultdict(int)
+    if into is not None:
+        sink, strides, factor = into
+        offsets = _OFFSETS.get((spec, strides))
+        if offsets is None:
+            offsets = _OFFSETS[spec, strides] = [_offset(side, strides) for side in places]
+        head_at, tail_at = offsets
+        if not steps:
+            for key, v in acc.items():
+                sink[head_at(key)] += factor * v
+            return None
+    for t, ((left_join, left_keep, right_join, right_keep, lookup), right) in enumerate(
+        zip(steps, tensors[1:]), 1
+    ):
+        out, f = defaultdict(int), 1
+        if into is not None and t == len(steps):
+            out, left_keep, right_keep, f = sink, head_at, tail_at, factor
         if lookup:
-            get = {right_join(key): w for key, w in right.items()}.get
+            get = {right_join(key): w if f == 1 else f * w for key, w in right.items()}.get
             for key, v in acc.items():
                 w = get(left_join(key))
                 if w is not None:
@@ -641,11 +667,11 @@ def contract(spec: str, *tensors: dict) -> dict:
             continue
         groups: dict = {}
         for key, w in right.items():
-            join = right_join(key)
+            join, entry = right_join(key), (right_keep(key), w if f == 1 else f * w)
             if join in groups:
-                groups[join].append((right_keep(key), w))
+                groups[join].append(entry)
             else:
-                groups[join] = [(right_keep(key), w)]
+                groups[join] = [entry]
         for key, v in acc.items():
             group = groups.get(left_join(key))
             if group is not None:
@@ -653,6 +679,8 @@ def contract(spec: str, *tensors: dict) -> dict:
                 for tail, w in group:
                     out[head + tail] += v * w
         acc = out
+    if into is not None:
+        return None
     if summing:
         out = defaultdict(int)
         for key, v in acc.items():
@@ -718,19 +746,31 @@ def unpack(value: int, slots: int, bits: int) -> list[int]:
     Each slot is read as a balanced digit in ``[-2**(bits - 1), 2**(bits -
     1))``.  Adding ``2**(bits - 1)`` to every slot at once makes every digit
     nonnegative with no borrow between slots, so each is read off with one
-    shift and mask and shifted back.
+    shift and mask and shifted back.  A shift copies what it shifts, so the
+    value is first cut into blocks of 16 slots and each slot is shifted out
+    of its block: reading 256 slots then moves ~16x fewer bits than
+    shifting the whole value once per slot.
     """
-    offset, mask, half, shifts = _slot_layout(slots, bits)
+    offset, mask, half, block_mask, blocks = _slot_layout(slots, bits)
     value += offset
-    return [(value >> shift & mask) - half for shift in shifts]
+    digits = []
+    for start, shifts in blocks:
+        chunk = value >> start & block_mask
+        digits += [(chunk >> shift & mask) - half for shift in shifts]
+    return digits
 
 
 @lru_cache(maxsize=64)
-def _slot_layout(slots: int, bits: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """``(sum_o 2**(bits - 1) << (o * bits), slot mask, 2**(bits - 1), slot shifts)``."""
+def _slot_layout(slots: int, bits: int) -> tuple:
+    """``(sum_o 2**(bits - 1) << (o * bits), slot mask, 2**(bits - 1), block mask,
+    blocks)``, a block being its first bit and its slots' shifts within it."""
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
     offset = ((1 << (slots * bits)) - 1) // mask * half
-    return offset, mask, half, tuple(range(0, slots * bits, bits))
+    blocks = tuple(
+        (first * bits, tuple(range(0, min(16, slots - first) * bits, bits)))
+        for first in range(0, slots, 16)
+    )
+    return offset, mask, half, (1 << 16 * bits) - 1, blocks
 
 
 def _dense(entries: dict, shape: tuple[int, ...], prefix: tuple[int, ...] = ()) -> tuple:

@@ -39,8 +39,8 @@ over terms of the term's factor, times the product of its operands' largest
 scaled entries, times the product of the sizes of its summed letters,
 bounds every residual coefficient, and B is that bound's bit length plus
 2.  A packed residual is then 0 exactly when every slot is, and slots are
-decoded, in one pass per value (``exact.unpack``), only for the reported
-witnesses; no ``Fraction`` is built for them.  No index letter is packed:
+decoded (``exact.unpack``) only for the reported witnesses; no
+``Fraction`` is built for them.  No index letter is packed:
 on sparse structures that makes large ints of mostly empty slots.
 
 ``exact.contract`` joins a term's operands pairwise in the order the term
@@ -55,33 +55,35 @@ letters (``+ alpha.aj mu.abo mu.ikb`` is the first term above with ``i``
 and ``j`` swapped) are contracted once.  A term that moves either packed
 letter to another operand or axis is a contraction of its own.
 
-The residual is assembled by key permutation, not term by term.  For each
-permutation of the output keys that some term adds under, the signed count
-of its uses of each contraction is that permutation's coefficient row.
-Permutations whose rows agree up to sign form one class, which sums its
-contractions once, ``W = sum_g c_g * (common // scale_g) * value_g``, and
-adds ``W`` under each of its permutations with that permutation's sign.  So
-``LEFT_HOM_ALT`` (``as(x,y,z) + as(y,x,z)``) is ``W = A - B`` and then
-``W + swap(W)``, two passes over the keys.  A class of one permutation adds
-its contractions straight into the residual, and most rows are one identity
-class.  Zero coefficients (a term cancelled by its negation) are dropped.
-
-Each contraction is computed with its output letters in the order
-``contract``'s joins leave them (``exact.join_order``), so ``contract``
-makes no reorder pass; the map from that order to the output order is
-folded into the add.  A contraction can be an operand itself (``t.kij``
-alone is the packed ``t``), so assembly copies it into a dict of its own
-and never changes a contraction in place.
+The residual is one list of packed ints, preallocated per check: place
+``r`` is the mixed-radix position, in lexicographic order, of the index
+letters followed by the unpacked residual letters.  Each contraction's last
+join adds straight into a list (``exact.contract``'s ``into``): no key tuple
+is built and no dict is walked again.  Which list, with which strides and
+which factor, follows from the key permutations the terms add under.  For
+each such permutation the signed count of its uses of each contraction is
+its coefficient row, and permutations whose rows agree up to sign form one
+class.  A class of one permutation (most rows are one identity class) adds
+its contractions into the residual, the permutation folded into the
+strides and ``sign * c * (common // scale)`` into the factor.  A class of
+several sums its contractions once into a list ``W`` and adds ``W`` to the
+residual under each permutation through a gather list: ``LEFT_HOM_ALT``
+(``as(x,y,z) + as(y,x,z)``) is ``W = A - B`` and then ``W + swap(W)``.  A
+contraction that two classes use is contracted once for each; no stated row
+has one.  Strides and gathers are worked out once per row and shape, and
+zero coefficients (a term cancelled by its negation) are dropped.  A
+contraction never writes to its operands, which may be the bound tensors
+themselves (``t.kij`` alone is the packed ``t``).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
-from math import lcm
-from operator import itemgetter
+from itertools import compress, product, repeat
+from math import lcm, prod
+from operator import add, floordiv, mul, sub
 
-from .exact import contract, join_order, pack, packing, unpack
+from .exact import contract, pack, packing, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
 
 
@@ -93,15 +95,14 @@ class Law:
     contractions the terms compile to, each as ``(operands, contract spec,
     summed, uses)``: an operand is ``(name, packed)``, ``packed`` holding an
     ``(axis, p)`` pair for each packed letter it has, ``p`` that letter's
-    place among the packed ones (empty: unpacked); the spec's output is in
-    join order; ``summed`` holds one ``(name, axis)`` per summed letter, to
-    size it; a use is one term's sign (True: +).
+    place among the packed ones (empty: unpacked); the spec's output is the
+    unpacked output letters in order; ``summed`` holds one ``(name, axis)``
+    per summed letter, to size it; a use is one term's sign (True: +).
     ``classes`` lists the assembly: ``(row, permutations)`` with ``row`` the
     ``(group, coefficient)`` pairs summed into ``W`` and each permutation a
-    ``(sign, positions)`` pair, ``positions`` taking an output-order key of
-    ``W`` to the residual key (``key[p] for p in positions``).  Both are
-    compiled on first use; stating a row only checks each term's sign and
-    packed letters.
+    ``(sign, positions)`` pair, residual letter ``i`` being output letter
+    ``positions[i]`` of ``W``.  Both are compiled on first use; stating a
+    row only checks each term's sign and packed letters.
     """
 
     def __init__(self, index: str, residual: str, *terms: str):
@@ -116,6 +117,7 @@ class Law:
                 if letters.count(packed) != 1:
                     raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
         self.index, self.residual, self.terms = index, residual, terms
+        self._layouts: dict[tuple, list] = {}
 
     @property
     def groups(self) -> list[tuple]:
@@ -162,8 +164,7 @@ class Law:
             )
             if form not in groups:
                 summed = tuple(local[c] for c in rename if c not in out)
-                inputs = ",".join(subscripts)
-                spec = inputs + "->" + join_order(inputs + "->" + out)
+                spec = ",".join(subscripts) + "->" + out
                 groups[form] = (len(groups), ids, spec, summed, rename, [])
             g, _, _, _, first, uses = groups[form]
             letter_of = {i: c for c, i in first.items()}
@@ -181,30 +182,48 @@ class Law:
                 s = 1 if row[0][1] > 0 else -1
                 by_row.setdefault(tuple((g, s * c) for g, c in row), []).append((s, permutation))
         classes = tuple((row, tuple(perms)) for row, perms in by_row.items())
-        # The same, as key functions: a contraction's join-order key goes to
-        # output order (and on through the permutation of a one-permutation
-        # class, which adds straight into the residual).
-        to_out = [[spec.split("->")[1].index(c) for c in out] for _, spec, _, _ in compiled]
-        plan = []
-        for row, perms in classes:
-            if len(perms) == 1:
-                (s, permutation), = perms
-                adds = [(g, s * c, _getter([to_out[g][p] for p in permutation])) for g, c in row]
-                plan.append((adds, None))
-            else:
-                adds = [(g, c, _getter(to_out[g])) for g, c in row]
-                plan.append((adds, [(s, _getter(p)) for s, p in perms]))
         names = {name for ids, _, _, _ in compiled for name, _ in ids}
-        sizes = [local[c] for c in residual]  # every term holds every output letter
+        sizes = [local[c] for c in out + packed]  # every term holds every output letter
         loads = [
             [(op, packing(arity[op[0]], op[1]) if op[1] else None) for op in ids]
             for ids, _, _, _ in compiled
         ]
-        return compiled, classes, plan, names, sizes, loads
+        return compiled, classes, names, sizes, loads
+
+    def _layout(self, shape: tuple[int, ...]) -> list[tuple]:
+        """Per class, for an unpacked output of ``shape``: ``(adds, spreads)``.
+
+        An add is ``(group, coefficient, strides)``, the strides taking the
+        group's output key to its place in the class's list; ``spreads`` is
+        None for a class of one permutation, whose adds go straight into the
+        residual, and otherwise one ``(sign, gather)`` per permutation, the
+        residual at place ``r`` taking ``W[gather[r]]`` (None: ``W[r]``).
+        Worked out once per row and shape.
+        """
+        layout = self._layouts.get(shape)
+        if layout is None:
+            strides = [prod(shape[i + 1 :]) for i in range(len(shape))]
+            layout = []
+            for row, perms in self.classes:
+                if len(perms) == 1:
+                    ((s, permutation),) = perms
+                    # Residual letter i is output letter permutation[i].
+                    moved = tuple(strides[permutation.index(p)] for p in range(len(shape)))
+                    layout.append(([(g, s * c, moved) for g, c in row], None))
+                    continue
+                spreads = []
+                for s, permutation in perms:
+                    moved = [strides[p] for p in permutation]
+                    spreads.append((s, None if moved == strides else [
+                        sum(map(mul, key, moved)) for key in product(*map(range, shape))
+                    ]))
+                layout.append(([(g, c, tuple(strides)) for g, c in row], spreads))
+            self._layouts[shape] = layout
+        return layout
 
     def check(self, axiom: str, **operands) -> AxiomReport:
         """Evaluate the law on the bound maps and tensors and report it as ``axiom``."""
-        groups, _, plan, names, sizes, loads = self._compiled
+        groups, _, names, sizes, loads = self._compiled
         scaled, shapes = {}, {}
         for name in names:
             scaled[name] = operands[name].scaled
@@ -229,97 +248,55 @@ class Law:
         # Packed letter x (of two) steps over the n_y slots of y; the residual
         # is reported over one fused packed axis of n_x * n_y slots.
         shape = tuple(shapes[name][axis] for name, axis in sizes)
-        if len(self.residual) > 1:
-            *outer, n_x, n_y = shape
-            steps, fused = (n_y * bits, bits), (*outer, n_x * n_y)
-        else:
-            steps, fused = (bits,), shape
+        k = len(self.residual[-2:])
+        steps, slots, shape = (shape[-1] * bits, bits)[-k:], prod(shape[-k:]), shape[:-k]
         packs: dict[tuple, dict] = {}
-        values = []  # (contraction in join order, common // its scale) per group
-        for (_, spec, _, _), load, (scale, _) in zip(groups, loads, terms):
-            tensors = []
-            for op, layout in load:
-                if layout is None:
-                    tensors.append(scaled[op[0]][1])
-                    continue
-                packed = packs.get(op)
-                if packed is None:
-                    packed = packs[op] = pack(scaled[op[0]][1], layout, steps)
-                tensors.append(packed)
-            values.append((contract(spec, *tensors), common // scale))
-        residual = None
-        for adds, spreads in plan:
-            w = residual if spreads is None else None
-            for g, c, key in adds:
-                value, factor = values[g]
-                w = _add(w, value, key, c * factor)
-            if spreads is None:
-                residual = w
-            else:
-                for s, key in spreads:
-                    residual = _add(residual, w, key, s)
-        return _report(axiom, residual or {}, len(self.index), fused, common, bits)
+        size = prod(shape)
+        residual = [0] * size
+        for adds, spreads in self._layout(shape):
+            w = residual if spreads is None else [0] * size
+            for g, c, strides in adds:
+                tensors = []
+                for op, layout in loads[g]:
+                    if layout is None:
+                        tensors.append(scaled[op[0]][1])
+                        continue
+                    packed = packs.get(op)
+                    if packed is None:
+                        packed = packs[op] = pack(scaled[op[0]][1], layout, steps)
+                    tensors.append(packed)
+                contract(groups[g][1], *tensors, into=(w, strides, c * (common // terms[g][0])))
+            for s, gather in spreads or ():
+                part = w if gather is None else map(w.__getitem__, gather)
+                residual = list(map(add if s > 0 else sub, residual, part))
+        width = len(self.index)
+        return _report(axiom, residual, shape[:width], prod(shape[width:]), slots, common, bits)
 
 
-def _getter(positions):
-    """The key function ``key -> tuple(key[p] for p in positions)``; None for the identity."""
-    if list(positions) == list(range(len(positions))):
-        return None
-    return itemgetter(*positions)
+def _report(axiom: str, residual: list, index: tuple[int, ...], outer: int, slots: int,
+            scale: int, bits: int) -> AxiomReport:
+    """Report on a packed residual list over index letters of sizes ``index``.
 
-
-def _add(into: dict | None, value: dict, key, m: int) -> dict:
-    """``into`` plus ``m`` times ``value``, its keys taken through ``key`` (None: as they are).
-
-    Adds in place and returns ``into``; a new dict when ``into`` is None.
-    ``value`` is read only (it may be an operand) and is never ``into``.
-    A first add with ``m == 1`` copies in C; later adds skip the multiply
-    when ``m`` is 1 or -1.
+    Place ``r`` holds the residual at witness index ``r // outer`` (in
+    lexicographic order) and unpacked residual position ``r % outer``: its
+    ``slots`` packed coefficients, times ``scale``, in ``bits``-bit slots
+    (``exact.pack``).  An index fails when any of its places is nonzero.
+    Slots are decoded for the kept witnesses only, and a witness keeps them
+    as integer digits over ``scale``.
     """
-    pairs = zip(value if key is None else map(key, value), value.values())
-    if into is None:
-        if m == 1:
-            return dict(value) if key is None else dict(pairs)
-        return {k: m * v for k, v in pairs}
-    get = into.get
-    if m == 1:
-        for k, v in pairs:
-            into[k] = get(k, 0) + v
-    elif m == -1:
-        for k, v in pairs:
-            into[k] = get(k, 0) - v
-    else:
-        for k, v in pairs:
-            into[k] = get(k, 0) + m * v
-    return into
-
-
-def _report(
-    axiom: str, residual: dict, width: int, shape: tuple[int, ...], scale: int, bits: int
-) -> AxiomReport:
-    """Report on a sparse packed residual ``{index + position: packed int}``.
-
-    The first ``width`` entries of a key are the witness index, the rest a
-    position over all but the last axis of a residual of the given
-    ``shape``, whose last axis is the packed letters fused into one; the
-    value holds that axis, times ``scale``, in ``bits``-bit slots
-    (``exact.pack``).  An index fails when any of its
-    values is nonzero.  Slots are decoded for the kept witnesses only, and
-    a witness keeps them as integer digits over ``scale``.
-    """
-    failing = sorted({key[:width] for key, v in residual.items() if v})
-    if not failing:
+    if not any(residual):
         return AxiomReport(axiom, True, (), 0)
-    *outer, slots = shape
-    positions = list(product(*map(range, outer)))
+    places = compress(range(len(residual)), residual)
+    failing = list(dict.fromkeys(map(floordiv, places, repeat(outer))))
     zeros = (0,) * slots
+    radix = [(prod(index[i + 1 :]), n) for i, n in enumerate(index)]
     kept = []
-    for index in failing[:WITNESS_CAP]:
+    for flat in failing[:WITNESS_CAP]:
         digits = []
-        for p in positions:
-            packed = residual.get(index + p)
+        for packed in residual[flat * outer : (flat + 1) * outer]:
             digits += unpack(packed, slots, bits) if packed else zeros
-        kept.append(Witness(index, tuple(digits), scale))
+        key = tuple([flat // stride % n for stride, n in radix])
+        kept.append(Witness(key, tuple(digits), scale))
     return AxiomReport(axiom, False, tuple(kept), len(failing))
 
 

@@ -144,6 +144,22 @@ def test_twist_rename_keeps_original(tmp_path):
     assert not sf.get("dual_tw").alpha.is_identity()
 
 
+@pytest.mark.parametrize("name", ["dual_regular_module_algebra", "dual_regular_module"])
+def test_twist_as_an_existing_name_is_a_format_error(tmp_path, capsys, name):
+    # Replacing the base algebra with the twisted module left a file that
+    # failed its own verify ("algebra ... not found").
+    exported = tmp_path / "m.json"
+    assert run("catalog", "export", "dual_regular_module", "--out", exported) == 0
+    capsys.readouterr()
+    out = tmp_path / "o.json"
+    assert run("twist", exported, "dual_regular_module", "--out", out, "--as", name) == 2
+    captured = capsys.readouterr()
+    assert "FORMAT_ERROR" in captured.err and name in captured.err and captured.out == ""
+    assert not out.exists()
+    assert run("twist", exported, "dual_regular_module", "--out", out, "--as", "fresh") == 0
+    assert run("verify", out, "fresh") == 0
+
+
 def test_twist_endo_requires_algebra_dim(tmp_path, capsys):
     assert run("twist", CORPUS, "dual_numbers", "--endo", "diag:1", "--out", tmp_path / "x.json") == 2
     assert run("twist", CORPUS, "dual_numbers", "--out", tmp_path / "x.json") == 2
@@ -373,3 +389,21 @@ def test_coalgebra_part_id_runs_its_own_law(capsys):
     assert run("verify", CORPUS, "primitive2", "--suite", "HOM_COASSOCIATIVITY,SKEW_COSYMMETRY") == 0
     assert capsys.readouterr().out == "HOM_COASSOCIATIVITY: PASS\nSKEW_COSYMMETRY: PASS\n"
     assert run("verify", CORPUS, "primitive2_regular", "--suite", "HOM_COJACOBI") == 2
+
+
+# --- README -----------------------------------------------------------------
+
+def test_readme_cli_block_lists_exactly_the_parser_options():
+    import re
+
+    from homstruct.cli import build_parser
+
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```\n", 2)[1]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line)) for line in block.splitlines()}
+    (verbs,) = [a for a in build_parser()._actions if a.choices and "verify" in a.choices]
+    accepted = {
+        verb: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for verb, sub in verbs.choices.items()
+    }
+    assert documented == accepted

@@ -379,3 +379,15 @@ def test_unpack_reads_back_packed_balanced_digits(case):
     for ds in (digits, [-half] * slots, [half - 1] * slots, [0] * slots):
         (value,) = pack({(o,): d for o, d in enumerate(ds)}, packing(1, ((0, 0),)), (bits,)).values()
         assert unpack(value, slots, bits) == unpack_by_borrowing(value, slots, bits) == ds
+
+
+@pytest.mark.parametrize("slots", [15, 16, 17, 32, 255, 256, 257])
+@pytest.mark.parametrize("bits", [2, 7, 64])
+def test_unpack_reads_slots_across_block_boundaries(slots, bits):
+    """``unpack`` reads 16 slots per block: every block edge, a short last block."""
+    half = 1 << (bits - 1)
+    cycle = [-half, half - 1, 0, -1, 1, half // 3, -half + 1]
+    for start in range(len(cycle)):
+        digits = [cycle[(start + o * 5) % len(cycle)] for o in range(slots)]
+        value = sum(d << (o * bits) for o, d in enumerate(digits))
+        assert unpack(value, slots, bits) == unpack_by_borrowing(value, slots, bits) == digits

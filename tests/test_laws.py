@@ -379,6 +379,83 @@ def test_check_leaves_its_operands_unchanged(row, data):
     assert state() == before
 
 
+# --- the residual list ----------------------------------------------------------
+
+def weighted(abc: str, sign: int) -> list[str]:
+    """The terms of ``sign * (3 t - 2 s)`` at index letters ``abc``."""
+    plus, minus = ("+", "-") if sign > 0 else ("-", "+")
+    return [f"{plus} t.{abc}o"] * 3 + [f"{minus} s.{abc}o"] * 2
+
+
+# Rows that exercise each way a contraction writes into the residual list.
+LIST_ROWS = {
+    # t.kpq alone is a lone operand (the packed t); s.kpa f.aq ends in a join
+    # on every letter of the packed f.a, a lookup join; k, p, q and a all
+    # draw their own sizes.
+    "lone and lookup": Law("kp", "q", "+ t.kpq", "- s.kpa f.aq"),
+    # One class of three permutations whose row weighs t by 3 and s by -2:
+    # the identity and a 3-cycle add, its square (the inverse) subtracts.
+    "cyclic": Law("ijk", "o", *weighted("ijk", 1), *weighted("jki", 1), *weighted("kij", -1)),
+    # A 3-cycle alone in its class, folded into the strides of t's add.
+    "cycled": Law("ijk", "o", "+ t.ijko", "+ t.jkio", "- s.ijko"),
+    # A symmetrised row of two joins over rectangular letters (i, j in one
+    # size, p in another), as the module laws are, with coefficient 2.
+    "symmetrised join": Law("ijp", "q", "+ a.ia b.japq", "+ a.ia b.japq", "+ a.ja b.iapq",
+                            "+ a.ja b.iapq", "- c.ijpq", "- c.jipq"),
+}
+
+
+def test_list_rows_compile_as_intended():
+    from homstruct.exact import _compile
+
+    lone, lookup = LIST_ROWS["lone and lookup"].groups
+    assert lone[1] == "kp->kp" and _compile(lookup[1])[0][-1][4]
+    assert LIST_ROWS["cyclic"].classes == (
+        (((0, 3), (1, -2)), ((1, (0, 1, 2)), (1, (2, 0, 1)), (-1, (1, 2, 0)))),
+    )
+    assert LIST_ROWS["cycled"].classes == (
+        (((0, 1), (1, -1)), ((1, (0, 1, 2)),)), (((0, 1),), ((1, (2, 0, 1)),))
+    )
+    (row, permutations), = LIST_ROWS["symmetrised join"].classes
+    assert row == ((0, 2), (1, -1)) and len(permutations) == 2
+
+
+@pytest.mark.parametrize("row", list(LIST_ROWS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_list_row_equals_per_coordinate_evaluation(row, data):
+    law = LIST_ROWS[row]
+    operands = draw_operands(data, law)
+    assert law.check(row, **operands) == UnpackedLaw.of(law).check(row, **operands)
+
+
+@pytest.mark.parametrize("row", list(LIST_ROWS))
+def test_list_rows_at_dims_zero_and_one(row):
+    law = LIST_ROWS[row]
+    for size in (0, 1):
+        for value in (0, 5, Fraction(-3, 7)):
+            operands = {name: filled((size,) * len(axes), value)
+                        for name, axes in operand_axes(law).items()}
+            report = law.check(row, **operands)
+            assert report == UnpackedLaw.of(law).check(row, **operands)
+            if size == 0 or value == 0:
+                assert report.holds and report.total_failures == 0
+
+
+def test_failing_outer_positions_count_their_index_once():
+    # Index k (size 2), unpacked residual letter x (size 3), packed i and j
+    # (sizes 2 and 1): k = 0 fails at x = 0 and x = 2, k = 1 at x = 1 only.
+    law = Law("k", "xij", "+ t.kxij")
+    flat = [Fraction(0)] * 12
+    flat[0], flat[5], flat[8] = Fraction(4), Fraction(-1, 3), Fraction(7)
+    t = Block(nest(flat, (2, 3, 2, 1)), (2, 3, 2, 1))
+    report = law.check("OUTER", t=t)
+    assert report.total_failures == 2
+    assert [w.index for w in report.witnesses] == [(0,), (1,)]
+    assert [w.residual.entries for w in report.witnesses] == [tuple(flat[:6]), tuple(flat[6:])]
+    assert report == UnpackedLaw.of(law).check("OUTER", t=t)
+
+
 # --- slot boundaries ----------------------------------------------------------
 
 TOP = 2**62 - 1

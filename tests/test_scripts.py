@@ -71,6 +71,25 @@ def test_time_laws_prints_one_line_per_law():
         assert "usage:" in bad.stderr and "Traceback" not in bad.stderr, dims
 
 
+def test_time_laws_at_dims_zero_and_one():
+    from homstruct.axioms import AXIOMS
+
+    run = time_laws("--dims", "0,1")
+    assert run.returncode == 0, run.stdout + run.stderr
+    rows = [row.split() for row in run.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[str(n), axiom] for n in (0, 1) for _, axiom in AXIOMS]
+    # Nothing fails over empty structures; the dim-1 counts are pinned.
+    failures = {(n, axiom): int(f) for n, axiom, _, _, f in rows}
+    assert {failures["0", axiom] for _, axiom in AXIOMS} == {0}
+    assert {axiom: failures["1", axiom] for _, axiom in AXIOMS if failures["1", axiom]} == {
+        "LEFT_MODULE": 1, "RIGHT_MODULE": 1, "HOM_COASSOC_COALGEBRA": 1,
+        "DELTA_MULTIPLICATIVITY": 1, "HOM_LIE_COALGEBRA": 3, "SKEW_COSYMMETRY": 1,
+        "GAMMA_MULTIPLICATIVITY": 1, "HOM_COJACOBI": 1, "HOM_COLEIBNIZ": 1,
+        "HOM_POISSON_COALGEBRA": 5, "COASSOC_COMODULE": 2, "LIE_COMODULE": 2,
+        "POISSON_COMODULE": 6,
+    }
+
+
 def test_time_laws_times_only_the_named_laws():
     run = time_laws("--dims", "2", "--laws", "HOM_POISSON_COALGEBRA")
     assert run.returncode == 0, run.stdout + run.stderr
