@@ -218,13 +218,11 @@ def cmd_catalog(args) -> int:
         entry = catalog.get(args.name)
     except KeyError:
         raise FormatError(f"no catalogue entry named {args.name!r}")
-    data = serialize(_catalog_file(entry))
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        write_file(args.out, _catalog_file(entry))
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.write(serialize(_catalog_file(entry)).decode("utf-8"))
     return 0
 
 

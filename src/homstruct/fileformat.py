@@ -26,6 +26,7 @@ so every bad entry is rejected where it first occurs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -298,9 +299,10 @@ def serialize(sf: StructureFile) -> bytes:
 
 
 def write_file(path, sf: StructureFile):
+    """Overwrite ``path`` in place: truncating on open makes ext4 flush it on close (README)."""
     data = serialize(sf)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.truncate(fh.write(data))
 
 
 def single_structure_file(name: str, structure, base: tuple[str, object] | None = None) -> StructureFile:

@@ -79,9 +79,9 @@ themselves (``t.kij`` alone is the packed ``t``).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, product, repeat
+from itertools import compress, repeat
 from math import lcm, prod
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, sub
 
 from .exact import contract, pack, packing, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
@@ -214,9 +214,10 @@ class Law:
                 spreads = []
                 for s, permutation in perms:
                     moved = [strides[p] for p in permutation]
-                    spreads.append((s, None if moved == strides else [
-                        sum(map(mul, key, moved)) for key in product(*map(range, shape))
-                    ]))
+                    gather = None if moved == strides else [0]  # built axis by axis
+                    for n, m in zip(shape, moved) if gather else ():
+                        gather = [r + d * m for r in gather for d in range(n)]
+                    spreads.append((s, gather))
                 layout.append(([(g, c, tuple(strides)) for g, c in row], spreads))
             self._layouts[shape] = layout
         return layout

@@ -20,6 +20,7 @@ from homstruct.fileformat import (
     parse_file,
     serialize,
     single_structure_file,
+    write_file,
 )
 from homstruct.modules import regular_module
 
@@ -162,6 +163,18 @@ def test_dangling_reference_rejected_on_write():
     sf = StructureFile(1, {"m": regular_module(dual_numbers(2)[0])}, {"m": "ghost"})
     with pytest.raises(FormatError):
         serialize(sf)
+
+
+def test_write_file_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    path = tmp_path / "out.json"
+    long = single_structure_file("octo", octonions())
+    short = single_structure_file("d", dual_numbers(2)[0])
+    write_file(path, long)
+    assert path.read_bytes() == serialize(long)
+    inode = path.stat().st_ino
+    write_file(path, short)
+    assert path.read_bytes() == serialize(short)
+    assert path.stat().st_ino == inode  # overwritten in place, not replaced
 
 
 def test_right_module_round_trip():
