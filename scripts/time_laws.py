@@ -9,7 +9,10 @@ id of ``axioms.AXIOMS`` (or only the ids ``--laws`` names) on the
 structure of its type and prints one line per law: dim, id, best wall time
 in ms, best time in ms of ``report.format_report`` on its report (the text
 ``verify`` prints, up to 16 witnesses) and ``total_failures``.  An unknown
-``--laws`` id is a usage error (exit 2).  The first
+``--laws`` id is a usage error (exit 2).  Before its laws, each dim gets one
+``ingest`` line: the best time in ms of ``fileformat.parse_bytes`` on the
+five structures serialized as one file (``parse_ms``), and of building the
+parsed tensors' ``nonzeros`` and ``scaled`` (``nonzeros_ms``).  The first
 run on each structure also builds its tensors' cached nonzero and scaled
 entries; with ``--repeat`` above 1 the best time leaves that out.  Each
 law starts after a full garbage collection and runs with the collector
@@ -32,6 +35,7 @@ from homstruct.catalog import DeterministicRng  # noqa: E402
 from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
 from homstruct.comodules import HomComodule  # noqa: E402
 from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor  # noqa: E402
+from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize  # noqa: E402
 from homstruct.modules import LEFT_MODULE, HomModule  # noqa: E402
 from homstruct.report import WITNESS_CAP, format_report  # noqa: E402
 
@@ -60,6 +64,31 @@ def dense_structures(n: int) -> list:
         CoactionTensor.from_entries(cube(), n, n), CoactionTensor.from_entries(cube(), n, n),
     )
     return [alg, left, right, coalg, comod]
+
+
+def time_ingest(n: int, repeat: int) -> tuple[float, float]:
+    """(best ``parse_bytes`` seconds, best seconds to build ``nonzeros`` and
+    ``scaled``) for the five dim-n structures, serialized as one file."""
+    alg, left, right, coalg, comod = dense_structures(n)
+    names = {"algebra": alg, "left": left, "right": right, "coalgebra": coalg, "comodule": comod}
+    bases = {"left": "algebra", "right": "algebra", "comodule": "coalgebra"}
+    data = serialize(StructureFile(FILE_VERSION, names, bases))
+    best_parse = best_build = float("inf")
+    gc.collect()
+    gc.disable()
+    for _ in range(repeat):
+        start = time.perf_counter()
+        sf = parse_bytes(data)
+        best_parse = min(best_parse, time.perf_counter() - start)
+        alg, left, right, coalg, comod = map(sf.get, names)
+        tensors = [alg.mu, alg.alpha, left.beta, left.action, right.beta, right.action,
+                   coalg.delta, coalg.gamma, coalg.alpha, comod.beta, comod.delta_m, comod.gamma_m]
+        start = time.perf_counter()
+        for tensor in tensors:
+            tensor.nonzeros, tensor.scaled
+        best_build = min(best_build, time.perf_counter() - start)
+    gc.enable()
+    return best_parse, best_build
 
 
 def time_laws(n: int, repeat: int, laws=None) -> list[tuple[str, float, float, int]]:
@@ -108,6 +137,9 @@ def main(argv=None) -> int:
         parser.error("--repeat must be >= 1 and every dim >= 0")
     print(f"{'dim':>3}  {'law':<32} {'ms':>10} {'fmt_ms':>8}  failures")
     for n in dims:
+        parse_seconds, build_seconds = time_ingest(n, args.repeat)
+        print(f"{n:>3}  {'ingest':<32} parse_ms={parse_seconds * 1000:.2f}"
+              f" nonzeros_ms={build_seconds * 1000:.2f}", flush=True)
         for axiom, seconds, fmt_seconds, failures in time_laws(n, args.repeat, laws):
             print(f"{n:>3}  {axiom:<32} {seconds * 1000:>10.2f} {fmt_seconds * 1000:>8.2f}"
                   f"  {failures}", flush=True)

@@ -24,15 +24,22 @@ the form ``contract``, the one exact contraction every law check and tensor
 transform goes through, works on.
 
 Entries are exact rationals (``fractions.Fraction``; ``nonzeros`` carries
-integral values as ``int``).  Law checks contract ``scaled``, the same
-entries times the lcm of their denominators: plain ``int`` arithmetic, with
-the scale kept beside the map and divided back out only for the reported
-witnesses.  One or two axes of an operand can also be ``pack``-ed into
-fixed-width slots of a single ``int``, so that ``contract``'s Python-level
-multiply-adds each act on a whole vector of coefficients inside CPython's
-bignum code; ``unpack`` reads the slots back.  No floating point enters the
-kernel, so every identity check is an exact zero test.  All values are
-immutable after construction and safe to share across threads.
+integral values as ``int``).  Zero entries are best the one shared
+``_ZERO``: ``fileformat`` parses every ``"0"`` to it, and ``zero``,
+``identity``, ``basis``, ``diagonal`` and every tensor built from a
+contraction fill with it.  ``nonzeros`` picks out the other entries in C and
+truth-tests only those, so a zero held as another ``Fraction(0)`` object
+(``rat(0)``, or ``negated()``) is still dropped, only more slowly.
+
+Law checks contract ``scaled``, the same entries times the lcm of their
+denominators: plain ``int`` arithmetic, with the scale kept beside the map
+and divided back out only for the reported witnesses.  One or two axes of
+an operand can also be ``pack``-ed into fixed-width slots of a single
+``int``, so that ``contract``'s Python-level multiply-adds each act on a
+whole vector of coefficients inside CPython's bignum code; ``unpack`` reads
+the slots back.  No floating point enters the kernel, so every identity
+check is an exact zero test.  All values are immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import itemgetter, mul
+from itertools import chain, compress, product, repeat
+from operator import is_not, itemgetter, mul
 
 from .errors import DimensionMismatch, FormatError
 
@@ -135,13 +143,18 @@ class _Tensor:
 
     @cached_property
     def nonzeros(self) -> dict[tuple[int, ...], Fraction | int]:
-        rows = [((), getattr(self, self._nested))]
-        for _ in self.shape[1:]:
-            rows = [(key + (i,), row) for key, xs in rows for i, row in enumerate(xs)]
+        """Entries other than ``_ZERO`` are the candidates, picked in C; only
+        they are truth-tested, so another ``Fraction(0)`` is still dropped."""
+        shape = self.shape
+        flat = getattr(self, self._nested)
+        for _ in shape[1:]:
+            flat = chain.from_iterable(flat)
+        flat = list(flat)
+        candidate = list(map(is_not, flat, repeat(_ZERO)))
+        keys = compress(product(*map(range, shape)), candidate)
         return {
-            key + (i,): x.numerator if x.denominator == 1 else x
-            for key, row in rows
-            for i, x in enumerate(row)
+            key: x.numerator if x.denominator == 1 else x
+            for key, x in zip(keys, compress(flat, candidate))
             if x
         }
 
@@ -220,7 +233,7 @@ class LinearMap(_Tensor):
     _nested = "entries"
 
     def __post_init__(self):
-        widths = {len(row) for row in self.entries}
+        widths = set(map(len, self.entries))
         if self.dim_in is None:
             object.__setattr__(self, "dim_in", max(widths, default=0))
         if widths - {self.dim_in}:
@@ -420,9 +433,9 @@ class ActionTensor(_Tensor):
         )
         if len(self.a) != first:
             raise DimensionMismatch("action tensor first index has wrong size")
-        for plane in self.a:
-            if len(plane) != second or any(len(row) != self.dim_mod for row in plane):
-                raise DimensionMismatch("action tensor shape does not match side convention")
+        widths = set(map(len, chain.from_iterable(self.a)))
+        if set(map(len, self.a)) - {second} or widths - {self.dim_mod}:
+            raise DimensionMismatch("action tensor shape does not match side convention")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -491,9 +504,9 @@ class CoactionTensor(_Tensor):
     def __post_init__(self):
         if len(self.g) != self.dim_mod:
             raise DimensionMismatch("coaction tensor first index has wrong size")
-        for plane in self.g:
-            if len(plane) != self.dim_coalg or any(len(row) != self.dim_mod for row in plane):
-                raise DimensionMismatch("coaction tensor is not m x n x m")
+        widths = set(map(len, chain.from_iterable(self.g)))
+        if set(map(len, self.g)) - {self.dim_coalg} or widths - {self.dim_mod}:
+            raise DimensionMismatch("coaction tensor is not m x n x m")
 
     @property
     def shape(self) -> tuple[int, int, int]:

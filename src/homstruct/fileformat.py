@@ -20,7 +20,10 @@ references must resolve inside the same file.
 Each distinct numeral is validated and decoded once per file: ``parse_bytes``
 keeps a ``{numeral: Fraction}`` memo for the one call, and the decoded rows go
 straight into the tensor constructors.  Only valid numerals enter the memo,
-so every bad entry is rejected where it first occurs.
+so every bad entry is rejected where it first occurs.  The memo starts as
+``{"0": exact._ZERO}``: ``"0"`` is the grammar's one spelling of zero, so
+every zero entry of every file is that one object, which ``nonzeros`` skips
+without a Python call.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .coalgebras import HomPoissonCoalgebra
 from .comodules import HomComodule
 from .errors import FormatError
 from .exact import (
+    _ZERO,
     ActionTensor,
     CoactionTensor,
     ComulTensor,
@@ -91,12 +95,16 @@ class _Numerals(dict):
         return number
 
     def matrix(self, data, rows: int, cols: int, what: str) -> tuple[tuple[Fraction, ...], ...]:
-        _require(isinstance(data, list) and len(data) == rows, f"{what}: expected {rows} rows")
+        # Not _require: it would format the message for every row, valid or not.
+        if not isinstance(data, list) or len(data) != rows:
+            raise FormatError(f"{what}: expected {rows} rows")
+        get = self.__getitem__
         out = []
         for row in data:
-            _require(isinstance(row, list) and len(row) == cols, f"{what}: expected {cols} columns")
+            if not isinstance(row, list) or len(row) != cols:
+                raise FormatError(f"{what}: expected {cols} columns")
             try:
-                out.append(tuple(map(self.__getitem__, row)))
+                out.append(tuple(map(get, row)))
             except TypeError:  # an unhashable entry; the entries before it are valid
                 for x in row:
                     _parse_scalar(x)
@@ -104,8 +112,9 @@ class _Numerals(dict):
         return tuple(out)
 
     def cube(self, data, d0: int, d1: int, d2: int, what: str) -> tuple:
-        _require(isinstance(data, list) and len(data) == d0, f"{what}: expected {d0} planes")
-        return tuple(self.matrix(plane, d1, d2, what) for plane in data)
+        if not isinstance(data, list) or len(data) != d0:
+            raise FormatError(f"{what}: expected {d0} planes")
+        return tuple([self.matrix(plane, d1, d2, what) for plane in data])
 
 
 def _dump_matrix(rows) -> list:
@@ -150,7 +159,7 @@ def parse_bytes(data: bytes) -> StructureFile:
     structures: dict[str, object] = {}
     base_of: dict[str, str] = {}
     pending: list[tuple[str, dict]] = []
-    numerals = _Numerals()
+    numerals = _Numerals({"0": _ZERO})  # the grammar's one spelling of zero
 
     for name, entry in raw.items():
         _require(isinstance(name, str) and name != "", "structure names must be nonempty strings")

@@ -68,7 +68,10 @@ its contractions into the residual, the permutation folded into the
 strides and ``sign * c * (common // scale)`` into the factor.  A class of
 several sums its contractions once into a list ``W`` and adds ``W`` to the
 residual under each permutation through a gather list: ``LEFT_HOM_ALT``
-(``as(x,y,z) + as(y,x,z)``) is ``W = A - B`` and then ``W + swap(W)``.  A
+(``as(x,y,z) + as(y,x,z)``) is ``W = A - B`` and then ``W + swap(W)``.
+When such a class comes first and its first permutation is the identity
+with sign +, ``W`` is the residual list itself, so ``W + swap(W)`` is one
+pass over it.  A
 contraction that two classes use is contracted once for each; no stated row
 has one.  Strides and gathers are worked out once per row and shape, and
 zero coefficients (a term cancelled by its negation) are dropped.  A
@@ -191,14 +194,17 @@ class Law:
         return compiled, classes, names, sizes, loads
 
     def _layout(self, shape: tuple[int, ...]) -> list[tuple]:
-        """Per class, for an unpacked output of ``shape``: ``(adds, spreads)``.
+        """Per class, for an unpacked output of ``shape``: ``(adds, own, spreads)``.
 
         An add is ``(group, coefficient, strides)``, the strides taking the
-        group's output key to its place in the class's list; ``spreads`` is
-        None for a class of one permutation, whose adds go straight into the
-        residual, and otherwise one ``(sign, gather)`` per permutation, the
-        residual at place ``r`` taking ``W[gather[r]]`` (None: ``W[r]``).
-        Worked out once per row and shape.
+        group's output key to its place in the class's list ``W``.  ``W`` is
+        a list of its own when ``own`` is true and the residual otherwise:
+        for a class of one permutation, whose adds go straight into the
+        residual, and for a first class whose first permutation is the
+        identity with sign +, which then needs no pass of its own.
+        ``spreads`` holds one ``(sign, gather)`` per further permutation,
+        the residual at place ``r`` taking ``W[gather[r]]`` (None:
+        ``W[r]``).  Worked out once per row and shape.
         """
         layout = self._layouts.get(shape)
         if layout is None:
@@ -209,7 +215,7 @@ class Law:
                     ((s, permutation),) = perms
                     # Residual letter i is output letter permutation[i].
                     moved = tuple(strides[permutation.index(p)] for p in range(len(shape)))
-                    layout.append(([(g, s * c, moved) for g, c in row], None))
+                    layout.append(([(g, s * c, moved) for g, c in row], False, ()))
                     continue
                 spreads = []
                 for s, permutation in perms:
@@ -218,7 +224,9 @@ class Law:
                     for n, m in zip(shape, moved) if gather else ():
                         gather = [r + d * m for r in gather for d in range(n)]
                     spreads.append((s, gather))
-                layout.append(([(g, c, tuple(strides)) for g, c in row], spreads))
+                own = bool(layout) or spreads[0] != (1, None)
+                adds = [(g, c, tuple(strides)) for g, c in row]
+                layout.append((adds, own, spreads if own else spreads[1:]))
             self._layouts[shape] = layout
         return layout
 
@@ -254,8 +262,8 @@ class Law:
         packs: dict[tuple, dict] = {}
         size = prod(shape)
         residual = [0] * size
-        for adds, spreads in self._layout(shape):
-            w = residual if spreads is None else [0] * size
+        for adds, own, spreads in self._layout(shape):
+            w = [0] * size if own else residual
             for g, c, strides in adds:
                 tensors = []
                 for op, layout in loads[g]:
@@ -267,7 +275,8 @@ class Law:
                         packed = packs[op] = pack(scaled[op[0]][1], layout, steps)
                     tensors.append(packed)
                 contract(groups[g][1], *tensors, into=(w, strides, c * (common // terms[g][0])))
-            for s, gather in spreads or ():
+            # A spread builds a new residual list, so W may be the old one.
+            for s, gather in spreads:
                 part = w if gather is None else map(w.__getitem__, gather)
                 residual = list(map(add if s > 0 else sub, residual, part))
         width = len(self.index)

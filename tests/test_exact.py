@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from homstruct.errors import DimensionMismatch, FormatError
 from homstruct.exact import (
+    _ZERO,
     ActionTensor,
     CoactionTensor,
     ComulTensor,
@@ -259,6 +260,44 @@ def test_tensor_shape_validation():
         CoactionTensor.from_entries([[[1]]], 2, 1)
 
 
+def _cube(d0, d1, d2, widths=None):
+    """A zero cube whose last row has ``widths`` entries when given."""
+    planes = [[[0] * d2 for _ in range(d1)] for _ in range(d0)]
+    if widths is not None:
+        planes[-1][-1] = [0] * widths
+    return planes
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ActionTensor.from_entries(_cube(2, 3, 3), 2, 3, "up"), "unknown side 'up'"),
+        (lambda: ActionTensor.from_entries(_cube(3, 3, 3), 2, 3, "left"),
+         "action tensor first index has wrong size"),
+        (lambda: ActionTensor.from_entries(_cube(2, 3, 3), 2, 3, "right"),
+         "action tensor first index has wrong size"),
+        (lambda: ActionTensor.from_entries(_cube(2, 2, 3), 2, 3, "left"),
+         "action tensor shape does not match side convention"),
+        (lambda: ActionTensor.from_entries(_cube(3, 3, 3), 2, 3, "right"),
+         "action tensor shape does not match side convention"),
+        (lambda: ActionTensor.from_entries(_cube(2, 3, 3, widths=2), 2, 3, "left"),
+         "action tensor shape does not match side convention"),
+        (lambda: ActionTensor.from_entries(_cube(3, 2, 3, widths=4), 2, 3, "right"),
+         "action tensor shape does not match side convention"),
+        (lambda: CoactionTensor.from_entries(_cube(2, 2, 3), 2, 3),
+         "coaction tensor first index has wrong size"),
+        (lambda: CoactionTensor.from_entries(_cube(3, 3, 3), 2, 3),
+         "coaction tensor is not m x n x m"),
+        (lambda: CoactionTensor.from_entries(_cube(3, 2, 3, widths=2), 2, 3),
+         "coaction tensor is not m x n x m"),
+    ],
+)
+def test_action_and_coaction_shape_errors(build, message):
+    with pytest.raises(DimensionMismatch) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 def test_mul_tensor_opposite_and_negation():
     t = dual_number_tensor()
     assert t.opposite().c[1][0][1] == t.c[0][1][1]
@@ -301,21 +340,37 @@ def nested_entry(tensor, index):
     return x
 
 
+def assert_nonzeros_follow_the_reference_rule(tensor):
+    want = {}
+    for index in product(*map(range, tensor.shape)):
+        x = nested_entry(tensor, index)
+        if x:
+            want[index] = x.numerator if x.denominator == 1 else x
+    assert tensor.nonzeros == want
+    assert list(tensor.nonzeros) == sorted(want)
+    assert all(type(x) is (int if x.denominator == 1 else Fraction)
+               for x in tensor.nonzeros.values())
+    s, scaled, bits = tensor.scaled
+    assert scaled == {k: x * s for k, x in want.items()}
+    assert bits == max((abs(x) for x in scaled.values()), default=0).bit_length()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_nonzeros_of_every_kind(n):
     for tensor in each_kind(n) + each_kind(n, lambda *index: Fraction(0)):
-        want = {}
-        for index in product(*map(range, tensor.shape)):
-            x = nested_entry(tensor, index)
-            if x:
-                want[index] = x.numerator if x.denominator == 1 else x
-        assert tensor.nonzeros == want
-        assert list(tensor.nonzeros) == sorted(want)
-        assert all(type(x) is (int if x.denominator == 1 else Fraction)
-                   for x in tensor.nonzeros.values())
-        s, scaled, bits = tensor.scaled
-        assert scaled == {k: x * s for k, x in want.items()}
-        assert bits == max((abs(x) for x in scaled.values()), default=0).bit_length()
+        assert_nonzeros_follow_the_reference_rule(tensor)
+
+
+# The shared zero, a zero of its own (as negation makes), or a nonzero entry.
+MIXED_ENTRIES = st.one_of(st.just(_ZERO), st.builds(Fraction, st.just(0)), small_fractions)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_nonzeros_of_shared_and_other_zeros(n, data):
+    tensors = each_kind(n, lambda *index: data.draw(MIXED_ENTRIES))
+    for tensor in tensors + [t.negated() for t in tensors if hasattr(t, "negated")]:
+        assert_nonzeros_follow_the_reference_rule(tensor)
 
 
 def test_pack_and_unpack_are_inverse():

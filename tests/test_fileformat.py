@@ -12,7 +12,7 @@ from homstruct import HomAlgebra, HomComodule, HomModule, HomPoissonCoalgebra
 from homstruct.catalog import DeterministicRng, dual_numbers, lie_only_coalgebra, octonions
 from homstruct.comodules import regular_comodule
 from homstruct.errors import FormatError
-from homstruct.exact import ActionTensor, LinearMap, MulTensor, _Tensor, format_rational
+from homstruct.exact import _ZERO, ActionTensor, LinearMap, MulTensor, _Tensor, format_rational
 from homstruct.fileformat import (
     NamedMap,
     StructureFile,
@@ -310,6 +310,83 @@ def test_first_bad_entry_in_scan_order_is_reported(tmp_path, capsys):
     _rejects(algebra_then_bad_map, "rational entries must be strings, got -1", tmp_path, capsys)
 
 
+# --- shape errors ------------------------------------------------------------------
+
+ALGEBRA = {"kind": "hom_algebra", "dim": 2, "mul": [[["1", "0"], ["0", "1"]]] * 2,
+           "alpha": [["1", "0"], ["0", "1"]]}
+
+
+def _shape_error(entries: dict) -> str:
+    body = json.dumps({"version": 1, "structures": entries})
+    with pytest.raises(FormatError) as excinfo:
+        parse_bytes(body.encode())
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ("1", "f: expected 2 rows"),
+        ({"0": "1"}, "f: expected 2 rows"),
+        ([["1", "0"]], "f: expected 2 rows"),
+        ([["1", "0"]] * 3, "f: expected 2 rows"),
+        (["1", ["0", "1"]], "f: expected 3 columns"),
+        ([["1", "0", "1"], "0"], "f: expected 3 columns"),
+        ([["1", "0", "1"], ["0", "1"]], "f: expected 3 columns"),
+        ([["1", "0", "1"], ["0", "1", "0", "1"]], "f: expected 3 columns"),
+        ([["1", "0", []], ["0", "1", "0"]], "rational entries must be strings, got []"),
+        ([["1", "0", "1"], ["0", "1/2", {"a": "1"}]],
+         "rational entries must be strings, got {'a': '1'}"),
+        # A bad numeral before an unhashable entry is reported first.
+        ([["1", "01", []], ["0", "1", "0"]], "malformed rational '01'"),
+    ],
+)
+def test_matrix_shape_errors_name_what_was_expected(matrix, message):
+    f = {"kind": "linear_map", "dim_in": 3, "dim_out": 2, "matrix": matrix}
+    assert _shape_error({"f": f}) == message
+
+
+@pytest.mark.parametrize(
+    "mul, message",
+    [
+        (None, "a: expected 2 planes"),
+        ("1", "a: expected 2 planes"),
+        ([[["1", "0"], ["0", "1"]]], "a: expected 2 planes"),
+        ([[["1", "0"], ["0", "1"]], "0"], "a: expected 2 rows"),
+        ([[["1", "0"], ["0", "1"]], [["1", "0"]]], "a: expected 2 rows"),
+        ([[["1", "0"], ["0", "1"]], [["1", "0"], "1"]], "a: expected 2 columns"),
+        ([[["1", "0"], ["0", "1"]], [["1", "0"], ["0"]]], "a: expected 2 columns"),
+        ([[["1", "0"], ["0", "1"]], [["1", "0"], ["0", ["1"]]]],
+         "rational entries must be strings, got ['1']"),
+    ],
+)
+def test_cube_shape_errors_name_what_was_expected(mul, message):
+    assert _shape_error({"a": {**ALGEBRA, "mul": mul}}) == message
+
+
+def test_module_and_comodule_cubes_take_their_sides_sizes():
+    # A right module of dim 3 over a dim-2 algebra: 3 planes of 2 rows of 3.
+    plane = [["0", "0", "0"]] * 2
+    module = {"kind": "hom_module", "algebra": "a", "side": "right", "dim": 3,
+              "beta": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "action": [plane] * 3}
+    for action, message in [
+        ([plane] * 2, "m: expected 3 planes"),
+        ([plane] * 2 + [plane[:1]], "m: expected 2 rows"),
+        ([plane] * 2 + [[["0"] * 3, ["0"] * 2]], "m: expected 3 columns"),
+    ]:
+        assert _shape_error({"a": ALGEBRA, "m": {**module, "action": action}}) == message
+    coalgebra = {"kind": "hom_poisson_coalgebra", "dim": 2, "delta": ALGEBRA["mul"],
+                 "gamma": ALGEBRA["mul"], "alpha": ALGEBRA["alpha"], "cocommutative": False}
+    comodule = {"kind": "hom_comodule", "coalgebra": "c", "structure": "lie", "dim": 3,
+                "beta": module["beta"], "gamma_m": [plane] * 3}
+    assert _shape_error({"c": coalgebra, "m": {**comodule, "gamma_m": [plane] * 4}}) == (
+        "m: expected 3 planes"
+    )
+    assert _shape_error({"c": coalgebra, "m": {**comodule, "gamma_m": [plane[:1]] * 3}}) == (
+        "m: expected 2 rows"
+    )
+
+
 # --- what parsing builds ----------------------------------------------------------
 
 def _regen_golden():
@@ -367,8 +444,11 @@ def test_parse_builds_the_serialized_structures_from_fractions():
             assert parsed == structure, name
             for mine, theirs in zip(_tensors(parsed), _tensors(structure), strict=True):
                 assert mine.nonzeros == theirs.nonzeros and mine.scaled == theirs.scaled, name
+                entries = list(_entries(getattr(mine, mine._nested)))
                 # Fraction(1) == 1, so == above would not see an int or str entry
-                assert all(type(x) is Fraction for x in _entries(getattr(mine, mine._nested))), name
+                assert all(type(x) is Fraction for x in entries), name
+                # "0", the grammar's one spelling of zero, is the one shared zero
+                assert all(x is _ZERO for x in entries if not x), name
         assert serialize(back) == data
     dense = originals[2][0].get("module")
     assert dense.action.scaled[0] > 1 and len(dense.algebra.mu.nonzeros) > 3000

@@ -265,6 +265,11 @@ SYNTHETIC = {
         Law("ki", "j", "+ t.kij", "+ s.kij", "- t.kij"),
         ((((1, 1),), ((1, (0, 1)),)),),
     ),
+    # Negated: the identity is added with sign -1, so W is a list of its own.
+    "negated symmetrised": (
+        Law("ki", "j", "- t.kij", "+ s.kij", "- t.ikj", "+ s.ikj"),
+        ((((0, 1), (1, -1)), ((-1, (0, 1)), (-1, (1, 0)))),),
+    ),
     # A doubled term has coefficient 2, under one permutation and under two.
     "doubled": (
         Law("ki", "j", "+ t.kij", "+ t.kij", "- s.kij"),
@@ -402,6 +407,11 @@ LIST_ROWS = {
     # size, p in another), as the module laws are, with coefficient 2.
     "symmetrised join": Law("ijp", "q", "+ a.ia b.japq", "+ a.ia b.japq", "+ a.ja b.iapq",
                             "+ a.ja b.iapq", "- c.ijpq", "- c.jipq"),
+    # A symmetrised first class, whose W is the residual list itself, then a
+    # 3-cycle of t alone in its class, added into the residual after the
+    # spread: it must not write into W.
+    "symmetrised then cycled": Law("ijk", "o", "+ t.ijko", "- s.ijko", "+ t.jiko", "- s.jiko",
+                                   "+ t.jkio"),
 }
 
 
@@ -418,6 +428,17 @@ def test_list_rows_compile_as_intended():
     )
     (row, permutations), = LIST_ROWS["symmetrised join"].classes
     assert row == ((0, 2), (1, -1)) and len(permutations) == 2
+    law = LIST_ROWS["symmetrised then cycled"]
+    assert law.classes == (
+        (((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (1, 0, 2)))), (((0, 1),), ((1, (2, 0, 1)),))
+    )
+    # The first class sums into the residual and spreads only the swap.
+    (_, own, spreads), (_, cycled_own, cycled_spreads) = law._layout((2, 2, 2))
+    assert not own and [s for s, _ in spreads] == [1] and spreads[0][1] is not None
+    assert not cycled_own and cycled_spreads == ()
+    # With sign -1 on the identity, W is a list of its own and both permutations spread.
+    (_, own, spreads), = SYNTHETIC["negated symmetrised"][0]._layout((2, 2))
+    assert own and [s for s, _ in spreads] == [-1, -1]
 
 
 @pytest.mark.parametrize("row", list(LIST_ROWS))

@@ -52,6 +52,13 @@ def time_laws(*argv):
     )
 
 
+def ingest_ms(row: str) -> tuple[float, float]:
+    """The parse and nonzeros times of an ``ingest`` line."""
+    _, _, parse, build = row.split()
+    assert parse.startswith("parse_ms=") and build.startswith("nonzeros_ms="), row
+    return float(parse.split("=")[1]), float(build.split("=")[1])
+
+
 def test_time_laws_prints_one_line_per_law():
     from homstruct.axioms import AXIOMS
 
@@ -60,9 +67,12 @@ def test_time_laws_prints_one_line_per_law():
     header, *rows = run.stdout.splitlines()
     assert header.split() == ["dim", "law", "ms", "fmt_ms", "failures"]
     assert [row.split()[:2] for row in rows] == [
-        [str(n), axiom] for n in (2, 3) for _, axiom in AXIOMS
+        [str(n), law] for n in (2, 3) for law in ["ingest"] + [axiom for _, axiom in AXIOMS]
     ]
     for row in rows:
+        if row.split()[1] == "ingest":
+            assert min(ingest_ms(row)) >= 0, row
+            continue
         _, _, ms, fmt_ms, failures = row.split()
         assert float(ms) >= 0 and float(fmt_ms) >= 0 and int(failures) >= 0
     for dims in ("6,,10", "x", "-1"):
@@ -77,6 +87,9 @@ def test_time_laws_at_dims_zero_and_one():
     run = time_laws("--dims", "0,1")
     assert run.returncode == 0, run.stdout + run.stderr
     rows = [row.split() for row in run.stdout.splitlines()[1:]]
+    ingest = [row for row in rows if row[1] == "ingest"]
+    assert [row[0] for row in ingest] == ["0", "1"]
+    rows = [row for row in rows if row[1] != "ingest"]
     assert [row[:2] for row in rows] == [[str(n), axiom] for n in (0, 1) for _, axiom in AXIOMS]
     # Nothing fails over empty structures; the dim-1 counts are pinned.
     failures = {(n, axiom): int(f) for n, axiom, _, _, f in rows}
@@ -94,7 +107,7 @@ def test_time_laws_times_only_the_named_laws():
     run = time_laws("--dims", "2", "--laws", "HOM_POISSON_COALGEBRA")
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
-    assert [row.split()[:2] for row in rows] == [["2", "HOM_POISSON_COALGEBRA"]]
+    assert [row.split()[:2] for row in rows] == [["2", "ingest"], ["2", "HOM_POISSON_COALGEBRA"]]
     for laws in ("NO_SUCH_LAW", "HOM_ASSOC,NO_SUCH_LAW", ""):
         bad = time_laws("--dims", "2", "--laws", laws)
         assert bad.returncode == 2 and bad.stdout == "", laws
