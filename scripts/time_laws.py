@@ -10,13 +10,17 @@ structure of its type and prints one line per law: dim, id, best wall time
 in ms, best time in ms of ``report.format_report`` on its report (the text
 ``verify`` prints, up to 16 witnesses) and ``total_failures``.  An unknown
 ``--laws`` id is a usage error (exit 2).  Before its laws, each dim gets one
-``ingest`` line: the best time in ms of ``fileformat.parse_bytes`` on the
-five structures serialized as one file (``parse_ms``), and of building the
-parsed tensors' ``nonzeros`` and ``scaled`` (``nonzeros_ms``).  The first
+``write`` line: the best time in ms to build the five structures from their
+drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), and to
+``fileformat.serialize`` them as one file (``serialize_ms``); then one
+``ingest`` line: the best time in ms of ``fileformat.parse_bytes`` on that
+file (``parse_ms``), and of building the parsed tensors' ``nonzeros`` and
+``scaled`` (``nonzeros_ms``).  Every entry is nonzero, so these lines time
+the write and read paths where skipping zeros saves nothing.  The first
 run on each structure also builds its tensors' cached nonzero and scaled
 entries; with ``--repeat`` above 1 the best time leaves that out.  Each
-law starts after a full garbage collection and runs with the collector
-off, so no collection pause lands in its time.
+law (and each timed layer) starts after a full garbage collection and runs
+with the collector off, so no collection pause lands in its time.
 
     python3 scripts/time_laws.py --dims 6,10,16 [--repeat 3] [--laws ID[,ID...]]
 """
@@ -40,8 +44,12 @@ from homstruct.modules import LEFT_MODULE, HomModule  # noqa: E402
 from homstruct.report import WITNESS_CAP, format_report  # noqa: E402
 
 
-def dense_structures(n: int) -> list:
-    """One algebra, left and right module, coalgebra and comodule, all of dim n."""
+NAMES = ("algebra", "left", "right", "coalgebra", "comodule")
+BASES = {"left": "algebra", "right": "algebra", "comodule": "coalgebra"}
+
+
+def dense_entries(n: int) -> list:
+    """The entries of the tensors ``build_structures`` makes, as nested lists, in draw order."""
     rng = DeterministicRng(1)
 
     def square():
@@ -50,29 +58,63 @@ def dense_structures(n: int) -> list:
     def cube():
         return [square() for _ in range(n)]
 
-    alg = HomAlgebra(n, MulTensor.from_entries(cube()), LinearMap.from_rows(square()))
-    left = HomModule(alg, n, LinearMap.from_rows(square()),
-                     ActionTensor.from_entries(cube(), n, n, "left"), "left")
-    right = HomModule(alg, n, LinearMap.from_rows(square()),
-                      ActionTensor.from_entries(cube(), n, n, "right"), "right")
+    # mu, alpha; beta and action of the left, then the right module; delta,
+    # gamma, alpha; beta, delta_m, gamma_m
+    return [cube(), square(), square(), cube(), square(), cube(),
+            cube(), cube(), square(), square(), cube(), cube()]
+
+
+def build_structures(n: int, entries: list) -> list:
+    """One algebra, left and right module, coalgebra and comodule, all of dim n."""
+    mu, alpha, beta_l, act_l, beta_r, act_r, delta, gamma, alpha_c, beta_c, delta_m, gamma_m = entries
+    alg = HomAlgebra(n, MulTensor.from_entries(mu), LinearMap.from_rows(alpha))
+    left = HomModule(alg, n, LinearMap.from_rows(beta_l),
+                     ActionTensor.from_entries(act_l, n, n, "left"), "left")
+    right = HomModule(alg, n, LinearMap.from_rows(beta_r),
+                      ActionTensor.from_entries(act_r, n, n, "right"), "right")
     coalg = HomPoissonCoalgebra(
-        n, ComulTensor.from_entries(cube()), ComulTensor.from_entries(cube()),
-        LinearMap.from_rows(square()), True,
+        n, ComulTensor.from_entries(delta), ComulTensor.from_entries(gamma),
+        LinearMap.from_rows(alpha_c), True,
     )
     comod = HomComodule(
-        coalg, n, LinearMap.from_rows(square()), "poisson",
-        CoactionTensor.from_entries(cube(), n, n), CoactionTensor.from_entries(cube(), n, n),
+        coalg, n, LinearMap.from_rows(beta_c), "poisson",
+        CoactionTensor.from_entries(delta_m, n, n), CoactionTensor.from_entries(gamma_m, n, n),
     )
     return [alg, left, right, coalg, comod]
+
+
+def dense_structures(n: int) -> list:
+    return build_structures(n, dense_entries(n))
+
+
+def structure_file(structures: list) -> StructureFile:
+    """The five structures of ``build_structures`` as one file."""
+    return StructureFile(FILE_VERSION, dict(zip(NAMES, structures)), BASES)
+
+
+def time_write(n: int, repeat: int) -> tuple[float, float]:
+    """(best seconds to build the five dim-n structures from their entries,
+    best ``serialize`` seconds of their file)."""
+    entries = dense_entries(n)
+    best_build = best_write = float("inf")
+    gc.collect()
+    gc.disable()
+    for _ in range(repeat):
+        start = time.perf_counter()
+        structures = build_structures(n, entries)
+        best_build = min(best_build, time.perf_counter() - start)
+        sf = structure_file(structures)
+        start = time.perf_counter()
+        serialize(sf)
+        best_write = min(best_write, time.perf_counter() - start)
+    gc.enable()
+    return best_build, best_write
 
 
 def time_ingest(n: int, repeat: int) -> tuple[float, float]:
     """(best ``parse_bytes`` seconds, best seconds to build ``nonzeros`` and
     ``scaled``) for the five dim-n structures, serialized as one file."""
-    alg, left, right, coalg, comod = dense_structures(n)
-    names = {"algebra": alg, "left": left, "right": right, "coalgebra": coalg, "comodule": comod}
-    bases = {"left": "algebra", "right": "algebra", "comodule": "coalgebra"}
-    data = serialize(StructureFile(FILE_VERSION, names, bases))
+    data = serialize(structure_file(dense_structures(n)))
     best_parse = best_build = float("inf")
     gc.collect()
     gc.disable()
@@ -80,7 +122,7 @@ def time_ingest(n: int, repeat: int) -> tuple[float, float]:
         start = time.perf_counter()
         sf = parse_bytes(data)
         best_parse = min(best_parse, time.perf_counter() - start)
-        alg, left, right, coalg, comod = map(sf.get, names)
+        alg, left, right, coalg, comod = map(sf.get, NAMES)
         tensors = [alg.mu, alg.alpha, left.beta, left.action, right.beta, right.action,
                    coalg.delta, coalg.gamma, coalg.alpha, comod.beta, comod.delta_m, comod.gamma_m]
         start = time.perf_counter()
@@ -137,6 +179,9 @@ def main(argv=None) -> int:
         parser.error("--repeat must be >= 1 and every dim >= 0")
     print(f"{'dim':>3}  {'law':<32} {'ms':>10} {'fmt_ms':>8}  failures")
     for n in dims:
+        build_seconds, write_seconds = time_write(n, args.repeat)
+        print(f"{n:>3}  {'write':<32} build_ms={build_seconds * 1000:.2f}"
+              f" serialize_ms={write_seconds * 1000:.2f}", flush=True)
         parse_seconds, build_seconds = time_ingest(n, args.repeat)
         print(f"{n:>3}  {'ingest':<32} parse_ms={parse_seconds * 1000:.2f}"
               f" nonzeros_ms={build_seconds * 1000:.2f}", flush=True)

@@ -25,11 +25,12 @@ transform goes through, works on.
 
 Entries are exact rationals (``fractions.Fraction``; ``nonzeros`` carries
 integral values as ``int``).  Zero entries are best the one shared
-``_ZERO``: ``fileformat`` parses every ``"0"`` to it, and ``zero``,
-``identity``, ``basis``, ``diagonal`` and every tensor built from a
-contraction fill with it.  ``nonzeros`` picks out the other entries in C and
-truth-tests only those, so a zero held as another ``Fraction(0)`` object
-(``rat(0)``, or ``negated()``) is still dropped, only more slowly.
+``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows`` and ``diagonal``,
+returns it for every zero, ``fileformat`` parses every ``"0"`` to it, and
+``zero``, ``identity``, ``basis``, ``negated()`` and contractions fill with it.
+``nonzeros`` and ``fileformat``'s writer pick out the other entries in C, so a
+zero costs no Python call; another ``Fraction(0)``, put straight into a
+constructor, is still dropped, only more slowly.
 
 Law checks contract ``scaled``, the same entries times the lcm of their
 denominators: plain ``int`` arithmetic, with the scale kept beside the map
@@ -56,21 +57,25 @@ from operator import is_not, itemgetter, mul
 
 from .errors import DimensionMismatch, FormatError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_SMALL = {i: Fraction(i) for i in range(-16, 17)}  # what ``rat`` returns for these ints
+_ZERO, _ONE = _SMALL[0], _SMALL[1]
 
 _RATIONAL_RE = re.compile(r"^(-?(?:0|[1-9]\d*))(?:/([1-9]\d*))?$")
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, string, or Fraction to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    """Coerce an int, string, or Fraction to an exact Fraction: ``_ZERO`` for
+    every zero, one shared Fraction for each int in -16..16.  Types are tested
+    before any value lookup, as ``1.0`` and ``True`` hash like ``1``."""
+    kind = type(value)
+    if kind is Fraction:
+        return value if value._numerator else _ZERO  # the slot: no Python-level call
+    if kind is int and -16 <= value <= 16:
+        return _SMALL[value]
+    if not isinstance(value, (Fraction, int, str)):
+        raise TypeError(f"cannot interpret {value!r} as a rational")
+    value = Fraction(value)
+    return value if value else _ZERO
 
 
 def parse_rational(text: str) -> Fraction:
@@ -116,20 +121,34 @@ def format_ratio(num: int, den: int) -> str:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical wire form of a Fraction (``format_ratio`` of its terms)."""
-    return format_ratio(value.numerator, value.denominator)
+    """Canonical wire form of a Fraction: its own ``str``, ``format_ratio`` of its terms."""
+    try:
+        return str(value)
+    except ValueError:  # a term too long for str: format_ratio raises its FormatError
+        return format_ratio(value.numerator, value.denominator)
 
 
 def _freeze_vector(entries) -> tuple[Fraction, ...]:
-    return tuple(rat(x) for x in entries)
+    return tuple(map(rat, entries))
 
 
 def _freeze_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(rat(x) for x in row) for row in rows)
+    return tuple(map(_freeze_vector, rows))
 
 
 def _freeze_cube(cube) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    return tuple(tuple(tuple(rat(x) for x in row) for row in plane) for plane in cube)
+    return tuple(map(_freeze_matrix, cube))
+
+
+def _check_cube(cube, what: str):
+    n = len(cube)
+    if set(map(len, cube)) - {n} or set(map(len, chain.from_iterable(cube))) - {n}:
+        raise DimensionMismatch(f"{what} tensor is not n x n x n")
+
+
+def _negated(cube) -> tuple:
+    """Nested entry tuples of a cube, each entry negated and each zero ``_ZERO``."""
+    return tuple(tuple(tuple([-x if x else _ZERO for x in row]) for row in plane) for plane in cube)
 
 
 class _Tensor:
@@ -141,17 +160,20 @@ class _Tensor:
 
     _nested: str
 
+    def flat(self) -> list:
+        """Every entry, in the lexicographic order of the index tuples."""
+        flat = getattr(self, self._nested)
+        for _ in self.shape[1:]:
+            flat = chain.from_iterable(flat)
+        return list(flat)
+
     @cached_property
     def nonzeros(self) -> dict[tuple[int, ...], Fraction | int]:
         """Entries other than ``_ZERO`` are the candidates, picked in C; only
         they are truth-tested, so another ``Fraction(0)`` is still dropped."""
-        shape = self.shape
-        flat = getattr(self, self._nested)
-        for _ in shape[1:]:
-            flat = chain.from_iterable(flat)
-        flat = list(flat)
+        flat = self.flat()
         candidate = list(map(is_not, flat, repeat(_ZERO)))
-        keys = compress(product(*map(range, shape)), candidate)
+        keys = compress(product(*map(range, self.shape)), candidate)
         return {
             key: x.numerator if x.denominator == 1 else x
             for key, x in zip(keys, compress(flat, candidate))
@@ -305,6 +327,9 @@ class MulTensor(_Tensor):
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
     _nested = "c"
 
+    def __post_init__(self):
+        _check_cube(self.c, "multiplication")
+
     @property
     def dim(self) -> int:
         return len(self.c)
@@ -315,12 +340,7 @@ class MulTensor(_Tensor):
 
     @classmethod
     def from_entries(cls, cube) -> "MulTensor":
-        t = cls(_freeze_cube(cube))
-        n = t.dim
-        for plane in t.c:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise DimensionMismatch("multiplication tensor is not n x n x n")
-        return t
+        return cls(_freeze_cube(cube))
 
     @classmethod
     def zero(cls, dim: int) -> "MulTensor":
@@ -338,7 +358,7 @@ class MulTensor(_Tensor):
         return Vector(_dense(contract("i,ijk,j->k", x.nonzeros, self.nonzeros, y.nonzeros), (n,)))
 
     def negated(self) -> "MulTensor":
-        return MulTensor(tuple(tuple(tuple(-x for x in row) for row in plane) for plane in self.c))
+        return MulTensor(_negated(self.c))
 
     def opposite(self) -> "MulTensor":
         """Swap the two input slots: c'[i][j][k] = c[j][i][k]."""
@@ -359,6 +379,9 @@ class ComulTensor(_Tensor):
     d: tuple[tuple[tuple[Fraction, ...], ...], ...]
     _nested = "d"
 
+    def __post_init__(self):
+        _check_cube(self.d, "comultiplication")
+
     @property
     def dim(self) -> int:
         return len(self.d)
@@ -369,12 +392,7 @@ class ComulTensor(_Tensor):
 
     @classmethod
     def from_entries(cls, cube) -> "ComulTensor":
-        t = cls(_freeze_cube(cube))
-        n = t.dim
-        for plane in t.d:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise DimensionMismatch("comultiplication tensor is not n x n x n")
-        return t
+        return cls(_freeze_cube(cube))
 
     @classmethod
     def zero(cls, dim: int) -> "ComulTensor":
@@ -387,7 +405,7 @@ class ComulTensor(_Tensor):
         return _dense(contract("k,kij->ij", v.nonzeros, self.nonzeros), (n, n))
 
     def negated(self) -> "ComulTensor":
-        return ComulTensor(tuple(tuple(tuple(-x for x in row) for row in plane) for plane in self.d))
+        return ComulTensor(_negated(self.d))
 
     def opposite(self) -> "ComulTensor":
         """Swap the output legs: d'[k][i][j] = d[k][j][i]."""
@@ -469,12 +487,7 @@ class ActionTensor(_Tensor):
         return Vector(_dense(out, (self.dim_mod,)))
 
     def negated(self) -> "ActionTensor":
-        return ActionTensor(
-            tuple(tuple(tuple(-x for x in row) for row in plane) for plane in self.a),
-            self.dim_alg,
-            self.dim_mod,
-            self.side,
-        )
+        return ActionTensor(_negated(self.a), self.dim_alg, self.dim_mod, self.side)
 
     def mirrored(self) -> "ActionTensor":
         """Exchange the algebra and module slots, flipping the side."""
@@ -527,11 +540,7 @@ class CoactionTensor(_Tensor):
         return _dense(contract("p,piq->iq", m.nonzeros, self.nonzeros), (self.dim_coalg, self.dim_mod))
 
     def negated(self) -> "CoactionTensor":
-        return CoactionTensor(
-            tuple(tuple(tuple(-x for x in row) for row in plane) for plane in self.g),
-            self.dim_coalg,
-            self.dim_mod,
-        )
+        return CoactionTensor(_negated(self.g), self.dim_coalg, self.dim_mod)
 
     def postcompose_coalgebra(self, phi: LinearMap) -> "CoactionTensor":
         """Apply phi to the coalgebra leg: g'[p][i][q] = sum_l phi[i][l] g[p][l][q]."""

@@ -23,7 +23,8 @@ straight into the tensor constructors.  Only valid numerals enter the memo,
 so every bad entry is rejected where it first occurs.  The memo starts as
 ``{"0": exact._ZERO}``: ``"0"`` is the grammar's one spelling of zero, so
 every zero entry of every file is that one object, which ``nonzeros`` skips
-without a Python call.
+without a Python call.  Writing skips it the same way: ``serialize`` makes
+one format call per nonzero entry and none per zero.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
+from math import prod
+from operator import is_not
 
 from .algebras import HomAlgebra
 from .coalgebras import HomPoissonCoalgebra
@@ -44,7 +48,7 @@ from .exact import (
     ComulTensor,
     LinearMap,
     MulTensor,
-    format_ratio,
+    format_rational,
     parse_rational,
 )
 from .modules import HomModule
@@ -117,12 +121,19 @@ class _Numerals(dict):
         return tuple([self.matrix(plane, d1, d2, what) for plane in data])
 
 
-def _dump_matrix(rows) -> list:
-    return [[format_ratio(x.numerator, x.denominator) for x in row] for row in rows]
-
-
-def _dump_cube(cube) -> list:
-    return [_dump_matrix(plane) for plane in cube]
+def _dump(tensor) -> list:
+    """A tensor's entries as nested lists of numerals: ``"0"`` for each ``_ZERO``
+    (picked out in C), ``format_rational`` of each other entry."""
+    flat = tensor.flat()
+    out = ["0"] * len(flat)
+    written = list(map(is_not, flat, repeat(_ZERO)))
+    for i, x in zip(compress(count(), written), compress(flat, written)):
+        out[i] = format_rational(x)
+    shape = tensor.shape
+    for axis in range(len(shape) - 1, 0, -1):  # slice the rows, then the planes, back out
+        width = shape[axis]
+        out = [out[i * width : (i + 1) * width] for i in range(prod(shape[:axis]))]
+    return out
 
 
 def _parse_dim(raw, what: str) -> int:
@@ -249,16 +260,16 @@ def _entry_doc(name: str, structure, base_of: dict[str, str]) -> dict:
         return {
             "kind": "hom_algebra",
             "dim": structure.dim,
-            "mul": _dump_cube(structure.mu.c),
-            "alpha": _dump_matrix(structure.alpha.entries),
+            "mul": _dump(structure.mu),
+            "alpha": _dump(structure.alpha),
         }
     if isinstance(structure, HomPoissonCoalgebra):
         return {
             "kind": "hom_poisson_coalgebra",
             "dim": structure.dim,
-            "delta": _dump_cube(structure.delta.d),
-            "gamma": _dump_cube(structure.gamma.d),
-            "alpha": _dump_matrix(structure.alpha.entries),
+            "delta": _dump(structure.delta),
+            "gamma": _dump(structure.gamma),
+            "alpha": _dump(structure.alpha),
             "cocommutative": structure.cocommutative_expected,
         }
     if isinstance(structure, HomModule):
@@ -267,8 +278,8 @@ def _entry_doc(name: str, structure, base_of: dict[str, str]) -> dict:
             "algebra": base_of[name],
             "side": structure.side,
             "dim": structure.dim_mod,
-            "beta": _dump_matrix(structure.beta.entries),
-            "action": _dump_cube(structure.action.a),
+            "beta": _dump(structure.beta),
+            "action": _dump(structure.action),
         }
     if isinstance(structure, HomComodule):
         doc = {
@@ -276,19 +287,19 @@ def _entry_doc(name: str, structure, base_of: dict[str, str]) -> dict:
             "coalgebra": base_of[name],
             "structure": structure.kind,
             "dim": structure.dim_mod,
-            "beta": _dump_matrix(structure.beta.entries),
+            "beta": _dump(structure.beta),
         }
         if structure.delta_m is not None:
-            doc["delta_m"] = _dump_cube(structure.delta_m.g)
+            doc["delta_m"] = _dump(structure.delta_m)
         if structure.gamma_m is not None:
-            doc["gamma_m"] = _dump_cube(structure.gamma_m.g)
+            doc["gamma_m"] = _dump(structure.gamma_m)
         return doc
     if isinstance(structure, NamedMap):
         return {
             "kind": "linear_map",
             "dim_in": structure.linear_map.dim_in,
             "dim_out": structure.linear_map.dim_out,
-            "matrix": _dump_matrix(structure.linear_map.entries),
+            "matrix": _dump(structure.linear_map),
         }
     raise FormatError(f"{name}: cannot serialize {type(structure).__name__}")
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +20,7 @@ from homstruct.exact import (
     pack,
     packing,
     parse_rational,
+    rat,
     unpack,
 )
 from homstruct.laws import contract
@@ -290,6 +292,15 @@ def _cube(d0, d1, d2, widths=None):
          "coaction tensor is not m x n x m"),
         (lambda: CoactionTensor.from_entries(_cube(3, 2, 3, widths=2), 2, 3),
          "coaction tensor is not m x n x m"),
+        # straight through the constructors too: nonzeros and serialize read entries by shape
+        (lambda: MulTensor(((("1", "2"),),)), "multiplication tensor is not n x n x n"),
+        (lambda: MulTensor.from_entries(_cube(2, 2, 2, widths=1)),
+         "multiplication tensor is not n x n x n"),
+        (lambda: MulTensor.from_entries(_cube(2, 1, 2)), "multiplication tensor is not n x n x n"),
+        (lambda: ComulTensor(tuple(map(tuple, _cube(1, 1, 0)))),
+         "comultiplication tensor is not n x n x n"),
+        (lambda: ComulTensor.from_entries(_cube(2, 2, 2, widths=3)),
+         "comultiplication tensor is not n x n x n"),
     ],
 )
 def test_action_and_coaction_shape_errors(build, message):
@@ -314,15 +325,30 @@ def entry(*index) -> Fraction:
     return [Fraction(0), Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(-4)][h]
 
 
-def each_kind(n: int, value=entry):
-    """One tensor of every kind at dim n (module dims n and n + 1), entries from ``value``."""
+def each_kind(n: int, value=entry, direct=False):
+    """One tensor of every kind at dim n (module dims n and n + 1), entries from
+    ``value``.  ``direct`` builds them straight through the constructors, which
+    keep each entry object as given; ``from_entries`` and ``from_rows`` make
+    every zero ``_ZERO``."""
     m = n + 1
 
     def cube(a, b, c):
-        return [[[value(i, j, k) for k in range(c)] for j in range(b)] for i in range(a)]
+        return tuple(tuple(tuple(value(i, j, k) for k in range(c)) for j in range(b)) for i in range(a))
 
+    vector = tuple(value(i) for i in range(n))
+    if direct:
+        return [
+            Vector(vector),
+            LinearMap(cube(1, n, m)[0], m),
+            LinearMap((), n),
+            MulTensor(cube(n, n, n)),
+            ComulTensor(cube(n, n, n)),
+            ActionTensor(cube(n, m, m), n, m, "left"),
+            ActionTensor(cube(m, n, m), n, m, "right"),
+            CoactionTensor(cube(m, n, m), n, m),
+        ]
     return [
-        Vector.from_entries([value(i) for i in range(n)]),
+        Vector.from_entries(vector),
         LinearMap.from_rows(cube(1, n, m)[0], m),
         LinearMap.from_rows([], n),
         MulTensor.from_entries(cube(n, n, n)),
@@ -361,16 +387,55 @@ def test_nonzeros_of_every_kind(n):
         assert_nonzeros_follow_the_reference_rule(tensor)
 
 
-# The shared zero, a zero of its own (as negation makes), or a nonzero entry.
+# The shared zero, a zero of its own (put straight into a constructor), or a nonzero entry.
 MIXED_ENTRIES = st.one_of(st.just(_ZERO), st.builds(Fraction, st.just(0)), small_fractions)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 4), st.data())
 def test_nonzeros_of_shared_and_other_zeros(n, data):
-    tensors = each_kind(n, lambda *index: data.draw(MIXED_ENTRIES))
-    for tensor in tensors + [t.negated() for t in tensors if hasattr(t, "negated")]:
+    drawn = []
+
+    def draw(*index):
+        drawn.append(data.draw(MIXED_ENTRIES))
+        return drawn[-1]
+
+    tensors = each_kind(n, draw, direct=True)
+    negated = [t.negated() for t in tensors if hasattr(t, "negated")]
+    for tensor in tensors + negated:
         assert_nonzeros_follow_the_reference_rule(tensor)
+    replay = iter(drawn)  # the same entries, now through from_entries and from_rows
+    for tensor in negated + each_kind(n, lambda *index: next(replay)):
+        assert all(x is _ZERO for x in tensor.flat() if not x)
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0, None, Decimal(1)])
+def test_rat_and_from_entries_reject_inexact_values(value):
+    for build in (rat, lambda x: Vector.from_entries([1, x]), lambda x: LinearMap.from_rows([[x]]),
+                  lambda x: LinearMap.diagonal([0, x]), lambda x: MulTensor.from_entries([[[x]]])):
+        with pytest.raises(TypeError):
+            build(value)
+
+
+def test_rat_shares_zeros_and_small_ints():
+    assert rat(True) == Fraction(1) and type(rat(True)) is Fraction
+    for zero in (0, False, Fraction(0), Fraction(0, 7), "0", "-0", "0/5"):
+        assert rat(zero) is _ZERO, zero
+    assert rat(-16) is rat(-16) and rat(16) is rat(16) and rat(1) == 1
+    assert rat(17) == 17 and type(rat(17)) is Fraction and rat(-3) == Fraction(-3)
+    q = Fraction(3, 2)
+    assert rat(q) is q and rat("3/2") == q
+
+    class Numerator(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    assert type(rat(Numerator(2))) is Fraction and rat(Numerator(0)) is _ZERO
+    assert type(rat(Ratio(1, 3))) is Fraction and rat(Ratio(0)) is _ZERO
+    diagonal = LinearMap.diagonal([0, Fraction(0), 2])
+    assert all(x is _ZERO for x in diagonal.flat() if not x)
 
 
 def test_pack_and_unpack_are_inverse():

@@ -2,6 +2,8 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,18 @@ from homstruct import HomAlgebra, HomComodule, HomModule, HomPoissonCoalgebra
 from homstruct.catalog import DeterministicRng, dual_numbers, lie_only_coalgebra, octonions
 from homstruct.comodules import regular_comodule
 from homstruct.errors import FormatError
-from homstruct.exact import _ZERO, ActionTensor, LinearMap, MulTensor, _Tensor, format_rational
+from homstruct.exact import (
+    _ZERO,
+    ActionTensor,
+    CoactionTensor,
+    ComulTensor,
+    LinearMap,
+    MulTensor,
+    _Tensor,
+    compose,
+    format_ratio,
+    format_rational,
+)
 from homstruct.fileformat import (
     NamedMap,
     StructureFile,
@@ -452,6 +465,106 @@ def test_parse_builds_the_serialized_structures_from_fractions():
         assert serialize(back) == data
     dense = originals[2][0].get("module")
     assert dense.action.scaled[0] > 1 and len(dense.algebra.mu.nonzeros) > 3000
+
+
+# --- writing ------------------------------------------------------------------------
+
+def _dump_by_entry(nested):
+    """The per-entry writer ``serialize`` must agree with: ``format_ratio`` of every entry."""
+    if isinstance(nested, tuple):
+        return [_dump_by_entry(x) for x in nested]
+    return format_ratio(nested.numerator, nested.denominator)
+
+
+def _serialize_by_entry(sf: StructureFile) -> bytes:
+    """``serialize``'s layout (pinned by the golden files), every tensor written by entry."""
+    doc = json.loads(serialize(sf))
+    for name, entry in doc["structures"].items():
+        for field in TENSOR_FIELDS:
+            if field in entry:
+                attr = {"mul": "mu", "matrix": "linear_map"}.get(field, field)
+                tensor = getattr(sf.get(name), attr)
+                entry[field] = _dump_by_entry(getattr(tensor, tensor._nested))
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+
+
+def _write_entry(rng: random.Random):
+    """A zero in one of the forms a constructor takes, or a nonzero int, string or Fraction."""
+    return rng.choice([
+        lambda: _ZERO, lambda: Fraction(0), lambda: 0, lambda: "0", lambda: rng.choice(["3/2", "-7"]),
+        lambda: rng.randint(-20, 20), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+    ])()
+
+
+def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict, list]:
+    """Structures over dim-n bases with dim-m (co)modules, built from random entries,
+    negations, opposites and contractions, and the tensors ``from_entries`` or
+    ``negated`` built."""
+
+    def cube(a, b, c):
+        return [[[_write_entry(rng) for _ in range(c)] for _ in range(b)] for _ in range(a)]
+
+    def square(k):
+        return LinearMap.from_rows(cube(1, k, k)[0], k)
+
+    alpha, beta = square(n), square(m)
+    mu = MulTensor.from_entries(cube(n, n, n))
+    alg = HomAlgebra(n, mu, alpha)
+    left = ActionTensor.from_entries(cube(n, m, m), n, m, "left")
+    right = ActionTensor.from_entries(cube(m, n, m), n, m, "right").negated()
+    delta = ComulTensor.from_entries(cube(n, n, n))
+    gamma = ComulTensor.from_entries(cube(n, n, n)).negated()
+    coalg = HomPoissonCoalgebra(n, delta, gamma.opposite().precompose(alpha), alpha, False)
+    coaction = CoactionTensor.from_entries(cube(m, n, m), n, m)
+    structures = {
+        "A": alg,
+        "A_neg": HomAlgebra(n, mu.negated(), alpha),
+        "A_twist": HomAlgebra(n, mu.opposite().then_map(alpha), alpha),
+        "L": HomModule(alg, m, beta, left, "left"),
+        "L_twist": HomModule(alg, m, beta, left.precompose_algebra(alpha), "left"),
+        "R": HomModule(alg, m, beta, right, "right"),
+        "C": coalg,
+        "C_neg": HomPoissonCoalgebra(n, delta.negated(), gamma, alpha, True),
+        "K": HomComodule(coalg, m, beta, "poisson", coaction,
+                         coaction.negated().postcompose_coalgebra(alpha)),
+        "thin": NamedMap(LinearMap.from_rows(cube(1, m, 0)[0], 0)),  # m rows, 0 wide
+        "composite": NamedMap(compose(alpha, alpha)),
+    }
+    bases = {"L": "A", "L_twist": "A", "R": "A", "K": "C"}
+    interned = [mu, mu.negated(), alpha, beta, left, right, delta, gamma, coaction, coaction.negated()]
+    return structures, bases, interned
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32))
+def test_serialize_matches_the_per_entry_writer(n, m, seed):
+    structures, bases, interned = _written_structures(n, m, random.Random(seed))
+    sf = StructureFile(1, structures, bases)
+    written = serialize(sf)
+    assert written == _serialize_by_entry(sf)
+    assert serialize(parse_bytes(written)) == written
+    for tensor in interned:
+        assert all(x is _ZERO for x in tensor.flat() if not x)
+
+
+def test_serialize_of_every_catalogue_entry_matches_the_per_entry_writer():
+    from homstruct import catalog
+    from homstruct.cli import _catalog_file
+
+    for entry in catalog.entries():
+        sf = _catalog_file(entry)  # what ``catalog export`` writes
+        assert serialize(sf) == _serialize_by_entry(sf), entry.name
+    empty = catalog.get("empty_module_over_dual_numbers").payload
+    assert empty.dim_mod == 0 and empty.action.shape == (2, 0, 0)
+
+
+def test_serialize_of_a_term_too_long_to_write_is_format_error():
+    limit = sys.get_int_max_str_digits()
+    long = 10**4400
+    for value in (long, -long, Fraction(1, long), Fraction(long + 1, 3)):
+        sf = single_structure_file("m", NamedMap(LinearMap.from_rows([[0, value], [1, 0]])))
+        with pytest.raises(FormatError, match=f"more than {limit} digits"):
+            serialize(sf)
 
 
 # --- hostile input ----------------------------------------------------------------

@@ -52,11 +52,14 @@ def time_laws(*argv):
     )
 
 
-def ingest_ms(row: str) -> tuple[float, float]:
-    """The parse and nonzeros times of an ``ingest`` line."""
-    _, _, parse, build = row.split()
-    assert parse.startswith("parse_ms=") and build.startswith("nonzeros_ms="), row
-    return float(parse.split("=")[1]), float(build.split("=")[1])
+LAYER_FIELDS = {"write": ["build_ms", "serialize_ms"], "ingest": ["parse_ms", "nonzeros_ms"]}
+
+
+def layer_ms(row: str) -> list[float]:
+    """The two times of a ``write`` or ``ingest`` line, checked against their names."""
+    _, label, *fields = row.split()
+    assert [field.split("=")[0] for field in fields] == LAYER_FIELDS[label], row
+    return [float(field.split("=")[1]) for field in fields]
 
 
 def test_time_laws_prints_one_line_per_law():
@@ -67,11 +70,11 @@ def test_time_laws_prints_one_line_per_law():
     header, *rows = run.stdout.splitlines()
     assert header.split() == ["dim", "law", "ms", "fmt_ms", "failures"]
     assert [row.split()[:2] for row in rows] == [
-        [str(n), law] for n in (2, 3) for law in ["ingest"] + [axiom for _, axiom in AXIOMS]
+        [str(n), law] for n in (2, 3) for law in [*LAYER_FIELDS] + [axiom for _, axiom in AXIOMS]
     ]
     for row in rows:
-        if row.split()[1] == "ingest":
-            assert min(ingest_ms(row)) >= 0, row
+        if row.split()[1] in LAYER_FIELDS:
+            assert min(layer_ms(row)) >= 0, row
             continue
         _, _, ms, fmt_ms, failures = row.split()
         assert float(ms) >= 0 and float(fmt_ms) >= 0 and int(failures) >= 0
@@ -87,9 +90,9 @@ def test_time_laws_at_dims_zero_and_one():
     run = time_laws("--dims", "0,1")
     assert run.returncode == 0, run.stdout + run.stderr
     rows = [row.split() for row in run.stdout.splitlines()[1:]]
-    ingest = [row for row in rows if row[1] == "ingest"]
-    assert [row[0] for row in ingest] == ["0", "1"]
-    rows = [row for row in rows if row[1] != "ingest"]
+    layers = [row[:2] for row in rows if row[1] in LAYER_FIELDS]
+    assert layers == [[n, label] for n in ("0", "1") for label in LAYER_FIELDS]
+    rows = [row for row in rows if row[1] not in LAYER_FIELDS]
     assert [row[:2] for row in rows] == [[str(n), axiom] for n in (0, 1) for _, axiom in AXIOMS]
     # Nothing fails over empty structures; the dim-1 counts are pinned.
     failures = {(n, axiom): int(f) for n, axiom, _, _, f in rows}
@@ -107,7 +110,9 @@ def test_time_laws_times_only_the_named_laws():
     run = time_laws("--dims", "2", "--laws", "HOM_POISSON_COALGEBRA")
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
-    assert [row.split()[:2] for row in rows] == [["2", "ingest"], ["2", "HOM_POISSON_COALGEBRA"]]
+    assert [row.split()[:2] for row in rows] == [
+        ["2", "write"], ["2", "ingest"], ["2", "HOM_POISSON_COALGEBRA"]
+    ]
     for laws in ("NO_SUCH_LAW", "HOM_ASSOC,NO_SUCH_LAW", ""):
         bad = time_laws("--dims", "2", "--laws", laws)
         assert bad.returncode == 2 and bad.stdout == "", laws
