@@ -83,10 +83,6 @@ def build_structures(n: int, entries: list) -> list:
     return [alg, left, right, coalg, comod]
 
 
-def dense_structures(n: int) -> list:
-    return build_structures(n, dense_entries(n))
-
-
 def structure_file(structures: list) -> StructureFile:
     """The five structures of ``build_structures`` as one file."""
     return StructureFile(FILE_VERSION, dict(zip(NAMES, structures)), BASES)
@@ -114,7 +110,7 @@ def time_write(n: int, repeat: int) -> tuple[float, float]:
 def time_ingest(n: int, repeat: int) -> tuple[float, float]:
     """(best ``parse_bytes`` seconds, best seconds to build ``nonzeros`` and
     ``scaled``) for the five dim-n structures, serialized as one file."""
-    data = serialize(structure_file(dense_structures(n)))
+    data = serialize(structure_file(build_structures(n, dense_entries(n))))
     best_parse = best_build = float("inf")
     gc.collect()
     gc.disable()
@@ -136,7 +132,7 @@ def time_ingest(n: int, repeat: int) -> tuple[float, float]:
 def time_laws(n: int, repeat: int, laws=None) -> list[tuple[str, float, float, int]]:
     """(law id, best check seconds, best format seconds, total_failures) at dim n,
     for every registered law or only the ids in ``laws``."""
-    alg, left, right, coalg, comod = dense_structures(n)
+    alg, left, right, coalg, comod = build_structures(n, dense_entries(n))
     by_type = {HomAlgebra: alg, HomPoissonCoalgebra: coalg, HomComodule: comod}
     rows = []
     for (kind, axiom), checker in AXIOMS.items():

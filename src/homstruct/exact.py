@@ -57,21 +57,16 @@ from operator import is_not, itemgetter, mul
 
 from .errors import DimensionMismatch, FormatError
 
-_SMALL = {i: Fraction(i) for i in range(-16, 17)}  # what ``rat`` returns for these ints
-_ZERO, _ONE = _SMALL[0], _SMALL[1]
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^(-?(?:0|[1-9]\d*))(?:/([1-9]\d*))?$")
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, string, or Fraction to an exact Fraction: ``_ZERO`` for
-    every zero, one shared Fraction for each int in -16..16.  Types are tested
-    before any value lookup, as ``1.0`` and ``True`` hash like ``1``."""
-    kind = type(value)
-    if kind is Fraction:
+    """Coerce an int, string, or Fraction to an exact Fraction, ``_ZERO`` for every zero."""
+    if type(value) is Fraction:
         return value if value._numerator else _ZERO  # the slot: no Python-level call
-    if kind is int and -16 <= value <= 16:
-        return _SMALL[value]
     if not isinstance(value, (Fraction, int, str)):
         raise TypeError(f"cannot interpret {value!r} as a rational")
     value = Fraction(value)
@@ -121,11 +116,14 @@ def format_ratio(num: int, den: int) -> str:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical wire form of a Fraction: its own ``str``, ``format_ratio`` of its terms."""
-    try:
-        return str(value)
-    except ValueError:  # a term too long for str: format_ratio raises its FormatError
-        return format_ratio(value.numerator, value.denominator)
+    """Canonical wire form of an entry, ``format_ratio`` of its terms; a Fraction's or
+    int's own ``str`` is that text, any other entry (``True``) goes through it."""
+    if type(value) is Fraction or type(value) is int:
+        try:
+            return str(value)
+        except ValueError:  # a term too long for str: format_ratio raises its FormatError
+            pass
+    return format_ratio(value.numerator, value.denominator)
 
 
 def _freeze_vector(entries) -> tuple[Fraction, ...]:
@@ -141,6 +139,8 @@ def _freeze_cube(cube) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
 
 
 def _check_cube(cube, what: str):
+    # The guard for a cube however built, as ``ActionTensor``'s is; ``fileformat``
+    # checks first only to name the entry and axis in its error.  ~12 us at n = 16.
     n = len(cube)
     if set(map(len, cube)) - {n} or set(map(len, chain.from_iterable(cube))) - {n}:
         raise DimensionMismatch(f"{what} tensor is not n x n x n")

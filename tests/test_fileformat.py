@@ -529,6 +529,10 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
                          coaction.negated().postcompose_coalgebra(alpha)),
         "thin": NamedMap(LinearMap.from_rows(cube(1, m, 0)[0], 0)),  # m rows, 0 wide
         "composite": NamedMap(compose(alpha, alpha)),
+        # entries kept as given: bools and ints straight through the constructor
+        "direct": NamedMap(LinearMap(tuple(
+            tuple(rng.choice([True, False, 0, -3, Fraction(2, 3), _ZERO]) for _ in range(m))
+            for _ in range(m)), m)),
     }
     bases = {"L": "A", "L_twist": "A", "R": "A", "K": "C"}
     interned = [mu, mu.negated(), alpha, beta, left, right, delta, gamma, coaction, coaction.negated()]
