@@ -65,8 +65,11 @@ _RATIONAL_RE = re.compile(r"^(-?(?:0|[1-9]\d*))(?:/([1-9]\d*))?$")
 
 def rat(value) -> Fraction:
     """Coerce an int, string, or Fraction to an exact Fraction, ``_ZERO`` for every zero."""
-    if type(value) is Fraction:
+    kind = type(value)
+    if kind is Fraction:
         return value if value._numerator else _ZERO  # the slot: no Python-level call
+    if kind is int and not value:
+        return _ZERO
     if not isinstance(value, (Fraction, int, str)):
         raise TypeError(f"cannot interpret {value!r} as a rational")
     value = Fraction(value)
@@ -116,8 +119,7 @@ def format_ratio(num: int, den: int) -> str:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical wire form of an entry, ``format_ratio`` of its terms; a Fraction's or
-    int's own ``str`` is that text, any other entry (``True``) goes through it."""
+    """Wire form of an entry: a Fraction's or int's own ``str``, else ``format_ratio``'s."""
     if type(value) is Fraction or type(value) is int:
         try:
             return str(value)
