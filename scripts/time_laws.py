@@ -16,7 +16,10 @@ drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), and to
 ``ingest`` line: the best time in ms of ``fileformat.parse_bytes`` on that
 file (``parse_ms``), and of building the parsed tensors' ``nonzeros`` and
 ``scaled`` (``nonzeros_ms``).  Every entry is nonzero, so these lines time
-the write and read paths where skipping zeros saves nothing.  The first
+the write and read paths where skipping zeros saves nothing.  Then one
+``suite`` line: the best time in ms of ``verify --suite all`` on each of the
+five structures (``algebra_ms`` ... ``comodule_ms``), one ``laws.Plan``
+each, so shared contractions and packings are built once per suite.  The first
 run on each structure also builds its tensors' cached nonzero and scaled
 entries; with ``--repeat`` above 1 the best time leaves that out.  Each
 law (and each timed layer) starts after a full garbage collection and runs
@@ -34,7 +37,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from homstruct.algebras import HomAlgebra  # noqa: E402
-from homstruct.axioms import AXIOMS  # noqa: E402
+from homstruct.axioms import AXIOMS, native_suite, verify  # noqa: E402
 from homstruct.catalog import DeterministicRng  # noqa: E402
 from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
 from homstruct.comodules import HomComodule  # noqa: E402
@@ -129,6 +132,22 @@ def time_ingest(n: int, repeat: int) -> tuple[float, float]:
     return best_parse, best_build
 
 
+def time_suites(n: int, repeat: int) -> list[float]:
+    """Best seconds of ``--suite all`` on each of the five dim-n structures."""
+    best = []
+    gc.collect()
+    gc.disable()
+    for structure in build_structures(n, dense_entries(n)):
+        suite, seconds = native_suite(structure), float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            verify(structure, suite)
+            seconds = min(seconds, time.perf_counter() - start)
+        best.append(seconds)
+    gc.enable()
+    return best
+
+
 def time_laws(n: int, repeat: int, laws=None) -> list[tuple[str, float, float, int]]:
     """(law id, best check seconds, best format seconds, total_failures) at dim n,
     for every registered law or only the ids in ``laws``."""
@@ -181,6 +200,9 @@ def main(argv=None) -> int:
         parse_seconds, build_seconds = time_ingest(n, args.repeat)
         print(f"{n:>3}  {'ingest':<32} parse_ms={parse_seconds * 1000:.2f}"
               f" nonzeros_ms={build_seconds * 1000:.2f}", flush=True)
+        suites = " ".join(f"{name}_ms={seconds * 1000:.2f}"
+                          for name, seconds in zip(NAMES, time_suites(n, args.repeat)))
+        print(f"{n:>3}  {'suite':<32} {suites}", flush=True)
         for axiom, seconds, fmt_seconds, failures in time_laws(n, args.repeat, laws):
             print(f"{n:>3}  {axiom:<32} {seconds * 1000:>10.2f} {fmt_seconds * 1000:>8.2f}"
                   f"  {failures}", flush=True)

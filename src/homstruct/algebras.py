@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotAnticommuting, NotEndomorphism
 from .exact import LinearMap, MulTensor, Vector
-from .laws import COMMUTES, Law
+from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
 LEFT_HOM_ALT = "LEFT_HOM_ALT"
@@ -44,6 +44,10 @@ class HomAlgebra:
             raise DimensionMismatch("multiplication tensor does not match dim")
         if not self.alpha.is_square(self.dim):
             raise DimensionMismatch("alpha is not square of size dim")
+
+    def laws(self, axiom: str) -> list[tuple]:
+        """The ``laws.Plan`` row of ``axiom`` on this algebra."""
+        return [(axiom, _LAWS[axiom], {"mu": self.mu, "alpha": self.alpha})]
 
 
 # Polarized laws, one row each; operands are mu and alpha.
@@ -69,18 +73,18 @@ _LAWS = {
 _MULTIPLICATIVE = Law("ij", "o", "+ mu.ija f.oa", "- nu.abo f.ai f.bj")
 
 
-def check_left_hom_alternative(a: HomAlgebra) -> AxiomReport:
+def check_left_hom_alternative(a: HomAlgebra, plan: Plan | None = None) -> AxiomReport:
     """Decide the left Hom-alternative law via its polarized basis form."""
-    return _LAWS[LEFT_HOM_ALT].check(LEFT_HOM_ALT, mu=a.mu, alpha=a.alpha)
+    return check(a, LEFT_HOM_ALT, plan)
 
 
-def check_right_hom_alternative(a: HomAlgebra) -> AxiomReport:
+def check_right_hom_alternative(a: HomAlgebra, plan: Plan | None = None) -> AxiomReport:
     """Decide the right Hom-alternative law via its polarized basis form."""
-    return _LAWS[RIGHT_HOM_ALT].check(RIGHT_HOM_ALT, mu=a.mu, alpha=a.alpha)
+    return check(a, RIGHT_HOM_ALT, plan)
 
 
-def check_hom_associative(a: HomAlgebra) -> AxiomReport:
-    return _LAWS[HOM_ASSOC].check(HOM_ASSOC, mu=a.mu, alpha=a.alpha)
+def check_hom_associative(a: HomAlgebra, plan: Plan | None = None) -> AxiomReport:
+    return check(a, HOM_ASSOC, plan)
 
 
 def left_alternative_defect(a: HomAlgebra, x: Vector, y: Vector) -> Vector:

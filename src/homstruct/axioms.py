@@ -2,13 +2,14 @@
 
 Keys are ``(structure type, axiom id)`` so that a structure finds its own
 checkers directly; an id registered for another type is unknown to it.
-The CLI and the catalogue both check through ``check``.
+The CLI and the catalogue both check through ``verify``.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
+from . import laws
 from .algebras import (
     HOM_ASSOC,
     LEFT_HOM_ALT,
@@ -31,7 +32,6 @@ from .coalgebras import (
     SKEW_COSYMMETRY,
     HomPoissonCoalgebra,
     check_cocommutativity,
-    check_coalgebra_law,
     check_hom_coassociative,
     check_hom_coleibniz,
     check_hom_lie_coalgebra,
@@ -52,7 +52,7 @@ from .report import AxiomReport
 
 
 def _law(axiom: str):
-    return partial(check_coalgebra_law, axiom=axiom)
+    return partial(laws.check, axiom=axiom)
 
 
 AXIOMS = {
@@ -104,12 +104,23 @@ def native_suite(structure) -> list[str]:
     raise FormatError("structure kind cannot be verified")
 
 
-def check(structure, axiom: str) -> AxiomReport:
-    """Run one registered axiom; ``FormatError`` if the structure's type lacks it."""
+def verify(structure, suite: list[str]) -> list[AxiomReport]:
+    """One report per id of ``suite``, all from one ``laws.Plan``.  Every id
+    is resolved first, so an unknown one computes nothing; a repeated id, or
+    a part named beside its aggregate, is computed once."""
     kind = _KIND.get(type(structure))
     if kind is None:
         raise FormatError("structure kind cannot be verified")
-    checker = AXIOMS.get((type(structure), axiom))
-    if checker is None:
-        raise FormatError(f"unknown {kind} axiom {axiom!r}")
-    return checker(structure)
+    checkers = {}
+    for axiom in suite:
+        checkers[axiom] = AXIOMS.get((type(structure), axiom))
+        if checkers[axiom] is None:
+            raise FormatError(f"unknown {kind} axiom {axiom!r}")
+    plan = laws.Plan({axiom: structure.laws(axiom) for axiom in checkers})
+    reports = {axiom: checker(structure, plan=plan) for axiom, checker in checkers.items()}
+    return [reports[axiom] for axiom in suite]
+
+
+def check(structure, axiom: str) -> AxiomReport:
+    """Run one registered axiom; ``FormatError`` if the structure's type lacks it."""
+    return verify(structure, [axiom])[0]

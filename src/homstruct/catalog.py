@@ -514,4 +514,4 @@ def names() -> list[str]:
 
 def run_expected_checks(entry: CatalogEntry) -> dict[str, bool]:
     """Live verdicts for the axioms an entry pins down."""
-    return {axiom: axioms.check(entry.payload, axiom).holds for axiom in entry.expected_verdicts}
+    return {r.axiom: r.holds for r in axioms.verify(entry.payload, list(entry.expected_verdicts))}

@@ -21,11 +21,10 @@ where tau flips a tensor square and rot(x @ y @ z) = z @ x @ y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
 from .exact import ComulTensor, LinearMap
-from .laws import COMMUTES, Law
+from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
@@ -44,8 +43,30 @@ COALGEBRA_MORPHISM_GAMMA = "COALGEBRA_MORPHISM_GAMMA"
 COALGEBRA_MORPHISM_TWIST_COMMUTES = "COALGEBRA_MORPHISM_TWIST_COMMUTES"
 
 
+class _Parts:
+    """A coalgebra's laws as ``laws.Plan`` rows, one per part of an id.
+
+    The coalgebra carries the maps the parts need: ``delta`` for the first
+    three laws, ``gamma`` for the next three, both for co-Leibniz.
+    """
+
+    def laws(self, axiom: str) -> list[tuple]:
+        parts = _PARTS.get(axiom, (axiom,))
+        if axiom == HOM_POISSON_COALGEBRA and not self.cocommutative_expected:
+            parts = parts[1:]
+        rows = []
+        for part in parts:
+            if part == HOM_COLEIBNIZ:
+                operands = {"delta": self.delta, "gamma": self.gamma, "alpha": self.alpha}
+            else:
+                operands = {"t": self.delta if part in _ON_DELTA else self.gamma,
+                            "alpha": self.alpha}
+            rows.append((part, _ONE_MAP_LAWS.get(part, _COLEIBNIZ), operands))
+        return rows
+
+
 @dataclass(frozen=True)
-class HomCoassocCoalgebra:
+class HomCoassocCoalgebra(_Parts):
     dim: int
     delta: ComulTensor
     alpha: LinearMap
@@ -56,7 +77,7 @@ class HomCoassocCoalgebra:
 
 
 @dataclass(frozen=True)
-class HomLieCoalgebra:
+class HomLieCoalgebra(_Parts):
     dim: int
     gamma: ComulTensor
     alpha: LinearMap
@@ -67,7 +88,7 @@ class HomLieCoalgebra:
 
 
 @dataclass(frozen=True)
-class HomPoissonCoalgebra:
+class HomPoissonCoalgebra(_Parts):
     dim: int
     delta: ComulTensor
     gamma: ComulTensor
@@ -88,8 +109,6 @@ class HomPoissonCoalgebra:
     def lie_part(self) -> HomLieCoalgebra:
         return HomLieCoalgebra(self.dim, self.gamma, self.alpha)
 
-
-_AnyCoalgebra = Union[HomCoassocCoalgebra, HomLieCoalgebra, HomPoissonCoalgebra]
 
 # The six laws that involve one comultiplication t and the twist alpha.
 _MULTIPLICATIVE = Law("k", "ij", "+ alpha.lk t.lij", "- t.kab alpha.ia alpha.jb")
@@ -117,55 +136,36 @@ _COLEIBNIZ = Law(
 _MORPHISM = Law("k", "ij", "+ src.kab f.ia f.jb", "- f.lk dst.lij")
 
 
-def check_coalgebra_law(c: _AnyCoalgebra, axiom: str) -> AxiomReport:
-    """One of the seven individual laws of ``c``, by id.
-
-    ``c`` is any coalgebra carrying the maps the law needs: ``delta`` for
-    the first three, ``gamma`` for the next three, both for co-Leibniz.
-    """
-    if axiom == HOM_COLEIBNIZ:
-        return _COLEIBNIZ.check(axiom, delta=c.delta, gamma=c.gamma, alpha=c.alpha)
-    t = c.delta if axiom in _ON_DELTA else c.gamma
-    return _ONE_MAP_LAWS[axiom].check(axiom, t=t, alpha=c.alpha)
+_PARTS = {
+    HOM_COASSOC_COALGEBRA: (DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY),
+    HOM_LIE_COALGEBRA: (SKEW_COSYMMETRY, GAMMA_MULTIPLICATIVITY, HOM_COJACOBI),
+    # cocommutativity only when expected
+    HOM_POISSON_COALGEBRA: (COCOMMUTATIVITY, DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY,
+                            SKEW_COSYMMETRY, GAMMA_MULTIPLICATIVITY, HOM_COJACOBI, HOM_COLEIBNIZ),
+}
 
 
-def _aggregate(axiom: str, c: _AnyCoalgebra, parts: tuple[str, ...]) -> AxiomReport:
-    return AxiomReport.aggregate(axiom, [check_coalgebra_law(c, part) for part in parts])
-
-
-def check_cocommutativity(c: HomCoassocCoalgebra) -> AxiomReport:
+def check_cocommutativity(c: HomCoassocCoalgebra, plan: Plan | None = None) -> AxiomReport:
     """delta = tau . delta, i.e. the output coefficient matrix is symmetric."""
-    return check_coalgebra_law(c, COCOMMUTATIVITY)
+    return check(c, COCOMMUTATIVITY, plan)
 
 
-def check_hom_coassociative(c: HomCoassocCoalgebra) -> AxiomReport:
+def check_hom_coassociative(c: HomCoassocCoalgebra, plan: Plan | None = None) -> AxiomReport:
     """Multiplicativity of alpha for delta plus Hom-coassociativity."""
-    return _aggregate(HOM_COASSOC_COALGEBRA, c, (DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY))
+    return check(c, HOM_COASSOC_COALGEBRA, plan)
 
 
-def check_hom_lie_coalgebra(l: HomLieCoalgebra) -> AxiomReport:
-    return _aggregate(
-        HOM_LIE_COALGEBRA, l, (SKEW_COSYMMETRY, GAMMA_MULTIPLICATIVITY, HOM_COJACOBI)
-    )
+def check_hom_lie_coalgebra(l: HomLieCoalgebra, plan: Plan | None = None) -> AxiomReport:
+    return check(l, HOM_LIE_COALGEBRA, plan)
 
 
-def check_hom_coleibniz(p: HomPoissonCoalgebra) -> AxiomReport:
-    return check_coalgebra_law(p, HOM_COLEIBNIZ)
+def check_hom_coleibniz(p: HomPoissonCoalgebra, plan: Plan | None = None) -> AxiomReport:
+    return check(p, HOM_COLEIBNIZ, plan)
 
 
-def check_hom_poisson_coalgebra(p: HomPoissonCoalgebra) -> AxiomReport:
+def check_hom_poisson_coalgebra(p: HomPoissonCoalgebra, plan: Plan | None = None) -> AxiomReport:
     """Aggregate verdict over all axioms; cocommutativity only when expected."""
-    parts = (
-        DELTA_MULTIPLICATIVITY,
-        HOM_COASSOCIATIVITY,
-        SKEW_COSYMMETRY,
-        GAMMA_MULTIPLICATIVITY,
-        HOM_COJACOBI,
-        HOM_COLEIBNIZ,
-    )
-    if p.cocommutative_expected:
-        parts = (COCOMMUTATIVITY,) + parts
-    return _aggregate(HOM_POISSON_COALGEBRA, p, parts)
+    return check(p, HOM_POISSON_COALGEBRA, plan)
 
 
 def opposite_coalgebra(p: HomPoissonCoalgebra) -> HomPoissonCoalgebra:

@@ -30,7 +30,7 @@ from typing import Optional
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
 from .exact import CoactionTensor, LinearMap, squared
-from .laws import COMMUTES, Law
+from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
 COASSOC_COMODULE = "COASSOC_COMODULE"
@@ -74,6 +74,20 @@ class HomComodule:
         if not self.beta.is_square(self.dim_mod):
             raise DimensionMismatch("beta is not square of size dim_mod")
 
+    def laws(self, axiom: str) -> list[tuple]:
+        """The ``laws.Plan`` rows of ``axiom``'s parts; ``KindMismatch`` if the kind lacks it."""
+        kinds, parts, message = _PARTS[axiom]
+        if self.kind not in kinds:
+            raise KindMismatch(message)
+        base = self.coalgebra
+        operands = {"delta": base.delta, "gamma": base.gamma, "alpha": base.alpha,
+                    "beta": self.beta, "dm": self.delta_m, "gm": self.gamma_m}
+        return [
+            (part, _LAWS[part], {**operands, "t": self.delta_m
+                                 if part == DELTA_COACTION_MULTIPLICATIVITY else self.gamma_m})
+            for part in parts
+        ]
+
 
 def with_coalgebra(c: HomComodule, base: HomPoissonCoalgebra) -> HomComodule:
     """The same structure maps viewed over a different base coalgebra."""
@@ -113,40 +127,29 @@ _LAWS = {
 }
 _COASSOC_PARTS = (DELTA_COACTION_MULTIPLICATIVITY, DELTA_COACTION_COASSOCIATIVITY)
 _LIE_PARTS = (GAMMA_COACTION_MULTIPLICATIVITY, GAMMA_COACTION_COMPATIBILITY)
+_PARTS = {  # id -> (kinds that have it, parts, message for another kind)
+    COASSOC_COMODULE: (("coassociative", "poisson"), _COASSOC_PARTS,
+                       "comultiplication-side check needs a coassociative or poisson comodule"),
+    LIE_COMODULE: (("lie", "poisson"), _LIE_PARTS,
+                   "cobracket-side check needs a lie or poisson comodule"),
+    POISSON_COMODULE: (("poisson",), (*_COASSOC_PARTS, *_LIE_PARTS, COMODULE_COLEIBNIZ,
+                                      COMODULE_COMULT_COMPAT),
+                       "poisson check needs a poisson comodule"),
+}
 # (id @ f) . src = dst . f for a map f between comodules.
 _INTERTWINES = Law("p", "iq", "+ src.pis f.qs", "- f.rp dst.riq")
 
 
-def _aggregate(axiom: str, c: HomComodule, parts: tuple[str, ...]) -> AxiomReport:
-    base = c.coalgebra
-    reports = [
-        _LAWS[part].check(
-            part, delta=base.delta, gamma=base.gamma, alpha=base.alpha, beta=c.beta,
-            dm=c.delta_m, gm=c.gamma_m,
-            t=c.delta_m if part == DELTA_COACTION_MULTIPLICATIVITY else c.gamma_m,
-        )
-        for part in parts
-    ]
-    return AxiomReport.aggregate(axiom, reports)
+def check_coassoc_comodule(c: HomComodule, plan: Plan | None = None) -> AxiomReport:
+    return check(c, COASSOC_COMODULE, plan)
 
 
-def check_coassoc_comodule(c: HomComodule) -> AxiomReport:
-    if c.kind not in ("coassociative", "poisson"):
-        raise KindMismatch("comultiplication-side check needs a coassociative or poisson comodule")
-    return _aggregate(COASSOC_COMODULE, c, _COASSOC_PARTS)
+def check_lie_comodule(c: HomComodule, plan: Plan | None = None) -> AxiomReport:
+    return check(c, LIE_COMODULE, plan)
 
 
-def check_lie_comodule(c: HomComodule) -> AxiomReport:
-    if c.kind not in ("lie", "poisson"):
-        raise KindMismatch("cobracket-side check needs a lie or poisson comodule")
-    return _aggregate(LIE_COMODULE, c, _LIE_PARTS)
-
-
-def check_poisson_comodule(c: HomComodule) -> AxiomReport:
-    if c.kind != "poisson":
-        raise KindMismatch("poisson check needs a poisson comodule")
-    mixed = (COMODULE_COLEIBNIZ, COMODULE_COMULT_COMPAT)
-    return _aggregate(POISSON_COMODULE, c, _COASSOC_PARTS + _LIE_PARTS + mixed)
+def check_poisson_comodule(c: HomComodule, plan: Plan | None = None) -> AxiomReport:
+    return check(c, POISSON_COMODULE, plan)
 
 
 def twist_coassoc_comodule(c: HomComodule) -> HomComodule:

@@ -632,11 +632,19 @@ def _compile(spec: str) -> tuple:
 
 
 def _offset(places: tuple[int, ...], strides):
-    """Function taking a key to ``sum key[i] * strides[places[i]]`` (0 where a place is -1)."""
+    """Function taking a key to ``sum key[i] * strides[places[i]]`` (0 where a place is -1),
+    spelled out for up to three places: it runs once per entry added."""
     steps = [0 if p < 0 else strides[p] for p in places]
-    used = [i for i, s in enumerate(steps) if s]
-    if len(used) == 1 and steps[used[0]] == 1:
-        return itemgetter(used[0])
+    used = [(i, s) for i, s in enumerate(steps) if s]
+    if len(used) == 1:
+        ((i, s),) = used
+        return itemgetter(i) if s == 1 else lambda key: key[i] * s
+    if len(used) == 2:
+        (i, s), (j, t) = used
+        return lambda key: key[i] * s + key[j] * t
+    if len(used) == 3:
+        (i, s), (j, t), (k, u) = used
+        return lambda key: key[i] * s + key[j] * t + key[k] * u
     return lambda key: sum(map(mul, key, steps))
 
 
@@ -719,15 +727,20 @@ def packing(arity: int, axes: tuple[tuple[int, int], ...]) -> tuple:
     """How ``pack`` moves ``axes`` out of keys of ``arity`` axes, worked out once.
 
     ``axes`` holds an ``(axis, letter)`` pair for each of the one or two
-    packed axes.  Returns ``(axes, lo, hi, getter)``: the key left is
-    ``key[lo:hi]`` when the kept axes are contiguous (getter None), so no
-    call is made per key; otherwise they are at least two, and
-    ``getter(key)`` is their tuple.
+    packed axes, letter 0 first.  Returns one pass per axis, the last pair
+    first: ``(axis, letter, lo, hi, getter)`` over the keys earlier passes
+    left, the key left being ``key[lo:hi]`` when the kept axes are
+    contiguous (getter None), so no call is made per key, and
+    ``getter(key)`` otherwise.
     """
-    packed = [a for a, _ in axes]
-    kept = [p for p in range(arity) if p not in packed]
-    lo, hi = (kept[0], kept[-1] + 1) if kept else (0, 0)
-    return axes, lo, hi, None if hi - lo == len(kept) else itemgetter(*kept)
+    passes, left = [], list(range(arity))
+    for axis, letter in reversed(axes):
+        at = left.index(axis)
+        kept = [p for p in range(len(left)) if p != at]
+        lo, hi = (kept[0], kept[-1] + 1) if kept else (0, 0)
+        passes.append((at, letter, lo, hi, None if hi - lo == len(kept) else itemgetter(*kept)))
+        left.remove(axis)
+    return tuple(passes)
 
 
 def pack(entries: dict, layout: tuple, steps) -> dict:
@@ -745,23 +758,18 @@ def pack(entries: dict, layout: tuple, steps) -> dict:
     ``int`` act on every slot at once, and a result whose coefficients all
     lie strictly between ``-2**(bits - 1)`` and ``2**(bits - 1)`` decodes
     exactly with ``unpack``.
+    Two axes are packed one pass each, ``y`` first, so an add copies at most
+    one row of slots: a key of ``S = n_x * n_y`` slots costs ``O(S * (n_x +
+    n_y))`` slot copies, not ``O(S**2)``.
     """
-    axes, lo, hi, rest = layout
-    out: dict = {}
-    get = out.get
-    if len(axes) == 1:
-        ((a, x),) = axes
-        s = steps[x]
+    for a, x, lo, hi, rest in layout:
+        out: dict = {}
+        get, s = out.get, steps[x]
         for key, v in entries.items():
             r = key[lo:hi] if rest is None else rest(key)
             out[r] = get(r, 0) + (v << key[a] * s)
-    else:
-        (a, x), (b, y) = axes
-        s, t = steps[x], steps[y]
-        for key, v in entries.items():
-            r = key[lo:hi] if rest is None else rest(key)
-            out[r] = get(r, 0) + (v << key[a] * s + key[b] * t)
-    return out
+        entries = out
+    return entries
 
 
 def unpack(value: int, slots: int, bits: int) -> list[int]:

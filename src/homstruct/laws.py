@@ -12,76 +12,54 @@ lexicographic order; the second the letters of the residual vector at each
 index, flattened lexicographically.  Each term is a sign and then operands
 as ``name.letters``, with letters following the index conventions of
 ``exact.py``; a letter shared by operands and absent from the output is
-summed over.  ``Law.check`` binds names to maps and tensors by keyword.
+summed over.  A ``Plan`` evaluates the rows of one check on one structure
+together, names bound to maps and tensors; ``Law.check`` is a plan of one.
 
 Evaluation is in ``int``: each operand enters as ``scaled``, its entries
-times the lcm of their denominators, so a term's contraction carries the
-product of its operands' scales.  The signed terms are brought to the lcm
-of those products and summed, and a reported witness keeps its residual as
-integer digits over that lcm (``report.Witness``), reduced by their gcd.
-
-The residual's last two letters, or its only one, are packed.  With one
-letter (``o`` above) the one operand of each term that holds it enters
-``exact.pack``-ed over that axis, B bits a slot, so the first term
-contracts as ``ai,ab,jkb->ijk`` with ``mu.ab`` standing for ``sum_o
-mu[a,b,o] << (o*B)``.  With two letters ``(x, y)`` of sizes ``(n_x, n_y)``
-(``j`` and ``l`` of a coalgebra row's ``ijl``) residual coefficient ``(x,
-y)`` sits in slot ``x*n_y + y``: an operand that holds ``x`` is packed at
-stride ``n_y*B``, one that holds ``y`` at stride ``B``, one that holds both
-at ``x*n_y*B + y*B``.  A packed residual value is then the one-letter
-layout over one fused letter of ``n_x*n_y`` slots.  Every multiply-add in
-``contract`` moves a whole residual vector inside CPython's bignum code, so
-a law with one packed letter costs O(n^4) Python steps over n-dim tensors
-instead of O(n^5), and the coalgebra and comodule laws O(n^3).  Hence a row
-must hold each packed letter in exactly one operand of every term (``Law``
-raises ``ValueError`` otherwise).  B is fixed before any multiply: the sum
-over terms of the term's factor, times the product of its operands' largest
-scaled entries, times the product of the sizes of its summed letters,
-bounds every residual coefficient, and B is that bound's bit length plus
-2.  A packed residual is then 0 exactly when every slot is, and slots are
-decoded (``exact.unpack``) only for the reported witnesses; no
-``Fraction`` is built for them.  No index letter is packed:
-on sparse structures that makes large ints of mostly empty slots.
-
-``exact.contract`` joins a term's operands pairwise in the order the term
-lists them, so order them to keep the joins small: ``alpha.ai mu.abo
-mu.jkb`` first sums ``a`` into an n^2 table of packed values in O(n^3)
-steps and then joins ``mu.jkb`` in O(n^4), while ``alpha.ai mu.jkb mu.abo``
-would start with an n^5 outer product.  Likewise ``t.kab t.bjl alpha.ia``
-joins the operand holding both packed letters second, in O(n^3).
+times the lcm of their denominators, the terms are brought to the lcm over
+the plan of their operands' scale products, and a witness keeps integer
+digits over that lcm.  The residual's last two letters, or its only one,
+ride in slots of B bits (``exact.pack``), so each multiply-add in
+``contract`` moves a whole residual vector inside CPython's bignum code:
+O(n^4) Python steps for an algebra row over n-dim tensors, O(n^3) for a
+coalgebra row.  Hence a row holds each packed letter in exactly one operand
+of every term (``Law`` raises ``ValueError`` otherwise).  The sum over terms
+of the term's factor, times the product of its operands' largest scaled
+entries and of the sizes of its summed letters, bounds every residual
+coefficient of a row; B is the largest row's bound's bit length plus 2, so
+a residual is 0 exactly when every slot is, and slots are decoded
+(``exact.unpack``) only for reported witnesses.  ``contract`` joins a
+term's operands in the order listed, so order them to keep joins small:
+``alpha.ai mu.abo mu.jkb`` sums ``a`` in O(n^3) and joins ``mu.jkb`` in
+O(n^4), where ``alpha.ai mu.jkb mu.abo`` starts with an n^5 product.
 
 Terms that are one contraction up to a permutation of the unpacked output
 letters (``+ alpha.aj mu.abo mu.ikb`` is the first term above with ``i``
-and ``j`` swapped) are contracted once.  A term that moves either packed
-letter to another operand or axis is a contraction of its own.
-
-The residual is one list of packed ints, preallocated per check: place
-``r`` is the mixed-radix position, in lexicographic order, of the index
-letters followed by the unpacked residual letters.  Each contraction's last
-join adds straight into a list (``exact.contract``'s ``into``): no key tuple
-is built and no dict is walked again.  Which list, with which strides and
-which factor, follows from the key permutations the terms add under.  For
-each such permutation the signed count of its uses of each contraction is
-its coefficient row, and permutations whose rows agree up to sign form one
-class.  A class of one permutation (most rows are one identity class) adds
-its contractions into the residual, the permutation folded into the
-strides and ``sign * c * (common // scale)`` into the factor.  A class of
-several sums its contractions once into a list ``W`` and adds ``W`` to the
-residual under each permutation through a gather list: ``LEFT_HOM_ALT``
-(``as(x,y,z) + as(y,x,z)``) is ``W = A - B`` and then ``W + swap(W)``.
-When such a class comes first and its first permutation is the identity
-with sign +, ``W`` is the residual list itself, so ``W + swap(W)`` is one
-pass over it.  A
-contraction that two classes use is contracted once for each; no stated row
-has one.  Strides and gathers are worked out once per row and shape, and
-zero coefficients (a term cancelled by its negation) are dropped.  A
-contraction never writes to its operands, which may be the bound tensors
-themselves (``t.kij`` alone is the packed ``t``).
+and ``j`` swapped) are contracted once; a term that moves a packed letter
+is a contraction of its own.  A row's residual is one list of packed ints
+in the lexicographic order of its unpacked letters, and a contraction's
+last join adds straight into a list (``exact.contract``'s ``into``).  For
+each key permutation the terms add under, the signed count of its uses of
+each contraction is its coefficient row; permutations whose rows agree up
+to sign form one class.  A class of one permutation adds its contractions
+into the residual, the permutation folded into the strides and ``sign * c
+* (common // scale)`` into the factor.  A class of several sums them once
+into a list ``W`` and adds ``W`` under each permutation through a gather
+list: ``LEFT_HOM_ALT`` is ``W = A - B`` and then ``W + swap(W)``, ``W``
+being the residual itself when it comes first under the identity with
+sign +.  In a plan, a packed operand, a class sum ``W`` and a contraction
+mean the same ints in every row, so each is built once: a class that two
+rows hold is summed into ``W`` even under one permutation, and a
+contraction that two distinct classes hold is contracted to its output
+dict and added into each.  ``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and
+``HOM_ASSOC`` spread one ``W = A - B``: two contractions for the three.
+Zero coefficients are dropped, and a contraction never writes to its
+operands (``t.kij`` alone is the packed ``t``).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import lcm, prod
 from operator import add, floordiv, sub
@@ -132,7 +110,7 @@ class Law:
 
     @cached_property
     def _compiled(self) -> tuple:
-        """``(groups, classes, plan, operand names, residual axis sizes, loads)``.
+        """``(groups, classes, operand names, residual axis sizes, loads)``.
 
         ``loads`` holds, per group, an ``(operand, packing or None)`` pair
         for each of its operands.
@@ -193,7 +171,7 @@ class Law:
         ]
         return compiled, classes, names, sizes, loads
 
-    def _layout(self, shape: tuple[int, ...]) -> list[tuple]:
+    def _layout(self, shape: tuple[int, ...], forced: frozenset = frozenset()) -> list[tuple]:
         """Per class, for an unpacked output of ``shape``: ``(adds, own, spreads)``.
 
         An add is ``(group, coefficient, strides)``, the strides taking the
@@ -204,14 +182,15 @@ class Law:
         identity with sign +, which then needs no pass of its own.
         ``spreads`` holds one ``(sign, gather)`` per further permutation,
         the residual at place ``r`` taking ``W[gather[r]]`` (None:
-        ``W[r]``).  Worked out once per row and shape.
+        ``W[r]``).  A class in ``forced`` (one a plan shares) sums into
+        ``W`` even under one permutation.  Worked out once per shape.
         """
-        layout = self._layouts.get(shape)
+        layout = self._layouts.get((shape, forced))
         if layout is None:
             strides = [prod(shape[i + 1 :]) for i in range(len(shape))]
             layout = []
-            for row, perms in self.classes:
-                if len(perms) == 1:
+            for i, (row, perms) in enumerate(self.classes):
+                if len(perms) == 1 and i not in forced:
                     ((s, permutation),) = perms
                     # Residual letter i is output letter permutation[i].
                     moved = tuple(strides[permutation.index(p)] for p in range(len(shape)))
@@ -227,60 +206,141 @@ class Law:
                 own = bool(layout) or spreads[0] != (1, None)
                 adds = [(g, c, tuple(strides)) for g, c in row]
                 layout.append((adds, own, spreads if own else spreads[1:]))
-            self._layouts[shape] = layout
+            self._layouts[shape, forced] = layout
         return layout
 
     def check(self, axiom: str, **operands) -> AxiomReport:
         """Evaluate the law on the bound maps and tensors and report it as ``axiom``."""
-        groups, _, names, sizes, loads = self._compiled
-        scaled, shapes = {}, {}
-        for name in names:
-            scaled[name] = operands[name].scaled
-            shapes[name] = operands[name].shape
-        terms = []  # (scale, bound on one use's coefficients times its use count)
-        for ids, _, summed, uses in groups:
-            scale, bits = 1, 0
-            for name, _ in ids:
-                s, _, b = scaled[name]
-                scale *= s
-                bits += b
-            count = len(uses)
-            for name, axis in summed:
-                count *= shapes[name][axis]
-            terms.append((scale, count << bits))
-        common = lcm(*(scale for scale, _ in terms))
-        # Every residual coefficient is less than this in absolute value.
-        bound = 0
-        for scale, most in terms:
-            bound += common // scale * most
-        bits = bound.bit_length() + 2
+        return Plan({axiom: [(axiom, self, operands)]}).check(axiom)
+
+
+class Plan:
+    """The rows of one check on one structure (see above).  ``parts`` maps
+    each id checked to its parts, as rows ``(axiom, law, operands)``; a row
+    is evaluated when first reported on, and only once."""
+
+    def __init__(self, parts: dict[str, list]):
+        self.parts = parts
+        self._rows = {row[0]: row for rows in parts.values() for row in rows}
+        self._reports, self._sums, self._values, self._packs = {}, {}, {}, {}
+        self._sized = None
+
+    def check(self, axiom: str) -> AxiomReport:
+        """The report on ``axiom``: its one row's, or an aggregate of its parts'."""
+        rows = self.parts.get(axiom, ())
+        if len(rows) > 1 or rows and rows[0][0] != axiom:
+            return AxiomReport.aggregate(axiom, [self.check(part) for part, _, _ in rows])
+        if axiom not in self._reports:
+            self._sized = self._sized or self._size()
+            self._reports[axiom] = self._evaluate(*self._rows[axiom])
+        return self._reports[axiom]
+
+    def _size(self) -> tuple:
+        """``(common scale, B, shared contractions, per axiom: (operand shapes,
+        group scales, contraction numbers, class keys or None, forced classes))``."""
+        common, rows, seen, signature = 1, [], {}, []
+        for axiom, law, operands in self._rows.values():
+            groups, _, names, _, _ = law._compiled
+            shapes = {name: operands[name].shape for name in names}
+            scales, bounds = [], []
+            for ids, _, summed, terms in groups:
+                scale, bits, count = 1, 0, len(terms)
+                for name, _ in ids:
+                    s, _, b = operands[name].scaled
+                    scale, bits = scale * s, bits + b
+                for name, axis in summed:
+                    count *= shapes[name][axis]
+                scales.append(scale)
+                bounds.append(count << bits)
+            common = lcm(common, *scales)
+            rows.append((axiom, shapes, scales, bounds))
+            # Operands numbered by first appearance: which names are one map.
+            numbers = tuple([seen.setdefault(id(operands[name]), len(seen)) for name in names])
+            signature.append((law, numbers))
+        # Every residual coefficient of a row is less than its bound in absolute value.
+        bits = max(sum([common // s * b for s, b in zip(scales, bounds)])
+                   for _, _, scales, bounds in rows).bit_length() + 2
+        shared, keys = _shared(tuple(signature))
+        return common, bits, shared, {axiom: (shapes, scales, *k)
+                                      for (axiom, shapes, scales, _), k in zip(rows, keys)}
+
+    def _evaluate(self, axiom: str, law: Law, operands: dict) -> AxiomReport:
+        groups, _, _, sizes, loads = law._compiled
+        common, bits, shared, rows = self._sized
+        shapes, scales, keys, classes, forced = rows[axiom]
         # Packed letter x (of two) steps over the n_y slots of y; the residual
         # is reported over one fused packed axis of n_x * n_y slots.
-        shape = tuple(shapes[name][axis] for name, axis in sizes)
-        k = len(self.residual[-2:])
+        shape = tuple([shapes[name][axis] for name, axis in sizes])
+        k = len(law.residual[-2:])
         steps, slots, shape = (shape[-1] * bits, bits)[-k:], prod(shape[-k:]), shape[:-k]
-        packs: dict[tuple, dict] = {}
         size = prod(shape)
         residual = [0] * size
-        for adds, own, spreads in self._layout(shape):
-            w = [0] * size if own else residual
-            for g, c, strides in adds:
-                tensors = []
-                for op, layout in loads[g]:
-                    if layout is None:
-                        tensors.append(scaled[op[0]][1])
-                        continue
-                    packed = packs.get(op)
-                    if packed is None:
-                        packed = packs[op] = pack(scaled[op[0]][1], layout, steps)
-                    tensors.append(packed)
-                contract(groups[g][1], *tensors, into=(w, strides, c * (common // terms[g][0])))
+        for (adds, own, spreads), key in zip(law._layout(shape, forced), classes):
+            w = self._sums.get(key)
+            if w is None:
+                w = [0] * size if own or key else residual
+                for g, c, strides in adds:
+                    spec, tensors = groups[g][1], None
+                    if keys[g] in shared:  # contracted once, then added as a lone operand
+                        if keys[g] not in self._values:
+                            tensors = self._load(operands, loads[g], steps)
+                            self._values[keys[g]] = contract(spec, *tensors)
+                        out = spec[spec.index(">") + 1 :]
+                        spec, tensors = f"{out}->{out}", [self._values[keys[g]]]
+                    contract(spec, *tensors or self._load(operands, loads[g], steps),
+                             into=(w, strides, c * (common // scales[g])))
+                if key:
+                    self._sums[key] = w
+            if not own:  # W is the residual; a kept W must not take later adds
+                residual = w if spreads or not key else w.copy()
             # A spread builds a new residual list, so W may be the old one.
             for s, gather in spreads:
                 part = w if gather is None else map(w.__getitem__, gather)
                 residual = list(map(add if s > 0 else sub, residual, part))
-        width = len(self.index)
+        width = len(law.index)
         return _report(axiom, residual, shape[:width], prod(shape[width:]), slots, common, bits)
+
+    def _load(self, operands: dict, loads: list, steps: tuple) -> list:
+        """A group's operands, scaled; packed ones packed once per plan."""
+        tensors = []
+        for (name, packed), layout in loads:
+            entries = operands[name].scaled[1]
+            if layout is not None:
+                key = (id(operands[name]), packed, steps)
+                if key not in self._packs:
+                    self._packs[key] = pack(entries, layout, steps)
+                entries = self._packs[key]
+            tensors.append(entries)
+        return tensors
+
+
+@lru_cache(maxsize=256)
+def _shared(signature: tuple) -> tuple:
+    """What the rows ``(law, operand numbers)`` of a plan share: ``(shared
+    contractions, per row: (contraction numbers, class keys or None, forced
+    classes))``, a contraction numbered by its spec and packed operands."""
+    rows, uses, numbers = [], {}, {}
+    for law, operands in signature:
+        groups, classes, names, _, _ = law._compiled
+        number = dict(zip(names, operands))
+        keys = [numbers.setdefault((spec, *[(number[n], p) for n, p in ids]), len(numbers))
+                for ids, spec, _, _ in groups]
+        classes = [tuple([(keys[g], c) for g, c in row]) for row, _ in classes]
+        for key in classes:
+            uses[key] = uses.get(key, 0) + 1
+        rows.append((keys, classes))
+    owned = [group for key in uses for group, _ in key]  # once per distinct class
+    shared = frozenset(g for i, g in enumerate(owned) if g in owned[:i])
+    for i, (keys, classes) in enumerate(rows):
+        classes = [key if uses[key] > 1 else None for key in classes]
+        rows[i] = tuple(keys), tuple(classes), frozenset(j for j, k in enumerate(classes) if k)
+    return shared, tuple(rows)
+
+
+def check(structure, axiom: str, plan: Plan | None = None) -> AxiomReport:
+    """``axiom``'s report on ``structure``, from ``plan`` or from a plan of its
+    own; ``structure.laws(axiom)`` gives the parts as rows."""
+    return (plan or Plan({axiom: structure.laws(axiom)})).check(axiom)
 
 
 def _report(axiom: str, residual: list, index: tuple[int, ...], outer: int, slots: int,

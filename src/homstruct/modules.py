@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .algebras import HomAlgebra, negate as negate_algebra, opposite as opposite_algebra
 from .errors import AlgebraMismatch, DimensionMismatch, WrongSide
 from .exact import ActionTensor, LinearMap, Vector, squared
-from .laws import COMMUTES, Law
+from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
 LEFT_MODULE = "LEFT_MODULE"
@@ -51,6 +51,15 @@ class HomModule:
         if not self.beta.is_square(self.dim_mod):
             raise DimensionMismatch("beta is not square of size dim_mod")
 
+    def laws(self, axiom: str) -> list[tuple]:
+        """The ``laws.Plan`` row of ``axiom``, the module law of this module's side."""
+        side = "left" if axiom == LEFT_MODULE else "right"
+        if self.side != side:
+            raise WrongSide(f"{side} check on a {self.side} module")
+        alg = self.algebra
+        operands = {"mu": alg.mu, "alpha": alg.alpha, "act": self.action, "beta": self.beta}
+        return [(axiom, _LAWS[axiom], operands)]
+
 
 # Polarized laws, one row each; operands are mu, alpha, act and beta.
 _LAWS = {
@@ -77,21 +86,12 @@ _INTERTWINES = {
 }
 
 
-def _check(axiom: str, mod: HomModule) -> AxiomReport:
-    alg = mod.algebra
-    return _LAWS[axiom].check(axiom, mu=alg.mu, alpha=alg.alpha, act=mod.action, beta=mod.beta)
+def check_left_module(mod: HomModule, plan: Plan | None = None) -> AxiomReport:
+    return check(mod, LEFT_MODULE, plan)
 
 
-def check_left_module(mod: HomModule) -> AxiomReport:
-    if mod.side != "left":
-        raise WrongSide("left check on a right module")
-    return _check(LEFT_MODULE, mod)
-
-
-def check_right_module(mod: HomModule) -> AxiomReport:
-    if mod.side != "right":
-        raise WrongSide("right check on a left module")
-    return _check(RIGHT_MODULE, mod)
+def check_right_module(mod: HomModule, plan: Plan | None = None) -> AxiomReport:
+    return check(mod, RIGHT_MODULE, plan)
 
 
 def left_module_defect(mod: HomModule, x: Vector, m: Vector) -> Vector:

@@ -391,6 +391,59 @@ def test_coalgebra_part_id_runs_its_own_law(capsys):
     assert run("verify", CORPUS, "primitive2_regular", "--suite", "HOM_COJACOBI") == 2
 
 
+def counted_contractions(monkeypatch) -> list:
+    """Patch the law core's ``contract`` to record each spec it is called with."""
+    import homstruct.laws as laws
+
+    calls, contract = [], laws.contract
+
+    def counting(spec, *tensors, **kwargs):
+        calls.append(spec)
+        return contract(spec, *tensors, **kwargs)
+
+    monkeypatch.setattr(laws, "contract", counting)
+    return calls
+
+
+def test_suite_is_resolved_before_any_law_is_evaluated(monkeypatch, capsys):
+    calls = counted_contractions(monkeypatch)
+    for suite in ("HOM_ASSOC,NOT_AN_AXIOM", "LEFT_HOM_ALT,HOM_ASSOC,LEFT_MODULE"):
+        assert run("verify", CORPUS, "octonions", "--suite", suite) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "FORMAT_ERROR" in captured.err
+    assert calls == []
+
+
+def test_repeated_ids_and_parts_beside_their_aggregate_are_computed_once(
+    monkeypatch, capsys, tmp_path
+):
+    calls = counted_contractions(monkeypatch)
+    path = tmp_path / "coleibniz.json"
+    assert run("catalog", "export", "coleibniz_fail2", "--out", path) == 0
+    # (file, name, suite, the same work with repeats and covered parts dropped)
+    cases = [
+        (CORPUS, "non_alternative2", "HOM_ASSOC,LEFT_HOM_ALT,HOM_ASSOC", "HOM_ASSOC,LEFT_HOM_ALT"),
+        (path, "coleibniz_fail2", "HOM_POISSON_COALGEBRA,HOM_COLEIBNIZ", "HOM_POISSON_COALGEBRA"),
+        (path, "coleibniz_fail2", "HOM_COLEIBNIZ,HOM_POISSON_COALGEBRA,HOM_COLEIBNIZ",
+         "HOM_POISSON_COALGEBRA"),
+    ]
+    capsys.readouterr()
+    for file, name, suite, lean in cases:
+        alone = {}
+        for axiom in suite.split(","):
+            assert run("verify", file, name, "--suite", axiom) == 1
+            alone[axiom] = capsys.readouterr().out
+        del calls[:]
+        assert run("verify", file, name, "--suite", suite) == 1
+        # Printed as if each id ran alone, repeats and all, byte for byte.
+        assert capsys.readouterr().out == "".join(alone[axiom] for axiom in suite.split(","))
+        whole = sorted(calls)
+        del calls[:]
+        assert run("verify", file, name, "--suite", lean) == 1
+        capsys.readouterr()
+        assert whole == sorted(calls), suite
+
+
 # --- README -----------------------------------------------------------------
 
 def test_readme_cli_block_lists_exactly_the_parser_options():

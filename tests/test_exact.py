@@ -468,6 +468,32 @@ def test_pack_and_unpack_are_inverse():
     assert unpack((1 << 8) - 1, 2, 8) == [-1, 1]
 
 
+def folded(entries: dict, axes: tuple, steps: tuple) -> dict:
+    """The fold ``pack`` replaced: each shifted entry added into its key's one int."""
+    packed = {axis for axis, _ in axes}
+    out: dict = {}
+    for key, v in entries.items():
+        r = tuple(k for axis, k in enumerate(key) if axis not in packed)
+        out[r] = out.get(r, 0) + (v << sum(key[axis] * steps[x] for axis, x in axes))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), arity=st.integers(1, 4))
+def test_pack_equals_the_per_entry_fold(data, arity):
+    """Random signed entries, one or two packed axes (in either order), empty kept keys."""
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=arity, max_size=arity))
+    keys = data.draw(st.lists(st.tuples(*map(st.integers, [0] * arity, [n - 1 for n in sizes])),
+                              unique=True, max_size=40))
+    entries = {key: data.draw(st.integers(-(2**70), 2**70).filter(bool)) for key in keys}
+    chosen = data.draw(st.lists(st.integers(0, arity - 1), min_size=1, max_size=min(2, arity),
+                                unique=True))
+    axes = tuple((axis, x) for x, axis in enumerate(chosen))
+    bits = 73
+    steps = (sizes[chosen[-1]] * bits, bits)[-len(axes):]
+    assert pack(entries, packing(arity, axes), steps) == folded(entries, axes, steps)
+
+
 def unpack_by_borrowing(value: int, slots: int, bits: int) -> list[int]:
     """Slot by slot, giving a negative slot's borrow back to the next: the oracle for ``unpack``."""
     mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
