@@ -220,14 +220,14 @@ class Plan:
     is evaluated when first reported on, and only once."""
 
     def __init__(self, parts: dict[str, list]):
-        self.parts = parts
+        self._parts = parts
         self._rows = {row[0]: row for rows in parts.values() for row in rows}
         self._reports, self._sums, self._values, self._packs = {}, {}, {}, {}
         self._sized = None
 
     def check(self, axiom: str) -> AxiomReport:
         """The report on ``axiom``: its one row's, or an aggregate of its parts'."""
-        rows = self.parts.get(axiom, ())
+        rows = self._parts.get(axiom, ())
         if len(rows) > 1 or rows and rows[0][0] != axiom:
             return AxiomReport.aggregate(axiom, [self.check(part) for part, _, _ in rows])
         if axiom not in self._reports:
