@@ -119,8 +119,3 @@ def verify(structure, suite: list[str]) -> list[AxiomReport]:
     plan = laws.Plan({axiom: structure.laws(axiom) for axiom in checkers})
     reports = {axiom: checker(structure, plan=plan) for axiom, checker in checkers.items()}
     return [reports[axiom] for axiom in suite]
-
-
-def check(structure, axiom: str) -> AxiomReport:
-    """Run one registered axiom; ``FormatError`` if the structure's type lacks it."""
-    return verify(structure, [axiom])[0]

@@ -54,15 +54,10 @@ class _Parts:
         parts = _PARTS.get(axiom, (axiom,))
         if axiom == HOM_POISSON_COALGEBRA and not self.cocommutative_expected:
             parts = parts[1:]
-        rows = []
-        for part in parts:
-            if part == HOM_COLEIBNIZ:
-                operands = {"delta": self.delta, "gamma": self.gamma, "alpha": self.alpha}
-            else:
-                operands = {"t": self.delta if part in _ON_DELTA else self.gamma,
-                            "alpha": self.alpha}
-            rows.append((part, _ONE_MAP_LAWS.get(part, _COLEIBNIZ), operands))
-        return rows
+        maps = vars(self)  # its fields, named as the rows name them
+        return [(part, _ONE_MAP_LAWS.get(part, _COLEIBNIZ),
+                 {**maps, "t": maps["delta" if part in _ON_DELTA else "gamma"]})
+                for part in parts]
 
 
 @dataclass(frozen=True)

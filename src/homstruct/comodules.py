@@ -82,11 +82,8 @@ class HomComodule:
         base = self.coalgebra
         operands = {"delta": base.delta, "gamma": base.gamma, "alpha": base.alpha,
                     "beta": self.beta, "dm": self.delta_m, "gm": self.gamma_m}
-        return [
-            (part, _LAWS[part], {**operands, "t": self.delta_m
-                                 if part == DELTA_COACTION_MULTIPLICATIVITY else self.gamma_m})
-            for part in parts
-        ]
+        return [(part, _LAWS[part], {**operands, "t": operands[
+            "dm" if part == DELTA_COACTION_MULTIPLICATIVITY else "gm"]}) for part in parts]
 
 
 def with_coalgebra(c: HomComodule, base: HomPoissonCoalgebra) -> HomComodule:

@@ -280,15 +280,13 @@ class Plan:
             if w is None:
                 w = [0] * size if own or key else residual
                 for g, c, strides in adds:
-                    spec, tensors = groups[g][1], None
+                    spec, tensors = groups[g][1], self._load(operands, loads[g], steps)
                     if keys[g] in shared:  # contracted once, then added as a lone operand
                         if keys[g] not in self._values:
-                            tensors = self._load(operands, loads[g], steps)
                             self._values[keys[g]] = contract(spec, *tensors)
                         out = spec[spec.index(">") + 1 :]
                         spec, tensors = f"{out}->{out}", [self._values[keys[g]]]
-                    contract(spec, *tensors or self._load(operands, loads[g], steps),
-                             into=(w, strides, c * (common // scales[g])))
+                    contract(spec, *tensors, into=(w, strides, c * (common // scales[g])))
                 if key:
                     self._sums[key] = w
             if not own:  # W is the residual; a kept W must not take later adds

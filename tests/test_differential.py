@@ -229,8 +229,10 @@ def check_everything(structure):
                 pair = (check_module_morphism, ref.check_module_morphism)
                 agree(pair, f, structure, structure, strict=strict)
     elif isinstance(structure, HomPoissonCoalgebra):
-        for axiom, old in REFERENCE_COALGEBRA_SUITE.items():
-            assert axioms.check(structure, axiom) == old(structure), axiom
+        # Every id in one plan, parts beside their aggregates included.
+        suite = list(REFERENCE_COALGEBRA_SUITE)
+        for axiom, report in zip(suite, axioms.verify(structure, suite)):
+            assert report == REFERENCE_COALGEBRA_SUITE[axiom](structure), axiom
         n = structure.dim
         for phi in (LinearMap.identity(n), Draw(n + 1).map(n, n), scaled_map(n)):
             agree((check_coendomorphism, ref.check_coendomorphism), structure, phi)

@@ -76,7 +76,7 @@ def test_verify_prints_witnesses_as_their_fraction_residuals(tmp_path, capsys):
                                 ComulTensor.from_entries(cube()), alpha, True)
     path = tmp_path / "dense4.json"
     write_file(path, single_structure_file("dense4", coalg))
-    reports = [axioms.check(coalg, axiom) for axiom in axioms.native_suite(coalg)]
+    reports = axioms.verify(coalg, axioms.native_suite(coalg))
     assert not all(r.holds for r in reports)
     for cap in (2, 16):
         assert main(["verify", str(path), "dense4", "--max-witnesses", str(cap)]) == 1
