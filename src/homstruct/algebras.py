@@ -136,11 +136,11 @@ def check_morphism(f: LinearMap, a: HomAlgebra, b: HomAlgebra) -> AxiomReport:
     """Verify f(xy) = f(x)f(y) on basis pairs and f . alpha = alpha' . f."""
     if f.dim_in != a.dim or f.dim_out != b.dim:
         raise DimensionMismatch("morphism candidate has wrong shape")
-    parts = (
-        _MULTIPLICATIVE.check(MORPHISM_MULTIPLICATIVE, mu=a.mu, nu=b.mu, f=f),
-        COMMUTES.check(MORPHISM_TWIST_COMMUTES, f=f, x=a.alpha, y=b.alpha),
-    )
-    return AxiomReport.aggregate(MORPHISM, parts)
+    parts = [
+        (MORPHISM_MULTIPLICATIVE, _MULTIPLICATIVE, {"mu": a.mu, "nu": b.mu, "f": f}),
+        (MORPHISM_TWIST_COMMUTES, COMMUTES, {"f": f, "x": a.alpha, "y": b.alpha}),
+    ]
+    return Plan({MORPHISM: parts}).check(MORPHISM)
 
 
 def check_anticommute_identity(a: HomAlgebra, x: Vector, y: Vector, z: Vector) -> bool:

@@ -179,11 +179,11 @@ def check_coendomorphism(p: HomPoissonCoalgebra, phi: LinearMap) -> AxiomReport:
     """Verify delta . phi = (phi @ phi) . delta and likewise for gamma."""
     if not phi.is_square(p.dim):
         raise DimensionMismatch("coendomorphism candidate has wrong shape")
-    parts = (
-        _MULTIPLICATIVE.check(COALGEBRA_MORPHISM_DELTA, t=p.delta, alpha=phi),
-        _MULTIPLICATIVE.check(COALGEBRA_MORPHISM_GAMMA, t=p.gamma, alpha=phi),
-    )
-    return AxiomReport.aggregate(COALGEBRA_MORPHISM, parts)
+    parts = [
+        (COALGEBRA_MORPHISM_DELTA, _MULTIPLICATIVE, {"t": p.delta, "alpha": phi}),
+        (COALGEBRA_MORPHISM_GAMMA, _MULTIPLICATIVE, {"t": p.gamma, "alpha": phi}),
+    ]
+    return Plan({COALGEBRA_MORPHISM: parts}).check(COALGEBRA_MORPHISM)
 
 
 def yau_twist_coalgebra(p: HomPoissonCoalgebra, phi: LinearMap) -> HomPoissonCoalgebra:
@@ -206,9 +206,9 @@ def check_coalgebra_morphism(
     """(f @ f) . delta1 = delta2 . f, same for gamma, and f . alpha1 = alpha2 . f."""
     if f.dim_in != p1.dim or f.dim_out != p2.dim:
         raise DimensionMismatch("morphism candidate has wrong shape")
-    parts = (
-        _MORPHISM.check(COALGEBRA_MORPHISM_DELTA, src=p1.delta, dst=p2.delta, f=f),
-        _MORPHISM.check(COALGEBRA_MORPHISM_GAMMA, src=p1.gamma, dst=p2.gamma, f=f),
-        COMMUTES.check(COALGEBRA_MORPHISM_TWIST_COMMUTES, f=f, x=p1.alpha, y=p2.alpha),
-    )
-    return AxiomReport.aggregate(COALGEBRA_MORPHISM, parts)
+    parts = [
+        (COALGEBRA_MORPHISM_DELTA, _MORPHISM, {"src": p1.delta, "dst": p2.delta, "f": f}),
+        (COALGEBRA_MORPHISM_GAMMA, _MORPHISM, {"src": p1.gamma, "dst": p2.gamma, "f": f}),
+        (COALGEBRA_MORPHISM_TWIST_COMMUTES, COMMUTES, {"f": f, "x": p1.alpha, "y": p2.alpha}),
+    ]
+    return Plan({COALGEBRA_MORPHISM: parts}).check(COALGEBRA_MORPHISM)

@@ -208,14 +208,17 @@ def check_comodule_morphism(
         raise KindMismatch("comodules have different kinds")
     if f.dim_in != c1.dim_mod or f.dim_out != c2.dim_mod:
         raise DimensionMismatch("morphism candidate has wrong shape")
-    parts: list[AxiomReport] = []
+    parts = []
     if c1.kind in ("coassociative", "poisson"):
-        parts.append(_INTERTWINES.check(COMODULE_MORPHISM_DELTA, src=c1.delta_m, dst=c2.delta_m, f=f))
+        parts.append((COMODULE_MORPHISM_DELTA, _INTERTWINES,
+                      {"src": c1.delta_m, "dst": c2.delta_m, "f": f}))
     if c1.kind in ("lie", "poisson"):
-        parts.append(_INTERTWINES.check(COMODULE_MORPHISM_GAMMA, src=c1.gamma_m, dst=c2.gamma_m, f=f))
+        parts.append((COMODULE_MORPHISM_GAMMA, _INTERTWINES,
+                      {"src": c1.gamma_m, "dst": c2.gamma_m, "f": f}))
     if strict:
-        parts.append(COMMUTES.check(COMODULE_MORPHISM_BETA_COMMUTES, f=f, x=c1.beta, y=c2.beta))
-    return AxiomReport.aggregate(COMODULE_MORPHISM, parts)
+        parts.append((COMODULE_MORPHISM_BETA_COMMUTES, COMMUTES,
+                      {"f": f, "x": c1.beta, "y": c2.beta}))
+    return Plan({COMODULE_MORPHISM: parts}).check(COMODULE_MORPHISM)
 
 
 def regular_comodule(base: HomPoissonCoalgebra, kind: str = "poisson") -> HomComodule:

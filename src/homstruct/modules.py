@@ -157,14 +157,12 @@ def check_module_morphism(
         raise WrongSide("modules have different sides")
     if f.dim_in != m1.dim_mod or f.dim_out != m2.dim_mod:
         raise DimensionMismatch("morphism candidate has wrong shape")
-    parts = [
-        _INTERTWINES[m1.side].check(
-            MODULE_MORPHISM_INTERTWINES, act=m1.action, act2=m2.action, f=f
-        )
-    ]
+    parts = [(MODULE_MORPHISM_INTERTWINES, _INTERTWINES[m1.side],
+              {"act": m1.action, "act2": m2.action, "f": f})]
     if strict:
-        parts.append(COMMUTES.check(MODULE_MORPHISM_BETA_COMMUTES, f=f, x=m1.beta, y=m2.beta))
-    return AxiomReport.aggregate(MODULE_MORPHISM, parts)
+        parts.append((MODULE_MORPHISM_BETA_COMMUTES, COMMUTES,
+                      {"f": f, "x": m1.beta, "y": m2.beta}))
+    return Plan({MODULE_MORPHISM: parts}).check(MODULE_MORPHISM)
 
 
 def regular_module(alg: HomAlgebra, side: str = "left") -> HomModule:
