@@ -21,6 +21,7 @@ from homstruct.comodules import HomComodule
 from homstruct.errors import KernelError
 from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor
 from homstruct.modules import HomModule
+from homstruct.report import AxiomReport
 from reference_laws import UnpackedLaw
 
 # Sparse, signed and fractional: half the entries are zero.
@@ -55,9 +56,11 @@ def structures(draw):
     if kind == "coalgebra":
         return coalg
     comodule = draw(st.sampled_from(["coassociative", "lie", "poisson"]))
-    dm, gm = (CoactionTensor.from_entries(cube(draw, m, n, m), n, m)
-              if comodule in sides else None for sides in (("coassociative", "poisson"),
-                                                           ("lie", "poisson")))
+
+    def coaction(kinds):
+        return CoactionTensor.from_entries(cube(draw, m, n, m), n, m) if comodule in kinds else None
+
+    dm, gm = coaction(("coassociative", "poisson")), coaction(("lie", "poisson"))
     return HomComodule(coalg, m, square(draw, m), comodule, dm, gm)
 
 
@@ -84,7 +87,7 @@ def alone(structure, axiom: str):
         reports.append(report)
     if len(rows) == 1 and rows[0][0] == axiom:
         return reports[0]
-    return laws.AxiomReport.aggregate(axiom, reports)
+    return AxiomReport.aggregate(axiom, reports)
 
 
 @settings(max_examples=20, deadline=None)
