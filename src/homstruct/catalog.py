@@ -261,9 +261,6 @@ class DeterministicRng:
         return Vector(tuple(self.point_entry() for _ in range(dim)))
 
 
-RANDOM_KINDS = ("mul", "comul", "map", "vector", "action", "algebra")
-
-
 def random_structure(seed: int, dim: int, kind: str):
     """Deterministic pseudo-random structure with entries in {-2, ..., 2}."""
     if dim < 0 or dim > 4:
@@ -273,16 +270,6 @@ def random_structure(seed: int, dim: int, kind: str):
         return MulTensor.from_entries(
             [[[rng.tensor_entry() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
         )
-    if kind == "comul":
-        return ComulTensor.from_entries(
-            [[[rng.tensor_entry() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-        )
-    if kind == "map":
-        return LinearMap.from_rows(
-            [[rng.tensor_entry() for _ in range(dim)] for _ in range(dim)]
-        )
-    if kind == "vector":
-        return Vector(tuple(rng.tensor_entry() for _ in range(dim)))
     if kind == "action":
         return ActionTensor.from_entries(
             [[[rng.tensor_entry() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)],

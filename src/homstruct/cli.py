@@ -82,12 +82,6 @@ def _resolve_endo(sf: StructureFile, spec: str, dim: int) -> LinearMap:
     return target.linear_map
 
 
-def _structure_dim(structure) -> int:
-    if isinstance(structure, (HomAlgebra, HomPoissonCoalgebra)):
-        return structure.dim
-    raise FormatError("endomorphism twists apply to algebras and coalgebras")
-
-
 def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None,
              new_base: object | None = None) -> StructureFile:
     structures = dict(sf.structures)
@@ -111,7 +105,7 @@ def cmd_twist(args) -> int:
     if isinstance(structure, (HomAlgebra, HomPoissonCoalgebra)):
         if args.endo is None:
             raise FormatError("this twist needs --endo")
-        phi = _resolve_endo(sf, args.endo, _structure_dim(structure))
+        phi = _resolve_endo(sf, args.endo, structure.dim)
         if isinstance(structure, HomAlgebra):
             twisted = yau_twist(structure, phi)
         else:

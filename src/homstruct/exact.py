@@ -60,7 +60,7 @@ from .errors import DimensionMismatch, FormatError
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"^(-?(?:0|[1-9]\d*))(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
 def rat(value) -> Fraction:
@@ -83,7 +83,7 @@ def parse_rational(text: str) -> Fraction:
     fraction already in lowest terms; anything else is rejected so that
     files round-trip byte-exactly.
     """
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None or m.group(1) == "-0" or m.group(2) == "1":
         raise FormatError(f"malformed rational {text!r}")
     try:
@@ -239,10 +239,6 @@ class Vector(_Tensor):
 
     def __neg__(self) -> "Vector":
         return Vector(tuple(-a for a in self.entries))
-
-    def scale(self, factor) -> "Vector":
-        f = rat(factor)
-        return Vector(tuple(f * a for a in self.entries))
 
 
 @dataclass(frozen=True)
@@ -424,15 +420,6 @@ class ComulTensor(_Tensor):
         if not phi.is_square(self.dim):
             raise DimensionMismatch("map size does not match tensor")
         return ComulTensor(_dense(contract("lk,lij->kij", phi.nonzeros, self.nonzeros), self.shape))
-
-    def is_symmetric(self) -> bool:
-        n = self.dim
-        return all(
-            self.d[k][i][j] == self.d[k][j][i]
-            for k in range(n)
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
 
 
 @dataclass(frozen=True)

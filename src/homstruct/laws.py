@@ -37,19 +37,18 @@ Terms that are one contraction up to a permutation of the unpacked output
 letters (``+ alpha.aj mu.abo mu.ikb`` is the first term above with ``i``
 and ``j`` swapped) are contracted once; a term that moves a packed letter
 is a contraction of its own.  A row's residual is one list of packed ints
-in the lexicographic order of its unpacked letters, and a contraction's
-last join adds straight into a list (``exact.contract``'s ``into``).  For
-each key permutation the terms add under, the signed count of its uses of
-each contraction is its coefficient row; permutations whose rows agree up
-to sign form one class.  A class of one permutation adds its contractions
-into the residual, the permutation folded into the strides and ``sign * c
-* (common // scale)`` into the factor.  A class of several sums them once
-into a list ``W`` and adds ``W`` under each permutation through a gather
-list: ``LEFT_HOM_ALT`` is ``W = A - B`` and then ``W + swap(W)``, ``W``
-being the residual itself when it comes first under the identity with
-sign +.  In a plan, a packed operand, a class sum ``W`` and a contraction
-mean the same ints in every row, so each is built once: a class that two
-rows hold is summed into ``W`` even under one permutation, and a
+in the lexicographic order of its unpacked letters.  For each key
+permutation the terms add under, the signed count of its uses of each
+contraction is its coefficient row; permutations whose rows agree up to
+sign form one class.  Each class sums its contractions once into a list
+``W`` of its own, a contraction's last join adding straight into it
+(``exact.contract``'s ``into``), and adds ``W`` under each permutation
+through a gather list: ``LEFT_HOM_ALT`` is ``W = A - B`` and then ``W +
+swap(W)``.  When a row's first add is the identity with sign +, ``W``
+itself is the residual; every later add builds a new list, so no list is
+written after its sum.  In a plan, a packed operand, a class sum ``W`` and
+a contraction mean the same ints in every row, so each is built once: a
+class that two rows hold is summed once and spread by each, and a
 contraction that two distinct classes hold is contracted to its output
 dict and added into each.  ``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and
 ``HOM_ASSOC`` spread one ``W = A - B``: two contractions for the three.
@@ -98,7 +97,7 @@ class Law:
                 if letters.count(packed) != 1:
                     raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
         self.index, self.residual, self.terms = index, residual, terms
-        self._layouts: dict[tuple, list] = {}
+        self._layouts: dict[tuple, tuple] = {}
 
     @property
     def groups(self) -> list[tuple]:
@@ -171,42 +170,27 @@ class Law:
         ]
         return compiled, classes, names, sizes, loads
 
-    def _layout(self, shape: tuple[int, ...], forced: frozenset = frozenset()) -> list[tuple]:
-        """Per class, for an unpacked output of ``shape``: ``(adds, own, spreads)``.
+    def _layout(self, shape: tuple[int, ...]) -> tuple:
+        """``(strides, spreads)`` for an unpacked output of ``shape``.
 
-        An add is ``(group, coefficient, strides)``, the strides taking the
-        group's output key to its place in the class's list ``W``.  ``W`` is
-        a list of its own when ``own`` is true and the residual otherwise:
-        for a class of one permutation, whose adds go straight into the
-        residual, and for a first class whose first permutation is the
-        identity with sign +, which then needs no pass of its own.
-        ``spreads`` holds one ``(sign, gather)`` per further permutation,
-        the residual at place ``r`` taking ``W[gather[r]]`` (None:
-        ``W[r]``).  A class in ``forced`` (one a plan shares) sums into
-        ``W`` even under one permutation.  Worked out once per shape.
+        ``strides`` take a group's output key to its place in a class's list
+        ``W``.  ``spreads`` holds, per class, one ``(sign, gather)`` per
+        permutation, the residual at place ``r`` taking ``W[gather[r]]``
+        (None: ``W[r]``).  Worked out once per shape.
         """
-        layout = self._layouts.get((shape, forced))
+        layout = self._layouts.get(shape)
         if layout is None:
-            strides = [prod(shape[i + 1 :]) for i in range(len(shape))]
-            layout = []
-            for i, (row, perms) in enumerate(self.classes):
-                if len(perms) == 1 and i not in forced:
-                    ((s, permutation),) = perms
-                    # Residual letter i is output letter permutation[i].
-                    moved = tuple(strides[permutation.index(p)] for p in range(len(shape)))
-                    layout.append(([(g, s * c, moved) for g, c in row], False, ()))
-                    continue
-                spreads = []
+            strides = tuple([prod(shape[i + 1 :]) for i in range(len(shape))])
+            spreads = []
+            for _, perms in self.classes:
+                spreads.append([])
                 for s, permutation in perms:
-                    moved = [strides[p] for p in permutation]
+                    moved = tuple([strides[p] for p in permutation])
                     gather = None if moved == strides else [0]  # built axis by axis
                     for n, m in zip(shape, moved) if gather else ():
                         gather = [r + d * m for r in gather for d in range(n)]
-                    spreads.append((s, gather))
-                own = bool(layout) or spreads[0] != (1, None)
-                adds = [(g, c, tuple(strides)) for g, c in row]
-                layout.append((adds, own, spreads if own else spreads[1:]))
-            self._layouts[shape, forced] = layout
+                    spreads[-1].append((s, gather))
+            layout = self._layouts[shape] = strides, spreads
         return layout
 
     def check(self, axiom: str, **operands) -> AxiomReport:
@@ -237,7 +221,7 @@ class Plan:
 
     def _size(self) -> tuple:
         """``(common scale, B, shared contractions, per axiom: (operand shapes,
-        group scales, contraction numbers, class keys or None, forced classes))``."""
+        group scales, contraction numbers, class keys or None))``."""
         common, rows, seen, signature = 1, [], {}, []
         for axiom, law, operands in self._rows.values():
             groups, _, names, _, _ = law._compiled
@@ -265,21 +249,22 @@ class Plan:
                                       for (axiom, shapes, scales, _), k in zip(rows, keys)}
 
     def _evaluate(self, axiom: str, law: Law, operands: dict) -> AxiomReport:
-        groups, _, _, sizes, loads = law._compiled
+        groups, classes, _, sizes, loads = law._compiled
         common, bits, shared, rows = self._sized
-        shapes, scales, keys, classes, forced = rows[axiom]
+        shapes, scales, keys, kept = rows[axiom]
         # Packed letter x (of two) steps over the n_y slots of y; the residual
         # is reported over one fused packed axis of n_x * n_y slots.
         shape = tuple([shapes[name][axis] for name, axis in sizes])
         k = len(law.residual[-2:])
         steps, slots, shape = (shape[-1] * bits, bits)[-k:], prod(shape[-k:]), shape[:-k]
         size = prod(shape)
-        residual = [0] * size
-        for (adds, own, spreads), key in zip(law._layout(shape, forced), classes):
+        strides, spreads = law._layout(shape)
+        residual = zeros = [0] * size
+        for (row, _), spread, key in zip(classes, spreads, kept):
             w = self._sums.get(key)
             if w is None:
-                w = [0] * size if own or key else residual
-                for g, c, strides in adds:
+                w = [0] * size
+                for g, c in row:
                     spec, tensors = groups[g][1], self._load(operands, loads[g], steps)
                     if keys[g] in shared:  # contracted once, then added as a lone operand
                         if keys[g] not in self._values:
@@ -289,12 +274,12 @@ class Plan:
                     contract(spec, *tensors, into=(w, strides, c * (common // scales[g])))
                 if key:
                     self._sums[key] = w
-            if not own:  # W is the residual; a kept W must not take later adds
-                residual = w if spreads or not key else w.copy()
-            # A spread builds a new residual list, so W may be the old one.
-            for s, gather in spreads:
-                part = w if gather is None else map(w.__getitem__, gather)
-                residual = list(map(add if s > 0 else sub, residual, part))
+            for s, gather in spread:
+                if residual is zeros and s > 0 and gather is None:
+                    residual = w  # the row's first add: W itself
+                else:  # a new list, so no list is written after its sum
+                    part = w if gather is None else map(w.__getitem__, gather)
+                    residual = list(map(add if s > 0 else sub, residual, part))
         width = len(law.index)
         return _report(axiom, residual, shape[:width], prod(shape[width:]), slots, common, bits)
 
@@ -315,8 +300,9 @@ class Plan:
 @lru_cache(maxsize=256)
 def _shared(signature: tuple) -> tuple:
     """What the rows ``(law, operand numbers)`` of a plan share: ``(shared
-    contractions, per row: (contraction numbers, class keys or None, forced
-    classes))``, a contraction numbered by its spec and packed operands."""
+    contractions, per row: (contraction numbers, class keys or None))``, a
+    contraction numbered by its spec and packed operands; a class's key is
+    kept only when two rows hold it."""
     rows, uses, numbers = [], {}, {}
     for law, operands in signature:
         groups, classes, names, _, _ = law._compiled
@@ -329,9 +315,8 @@ def _shared(signature: tuple) -> tuple:
         rows.append((keys, classes))
     owned = [group for key in uses for group, _ in key]  # once per distinct class
     shared = frozenset(g for i, g in enumerate(owned) if g in owned[:i])
-    for i, (keys, classes) in enumerate(rows):
-        classes = [key if uses[key] > 1 else None for key in classes]
-        rows[i] = tuple(keys), tuple(classes), frozenset(j for j, k in enumerate(classes) if k)
+    rows = [(tuple(keys), tuple([key if uses[key] > 1 else None for key in classes]))
+            for keys, classes in rows]
     return shared, tuple(rows)
 
 

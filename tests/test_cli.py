@@ -167,7 +167,8 @@ def test_twist_endo_requires_algebra_dim(tmp_path, capsys):
     assert run("twist", CORPUS, "dual_numbers", "--endo", "diag:1/0,1", "--out", tmp_path / "x.json") == 2
 
 
-@pytest.mark.parametrize("entry", ["1.5", "1e3", " 2", "1_0", "2/4", "4/1", "-0", "1e5000", "9" * 4301])
+@pytest.mark.parametrize("entry", ["1.5", "1e3", " 2", "1_0", "2/4", "4/1", "-0", "1e5000", "9" * 4301,
+                                   "1\n", "1/3\n", "1\u0663"])
 def test_twist_diag_entries_follow_the_wire_grammar(tmp_path, capsys, entry):
     out = tmp_path / "x.json"
     assert run("twist", CORPUS, "dual_numbers", "--endo", f"diag:1,{entry}", "--out", out) == 2

@@ -45,7 +45,8 @@ def test_parse_rational_valid(text, value):
 
 @pytest.mark.parametrize(
     "text",
-    ["1/0", "2/4", "1/-2", "-2/-4", "x", "+1", "1.5", "", "3/02", "007", "-0", "5/1", "-5/1", "0/1"],
+    ["1/0", "2/4", "1/-2", "-2/-4", "x", "+1", "1.5", "", "3/02", "007", "-0", "5/1", "-5/1", "0/1",
+     "1\n", "1/3\n", "1\u0663"],
 )
 def test_parse_rational_rejects(text):
     with pytest.raises(FormatError):
@@ -394,13 +395,12 @@ MIXED_ENTRIES = st.one_of(st.just(_ZERO), st.builds(Fraction, st.just(0)), small
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 4), st.data())
 def test_nonzeros_of_shared_and_other_zeros(n, data):
-    drawn = []
-
-    def draw(*index):
-        drawn.append(data.draw(MIXED_ENTRIES))
-        return drawn[-1]
-
-    tensors = each_kind(n, draw, direct=True)
+    m = n + 1
+    size = n + n * m + 2 * n**3 + 3 * n * m * m  # the entries each_kind(n) takes
+    drawn = data.draw(st.lists(MIXED_ENTRIES, min_size=size, max_size=size))
+    entries = iter(drawn)
+    tensors = each_kind(n, lambda *index: next(entries), direct=True)
+    assert next(entries, None) is None
     negated = [t.negated() for t in tensors if hasattr(t, "negated")]
     for tensor in tensors + negated:
         assert_nonzeros_follow_the_reference_rule(tensor)

@@ -227,7 +227,7 @@ def test_row_assembles_by_key_permutation(row):
     if row in CLASSES:
         assert list(law.classes) == CLASSES[row]
     else:
-        # One identity class: every contraction adds straight into the residual.
+        # One identity class: its sum W is the residual itself.
         (coefficients, permutations), = law.classes
         assert [g for g, _ in coefficients] == list(range(len(law.groups)))
         assert permutations == ((1, identity),)
@@ -265,7 +265,7 @@ SYNTHETIC = {
         Law("ki", "j", "+ t.kij", "+ s.kij", "- t.kij"),
         ((((1, 1),), ((1, (0, 1)),)),),
     ),
-    # Negated: the identity is added with sign -1, so W is a list of its own.
+    # Negated: the identity is added with sign -1, so the residual is a new list.
     "negated symmetrised": (
         Law("ki", "j", "- t.kij", "+ s.kij", "- t.ikj", "+ s.ikj"),
         ((((0, 1), (1, -1)), ((-1, (0, 1)), (-1, (1, 0)))),),
@@ -401,15 +401,15 @@ LIST_ROWS = {
     # One class of three permutations whose row weighs t by 3 and s by -2:
     # the identity and a 3-cycle add, its square (the inverse) subtracts.
     "cyclic": Law("ijk", "o", *weighted("ijk", 1), *weighted("jki", 1), *weighted("kij", -1)),
-    # A 3-cycle alone in its class, folded into the strides of t's add.
+    # A 3-cycle alone in its class, spread through a gather list.
     "cycled": Law("ijk", "o", "+ t.ijko", "+ t.jkio", "- s.ijko"),
     # A symmetrised row of two joins over rectangular letters (i, j in one
     # size, p in another), as the module laws are, with coefficient 2.
     "symmetrised join": Law("ijp", "q", "+ a.ia b.japq", "+ a.ia b.japq", "+ a.ja b.iapq",
                             "+ a.ja b.iapq", "- c.ijpq", "- c.jipq"),
     # A symmetrised first class, whose W is the residual list itself, then a
-    # 3-cycle of t alone in its class, added into the residual after the
-    # spread: it must not write into W.
+    # 3-cycle of t alone in its class, added after the swap: neither add may
+    # write into W.
     "symmetrised then cycled": Law("ijk", "o", "+ t.ijko", "- s.ijko", "+ t.jiko", "- s.jiko",
                                    "+ t.jkio"),
 }
@@ -432,13 +432,15 @@ def test_list_rows_compile_as_intended():
     assert law.classes == (
         (((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (1, 0, 2)))), (((0, 1),), ((1, (2, 0, 1)),))
     )
-    # The first class sums into the residual and spreads only the swap.
-    (_, own, spreads), (_, cycled_own, cycled_spreads) = law._layout((2, 2, 2))
-    assert not own and [s for s, _ in spreads] == [1] and spreads[0][1] is not None
-    assert not cycled_own and cycled_spreads == ()
-    # With sign -1 on the identity, W is a list of its own and both permutations spread.
-    (_, own, spreads), = SYNTHETIC["negated symmetrised"][0]._layout((2, 2))
-    assert own and [s for s, _ in spreads] == [-1, -1]
+    # Each class is summed at the identity strides and spread under each of its
+    # permutations; the first spread, the identity with sign +, is W itself.
+    strides, ((first, swap), (cycle,)) = law._layout((2, 2, 2))
+    assert strides == (4, 2, 1)
+    assert first == (1, None) and swap == (1, [0, 1, 4, 5, 2, 3, 6, 7])
+    assert cycle == (1, [0, 2, 4, 6, 1, 3, 5, 7])
+    # With sign -1 on the identity, both permutations spread with sign -1.
+    strides, (spreads,) = SYNTHETIC["negated symmetrised"][0]._layout((2, 2))
+    assert strides == (2, 1) and spreads == [(-1, None), (-1, [0, 2, 1, 3])]
 
 
 @pytest.mark.parametrize("row", list(LIST_ROWS))
