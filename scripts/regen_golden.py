@@ -18,7 +18,7 @@ from homstruct.catalog import (  # noqa: E402
 )
 from homstruct.comodules import HomComodule, regular_comodule  # noqa: E402
 from homstruct.exact import ActionTensor, CoactionTensor, LinearMap  # noqa: E402
-from homstruct.fileformat import NamedMap, StructureFile, serialize  # noqa: E402
+from homstruct.fileformat import StructureFile, serialize  # noqa: E402
 from homstruct.modules import HomModule, regular_module  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
@@ -29,10 +29,10 @@ def corpus_file() -> StructureFile:
     primitive = primitive_coalgebra()
     structures = {
         "dual_numbers": dual,
-        "dual_scale": NamedMap(scale),
-        "bad_scale": NamedMap(LinearMap.diagonal([2, 1])),
+        "dual_scale": scale,
+        "bad_scale": LinearMap.diagonal([2, 1]),
         "dual_regular": regular_module(dual),
-        "dual_mul_map": NamedMap(LinearMap.from_rows([[1, 0], [2, 1]])),
+        "dual_mul_map": LinearMap.from_rows([[1, 0], [2, 1]]),
         "octonions": octonions(),
         "non_alternative2": non_alternative_dim2(),
         "primitive2": primitive,
@@ -46,15 +46,15 @@ def corpus_file() -> StructureFile:
             "coassociative",
             CoactionTensor.from_entries([[[1], [0]]], 2, 1),
         ),
-        "line_embed": NamedMap(LinearMap.from_rows([[1], [0]])),
-        "zero_map2": NamedMap(LinearMap.zero(2, 2)),
+        "line_embed": LinearMap.from_rows([[1], [0]]),
+        "zero_map2": LinearMap.zero(2, 2),
         "mod_beta2": HomModule(
             dual, 1, LinearMap.diagonal([2]), ActionTensor.zero(2, 1, "left"), "left"
         ),
         "mod_beta3": HomModule(
             dual, 1, LinearMap.diagonal([3]), ActionTensor.zero(2, 1, "left"), "left"
         ),
-        "unit_map1": NamedMap(LinearMap.diagonal([1])),
+        "unit_map1": LinearMap.diagonal([1]),
     }
     base_of = {
         "dual_regular": "dual_numbers",

@@ -25,15 +25,9 @@ from types import MappingProxyType
 from typing import Mapping, Union
 
 from . import axioms
-from .algebras import HOM_ASSOC, LEFT_HOM_ALT, RIGHT_HOM_ALT, HomAlgebra, yau_twist
-from .coalgebras import HOM_POISSON_COALGEBRA, HomPoissonCoalgebra, yau_twist_coalgebra
-from .comodules import (
-    COASSOC_COMODULE,
-    LIE_COMODULE,
-    POISSON_COMODULE,
-    HomComodule,
-    regular_comodule,
-)
+from .algebras import HomAlgebra, yau_twist
+from .coalgebras import HomPoissonCoalgebra, yau_twist_coalgebra
+from .comodules import HomComodule, regular_comodule
 from .errors import DimensionMismatch
 from .exact import (
     ActionTensor,
@@ -44,7 +38,7 @@ from .exact import (
     Vector,
     rat,
 )
-from .modules import LEFT_MODULE, RIGHT_MODULE, HomModule, regular_module
+from .modules import HomModule, regular_module
 
 Payload = Union[HomAlgebra, HomPoissonCoalgebra, HomModule, HomComodule]
 
@@ -62,19 +56,36 @@ class CatalogEntry:
         object.__setattr__(self, "expected_verdicts", MappingProxyType(dict(self.expected_verdicts)))
 
 
+def _cube(n: int, constants: dict[tuple[int, int, int], int]) -> list:
+    """The n x n x n cube holding ``constants`` at their index triples, 0 elsewhere."""
+    cube = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), value in constants.items():
+        cube[i][j][k] = value
+    return cube
+
+
+def _algebra(n: int, mu: dict) -> HomAlgebra:
+    """The algebra with e_i e_j = sum_k mu[i, j, k] e_k and alpha = id."""
+    return HomAlgebra(n, MulTensor.from_entries(_cube(n, mu)), LinearMap.identity(n))
+
+
+def _coalgebra(n: int, delta: dict, gamma: dict, cocommutative: bool) -> HomPoissonCoalgebra:
+    """The coalgebra with delta(e_k) = sum delta[k, i, j] e_i @ e_j, gamma alike, alpha = id."""
+    return HomPoissonCoalgebra(
+        n,
+        ComulTensor.from_entries(_cube(n, delta)),
+        ComulTensor.from_entries(_cube(n, gamma)),
+        LinearMap.identity(n),
+        cocommutative,
+    )
+
+
 def matrix_algebra(k: int) -> HomAlgebra:
     """Full k x k matrix algebra on the unit basis, E_ij E_lm = [j == l] E_im."""
     if not 1 <= k <= 3:
         raise DimensionMismatch("matrix algebra catalogue covers k <= 3")
-    n = k * k
-    cube = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                for m in range(k):
-                    if j == l:
-                        cube[i * k + j][l * k + m][i * k + m] = 1
-    return HomAlgebra(n, MulTensor.from_entries(cube), LinearMap.identity(n))
+    r = range(k)
+    return _algebra(k * k, {(i * k + j, j * k + m, i * k + m): 1 for i in r for j in r for m in r})
 
 
 def matrix_conjugation(k: int, diag) -> LinearMap:
@@ -86,68 +97,45 @@ def matrix_conjugation(k: int, diag) -> LinearMap:
 
 
 def octonions() -> HomAlgebra:
-    cube = [[[0] * 8 for _ in range(8)] for _ in range(8)]
-    for j in range(8):
-        cube[0][j][j] = 1
+    mu = {(0, j, j): 1 for j in range(8)}
     for i in range(1, 8):
-        cube[i][0][i] = 1
-        cube[i][i][0] = -1
+        mu[i, 0, i] = 1
+        mu[i, i, 0] = -1
     for a, b, c in OCTONION_TRIPLES:
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            cube[x][y][z] = 1
-            cube[y][x][z] = -1
-    return HomAlgebra(8, MulTensor.from_entries(cube), LinearMap.identity(8))
+            mu[x, y, z] = 1
+            mu[y, x, z] = -1
+    return _algebra(8, mu)
 
 
 def dual_numbers(lam) -> tuple[HomAlgebra, LinearMap]:
     """K[x]/(x^2) with unit e_0 and nilpotent e_1, plus the scaling diag(1, lam)."""
-    cube = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    cube[0][0][0] = 1
-    cube[0][1][1] = 1
-    cube[1][0][1] = 1
-    alg = HomAlgebra(2, MulTensor.from_entries(cube), LinearMap.identity(2))
+    alg = _algebra(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
     return alg, LinearMap.diagonal([1, rat(lam)])
 
 
 def group_algebra_z2() -> HomAlgebra:
     """K[Z/2]: e_1 * e_1 = e_0. Commutative and associative, so alternative."""
-    cube = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    cube[0][0][0] = 1
-    cube[0][1][1] = 1
-    cube[1][0][1] = 1
-    cube[1][1][0] = 1
-    return HomAlgebra(2, MulTensor.from_entries(cube), LinearMap.identity(2))
+    return _algebra(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1})
 
 
 def non_alternative_dim2() -> HomAlgebra:
     """e_0 e_0 = e_1, e_0 e_1 = e_0: fails both alternative laws at (0,0,0)."""
-    cube = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    cube[0][0][1] = 1
-    cube[0][1][0] = 1
-    return HomAlgebra(2, MulTensor.from_entries(cube), LinearMap.identity(2))
+    return _algebra(2, {(0, 0, 1): 1, (0, 1, 0): 1})
 
 
 def zero_algebra(dim: int) -> HomAlgebra:
-    return HomAlgebra(dim, MulTensor.zero(dim), LinearMap.identity(dim))
+    return _algebra(dim, {})
 
 
 def grouplike_coalgebra() -> HomPoissonCoalgebra:
     """Dim 1, delta(e_0) = e_0 @ e_0, gamma = 0."""
-    d = [[[1]]]
-    return HomPoissonCoalgebra(
-        1, ComulTensor.from_entries(d), ComulTensor.zero(1), LinearMap.identity(1), True
-    )
+    return _coalgebra(1, {(0, 0, 0): 1}, {}, True)
 
 
 def primitive_coalgebra() -> HomPoissonCoalgebra:
     """Dim 2: e_0 grouplike, e_1 primitive over it; gamma = 0."""
-    d = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    d[0][0][0] = 1
-    d[1][0][1] = 1
-    d[1][1][0] = 1
-    return HomPoissonCoalgebra(
-        2, ComulTensor.from_entries(d), ComulTensor.zero(2), LinearMap.identity(2), True
-    )
+    return _coalgebra(2, {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}, {}, True)
 
 
 def coleibniz_failing_coalgebra() -> HomPoissonCoalgebra:
@@ -157,14 +145,7 @@ def coleibniz_failing_coalgebra() -> HomPoissonCoalgebra:
     cocommutative); gamma(e_0) = e_0 @ e_0.  The co-Leibniz residual at e_0
     is -e_0 @ e_0 @ e_0; skew-cosymmetry and the co-Jacobi law fail as well.
     """
-    d = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    d[0][0][0] = 1
-    d[1][0][1] = 1
-    g = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    g[0][0][0] = 1
-    return HomPoissonCoalgebra(
-        2, ComulTensor.from_entries(d), ComulTensor.from_entries(g), LinearMap.identity(2), False
-    )
+    return _coalgebra(2, {(0, 0, 0): 1, (1, 0, 1): 1}, {(0, 0, 0): 1}, False)
 
 
 def noncocommutative_coalgebra() -> HomPoissonCoalgebra:
@@ -173,15 +154,7 @@ def noncocommutative_coalgebra() -> HomPoissonCoalgebra:
     delta(e_0) = e_0 @ e_0, delta(e_1) = e_0 @ e_1;
     gamma(e_1) = e_0 @ e_1 - e_1 @ e_0.
     """
-    d = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    d[0][0][0] = 1
-    d[1][0][1] = 1
-    g = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    g[1][0][1] = 1
-    g[1][1][0] = -1
-    return HomPoissonCoalgebra(
-        2, ComulTensor.from_entries(d), ComulTensor.from_entries(g), LinearMap.identity(2), False
-    )
+    return _coalgebra(2, {(0, 0, 0): 1, (1, 0, 1): 1}, {(1, 0, 1): 1, (1, 1, 0): -1}, False)
 
 
 def poisson_dual_dim4() -> HomPoissonCoalgebra:
@@ -192,33 +165,14 @@ def poisson_dual_dim4() -> HomPoissonCoalgebra:
     genuinely nonzero cobracket, which makes it the catalogue's workhorse for
     the mixed comodule laws.
     """
-    n = 4
-    d = [[[0] * n for _ in range(n)] for _ in range(n)]
-    d[0][0][0] = 1
-    d[1][0][1] = 1
-    d[1][1][0] = 1
-    d[2][0][2] = 1
-    d[2][2][0] = 1
-    d[3][0][3] = 1
-    d[3][3][0] = 1
-    d[3][1][2] = 1
-    d[3][2][1] = 1
-    g = [[[0] * n for _ in range(n)] for _ in range(n)]
-    g[3][1][2] = 1
-    g[3][2][1] = -1
-    return HomPoissonCoalgebra(
-        n, ComulTensor.from_entries(d), ComulTensor.from_entries(g), LinearMap.identity(n), True
-    )
+    delta = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): 1, (2, 2, 0): 1,
+             (3, 0, 3): 1, (3, 3, 0): 1, (3, 1, 2): 1, (3, 2, 1): 1}
+    return _coalgebra(4, delta, {(3, 1, 2): 1, (3, 2, 1): -1}, True)
 
 
 def lie_only_coalgebra() -> HomPoissonCoalgebra:
     """Dim 2 with delta = 0 and gamma(e_0) = e_0 @ e_1 - e_1 @ e_0."""
-    g = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    g[0][0][1] = 1
-    g[0][1][0] = -1
-    return HomPoissonCoalgebra(
-        2, ComulTensor.zero(2), ComulTensor.from_entries(g), LinearMap.identity(2), True
-    )
+    return _coalgebra(2, {}, {(0, 0, 1): 1, (0, 1, 0): -1}, True)
 
 
 def poisson_coalgebra_examples() -> list[HomPoissonCoalgebra]:
@@ -266,23 +220,20 @@ def random_structure(seed: int, dim: int, kind: str):
     if dim < 0 or dim > 4:
         raise DimensionMismatch("random structures cover dims 0..4")
     rng = DeterministicRng(seed)
+
+    def draw(axes: int):
+        """A dim x ... x dim block of ``axes`` axes, drawn in lexicographic order."""
+        if not axes:
+            return rng.tensor_entry()
+        return [draw(axes - 1) for _ in range(dim)]
+
     if kind == "mul":
-        return MulTensor.from_entries(
-            [[[rng.tensor_entry() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-        )
+        return MulTensor.from_entries(draw(3))
     if kind == "action":
-        return ActionTensor.from_entries(
-            [[[rng.tensor_entry() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)],
-            dim,
-            dim,
-            "left",
-        )
+        return ActionTensor.from_entries(draw(3), dim, dim, "left")
     if kind == "algebra":
-        mul = MulTensor.from_entries(
-            [[[rng.tensor_entry() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-        )
-        alpha = LinearMap.from_rows([[rng.tensor_entry() for _ in range(dim)] for _ in range(dim)])
-        return HomAlgebra(dim, mul, alpha)
+        mul = MulTensor.from_entries(draw(3))
+        return HomAlgebra(dim, mul, LinearMap.from_rows(draw(2)))
     raise DimensionMismatch(f"unknown random structure kind {kind!r}")
 
 
@@ -292,16 +243,16 @@ def random_structure(seed: int, dim: int, kind: str):
 # ---------------------------------------------------------------------------
 
 
-def _alg_entry(name: str, alg: HomAlgebra, left: bool, right: bool, assoc: bool) -> CatalogEntry:
-    return CatalogEntry(
-        name, alg, {LEFT_HOM_ALT: left, RIGHT_HOM_ALT: right, HOM_ASSOC: assoc}
-    )
+def _entry(name: str, payload: Payload, *holds: bool) -> CatalogEntry:
+    """An entry whose verdicts pin the ids of its ``--suite all``, in order, to ``holds``."""
+    return CatalogEntry(name, payload, dict(zip(axioms.native_suite(payload), holds, strict=True)))
 
 
-def _corrupt_action(action: ActionTensor, i: int, p: int, q: int) -> ActionTensor:
-    cube = [[list(row) for row in plane] for plane in action.a]
-    cube[i][p][q] += 1
-    return ActionTensor.from_entries(cube, action.dim_alg, action.dim_mod, action.side)
+def _bumped(cube, i: int, j: int, k: int) -> list:
+    """A copy of ``cube`` with 1 added at ``(i, j, k)``: a corrupted structure."""
+    cube = [[list(row) for row in plane] for plane in cube]
+    cube[i][j][k] += 1
+    return cube
 
 
 def dual_numbers_twisted() -> HomAlgebra:
@@ -333,159 +284,65 @@ def entries() -> list[CatalogEntry]:
 @cache
 def _entries() -> tuple[CatalogEntry, ...]:
     octo = octonions()
+    octo_reg = regular_module(octo)
     dual, _ = dual_numbers(2)
     dual_tw = dual_numbers_twisted()
     mat2 = matrix_algebra(2)
-    mat2_tw = matrix2_twisted()
-
-    out: list[CatalogEntry] = [
-        _alg_entry("zero2", zero_algebra(2), True, True, True),
-        _alg_entry("group_algebra_z2", group_algebra_z2(), True, True, True),
-        _alg_entry("dual_numbers", dual, True, True, True),
-        _alg_entry("dual_numbers_twisted", dual_tw, True, True, True),
-        _alg_entry("matrix2", mat2, True, True, True),
-        _alg_entry("matrix2_twisted", mat2_tw, True, True, True),
-        _alg_entry("octonions", octo, True, True, False),
-        _alg_entry("non_alternative2", non_alternative_dim2(), False, False, False),
-    ]
-
-    out.append(
-        CatalogEntry("dual_regular_module", regular_module(dual), {LEFT_MODULE: True})
-    )
-    out.append(
-        CatalogEntry(
-            "dual_twisted_regular_module", regular_module(dual_tw), {LEFT_MODULE: True}
-        )
-    )
-    out.append(
-        CatalogEntry("matrix2_regular_module", regular_module(mat2), {LEFT_MODULE: True})
-    )
-    octo_reg = regular_module(octo)
-    out.append(CatalogEntry("octonion_regular_module", octo_reg, {LEFT_MODULE: True}))
-    out.append(
-        CatalogEntry(
-            "octonion_regular_module_corrupt",
-            HomModule(octo, 8, octo.alpha, _corrupt_action(octo_reg.action, 1, 2, 3), "left"),
-            {LEFT_MODULE: False},
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "octonion_regular_right_module",
-            regular_module(octo, "right"),
-            {RIGHT_MODULE: True},
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "zero_module_over_octonions",
-            HomModule(octo, 2, LinearMap.identity(2), ActionTensor.zero(8, 2, "left"), "left"),
-            {LEFT_MODULE: True},
-        )
-    )
-    out.append(
-        CatalogEntry(
-            "empty_module_over_dual_numbers",
-            HomModule(dual, 0, LinearMap.from_rows([]), ActionTensor.zero(2, 0, "left"), "left"),
-            {LEFT_MODULE: True},
-        )
-    )
-
-    grouplike = grouplike_coalgebra()
     primitive = primitive_coalgebra()
     primitive_tw = primitive_coalgebra_twisted()
     pd4 = poisson_dual_dim4()
     pd4_tw = poisson_dual_dim4_twisted()
+    pd4_reg = regular_comodule(pd4)
     lie2 = lie_only_coalgebra()
     lie2_tw = lie_only_coalgebra_twisted()
+    grouplike = grouplike_coalgebra()
+    corrupt_action = ActionTensor.from_entries(_bumped(octo_reg.action.a, 1, 2, 3), 8, 8, "left")
+    corrupt_gamma = CoactionTensor.from_entries(_bumped(pd4_reg.gamma_m.g, 1, 0, 1), 4, 4)
+    line = CoactionTensor.from_entries([[[1], [0]]], 2, 1)
+    no_action = ActionTensor.zero(8, 2, "left")
+    empty_action = ActionTensor.zero(2, 0, "left")
 
-    out.extend(
-        [
-            CatalogEntry("grouplike1", grouplike, {HOM_POISSON_COALGEBRA: True}),
-            CatalogEntry("primitive2", primitive, {HOM_POISSON_COALGEBRA: True}),
-            CatalogEntry("primitive2_twisted", primitive_tw, {HOM_POISSON_COALGEBRA: True}),
-            CatalogEntry(
-                "coleibniz_fail2", coleibniz_failing_coalgebra(), {HOM_POISSON_COALGEBRA: False}
-            ),
-            CatalogEntry(
-                "noncocommutative2", noncocommutative_coalgebra(), {HOM_POISSON_COALGEBRA: True}
-            ),
-            CatalogEntry("poisson_dual4", pd4, {HOM_POISSON_COALGEBRA: True}),
-            CatalogEntry("poisson_dual4_twisted", pd4_tw, {HOM_POISSON_COALGEBRA: True}),
-            CatalogEntry("lie_only2", lie2, {HOM_POISSON_COALGEBRA: True}),
-            CatalogEntry("lie_only2_twisted", lie2_tw, {HOM_POISSON_COALGEBRA: True}),
-        ]
+    return (
+        _entry("zero2", zero_algebra(2), True, True, True),
+        _entry("group_algebra_z2", group_algebra_z2(), True, True, True),
+        _entry("dual_numbers", dual, True, True, True),
+        _entry("dual_numbers_twisted", dual_tw, True, True, True),
+        _entry("matrix2", mat2, True, True, True),
+        _entry("matrix2_twisted", matrix2_twisted(), True, True, True),
+        _entry("octonions", octo, True, True, False),
+        _entry("non_alternative2", non_alternative_dim2(), False, False, False),
+        _entry("dual_regular_module", regular_module(dual), True),
+        _entry("dual_twisted_regular_module", regular_module(dual_tw), True),
+        _entry("matrix2_regular_module", regular_module(mat2), True),
+        _entry("octonion_regular_module", octo_reg, True),
+        _entry("octonion_regular_module_corrupt",
+               HomModule(octo, 8, octo.alpha, corrupt_action, "left"), False),
+        _entry("octonion_regular_right_module", regular_module(octo, "right"), True),
+        _entry("zero_module_over_octonions",
+               HomModule(octo, 2, LinearMap.identity(2), no_action, "left"), True),
+        _entry("empty_module_over_dual_numbers",
+               HomModule(dual, 0, LinearMap.from_rows([]), empty_action, "left"), True),
+        _entry("grouplike1", grouplike, True),
+        _entry("primitive2", primitive, True),
+        _entry("primitive2_twisted", primitive_tw, True),
+        _entry("coleibniz_fail2", coleibniz_failing_coalgebra(), False),
+        _entry("noncocommutative2", noncocommutative_coalgebra(), True),
+        _entry("poisson_dual4", pd4, True),
+        _entry("poisson_dual4_twisted", pd4_tw, True),
+        _entry("lie_only2", lie2, True),
+        _entry("lie_only2_twisted", lie2_tw, True),
+        _entry("grouplike1_regular_comodule", regular_comodule(grouplike), True),
+        _entry("primitive2_regular_comodule", regular_comodule(primitive), True),
+        _entry("primitive2_twisted_regular_comodule", regular_comodule(primitive_tw), True),
+        _entry("poisson_dual4_regular_comodule", pd4_reg, True),
+        _entry("poisson_dual4_twisted_regular_comodule", regular_comodule(pd4_tw), True),
+        _entry("lie_only2_regular_comodule", regular_comodule(lie2, "lie"), True),
+        _entry("lie_only2_twisted_regular_comodule", regular_comodule(lie2_tw, "lie"), True),
+        _entry("primitive2_line_comodule",
+               HomComodule(primitive, 1, LinearMap.identity(1), "coassociative", line), True),
+        _entry("poisson_dual4_comodule_corrupt",
+               HomComodule(pd4, 4, pd4.alpha, "poisson", pd4_reg.delta_m, corrupt_gamma), False),
     )
-
-    out.extend(
-        [
-            CatalogEntry(
-                "grouplike1_regular_comodule",
-                regular_comodule(grouplike),
-                {POISSON_COMODULE: True},
-            ),
-            CatalogEntry(
-                "primitive2_regular_comodule",
-                regular_comodule(primitive),
-                {POISSON_COMODULE: True},
-            ),
-            CatalogEntry(
-                "primitive2_twisted_regular_comodule",
-                regular_comodule(primitive_tw),
-                {POISSON_COMODULE: True},
-            ),
-            CatalogEntry(
-                "poisson_dual4_regular_comodule",
-                regular_comodule(pd4),
-                {POISSON_COMODULE: True},
-            ),
-            CatalogEntry(
-                "poisson_dual4_twisted_regular_comodule",
-                regular_comodule(pd4_tw),
-                {POISSON_COMODULE: True},
-            ),
-            CatalogEntry(
-                "lie_only2_regular_comodule",
-                regular_comodule(lie2, "lie"),
-                {LIE_COMODULE: True},
-            ),
-            CatalogEntry(
-                "lie_only2_twisted_regular_comodule",
-                regular_comodule(lie2_tw, "lie"),
-                {LIE_COMODULE: True},
-            ),
-            CatalogEntry(
-                "primitive2_line_comodule",
-                HomComodule(
-                    primitive,
-                    1,
-                    LinearMap.identity(1),
-                    "coassociative",
-                    CoactionTensor.from_entries([[[1], [0]]], 2, 1),
-                ),
-                {COASSOC_COMODULE: True},
-            ),
-        ]
-    )
-
-    pd4_reg = regular_comodule(pd4)
-    corrupt_gamma = [[list(row) for row in plane] for plane in pd4_reg.gamma_m.g]
-    corrupt_gamma[1][0][1] += 1
-    out.append(
-        CatalogEntry(
-            "poisson_dual4_comodule_corrupt",
-            HomComodule(
-                pd4,
-                4,
-                pd4.alpha,
-                "poisson",
-                pd4_reg.delta_m,
-                CoactionTensor.from_entries(corrupt_gamma, 4, 4),
-            ),
-            {POISSON_COMODULE: False},
-        )
-    )
-    return tuple(out)
 
 
 def get(name: str) -> CatalogEntry:

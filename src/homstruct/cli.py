@@ -36,14 +36,7 @@ from .comodules import (
 )
 from .errors import FormatError, KernelError, KindMismatch
 from .exact import LinearMap, parse_rational
-from .fileformat import (
-    NamedMap,
-    StructureFile,
-    parse_file,
-    serialize,
-    single_structure_file,
-    write_file,
-)
+from .fileformat import StructureFile, parse_file, serialize, single_structure_file, write_file
 from .modules import (
     HomModule,
     check_module_morphism,
@@ -77,9 +70,9 @@ def _resolve_endo(sf: StructureFile, spec: str, dim: int) -> LinearMap:
             raise FormatError(f"diag endomorphism needs {dim} entries")
         return LinearMap.diagonal(values)
     target = sf.get(spec)
-    if not isinstance(target, NamedMap):
+    if not isinstance(target, LinearMap):
         raise FormatError(f"{spec!r} is not a linear map entry")
-    return target.linear_map
+    return target
 
 
 def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None,
@@ -100,6 +93,8 @@ def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None,
 def cmd_twist(args) -> int:
     sf = parse_file(args.file)
     structure = sf.get(args.name)
+    if args.rename == "":
+        raise FormatError("--as needs a nonempty name")
     if args.rename in sf.structures:
         raise FormatError(f"--as {args.rename!r} names an entry already in the file")
     if isinstance(structure, (HomAlgebra, HomPoissonCoalgebra)):
@@ -135,6 +130,12 @@ def cmd_twist(args) -> int:
 def cmd_transform(args) -> int:
     sf = parse_file(args.file)
     structure = sf.get(args.name)
+    # a module or comodule transform rewrites its base entry, so another
+    # entry over that base would silently change too
+    base = sf.base_of.get(args.name)
+    sharing = sorted(name for name, ref in sf.base_of.items() if ref == base and name != args.name)
+    if sharing:
+        raise FormatError(f"base {base!r} of {args.name!r} is shared with {sharing[0]!r}")
     new_base = None
     if isinstance(structure, HomAlgebra):
         result = negate_algebra(structure) if args.op == "negate" else opposite_algebra(structure)
@@ -161,10 +162,9 @@ def cmd_transform(args) -> int:
 
 def cmd_check_morphism(args) -> int:
     sf = parse_file(args.file)
-    entry = sf.get(args.map)
-    if not isinstance(entry, NamedMap):
+    f = sf.get(args.map)
+    if not isinstance(f, LinearMap):
         raise FormatError(f"{args.map!r} is not a linear map entry")
-    f = entry.linear_map
     src = sf.get(getattr(args, "from"))
     dst = sf.get(args.to)
     if isinstance(src, HomAlgebra) and isinstance(dst, HomAlgebra):

@@ -57,13 +57,6 @@ FILE_VERSION = 1
 
 
 @dataclass(frozen=True)
-class NamedMap:
-    """A bare linear map stored in a file (morphism / endomorphism material)."""
-
-    linear_map: LinearMap
-
-
-@dataclass(frozen=True)
 class StructureFile:
     version: int
     structures: dict[str, object]
@@ -193,7 +186,7 @@ def parse_bytes(data: bytes) -> StructureFile:
             dim_in = _parse_dim(entry.get("dim_in"), name)
             dim_out = _parse_dim(entry.get("dim_out"), name)
             rows = numerals.matrix(entry.get("matrix"), dim_out, dim_in, name)
-            structures[name] = NamedMap(LinearMap(rows, dim_in))
+            structures[name] = LinearMap(rows, dim_in)
         elif kind in ("hom_module", "hom_comodule"):
             pending.append((name, entry))
         else:
@@ -294,12 +287,12 @@ def _entry_doc(name: str, structure, base_of: dict[str, str]) -> dict:
         if structure.gamma_m is not None:
             doc["gamma_m"] = _dump(structure.gamma_m)
         return doc
-    if isinstance(structure, NamedMap):
+    if isinstance(structure, LinearMap):
         return {
             "kind": "linear_map",
-            "dim_in": structure.linear_map.dim_in,
-            "dim_out": structure.linear_map.dim_out,
-            "matrix": _dump(structure.linear_map),
+            "dim_in": structure.dim_in,
+            "dim_out": structure.dim_out,
+            "matrix": _dump(structure),
         }
     raise FormatError(f"{name}: cannot serialize {type(structure).__name__}")
 

@@ -167,8 +167,4 @@ def check_module_morphism(
 
 def regular_module(alg: HomAlgebra, side: str = "left") -> HomModule:
     """The algebra acting on itself: M = A, beta = alpha, action = mul."""
-    if side == "left":
-        action = ActionTensor(alg.mu.c, alg.dim, alg.dim, "left")
-    else:
-        action = ActionTensor(alg.mu.c, alg.dim, alg.dim, "right")
-    return HomModule(alg, alg.dim, alg.alpha, action, side)
+    return HomModule(alg, alg.dim, alg.alpha, ActionTensor(alg.mu.c, alg.dim, alg.dim, side), side)

@@ -15,6 +15,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exported_module(tmp_path):
+    """A file holding only ``dual_regular_module`` and its base algebra."""
+    path = tmp_path / "module.json"
+    assert run("catalog", "export", "dual_regular_module", "--out", path) == 0
+    return path
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_octonions_alternative_suite_passes(capsys):
@@ -148,8 +155,7 @@ def test_twist_rename_keeps_original(tmp_path):
 def test_twist_as_an_existing_name_is_a_format_error(tmp_path, capsys, name):
     # Replacing the base algebra with the twisted module left a file that
     # failed its own verify ("algebra ... not found").
-    exported = tmp_path / "m.json"
-    assert run("catalog", "export", "dual_regular_module", "--out", exported) == 0
+    exported = exported_module(tmp_path)
     capsys.readouterr()
     out = tmp_path / "o.json"
     assert run("twist", exported, "dual_regular_module", "--out", out, "--as", name) == 2
@@ -158,6 +164,21 @@ def test_twist_as_an_existing_name_is_a_format_error(tmp_path, capsys, name):
     assert not out.exists()
     assert run("twist", exported, "dual_regular_module", "--out", out, "--as", "fresh") == 0
     assert run("verify", out, "fresh") == 0
+
+
+def test_twist_as_an_empty_name_is_a_format_error(tmp_path, capsys):
+    # An entry named "" was written, so the file failed to parse at all;
+    # with --out FILE that destroyed the input.
+    exported = exported_module(tmp_path)
+    before = exported.read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "o.json"
+    for target in (out, exported):
+        assert run("twist", exported, "dual_regular_module", "--out", target, "--as", "") == 2
+        captured = capsys.readouterr()
+        assert "FORMAT_ERROR" in captured.err and captured.out == ""
+    assert not out.exists()
+    assert exported.read_bytes() == before
 
 
 def test_twist_endo_requires_algebra_dim(tmp_path, capsys):
@@ -227,22 +248,35 @@ def test_opposite_of_commutative_structure_is_identity_on_bytes(tmp_path):
 
 
 def test_negate_module_updates_base_algebra(tmp_path):
+    exported = exported_module(tmp_path)
     out = tmp_path / "negmod.json"
-    assert run("transform", CORPUS, "dual_regular", "negate", "--out", out) == 0
+    assert run("transform", exported, "dual_regular_module", "negate", "--out", out) == 0
     sf = parse_file(out)
-    assert sf.get("dual_numbers").mu.c[0][0][0] == -1
-    assert run("verify", out, "dual_regular") == 0
+    assert sf.get("dual_regular_module_algebra").mu.c[0][0][0] == -1
+    assert run("verify", out, "dual_regular_module") == 0
     back = tmp_path / "back.json"
-    assert run("transform", out, "dual_regular", "negate", "--out", back) == 0
-    assert back.read_bytes() == CORPUS.read_bytes()
+    assert run("transform", out, "dual_regular_module", "negate", "--out", back) == 0
+    assert back.read_bytes() == exported.read_bytes()
 
 
 def test_opposite_module_flips_side(tmp_path):
     out = tmp_path / "oppmod.json"
-    assert run("transform", CORPUS, "dual_regular", "opposite", "--out", out) == 0
+    assert run("transform", exported_module(tmp_path), "dual_regular_module", "opposite", "--out", out) == 0
     sf = parse_file(out)
-    assert sf.get("dual_regular").side == "right"
-    assert run("verify", out, "dual_regular") == 0
+    assert sf.get("dual_regular_module").side == "right"
+    assert run("verify", out, "dual_regular_module") == 0
+
+
+@pytest.mark.parametrize("name,op", [("dual_regular", "negate"), ("dual_regular", "opposite"),
+                                     ("primitive2_regular", "negate")])
+def test_transform_of_an_entry_over_a_shared_base_is_a_format_error(tmp_path, capsys, name, op):
+    # The transform rewrites the base entry, so the corpus's other entries
+    # over it (mod_beta2 and mod_beta3, line_comodule) changed meaning.
+    out = tmp_path / "t.json"
+    assert run("transform", CORPUS, name, op, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert "FORMAT_ERROR" in captured.err and "shared" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_opposite_module_over_dim_zero_algebra(tmp_path):

@@ -27,7 +27,6 @@ from homstruct.exact import (
     format_rational,
 )
 from homstruct.fileformat import (
-    NamedMap,
     StructureFile,
     parse_bytes,
     parse_file,
@@ -52,7 +51,7 @@ def test_parse_recovers_structures():
     assert isinstance(sf.get("dual_regular"), HomModule)
     assert isinstance(sf.get("primitive2"), HomPoissonCoalgebra)
     assert isinstance(sf.get("primitive2_regular"), HomComodule)
-    assert isinstance(sf.get("dual_scale"), NamedMap)
+    assert isinstance(sf.get("dual_scale"), LinearMap)
     assert sf.get("octonions") == octonions()
     assert sf.get("dual_regular") == regular_module(dual_numbers(2)[0])
     with pytest.raises(FormatError):
@@ -116,7 +115,7 @@ def test_map_without_rows_round_trips():
         b'"matrix":[]}}}\n'
     )
     sf = parse_bytes(body)
-    assert sf.get("f").linear_map.shape == (0, 3)
+    assert sf.get("f").shape == (0, 3)
     assert serialize(sf) == body
 
 
@@ -209,10 +208,10 @@ def test_fraction_entries_survive_round_trip():
     from fractions import Fraction
 
     alg, phi = dual_numbers(Fraction(3, 2))
-    sf = single_structure_file("m", NamedMap(phi))
+    sf = single_structure_file("m", phi)
     data = serialize(sf)
     assert b'"3/2"' in data
-    assert parse_bytes(data).get("m").linear_map == phi
+    assert parse_bytes(data).get("m") == phi
 
 
 def test_huge_numeral_is_format_error(tmp_path, capsys):
@@ -411,8 +410,8 @@ def _regen_golden():
 
 
 def _tensors(structure) -> list:
-    if isinstance(structure, NamedMap):
-        return [structure.linear_map]
+    if isinstance(structure, LinearMap):
+        return [structure]
     values = [getattr(structure, f.name) for f in dataclasses.fields(structure)]
     return [v for v in values if isinstance(v, _Tensor)]
 
@@ -482,8 +481,10 @@ def _serialize_by_entry(sf: StructureFile) -> bytes:
     for name, entry in doc["structures"].items():
         for field in TENSOR_FIELDS:
             if field in entry:
-                attr = {"mul": "mu", "matrix": "linear_map"}.get(field, field)
-                tensor = getattr(sf.get(name), attr)
+                # a linear_map entry is its own matrix
+                structure = sf.get(name)
+                attr = {"mul": "mu"}.get(field, field)
+                tensor = structure if field == "matrix" else getattr(structure, attr)
                 entry[field] = _dump_by_entry(getattr(tensor, tensor._nested))
     return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
 
@@ -527,12 +528,12 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
         "C_neg": HomPoissonCoalgebra(n, delta.negated(), gamma, alpha, True),
         "K": HomComodule(coalg, m, beta, "poisson", coaction,
                          coaction.negated().postcompose_coalgebra(alpha)),
-        "thin": NamedMap(LinearMap.from_rows(cube(1, m, 0)[0], 0)),  # m rows, 0 wide
-        "composite": NamedMap(compose(alpha, alpha)),
+        "thin": LinearMap.from_rows(cube(1, m, 0)[0], 0),  # m rows, 0 wide
+        "composite": compose(alpha, alpha),
         # entries kept as given: bools and ints straight through the constructor
-        "direct": NamedMap(LinearMap(tuple(
+        "direct": LinearMap(tuple(
             tuple(rng.choice([True, False, 0, -3, Fraction(2, 3), _ZERO]) for _ in range(m))
-            for _ in range(m)), m)),
+            for _ in range(m)), m),
     }
     bases = {"L": "A", "L_twist": "A", "R": "A", "K": "C"}
     interned = [mu, mu.negated(), alpha, beta, left, right, delta, gamma, coaction, coaction.negated()]
@@ -566,7 +567,7 @@ def test_serialize_of_a_term_too_long_to_write_is_format_error():
     limit = sys.get_int_max_str_digits()
     long = 10**4400
     for value in (long, -long, Fraction(1, long), Fraction(long + 1, 3)):
-        sf = single_structure_file("m", NamedMap(LinearMap.from_rows([[0, value], [1, 0]])))
+        sf = single_structure_file("m", LinearMap.from_rows([[0, value], [1, 0]]))
         with pytest.raises(FormatError, match=f"more than {limit} digits"):
             serialize(sf)
 
