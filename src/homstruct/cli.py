@@ -2,7 +2,8 @@
 
 Verbs: verify, twist, transform, check-morphism, catalog list/export.
 Exit codes: 0 when everything requested holds, 1 on any axiom or
-precondition failure, 2 on input or format errors.
+precondition failure, 2 on input or format errors.  Argv is parsed once,
+by the verb's own parser (``parse_args``).
 """
 
 from __future__ import annotations
@@ -130,12 +131,13 @@ def cmd_twist(args) -> int:
 def cmd_transform(args) -> int:
     sf = parse_file(args.file)
     structure = sf.get(args.name)
-    # a module or comodule transform rewrites its base entry, so another
-    # entry over that base would silently change too
-    base = sf.base_of.get(args.name)
+    # the transform rewrites the entry, or a module's or comodule's base entry,
+    # so another entry over what it rewrites would silently change too
+    base = sf.base_of.get(args.name, args.name)
     sharing = sorted(name for name, ref in sf.base_of.items() if ref == base and name != args.name)
     if sharing:
-        raise FormatError(f"base {base!r} of {args.name!r} is shared with {sharing[0]!r}")
+        raise FormatError(f"{base!r} is the base of {sharing[0]!r}" if base == args.name
+                          else f"base {base!r} of {args.name!r} is shared with {sharing[0]!r}")
     new_base = None
     if isinstance(structure, HomAlgebra):
         result = negate_algebra(structure) if args.op == "negate" else opposite_algebra(structure)
@@ -222,7 +224,7 @@ def cmd_catalog(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; ``parse_args`` leaves it unchanged."""
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="homstruct",
         description="Exact verification and twisting of Hom-algebraic structures",
@@ -266,12 +268,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_catalog)
 
+    parser.verbs = sub.choices  # verb -> its own parser
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """``argv`` parsed once, a known verb's by its own parser.  All else (no verb, an unknown
+    verb, ``-h``, arguments left over) goes to the top-level parser, for its text and exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         if getattr(args, "max_witnesses", 0) < 0:
             raise FormatError("--max-witnesses must be nonnegative")

@@ -33,14 +33,14 @@ zero costs no Python call; another ``Fraction(0)``, put straight into a
 constructor, is still dropped, only more slowly.
 
 Law checks contract ``scaled``, the same entries times the lcm of their
-denominators: plain ``int`` arithmetic, with the scale kept beside the map
-and divided back out only for the reported witnesses.  One or two axes of
-an operand can also be ``pack``-ed into fixed-width slots of a single
-``int``, so that ``contract``'s Python-level multiply-adds each act on a
-whole vector of coefficients inside CPython's bignum code; ``unpack`` reads
-the slots back.  No floating point enters the kernel, so every identity
-check is an exact zero test.  All values are immutable after construction
-and safe to share across threads.
+denominators, read in one pass from the entries: plain ``int`` arithmetic,
+with the scale kept beside the map and divided back out only for the
+reported witnesses.  One or two axes of an operand can also be ``pack``-ed
+into fixed-width slots of a single ``int``, so that ``contract``'s
+Python-level multiply-adds each act on a whole vector of coefficients inside
+CPython's bignum code; ``unpack`` reads the slots back.  No floating point
+enters the kernel, so every identity check is an exact zero test.  All
+values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -50,15 +50,16 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 from itertools import chain, compress, product, repeat
-from operator import is_not, itemgetter, mul
+from operator import attrgetter, floordiv, is_not, itemgetter, mul
 
 from .errors import DimensionMismatch, FormatError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 
 _RATIONAL_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
@@ -153,6 +154,20 @@ def _negated(cube) -> tuple:
     return tuple(tuple(tuple([-x if x else _ZERO for x in row]) for row in plane) for plane in cube)
 
 
+class lazy:
+    """An attribute computed on first read into the instance ``__dict__``, where later
+    reads find it; unlike the standard cached property before Python 3.12, with no lock."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class _Tensor:
     """Nonzero entries of a map or structure tensor, built once per value.
 
@@ -169,7 +184,7 @@ class _Tensor:
             flat = chain.from_iterable(flat)
         return list(flat)
 
-    @cached_property
+    @lazy
     def nonzeros(self) -> dict[tuple[int, ...], Fraction | int]:
         """Entries other than ``_ZERO`` are the candidates, picked in C; only
         they are truth-tested, so another ``Fraction(0)`` is still dropped."""
@@ -182,18 +197,26 @@ class _Tensor:
             if x
         }
 
-    @cached_property
+    @lazy
     def scaled(self) -> tuple[int, dict[tuple[int, ...], int], int]:
         """``(s, s * nonzeros, bits)``: ``s`` is the lcm of the entries' denominators.
 
-        When ``s`` is 1 the map is ``nonzeros`` itself.  ``bits`` is the bit
-        length of the largest scaled entry's absolute value (0 when there
-        are none), from which ``laws.Law`` bounds its packed slots.
+        Read in one pass over the entries other than ``_ZERO``, in C; any other
+        zero is dropped after.  ``bits`` is the bit length of the largest scaled
+        entry's absolute value (0 when there are none), from which ``laws.Law``
+        bounds its packed slots.
         """
-        entries = self.nonzeros
-        s = lcm(*{x.denominator for x in entries.values()})
+        flat = self.flat()
+        candidate = list(map(is_not, flat, repeat(_ZERO)))
+        values = list(compress(flat, candidate))
+        denominators = list(map(_DENOMINATOR, values))
+        s = lcm(*denominators)
+        scaled = map(_NUMERATOR, values)
         if s != 1:
-            entries = {key: x.numerator * (s // x.denominator) for key, x in entries.items()}
+            scaled = map(mul, scaled, map(floordiv, repeat(s), denominators))
+        entries = dict(zip(compress(product(*map(range, self.shape)), candidate), scaled))
+        if 0 in entries.values():  # another zero than _ZERO
+            entries = {key: x for key, x in entries.items() if x}
         return s, entries, max(map(abs, entries.values()), default=0).bit_length()
 
 

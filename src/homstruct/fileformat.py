@@ -54,6 +54,7 @@ from .exact import (
 from .modules import HomModule
 
 FILE_VERSION = 1
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,15 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def parse_bytes(data: bytes) -> StructureFile:
     try:
-        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+        text = data.decode("utf-8")
+        if text.startswith("\ufeff"):  # json.loads's check, which the decoder lacks
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except ValueError as exc:  # bad UTF-8 or JSON, or an integer over 4,300 digits
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:
@@ -308,7 +315,7 @@ def serialize(sf: StructureFile) -> bytes:
             for name in sorted(sf.structures)
         },
     }
-    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_ENCODER.encode(doc) + "\n").encode("utf-8")
 
 
 def write_file(path, sf: StructureFile):

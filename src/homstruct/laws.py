@@ -58,12 +58,12 @@ operands (``t.kij`` alone is the packed ``t``).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, repeat
 from math import lcm, prod
 from operator import add, floordiv, sub
 
-from .exact import contract, pack, packing, unpack
+from .exact import contract, lazy, pack, packing, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
 
 
@@ -107,7 +107,7 @@ class Law:
     def classes(self) -> tuple[tuple, ...]:
         return self._compiled[1]
 
-    @cached_property
+    @lazy
     def _compiled(self) -> tuple:
         """``(groups, classes, operand names, residual axis sizes, loads)``.
 

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable
 
-from .exact import Vector, format_ratio
+from .exact import _ZERO, Vector, format_ratio, lazy
 
 WITNESS_CAP = 16
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class Witness:
         return cls(index, tuple(x.numerator * (scale // x.denominator) for x in residual.entries),
                    scale)
 
-    @cached_property
+    @lazy
     def residual(self) -> Vector:
         s = self.scale
         return Vector(tuple(Fraction(d, s) if d else _ZERO for d in self.digits))

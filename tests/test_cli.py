@@ -15,6 +15,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def alone(tmp_path, name):
+    """A file holding only the corpus entry ``name``, so no entry is over it."""
+    path = tmp_path / f"{name}_alone.json"
+    write_file(path, single_structure_file(name, parse_file(CORPUS).get(name)))
+    return path
+
+
 def exported_module(tmp_path):
     """A file holding only ``dual_regular_module`` and its base algebra."""
     path = tmp_path / "module.json"
@@ -242,9 +249,9 @@ def test_opposite_octonions_still_left_alternative(tmp_path):
 
 def test_opposite_of_commutative_structure_is_identity_on_bytes(tmp_path):
     # dual numbers are commutative, so reversing the inputs changes nothing
-    out = tmp_path / "opp.json"
-    assert run("transform", CORPUS, "dual_numbers", "opposite", "--out", out) == 0
-    assert out.read_bytes() == CORPUS.read_bytes()
+    src, out = alone(tmp_path, "dual_numbers"), tmp_path / "opp.json"
+    assert run("transform", src, "dual_numbers", "opposite", "--out", out) == 0
+    assert out.read_bytes() == src.read_bytes()
 
 
 def test_negate_module_updates_base_algebra(tmp_path):
@@ -279,6 +286,18 @@ def test_transform_of_an_entry_over_a_shared_base_is_a_format_error(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,op", [("dual_numbers", "negate"), ("dual_numbers", "opposite"),
+                                     ("primitive2", "negate")])
+def test_transform_of_a_base_entry_is_a_format_error(tmp_path, capsys, name, op):
+    # Every module or comodule over the entry would change meaning with it:
+    # negating dual_numbers turned dual_regular's LEFT_MODULE from PASS to FAIL.
+    out = tmp_path / "t.json"
+    assert run("transform", CORPUS, name, op, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert f"error: FORMAT_ERROR: {name!r} is the base of " in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_opposite_module_over_dim_zero_algebra(tmp_path):
     from homstruct.catalog import zero_algebra
     from homstruct.exact import ActionTensor, LinearMap
@@ -300,7 +319,7 @@ def test_negate_comodule_and_coalgebra(tmp_path):
     assert run("transform", CORPUS, "poisson_dual4_regular", "negate", "--out", out) == 0
     assert run("verify", out, "poisson_dual4_regular") == 0
     out2 = tmp_path / "negco.json"
-    assert run("transform", CORPUS, "primitive2", "negate", "--out", out2) == 0
+    assert run("transform", alone(tmp_path, "primitive2"), "primitive2", "negate", "--out", out2) == 0
     assert run("verify", out2, "primitive2") == 0
 
 
@@ -477,6 +496,108 @@ def test_repeated_ids_and_parts_beside_their_aggregate_are_computed_once(
         assert run("verify", file, name, "--suite", lean) == 1
         capsys.readouterr()
         assert whole == sorted(calls), suite
+
+
+# --- argv ---------------------------------------------------------------------
+
+# Per verb: valid calls, a missing positional, a bad choice, an unknown option,
+# both spellings of an option's value, and the verb's help; then the top level.
+ARGV_TABLE = [
+    ["verify", "{corpus}", "octonions", "--suite", "HOM_ASSOC", "--max-witnesses", "2"],
+    ["verify", "{corpus}", "octonions", "--max-witnesses=1"],
+    ["verify", "{corpus}", "non_alternative2", "--max-witnesses", "-1"],
+    ["verify", "{corpus}", "octonions", "--max-witnesses", "x"],
+    ["verify", "{corpus}", "octonions", "--max-witnesses"],
+    ["verify", "{corpus}", "--", "octonions"],
+    ["verify", "{corpus}"],
+    ["verify"],
+    ["verify", "{corpus}", "octonions", "--no-such-option"],
+    ["verify", "{corpus}", "octonions", "extra"],
+    ["verify", "{corpus}", "octonions", "--suite"],
+    ["verify", "-h"],
+    ["verify", "{corpus}", "octonions", "--help"],
+    ["twist", "{corpus}", "dual_numbers", "--endo", "diag:1,2", "--out", "{out}"],
+    ["twist", "{corpus}", "dual_numbers", "--endo=diag:1,2", "--out={out}", "--as", "tw"],
+    ["twist", "{corpus}", "dual_numbers", "--endo", "id"],
+    ["twist", "{corpus}", "--out", "{out}"],
+    ["twist", "{corpus}", "dual_numbers", "--out", "{out}", "--bogus", "1"],
+    ["twist", "--help"],
+    ["transform", "{alone}", "dual_numbers", "negate", "--out", "{out}"],
+    ["transform", "{corpus}", "octonions", "opposite", "--out={out}"],
+    ["transform", "{corpus}", "octonions", "reverse", "--out", "{out}"],
+    ["transform", "{corpus}", "octonions", "--out", "{out}"],
+    ["transform", "{corpus}", "octonions", "negate", "--out", "{out}", "-x"],
+    ["transform", "-h"],
+    ["check-morphism", "{corpus}", "bad_scale", "dual_numbers", "dual_numbers", "--max-witnesses", "1"],
+    ["check-morphism", "{corpus}", "dual_mul_map", "dual_regular", "dual_regular", "--strict",
+     "--max-witnesses=3"],
+    ["check-morphism", "{corpus}", "bad_scale", "dual_numbers"],
+    ["check-morphism", "{corpus}", "bad_scale", "dual_numbers", "dual_numbers", "--lax"],
+    ["check-morphism", "-h"],
+    ["catalog", "list"],
+    ["catalog", "export", "zero2"],
+    ["catalog", "export", "zero2", "--out", "{out}"],
+    ["catalog", "delete", "zero2"],
+    ["catalog"],
+    ["catalog", "list", "--out"],
+    ["catalog", "list", "--verbose"],
+    ["catalog", "-h"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["verify-all", "{corpus}"],
+    ["-x", "verify", "{corpus}", "octonions"],
+]
+
+
+def outcome_of(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE, ids=lambda argv: " ".join(argv) or "(none)")
+def test_argv_reads_as_the_top_level_parser_reads_it(argv, tmp_path, capsys, monkeypatch):
+    from homstruct import cli
+
+    out = tmp_path / "out.json"
+    fields = {"corpus": CORPUS, "out": out, "alone": alone(tmp_path, "dual_numbers")}
+    argv = [a.format(**fields) for a in argv]
+    got = outcome_of(argv, capsys)
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    try:
+        parsed = cli.parse_args(argv)
+    except SystemExit:
+        parsed = None
+    capsys.readouterr()
+    with monkeypatch.context() as m:  # the reference: every argv through the top-level parser
+        m.setattr(cli, "parse_args", cli.build_parser().parse_args)
+        assert outcome_of(argv, capsys) == got
+        assert (out.read_bytes() if out.exists() else None) == written
+        if parsed is not None:
+            assert cli.parse_args(argv) == parsed
+
+
+def test_a_verb_s_arguments_are_parsed_once(monkeypatch):
+    import argparse
+
+    from homstruct import cli
+
+    progs, parse = [], argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    cli.parse_args(["verify", str(CORPUS), "octonions", "--max-witnesses=3"])
+    cli.parse_args(["catalog", "export", "zero2"])
+    assert progs == ["homstruct verify", "homstruct catalog"]
 
 
 # --- README -----------------------------------------------------------------

@@ -39,6 +39,7 @@ from homstruct.coalgebras import (
 )
 from homstruct.comodules import (
     KINDS,
+    POISSON_COMODULE,
     HomComodule,
     check_coassoc_comodule,
     check_comodule_morphism,
@@ -53,27 +54,55 @@ from homstruct.modules import (
     check_module_morphism,
     check_right_module,
 )
+from homstruct.report import AxiomReport
 
-# What ``verify --suite ID`` ran for a coalgebra before the registry: whole
-# aggregates, with a part id picking its part out of one.
-REFERENCE_COALGEBRA_SUITE = {
-    COCOMMUTATIVITY: lambda p: ref.check_cocommutativity(p.coassociative_part()),
-    HOM_COASSOC_COALGEBRA: lambda p: ref.check_hom_coassociative(p.coassociative_part()),
-    DELTA_MULTIPLICATIVITY: lambda p: ref.check_hom_coassociative(p.coassociative_part()).part(
-        DELTA_MULTIPLICATIVITY
-    ),
-    HOM_COASSOCIATIVITY: lambda p: ref.check_hom_coassociative(p.coassociative_part()).part(
-        HOM_COASSOCIATIVITY
-    ),
-    HOM_LIE_COALGEBRA: lambda p: ref.check_hom_lie_coalgebra(p.lie_part()),
-    SKEW_COSYMMETRY: lambda p: ref.check_hom_lie_coalgebra(p.lie_part()).part(SKEW_COSYMMETRY),
-    GAMMA_MULTIPLICATIVITY: lambda p: ref.check_hom_lie_coalgebra(p.lie_part()).part(
-        GAMMA_MULTIPLICATIVITY
-    ),
-    HOM_COJACOBI: lambda p: ref.check_hom_lie_coalgebra(p.lie_part()).part(HOM_COJACOBI),
-    HOM_COLEIBNIZ: ref.check_hom_coleibniz,
-    HOM_POISSON_COALGEBRA: ref.check_hom_poisson_coalgebra,
-}
+
+def reference_coalgebra_suite(p: HomPoissonCoalgebra) -> dict:
+    """What ``verify --suite ID`` ran for a coalgebra before the registry, by id:
+    whole aggregates, with a part id picking its part out of one.  Each reference
+    part is computed once, and the Poisson aggregate is put together from them as
+    ``ref.check_hom_poisson_coalgebra`` puts it together."""
+    cocommutativity = ref.check_cocommutativity(p.coassociative_part())
+    coassociative = ref.check_hom_coassociative(p.coassociative_part())
+    lie = ref.check_hom_lie_coalgebra(p.lie_part())
+    coleibniz = ref.check_hom_coleibniz(p)
+    poisson = [cocommutativity] if p.cocommutative_expected else []
+    poisson += [*coassociative.parts, *lie.parts, coleibniz]
+    return {
+        COCOMMUTATIVITY: cocommutativity,
+        HOM_COASSOC_COALGEBRA: coassociative,
+        DELTA_MULTIPLICATIVITY: coassociative.part(DELTA_MULTIPLICATIVITY),
+        HOM_COASSOCIATIVITY: coassociative.part(HOM_COASSOCIATIVITY),
+        HOM_LIE_COALGEBRA: lie,
+        SKEW_COSYMMETRY: lie.part(SKEW_COSYMMETRY),
+        GAMMA_MULTIPLICATIVITY: lie.part(GAMMA_MULTIPLICATIVITY),
+        HOM_COJACOBI: lie.part(HOM_COJACOBI),
+        HOM_COLEIBNIZ: coleibniz,
+        HOM_POISSON_COALGEBRA: AxiomReport.aggregate(HOM_POISSON_COALGEBRA, poisson),
+    }
+
+
+def reference_comodule_laws(c: HomComodule) -> list:
+    """``COMODULE_LAWS``' reference reports of ``c`` (or the error each raises), each
+    reference part computed once: the Poisson aggregate is put together from the
+    other two as ``ref.check_poisson_comodule`` puts it together."""
+    coassociative, lie = outcome(ref.check_coassoc_comodule, c), outcome(ref.check_lie_comodule, c)
+    if c.kind != "poisson":
+        return [coassociative, lie, outcome(ref.check_poisson_comodule, c)]
+    mixed = [ref._mixed_coleibniz_report(c), ref._mixed_comult_report(c)]
+    parts = [*coassociative.parts, *lie.parts, *mixed]
+    return [coassociative, lie, AxiomReport.aggregate(POISSON_COMODULE, parts)]
+
+
+def reference_morphism(check, f, source, target) -> tuple:
+    """The reference ``check`` of ``f`` (or the error it raises) without and with
+    ``strict``, its parts computed once: without ``strict`` it reports the parts
+    of its strict report but the last, beta's."""
+    strict = outcome(check, f, source, target, strict=True)
+    if isinstance(strict, type):
+        return strict, strict
+    return AxiomReport.aggregate(strict.axiom, strict.parts[:-1]), strict
+
 
 ALGEBRA_LAWS = (
     (check_left_hom_alternative, ref.check_left_hom_alternative),
@@ -84,6 +113,8 @@ MODULE_LAWS = (
     (check_left_module, ref.check_left_module),
     (check_right_module, ref.check_right_module),
 )
+MODULE_MORPHISMS = (check_module_morphism, ref.check_module_morphism)
+COMODULE_MORPHISMS = (check_comodule_morphism, ref.check_comodule_morphism)
 COMODULE_LAWS = (
     (check_coassoc_comodule, ref.check_coassoc_comodule),
     (check_lie_comodule, ref.check_lie_comodule),
@@ -104,6 +135,13 @@ def agree(pair, *args, **kwargs):
     got, want = outcome(new, *args, **kwargs), outcome(old, *args, **kwargs)
     assert got == want, (new.__name__, args)
     return want
+
+
+def agree_lax_and_strict(pair, f, source, target):
+    """``agree`` on a module or comodule morphism with ``strict`` False and True."""
+    new, old = pair
+    for strict, want in zip((False, True), reference_morphism(old, f, source, target)):
+        assert outcome(new, f, source, target, strict=strict) == want, (new.__name__, strict)
 
 
 # --- seeded random inputs ------------------------------------------------------
@@ -225,26 +263,45 @@ def check_everything(structure):
             agree(pair, structure)
         m = structure.dim_mod
         for f in (LinearMap.identity(m), Draw(m).map(m, m), scaled_map(m)):
-            for strict in (False, True):
-                pair = (check_module_morphism, ref.check_module_morphism)
-                agree(pair, f, structure, structure, strict=strict)
+            agree_lax_and_strict(MODULE_MORPHISMS, f, structure, structure)
     elif isinstance(structure, HomPoissonCoalgebra):
         # Every id in one plan, parts beside their aggregates included.
-        suite = list(REFERENCE_COALGEBRA_SUITE)
-        for axiom, report in zip(suite, axioms.verify(structure, suite)):
-            assert report == REFERENCE_COALGEBRA_SUITE[axiom](structure), axiom
+        want = reference_coalgebra_suite(structure)
+        for axiom, report in zip(want, axioms.verify(structure, list(want))):
+            assert report == want[axiom], axiom
         n = structure.dim
         for phi in (LinearMap.identity(n), Draw(n + 1).map(n, n), scaled_map(n)):
             agree((check_coendomorphism, ref.check_coendomorphism), structure, phi)
             agree((check_coalgebra_morphism, ref.check_coalgebra_morphism), phi, structure, structure)
     else:
-        for pair in COMODULE_LAWS:
-            agree(pair, structure)
+        for (check, _), want in zip(COMODULE_LAWS, reference_comodule_laws(structure)):
+            assert outcome(check, structure) == want, (check.__name__, structure)
         m = structure.dim_mod
         for f in (LinearMap.identity(m), Draw(m + 2).map(m, m), scaled_map(m)):
-            for strict in (False, True):
-                pair = (check_comodule_morphism, ref.check_comodule_morphism)
-                agree(pair, f, structure, structure, strict=strict)
+            agree_lax_and_strict(COMODULE_MORPHISMS, f, structure, structure)
+
+
+def test_assembled_reference_aggregates_equal_the_reference_s_own():
+    for dim in range(3):
+        for seed in (0, 2):  # cocommutativity expected, then not
+            p = random_coalgebra(500 + 10 * dim + seed, dim)
+            want = ref.check_hom_poisson_coalgebra(p)
+            assert reference_coalgebra_suite(p)[HOM_POISSON_COALGEBRA] == want
+            c = random_comodule(600 + 10 * dim + seed, p, 2 - dim, "poisson", OVER)
+            assert reference_comodule_laws(c)[2] == ref.check_poisson_comodule(c)
+    for name in ("dual_twisted_regular_module", "poisson_dual4_comodule_corrupt"):
+        structure, check = catalog.get(name).payload, MODULE_MORPHISMS[1]
+        if isinstance(structure, HomComodule):
+            check = COMODULE_MORPHISMS[1]
+        f = scaled_map(structure.dim_mod)
+        assert reference_morphism(check, f, structure, structure)[0] == check(f, structure, structure)
+    for name in ("coleibniz_fail2", "poisson_dual4_comodule_corrupt"):
+        structure = catalog.get(name).payload
+        if isinstance(structure, HomComodule):
+            assert reference_comodule_laws(structure)[2] == ref.check_poisson_comodule(structure)
+        else:
+            want = ref.check_hom_poisson_coalgebra(structure)
+            assert reference_coalgebra_suite(structure)[HOM_POISSON_COALGEBRA] == want
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -274,9 +331,8 @@ def test_module_corpus_matches_reference():
         for pair in MODULE_LAWS:
             agree(pair, mod)
         other = random_module(seed, mod.algebra, 1 + seed % 3, mod.side)
-        for strict in (False, True):
-            f = Draw(seed).map(other.dim_mod, mod.dim_mod)
-            agree((check_module_morphism, ref.check_module_morphism), f, mod, other, strict=strict)
+        f = Draw(seed).map(other.dim_mod, mod.dim_mod)
+        agree_lax_and_strict(MODULE_MORPHISMS, f, mod, other)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -287,9 +343,8 @@ def test_random_modules_both_sides_match_reference(side):
         other = random_module(seed + 50, alg, (seed + 1) % 4, side)
         for pair in MODULE_LAWS:
             agree(pair, mod)
-        for strict in (False, True):
-            f = Draw(seed).map(other.dim_mod, mod.dim_mod)
-            agree((check_module_morphism, ref.check_module_morphism), f, mod, other, strict=strict)
+        f = Draw(seed).map(other.dim_mod, mod.dim_mod)
+        agree_lax_and_strict(MODULE_MORPHISMS, f, mod, other)
     for seed in range(8):
         alg = random_algebra(800 + seed, seed % 4, OVER)
         mod = random_module(900 + seed, alg, (seed + 1) % 4, side, OVER)
@@ -297,9 +352,8 @@ def test_random_modules_both_sides_match_reference(side):
         over_zero = random_module(seed, zero_algebra(seed % 4), seed % 3, side, OVER)
         for structure in (mod, over_zero, zero_module(alg, seed % 3, side)):
             check_everything(structure)
-        for strict in (False, True):
-            f = Draw(seed).map(other.dim_mod, mod.dim_mod, OVER["f"])
-            agree((check_module_morphism, ref.check_module_morphism), f, mod, other, strict=strict)
+        f = Draw(seed).map(other.dim_mod, mod.dim_mod, OVER["f"])
+        agree_lax_and_strict(MODULE_MORPHISMS, f, mod, other)
 
 
 
@@ -328,10 +382,8 @@ def test_random_comodules_match_reference(kind, dim):
         c = random_comodule(2000 + 10 * dim + seed, base, dim, kind)
         check_everything(c)
         other = random_comodule(3000 + 10 * dim + seed, base, (dim + 1 + seed) % 5, kind)
-        for strict in (False, True):
-            f = Draw(seed).map(other.dim_mod, c.dim_mod)
-            pair = (check_comodule_morphism, ref.check_comodule_morphism)
-            agree(pair, f, c, other, strict=strict)
+        f = Draw(seed).map(other.dim_mod, c.dim_mod)
+        agree_lax_and_strict(COMODULE_MORPHISMS, f, c, other)
     for seed in range(2):
         base = random_coalgebra(1100 + 10 * dim + seed, (dim + seed) % 5, OVER)
         c = random_comodule(2100 + 10 * dim + seed, base, dim, kind, OVER)
@@ -340,7 +392,5 @@ def test_random_comodules_match_reference(kind, dim):
         for structure in (c, over_zero, zero_comodule(zero, dim, kind)):
             check_everything(structure)
         other = random_comodule(3100 + 10 * dim + seed, base, (dim + 1 + seed) % 5, kind, OVER)
-        for strict in (False, True):
-            f = Draw(seed).map(other.dim_mod, c.dim_mod, OVER["f"])
-            pair = (check_comodule_morphism, ref.check_comodule_morphism)
-            agree(pair, f, c, other, strict=strict)
+        f = Draw(seed).map(other.dim_mod, c.dim_mod, OVER["f"])
+        agree_lax_and_strict(COMODULE_MORPHISMS, f, c, other)

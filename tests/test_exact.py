@@ -1,6 +1,7 @@
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,10 @@ from homstruct.exact import (
     LinearMap,
     MulTensor,
     Vector,
+    _Tensor,
     compose,
     format_rational,
+    lazy,
     pack,
     packing,
     parse_rational,
@@ -377,9 +380,12 @@ def assert_nonzeros_follow_the_reference_rule(tensor):
     assert list(tensor.nonzeros) == sorted(want)
     assert all(type(x) is (int if x.denominator == 1 else Fraction)
                for x in tensor.nonzeros.values())
-    s, scaled, bits = tensor.scaled
-    assert scaled == {k: x * s for k, x in want.items()}
-    assert bits == max((abs(x) for x in scaled.values()), default=0).bit_length()
+    # scaled against the reference built from nonzeros: values, key order and bits
+    s = lcm(*[x.denominator for x in tensor.nonzeros.values()])
+    scaled = {key: x.numerator * (s // x.denominator) for key, x in tensor.nonzeros.items()}
+    assert tensor.scaled == (s, scaled, max(map(abs, scaled.values()), default=0).bit_length())
+    assert list(tensor.scaled[1]) == list(scaled)
+    assert all(type(x) is int for x in tensor.scaled[1].values())
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -388,8 +394,9 @@ def test_nonzeros_of_every_kind(n):
         assert_nonzeros_follow_the_reference_rule(tensor)
 
 
-# The shared zero, a zero of its own (put straight into a constructor), or a nonzero entry.
-MIXED_ENTRIES = st.one_of(st.just(_ZERO), st.builds(Fraction, st.just(0)), small_fractions)
+# The shared zero, a zero of its own (put straight into a constructor), an int, or a rational.
+MIXED_ENTRIES = st.one_of(st.just(_ZERO), st.builds(Fraction, st.just(0)), st.integers(-3, 3),
+                          small_fractions)
 
 
 @settings(max_examples=30, deadline=None)
@@ -407,6 +414,24 @@ def test_nonzeros_of_shared_and_other_zeros(n, data):
     replay = iter(drawn)  # the same entries, now through from_entries and from_rows
     for tensor in negated + each_kind(n, lambda *index: next(replay)):
         assert all(x is _ZERO for x in tensor.flat() if not x)
+
+
+def test_lazy_attributes_are_computed_once_into_the_instance_dict(monkeypatch):
+    from homstruct.laws import Law
+    from homstruct.report import Witness
+
+    mu = MulTensor.from_entries([[[Fraction(1, 2), 0], [0, 3]], [[0, 0], [1, Fraction(-2, 3)]]])
+    sites = [(_Tensor, "nonzeros", mu), (_Tensor, "scaled", mu),
+             (Law, "_compiled", Law("i", "o", "+ f.oa x.ai")), (Witness, "residual", Witness((0,), (1, 2), 4))]
+    for cls, name, instance in sites:
+        descriptor = vars(cls)[name]
+        assert isinstance(descriptor, lazy) and getattr(cls, name) is descriptor
+        calls, compute = [], descriptor.compute
+        monkeypatch.setattr(descriptor, "compute", lambda self: calls.append(self) or compute(self))
+        assert name not in vars(instance)
+        value = getattr(instance, name)
+        assert vars(instance)[name] is value and getattr(instance, name) is value
+        assert calls == [instance], name
 
 
 @pytest.mark.parametrize("value", [1.0, 0.0, None, Decimal(1)])

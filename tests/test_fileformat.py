@@ -154,6 +154,15 @@ def test_other_invalid_documents(body):
         parse_bytes(body.encode())
 
 
+@pytest.mark.parametrize("data", [b"\xef\xbb\xbf{}", b"{} x", b"{", b"[1,]", b"\xff"])
+def test_json_errors_are_worded_as_json_loads_words_them(data):
+    with pytest.raises(ValueError) as want:
+        json.loads(data.decode("utf-8"))
+    with pytest.raises(FormatError) as got:
+        parse_bytes(data)
+    assert str(got.value) == f"not valid JSON: {want.value}"
+
+
 def test_comodule_rejects_tensor_for_wrong_kind():
     body = (
         '{"version":1,"structures":{'
