@@ -14,16 +14,17 @@ in ms, best time in ms of ``report.format_report`` on its report (the text
 drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), and to
 ``fileformat.serialize`` them as one file (``serialize_ms``); then one
 ``ingest`` line: the best time in ms of ``fileformat.parse_bytes`` on that
-file (``parse_ms``), and of building the parsed tensors' ``nonzeros`` and
-``scaled`` (``nonzeros_ms``).  Every entry is nonzero, so these lines time
-the write and read paths where skipping zeros saves nothing.  Then one
-``suite`` line: the best time in ms of ``verify --suite all`` on each of the
-five structures (``algebra_ms`` ... ``comodule_ms``), one ``laws.Plan``
-each, so shared contractions and packings are built once per suite.  The first
-run on each structure also builds its tensors' cached nonzero and scaled
-entries; with ``--repeat`` above 1 the best time leaves that out.  Each
-law (and each timed layer) starts after a full garbage collection and runs
-with the collector off, so no collection pause lands in its time.
+file (``parse_ms``), and of building the parsed tensors' ``scaled``
+entries, the one form a check reads (``scaled_ms``).  Every entry is
+nonzero, so these lines time the write and read paths where skipping zeros
+saves nothing.  Then one ``suite`` line: the best time in ms of ``verify
+--suite all`` on each of the five structures (``algebra_ms`` ...
+``comodule_ms``), one ``laws.Plan`` each, so shared contractions and
+packings are built once per suite.  The first run on each structure also
+builds its tensors' cached scaled entries; with ``--repeat`` above 1 the
+best time leaves that out.  Each law (and each timed layer) starts after a
+full garbage collection and runs with the collector off, so no collection
+pause lands in its time.
 
     python3 scripts/time_laws.py --dims 6,10,16 [--repeat 3] [--laws ID[,ID...]]
 """
@@ -111,8 +112,8 @@ def time_write(n: int, repeat: int) -> tuple[float, float]:
 
 
 def time_ingest(n: int, repeat: int) -> tuple[float, float]:
-    """(best ``parse_bytes`` seconds, best seconds to build ``nonzeros`` and
-    ``scaled``) for the five dim-n structures, serialized as one file."""
+    """(best ``parse_bytes`` seconds, best seconds to build ``scaled``) for the
+    five dim-n structures, serialized as one file."""
     data = serialize(structure_file(build_structures(n, dense_entries(n))))
     best_parse = best_build = float("inf")
     gc.collect()
@@ -126,7 +127,7 @@ def time_ingest(n: int, repeat: int) -> tuple[float, float]:
                    coalg.delta, coalg.gamma, coalg.alpha, comod.beta, comod.delta_m, comod.gamma_m]
         start = time.perf_counter()
         for tensor in tensors:
-            tensor.nonzeros, tensor.scaled
+            tensor.scaled
         best_build = min(best_build, time.perf_counter() - start)
     gc.enable()
     return best_parse, best_build
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
               f" serialize_ms={write_seconds * 1000:.2f}", flush=True)
         parse_seconds, build_seconds = time_ingest(n, args.repeat)
         print(f"{n:>3}  {'ingest':<32} parse_ms={parse_seconds * 1000:.2f}"
-              f" nonzeros_ms={build_seconds * 1000:.2f}", flush=True)
+              f" scaled_ms={build_seconds * 1000:.2f}", flush=True)
         suites = " ".join(f"{name}_ms={seconds * 1000:.2f}"
                           for name, seconds in zip(NAMES, time_suites(n, args.repeat)))
         print(f"{n:>3}  {'suite':<32} {suites}", flush=True)

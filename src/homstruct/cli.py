@@ -54,7 +54,9 @@ def cmd_verify(args) -> int:
     suite = [token.strip() for token in args.suite.split(",") if token.strip()]
     if not suite:
         raise FormatError("empty suite")
-    if suite == ["all"]:
+    if "all" in suite:
+        if suite != ["all"]:
+            raise FormatError("'all' stands alone in --suite, not beside other ids")
         suite = axioms.native_suite(structure)
     reports = axioms.verify(structure, suite)
     # Format every report before printing any, so a FormatError prints nothing.

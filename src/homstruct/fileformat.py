@@ -25,6 +25,13 @@ so every bad entry is rejected where it first occurs.  The memo starts as
 every zero entry of every file is that one object, which ``nonzeros`` skips
 without a Python call.  Writing skips it the same way: ``serialize`` makes
 one format call per nonzero entry and none per zero.
+
+Each distinct array is read once too: a module's ``beta`` or ``action`` (a
+comodule's ``beta``, ``delta_m`` or ``gamma_m``) with its base entry's dims
+that equals the base's ``alpha`` or ``mul`` (``alpha``, ``delta`` or
+``gamma``) as JSON is built on the base tensor's own entry tuple
+(``_Numerals.like``), so ``laws.Plan`` reads it as one operand.  It is
+compared with that one base array only, so parsing stays linear.
 """
 
 from __future__ import annotations
@@ -113,6 +120,13 @@ class _Numerals(dict):
         if not isinstance(data, list) or len(data) != d0:
             raise FormatError(f"{what}: expected {d0} planes")
         return tuple([self.matrix(plane, d1, d2, what) for plane in data])
+
+    def like(self, data, base, base_data, what: str, *dims: int) -> tuple:
+        """The entries of an array of ``dims``: ``base``'s own tuple when the dims
+        are ``base``'s and ``data == base_data`` (one comparison, in C), else read."""
+        if dims == base.shape and data == base_data:
+            return getattr(base, base._nested)
+        return (self.matrix if len(dims) == 2 else self.cube)(data, *dims, what)
 
 
 def _dump(tensor) -> list:
@@ -207,11 +221,11 @@ def parse_bytes(data: bytes) -> StructureFile:
             _require(isinstance(base, HomAlgebra), f"{name}: algebra {ref!r} not found")
             side = entry.get("side")
             _require(side in ("left", "right"), f"{name}: bad side {side!r}")
-            dim = _parse_dim(entry.get("dim"), name)
-            beta = LinearMap(numerals.matrix(entry.get("beta"), dim, dim, name), dim)
+            dim, of = _parse_dim(entry.get("dim"), name), raw[ref]
+            beta = numerals.like(entry.get("beta"), base.alpha, of["alpha"], name, dim, dim)
             shape = (base.dim, dim) if side == "left" else (dim, base.dim)
-            cube = numerals.cube(entry.get("action"), shape[0], shape[1], dim, name)
-            action = ActionTensor(cube, base.dim, dim, side)
+            cube = numerals.like(entry.get("action"), base.mu, of["mul"], name, *shape, dim)
+            beta, action = LinearMap(beta, dim), ActionTensor(cube, base.dim, dim, side)
             structures[name] = HomModule(base, dim, beta, action, side)
             base_of[name] = ref
         else:
@@ -226,19 +240,19 @@ def parse_bytes(data: bytes) -> StructureFile:
                 comodule_kind in ("coassociative", "lie", "poisson"),
                 f"{name}: bad comodule structure {comodule_kind!r}",
             )
-            dim = _parse_dim(entry.get("dim"), name)
-            beta = LinearMap(numerals.matrix(entry.get("beta"), dim, dim, name), dim)
-            delta_m = gamma_m = None
+            dim, of = _parse_dim(entry.get("dim"), name), raw[ref]
+            beta = numerals.like(entry.get("beta"), base.alpha, of["alpha"], name, dim, dim)
+            beta, delta_m, gamma_m = LinearMap(beta, dim), None, None
             if comodule_kind in ("coassociative", "poisson"):
-                delta_m = CoactionTensor(
-                    numerals.cube(entry.get("delta_m"), dim, base.dim, dim, name), base.dim, dim
-                )
+                cube = numerals.like(entry.get("delta_m"), base.delta, of["delta"], name,
+                                     dim, base.dim, dim)
+                delta_m = CoactionTensor(cube, base.dim, dim)
             else:
                 _require("delta_m" not in entry, f"{name}: delta_m not allowed for this kind")
             if comodule_kind in ("lie", "poisson"):
-                gamma_m = CoactionTensor(
-                    numerals.cube(entry.get("gamma_m"), dim, base.dim, dim, name), base.dim, dim
-                )
+                cube = numerals.like(entry.get("gamma_m"), base.gamma, of["gamma"], name,
+                                     dim, base.dim, dim)
+                gamma_m = CoactionTensor(cube, base.dim, dim)
             else:
                 _require("gamma_m" not in entry, f"{name}: gamma_m not allowed for this kind")
             structures[name] = HomComodule(base, dim, beta, comodule_kind, delta_m, gamma_m)

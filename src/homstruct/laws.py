@@ -46,14 +46,16 @@ sign form one class.  Each class sums its contractions once into a list
 through a gather list: ``LEFT_HOM_ALT`` is ``W = A - B`` and then ``W +
 swap(W)``.  When a row's first add is the identity with sign +, ``W``
 itself is the residual; every later add builds a new list, so no list is
-written after its sum.  In a plan, a packed operand, a class sum ``W`` and
-a contraction mean the same ints in every row, so each is built once: a
-class that two rows hold is summed once and spread by each, and a
-contraction that two distinct classes hold is contracted to its output
-dict and added into each.  ``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and
-``HOM_ASSOC`` spread one ``W = A - B``: two contractions for the three.
-Zero coefficients are dropped, and a contraction never writes to its
-operands (``t.kij`` alone is the packed ``t``).
+written after its sum.  In a plan, an operand is known by its entry tuple
+and shape, which fix its ``scaled``, so a regular module's ``act`` is its
+algebra's ``mu``.  A scaled or packed operand, a class sum ``W`` and a
+contraction mean the same ints in every row, so each is built once: a class
+that two rows hold is summed once and spread by each, and a contraction
+that two distinct classes hold is contracted to its output dict and added
+into each.  ``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and ``HOM_ASSOC`` spread
+one ``W = A - B``: two contractions for the three.  Zero coefficients are
+dropped, and a contraction never writes to its operands (``t.kij`` alone
+is the packed ``t``).
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ class Plan:
         self._parts = parts
         self._rows = {row[0]: row for rows in parts.values() for row in rows}
         self._reports, self._sums, self._values, self._packs = {}, {}, {}, {}
-        self._sized = None
+        self._sized, self._scaled = None, []
 
     def check(self, axiom: str) -> AxiomReport:
         """The report on ``axiom``: its one row's, or an aggregate of its parts'."""
@@ -216,42 +218,48 @@ class Plan:
             return AxiomReport.aggregate(axiom, [self.check(part) for part, _, _ in rows])
         if axiom not in self._reports:
             self._sized = self._sized or self._size()
-            self._reports[axiom] = self._evaluate(*self._rows[axiom])
+            self._reports[axiom] = self._evaluate(*self._rows[axiom][:2])
         return self._reports[axiom]
 
     def _size(self) -> tuple:
         """``(common scale, B, shared contractions, per axiom: (operand shapes,
-        group scales, contraction numbers, class keys or None))``."""
-        common, rows, seen, signature = 1, [], {}, []
+        operand numbers, group scales, contraction numbers, class keys or None))``.
+        An operand is numbered by first appearance of its (entry tuple, shape),
+        and its ``scaled`` read once per number, into ``_scaled``."""
+        common, rows, seen, signature, scaled = 1, [], {}, [], self._scaled
         for axiom, law, operands in self._rows.values():
             groups, _, names, _, _ = law._compiled
-            shapes = {name: operands[name].shape for name in names}
+            shapes, numbers = {name: operands[name].shape for name in names}, {}
+            for name in names:
+                t = operands[name]
+                key = id(getattr(t, t._nested)), shapes[name]
+                number = numbers[name] = seen.setdefault(key, len(seen))
+                if number == len(scaled):  # seen first
+                    scaled.append(t.scaled)
             scales, bounds = [], []
             for ids, _, summed, terms in groups:
                 scale, bits, count = 1, 0, len(terms)
                 for name, _ in ids:
-                    s, _, b = operands[name].scaled
+                    s, _, b = scaled[numbers[name]]
                     scale, bits = scale * s, bits + b
                 for name, axis in summed:
                     count *= shapes[name][axis]
                 scales.append(scale)
                 bounds.append(count << bits)
             common = lcm(common, *scales)
-            rows.append((axiom, shapes, scales, bounds))
-            # Operands numbered by first appearance: which names are one map.
-            numbers = tuple([seen.setdefault(id(operands[name]), len(seen)) for name in names])
-            signature.append((law, numbers))
+            rows.append((axiom, shapes, numbers, scales, bounds))
+            signature.append((law, tuple(numbers.values())))
         # Every residual coefficient of a row is less than its bound in absolute value.
         bits = max(sum([common // s * b for s, b in zip(scales, bounds)])
-                   for _, _, scales, bounds in rows).bit_length() + 2
+                   for *_, scales, bounds in rows).bit_length() + 2
         shared, keys = _shared(tuple(signature))
-        return common, bits, shared, {axiom: (shapes, scales, *k)
-                                      for (axiom, shapes, scales, _), k in zip(rows, keys)}
+        return common, bits, shared, {axiom: (shapes, numbers, scales, *k)
+                                      for (axiom, shapes, numbers, scales, _), k in zip(rows, keys)}
 
-    def _evaluate(self, axiom: str, law: Law, operands: dict) -> AxiomReport:
+    def _evaluate(self, axiom: str, law: Law) -> AxiomReport:
         groups, classes, _, sizes, loads = law._compiled
         common, bits, shared, rows = self._sized
-        shapes, scales, keys, kept = rows[axiom]
+        shapes, numbers, scales, keys, kept = rows[axiom]
         # Packed letter x (of two) steps over the n_y slots of y; the residual
         # is reported over one fused packed axis of n_x * n_y slots.
         shape = tuple([shapes[name][axis] for name, axis in sizes])
@@ -265,7 +273,7 @@ class Plan:
             if w is None:
                 w = [0] * size
                 for g, c in row:
-                    spec, tensors = groups[g][1], self._load(operands, loads[g], steps)
+                    spec, tensors = groups[g][1], self._load(numbers, loads[g], steps)
                     if keys[g] in shared:  # contracted once, then added as a lone operand
                         if keys[g] not in self._values:
                             self._values[keys[g]] = contract(spec, *tensors)
@@ -283,13 +291,13 @@ class Plan:
         width = len(law.index)
         return _report(axiom, residual, shape[:width], prod(shape[width:]), slots, common, bits)
 
-    def _load(self, operands: dict, loads: list, steps: tuple) -> list:
+    def _load(self, numbers: dict, loads: list, steps: tuple) -> list:
         """A group's operands, scaled; packed ones packed once per plan."""
         tensors = []
         for (name, packed), layout in loads:
-            entries = operands[name].scaled[1]
+            entries = self._scaled[numbers[name]][1]
             if layout is not None:
-                key = (id(operands[name]), packed, steps)
+                key = (numbers[name], packed, steps)
                 if key not in self._packs:
                     self._packs[key] = pack(entries, layout, steps)
                 entries = self._packs[key]

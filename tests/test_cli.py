@@ -85,6 +85,15 @@ def test_verify_unknown_name_and_axiom_exit_2(capsys):
     assert run("verify", CORPUS, "octonions", "--suite", "LEFT_MODULE") == 2
 
 
+@pytest.mark.parametrize("suite", ["all,LEFT_MODULE", "LEFT_HOM_ALT,all", "all,all"])
+def test_suite_all_stands_alone(capsys, suite):
+    assert run("verify", CORPUS, "dual_regular", "--suite", suite) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FORMAT_ERROR" in captured.err and "'all' stands alone" in captured.err
+    assert "unknown" not in captured.err
+
+
 def test_verify_missing_file_exits_2():
     assert run("verify", DATA / "missing.json", "a") == 2
 

@@ -659,3 +659,99 @@ def test_one_replaced_scalar_is_format_error_or_a_canonical_file(data, value):
     assert serialize(parse_bytes(once)) == once
     if isinstance(value, str) and value == format_rational(Fraction(value)):
         assert once == mutated
+
+
+# --- arrays shared with the base --------------------------------------------------
+
+PAIRS = {"hom_module": (("beta", "alpha"), ("action", "mul")),
+         "hom_comodule": (("beta", "alpha"), ("delta_m", "delta"), ("gamma_m", "gamma"))}
+FIELDS = {"mul": "mu", "action": "action", "delta_m": "delta_m", "gamma_m": "gamma_m"}
+
+
+def _entry_tuple(structure, field: str):
+    tensor = getattr(structure, FIELDS.get(field, field))
+    return getattr(tensor, tensor._nested)
+
+
+def test_a_module_array_equal_to_its_bases_is_the_bases_tuple():
+    sf = parse_file(DATA / "corpus.json")
+    right = serialize(single_structure_file("m", regular_module(octonions(), "right"),
+                                            ("a", octonions())))
+    for name, kind in [("dual_regular", "hom_module"), ("primitive2_regular", "hom_comodule"),
+                       ("poisson_dual4_regular", "hom_comodule")]:
+        structure = sf.get(name)
+        base = sf.get(sf.base_of[name])
+        for own, of in PAIRS[kind]:
+            assert _entry_tuple(structure, own) is _entry_tuple(base, of), (name, own)
+    structure = parse_bytes(right).get("m")
+    assert structure.action.a is structure.algebra.mu.c
+    assert structure.beta.entries is structure.algebra.alpha.entries
+
+
+def test_an_unequal_module_array_is_read_on_its_own():
+    one = {**ALGEBRA, "mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]}
+    module = {"kind": "hom_module", "algebra": "a", "side": "left", "dim": 2,
+              "beta": [["1", "0"], ["0", "2"]], "action": [[["1", "0"], ["0", "1"]]] * 2}
+    sf = parse_bytes(json.dumps({"version": 1, "structures": {"a": one, "m": module}}).encode())
+    m, a = sf.get("m"), sf.get("a")
+    assert m.action.a is not a.mu.c and m.beta.entries is not a.alpha.entries
+    assert m.action.a[0] == a.mu.c[0] and m.action.a[1] != a.mu.c[1]
+
+
+def test_an_array_equal_to_its_bases_under_other_dims_keeps_its_shape_error():
+    # A dim-3 module whose arrays are the dim-2 algebra's, byte for byte.
+    module = {"kind": "hom_module", "algebra": "a", "side": "left", "dim": 3,
+              "beta": ALGEBRA["alpha"], "action": ALGEBRA["mul"]}
+    assert _shape_error({"a": ALGEBRA, "m": module}) == "m: expected 3 rows"
+    module["beta"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert _shape_error({"a": ALGEBRA, "m": module}) == "m: expected 3 rows"
+    coalgebra = {"kind": "hom_poisson_coalgebra", "dim": 2, "delta": ALGEBRA["mul"],
+                 "gamma": ALGEBRA["mul"], "alpha": ALGEBRA["alpha"], "cocommutative": False}
+    comodule = {"kind": "hom_comodule", "coalgebra": "c", "structure": "coassociative", "dim": 3,
+                "beta": module["beta"], "delta_m": ALGEBRA["mul"]}
+    assert _shape_error({"c": coalgebra, "m": comodule}) == "m: expected 3 planes"
+
+
+@pytest.mark.parametrize("field", ["beta", "action"])
+def test_a_module_array_off_its_bases_by_a_bad_numeral_reports_it(field, tmp_path, capsys):
+    module = {"kind": "hom_module", "algebra": "a", "side": "left", "dim": 2,
+              "beta": ALGEBRA["alpha"], "action": ALGEBRA["mul"]}
+    bad = json.loads(json.dumps(module[field]).replace('"1"', '"01"', 1))
+    body = json.dumps({"version": 1, "structures": {"a": ALGEBRA,
+                                                    "f": {**module, field: bad}}})
+    _rejects(body, "malformed rational '01'", tmp_path, capsys)
+
+
+class _Counted(list):
+    """A JSON array that counts the comparisons it makes."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        _Counted.calls += 1
+        return list.__eq__(self, other)
+
+
+def test_many_modules_over_one_base_compare_each_array_once(monkeypatch):
+    import homstruct.fileformat as fileformat
+
+    def counted(pairs):
+        return fileformat._unique_keys(
+            [(key, _Counted(value) if isinstance(value, list) else value) for key, value in pairs]
+        )
+
+    monkeypatch.setattr(fileformat, "_DECODER", json.JSONDecoder(object_pairs_hook=counted))
+    k, near = 40, [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "2"]]]
+    # Half are regular; the other half share one array that differs from the
+    # base's in its last entry only, the costliest case for a comparison.
+    structures = {"a": ALGEBRA}
+    for i in range(k):
+        action = ALGEBRA["mul"] if i % 2 else near
+        structures[f"m{i}"] = {"kind": "hom_module", "algebra": "a", "side": "left", "dim": 2,
+                               "beta": ALGEBRA["alpha"], "action": action}
+    _Counted.calls = 0
+    sf = fileformat.parse_bytes(json.dumps({"version": 1, "structures": structures}).encode())
+    assert _Counted.calls == 2 * k
+    base, modules = sf.get("a"), [sf.get(f"m{i}") for i in range(k)]
+    assert [m.action.a is base.mu.c for m in modules] == [i % 2 == 1 for i in range(k)]
+    assert all(m.beta.entries is base.alpha.entries for m in modules)

@@ -198,3 +198,84 @@ def test_a_kept_class_sum_takes_no_later_adds():
                       "SECOND": [("SECOND", second, operands)]})
     for axiom, law in (("FIRST", first), ("SECOND", second)):
         assert plan.check(axiom) == UnpackedLaw.of(law).check(axiom, **operands)
+
+
+# --- operands known by their entries ------------------------------------------
+
+
+def fresh(nested):
+    """Nested entry tuples rebuilt as new tuples around the same entries."""
+    return tuple(map(fresh, nested)) if isinstance(nested, tuple) else nested
+
+
+def rebuilt(structure):
+    """``structure`` with every tensor on fresh tuples, so no two share entries:
+    the oracle for what reading a shared operand once must not change."""
+    if isinstance(structure, HomModule):
+        alg, n, m = structure.algebra, structure.algebra.dim, structure.dim_mod
+        base = HomAlgebra(n, MulTensor(fresh(alg.mu.c)), LinearMap(fresh(alg.alpha.entries), n))
+        action = ActionTensor(fresh(structure.action.a), n, m, structure.side)
+        return HomModule(base, m, LinearMap(fresh(structure.beta.entries), m), action,
+                         structure.side)
+    coalg, n, m = structure.coalgebra, structure.coalgebra.dim, structure.dim_mod
+    base = HomPoissonCoalgebra(n, ComulTensor(fresh(coalg.delta.d)),
+                               ComulTensor(fresh(coalg.gamma.d)),
+                               LinearMap(fresh(coalg.alpha.entries), n),
+                               coalg.cocommutative_expected)
+
+    def coaction(t):
+        return t and CoactionTensor(fresh(t.g), n, m)
+
+    return HomComodule(base, m, LinearMap(fresh(structure.beta.entries), m), structure.kind,
+                       coaction(structure.delta_m), coaction(structure.gamma_m))
+
+
+def regular_structures():
+    """Regular (co)modules on fresh tuples, so no ``scaled`` is cached yet."""
+    from homstruct.comodules import regular_comodule
+    from homstruct.modules import regular_module
+
+    for make in (catalog.octonions, catalog.non_alternative_dim2):
+        for side in ("left", "right"):
+            yield regular_module(rebuilt(regular_module(make())).algebra, side)
+    for make in (catalog.poisson_dual_dim4, catalog.coleibniz_failing_coalgebra):
+        for kind in ("poisson", "coassociative", "lie"):
+            yield regular_comodule(rebuilt(regular_comodule(make())).coalgebra, kind)
+
+
+def spied(monkeypatch):
+    """Count ``scaled`` computations by (entry tuple id, shape), and packings."""
+    from homstruct.exact import _Tensor
+
+    scaled, (_, packings) = [], recorded(monkeypatch)
+    lazy = _Tensor.__dict__["scaled"]
+    compute = lazy.compute
+
+    def counting(t):
+        scaled.append((id(getattr(t, t._nested)), t.shape))
+        return compute(t)
+
+    monkeypatch.setattr(lazy, "compute", counting)
+    return scaled, packings
+
+
+def test_a_regular_operand_is_scaled_and_packed_once_per_plan(monkeypatch):
+    from homstruct.report import format_report
+
+    scaled, packings = spied(monkeypatch)
+    for structure in regular_structures():
+        # act is mu (beta, dm and gm are alpha, delta and gamma): one operand each.
+        own = [structure.beta] + [getattr(structure, field, None) for field in
+                                  ("action", "delta_m", "gamma_m")]
+        own = [t for t in own if t is not None]
+        suite = axioms.native_suite(structure)
+        runs = []
+        for each in (structure, rebuilt(structure)):
+            del scaled[:], packings[:]
+            reports = axioms.verify(each, suite)
+            assert len(scaled) == len(set(scaled)) and len(packings) == len(set(packings))
+            runs.append((reports, len(scaled), len(packings)))
+        (reports, shared, packed), (expected, apart, packed_apart) = runs
+        assert (shared, apart) == (len(own), 2 * len(own)) and packed <= packed_apart
+        assert reports == expected
+        assert [format_report(r, 16) for r in reports] == [format_report(r, 16) for r in expected]

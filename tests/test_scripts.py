@@ -54,7 +54,7 @@ def time_laws(*argv):
 
 LAYER_FIELDS = {
     "write": ["build_ms", "serialize_ms"],
-    "ingest": ["parse_ms", "nonzeros_ms"],
+    "ingest": ["parse_ms", "scaled_ms"],
     "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
 }
 
