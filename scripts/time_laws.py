@@ -20,7 +20,12 @@ nonzero, so these lines time the write and read paths where skipping zeros
 saves nothing.  Then one ``suite`` line: the best time in ms of ``verify
 --suite all`` on each of the five structures (``algebra_ms`` ...
 ``comodule_ms``), one ``laws.Plan`` each, so shared contractions and
-packings are built once per suite.  The first run on each structure also
+packings are built once per suite.  Then one ``construct`` line: the best
+time in ms of ``modules.twist_module`` on the left module
+(``twist_module_ms``), of ``comodules.twist_poisson_comodule`` on the
+comodule (``twist_comodule_ms``), and of the algebra's ``mu.then_map`` and
+the coalgebra's ``delta.precompose`` along their own ``alpha``
+(``then_map_ms``, ``precompose_ms``).  The first run on each structure also
 builds its tensors' cached scaled entries; with ``--repeat`` above 1 the
 best time leaves that out.  Each law (and each timed layer) starts after a
 full garbage collection and runs with the collector off, so no collection
@@ -41,15 +46,16 @@ from homstruct.algebras import HomAlgebra  # noqa: E402
 from homstruct.axioms import AXIOMS, native_suite, verify  # noqa: E402
 from homstruct.catalog import DeterministicRng  # noqa: E402
 from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
-from homstruct.comodules import HomComodule  # noqa: E402
+from homstruct.comodules import HomComodule, twist_poisson_comodule  # noqa: E402
 from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor  # noqa: E402
 from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize  # noqa: E402
-from homstruct.modules import LEFT_MODULE, HomModule  # noqa: E402
+from homstruct.modules import LEFT_MODULE, HomModule, twist_module  # noqa: E402
 from homstruct.report import WITNESS_CAP, format_report  # noqa: E402
 
 
 NAMES = ("algebra", "left", "right", "coalgebra", "comodule")
 BASES = {"left": "algebra", "right": "algebra", "comodule": "coalgebra"}
+CONSTRUCTIONS = ("twist_module", "twist_comodule", "then_map", "precompose")
 
 
 def dense_entries(n: int) -> list:
@@ -149,6 +155,25 @@ def time_suites(n: int, repeat: int) -> list[float]:
     return best
 
 
+def time_constructions(n: int, repeat: int) -> list[float]:
+    """Best seconds of each of ``CONSTRUCTIONS`` on the dim-n structures."""
+    alg, left, _, coalg, comod = build_structures(n, dense_entries(n))
+    runs = [lambda: twist_module(left), lambda: twist_poisson_comodule(comod),
+            lambda: alg.mu.then_map(alg.alpha), lambda: coalg.delta.precompose(coalg.alpha)]
+    best = []
+    gc.collect()
+    gc.disable()
+    for run in runs:
+        seconds = float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            run()
+            seconds = min(seconds, time.perf_counter() - start)
+        best.append(seconds)
+    gc.enable()
+    return best
+
+
 def time_laws(n: int, repeat: int, laws=None) -> list[tuple[str, float, float, int]]:
     """(law id, best check seconds, best format seconds, total_failures) at dim n,
     for every registered law or only the ids in ``laws``."""
@@ -204,6 +229,9 @@ def main(argv=None) -> int:
         suites = " ".join(f"{name}_ms={seconds * 1000:.2f}"
                           for name, seconds in zip(NAMES, time_suites(n, args.repeat)))
         print(f"{n:>3}  {'suite':<32} {suites}", flush=True)
+        constructs = zip(CONSTRUCTIONS, time_constructions(n, args.repeat))
+        constructs = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in constructs)
+        print(f"{n:>3}  {'construct':<32} {constructs}", flush=True)
         for axiom, seconds, fmt_seconds, failures in time_laws(n, args.repeat, laws):
             print(f"{n:>3}  {axiom:<32} {seconds * 1000:>10.2f} {fmt_seconds * 1000:>8.2f}"
                   f"  {failures}", flush=True)

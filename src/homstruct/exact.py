@@ -19,28 +19,28 @@ conventions are pinned here once:
   (with the middle/last factor sizes adjusted for mixed products).
 
 Maps and tensors also expose ``shape`` (axis sizes in the index order above)
-and ``nonzeros``, their nonzero entries as ``{index tuple: value}``; that is
-the form ``contract``, the one exact contraction every law check and tensor
-transform goes through, works on.
+and ``scaled``, their one integer reading: the nonzero entries times the lcm
+``s`` of their denominators, as ``{index tuple: int}``, with ``s`` kept
+beside them.  That is the form ``contract``, the one exact contraction every
+law check and construction goes through, works on; a check divides ``s``
+back out only for its reported witnesses, a construction once per nonzero
+output entry.
 
-Entries are exact rationals (``fractions.Fraction``; ``nonzeros`` carries
-integral values as ``int``).  Zero entries are best the one shared
-``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows`` and ``diagonal``,
-returns it for every zero, ``fileformat`` parses every ``"0"`` to it, and
-``zero``, ``identity``, ``basis``, ``negated()`` and contractions fill with it.
-``nonzeros`` and ``fileformat``'s writer pick out the other entries in C, so a
-zero costs no Python call; another ``Fraction(0)``, put straight into a
-constructor, is still dropped, only more slowly.
+Entries are exact rationals (``fractions.Fraction``).  Zero entries are best
+the one shared ``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows``
+and ``diagonal``, returns it for every zero, ``fileformat`` parses every
+``"0"`` to it, and ``zero``, ``identity``, ``basis``, ``negated()`` and
+contractions fill with it.  ``scaled`` and ``fileformat``'s writer pick out
+the other entries in C, so a zero costs no Python call; another
+``Fraction(0)``, put straight into a constructor, is still dropped, only
+more slowly.
 
-Law checks contract ``scaled``, the same entries times the lcm of their
-denominators, read in one pass from the entries: plain ``int`` arithmetic,
-with the scale kept beside the map and divided back out only for the
-reported witnesses.  One or two axes of an operand can also be ``pack``-ed
-into fixed-width slots of a single ``int``, so that ``contract``'s
-Python-level multiply-adds each act on a whole vector of coefficients inside
-CPython's bignum code; ``unpack`` reads the slots back.  No floating point
-enters the kernel, so every identity check is an exact zero test.  All
-values are immutable after construction and safe to share across threads.
+One or two axes of an operand can also be ``pack``-ed into fixed-width
+slots of a single ``int``, so that ``contract``'s Python-level multiply-adds
+each act on a whole vector of coefficients inside CPython's bignum code;
+``unpack`` reads the slots back.  No floating point enters the kernel, so
+every identity check is an exact zero test.  All values are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from itertools import chain, compress, product, repeat
 from operator import attrgetter, floordiv, is_not, itemgetter, mul
 
@@ -169,7 +169,7 @@ class lazy:
 
 
 class _Tensor:
-    """Nonzero entries of a map or structure tensor, built once per value.
+    """The integer reading of a map or structure tensor, built once per value.
 
     A subclass names the field holding its (nested) entry tuples in
     ``_nested`` and gives ``shape``.
@@ -185,21 +185,9 @@ class _Tensor:
         return list(flat)
 
     @lazy
-    def nonzeros(self) -> dict[tuple[int, ...], Fraction | int]:
-        """Entries other than ``_ZERO`` are the candidates, picked in C; only
-        they are truth-tested, so another ``Fraction(0)`` is still dropped."""
-        flat = self.flat()
-        candidate = list(map(is_not, flat, repeat(_ZERO)))
-        keys = compress(product(*map(range, self.shape)), candidate)
-        return {
-            key: x.numerator if x.denominator == 1 else x
-            for key, x in zip(keys, compress(flat, candidate))
-            if x
-        }
-
-    @lazy
     def scaled(self) -> tuple[int, dict[tuple[int, ...], int], int]:
-        """``(s, s * nonzeros, bits)``: ``s`` is the lcm of the entries' denominators.
+        """``(s, {index tuple: s * entry}, bits)`` over the nonzero entries, ``s`` the
+        lcm of their denominators.
 
         Read in one pass over the entries other than ``_ZERO``, in C; any other
         zero is dropped after.  ``bits`` is the bit length of the largest scaled
@@ -326,15 +314,14 @@ class LinearMap(_Tensor):
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim_in:
             raise DimensionMismatch(f"map expects dim {self.dim_in}, got {v.dim}")
-        return Vector(_dense(contract("ij,j->i", self.nonzeros, v.nonzeros), (self.dim_out,)))
+        return Vector(_contracted("ij,j->i", (self.dim_out,), self, v))
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Composite f . g (apply g first)."""
     if f.dim_in != g.dim_out:
         raise DimensionMismatch(f"cannot compose {f.dim_out}x{f.dim_in} after {g.dim_out}x{g.dim_in}")
-    shape = (f.dim_out, g.dim_in)
-    return LinearMap(_dense(contract("il,lj->ij", f.nonzeros, g.nonzeros), shape), g.dim_in)
+    return LinearMap(_contracted("il,lj->ij", (f.dim_out, g.dim_in), f, g), g.dim_in)
 
 
 def squared(f: LinearMap) -> LinearMap:
@@ -376,7 +363,7 @@ class MulTensor(_Tensor):
         n = self.dim
         if x.dim != n or y.dim != n:
             raise DimensionMismatch(f"expected dim {n}, got {x.dim} and {y.dim}")
-        return Vector(_dense(contract("i,ijk,j->k", x.nonzeros, self.nonzeros, y.nonzeros), (n,)))
+        return Vector(_contracted("i,ijk,j->k", (n,), x, self, y))
 
     def negated(self) -> "MulTensor":
         return MulTensor(_negated(self.c))
@@ -390,7 +377,7 @@ class MulTensor(_Tensor):
         """Post-compose with a linear map: c'[i][j][k] = sum_l c[i][j][l] phi[k][l]."""
         if not phi.is_square(self.dim):
             raise DimensionMismatch("map size does not match tensor")
-        return MulTensor(_dense(contract("ijl,kl->ijk", self.nonzeros, phi.nonzeros), self.shape))
+        return MulTensor(_contracted("ijl,kl->ijk", self.shape, self, phi))
 
 
 @dataclass(frozen=True)
@@ -423,7 +410,7 @@ class ComulTensor(_Tensor):
         n = self.dim
         if v.dim != n:
             raise DimensionMismatch(f"expected dim {n}, got {v.dim}")
-        return _dense(contract("k,kij->ij", v.nonzeros, self.nonzeros), (n, n))
+        return _contracted("k,kij->ij", (n, n), v, self)
 
     def negated(self) -> "ComulTensor":
         return ComulTensor(_negated(self.d))
@@ -442,7 +429,7 @@ class ComulTensor(_Tensor):
         """Pre-compose with a linear map: d'[k][i][j] = sum_l phi[l][k] d[l][i][j]."""
         if not phi.is_square(self.dim):
             raise DimensionMismatch("map size does not match tensor")
-        return ComulTensor(_dense(contract("lk,lij->kij", phi.nonzeros, self.nonzeros), self.shape))
+        return ComulTensor(_contracted("lk,lij->kij", self.shape, phi, self))
 
 
 @dataclass(frozen=True)
@@ -495,8 +482,7 @@ class ActionTensor(_Tensor):
     def _act(self, spec: str, x: Vector, m: Vector) -> Vector:
         if x.dim != self.dim_alg or m.dim != self.dim_mod:
             raise DimensionMismatch("action operand dims do not match")
-        out = contract(spec, x.nonzeros, self.nonzeros, m.nonzeros)
-        return Vector(_dense(out, (self.dim_mod,)))
+        return Vector(_contracted(spec, (self.dim_mod,), x, self, m))
 
     def negated(self) -> "ActionTensor":
         return ActionTensor(_negated(self.a), self.dim_alg, self.dim_mod, self.side)
@@ -513,7 +499,7 @@ class ActionTensor(_Tensor):
         if not phi.is_square(self.dim_alg):
             raise DimensionMismatch("map size does not match algebra dim")
         spec = "ji,jpq->ipq" if self.side == "left" else "ji,pjq->piq"
-        cube = _dense(contract(spec, phi.nonzeros, self.nonzeros), self.shape)
+        cube = _contracted(spec, self.shape, phi, self)
         return ActionTensor(cube, self.dim_alg, self.dim_mod, self.side)
 
 
@@ -549,7 +535,7 @@ class CoactionTensor(_Tensor):
         """Image of m as an n x m coefficient matrix: out[i][q] = sum_p m_p g[p][i][q]."""
         if m.dim != self.dim_mod:
             raise DimensionMismatch(f"expected dim {self.dim_mod}, got {m.dim}")
-        return _dense(contract("p,piq->iq", m.nonzeros, self.nonzeros), (self.dim_coalg, self.dim_mod))
+        return _contracted("p,piq->iq", (self.dim_coalg, self.dim_mod), m, self)
 
     def negated(self) -> "CoactionTensor":
         return CoactionTensor(_negated(self.g), self.dim_coalg, self.dim_mod)
@@ -558,7 +544,7 @@ class CoactionTensor(_Tensor):
         """Apply phi to the coalgebra leg: g'[p][i][q] = sum_l phi[i][l] g[p][l][q]."""
         if not phi.is_square(self.dim_coalg):
             raise DimensionMismatch("map size does not match coalgebra dim")
-        cube = _dense(contract("plq,il->piq", self.nonzeros, phi.nonzeros), self.shape)
+        cube = _contracted("plq,il->piq", self.shape, self, phi)
         return CoactionTensor(cube, self.dim_coalg, self.dim_mod)
 
 
@@ -663,9 +649,9 @@ def contract(spec: str, *tensors: dict, into: tuple | None = None) -> dict | Non
 
     Operands and result are ``{index tuple: value}`` maps of nonzero entries
     (the result may also hold entries that cancelled to zero, and may be an
-    operand itself: treat both as read-only).  Values are rationals or
-    ``int``; a ``pack``-ed operand's values are ints whose packed axes ride
-    along through every product and sum.  Operands are joined pairwise in
+    operand itself: treat both as read-only).  Values are ``int``; a
+    ``pack``-ed operand's values are ints whose packed axes ride along
+    through every product and sum.  Operands are joined pairwise in
     the order the spec lists them, and a letter is summed over as soon as no
     later operand and not the output needs it.  A join on every letter of
     its right operand (``t.kab`` then the packed ``t.b``) finds at most one
@@ -815,10 +801,17 @@ def _slot_layout(slots: int, bits: int) -> tuple:
     return offset, mask, half, (1 << 16 * bits) - 1, blocks
 
 
-def _dense(entries: dict, shape: tuple[int, ...], prefix: tuple[int, ...] = ()) -> tuple:
-    """Nested tuples of Fractions holding ``entries``, zeros elsewhere."""
-    if len(prefix) + 1 == len(shape):
-        return tuple(
-            Fraction(x) if (x := entries.get(prefix + (i,))) else _ZERO for i in range(shape[-1])
-        )
-    return tuple(_dense(entries, shape, prefix + (i,)) for i in range(shape[len(prefix)]))
+def _contracted(spec: str, shape: tuple[int, ...], *tensors: _Tensor) -> tuple:
+    """Nested entry tuples of ``shape`` holding ``contract(spec, ...)`` of the
+    operands' ``scaled`` entries: ``Fraction(v, s)`` for each nonzero sum ``v``,
+    ``s`` the product of the operands' scales, and ``_ZERO`` everywhere else."""
+    readings = [t.scaled for t in tensors]
+    sink = [0] * prod(shape)
+    strides = tuple(prod(shape[axis + 1 :]) for axis in range(len(shape)))
+    contract(spec, *[entries for _, entries, _ in readings], into=(sink, strides, 1))
+    s = prod(scale for scale, _, _ in readings)
+    flat = [Fraction(v, s) if v else _ZERO for v in sink]
+    for axis in range(len(shape) - 1, 0, -1):
+        size = shape[axis]
+        flat = [tuple(flat[i * size : (i + 1) * size]) for i in range(prod(shape[:axis]))]
+    return tuple(flat)

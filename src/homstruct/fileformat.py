@@ -22,7 +22,7 @@ keeps a ``{numeral: Fraction}`` memo for the one call, and the decoded rows go
 straight into the tensor constructors.  Only valid numerals enter the memo,
 so every bad entry is rejected where it first occurs.  The memo starts as
 ``{"0": exact._ZERO}``: ``"0"`` is the grammar's one spelling of zero, so
-every zero entry of every file is that one object, which ``nonzeros`` skips
+every zero entry of every file is that one object, which ``scaled`` skips
 without a Python call.  Writing skips it the same way: ``serialize`` makes
 one format call per nonzero entry and none per zero.
 

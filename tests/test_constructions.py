@@ -1,0 +1,233 @@
+"""Every construction against a nested-loop Fraction evaluation of its formula.
+
+The oracles below read the drawn nested lists, never the tensors built from
+them, and use nothing from ``homstruct`` but the shared zero they check for.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homstruct.exact import (
+    _ZERO,
+    ActionTensor,
+    CoactionTensor,
+    ComulTensor,
+    LinearMap,
+    MulTensor,
+    Vector,
+    compose,
+    squared,
+)
+
+# Few distinct small values, so sums often cancel to zero; zeros of both spellings.
+ENTRIES = st.one_of(
+    st.sampled_from([0, Fraction(0), 1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
+def block(data, *shape):
+    """Nested lists of drawn rationals of ``shape``, drawn as one flat list."""
+    size = 1
+    for axis in shape:
+        size *= axis
+    flat = iter(data.draw(st.lists(ENTRIES, min_size=size, max_size=size)))
+
+    def nest(*shape):
+        if not shape:
+            return Fraction(next(flat))
+        return [nest(*shape[1:]) for _ in range(shape[0])]
+
+    return nest(*shape)
+
+
+def zeros(*shape):
+    if not shape:
+        return Fraction(0)
+    return [zeros(*shape[1:]) for _ in range(shape[0])]
+
+
+def assert_entries(result, want):
+    """``result`` (nested tuples) equals ``want`` (nested lists), every zero is the
+    shared ``_ZERO`` and every other entry a ``Fraction``."""
+    if isinstance(want, list):
+        assert type(result) is tuple and len(result) == len(want)
+        for r, w in zip(result, want):
+            assert_entries(r, w)
+        return
+    assert result == want
+    assert result is _ZERO if not want else type(result) is Fraction
+
+
+# --- the oracles: each construction's docstring formula, summed in loops ------------
+
+def compose_ref(f, g, rows, inner, cols):
+    """(f . g)[i][j] = sum_l f[i][l] g[l][j]."""
+    out = zeros(rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            for l in range(inner):
+                out[i][j] += f[i][l] * g[l][j]
+    return out
+
+
+def map_apply_ref(a, v, rows, cols):
+    """f(v)[i] = sum_j a[i][j] v[j]."""
+    out = zeros(rows)
+    for i in range(rows):
+        for j in range(cols):
+            out[i] += a[i][j] * v[j]
+    return out
+
+
+def mul_apply_ref(c, x, y, n):
+    """mul(x, y)[k] = sum_ij x_i y_j c[i][j][k]."""
+    out = zeros(n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[k] += x[i] * y[j] * c[i][j][k]
+    return out
+
+
+def then_map_ref(c, phi, n):
+    """c'[i][j][k] = sum_l c[i][j][l] phi[k][l]."""
+    out = zeros(n, n, n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    out[i][j][k] += c[i][j][l] * phi[k][l]
+    return out
+
+
+def comul_apply_ref(d, v, n):
+    """comul(v)[i][j] = sum_k v_k d[k][i][j]."""
+    out = zeros(n, n)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                out[i][j] += v[k] * d[k][i][j]
+    return out
+
+
+def precompose_ref(d, phi, n):
+    """d'[k][i][j] = sum_l phi[l][k] d[l][i][j]."""
+    out = zeros(n, n, n)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    out[k][i][j] += phi[l][k] * d[l][i][j]
+    return out
+
+
+def act_ref(a, x, m, side, n, dm):
+    """act(x, m)[q] = sum_ip x_i m_p a[i][p][q] (left) or a[p][i][q] (right)."""
+    out = zeros(dm)
+    for i in range(n):
+        for p in range(dm):
+            for q in range(dm):
+                entry = a[i][p][q] if side == "left" else a[p][i][q]
+                out[q] += x[i] * m[p] * entry
+    return out
+
+
+def precompose_algebra_ref(a, phi, side, n, dm):
+    """act'(e_i, f_p) = act(phi(e_i), f_p): a'[i][p][q] = sum_j phi[j][i] a[j][p][q]
+    (left), a'[p][i][q] = sum_j phi[j][i] a[p][j][q] (right)."""
+    if side == "left":
+        out = zeros(n, dm, dm)
+        for i in range(n):
+            for p in range(dm):
+                for q in range(dm):
+                    for j in range(n):
+                        out[i][p][q] += phi[j][i] * a[j][p][q]
+        return out
+    out = zeros(dm, n, dm)
+    for p in range(dm):
+        for i in range(n):
+            for q in range(dm):
+                for j in range(n):
+                    out[p][i][q] += phi[j][i] * a[p][j][q]
+    return out
+
+
+def coact_apply_ref(g, m, n, dm):
+    """coact(m)[i][q] = sum_p m_p g[p][i][q]."""
+    out = zeros(n, dm)
+    for p in range(dm):
+        for i in range(n):
+            for q in range(dm):
+                out[i][q] += m[p] * g[p][i][q]
+    return out
+
+
+def postcompose_coalgebra_ref(g, phi, n, dm):
+    """g'[p][i][q] = sum_l phi[i][l] g[p][l][q]."""
+    out = zeros(dm, n, dm)
+    for p in range(dm):
+        for i in range(n):
+            for q in range(dm):
+                for l in range(n):
+                    out[p][i][q] += phi[i][l] * g[p][l][q]
+    return out
+
+
+# --- the property ---------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.sampled_from(["left", "right"]),
+       st.data())
+def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
+    # maps: f is n x k and g is k x dm, so an empty k composes (n, 0) with (0, dm)
+    f_rows, g_rows, phi_rows = block(data, n, k), block(data, k, dm), block(data, n, n)
+    f = LinearMap.from_rows(f_rows, k)
+    g = LinearMap.from_rows(g_rows, dm)
+    phi = LinearMap.from_rows(phi_rows, n)
+    assert_entries(compose(f, g).entries, compose_ref(f_rows, g_rows, n, k, dm))
+    assert_entries(squared(phi).entries, compose_ref(phi_rows, phi_rows, n, n, n))
+    v_k, x, y, m = block(data, k), block(data, n), block(data, n), block(data, dm)
+    assert_entries(f.apply(Vector.from_entries(v_k)).entries, map_apply_ref(f_rows, v_k, n, k))
+
+    c = block(data, n, n, n)
+    mu = MulTensor.from_entries(c)
+    x_vec, y_vec, m_vec = map(Vector.from_entries, (x, y, m))
+    assert_entries(mu.apply(x_vec, y_vec).entries, mul_apply_ref(c, x, y, n))
+    assert_entries(mu.then_map(phi).c, then_map_ref(c, phi_rows, n))
+
+    d = block(data, n, n, n)
+    delta = ComulTensor.from_entries(d)
+    assert_entries(delta.apply(x_vec), comul_apply_ref(d, x, n))
+    assert_entries(delta.precompose(phi).d, precompose_ref(d, phi_rows, n))
+
+    a = block(data, n, dm, dm) if side == "left" else block(data, dm, n, dm)
+    action = ActionTensor.from_entries(a, n, dm, side)
+    acted = action.apply_left(x_vec, m_vec) if side == "left" else action.apply_right(m_vec, x_vec)
+    assert_entries(acted.entries, act_ref(a, x, m, side, n, dm))
+    assert_entries(action.precompose_algebra(phi).a, precompose_algebra_ref(a, phi_rows, side, n, dm))
+
+    h = block(data, dm, n, dm)
+    coaction = CoactionTensor.from_entries(h, n, dm)
+    assert_entries(coaction.apply(m_vec), coact_apply_ref(h, m, n, dm))
+    assert_entries(coaction.postcompose_coalgebra(phi).g, postcompose_coalgebra_ref(h, phi_rows, n, dm))
+
+
+def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
+    wide, tall = LinearMap.zero(3, 0), LinearMap.zero(0, 2)
+    assert compose(wide, tall).entries == ((_ZERO, _ZERO),) * 3
+    assert all(x is _ZERO for row in compose(wide, tall).entries for x in row)
+    none = compose(LinearMap.zero(0, 3), wide)
+    assert none.entries == () and none.shape == (0, 0)
+    assert wide.apply(Vector.zero(0)).entries == (_ZERO,) * 3
+    # rationals in, rationals out; the last entry is 1 - 1, a sum that cancels
+    f = LinearMap.from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, 1]])
+    g = LinearMap.from_rows([[2, 1], [Fraction(-3, 2), -1]])
+    product = compose(f, g).entries
+    assert product == ((Fraction(1, 2), Fraction(1, 6)), (Fraction(1, 2), _ZERO))
+    assert product[1][1] is _ZERO
+    empty = ActionTensor.zero(0, 2, "right")
+    assert empty.precompose_algebra(LinearMap.zero(0, 0)).a == ((), ())
+    assert empty.apply_right(Vector.from_entries([1, 2]), Vector.zero(0)).entries == (_ZERO, _ZERO)

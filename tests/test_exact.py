@@ -145,17 +145,17 @@ def test_cyclic_map_matches_index_rotation():
 
 
 def kronecker(f: LinearMap, g: LinearMap) -> dict:
-    m = g.dim_out
+    m, s = g.dim_out, f.scaled[0] * g.scaled[0]
     return {
-        (i * m + p, j * m + q): v
-        for (i, p, j, q), v in contract("ij,pq->ipjq", f.nonzeros, g.nonzeros).items()
+        (i * m + p, j * m + q): Fraction(v, s)
+        for (i, p, j, q), v in contract("ij,pq->ipjq", f.scaled[1], g.scaled[1]).items()
     }
 
 
 def test_tensor_product_of_diagonals():
     f = LinearMap.diagonal([1, 2])
     g = LinearMap.diagonal([1, 3])
-    assert kronecker(f, g) == LinearMap.diagonal([1, 3, 2, 6]).nonzeros
+    assert kronecker(f, g) == {(0, 0): 1, (1, 1): 3, (2, 2): 2, (3, 3): 6}
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
@@ -178,8 +178,10 @@ def test_tensor_product_on_basis_pairs(n, m, data):
 def test_contract_matrix_product_matches_compose(n, data):
     square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
     f, g = LinearMap.from_rows(data.draw(square)), LinearMap.from_rows(data.draw(square))
-    product = {k: v for k, v in contract("ij,jk->ik", f.nonzeros, g.nonzeros).items() if v}
-    assert product == compose(f, g).nonzeros
+    s = f.scaled[0] * g.scaled[0]
+    product = {k: Fraction(v, s) for k, v in contract("ij,jk->ik", f.scaled[1], g.scaled[1]).items() if v}
+    entries = compose(f, g).entries
+    assert product == {(i, k): x for i, row in enumerate(entries) for k, x in enumerate(row) if x}
 
 
 def test_contract_sums_letters_dropped_from_the_output():
@@ -296,7 +298,7 @@ def _cube(d0, d1, d2, widths=None):
          "coaction tensor is not m x n x m"),
         (lambda: CoactionTensor.from_entries(_cube(3, 2, 3, widths=2), 2, 3),
          "coaction tensor is not m x n x m"),
-        # straight through the constructors too: nonzeros and serialize read entries by shape
+        # straight through the constructors too: scaled and serialize read entries by shape
         (lambda: MulTensor(((("1", "2"),),)), "multiplication tensor is not n x n x n"),
         (lambda: MulTensor.from_entries(_cube(2, 2, 2, widths=1)),
          "multiplication tensor is not n x n x n"),
@@ -370,28 +372,26 @@ def nested_entry(tensor, index):
     return x
 
 
-def assert_nonzeros_follow_the_reference_rule(tensor):
-    want = {}
+def assert_scaled_follows_the_reference_rule(tensor):
+    # (s, entries, bits) straight from the nested entries, in Fraction arithmetic
+    nonzero = {}
     for index in product(*map(range, tensor.shape)):
-        x = nested_entry(tensor, index)
+        x = Fraction(nested_entry(tensor, index))
         if x:
-            want[index] = x.numerator if x.denominator == 1 else x
-    assert tensor.nonzeros == want
-    assert list(tensor.nonzeros) == sorted(want)
-    assert all(type(x) is (int if x.denominator == 1 else Fraction)
-               for x in tensor.nonzeros.values())
-    # scaled against the reference built from nonzeros: values, key order and bits
-    s = lcm(*[x.denominator for x in tensor.nonzeros.values()])
-    scaled = {key: x.numerator * (s // x.denominator) for key, x in tensor.nonzeros.items()}
+            nonzero[index] = x
+    s = lcm(*[x.denominator for x in nonzero.values()])
+    scaled = {key: x * s for key, x in nonzero.items()}
+    assert all(x.denominator == 1 for x in scaled.values())
+    scaled = {key: x.numerator for key, x in scaled.items()}
     assert tensor.scaled == (s, scaled, max(map(abs, scaled.values()), default=0).bit_length())
-    assert list(tensor.scaled[1]) == list(scaled)
+    assert list(tensor.scaled[1]) == sorted(scaled)
     assert all(type(x) is int for x in tensor.scaled[1].values())
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_nonzeros_of_every_kind(n):
     for tensor in each_kind(n) + each_kind(n, lambda *index: Fraction(0)):
-        assert_nonzeros_follow_the_reference_rule(tensor)
+        assert_scaled_follows_the_reference_rule(tensor)
 
 
 # The shared zero, a zero of its own (put straight into a constructor), an int, or a rational.
@@ -410,7 +410,7 @@ def test_nonzeros_of_shared_and_other_zeros(n, data):
     assert next(entries, None) is None
     negated = [t.negated() for t in tensors if hasattr(t, "negated")]
     for tensor in tensors + negated:
-        assert_nonzeros_follow_the_reference_rule(tensor)
+        assert_scaled_follows_the_reference_rule(tensor)
     replay = iter(drawn)  # the same entries, now through from_entries and from_rows
     for tensor in negated + each_kind(n, lambda *index: next(replay)):
         assert all(x is _ZERO for x in tensor.flat() if not x)
@@ -421,7 +421,7 @@ def test_lazy_attributes_are_computed_once_into_the_instance_dict(monkeypatch):
     from homstruct.report import Witness
 
     mu = MulTensor.from_entries([[[Fraction(1, 2), 0], [0, 3]], [[0, 0], [1, Fraction(-2, 3)]]])
-    sites = [(_Tensor, "nonzeros", mu), (_Tensor, "scaled", mu),
+    sites = [(_Tensor, "scaled", mu),
              (Law, "_compiled", Law("i", "o", "+ f.oa x.ai")), (Witness, "residual", Witness((0,), (1, 2), 4))]
     for cls, name, instance in sites:
         descriptor = vars(cls)[name]

@@ -373,7 +373,7 @@ def test_check_leaves_its_operands_unchanged(row, data):
 
     def state():
         return {
-            name: (dict(op.nonzeros), op.scaled[0], dict(op.scaled[1]), op.scaled[2])
+            name: (op.flat(), op.scaled[0], dict(op.scaled[1]), op.scaled[2])
             for name, op in operands.items()
         }
 

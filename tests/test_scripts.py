@@ -56,11 +56,13 @@ LAYER_FIELDS = {
     "write": ["build_ms", "serialize_ms"],
     "ingest": ["parse_ms", "scaled_ms"],
     "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
+    "construct": ["twist_module_ms", "twist_comodule_ms", "then_map_ms", "precompose_ms"],
 }
 
 
 def layer_ms(row: str) -> list[float]:
-    """The times of a ``write``, ``ingest`` or ``suite`` line, checked against their names."""
+    """The times of a ``write``, ``ingest``, ``suite`` or ``construct`` line, checked
+    against their names."""
     _, label, *fields = row.split()
     assert [field.split("=")[0] for field in fields] == LAYER_FIELDS[label], row
     return [float(field.split("=")[1]) for field in fields]
@@ -115,7 +117,8 @@ def test_time_laws_times_only_the_named_laws():
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
     assert [row.split()[:2] for row in rows] == [
-        ["2", "write"], ["2", "ingest"], ["2", "suite"], ["2", "HOM_POISSON_COALGEBRA"]
+        ["2", "write"], ["2", "ingest"], ["2", "suite"], ["2", "construct"],
+        ["2", "HOM_POISSON_COALGEBRA"]
     ]
     for laws in ("NO_SUCH_LAW", "HOM_ASSOC,NO_SUCH_LAW", ""):
         bad = time_laws("--dims", "2", "--laws", laws)
