@@ -11,11 +11,15 @@ in ms, best time in ms of ``report.format_report`` on its report (the text
 ``verify`` prints, up to 16 witnesses) and ``total_failures``.  An unknown
 ``--laws`` id is a usage error (exit 2).  Before its laws, each dim gets one
 ``write`` line: the best time in ms to build the five structures from their
-drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), and to
-``fileformat.serialize`` them as one file (``serialize_ms``); then one
-``ingest`` line: the best time in ms of ``fileformat.parse_bytes`` on that
-file (``parse_ms``), and of building the parsed tensors' ``scaled``
-entries, the one form a check reads (``scaled_ms``).  Every entry is
+drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), to
+``fileformat.serialize`` them as one file (``serialize_ms``), and to
+serialize the algebra with its two regular modules and the coalgebra with
+its regular comodule as one file (``regular_ms``: each shared array is
+formatted once); then one ``ingest`` line: the best time in ms of
+``fileformat.parse_bytes`` on the five structures' file (``parse_ms``), of
+building the parsed tensors' ``scaled`` entries, the one form a check reads
+(``scaled_ms``), and of serializing the parsed file again (``rewrite_ms``:
+parsed arrays are written back from their numerals).  Every entry is
 nonzero, so these lines time the write and read paths where skipping zeros
 saves nothing.  Then one ``suite`` line: the best time in ms of ``verify
 --suite all`` on each of the five structures (``algebra_ms`` ...
@@ -46,10 +50,10 @@ from homstruct.algebras import HomAlgebra  # noqa: E402
 from homstruct.axioms import AXIOMS, native_suite, verify  # noqa: E402
 from homstruct.catalog import DeterministicRng  # noqa: E402
 from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
-from homstruct.comodules import HomComodule, twist_poisson_comodule  # noqa: E402
+from homstruct.comodules import HomComodule, regular_comodule, twist_poisson_comodule  # noqa: E402
 from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor  # noqa: E402
 from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize  # noqa: E402
-from homstruct.modules import LEFT_MODULE, HomModule, twist_module  # noqa: E402
+from homstruct.modules import LEFT_MODULE, HomModule, regular_module, twist_module  # noqa: E402
 from homstruct.report import WITNESS_CAP, format_report  # noqa: E402
 
 
@@ -98,11 +102,20 @@ def structure_file(structures: list) -> StructureFile:
     return StructureFile(FILE_VERSION, dict(zip(NAMES, structures)), BASES)
 
 
-def time_write(n: int, repeat: int) -> tuple[float, float]:
+def regular_file(structures: list) -> StructureFile:
+    """The algebra and coalgebra of ``build_structures`` with their regular
+    modules and comodule, under the same names, as one file."""
+    alg, _, _, coalg, _ = structures
+    regular = [alg, regular_module(alg, "left"), regular_module(alg, "right"), coalg,
+               regular_comodule(coalg)]
+    return StructureFile(FILE_VERSION, dict(zip(NAMES, regular)), BASES)
+
+
+def time_write(n: int, repeat: int) -> tuple[float, float, float]:
     """(best seconds to build the five dim-n structures from their entries,
-    best ``serialize`` seconds of their file)."""
+    best ``serialize`` seconds of their file, and of ``regular_file``'s)."""
     entries = dense_entries(n)
-    best_build = best_write = float("inf")
+    best_build = best_write = best_regular = float("inf")
     gc.collect()
     gc.disable()
     for _ in range(repeat):
@@ -113,15 +126,20 @@ def time_write(n: int, repeat: int) -> tuple[float, float]:
         start = time.perf_counter()
         serialize(sf)
         best_write = min(best_write, time.perf_counter() - start)
+        sf = regular_file(build_structures(n, entries))  # fresh tensors: nothing formatted yet
+        start = time.perf_counter()
+        serialize(sf)
+        best_regular = min(best_regular, time.perf_counter() - start)
     gc.enable()
-    return best_build, best_write
+    return best_build, best_write, best_regular
 
 
-def time_ingest(n: int, repeat: int) -> tuple[float, float]:
-    """(best ``parse_bytes`` seconds, best seconds to build ``scaled``) for the
-    five dim-n structures, serialized as one file."""
+def time_ingest(n: int, repeat: int) -> tuple[float, float, float]:
+    """(best ``parse_bytes`` seconds, best seconds to build ``scaled``, best
+    ``serialize`` seconds of the parsed file) for the five dim-n structures,
+    serialized as one file."""
     data = serialize(structure_file(build_structures(n, dense_entries(n))))
-    best_parse = best_build = float("inf")
+    best_parse = best_build = best_rewrite = float("inf")
     gc.collect()
     gc.disable()
     for _ in range(repeat):
@@ -135,8 +153,11 @@ def time_ingest(n: int, repeat: int) -> tuple[float, float]:
         for tensor in tensors:
             tensor.scaled
         best_build = min(best_build, time.perf_counter() - start)
+        start = time.perf_counter()
+        serialize(sf)
+        best_rewrite = min(best_rewrite, time.perf_counter() - start)
     gc.enable()
-    return best_parse, best_build
+    return best_parse, best_build, best_rewrite
 
 
 def time_suites(n: int, repeat: int) -> list[float]:
@@ -220,12 +241,14 @@ def main(argv=None) -> int:
         parser.error("--repeat must be >= 1 and every dim >= 0")
     print(f"{'dim':>3}  {'law':<32} {'ms':>10} {'fmt_ms':>8}  failures")
     for n in dims:
-        build_seconds, write_seconds = time_write(n, args.repeat)
+        build_seconds, write_seconds, regular_seconds = time_write(n, args.repeat)
         print(f"{n:>3}  {'write':<32} build_ms={build_seconds * 1000:.2f}"
-              f" serialize_ms={write_seconds * 1000:.2f}", flush=True)
-        parse_seconds, build_seconds = time_ingest(n, args.repeat)
+              f" serialize_ms={write_seconds * 1000:.2f}"
+              f" regular_ms={regular_seconds * 1000:.2f}", flush=True)
+        parse_seconds, build_seconds, rewrite_seconds = time_ingest(n, args.repeat)
         print(f"{n:>3}  {'ingest':<32} parse_ms={parse_seconds * 1000:.2f}"
-              f" scaled_ms={build_seconds * 1000:.2f}", flush=True)
+              f" scaled_ms={build_seconds * 1000:.2f}"
+              f" rewrite_ms={rewrite_seconds * 1000:.2f}", flush=True)
         suites = " ".join(f"{name}_ms={seconds * 1000:.2f}"
                           for name, seconds in zip(NAMES, time_suites(n, args.repeat)))
         print(f"{n:>3}  {'suite':<32} {suites}", flush=True)

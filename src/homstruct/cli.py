@@ -9,6 +9,7 @@ by the verb's own parser (``parse_args``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -86,6 +87,9 @@ def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None,
         structures[base_of[name]] = new_base
     if new_name is None:
         structures[name] = new_structure
+        for other in [key for key in base_of if base_of[key] == name]:  # entries over it
+            base = "algebra" if isinstance(new_structure, HomAlgebra) else "coalgebra"
+            structures[other] = dataclasses.replace(structures[other], **{base: new_structure})
     else:
         structures[new_name] = new_structure
         if name in base_of:

@@ -30,10 +30,10 @@ Entries are exact rationals (``fractions.Fraction``).  Zero entries are best
 the one shared ``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows``
 and ``diagonal``, returns it for every zero, ``fileformat`` parses every
 ``"0"`` to it, and ``zero``, ``identity``, ``basis``, ``negated()`` and
-contractions fill with it.  ``scaled`` and ``fileformat``'s writer pick out
-the other entries in C, so a zero costs no Python call; another
-``Fraction(0)``, put straight into a constructor, is still dropped, only
-more slowly.
+contractions fill with it.  ``scaled`` and ``numerals``, the wire form
+``fileformat`` writes (kept from the file when parsed), pick out the other
+entries in C, so a zero costs no Python call; another ``Fraction(0)``, put
+straight into a constructor, is still dropped, only more slowly.
 
 One or two axes of an operand can also be ``pack``-ed into fixed-width
 slots of a single ``int``, so that ``contract``'s Python-level multiply-adds
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, count, product, repeat
 from operator import attrgetter, floordiv, is_not, itemgetter, mul
 
 from .errors import DimensionMismatch, FormatError
@@ -169,7 +169,7 @@ class lazy:
 
 
 class _Tensor:
-    """The integer reading of a map or structure tensor, built once per value.
+    """The integer reading and the wire form of a map or structure tensor, built once.
 
     A subclass names the field holding its (nested) entry tuples in
     ``_nested`` and gives ``shape``.
@@ -206,6 +206,21 @@ class _Tensor:
         if 0 in entries.values():  # another zero than _ZERO
             entries = {key: x for key, x in entries.items() if x}
         return s, entries, max(map(abs, entries.values()), default=0).bit_length()
+
+    @lazy
+    def numerals(self) -> list:
+        """The entries as nested lists of wire numerals: ``"0"`` for each ``_ZERO``
+        (picked out in C), ``format_rational`` of each other entry."""
+        flat = self.flat()
+        out = ["0"] * len(flat)
+        written = list(map(is_not, flat, repeat(_ZERO)))
+        for i, x in zip(compress(count(), written), compress(flat, written)):
+            out[i] = format_rational(x)
+        shape = self.shape
+        for axis in range(len(shape) - 1, 0, -1):  # slice the rows, then the planes, back out
+            width = shape[axis]
+            out = [out[i * width : (i + 1) * width] for i in range(prod(shape[:axis]))]
+        return out
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,10 @@ straight into the tensor constructors.  Only valid numerals enter the memo,
 so every bad entry is rejected where it first occurs.  The memo starts as
 ``{"0": exact._ZERO}``: ``"0"`` is the grammar's one spelling of zero, so
 every zero entry of every file is that one object, which ``scaled`` skips
-without a Python call.  Writing skips it the same way: ``serialize`` makes
-one format call per nonzero entry and none per zero.
+without a Python call.  Writing skips it the same way: ``numerals`` take one
+format call per nonzero entry and none per zero, ``serialize`` takes them once
+per distinct array (entry tuple and shape), and a parsed tensor's are the
+array it was read from (every valid numeral is canonical).
 
 Each distinct array is read once too: a module's ``beta`` or ``action`` (a
 comodule's ``beta``, ``delta_m`` or ``gamma_m``) with its base entry's dims
@@ -40,9 +42,6 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
-from math import prod
-from operator import is_not
 
 from .algebras import HomAlgebra
 from .coalgebras import HomPoissonCoalgebra
@@ -55,7 +54,6 @@ from .exact import (
     ComulTensor,
     LinearMap,
     MulTensor,
-    format_rational,
     parse_rational,
 )
 from .modules import HomModule
@@ -121,27 +119,20 @@ class _Numerals(dict):
             raise FormatError(f"{what}: expected {d0} planes")
         return tuple([self.matrix(plane, d1, d2, what) for plane in data])
 
-    def like(self, data, base, base_data, what: str, *dims: int) -> tuple:
-        """The entries of an array of ``dims``: ``base``'s own tuple when the dims
-        are ``base``'s and ``data == base_data`` (one comparison, in C), else read."""
+    def like(self, entry: dict, field: str, base, base_data, what: str, *dims: int) -> tuple:
+        """The entries of ``entry[field]``, an array of ``dims``: ``base``'s own tuple when
+        the dims are ``base``'s and it equals ``base_data`` (one comparison, in C), else read."""
+        data = entry.get(field)
         if dims == base.shape and data == base_data:
+            entry[field] = base_data  # so both tensors keep one array as their numerals
             return getattr(base, base._nested)
         return (self.matrix if len(dims) == 2 else self.cube)(data, *dims, what)
 
 
-def _dump(tensor) -> list:
-    """A tensor's entries as nested lists of numerals: ``"0"`` for each ``_ZERO``
-    (picked out in C), ``format_rational`` of each other entry."""
-    flat = tensor.flat()
-    out = ["0"] * len(flat)
-    written = list(map(is_not, flat, repeat(_ZERO)))
-    for i, x in zip(compress(count(), written), compress(flat, written)):
-        out[i] = format_rational(x)
-    shape = tensor.shape
-    for axis in range(len(shape) - 1, 0, -1):  # slice the rows, then the planes, back out
-        width = shape[axis]
-        out = [out[i * width : (i + 1) * width] for i in range(prod(shape[:axis]))]
-    return out
+def _kept(tensor, data: list):
+    """``tensor``, with the array it was read from as its ``numerals``."""
+    vars(tensor)["numerals"] = data
+    return tensor
 
 
 def _parse_dim(raw, what: str) -> int:
@@ -192,22 +183,25 @@ def parse_bytes(data: bytes) -> StructureFile:
         kind = entry.get("kind")
         if kind == "hom_algebra":
             dim = _parse_dim(entry.get("dim"), name)
-            mul = MulTensor(numerals.cube(entry.get("mul"), dim, dim, dim, name))
-            alpha = LinearMap(numerals.matrix(entry.get("alpha"), dim, dim, name), dim)
+            mul, alpha = entry.get("mul"), entry.get("alpha")
+            mul = _kept(MulTensor(numerals.cube(mul, dim, dim, dim, name)), mul)
+            alpha = _kept(LinearMap(numerals.matrix(alpha, dim, dim, name), dim), alpha)
             structures[name] = HomAlgebra(dim, mul, alpha)
         elif kind == "hom_poisson_coalgebra":
             dim = _parse_dim(entry.get("dim"), name)
-            delta = ComulTensor(numerals.cube(entry.get("delta"), dim, dim, dim, name))
-            gamma = ComulTensor(numerals.cube(entry.get("gamma"), dim, dim, dim, name))
-            alpha = LinearMap(numerals.matrix(entry.get("alpha"), dim, dim, name), dim)
+            delta, gamma, alpha = entry.get("delta"), entry.get("gamma"), entry.get("alpha")
+            delta = _kept(ComulTensor(numerals.cube(delta, dim, dim, dim, name)), delta)
+            gamma = _kept(ComulTensor(numerals.cube(gamma, dim, dim, dim, name)), gamma)
+            alpha = _kept(LinearMap(numerals.matrix(alpha, dim, dim, name), dim), alpha)
             flag = entry.get("cocommutative")
             _require(isinstance(flag, bool), f"{name}: cocommutative must be a boolean")
             structures[name] = HomPoissonCoalgebra(dim, delta, gamma, alpha, flag)
         elif kind == "linear_map":
             dim_in = _parse_dim(entry.get("dim_in"), name)
             dim_out = _parse_dim(entry.get("dim_out"), name)
-            rows = numerals.matrix(entry.get("matrix"), dim_out, dim_in, name)
-            structures[name] = LinearMap(rows, dim_in)
+            rows = entry.get("matrix")
+            matrix = numerals.matrix(rows, dim_out, dim_in, name)
+            structures[name] = _kept(LinearMap(matrix, dim_in), rows)
         elif kind in ("hom_module", "hom_comodule"):
             pending.append((name, entry))
         else:
@@ -222,10 +216,11 @@ def parse_bytes(data: bytes) -> StructureFile:
             side = entry.get("side")
             _require(side in ("left", "right"), f"{name}: bad side {side!r}")
             dim, of = _parse_dim(entry.get("dim"), name), raw[ref]
-            beta = numerals.like(entry.get("beta"), base.alpha, of["alpha"], name, dim, dim)
+            beta = numerals.like(entry, "beta", base.alpha, of["alpha"], name, dim, dim)
             shape = (base.dim, dim) if side == "left" else (dim, base.dim)
-            cube = numerals.like(entry.get("action"), base.mu, of["mul"], name, *shape, dim)
-            beta, action = LinearMap(beta, dim), ActionTensor(cube, base.dim, dim, side)
+            cube = numerals.like(entry, "action", base.mu, of["mul"], name, *shape, dim)
+            beta = _kept(LinearMap(beta, dim), entry["beta"])
+            action = _kept(ActionTensor(cube, base.dim, dim, side), entry["action"])
             structures[name] = HomModule(base, dim, beta, action, side)
             base_of[name] = ref
         else:
@@ -241,18 +236,18 @@ def parse_bytes(data: bytes) -> StructureFile:
                 f"{name}: bad comodule structure {comodule_kind!r}",
             )
             dim, of = _parse_dim(entry.get("dim"), name), raw[ref]
-            beta = numerals.like(entry.get("beta"), base.alpha, of["alpha"], name, dim, dim)
-            beta, delta_m, gamma_m = LinearMap(beta, dim), None, None
+            beta = numerals.like(entry, "beta", base.alpha, of["alpha"], name, dim, dim)
+            beta, delta_m, gamma_m = _kept(LinearMap(beta, dim), entry["beta"]), None, None
             if comodule_kind in ("coassociative", "poisson"):
-                cube = numerals.like(entry.get("delta_m"), base.delta, of["delta"], name,
+                cube = numerals.like(entry, "delta_m", base.delta, of["delta"], name,
                                      dim, base.dim, dim)
-                delta_m = CoactionTensor(cube, base.dim, dim)
+                delta_m = _kept(CoactionTensor(cube, base.dim, dim), entry["delta_m"])
             else:
                 _require("delta_m" not in entry, f"{name}: delta_m not allowed for this kind")
             if comodule_kind in ("lie", "poisson"):
-                cube = numerals.like(entry.get("gamma_m"), base.gamma, of["gamma"], name,
+                cube = numerals.like(entry, "gamma_m", base.gamma, of["gamma"], name,
                                      dim, base.dim, dim)
-                gamma_m = CoactionTensor(cube, base.dim, dim)
+                gamma_m = _kept(CoactionTensor(cube, base.dim, dim), entry["gamma_m"])
             else:
                 _require("gamma_m" not in entry, f"{name}: gamma_m not allowed for this kind")
             structures[name] = HomComodule(base, dim, beta, comodule_kind, delta_m, gamma_m)
@@ -269,51 +264,60 @@ def parse_file(path) -> StructureFile:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _entry_doc(name: str, structure, base_of: dict[str, str]) -> dict:
+def _base_name(name: str, base, sf: StructureFile) -> str:
+    """``sf.base_of[name]``, checked to hold ``base``: by identity first, then by ``==``."""
+    ref = sf.base_of.get(name)
+    held = sf.structures.get(ref)
+    if held is not base and held != base:
+        raise FormatError(f"{name}: base_of names {ref!r}, not the entry of its base")
+    return ref
+
+
+def _entry_doc(name: str, structure, sf: StructureFile, dump) -> dict:
     if isinstance(structure, HomAlgebra):
         return {
             "kind": "hom_algebra",
             "dim": structure.dim,
-            "mul": _dump(structure.mu),
-            "alpha": _dump(structure.alpha),
+            "mul": dump(structure.mu),
+            "alpha": dump(structure.alpha),
         }
     if isinstance(structure, HomPoissonCoalgebra):
         return {
             "kind": "hom_poisson_coalgebra",
             "dim": structure.dim,
-            "delta": _dump(structure.delta),
-            "gamma": _dump(structure.gamma),
-            "alpha": _dump(structure.alpha),
+            "delta": dump(structure.delta),
+            "gamma": dump(structure.gamma),
+            "alpha": dump(structure.alpha),
             "cocommutative": structure.cocommutative_expected,
         }
     if isinstance(structure, HomModule):
         return {
             "kind": "hom_module",
-            "algebra": base_of[name],
+            "algebra": _base_name(name, structure.algebra, sf),
             "side": structure.side,
             "dim": structure.dim_mod,
-            "beta": _dump(structure.beta),
-            "action": _dump(structure.action),
+            "beta": dump(structure.beta),
+            "action": dump(structure.action),
         }
     if isinstance(structure, HomComodule):
         doc = {
             "kind": "hom_comodule",
-            "coalgebra": base_of[name],
+            "coalgebra": _base_name(name, structure.coalgebra, sf),
             "structure": structure.kind,
             "dim": structure.dim_mod,
-            "beta": _dump(structure.beta),
+            "beta": dump(structure.beta),
         }
         if structure.delta_m is not None:
-            doc["delta_m"] = _dump(structure.delta_m)
+            doc["delta_m"] = dump(structure.delta_m)
         if structure.gamma_m is not None:
-            doc["gamma_m"] = _dump(structure.gamma_m)
+            doc["gamma_m"] = dump(structure.gamma_m)
         return doc
     if isinstance(structure, LinearMap):
         return {
             "kind": "linear_map",
             "dim_in": structure.dim_in,
             "dim_out": structure.dim_out,
-            "matrix": _dump(structure),
+            "matrix": dump(structure),
         }
     raise FormatError(f"{name}: cannot serialize {type(structure).__name__}")
 
@@ -322,11 +326,18 @@ def serialize(sf: StructureFile) -> bytes:
     for name in sf.base_of.values():
         if name not in sf.structures:
             raise FormatError(f"dangling reference to {name!r}")
+    written: dict[tuple, list] = {}  # (id of an entry tuple, shape): its numerals
+
+    def dump(tensor) -> list:
+        key = id(getattr(tensor, tensor._nested)), tensor.shape
+        if key not in written:
+            written[key] = tensor.numerals
+        return written[key]
+
     doc = {
         "version": sf.version,
         "structures": {
-            name: _entry_doc(name, sf.structures[name], sf.base_of)
-            for name in sorted(sf.structures)
+            name: _entry_doc(name, sf.structures[name], sf, dump) for name in sorted(sf.structures)
         },
     }
     return (_ENCODER.encode(doc) + "\n").encode("utf-8")

@@ -421,7 +421,7 @@ def test_lazy_attributes_are_computed_once_into_the_instance_dict(monkeypatch):
     from homstruct.report import Witness
 
     mu = MulTensor.from_entries([[[Fraction(1, 2), 0], [0, 3]], [[0, 0], [1, Fraction(-2, 3)]]])
-    sites = [(_Tensor, "scaled", mu),
+    sites = [(_Tensor, "scaled", mu), (_Tensor, "numerals", mu),
              (Law, "_compiled", Law("i", "o", "+ f.oa x.ai")), (Witness, "residual", Witness((0,), (1, 2), 4))]
     for cls, name, instance in sites:
         descriptor = vars(cls)[name]

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homstruct import HomAlgebra, HomComodule, HomModule, HomPoissonCoalgebra
@@ -508,8 +508,9 @@ def _write_entry(rng: random.Random):
 
 def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict, list]:
     """Structures over dim-n bases with dim-m (co)modules, built from random entries,
-    negations, opposites and contractions, and the tensors ``from_entries`` or
-    ``negated`` built."""
+    negations, opposites and contractions, regular (co)modules and a map on
+    ``alpha``'s own rows (arrays shared by tuple), and the tensors ``from_entries``
+    or ``negated`` built."""
 
     def cube(a, b, c):
         return [[[_write_entry(rng) for _ in range(c)] for _ in range(b)] for _ in range(a)]
@@ -537,6 +538,10 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
         "C_neg": HomPoissonCoalgebra(n, delta.negated(), gamma, alpha, True),
         "K": HomComodule(coalg, m, beta, "poisson", coaction,
                          coaction.negated().postcompose_coalgebra(alpha)),
+        "A_left": regular_module(alg, "left"),
+        "A_right": regular_module(alg, "right"),
+        "C_regular": regular_comodule(coalg),
+        "alpha_rows": LinearMap(alpha.entries, n),
         "thin": LinearMap.from_rows(cube(1, m, 0)[0], 0),  # m rows, 0 wide
         "composite": compose(alpha, alpha),
         # entries kept as given: bools and ints straight through the constructor
@@ -544,7 +549,8 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
             tuple(rng.choice([True, False, 0, -3, Fraction(2, 3), _ZERO]) for _ in range(m))
             for _ in range(m)), m),
     }
-    bases = {"L": "A", "L_twist": "A", "R": "A", "K": "C"}
+    bases = {"L": "A", "L_twist": "A", "R": "A", "K": "C", "A_left": "A", "A_right": "A",
+             "C_regular": "C"}
     interned = [mu, mu.negated(), alpha, beta, left, right, delta, gamma, coaction, coaction.negated()]
     return structures, bases, interned
 
@@ -556,9 +562,87 @@ def test_serialize_matches_the_per_entry_writer(n, m, seed):
     sf = StructureFile(1, structures, bases)
     written = serialize(sf)
     assert written == _serialize_by_entry(sf)
-    assert serialize(parse_bytes(written)) == written
+    back = parse_bytes(written)  # written back from the numerals it was read from
+    assert serialize(back) == _serialize_by_entry(back) == written
     for tensor in interned:
         assert all(x is _ZERO for x in tensor.flat() if not x)
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (2, 0), (3, 2)])
+def test_twist_as_writes_what_the_per_entry_writer_writes(n, m, tmp_path, capsys):
+    from homstruct.cli import main
+
+    structures, bases, _ = _written_structures(n, m, random.Random(4 * n + m))
+    path = tmp_path / "in.json"
+    write_file(path, StructureFile(1, structures, bases))
+    for name in ("L", "R", "K", "A_left", "C_regular"):
+        out = tmp_path / f"{name}.json"
+        assert main(["twist", str(path), name, "--as", "new", "--out", str(out)]) == 0, name
+        back = parse_file(out)
+        assert out.read_bytes() == serialize(back) == _serialize_by_entry(back), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32))
+@example(0, 0, 0)
+@example(0, 2, 0)
+@example(2, 0, 0)
+def test_parsed_numerals_are_the_numerals_of_the_parsed_entries(n, m, seed):
+    structures, bases, _ = _written_structures(n, m, random.Random(seed))
+    sf = parse_bytes(serialize(StructureFile(1, structures, bases)))
+    compute = vars(_Tensor)["numerals"].compute
+    for name, structure in sf.structures.items():
+        for tensor in _tensors(structure):
+            assert vars(tensor)["numerals"] == compute(tensor), name
+
+
+def test_an_array_shared_by_tuple_is_formatted_once_and_a_parsed_one_never(monkeypatch):
+    descriptor = vars(_Tensor)["numerals"]
+    formatted, compute = [], descriptor.compute
+    monkeypatch.setattr(descriptor, "compute",
+                        lambda tensor: formatted.append(tensor) or compute(tensor))
+    structures, _, _ = _written_structures(3, 2, random.Random(5))
+    alg, coalg = structures["A"], structures["C"]
+    sf = StructureFile(1, {"a": alg, "l": regular_module(alg, "left"),
+                           "r": regular_module(alg, "right"), "c": coalg,
+                           "k": regular_comodule(coalg)}, {"l": "a", "r": "a", "k": "c"})
+    data = serialize(sf)
+    # each distinct array once, in the order written; alg and coalg share one alpha
+    assert list(map(id, formatted)) == list(map(id, [alg.mu, alg.alpha, coalg.delta, coalg.gamma]))
+    formatted.clear()
+    assert serialize(parse_bytes(data)) == data and formatted == []
+
+
+def test_a_module_or_comodule_missing_from_base_of_is_format_error():
+    structures, bases, _ = _written_structures(2, 2, random.Random(1))
+    for name in ("L", "K"):
+        others = {key: ref for key, ref in bases.items() if key != name}
+        with pytest.raises(FormatError, match=f"^{name}: base_of names None, not the entry"):
+            serialize(StructureFile(1, structures, others))
+
+
+def test_a_base_of_naming_an_entry_of_the_other_kind_is_format_error():
+    # written, such a file would fail to parse: "algebra 'C' not found"
+    structures, bases, _ = _written_structures(2, 2, random.Random(2))
+    for name, wrong in (("L", "C"), ("K", "A")):
+        with pytest.raises(FormatError, match=f"^{name}: base_of names '{wrong}', not the entry"):
+            serialize(StructureFile(1, structures, {**bases, name: wrong}))
+
+
+def test_a_base_of_naming_another_base_is_format_error_and_an_equal_one_is_not():
+    # written, such a file would parse to a module over the other base
+    structures, bases, _ = _written_structures(2, 2, random.Random(3))
+    for name, other, own in (("L", "A_neg", "A"), ("K", "C_neg", "C")):
+        assert structures[other] != structures[own]
+        with pytest.raises(FormatError, match=f"^{name}: base_of names '{other}', not the entry"):
+            serialize(StructureFile(1, structures, {**bases, name: other}))
+    # an equal base held by another object is the base: the file reads back equal
+    copies = {"A_copy": dataclasses.replace(structures["A"]),
+              "C_copy": dataclasses.replace(structures["C"])}
+    sf = StructureFile(1, {**structures, **copies}, {**bases, "L": "A_copy", "K": "C_copy"})
+    back = parse_bytes(serialize(sf))
+    assert back.get("L") == structures["L"] and back.get("K") == structures["K"]
+    assert back.base_of["L"] == "A_copy" and back.base_of["K"] == "C_copy"
 
 
 def test_serialize_of_every_catalogue_entry_matches_the_per_entry_writer():
@@ -683,6 +767,9 @@ def test_a_module_array_equal_to_its_bases_is_the_bases_tuple():
         base = sf.get(sf.base_of[name])
         for own, of in PAIRS[kind]:
             assert _entry_tuple(structure, own) is _entry_tuple(base, of), (name, own)
+            # and both tensors keep the base's one JSON array as their numerals
+            mine, theirs = (getattr(s, FIELDS.get(f, f)) for s, f in ((structure, own), (base, of)))
+            assert vars(mine)["numerals"] is vars(theirs)["numerals"], (name, own)
     structure = parse_bytes(right).get("m")
     assert structure.action.a is structure.algebra.mu.c
     assert structure.beta.entries is structure.algebra.alpha.entries

@@ -53,8 +53,8 @@ def time_laws(*argv):
 
 
 LAYER_FIELDS = {
-    "write": ["build_ms", "serialize_ms"],
-    "ingest": ["parse_ms", "scaled_ms"],
+    "write": ["build_ms", "serialize_ms", "regular_ms"],
+    "ingest": ["parse_ms", "scaled_ms", "rewrite_ms"],
     "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
     "construct": ["twist_module_ms", "twist_comodule_ms", "then_map_ms", "precompose_ms"],
 }
