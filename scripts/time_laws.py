@@ -9,7 +9,11 @@ id of ``axioms.AXIOMS`` (or only the ids ``--laws`` names) on the
 structure of its type and prints one line per law: dim, id, best wall time
 in ms, best time in ms of ``report.format_report`` on its report (the text
 ``verify`` prints, up to 16 witnesses) and ``total_failures``.  An unknown
-``--laws`` id is a usage error (exit 2).  Before its laws, each dim gets one
+``--laws`` id is a usage error (exit 2).  First comes one ``compile`` line
+(dim ``-``): for each ``src/homstruct/*.py`` in sorted order, the best of 7
+``compile()`` calls on its source in ms (``<module>_ms``, e.g. ``exact_ms``),
+then their sum (``total_ms``), which every command pays when there is no
+bytecode cache.  Before its laws, each dim gets one
 ``write`` line: the best time in ms to build the five structures from their
 drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), to
 ``fileformat.serialize`` them as one file (``serialize_ms``), and to
@@ -44,7 +48,8 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from homstruct.algebras import HomAlgebra  # noqa: E402
 from homstruct.axioms import AXIOMS, native_suite, verify  # noqa: E402
@@ -109,6 +114,22 @@ def regular_file(structures: list) -> StructureFile:
     regular = [alg, regular_module(alg, "left"), regular_module(alg, "right"), coalg,
                regular_comodule(coalg)]
     return StructureFile(FILE_VERSION, dict(zip(NAMES, regular)), BASES)
+
+
+def time_compile() -> list[tuple[str, float]]:
+    """(module name, best of 7 ``compile()`` seconds) for each ``src/homstruct/*.py``, sorted."""
+    best = []
+    gc.collect()
+    gc.disable()
+    for path in sorted((SRC / "homstruct").glob("*.py")):
+        source, seconds = path.read_bytes(), float("inf")
+        for _ in range(7):
+            start = time.perf_counter()
+            compile(source, str(path), "exec", dont_inherit=True)
+            seconds = min(seconds, time.perf_counter() - start)
+        best.append((path.stem, seconds))
+    gc.enable()
+    return best
 
 
 def time_write(n: int, repeat: int) -> tuple[float, float, float]:
@@ -240,6 +261,10 @@ def main(argv=None) -> int:
     if args.repeat < 1 or any(d < 0 for d in dims):
         parser.error("--repeat must be >= 1 and every dim >= 0")
     print(f"{'dim':>3}  {'law':<32} {'ms':>10} {'fmt_ms':>8}  failures")
+    compiles = time_compile()
+    compiles.append(("total", sum(seconds for _, seconds in compiles)))
+    compiles = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in compiles)
+    print(f"{'-':>3}  {'compile':<32} {compiles}", flush=True)
     for n in dims:
         build_seconds, write_seconds, regular_seconds = time_write(n, args.repeat)
         print(f"{n:>3}  {'write':<32} build_ms={build_seconds * 1000:.2f}"

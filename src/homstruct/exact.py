@@ -18,13 +18,14 @@ conventions are pinned here once:
   sits at flat index ``i*n + j``, and ``e_i @ e_j @ e_k`` at ``i*n*n + j*n + k``
   (with the middle/last factor sizes adjusted for mixed products).
 
-Maps and tensors also expose ``shape`` (axis sizes in the index order above)
-and ``scaled``, their one integer reading: the nonzero entries times the lcm
-``s`` of their denominators, as ``{index tuple: int}``, with ``s`` kept
-beside them.  That is the form ``contract``, the one exact contraction every
-law check and construction goes through, works on; a check divides ``s``
-back out only for its reported witnesses, a construction once per nonzero
-output entry.
+Maps and tensors share one base, ``_Tensor``, that states their shape guard,
+freezing (``from_entries``) and zeros once.  They expose ``shape`` (axis
+sizes in the index order above) and ``scaled``, their one integer reading:
+the nonzero entries times the lcm ``s`` of their denominators, as ``{index
+tuple: int}``, with ``s`` kept beside them.  That is the form ``contract``,
+the one exact contraction every law check and construction goes through,
+works on; a check divides ``s`` back out only for its reported witnesses, a
+construction once per nonzero output entry.
 
 Entries are exact rationals (``fractions.Fraction``).  Zero entries are best
 the one shared ``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows``
@@ -48,7 +49,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -129,29 +130,12 @@ def format_rational(value: Fraction) -> str:
     return format_ratio(value.numerator, value.denominator)
 
 
-def _freeze_vector(entries) -> tuple[Fraction, ...]:
-    return tuple(map(rat, entries))
-
-
-def _freeze_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(map(_freeze_vector, rows))
-
-
-def _freeze_cube(cube) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    return tuple(map(_freeze_matrix, cube))
-
-
-def _check_cube(cube, what: str):
-    # The guard for a cube however built, as ``ActionTensor``'s is; ``fileformat``
-    # checks first only to name the entry and axis in its error.  ~12 us at n = 16.
-    n = len(cube)
-    if set(map(len, cube)) - {n} or set(map(len, chain.from_iterable(cube))) - {n}:
-        raise DimensionMismatch(f"{what} tensor is not n x n x n")
-
-
-def _negated(cube) -> tuple:
-    """Nested entry tuples of a cube, each entry negated and each zero ``_ZERO``."""
-    return tuple(tuple(tuple([-x if x else _ZERO for x in row]) for row in plane) for plane in cube)
+def _zeros(shape) -> tuple:
+    """Nested entry tuples of ``shape``, every entry ``_ZERO``."""
+    nested = _ZERO
+    for size in reversed(shape):
+        nested = (nested,) * size
+    return nested
 
 
 class lazy:
@@ -169,13 +153,37 @@ class lazy:
 
 
 class _Tensor:
-    """The integer reading and the wire form of a map or structure tensor, built once.
+    """What every map and structure tensor shares: its shape guard, freezing, zeros,
+    and its integer reading and wire form, built once.
 
-    A subclass names the field holding its (nested) entry tuples in
-    ``_nested`` and gives ``shape``.
+    A subclass names the field holding its nested entry tuples in ``_nested``,
+    their depth in ``_axes`` and the ``DimensionMismatch`` texts for a wrong
+    first and a wrong later axis in ``_misfit`` (formatted with the tensor;
+    None where its entries size that axis), and gives ``shape``.
     """
 
     _nested: str
+    _axes: int
+    _misfit: tuple = (None, None)
+
+    def __post_init__(self):
+        # The guard for a tensor however built; ``fileformat`` checks first only to
+        # name the entry and axis in its error.  ~14 us for a cube at n = 16.
+        level = (getattr(self, self._nested),)
+        for axis, size in enumerate(self.shape):
+            if axis:
+                level = list(chain.from_iterable(level))
+            if set(map(len, level)) - {size}:
+                raise DimensionMismatch(self._misfit[min(axis, 1)].format(self))
+
+    @classmethod
+    def from_entries(cls, entries, *fields):
+        """The tensor of ``fields`` whose entries, nested ``_axes`` deep, are made
+        ``Fraction``s by ``rat``."""
+        freeze = rat
+        for _ in range(cls._axes):
+            freeze = lambda rows, inner=freeze: tuple(map(inner, rows))
+        return cls(freeze(entries), *fields)
 
     def flat(self) -> list:
         """Every entry, in the lexicographic order of the index tuples."""
@@ -228,7 +236,7 @@ class Vector(_Tensor):
     """Element of K^n with exact rational coordinates."""
 
     entries: tuple[Fraction, ...]
-    _nested = "entries"
+    _nested, _axes = "entries", 1
 
     @property
     def dim(self) -> int:
@@ -239,12 +247,8 @@ class Vector(_Tensor):
         return (self.dim,)
 
     @classmethod
-    def from_entries(cls, entries) -> "Vector":
-        return cls(_freeze_vector(entries))
-
-    @classmethod
     def zero(cls, dim: int) -> "Vector":
-        return cls((_ZERO,) * dim)
+        return cls(_zeros((dim,)))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "Vector":
@@ -276,14 +280,12 @@ class LinearMap(_Tensor):
 
     entries: tuple[tuple[Fraction, ...], ...]
     dim_in: int | None = None
-    _nested = "entries"
+    _nested, _axes, _misfit = "entries", 2, (None, "matrix rows are not all {0.dim_in} wide")
 
     def __post_init__(self):
-        widths = set(map(len, self.entries))
         if self.dim_in is None:
-            object.__setattr__(self, "dim_in", max(widths, default=0))
-        if widths - {self.dim_in}:
-            raise DimensionMismatch(f"matrix rows are not all {self.dim_in} wide")
+            object.__setattr__(self, "dim_in", max(map(len, self.entries), default=0))
+        super().__post_init__()
 
     @property
     def dim_out(self) -> int:
@@ -295,7 +297,7 @@ class LinearMap(_Tensor):
 
     @classmethod
     def from_rows(cls, rows, dim_in: int | None = None) -> "LinearMap":
-        return cls(_freeze_matrix(rows), dim_in)
+        return cls.from_entries(rows, dim_in)
 
     @classmethod
     def identity(cls, dim: int) -> "LinearMap":
@@ -303,11 +305,11 @@ class LinearMap(_Tensor):
 
     @classmethod
     def zero(cls, dim_out: int, dim_in: int) -> "LinearMap":
-        return cls(((_ZERO,) * dim_in,) * dim_out, dim_in)
+        return cls(_zeros((dim_out, dim_in)), dim_in)
 
     @classmethod
     def diagonal(cls, values) -> "LinearMap":
-        vals = _freeze_vector(values)
+        vals = Vector.from_entries(values).entries
         n = len(vals)
         return cls(tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
 
@@ -343,31 +345,40 @@ def squared(f: LinearMap) -> LinearMap:
     return compose(f, f)
 
 
-@dataclass(frozen=True)
-class MulTensor(_Tensor):
-    """Structure constants of a bilinear multiplication on K^n."""
+class _Cube(_Tensor):
+    """A structure tensor of three axes."""
 
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    _nested = "c"
+    _axes = 3
 
-    def __post_init__(self):
-        _check_cube(self.c, "multiplication")
+    def negated(self):
+        """The same tensor with every entry negated (each zero ``_ZERO``)."""
+        cube = getattr(self, self._nested)
+        cube = tuple(tuple(tuple([-x if x else _ZERO for x in row]) for row in rows) for rows in cube)
+        return replace(self, **{self._nested: cube})
+
+
+class _SquareCube(_Cube):
+    """A structure tensor of shape n x n x n on K^n."""
 
     @property
     def dim(self) -> int:
-        return len(self.c)
+        return len(getattr(self, self._nested))
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.dim,) * 3
 
     @classmethod
-    def from_entries(cls, cube) -> "MulTensor":
-        return cls(_freeze_cube(cube))
+    def zero(cls, dim: int):
+        return cls(_zeros((dim,) * 3))
 
-    @classmethod
-    def zero(cls, dim: int) -> "MulTensor":
-        return cls((((_ZERO,) * dim,) * dim,) * dim)
+
+@dataclass(frozen=True)
+class MulTensor(_SquareCube):
+    """Structure constants of a bilinear multiplication on K^n."""
+
+    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _nested, _misfit = "c", (None, "multiplication tensor is not n x n x n")
 
     def product(self, i: int, j: int) -> Vector:
         """The product of basis vectors e_i e_j."""
@@ -379,9 +390,6 @@ class MulTensor(_Tensor):
         if x.dim != n or y.dim != n:
             raise DimensionMismatch(f"expected dim {n}, got {x.dim} and {y.dim}")
         return Vector(_contracted("i,ijk,j->k", (n,), x, self, y))
-
-    def negated(self) -> "MulTensor":
-        return MulTensor(_negated(self.c))
 
     def opposite(self) -> "MulTensor":
         """Swap the two input slots: c'[i][j][k] = c[j][i][k]."""
@@ -396,39 +404,17 @@ class MulTensor(_Tensor):
 
 
 @dataclass(frozen=True)
-class ComulTensor(_Tensor):
+class ComulTensor(_SquareCube):
     """Structure constants of a comultiplication K^n -> K^n @ K^n."""
 
     d: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    _nested = "d"
-
-    def __post_init__(self):
-        _check_cube(self.d, "comultiplication")
-
-    @property
-    def dim(self) -> int:
-        return len(self.d)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.dim,) * 3
-
-    @classmethod
-    def from_entries(cls, cube) -> "ComulTensor":
-        return cls(_freeze_cube(cube))
-
-    @classmethod
-    def zero(cls, dim: int) -> "ComulTensor":
-        return cls((((_ZERO,) * dim,) * dim,) * dim)
+    _nested, _misfit = "d", (None, "comultiplication tensor is not n x n x n")
 
     def apply(self, v: Vector) -> tuple[tuple[Fraction, ...], ...]:
         n = self.dim
         if v.dim != n:
             raise DimensionMismatch(f"expected dim {n}, got {v.dim}")
         return _contracted("k,kij->ij", (n, n), v, self)
-
-    def negated(self) -> "ComulTensor":
-        return ComulTensor(_negated(self.d))
 
     def opposite(self) -> "ComulTensor":
         """Swap the output legs: d'[k][i][j] = d[k][j][i]."""
@@ -447,8 +433,13 @@ class ComulTensor(_Tensor):
         return ComulTensor(_contracted("lk,lij->kij", self.shape, phi, self))
 
 
+def action_shape(dim_alg: int, dim_mod: int, side: str) -> tuple[int, int, int]:
+    """The shape of a ``side`` action of a dim_alg algebra on a dim_mod module."""
+    return (dim_alg, dim_mod, dim_mod) if side == "left" else (dim_mod, dim_alg, dim_mod)
+
+
 @dataclass(frozen=True)
-class ActionTensor(_Tensor):
+class ActionTensor(_Cube):
     """Structure constants of a module action, sided as documented above."""
 
     a: tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -456,33 +447,21 @@ class ActionTensor(_Tensor):
     dim_mod: int
     side: str
     _nested = "a"
+    _misfit = ("action tensor first index has wrong size",
+               "action tensor shape does not match side convention")
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise DimensionMismatch(f"unknown side {self.side!r}")
-        first, second = (
-            (self.dim_alg, self.dim_mod) if self.side == "left" else (self.dim_mod, self.dim_alg)
-        )
-        if len(self.a) != first:
-            raise DimensionMismatch("action tensor first index has wrong size")
-        widths = set(map(len, chain.from_iterable(self.a)))
-        if set(map(len, self.a)) - {second} or widths - {self.dim_mod}:
-            raise DimensionMismatch("action tensor shape does not match side convention")
+        super().__post_init__()
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        if self.side == "left":
-            return (self.dim_alg, self.dim_mod, self.dim_mod)
-        return (self.dim_mod, self.dim_alg, self.dim_mod)
-
-    @classmethod
-    def from_entries(cls, cube, dim_alg: int, dim_mod: int, side: str) -> "ActionTensor":
-        return cls(_freeze_cube(cube), dim_alg, dim_mod, side)
+        return action_shape(self.dim_alg, self.dim_mod, self.side)
 
     @classmethod
     def zero(cls, dim_alg: int, dim_mod: int, side: str = "left") -> "ActionTensor":
-        first, second = (dim_alg, dim_mod) if side == "left" else (dim_mod, dim_alg)
-        return cls((((_ZERO,) * dim_mod,) * second,) * first, dim_alg, dim_mod, side)
+        return cls(_zeros(action_shape(dim_alg, dim_mod, side)), dim_alg, dim_mod, side)
 
     def apply_left(self, x: Vector, m: Vector) -> Vector:
         if self.side != "left":
@@ -498,9 +477,6 @@ class ActionTensor(_Tensor):
         if x.dim != self.dim_alg or m.dim != self.dim_mod:
             raise DimensionMismatch("action operand dims do not match")
         return Vector(_contracted(spec, (self.dim_mod,), x, self, m))
-
-    def negated(self) -> "ActionTensor":
-        return ActionTensor(_negated(self.a), self.dim_alg, self.dim_mod, self.side)
 
     def mirrored(self) -> "ActionTensor":
         """Exchange the algebra and module slots, flipping the side."""
@@ -519,41 +495,28 @@ class ActionTensor(_Tensor):
 
 
 @dataclass(frozen=True)
-class CoactionTensor(_Tensor):
+class CoactionTensor(_Cube):
     """Structure constants of a coaction M -> C @ M."""
 
     g: tuple[tuple[tuple[Fraction, ...], ...], ...]
     dim_coalg: int
     dim_mod: int
     _nested = "g"
-
-    def __post_init__(self):
-        if len(self.g) != self.dim_mod:
-            raise DimensionMismatch("coaction tensor first index has wrong size")
-        widths = set(map(len, chain.from_iterable(self.g)))
-        if set(map(len, self.g)) - {self.dim_coalg} or widths - {self.dim_mod}:
-            raise DimensionMismatch("coaction tensor is not m x n x m")
+    _misfit = ("coaction tensor first index has wrong size", "coaction tensor is not m x n x m")
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.dim_mod, self.dim_coalg, self.dim_mod)
 
     @classmethod
-    def from_entries(cls, cube, dim_coalg: int, dim_mod: int) -> "CoactionTensor":
-        return cls(_freeze_cube(cube), dim_coalg, dim_mod)
-
-    @classmethod
     def zero(cls, dim_coalg: int, dim_mod: int) -> "CoactionTensor":
-        return cls((((_ZERO,) * dim_mod,) * dim_coalg,) * dim_mod, dim_coalg, dim_mod)
+        return cls(_zeros((dim_mod, dim_coalg, dim_mod)), dim_coalg, dim_mod)
 
     def apply(self, m: Vector) -> tuple[tuple[Fraction, ...], ...]:
         """Image of m as an n x m coefficient matrix: out[i][q] = sum_p m_p g[p][i][q]."""
         if m.dim != self.dim_mod:
             raise DimensionMismatch(f"expected dim {self.dim_mod}, got {m.dim}")
         return _contracted("p,piq->iq", (self.dim_coalg, self.dim_mod), m, self)
-
-    def negated(self) -> "CoactionTensor":
-        return CoactionTensor(_negated(self.g), self.dim_coalg, self.dim_mod)
 
     def postcompose_coalgebra(self, phi: LinearMap) -> "CoactionTensor":
         """Apply phi to the coalgebra leg: g'[p][i][q] = sum_l phi[i][l] g[p][l][q]."""

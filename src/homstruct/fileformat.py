@@ -54,6 +54,7 @@ from .exact import (
     ComulTensor,
     LinearMap,
     MulTensor,
+    action_shape,
     parse_rational,
 )
 from .modules import HomModule
@@ -217,8 +218,8 @@ def parse_bytes(data: bytes) -> StructureFile:
             _require(side in ("left", "right"), f"{name}: bad side {side!r}")
             dim, of = _parse_dim(entry.get("dim"), name), raw[ref]
             beta = numerals.like(entry, "beta", base.alpha, of["alpha"], name, dim, dim)
-            shape = (base.dim, dim) if side == "left" else (dim, base.dim)
-            cube = numerals.like(entry, "action", base.mu, of["mul"], name, *shape, dim)
+            shape = action_shape(base.dim, dim, side)
+            cube = numerals.like(entry, "action", base.mu, of["mul"], name, *shape)
             beta = _kept(LinearMap(beta, dim), entry["beta"])
             action = _kept(ActionTensor(cube, base.dim, dim, side), entry["action"])
             structures[name] = HomModule(base, dim, beta, action, side)

@@ -93,7 +93,7 @@ class Law:
         for term in terms:
             sign, *operands = term.split()
             letters = "".join(op.split(".")[1] for op in operands)
-            if sign not in "+-":
+            if sign not in ("+", "-"):
                 raise ValueError(f"term {term!r} needs a sign")
             for packed in residual[-2:]:
                 if letters.count(packed) != 1:

@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -307,6 +308,9 @@ def _cube(d0, d1, d2, widths=None):
          "comultiplication tensor is not n x n x n"),
         (lambda: ComulTensor.from_entries(_cube(2, 2, 2, widths=3)),
          "comultiplication tensor is not n x n x n"),
+        (lambda: LinearMap(((1, 2), (3,))), "matrix rows are not all 2 wide"),
+        (lambda: LinearMap.from_rows([[1], [2, 3, 4]]), "matrix rows are not all 3 wide"),
+        (lambda: LinearMap.from_rows([[1, 2], [3, 4]], 3), "matrix rows are not all 3 wide"),
     ],
 )
 def test_action_and_coaction_shape_errors(build, message):
@@ -392,6 +396,49 @@ def assert_scaled_follows_the_reference_rule(tensor):
 def test_nonzeros_of_every_kind(n):
     for tensor in each_kind(n) + each_kind(n, lambda *index: Fraction(0)):
         assert_scaled_follows_the_reference_rule(tensor)
+
+
+def other_fields(tensor) -> list:
+    """The values of every field of ``tensor`` after its entries."""
+    return [getattr(tensor, f.name) for f in dataclasses.fields(tensor)[1:]]
+
+
+def rebuilt(tensor, entries):
+    """A tensor like ``tensor`` from ``entries`` through ``from_entries`` (``from_rows``
+    for a map)."""
+    if isinstance(tensor, LinearMap):
+        return LinearMap.from_rows(entries, *other_fields(tensor))
+    return type(tensor).from_entries(entries, *other_fields(tensor))
+
+
+def zero_like(tensor):
+    if isinstance(tensor, (Vector, MulTensor, ComulTensor)):
+        return type(tensor).zero(tensor.dim)
+    if isinstance(tensor, LinearMap):
+        return LinearMap.zero(tensor.dim_out, tensor.dim_in)
+    return type(tensor).zero(*other_fields(tensor))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_every_kind_freezes_zeros_and_negates_alike(n):
+    assert not hasattr(Vector, "negated") and not hasattr(LinearMap, "negated")
+    for tensor, direct in zip(each_kind(n), each_kind(n, direct=True)):
+        nested = getattr(tensor, tensor._nested)
+        assert rebuilt(tensor, nested) == tensor == direct
+        zero = zero_like(tensor)
+        zeros = 0
+        for size in reversed(tensor.shape):
+            zeros = [zeros] * size
+        assert zero == rebuilt(tensor, zeros) and zero.shape == tensor.shape
+        assert all(x is _ZERO for x in zero.flat())
+        if isinstance(tensor, (Vector, LinearMap)):
+            continue
+        negated = tensor.negated()
+        assert type(negated) is type(tensor)
+        assert other_fields(negated) == other_fields(tensor)
+        assert negated.flat() == [-x for x in tensor.flat()]
+        assert all(x is _ZERO for x in negated.flat() if not x)
+        assert negated.negated() == tensor and zero.negated() == zero
 
 
 # The shared zero, a zero of its own (put straight into a constructor), an int, or a rational.

@@ -111,6 +111,13 @@ def test_row_must_hold_the_packed_letter_in_exactly_one_operand(terms):
         Law("i", residual, *terms)
 
 
+@pytest.mark.parametrize("sign", ["+-", "-+", ""])
+def test_each_term_needs_a_sign_of_its_own(sign):
+    # A sign is one of "+" and "-", not any part of "+-".
+    with pytest.raises(ValueError, match="needs a sign"):
+        Law("i", "o", f"{sign} f.oa x.ai")
+
+
 # --- packed against per-coordinate evaluation ------------------------------------
 
 

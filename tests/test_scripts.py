@@ -53,16 +53,19 @@ def time_laws(*argv):
 
 
 LAYER_FIELDS = {
+    "compile": [f"{path.stem}_ms" for path in sorted((ROOT / "src" / "homstruct").glob("*.py"))]
+    + ["total_ms"],
     "write": ["build_ms", "serialize_ms", "regular_ms"],
     "ingest": ["parse_ms", "scaled_ms", "rewrite_ms"],
     "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
     "construct": ["twist_module_ms", "twist_comodule_ms", "then_map_ms", "precompose_ms"],
 }
+DIM_LAYERS = [*LAYER_FIELDS][1:]  # every layer but ``compile``, which is timed once a run
 
 
 def layer_ms(row: str) -> list[float]:
-    """The times of a ``write``, ``ingest``, ``suite`` or ``construct`` line, checked
-    against their names."""
+    """The times of a ``compile``, ``write``, ``ingest``, ``suite`` or ``construct`` line,
+    checked against their names."""
     _, label, *fields = row.split()
     assert [field.split("=")[0] for field in fields] == LAYER_FIELDS[label], row
     return [float(field.split("=")[1]) for field in fields]
@@ -75,9 +78,11 @@ def test_time_laws_prints_one_line_per_law():
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
     assert header.split() == ["dim", "law", "ms", "fmt_ms", "failures"]
-    assert [row.split()[:2] for row in rows] == [
-        [str(n), law] for n in (2, 3) for law in [*LAYER_FIELDS] + [axiom for _, axiom in AXIOMS]
+    assert [row.split()[:2] for row in rows] == [["-", "compile"]] + [
+        [str(n), law] for n in (2, 3) for law in DIM_LAYERS + [axiom for _, axiom in AXIOMS]
     ]
+    *modules, total = layer_ms(rows[0])
+    assert abs(total - sum(modules)) <= 0.005 * (len(modules) + 1), rows[0]
     for row in rows:
         if row.split()[1] in LAYER_FIELDS:
             assert min(layer_ms(row)) >= 0, row
@@ -97,7 +102,7 @@ def test_time_laws_at_dims_zero_and_one():
     assert run.returncode == 0, run.stdout + run.stderr
     rows = [row.split() for row in run.stdout.splitlines()[1:]]
     layers = [row[:2] for row in rows if row[1] in LAYER_FIELDS]
-    assert layers == [[n, label] for n in ("0", "1") for label in LAYER_FIELDS]
+    assert layers == [["-", "compile"]] + [[n, label] for n in ("0", "1") for label in DIM_LAYERS]
     rows = [row for row in rows if row[1] not in LAYER_FIELDS]
     assert [row[:2] for row in rows] == [[str(n), axiom] for n in (0, 1) for _, axiom in AXIOMS]
     # Nothing fails over empty structures; the dim-1 counts are pinned.
@@ -117,7 +122,7 @@ def test_time_laws_times_only_the_named_laws():
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
     assert [row.split()[:2] for row in rows] == [
-        ["2", "write"], ["2", "ingest"], ["2", "suite"], ["2", "construct"],
+        ["-", "compile"], ["2", "write"], ["2", "ingest"], ["2", "suite"], ["2", "construct"],
         ["2", "HOM_POISSON_COALGEBRA"]
     ]
     for laws in ("NO_SUCH_LAW", "HOM_ASSOC,NO_SUCH_LAW", ""):
