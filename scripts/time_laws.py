@@ -13,7 +13,11 @@ in ms, best time in ms of ``report.format_report`` on its report (the text
 (dim ``-``): for each ``src/homstruct/*.py`` in sorted order, the best of 7
 ``compile()`` calls on its source in ms (``<module>_ms``, e.g. ``exact_ms``),
 then their sum (``total_ms``), which every command pays when there is no
-bytecode cache.  Before its laws, each dim gets one
+bytecode cache.  Then one ``exec`` line (dim ``-``): for each of those
+modules but ``__main__``, the best of 7 runs in ms of its compiled body in a
+fresh module namespace, every import it makes already loaded, so what is
+left is class creation and other module-level work, and their sum
+(``total_ms``).  Before its laws, each dim gets one
 ``write`` line: the best time in ms to build the five structures from their
 drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), to
 ``fileformat.serialize`` them as one file (``serialize_ms``), and to
@@ -29,11 +33,13 @@ saves nothing.  Then one ``suite`` line: the best time in ms of ``verify
 --suite all`` on each of the five structures (``algebra_ms`` ...
 ``comodule_ms``), one ``laws.Plan`` each, so shared contractions and
 packings are built once per suite.  Then one ``construct`` line: the best
-time in ms of ``modules.twist_module`` on the left module
-(``twist_module_ms``), of ``comodules.twist_poisson_comodule`` on the
-comodule (``twist_comodule_ms``), and of the algebra's ``mu.then_map`` and
-the coalgebra's ``delta.precompose`` along their own ``alpha``
-(``then_map_ms``, ``precompose_ms``).  The first run on each structure also
+time in ms of ``modules.twist_module`` on the left module rebased on a dense
+algebra whose dense alpha is multiplicative (``multiplicative_algebra``; the
+twist checks that first), ``twist_module_ms``, of
+``comodules.twist_poisson_comodule`` on the comodule
+(``twist_comodule_ms``), and of the algebra's ``mu.then_map`` and the
+coalgebra's ``delta.precompose`` along their own ``alpha`` (``then_map_ms``,
+``precompose_ms``).  The first run on each structure also
 builds its tensors' cached scaled entries; with ``--repeat`` above 1 the
 best time leaves that out.  Each law (and each timed layer) starts after a
 full garbage collection and runs with the collector off, so no collection
@@ -47,6 +53,7 @@ import gc
 import pathlib
 import sys
 import time
+from fractions import Fraction
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
@@ -116,6 +123,18 @@ def regular_file(structures: list) -> StructureFile:
     return StructureFile(FILE_VERSION, dict(zip(NAMES, regular)), BASES)
 
 
+def multiplicative_algebra(n: int) -> HomAlgebra:
+    """A dense dim-n algebra with a dense multiplicative alpha: ``x y = l(x) l(y) u``
+    and ``alpha = id + a b^T``, with ``u`` all ones, ``l = u^T / n`` and ``a``, ``b``
+    drawn with their mean taken out, so ``l(u) = 1`` and ``l(a) = b(u) = 0``."""
+    rng = DeterministicRng(2)
+    a, b = [[rng.point_entry() for _ in range(n)] for _ in range(2)]
+    a, b = [[x - sum(v) / n for x in v] for v in (a, b)]
+    mu = [[[Fraction(1, n * n)] * n] * n] * n if n else []
+    alpha = [[int(i == j) + a[i] * b[j] for j in range(n)] for i in range(n)]
+    return HomAlgebra(n, MulTensor.from_entries(mu), LinearMap.from_rows(alpha))
+
+
 def time_compile() -> list[tuple[str, float]]:
     """(module name, best of 7 ``compile()`` seconds) for each ``src/homstruct/*.py``, sorted."""
     best = []
@@ -126,6 +145,28 @@ def time_compile() -> list[tuple[str, float]]:
         for _ in range(7):
             start = time.perf_counter()
             compile(source, str(path), "exec", dont_inherit=True)
+            seconds = min(seconds, time.perf_counter() - start)
+        best.append((path.stem, seconds))
+    gc.enable()
+    return best
+
+
+def time_exec() -> list[tuple[str, float]]:
+    """(module name, best of 7 seconds to run its compiled body in a fresh module
+    namespace) for each ``src/homstruct/*.py`` but ``__main__.py``, sorted."""
+    best = []
+    gc.collect()
+    gc.disable()
+    for path in sorted((SRC / "homstruct").glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        code = compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
+        seconds = float("inf")
+        name = "homstruct" if path.stem == "__init__" else f"homstruct.{path.stem}"
+        for _ in range(7):
+            namespace = {"__name__": name, "__package__": "homstruct", "__file__": str(path)}
+            start = time.perf_counter()
+            exec(code, namespace)
             seconds = min(seconds, time.perf_counter() - start)
         best.append((path.stem, seconds))
     gc.enable()
@@ -200,6 +241,7 @@ def time_suites(n: int, repeat: int) -> list[float]:
 def time_constructions(n: int, repeat: int) -> list[float]:
     """Best seconds of each of ``CONSTRUCTIONS`` on the dim-n structures."""
     alg, left, _, coalg, comod = build_structures(n, dense_entries(n))
+    left = HomModule(multiplicative_algebra(n), n, left.beta, left.action, "left")
     runs = [lambda: twist_module(left), lambda: twist_poisson_comodule(comod),
             lambda: alg.mu.then_map(alg.alpha), lambda: coalg.delta.precompose(coalg.alpha)]
     best = []
@@ -265,6 +307,10 @@ def main(argv=None) -> int:
     compiles.append(("total", sum(seconds for _, seconds in compiles)))
     compiles = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in compiles)
     print(f"{'-':>3}  {'compile':<32} {compiles}", flush=True)
+    execs = time_exec()
+    execs.append(("total", sum(seconds for _, seconds in execs)))
+    execs = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in execs)
+    print(f"{'-':>3}  {'exec':<32} {execs}", flush=True)
     for n in dims:
         build_seconds, write_seconds, regular_seconds = time_write(n, args.repeat)
         print(f"{n:>3}  {'write':<32} build_ms={build_seconds * 1000:.2f}"

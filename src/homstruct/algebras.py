@@ -17,10 +17,8 @@ on basis triples directly (it is already trilinear).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AlreadyTwisted, DimensionMismatch, NotAnticommuting, NotEndomorphism
-from .exact import LinearMap, MulTensor, Vector
+from .exact import LinearMap, MulTensor, Record, Vector, _set, record
 from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
@@ -33,17 +31,22 @@ MORPHISM_MULTIPLICATIVE = "MORPHISM_MULTIPLICATIVE"
 MORPHISM_TWIST_COMMUTES = "MORPHISM_TWIST_COMMUTES"
 
 
-@dataclass(frozen=True)
-class HomAlgebra:
+@record
+class HomAlgebra(Record):
+    """The Hom-algebra (K^dim, mu, alpha)."""
+
     dim: int
     mu: MulTensor
     alpha: LinearMap
 
-    def __post_init__(self):
-        if self.mu.dim != self.dim:
+    def __init__(self, dim, mu, alpha):
+        if mu.dim != dim:
             raise DimensionMismatch("multiplication tensor does not match dim")
-        if not self.alpha.is_square(self.dim):
+        if not alpha.is_square(dim):
             raise DimensionMismatch("alpha is not square of size dim")
+        _set(self, "dim", dim)
+        _set(self, "mu", mu)
+        _set(self, "alpha", alpha)
 
     def laws(self, axiom: str) -> list[tuple]:
         """The ``laws.Plan`` row of ``axiom`` on this algebra."""

@@ -18,7 +18,6 @@ platform.  Tensor entries are drawn from {-2, ..., 2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
@@ -35,8 +34,11 @@ from .exact import (
     ComulTensor,
     LinearMap,
     MulTensor,
+    Record,
     Vector,
+    _set,
     rat,
+    record,
 )
 from .modules import HomModule, regular_module
 
@@ -45,15 +47,19 @@ Payload = Union[HomAlgebra, HomPoissonCoalgebra, HomModule, HomComodule]
 OCTONION_TRIPLES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7), (2, 5, 7), (3, 6, 5), (1, 7, 6))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+@record
+class CatalogEntry(Record):
+    """A named catalogue structure and the verdict it pins on each id of its suite."""
+
     name: str
     payload: Payload
-    expected_verdicts: Mapping[str, bool] = field(default_factory=dict)
+    expected_verdicts: Mapping[str, bool]
 
-    def __post_init__(self):
+    def __init__(self, name, payload, expected_verdicts=MappingProxyType({})):
+        _set(self, "name", name)
+        _set(self, "payload", payload)
         # entries are built once and shared, so their verdicts are read-only
-        object.__setattr__(self, "expected_verdicts", MappingProxyType(dict(self.expected_verdicts)))
+        _set(self, "expected_verdicts", MappingProxyType(dict(expected_verdicts)))
 
 
 def _cube(n: int, constants: dict[tuple[int, int, int], int]) -> list:

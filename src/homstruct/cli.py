@@ -3,7 +3,8 @@
 Verbs: verify, twist, transform, check-morphism, catalog list/export.
 Exit codes: 0 when everything requested holds, 1 on any axiom or
 precondition failure, 2 on input or format errors.  Argv is parsed once,
-by the verb's own parser (``parse_args``).
+by the verb's own parser (``parse_args``).  A reader that closes stdout
+early (``| head``) cuts the output short but leaves the exit code as is.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 
 from . import axioms, catalog
@@ -49,6 +51,20 @@ from .modules import (
 from .report import format_report
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """Write ``text`` to stdout and flush it.  Once the reader has closed the pipe,
+    stdout goes to the null device, so neither later output nor the interpreter's
+    last flush fails again."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
+
+
 def cmd_verify(args) -> int:
     sf = parse_file(args.file)
     structure = sf.get(args.name)
@@ -61,7 +77,7 @@ def cmd_verify(args) -> int:
         suite = axioms.native_suite(structure)
     reports = axioms.verify(structure, suite)
     # Format every report before printing any, so a FormatError prints nothing.
-    print("\n".join(line for report in reports for line in format_report(report, args.max_witnesses)))
+    _print("\n".join(line for report in reports for line in format_report(report, args.max_witnesses)))
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -117,8 +133,8 @@ def cmd_twist(args) -> int:
             raise FormatError("module twists take no endomorphism")
         twisted = twist_module(structure)
         if structure.side == "right":
-            print("note: right-module twist uses the mirrored composition"
-                  " (algebra argument fed through alpha^2)")
+            _print("note: right-module twist uses the mirrored composition"
+                   " (algebra argument fed through alpha^2)")
     elif isinstance(structure, HomComodule):
         if args.endo is not None:
             raise FormatError("comodule twists take no endomorphism")
@@ -130,7 +146,7 @@ def cmd_twist(args) -> int:
     else:
         raise KindMismatch("entry cannot be twisted")
     write_file(args.out, _replace(sf, args.name, twisted, args.rename))
-    print(f"wrote {args.out}")
+    _print(f"wrote {args.out}")
     return 0
 
 
@@ -164,7 +180,7 @@ def cmd_transform(args) -> int:
     # transforms of modules/comodules rewrite their base entry in place, so
     # the result always replaces the original name
     write_file(args.out, _replace(sf, args.name, result, None, new_base))
-    print(f"wrote {args.out}")
+    _print(f"wrote {args.out}")
     return 0
 
 
@@ -185,7 +201,7 @@ def cmd_check_morphism(args) -> int:
         report = check_comodule_morphism(f, src, dst, strict=args.strict)
     else:
         raise KindMismatch("morphism endpoints have different or unsupported kinds")
-    print("\n".join(format_report(report, args.max_witnesses)))
+    _print("\n".join(format_report(report, args.max_witnesses)))
     return 0 if report.holds else 1
 
 
@@ -206,13 +222,15 @@ def cmd_catalog(args) -> int:
     if args.action == "list":
         if args.name is not None or args.out is not None:
             raise FormatError("catalog list takes no name and no --out")
+        lines = []
         for entry in catalog.entries():
             kind = type(entry.payload).__name__
             verdicts = ",".join(
                 f"{axiom}={'pass' if value else 'fail'}"
                 for axiom, value in entry.expected_verdicts.items()
             )
-            print(f"{entry.name}  {kind}  {verdicts}")
+            lines.append(f"{entry.name}  {kind}  {verdicts}")
+        _print("\n".join(lines))
         return 0
     if not args.name:
         raise FormatError("catalog export needs a name")
@@ -222,9 +240,9 @@ def cmd_catalog(args) -> int:
         raise FormatError(f"no catalogue entry named {args.name!r}")
     if args.out:
         write_file(args.out, _catalog_file(entry))
-        print(f"wrote {args.out}")
+        _print(f"wrote {args.out}")
     else:
-        sys.stdout.write(serialize(_catalog_file(entry)).decode("utf-8"))
+        _print(serialize(_catalog_file(entry)).decode("utf-8"), end="")
     return 0
 
 

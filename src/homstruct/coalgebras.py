@@ -20,10 +20,8 @@ where tau flips a tensor square and rot(x @ y @ z) = z @ x @ y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
-from .exact import ComulTensor, LinearMap
+from .exact import ComulTensor, LinearMap, Record, _set, record
 from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
@@ -43,7 +41,7 @@ COALGEBRA_MORPHISM_GAMMA = "COALGEBRA_MORPHISM_GAMMA"
 COALGEBRA_MORPHISM_TWIST_COMMUTES = "COALGEBRA_MORPHISM_TWIST_COMMUTES"
 
 
-class _Parts:
+class _Parts(Record):
     """A coalgebra's laws as ``laws.Plan`` rows, one per part of an id.
 
     The coalgebra carries the maps the parts need: ``delta`` for the first
@@ -60,43 +58,57 @@ class _Parts:
                 for part in parts]
 
 
-@dataclass(frozen=True)
+@record
 class HomCoassocCoalgebra(_Parts):
+    """The Hom-coassociative coalgebra (K^dim, delta, alpha)."""
+
     dim: int
     delta: ComulTensor
     alpha: LinearMap
 
-    def __post_init__(self):
-        if self.delta.dim != self.dim or not self.alpha.is_square(self.dim):
+    def __init__(self, dim, delta, alpha):
+        if delta.dim != dim or not alpha.is_square(dim):
             raise DimensionMismatch("coalgebra components have inconsistent sizes")
+        _set(self, "dim", dim)
+        _set(self, "delta", delta)
+        _set(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
+@record
 class HomLieCoalgebra(_Parts):
+    """The Hom-Lie coalgebra (K^dim, gamma, alpha)."""
+
     dim: int
     gamma: ComulTensor
     alpha: LinearMap
 
-    def __post_init__(self):
-        if self.gamma.dim != self.dim or not self.alpha.is_square(self.dim):
+    def __init__(self, dim, gamma, alpha):
+        if gamma.dim != dim or not alpha.is_square(dim):
             raise DimensionMismatch("coalgebra components have inconsistent sizes")
+        _set(self, "dim", dim)
+        _set(self, "gamma", gamma)
+        _set(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
+@record
 class HomPoissonCoalgebra(_Parts):
+    """The Hom-Poisson coalgebra (K^dim, delta, gamma, alpha); ``cocommutative_expected``
+    puts ``COCOMMUTATIVITY`` in its suite."""
+
     dim: int
     delta: ComulTensor
     gamma: ComulTensor
     alpha: LinearMap
-    cocommutative_expected: bool = True
+    cocommutative_expected: bool
 
-    def __post_init__(self):
-        if (
-            self.delta.dim != self.dim
-            or self.gamma.dim != self.dim
-            or not self.alpha.is_square(self.dim)
-        ):
+    def __init__(self, dim, delta, gamma, alpha, cocommutative_expected=True):
+        if delta.dim != dim or gamma.dim != dim or not alpha.is_square(dim):
             raise DimensionMismatch("coalgebra components have inconsistent sizes")
+        _set(self, "dim", dim)
+        _set(self, "delta", delta)
+        _set(self, "gamma", gamma)
+        _set(self, "alpha", alpha)
+        _set(self, "cocommutative_expected", cocommutative_expected)
 
     def coassociative_part(self) -> HomCoassocCoalgebra:
         return HomCoassocCoalgebra(self.dim, self.delta, self.alpha)

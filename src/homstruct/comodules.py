@@ -24,12 +24,11 @@ legs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
-from .exact import CoactionTensor, LinearMap, squared
+from .exact import CoactionTensor, LinearMap, Record, _set, record, squared
 from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
@@ -50,29 +49,37 @@ COMODULE_MORPHISM_BETA_COMMUTES = "COMODULE_MORPHISM_BETA_COMMUTES"
 KINDS = ("coassociative", "lie", "poisson")
 
 
-@dataclass(frozen=True)
-class HomComodule:
+@record
+class HomComodule(Record):
+    """A Hom-comodule (K^dim_mod, beta) of ``kind`` over ``coalgebra``, with the
+    coactions its kind has: ``delta_m`` on the comultiplication side, ``gamma_m``
+    on the cobracket side."""
+
     coalgebra: HomPoissonCoalgebra
     dim_mod: int
     beta: LinearMap
     kind: str
-    delta_m: Optional[CoactionTensor] = None
-    gamma_m: Optional[CoactionTensor] = None
+    delta_m: Optional[CoactionTensor]
+    gamma_m: Optional[CoactionTensor]
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise KindMismatch(f"unknown comodule kind {self.kind!r}")
-        needs_delta = self.kind in ("coassociative", "poisson")
-        needs_gamma = self.kind in ("lie", "poisson")
-        if needs_delta != (self.delta_m is not None):
+    def __init__(self, coalgebra, dim_mod, beta, kind, delta_m=None, gamma_m=None):
+        if kind not in KINDS:
+            raise KindMismatch(f"unknown comodule kind {kind!r}")
+        if (kind in ("coassociative", "poisson")) != (delta_m is not None):
             raise KindMismatch("comultiplication-side coaction presence does not match kind")
-        if needs_gamma != (self.gamma_m is not None):
+        if (kind in ("lie", "poisson")) != (gamma_m is not None):
             raise KindMismatch("cobracket-side coaction presence does not match kind")
-        for t in (self.delta_m, self.gamma_m):
-            if t is not None and (t.dim_coalg != self.coalgebra.dim or t.dim_mod != self.dim_mod):
+        for t in (delta_m, gamma_m):
+            if t is not None and (t.dim_coalg != coalgebra.dim or t.dim_mod != dim_mod):
                 raise DimensionMismatch("coaction tensor does not match coalgebra/module dims")
-        if not self.beta.is_square(self.dim_mod):
+        if not beta.is_square(dim_mod):
             raise DimensionMismatch("beta is not square of size dim_mod")
+        _set(self, "coalgebra", coalgebra)
+        _set(self, "dim_mod", dim_mod)
+        _set(self, "beta", beta)
+        _set(self, "kind", kind)
+        _set(self, "delta_m", delta_m)
+        _set(self, "gamma_m", gamma_m)
 
     def laws(self, axiom: str) -> list[tuple]:
         """The ``laws.Plan`` rows of ``axiom``'s parts; ``KindMismatch`` if the kind lacks it."""

@@ -19,7 +19,8 @@ conventions are pinned here once:
   (with the middle/last factor sizes adjusted for mixed products).
 
 Maps and tensors share one base, ``_Tensor``, that states their shape guard,
-freezing (``from_entries``) and zeros once.  They expose ``shape`` (axis
+freezing (``from_entries``) and zeros once; it is a ``Record``, the frozen
+base of every value type of the package.  They expose ``shape`` (axis
 sizes in the index order above) and ``scaled``, their one integer reading:
 the nonzero entries times the lcm ``s`` of their denominators, as ``{index
 tuple: int}``, with ``s`` kept beside them.  That is the form ``contract``,
@@ -49,12 +50,13 @@ from __future__ import annotations
 import re
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from itertools import chain, compress, count, product, repeat
 from operator import attrgetter, floordiv, is_not, itemgetter, mul
+from reprlib import recursive_repr
 
 from .errors import DimensionMismatch, FormatError
 
@@ -152,21 +154,70 @@ class lazy:
         return value
 
 
-class _Tensor:
+_set = object.__setattr__  # how a record's ``__init__`` stores each of its fields
+
+
+class Record:
+    """A frozen record of the fields ``record`` declares, with the methods
+    ``dataclass(frozen=True)`` would generate for it, written once.
+
+    Equality (same class, equal fields in order), hashing and ``repr`` read
+    the fields; assigning or deleting an attribute raises
+    ``FrozenInstanceError``.  Each record has its own ``__init__``, which
+    checks its arguments and stores each field with ``_set``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    @recursive_repr()
+    def __repr__(self):
+        values = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Declare the annotated fields of ``cls``, a ``Record``, as dataclass fields in
+    order, and generate no method: ``dataclasses.fields``, ``replace`` and
+    ``__match_args__`` read them.  ``cls`` has a docstring, or ``dataclass`` would
+    write one from ``inspect.signature``."""
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    cls._fields = tuple([f.name for f in fields(cls)])
+    return cls
+
+
+class _Tensor(Record):
     """What every map and structure tensor shares: its shape guard, freezing, zeros,
     and its integer reading and wire form, built once.
 
     A subclass names the field holding its nested entry tuples in ``_nested``,
     their depth in ``_axes`` and the ``DimensionMismatch`` texts for a wrong
     first and a wrong later axis in ``_misfit`` (formatted with the tensor;
-    None where its entries size that axis), and gives ``shape``.
+    None where its entries size that axis), gives ``shape``, and ends its
+    ``__init__`` with ``_check_shape``.
     """
 
     _nested: str
     _axes: int
     _misfit: tuple = (None, None)
 
-    def __post_init__(self):
+    def _check_shape(self):
         # The guard for a tensor however built; ``fileformat`` checks first only to
         # name the entry and axis in its error.  ~14 us for a cube at n = 16.
         level = (getattr(self, self._nested),)
@@ -231,12 +282,16 @@ class _Tensor:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class Vector(_Tensor):
     """Element of K^n with exact rational coordinates."""
 
     entries: tuple[Fraction, ...]
     _nested, _axes = "entries", 1
+
+    def __init__(self, entries):
+        _set(self, "entries", entries)
+        self._check_shape()
 
     @property
     def dim(self) -> int:
@@ -271,7 +326,7 @@ class Vector(_Tensor):
         return Vector(tuple(-a for a in self.entries))
 
 
-@dataclass(frozen=True)
+@record
 class LinearMap(_Tensor):
     """Matrix of a linear map K^dim_in -> K^dim_out; column j is the image of e_j.
 
@@ -279,13 +334,13 @@ class LinearMap(_Tensor):
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
-    dim_in: int | None = None
+    dim_in: int
     _nested, _axes, _misfit = "entries", 2, (None, "matrix rows are not all {0.dim_in} wide")
 
-    def __post_init__(self):
-        if self.dim_in is None:
-            object.__setattr__(self, "dim_in", max(map(len, self.entries), default=0))
-        super().__post_init__()
+    def __init__(self, entries, dim_in=None):
+        _set(self, "entries", entries)
+        _set(self, "dim_in", max(map(len, entries), default=0) if dim_in is None else dim_in)
+        self._check_shape()
 
     @property
     def dim_out(self) -> int:
@@ -373,12 +428,16 @@ class _SquareCube(_Cube):
         return cls(_zeros((dim,) * 3))
 
 
-@dataclass(frozen=True)
+@record
 class MulTensor(_SquareCube):
     """Structure constants of a bilinear multiplication on K^n."""
 
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
     _nested, _misfit = "c", (None, "multiplication tensor is not n x n x n")
+
+    def __init__(self, c):
+        _set(self, "c", c)
+        self._check_shape()
 
     def product(self, i: int, j: int) -> Vector:
         """The product of basis vectors e_i e_j."""
@@ -403,12 +462,16 @@ class MulTensor(_SquareCube):
         return MulTensor(_contracted("ijl,kl->ijk", self.shape, self, phi))
 
 
-@dataclass(frozen=True)
+@record
 class ComulTensor(_SquareCube):
     """Structure constants of a comultiplication K^n -> K^n @ K^n."""
 
     d: tuple[tuple[tuple[Fraction, ...], ...], ...]
     _nested, _misfit = "d", (None, "comultiplication tensor is not n x n x n")
+
+    def __init__(self, d):
+        _set(self, "d", d)
+        self._check_shape()
 
     def apply(self, v: Vector) -> tuple[tuple[Fraction, ...], ...]:
         n = self.dim
@@ -438,7 +501,7 @@ def action_shape(dim_alg: int, dim_mod: int, side: str) -> tuple[int, int, int]:
     return (dim_alg, dim_mod, dim_mod) if side == "left" else (dim_mod, dim_alg, dim_mod)
 
 
-@dataclass(frozen=True)
+@record
 class ActionTensor(_Cube):
     """Structure constants of a module action, sided as documented above."""
 
@@ -450,10 +513,14 @@ class ActionTensor(_Cube):
     _misfit = ("action tensor first index has wrong size",
                "action tensor shape does not match side convention")
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise DimensionMismatch(f"unknown side {self.side!r}")
-        super().__post_init__()
+    def __init__(self, a, dim_alg, dim_mod, side):
+        if side not in ("left", "right"):
+            raise DimensionMismatch(f"unknown side {side!r}")
+        _set(self, "a", a)
+        _set(self, "dim_alg", dim_alg)
+        _set(self, "dim_mod", dim_mod)
+        _set(self, "side", side)
+        self._check_shape()
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -494,7 +561,7 @@ class ActionTensor(_Cube):
         return ActionTensor(cube, self.dim_alg, self.dim_mod, self.side)
 
 
-@dataclass(frozen=True)
+@record
 class CoactionTensor(_Cube):
     """Structure constants of a coaction M -> C @ M."""
 
@@ -503,6 +570,12 @@ class CoactionTensor(_Cube):
     dim_mod: int
     _nested = "g"
     _misfit = ("coaction tensor first index has wrong size", "coaction tensor is not m x n x m")
+
+    def __init__(self, g, dim_coalg, dim_mod):
+        _set(self, "g", g)
+        _set(self, "dim_coalg", dim_coalg)
+        _set(self, "dim_mod", dim_mod)
+        self._check_shape()
 
     @property
     def shape(self) -> tuple[int, int, int]:

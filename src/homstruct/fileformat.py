@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import HomAlgebra
@@ -54,8 +53,11 @@ from .exact import (
     ComulTensor,
     LinearMap,
     MulTensor,
+    Record,
+    _set,
     action_shape,
     parse_rational,
+    record,
 )
 from .modules import HomModule
 
@@ -63,12 +65,19 @@ FILE_VERSION = 1
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class StructureFile:
+@record
+class StructureFile(Record):
+    """A structure file: its named structures and, in ``base_of``, the name of each
+    module's or comodule's base entry."""
+
     version: int
     structures: dict[str, object]
     base_of: dict[str, str]
-    """For modules and comodules, the name of the referenced base entry."""
+
+    def __init__(self, version, structures, base_of):
+        _set(self, "version", version)
+        _set(self, "structures", structures)
+        _set(self, "base_of", base_of)
 
     def get(self, name: str):
         if name not in self.structures:

@@ -18,11 +18,14 @@ x = y and is antisymmetric in (x, y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebras import HomAlgebra, negate as negate_algebra, opposite as opposite_algebra
-from .errors import AlgebraMismatch, DimensionMismatch, WrongSide
-from .exact import ActionTensor, LinearMap, Vector, squared
+from .algebras import (
+    HomAlgebra,
+    check_endomorphism,
+    negate as negate_algebra,
+    opposite as opposite_algebra,
+)
+from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
+from .exact import ActionTensor, LinearMap, Record, Vector, _set, record, squared
 from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
@@ -33,23 +36,30 @@ MODULE_MORPHISM_INTERTWINES = "MODULE_MORPHISM_INTERTWINES"
 MODULE_MORPHISM_BETA_COMMUTES = "MODULE_MORPHISM_BETA_COMMUTES"
 
 
-@dataclass(frozen=True)
-class HomModule:
+@record
+class HomModule(Record):
+    """A ``side`` Hom-module (K^dim_mod, action, beta) over ``algebra``."""
+
     algebra: HomAlgebra
     dim_mod: int
     beta: LinearMap
     action: ActionTensor
     side: str
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise WrongSide(f"unknown side {self.side!r}")
-        if self.action.side != self.side:
+    def __init__(self, algebra, dim_mod, beta, action, side):
+        if side not in ("left", "right"):
+            raise WrongSide(f"unknown side {side!r}")
+        if action.side != side:
             raise WrongSide("action tensor side does not match module side")
-        if self.action.dim_alg != self.algebra.dim or self.action.dim_mod != self.dim_mod:
+        if action.dim_alg != algebra.dim or action.dim_mod != dim_mod:
             raise DimensionMismatch("action tensor does not match algebra/module dims")
-        if not self.beta.is_square(self.dim_mod):
+        if not beta.is_square(dim_mod):
             raise DimensionMismatch("beta is not square of size dim_mod")
+        _set(self, "algebra", algebra)
+        _set(self, "dim_mod", dim_mod)
+        _set(self, "beta", beta)
+        _set(self, "action", action)
+        _set(self, "side", side)
 
     def laws(self, axiom: str) -> list[tuple]:
         """The ``laws.Plan`` row of ``axiom``, the module law of this module's side."""
@@ -118,8 +128,17 @@ def twist_module(mod: HomModule) -> HomModule:
     """Replace the action by act . (alpha^2 @ id); beta and the algebra stay.
 
     For right modules the mirrored composition act . (id @ alpha^2) is used.
+    Refuses unless the algebra's alpha is multiplicative, without which the
+    twisted action need not satisfy the module law.
     """
-    alpha2 = squared(mod.algebra.alpha)
+    alpha = mod.algebra.alpha
+    if not alpha.is_identity():  # the identity needs no check
+        endo = check_endomorphism(mod.algebra, alpha)
+        if not endo.holds:
+            raise NotEndomorphism(
+                f"algebra alpha is not multiplicative at {endo.total_failures} basis pairs"
+            )
+    alpha2 = squared(alpha)
     return HomModule(
         mod.algebra, mod.dim_mod, mod.beta, mod.action.precompose_algebra(alpha2), mod.side
     )

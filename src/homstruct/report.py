@@ -12,31 +12,32 @@ index order, together with the total count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .exact import _ZERO, Vector, format_ratio, lazy
+from .exact import _ZERO, Record, Vector, _set, format_ratio, lazy, record
 
 WITNESS_CAP = 16
 
 
-@dataclass(frozen=True)
-class Witness:
+@record
+class Witness(Record):
     """Residual ``digits[i] / scale`` at basis index ``index``, in lowest common terms."""
 
     index: tuple[int, ...]
     digits: tuple[int, ...]
-    scale: int = 1
+    scale: int
 
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"witness scale {self.scale} is not positive")
-        g = gcd(self.scale, *self.digits)
+    def __init__(self, index, digits, scale=1):
+        if scale <= 0:
+            raise ValueError(f"witness scale {scale} is not positive")
+        g = gcd(scale, *digits)
         if g != 1:
-            object.__setattr__(self, "digits", tuple(d // g for d in self.digits))
-            object.__setattr__(self, "scale", self.scale // g)
+            digits, scale = tuple([d // g for d in digits]), scale // g
+        _set(self, "index", index)
+        _set(self, "digits", digits)
+        _set(self, "scale", scale)
 
     @classmethod
     def of(cls, index: tuple[int, ...], residual: Vector) -> "Witness":
@@ -51,13 +52,23 @@ class Witness:
         return Vector(tuple(Fraction(d, s) if d else _ZERO for d in self.digits))
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+@record
+class AxiomReport(Record):
+    """The verdict on ``axiom``: whether it holds, up to ``WITNESS_CAP`` witnesses,
+    the count of failing indices, and the reports of its parts, if any."""
+
     axiom: str
     holds: bool
     witnesses: tuple[Witness, ...]
     total_failures: int
-    parts: tuple["AxiomReport", ...] = field(default=())
+    parts: tuple["AxiomReport", ...]
+
+    def __init__(self, axiom, holds, witnesses, total_failures, parts=()):
+        _set(self, "axiom", axiom)
+        _set(self, "holds", holds)
+        _set(self, "witnesses", witnesses)
+        _set(self, "total_failures", total_failures)
+        _set(self, "parts", parts)
 
     @classmethod
     def aggregate(cls, axiom: str, parts: Iterable["AxiomReport"]) -> "AxiomReport":

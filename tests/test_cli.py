@@ -1,11 +1,16 @@
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from homstruct.algebras import HomAlgebra
+from homstruct.catalog import octonions
 from homstruct.cli import main
-from homstruct.exact import MulTensor
+from homstruct.coalgebras import HomPoissonCoalgebra
+from homstruct.exact import ComulTensor, LinearMap, MulTensor
 from homstruct.fileformat import parse_file, single_structure_file, write_file
+from homstruct.modules import regular_module
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = DATA / "corpus.json"
@@ -141,6 +146,18 @@ def test_twist_module_and_comodule(tmp_path):
     out2 = tmp_path / "c.json"
     assert run("twist", CORPUS, "poisson_dual4_regular", "--out", out2) == 0
     assert run("verify", out2, "poisson_dual4_regular") == 0
+
+
+def test_twist_module_over_a_non_multiplicative_alpha_exits_1(tmp_path, capsys):
+    alg = HomAlgebra(8, octonions().mu, LinearMap.diagonal([2] * 8))
+    src, out = tmp_path / "octo2.json", tmp_path / "out.json"
+    for side in ("left", "right"):
+        write_file(src, single_structure_file("m", regular_module(alg, side), ("A", alg)))
+        assert run("twist", src, "m", "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: NOT_ENDOMORPHISM: algebra alpha is not multiplicative" \
+            " at 64 basis pairs\n" and captured.out == ""
+        assert not out.exists()
 
 
 def test_twist_module_rejects_endo_argument(tmp_path):
@@ -413,9 +430,6 @@ def test_catalog_list_rejects_a_name_or_out(capsys, tmp_path):
 # --- console entry point ------------------------------------------------------------
 
 def test_module_invocation_smoke(tmp_path):
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "homstruct", "verify", str(CORPUS), "octonions",
          "--suite", "LEFT_HOM_ALT"],
@@ -424,6 +438,31 @@ def test_module_invocation_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_a_closed_stdout_keeps_the_verdict_exit_code(tmp_path):
+    # ~170 KB of witnesses, more than a pipe holds, so the writer meets the closed pipe.
+    n = 10
+
+    def cube(a):
+        return [[[(a * i + 3 * j + 5 * k) % 7 - 3 for k in range(n)] for j in range(n)]
+                for i in range(n)]
+
+    alpha = [[f"{(i + 2 * j) % 3 - 1}/2" if (i + 2 * j) % 3 != 1 else "0" for j in range(n)]
+             for i in range(n)]
+    coalg = HomPoissonCoalgebra(n, ComulTensor.from_entries(cube(7)),
+                                ComulTensor.from_entries(cube(2)), LinearMap.from_rows(alpha))
+    path = tmp_path / "dense.json"
+    write_file(path, single_structure_file("C", coalg))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homstruct", "verify", str(path), "C", "--suite", "all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b"HOM_POISSO"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_negative_max_witnesses_is_format_error(capsys):

@@ -573,6 +573,12 @@ def test_twist_as_writes_what_the_per_entry_writer_writes(n, m, tmp_path, capsys
     from homstruct.cli import main
 
     structures, bases, _ = _written_structures(n, m, random.Random(4 * n + m))
+    # A module twist needs a multiplicative alpha, and every alpha is one over the
+    # zero product: the entries over "A" move onto it, keeping their random alpha.
+    base = HomAlgebra(n, MulTensor.zero(n), structures["A"].alpha)
+    structures["A"] = base
+    for name in [name for name, ref in bases.items() if ref == "A"]:
+        structures[name] = dataclasses.replace(structures[name], algebra=base)
     path = tmp_path / "in.json"
     write_file(path, StructureFile(1, structures, bases))
     for name in ("L", "R", "K", "A_left", "C_regular"):

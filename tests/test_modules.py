@@ -2,6 +2,7 @@ import pytest
 
 from corpus import module_corpus, point_rng, POINTS_PER_STRUCTURE
 from homstruct import (
+    HomAlgebra,
     HomModule,
     Vector,
     check_left_module,
@@ -17,8 +18,8 @@ from homstruct import (
     twist_module,
 )
 from homstruct.catalog import dual_numbers, dual_numbers_twisted, entries, octonions, zero_algebra
-from homstruct.errors import AlgebraMismatch, DimensionMismatch, WrongSide
-from homstruct.exact import ActionTensor, LinearMap
+from homstruct.errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
+from homstruct.exact import ActionTensor, LinearMap, squared
 
 
 def module_entries():
@@ -137,6 +138,20 @@ def test_twist_module_dual_numbers_scales_action():
 def test_twist_module_preserves_left_verdict_across_catalogue():
     for mod in left_passing_modules():
         assert check_left_module(twist_module(mod)).holds
+
+
+def test_twist_module_refuses_an_alpha_that_is_not_multiplicative():
+    # The octonions with alpha = 2 id are left Hom-alternative and their regular
+    # module holds, but alpha is not multiplicative, and the twisted action would
+    # fail LEFT_MODULE at 176 indices.
+    alg = HomAlgebra(8, octonions().mu, LinearMap.diagonal([2] * 8))
+    mod = regular_module(alg)
+    assert check_left_module(mod).holds
+    action = mod.action.precompose_algebra(squared(alg.alpha))
+    assert check_left_module(HomModule(alg, 8, mod.beta, action, "left")).total_failures == 176
+    for side in ("left", "right"):
+        with pytest.raises(NotEndomorphism, match="not multiplicative at 64 basis pairs"):
+            twist_module(regular_module(alg, side))
 
 
 def test_twist_right_module_preserves_verdict():

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 
@@ -52,37 +54,52 @@ def time_laws(*argv):
     )
 
 
+def time_laws_refuses(capsys, *argv):
+    """Whether ``time_laws.py``'s ``main`` ends ``argv`` as a usage error: exit 2,
+    usage on stderr and nothing on stdout (in process, as no timing starts)."""
+    spec = importlib.util.spec_from_file_location("time_laws", ROOT / "scripts" / "time_laws.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exit_:
+        script.main(list(argv))
+    captured = capsys.readouterr()
+    return exit_.value.code == 2 and captured.out == "" and "usage:" in captured.err
+
+
+MODULES = [path.stem for path in sorted((ROOT / "src" / "homstruct").glob("*.py"))]
 LAYER_FIELDS = {
-    "compile": [f"{path.stem}_ms" for path in sorted((ROOT / "src" / "homstruct").glob("*.py"))]
-    + ["total_ms"],
+    "compile": [f"{stem}_ms" for stem in MODULES] + ["total_ms"],
+    "exec": [f"{stem}_ms" for stem in MODULES if stem != "__main__"] + ["total_ms"],
     "write": ["build_ms", "serialize_ms", "regular_ms"],
     "ingest": ["parse_ms", "scaled_ms", "rewrite_ms"],
     "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
     "construct": ["twist_module_ms", "twist_comodule_ms", "then_map_ms", "precompose_ms"],
 }
-DIM_LAYERS = [*LAYER_FIELDS][1:]  # every layer but ``compile``, which is timed once a run
+RUN_LAYERS = [["-", "compile"], ["-", "exec"]]  # timed once a run
+DIM_LAYERS = [*LAYER_FIELDS][2:]  # timed once a dim
 
 
 def layer_ms(row: str) -> list[float]:
-    """The times of a ``compile``, ``write``, ``ingest``, ``suite`` or ``construct`` line,
-    checked against their names."""
+    """The times of a ``compile``, ``exec``, ``write``, ``ingest``, ``suite`` or
+    ``construct`` line, checked against their names."""
     _, label, *fields = row.split()
     assert [field.split("=")[0] for field in fields] == LAYER_FIELDS[label], row
     return [float(field.split("=")[1]) for field in fields]
 
 
-def test_time_laws_prints_one_line_per_law():
+def test_time_laws_prints_one_line_per_law(capsys):
     from homstruct.axioms import AXIOMS
 
     run = time_laws("--dims", "2,3")
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
     assert header.split() == ["dim", "law", "ms", "fmt_ms", "failures"]
-    assert [row.split()[:2] for row in rows] == [["-", "compile"]] + [
+    assert [row.split()[:2] for row in rows] == RUN_LAYERS + [
         [str(n), law] for n in (2, 3) for law in DIM_LAYERS + [axiom for _, axiom in AXIOMS]
     ]
-    *modules, total = layer_ms(rows[0])
-    assert abs(total - sum(modules)) <= 0.005 * (len(modules) + 1), rows[0]
+    for row in rows[:2]:
+        *modules, total = layer_ms(row)
+        assert abs(total - sum(modules)) <= 0.005 * (len(modules) + 1), row
     for row in rows:
         if row.split()[1] in LAYER_FIELDS:
             assert min(layer_ms(row)) >= 0, row
@@ -90,9 +107,7 @@ def test_time_laws_prints_one_line_per_law():
         _, _, ms, fmt_ms, failures = row.split()
         assert float(ms) >= 0 and float(fmt_ms) >= 0 and int(failures) >= 0
     for dims in ("6,,10", "x", "-1"):
-        bad = time_laws("--dims", dims)
-        assert bad.returncode == 2 and bad.stdout == "", dims
-        assert "usage:" in bad.stderr and "Traceback" not in bad.stderr, dims
+        assert time_laws_refuses(capsys, "--dims", dims), dims
 
 
 def test_time_laws_at_dims_zero_and_one():
@@ -102,7 +117,7 @@ def test_time_laws_at_dims_zero_and_one():
     assert run.returncode == 0, run.stdout + run.stderr
     rows = [row.split() for row in run.stdout.splitlines()[1:]]
     layers = [row[:2] for row in rows if row[1] in LAYER_FIELDS]
-    assert layers == [["-", "compile"]] + [[n, label] for n in ("0", "1") for label in DIM_LAYERS]
+    assert layers == RUN_LAYERS + [[n, label] for n in ("0", "1") for label in DIM_LAYERS]
     rows = [row for row in rows if row[1] not in LAYER_FIELDS]
     assert [row[:2] for row in rows] == [[str(n), axiom] for n in (0, 1) for _, axiom in AXIOMS]
     # Nothing fails over empty structures; the dim-1 counts are pinned.
@@ -117,15 +132,13 @@ def test_time_laws_at_dims_zero_and_one():
     }
 
 
-def test_time_laws_times_only_the_named_laws():
+def test_time_laws_times_only_the_named_laws(capsys):
     run = time_laws("--dims", "2", "--laws", "HOM_POISSON_COALGEBRA")
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
-    assert [row.split()[:2] for row in rows] == [
-        ["-", "compile"], ["2", "write"], ["2", "ingest"], ["2", "suite"], ["2", "construct"],
+    assert [row.split()[:2] for row in rows] == RUN_LAYERS + [
+        ["2", "write"], ["2", "ingest"], ["2", "suite"], ["2", "construct"],
         ["2", "HOM_POISSON_COALGEBRA"]
     ]
     for laws in ("NO_SUCH_LAW", "HOM_ASSOC,NO_SUCH_LAW", ""):
-        bad = time_laws("--dims", "2", "--laws", laws)
-        assert bad.returncode == 2 and bad.stdout == "", laws
-        assert "usage:" in bad.stderr and "Traceback" not in bad.stderr, laws
+        assert time_laws_refuses(capsys, "--dims", "2", "--laws", laws), laws
