@@ -37,11 +37,12 @@ time in ms of ``modules.twist_module`` on the left module rebased on a dense
 algebra whose dense alpha is multiplicative (``multiplicative_algebra``; the
 twist checks that first), ``twist_module_ms``, of
 ``comodules.twist_poisson_comodule`` on the comodule
-(``twist_comodule_ms``), and of the algebra's ``mu.then_map`` and the
-coalgebra's ``delta.precompose`` along their own ``alpha`` (``then_map_ms``,
-``precompose_ms``).  The first run on each structure also
-builds its tensors' cached scaled entries; with ``--repeat`` above 1 the
-best time leaves that out.  Each law (and each timed layer) starts after a
+(``twist_comodule_ms``), and of ``laws.construct`` on the Yau twist's row
+for the algebra's ``mu`` and on the coalgebra Yau twist's row for the
+coalgebra's ``delta``, each along the structure's own ``alpha``
+(``then_map_ms``, ``precompose_ms``: ``phi . mu`` and ``delta . phi``).  The
+first run on each structure also builds its tensors' cached scaled entries;
+with ``--repeat`` above 1 the best time leaves that out.  Each law (and each timed layer) starts after a
 full garbage collection and runs with the collector off, so no collection
 pause lands in its time.
 
@@ -58,6 +59,7 @@ from fractions import Fraction
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from homstruct import algebras, coalgebras  # noqa: E402
 from homstruct.algebras import HomAlgebra  # noqa: E402
 from homstruct.axioms import AXIOMS, native_suite, verify  # noqa: E402
 from homstruct.catalog import DeterministicRng  # noqa: E402
@@ -65,6 +67,7 @@ from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
 from homstruct.comodules import HomComodule, regular_comodule, twist_poisson_comodule  # noqa: E402
 from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor  # noqa: E402
 from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize  # noqa: E402
+from homstruct.laws import construct  # noqa: E402
 from homstruct.modules import LEFT_MODULE, HomModule, regular_module, twist_module  # noqa: E402
 from homstruct.report import WITNESS_CAP, format_report  # noqa: E402
 
@@ -243,7 +246,8 @@ def time_constructions(n: int, repeat: int) -> list[float]:
     alg, left, _, coalg, comod = build_structures(n, dense_entries(n))
     left = HomModule(multiplicative_algebra(n), n, left.beta, left.action, "left")
     runs = [lambda: twist_module(left), lambda: twist_poisson_comodule(comod),
-            lambda: alg.mu.then_map(alg.alpha), lambda: coalg.delta.precompose(coalg.alpha)]
+            lambda: construct(*algebras._YAU_TWIST, mu=alg.mu, phi=alg.alpha),
+            lambda: construct(*coalgebras._YAU_TWIST, t=coalg.delta, phi=coalg.alpha)]
     best = []
     gc.collect()
     gc.disable()

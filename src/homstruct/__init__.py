@@ -3,8 +3,8 @@ coalgebras, and their modules and comodules.
 
 Every axiom is a multilinear identity in the structure constants, stated
 once as a row of signed contraction terms (``laws.Law``) and decided exactly
-over the rationals; constructions (twists, opposites, negations) are exact
-tensor transforms.
+over the rationals; each construction (twists, opposites, negations) is
+stated once as one such term and evaluated exactly (``laws.construct``).
 """
 
 from .algebras import (

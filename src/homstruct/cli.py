@@ -95,12 +95,11 @@ def _resolve_endo(sf: StructureFile, spec: str, dim: int) -> LinearMap:
     return target
 
 
-def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None,
-             new_base: object | None = None) -> StructureFile:
+def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None) -> StructureFile:
     structures = dict(sf.structures)
     base_of = dict(sf.base_of)
-    if new_base is not None and name in base_of:
-        structures[base_of[name]] = new_base
+    if name in base_of:  # a (co)module's transform rewrites its base; a twist keeps it
+        structures[base_of[name]] = getattr(new_structure, "algebra", None) or new_structure.coalgebra
     if new_name is None:
         structures[name] = new_structure
         for other in [key for key in base_of if base_of[key] == name]:  # entries over it
@@ -113,6 +112,26 @@ def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None,
     return StructureFile(sf.version, structures, base_of)
 
 
+# The construction each verb runs, by entry type (and a comodule's kind, or the op).
+_TWISTS = {
+    (HomAlgebra, None): yau_twist,
+    (HomPoissonCoalgebra, None): yau_twist_coalgebra,
+    (HomModule, None): twist_module,
+    (HomComodule, "coassociative"): twist_coassoc_comodule,
+    (HomComodule, "lie"): twist_lie_comodule,
+    (HomComodule, "poisson"): twist_poisson_comodule,
+}
+_TRANSFORMS = {
+    (HomAlgebra, "negate"): negate_algebra,
+    (HomAlgebra, "opposite"): opposite_algebra,
+    (HomPoissonCoalgebra, "negate"): negate_coalgebra,
+    (HomPoissonCoalgebra, "opposite"): opposite_coalgebra,
+    (HomModule, "negate"): negate_module,
+    (HomModule, "opposite"): opposite_module,
+    (HomComodule, "negate"): negate_poisson_comodule,
+}
+
+
 def cmd_twist(args) -> int:
     sf = parse_file(args.file)
     structure = sf.get(args.name)
@@ -120,31 +139,21 @@ def cmd_twist(args) -> int:
         raise FormatError("--as needs a nonempty name")
     if args.rename in sf.structures:
         raise FormatError(f"--as {args.rename!r} names an entry already in the file")
+    twist = _TWISTS.get((type(structure), getattr(structure, "kind", None)))
+    if twist is None:
+        raise KindMismatch("entry cannot be twisted")
     if isinstance(structure, (HomAlgebra, HomPoissonCoalgebra)):
         if args.endo is None:
             raise FormatError("this twist needs --endo")
-        phi = _resolve_endo(sf, args.endo, structure.dim)
-        if isinstance(structure, HomAlgebra):
-            twisted = yau_twist(structure, phi)
-        else:
-            twisted = yau_twist_coalgebra(structure, phi)
-    elif isinstance(structure, HomModule):
-        if args.endo is not None:
-            raise FormatError("module twists take no endomorphism")
-        twisted = twist_module(structure)
-        if structure.side == "right":
-            _print("note: right-module twist uses the mirrored composition"
-                   " (algebra argument fed through alpha^2)")
-    elif isinstance(structure, HomComodule):
-        if args.endo is not None:
-            raise FormatError("comodule twists take no endomorphism")
-        twisted = {
-            "coassociative": twist_coassoc_comodule,
-            "lie": twist_lie_comodule,
-            "poisson": twist_poisson_comodule,
-        }[structure.kind](structure)
+        twisted = twist(structure, _resolve_endo(sf, args.endo, structure.dim))
+    elif args.endo is not None:
+        noun = "module" if isinstance(structure, HomModule) else "comodule"
+        raise FormatError(f"{noun} twists take no endomorphism")
     else:
-        raise KindMismatch("entry cannot be twisted")
+        twisted = twist(structure)
+    if isinstance(structure, HomModule) and structure.side == "right":
+        _print("note: right-module twist uses the mirrored composition"
+               " (algebra argument fed through alpha^2)")
     write_file(args.out, _replace(sf, args.name, twisted, args.rename))
     _print(f"wrote {args.out}")
     return 0
@@ -160,26 +169,14 @@ def cmd_transform(args) -> int:
     if sharing:
         raise FormatError(f"{base!r} is the base of {sharing[0]!r}" if base == args.name
                           else f"base {base!r} of {args.name!r} is shared with {sharing[0]!r}")
-    new_base = None
-    if isinstance(structure, HomAlgebra):
-        result = negate_algebra(structure) if args.op == "negate" else opposite_algebra(structure)
-    elif isinstance(structure, HomPoissonCoalgebra):
-        result = (
-            negate_coalgebra(structure) if args.op == "negate" else opposite_coalgebra(structure)
-        )
-    elif isinstance(structure, HomModule):
-        result = negate_module(structure) if args.op == "negate" else opposite_module(structure)
-        new_base = result.algebra
-    elif isinstance(structure, HomComodule):
-        if args.op != "negate":
-            raise KindMismatch("comodules only support negation")
-        result = negate_poisson_comodule(structure)
-        new_base = result.coalgebra
-    else:
-        raise KindMismatch("entry cannot be transformed")
+    transform = _TRANSFORMS.get((type(structure), args.op))
+    if transform is None:
+        raise KindMismatch("comodules only support negation" if isinstance(structure, HomComodule)
+                           else "entry cannot be transformed")
+    result = transform(structure)
     # transforms of modules/comodules rewrite their base entry in place, so
     # the result always replaces the original name
-    write_file(args.out, _replace(sf, args.name, result, None, new_base))
+    write_file(args.out, _replace(sf, args.name, result, None))
     _print(f"wrote {args.out}")
     return 0
 

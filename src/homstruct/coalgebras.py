@@ -20,9 +20,11 @@ where tau flips a tensor square and rot(x @ y @ z) = z @ x @ y.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
 from .exact import ComulTensor, LinearMap, Record, _set, record
-from .laws import COMMUTES, Law, Plan, check
+from .laws import COMMUTES, Law, Plan, check, construct
 from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
@@ -142,6 +144,11 @@ _COLEIBNIZ = Law(
 # (f @ f) . src = dst . f for a map f between coalgebras.
 _MORPHISM = Law("k", "ij", "+ src.kab f.ia f.jb", "- f.lk dst.lij")
 
+# Constructions, one term each (``laws.construct``) on one comultiplication t.
+_YAU_TWIST = ("kij", "+ phi.lk t.lij")  # t . phi
+_NEGATE = ("kij", "- t.kij")
+_OPPOSITE = ("kij", "+ t.kji")  # tau . t
+
 
 _PARTS = {
     HOM_COASSOC_COALGEBRA: (DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY),
@@ -175,16 +182,21 @@ def check_hom_poisson_coalgebra(p: HomPoissonCoalgebra, plan: Plan | None = None
     return check(p, HOM_POISSON_COALGEBRA, plan)
 
 
+def _built(p: HomPoissonCoalgebra, row: tuple, fields: tuple, phi=None, **changes):
+    """``p`` with ``changes`` made and each comultiplication named in ``fields``
+    replaced by what ``row`` builds from it (``t``) and ``phi``."""
+    built = {f: ComulTensor(construct(*row, t=getattr(p, f), phi=phi)) for f in fields}
+    return replace(p, **built, **changes)
+
+
 def opposite_coalgebra(p: HomPoissonCoalgebra) -> HomPoissonCoalgebra:
     """(A, delta_op, gamma, alpha); the result is treated as non-cocommutative."""
-    return HomPoissonCoalgebra(p.dim, p.delta.opposite(), p.gamma, p.alpha, False)
+    return _built(p, _OPPOSITE, ("delta",), cocommutative_expected=False)
 
 
 def negate_coalgebra(p: HomPoissonCoalgebra) -> HomPoissonCoalgebra:
     """(A, -delta, -gamma, alpha)."""
-    return HomPoissonCoalgebra(
-        p.dim, p.delta.negated(), p.gamma.negated(), p.alpha, p.cocommutative_expected
-    )
+    return _built(p, _NEGATE, ("delta", "gamma"))
 
 
 def check_coendomorphism(p: HomPoissonCoalgebra, phi: LinearMap) -> AxiomReport:
@@ -207,9 +219,7 @@ def yau_twist_coalgebra(p: HomPoissonCoalgebra, phi: LinearMap) -> HomPoissonCoa
         raise NotCoendomorphism(
             f"map fails the coalgebra map laws at {rep.total_failures} basis vectors"
         )
-    return HomPoissonCoalgebra(
-        p.dim, p.delta.precompose(phi), p.gamma.precompose(phi), phi, p.cocommutative_expected
-    )
+    return _built(p, _YAU_TWIST, ("delta", "gamma"), phi, alpha=phi)
 
 
 def check_coalgebra_morphism(

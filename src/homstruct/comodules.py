@@ -24,12 +24,13 @@ legs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
-from .exact import CoactionTensor, LinearMap, Record, _set, record, squared
-from .laws import COMMUTES, Law, Plan, check
+from .exact import CoactionTensor, LinearMap, Record, _set, record
+from .laws import COMMUTES, Law, Plan, check, construct
 from .report import AxiomReport
 
 COASSOC_COMODULE = "COASSOC_COMODULE"
@@ -143,6 +144,10 @@ _PARTS = {  # id -> (kinds that have it, parts, message for another kind)
 # (id @ f) . src = dst . f for a map f between comodules.
 _INTERTWINES = Law("p", "iq", "+ src.pis f.qs", "- f.rp dst.riq")
 
+# Constructions, one term each (``laws.construct``) on one coaction t.
+_TWIST = ("piq", "+ alpha.iu alpha.ul t.plq")  # (alpha^2 @ id) . t, the alpha pair joined first
+_NEGATE = ("piq", "- t.piq")
+
 
 def check_coassoc_comodule(c: HomComodule, plan: Plan | None = None) -> AxiomReport:
     return check(c, COASSOC_COMODULE, plan)
@@ -156,53 +161,45 @@ def check_poisson_comodule(c: HomComodule, plan: Plan | None = None) -> AxiomRep
     return check(c, POISSON_COMODULE, plan)
 
 
+def _built(c: HomComodule, row: tuple, fields: tuple, **changes) -> HomComodule:
+    """``c`` with ``changes`` made and each coaction named in ``fields`` replaced by
+    what ``row`` builds from it (``t``) and its base's alpha."""
+    alpha, n = c.coalgebra.alpha, c.coalgebra.dim
+    built = {f: CoactionTensor(construct(*row, t=getattr(c, f), alpha=alpha), n, c.dim_mod)
+             for f in fields}
+    return replace(c, **built, **changes)
+
+
+def _twisted(c: HomComodule, fields: tuple, kinds: tuple, message: str) -> HomComodule:
+    """``c`` with each coaction named in ``fields`` replaced by (alpha^2 @ id) . coaction;
+    ``KindMismatch`` with ``message`` unless its kind is one of ``kinds``."""
+    if c.kind not in kinds:
+        raise KindMismatch(message)
+    return _built(c, _TWIST, fields)
+
+
 def twist_coassoc_comodule(c: HomComodule) -> HomComodule:
     """Replace dm by (alpha^2 @ id) . dm; beta and the base stay put."""
-    if c.kind not in ("coassociative", "poisson"):
-        raise KindMismatch("comultiplication-side twist needs a coassociative or poisson comodule")
-    alpha2 = squared(c.coalgebra.alpha)
-    return HomComodule(
-        c.coalgebra, c.dim_mod, c.beta, c.kind, c.delta_m.postcompose_coalgebra(alpha2), c.gamma_m
-    )
+    return _twisted(c, ("delta_m",), ("coassociative", "poisson"),
+                    "comultiplication-side twist needs a coassociative or poisson comodule")
 
 
 def twist_lie_comodule(c: HomComodule) -> HomComodule:
     """Replace gm by (alpha^2 @ id) . gm."""
-    if c.kind not in ("lie", "poisson"):
-        raise KindMismatch("cobracket-side twist needs a lie or poisson comodule")
-    alpha2 = squared(c.coalgebra.alpha)
-    return HomComodule(
-        c.coalgebra, c.dim_mod, c.beta, c.kind, c.delta_m, c.gamma_m.postcompose_coalgebra(alpha2)
-    )
+    return _twisted(c, ("gamma_m",), ("lie", "poisson"),
+                    "cobracket-side twist needs a lie or poisson comodule")
 
 
 def twist_poisson_comodule(c: HomComodule) -> HomComodule:
     """Twist both coactions by (alpha^2 @ id)."""
-    if c.kind != "poisson":
-        raise KindMismatch("poisson twist needs a poisson comodule")
-    alpha2 = squared(c.coalgebra.alpha)
-    return HomComodule(
-        c.coalgebra,
-        c.dim_mod,
-        c.beta,
-        "poisson",
-        c.delta_m.postcompose_coalgebra(alpha2),
-        c.gamma_m.postcompose_coalgebra(alpha2),
-    )
+    return _twisted(c, ("delta_m", "gamma_m"), ("poisson",), "poisson twist needs a poisson comodule")
 
 
 def negate_poisson_comodule(c: HomComodule) -> HomComodule:
     """(M, -dm, -gm, beta) over the negated base coalgebra."""
     if c.kind != "poisson":
         raise KindMismatch("negation construction is stated for poisson comodules")
-    return HomComodule(
-        negate_coalgebra(c.coalgebra),
-        c.dim_mod,
-        c.beta,
-        "poisson",
-        c.delta_m.negated(),
-        c.gamma_m.negated(),
-    )
+    return _built(c, _NEGATE, ("delta_m", "gamma_m"), coalgebra=negate_coalgebra(c.coalgebra))
 
 
 def check_comodule_morphism(

@@ -26,16 +26,18 @@ the nonzero entries times the lcm ``s`` of their denominators, as ``{index
 tuple: int}``, with ``s`` kept beside them.  That is the form ``contract``,
 the one exact contraction every law check and construction goes through,
 works on; a check divides ``s`` back out only for its reported witnesses, a
-construction once per nonzero output entry.
+construction once per nonzero output entry.  The tensors have no
+construction methods: a twist, negation or opposite is a one-term row of
+the ``laws.Law`` grammar, which ``laws.construct`` evaluates.
 
 Entries are exact rationals (``fractions.Fraction``).  Zero entries are best
 the one shared ``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows``
 and ``diagonal``, returns it for every zero, ``fileformat`` parses every
-``"0"`` to it, and ``zero``, ``identity``, ``basis``, ``negated()`` and
-contractions fill with it.  ``scaled`` and ``numerals``, the wire form
-``fileformat`` writes (kept from the file when parsed), pick out the other
-entries in C, so a zero costs no Python call; another ``Fraction(0)``, put
-straight into a constructor, is still dropped, only more slowly.
+``"0"`` to it, and ``zero``, ``identity``, ``basis`` and contractions fill
+with it.  ``scaled`` and ``numerals``, the wire form ``fileformat`` writes
+(kept from the file when parsed), pick out the other entries in C, so a
+zero costs no Python call; another ``Fraction(0)``, put straight into a
+constructor, is still dropped, only more slowly.
 
 One or two axes of an operand can also be ``pack``-ed into fixed-width
 slots of a single ``int``, so that ``contract``'s Python-level multiply-adds
@@ -50,7 +52,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import defaultdict
-from dataclasses import FrozenInstanceError, dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -396,24 +398,10 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(_contracted("il,lj->ij", (f.dim_out, g.dim_in), f, g), g.dim_in)
 
 
-def squared(f: LinearMap) -> LinearMap:
-    return compose(f, f)
-
-
-class _Cube(_Tensor):
-    """A structure tensor of three axes."""
+class _SquareCube(_Tensor):
+    """A structure tensor of shape n x n x n on K^n."""
 
     _axes = 3
-
-    def negated(self):
-        """The same tensor with every entry negated (each zero ``_ZERO``)."""
-        cube = getattr(self, self._nested)
-        cube = tuple(tuple(tuple([-x if x else _ZERO for x in row]) for row in rows) for rows in cube)
-        return replace(self, **{self._nested: cube})
-
-
-class _SquareCube(_Cube):
-    """A structure tensor of shape n x n x n on K^n."""
 
     @property
     def dim(self) -> int:
@@ -450,17 +438,6 @@ class MulTensor(_SquareCube):
             raise DimensionMismatch(f"expected dim {n}, got {x.dim} and {y.dim}")
         return Vector(_contracted("i,ijk,j->k", (n,), x, self, y))
 
-    def opposite(self) -> "MulTensor":
-        """Swap the two input slots: c'[i][j][k] = c[j][i][k]."""
-        n = self.dim
-        return MulTensor(tuple(tuple(self.c[j][i] for j in range(n)) for i in range(n)))
-
-    def then_map(self, phi: LinearMap) -> "MulTensor":
-        """Post-compose with a linear map: c'[i][j][k] = sum_l c[i][j][l] phi[k][l]."""
-        if not phi.is_square(self.dim):
-            raise DimensionMismatch("map size does not match tensor")
-        return MulTensor(_contracted("ijl,kl->ijk", self.shape, self, phi))
-
 
 @record
 class ComulTensor(_SquareCube):
@@ -479,22 +456,6 @@ class ComulTensor(_SquareCube):
             raise DimensionMismatch(f"expected dim {n}, got {v.dim}")
         return _contracted("k,kij->ij", (n, n), v, self)
 
-    def opposite(self) -> "ComulTensor":
-        """Swap the output legs: d'[k][i][j] = d[k][j][i]."""
-        n = self.dim
-        return ComulTensor(
-            tuple(
-                tuple(tuple(self.d[k][j][i] for j in range(n)) for i in range(n))
-                for k in range(n)
-            )
-        )
-
-    def precompose(self, phi: LinearMap) -> "ComulTensor":
-        """Pre-compose with a linear map: d'[k][i][j] = sum_l phi[l][k] d[l][i][j]."""
-        if not phi.is_square(self.dim):
-            raise DimensionMismatch("map size does not match tensor")
-        return ComulTensor(_contracted("lk,lij->kij", self.shape, phi, self))
-
 
 def action_shape(dim_alg: int, dim_mod: int, side: str) -> tuple[int, int, int]:
     """The shape of a ``side`` action of a dim_alg algebra on a dim_mod module."""
@@ -502,14 +463,14 @@ def action_shape(dim_alg: int, dim_mod: int, side: str) -> tuple[int, int, int]:
 
 
 @record
-class ActionTensor(_Cube):
+class ActionTensor(_Tensor):
     """Structure constants of a module action, sided as documented above."""
 
     a: tuple[tuple[tuple[Fraction, ...], ...], ...]
     dim_alg: int
     dim_mod: int
     side: str
-    _nested = "a"
+    _nested, _axes = "a", 3
     _misfit = ("action tensor first index has wrong size",
                "action tensor shape does not match side convention")
 
@@ -545,30 +506,15 @@ class ActionTensor(_Cube):
             raise DimensionMismatch("action operand dims do not match")
         return Vector(_contracted(spec, (self.dim_mod,), x, self, m))
 
-    def mirrored(self) -> "ActionTensor":
-        """Exchange the algebra and module slots, flipping the side."""
-        first, second, _ = self.shape
-        cube = tuple(tuple(self.a[u][v] for u in range(first)) for v in range(second))
-        other = "right" if self.side == "left" else "left"
-        return ActionTensor(cube, self.dim_alg, self.dim_mod, other)
-
-    def precompose_algebra(self, phi: LinearMap) -> "ActionTensor":
-        """Feed the algebra argument through phi first."""
-        if not phi.is_square(self.dim_alg):
-            raise DimensionMismatch("map size does not match algebra dim")
-        spec = "ji,jpq->ipq" if self.side == "left" else "ji,pjq->piq"
-        cube = _contracted(spec, self.shape, phi, self)
-        return ActionTensor(cube, self.dim_alg, self.dim_mod, self.side)
-
 
 @record
-class CoactionTensor(_Cube):
+class CoactionTensor(_Tensor):
     """Structure constants of a coaction M -> C @ M."""
 
     g: tuple[tuple[tuple[Fraction, ...], ...], ...]
     dim_coalg: int
     dim_mod: int
-    _nested = "g"
+    _nested, _axes = "g", 3
     _misfit = ("coaction tensor first index has wrong size", "coaction tensor is not m x n x m")
 
     def __init__(self, g, dim_coalg, dim_mod):
@@ -590,13 +536,6 @@ class CoactionTensor(_Cube):
         if m.dim != self.dim_mod:
             raise DimensionMismatch(f"expected dim {self.dim_mod}, got {m.dim}")
         return _contracted("p,piq->iq", (self.dim_coalg, self.dim_mod), m, self)
-
-    def postcompose_coalgebra(self, phi: LinearMap) -> "CoactionTensor":
-        """Apply phi to the coalgebra leg: g'[p][i][q] = sum_l phi[i][l] g[p][l][q]."""
-        if not phi.is_square(self.dim_coalg):
-            raise DimensionMismatch("map size does not match coalgebra dim")
-        cube = _contracted("plq,il->piq", self.shape, self, phi)
-        return CoactionTensor(cube, self.dim_coalg, self.dim_mod)
 
 
 _PLANS: dict[str, tuple] = {}
@@ -852,14 +791,14 @@ def _slot_layout(slots: int, bits: int) -> tuple:
     return offset, mask, half, (1 << 16 * bits) - 1, blocks
 
 
-def _contracted(spec: str, shape: tuple[int, ...], *tensors: _Tensor) -> tuple:
-    """Nested entry tuples of ``shape`` holding ``contract(spec, ...)`` of the
-    operands' ``scaled`` entries: ``Fraction(v, s)`` for each nonzero sum ``v``,
+def _contracted(spec: str, shape: tuple[int, ...], *tensors: _Tensor, factor: int = 1) -> tuple:
+    """Nested entry tuples of ``shape`` holding ``factor`` times ``contract(spec, ...)``
+    of the operands' ``scaled`` entries: ``Fraction(v, s)`` for each nonzero sum ``v``,
     ``s`` the product of the operands' scales, and ``_ZERO`` everywhere else."""
     readings = [t.scaled for t in tensors]
     sink = [0] * prod(shape)
     strides = tuple(prod(shape[axis + 1 :]) for axis in range(len(shape)))
-    contract(spec, *[entries for _, entries, _ in readings], into=(sink, strides, 1))
+    contract(spec, *[entries for _, entries, _ in readings], into=(sink, strides, factor))
     s = prod(scale for scale, _, _ in readings)
     flat = [Fraction(v, s) if v else _ZERO for v in sink]
     for axis in range(len(shape) - 1, 0, -1):

@@ -14,6 +14,10 @@ as ``name.letters``, with letters following the index conventions of
 ``exact.py``; a letter shared by operands and absent from the output is
 summed over.  A ``Plan`` evaluates the rows of one check on one structure
 together, names bound to maps and tensors; ``Law.check`` is a plan of one.
+A construction is one term in the same grammar, over the letters of the
+tensor it builds: ``construct("ijo", "+ mu.ijq phi.oq", ...)`` is the Yau
+twist's ``phi . mu``.  Each structure module states its constructions so,
+beside its laws.
 
 Evaluation is in ``int``: each operand enters as ``scaled``, its entries
 times the lcm of their denominators, the terms are brought to the lcm over
@@ -65,8 +69,42 @@ from itertools import compress, repeat
 from math import lcm, prod
 from operator import add, floordiv, sub
 
-from .exact import contract, lazy, pack, packing, unpack
+from .exact import _contracted, contract, lazy, pack, packing, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
+
+
+def _parse(term: str) -> tuple[bool, list[tuple[str, str]]]:
+    """``term``'s sign (True: +) and its operands as ``(name, letters)`` pairs.
+
+    A ``ValueError`` names the term unless it is ``+`` or ``-`` and then one
+    or more operands ``name.letters``, each with one dot and a nonempty name
+    and letters.
+    """
+    sign, *operands = term.split() or [""]
+    if sign not in ("+", "-"):
+        raise ValueError(f"term {term!r} needs a sign")
+    pairs = [tuple(op.split(".")) for op in operands]
+    if not pairs or any(len(pair) != 2 or not all(pair) for pair in pairs):
+        raise ValueError(f"term {term!r} needs operands written name.letters")
+    return sign == "+", pairs
+
+
+def construct(out: str, term: str, **operands) -> tuple:
+    """The entries of one signed term on the named maps and tensors, as nested
+    tuples over the letters ``out``: a construction stated as data.
+
+    ``construct("ijo", "+ mu.jio", mu=mu)`` is the opposite multiplication.
+    Each output letter is sized by the first operand axis that holds it, and
+    the sign is ``exact._contracted``'s factor.
+    """
+    plus, pairs = _parse(term)
+    sizes: dict[str, int] = {}
+    for name, letters in pairs:
+        for c, size in zip(letters, operands[name].shape):
+            sizes.setdefault(c, size)
+    spec = ",".join(letters for _, letters in pairs) + "->" + out
+    tensors = [operands[name] for name, _ in pairs]
+    return _contracted(spec, tuple([sizes[c] for c in out]), *tensors, factor=1 if plus else -1)
 
 
 class Law:
@@ -84,17 +122,15 @@ class Law:
     ``(group, coefficient)`` pairs summed into ``W`` and each permutation a
     ``(sign, positions)`` pair, residual letter ``i`` being output letter
     ``positions[i]`` of ``W``.  Both are compiled on first use; stating a
-    row only checks each term's sign and packed letters.
+    row only parses each term and checks its packed letters.
     """
 
     def __init__(self, index: str, residual: str, *terms: str):
         if not residual or not terms:
             raise ValueError("a law needs a residual letter to pack and a term")
-        for term in terms:
-            sign, *operands = term.split()
-            letters = "".join(op.split(".")[1] for op in operands)
-            if sign not in ("+", "-"):
-                raise ValueError(f"term {term!r} needs a sign")
+        self._parsed = list(map(_parse, terms))
+        for term, (_, operands) in zip(terms, self._parsed):
+            letters = "".join(sub for _, sub in operands)
             for packed in residual[-2:]:
                 if letters.count(packed) != 1:
                     raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
@@ -122,10 +158,9 @@ class Law:
         groups: dict[tuple, tuple] = {}
         rows: dict[tuple, dict] = {}  # key permutation -> {group: signed use count}
         arity: dict[str, int] = {}
-        for term in self.terms:
-            sign, *operands = term.split()
-            names = [op.split(".")[0] for op in operands]
-            subscripts = [op.split(".")[1] for op in operands]
+        for plus, operands in self._parsed:
+            names = [name for name, _ in operands]
+            subscripts = [sub for _, sub in operands]
             local = {}  # letter -> (name, axis) of an operand of this term that has it
             for name, sub in zip(names, subscripts):
                 arity[name] = len(sub)
@@ -151,9 +186,9 @@ class Law:
             g, _, _, _, first, uses = groups[form]
             letter_of = {i: c for c, i in first.items()}
             permutation = tuple(out.index(letter_of[rename[c]]) for c in out)
-            uses.append(sign == "+")
+            uses.append(plus)
             row = rows.setdefault(permutation, {})
-            row[g] = row.get(g, 0) + (1 if sign == "+" else -1)
+            row[g] = row.get(g, 0) + (1 if plus else -1)
         compiled = [
             (ids, spec, summed, tuple(uses)) for _, ids, spec, summed, _, uses in groups.values()
         ]

@@ -18,6 +18,8 @@ x = y and is antisymmetric in (x, y).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .algebras import (
     HomAlgebra,
     check_endomorphism,
@@ -25,8 +27,8 @@ from .algebras import (
     opposite as opposite_algebra,
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from .exact import ActionTensor, LinearMap, Record, Vector, _set, record, squared
-from .laws import COMMUTES, Law, Plan, check
+from .exact import ActionTensor, LinearMap, Record, Vector, _set, record
+from .laws import COMMUTES, Law, Plan, check, construct
 from .report import AxiomReport
 
 LEFT_MODULE = "LEFT_MODULE"
@@ -96,6 +98,17 @@ _INTERTWINES = {
 }
 
 
+# Constructions, one term each (``laws.construct``): the new act's letters and its term.
+# The alpha pair is alpha^2, joined first; each side's twist feeds the algebra argument
+# through it.
+_TWIST = {
+    "left": ("ipq", "+ alpha.ui alpha.ju act.jpq"),  # act(a^2(x), m)
+    "right": ("piq", "+ alpha.ui alpha.ju act.pjq"),  # act(m, a^2(x))
+}
+_NEGATE = ("ipq", "- act.ipq")  # of a left action
+_OPPOSITE = ("piq", "+ act.ipq")  # a left action read as a right one: act(m, x) = act(x, m)
+
+
 def check_left_module(mod: HomModule, plan: Plan | None = None) -> AxiomReport:
     return check(mod, LEFT_MODULE, plan)
 
@@ -124,6 +137,14 @@ def module_hom_associator(mod: HomModule, x: Vector, y: Vector, m: Vector) -> Ve
     )
 
 
+def _built(mod: HomModule, row: tuple, side: str, **changes) -> HomModule:
+    """``mod`` with ``changes`` made and, as its ``side`` action, what ``row`` builds
+    from its action and its algebra's alpha."""
+    action = construct(*row, act=mod.action, alpha=mod.algebra.alpha)
+    action = ActionTensor(action, mod.algebra.dim, mod.dim_mod, side)
+    return replace(mod, action=action, side=side, **changes)
+
+
 def twist_module(mod: HomModule) -> HomModule:
     """Replace the action by act . (alpha^2 @ id); beta and the algebra stay.
 
@@ -138,28 +159,21 @@ def twist_module(mod: HomModule) -> HomModule:
             raise NotEndomorphism(
                 f"algebra alpha is not multiplicative at {endo.total_failures} basis pairs"
             )
-    alpha2 = squared(alpha)
-    return HomModule(
-        mod.algebra, mod.dim_mod, mod.beta, mod.action.precompose_algebra(alpha2), mod.side
-    )
+    return _built(mod, _TWIST[mod.side], mod.side)
 
 
 def negate_module(mod: HomModule) -> HomModule:
     """(M, -act, beta) over the negated algebra."""
     if mod.side != "left":
         raise WrongSide("negation construction is stated for left modules")
-    return HomModule(
-        negate_algebra(mod.algebra), mod.dim_mod, mod.beta, mod.action.negated(), "left"
-    )
+    return _built(mod, _NEGATE, "left", algebra=negate_algebra(mod.algebra))
 
 
 def opposite_module(mod: HomModule) -> HomModule:
     """(M, act_op, beta) as a right module over the opposite algebra."""
     if mod.side != "left":
         raise WrongSide("opposite construction is stated for left modules")
-    return HomModule(
-        opposite_algebra(mod.algebra), mod.dim_mod, mod.beta, mod.action.mirrored(), "right"
-    )
+    return _built(mod, _OPPOSITE, "right", algebra=opposite_algebra(mod.algebra))
 
 
 def check_module_morphism(

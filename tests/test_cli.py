@@ -4,13 +4,24 @@ import sys
 
 import pytest
 
-from homstruct.algebras import HomAlgebra
+from homstruct.algebras import HomAlgebra, negate, opposite, yau_twist
 from homstruct.catalog import octonions
 from homstruct.cli import main
-from homstruct.coalgebras import HomPoissonCoalgebra
+from homstruct.coalgebras import (
+    HomPoissonCoalgebra,
+    negate_coalgebra,
+    opposite_coalgebra,
+    yau_twist_coalgebra,
+)
+from homstruct.comodules import (
+    negate_poisson_comodule,
+    twist_coassoc_comodule,
+    twist_lie_comodule,
+    twist_poisson_comodule,
+)
 from homstruct.exact import ComulTensor, LinearMap, MulTensor
 from homstruct.fileformat import parse_file, single_structure_file, write_file
-from homstruct.modules import regular_module
+from homstruct.modules import negate_module, opposite_module, regular_module, twist_module
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = DATA / "corpus.json"
@@ -355,6 +366,107 @@ def test_opposite_comodule_unsupported(tmp_path, capsys):
         == 1
     )
     assert "KIND_MISMATCH" in capsys.readouterr().err
+
+
+# --- the dispatch of twist and transform ---------------------------------------------
+
+# One catalogue entry of each kind the verbs dispatch on, with the --endo it is twisted
+# along (the algebra's and coalgebra's are an endomorphism and a coendomorphism).
+KINDS = {
+    "algebra": ("dual_numbers", "diag:1,2"),
+    "coalgebra": ("primitive2", "diag:1,3"),
+    "left module": ("dual_twisted_regular_module", "id"),
+    "right module": ("octonion_regular_right_module", "id"),
+    "coassociative comodule": ("primitive2_line_comodule", "id"),
+    "lie comodule": ("lie_only2_twisted_regular_comodule", "id"),
+    "poisson comodule": ("primitive2_twisted_regular_comodule", "id"),
+    "linear map": (None, "id"),
+}
+VERBS = {"twist --endo": ("twist", "--endo"), "twist": ("twist",),
+         "transform negate": ("transform", "negate"), "transform opposite": ("transform", "opposite")}
+COMODULES = ("coassociative comodule", "lie comodule", "poisson comodule")
+# The public function each dispatched pair runs, as a call on the entry.
+DISPATCHED = {
+    ("algebra", "twist --endo"): lambda a: yau_twist(a, LinearMap.diagonal([1, 2])),
+    ("coalgebra", "twist --endo"): lambda c: yau_twist_coalgebra(c, LinearMap.diagonal([1, 3])),
+    ("left module", "twist"): twist_module,
+    ("right module", "twist"): twist_module,
+    ("coassociative comodule", "twist"): twist_coassoc_comodule,
+    ("lie comodule", "twist"): twist_lie_comodule,
+    ("poisson comodule", "twist"): twist_poisson_comodule,
+    ("algebra", "transform negate"): negate,
+    ("algebra", "transform opposite"): opposite,
+    ("coalgebra", "transform negate"): negate_coalgebra,
+    ("coalgebra", "transform opposite"): opposite_coalgebra,
+    ("left module", "transform negate"): negate_module,
+    ("left module", "transform opposite"): opposite_module,
+    ("right module", "transform negate"): negate_module,
+    ("right module", "transform opposite"): opposite_module,
+    **{(kind, "transform negate"): negate_poisson_comodule for kind in COMODULES},
+}
+# The dispatched pairs whose function refuses the entry (stated for left modules, or
+# for poisson comodules).
+REFUSED_BY_THE_FUNCTION = {("right module", "transform negate"), ("right module", "transform opposite"),
+                           ("coassociative comodule", "transform negate"),
+                           ("lie comodule", "transform negate")}
+# Every other pair: the exit code and the error text.
+REFUSED = {
+    ("algebra", "twist"): (2, "FORMAT_ERROR: this twist needs --endo"),
+    ("coalgebra", "twist"): (2, "FORMAT_ERROR: this twist needs --endo"),
+    ("left module", "twist --endo"): (2, "FORMAT_ERROR: module twists take no endomorphism"),
+    ("right module", "twist --endo"): (2, "FORMAT_ERROR: module twists take no endomorphism"),
+    **{(kind, "twist --endo"): (2, "FORMAT_ERROR: comodule twists take no endomorphism")
+       for kind in COMODULES},
+    **{(kind, "transform opposite"): (1, "KIND_MISMATCH: comodules only support negation")
+       for kind in COMODULES},
+    ("linear map", "twist --endo"): (1, "KIND_MISMATCH: entry cannot be twisted"),
+    ("linear map", "twist"): (1, "KIND_MISMATCH: entry cannot be twisted"),
+    ("linear map", "transform negate"): (1, "KIND_MISMATCH: entry cannot be transformed"),
+    ("linear map", "transform opposite"): (1, "KIND_MISMATCH: entry cannot be transformed"),
+}
+
+
+def test_every_kind_and_verb_pair_is_dispatched_or_refused():
+    assert DISPATCHED.keys() | REFUSED.keys() == {(k, v) for k in KINDS for v in VERBS}
+    assert not DISPATCHED.keys() & REFUSED.keys()
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_twist_and_transform_run_the_public_construction(tmp_path, capsys, kind, verb):
+    from homstruct.errors import KernelError
+
+    name, endo = KINDS[kind]
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    if name is None:
+        name = "phi"
+        write_file(src, single_structure_file(name, LinearMap.identity(2)))
+    else:
+        assert run("catalog", "export", name, "--out", src) == 0
+        capsys.readouterr()
+    argv = [*VERBS[verb], endo] if verb == "twist --endo" else VERBS[verb]
+    code = run(argv[0], src, name, *argv[1:], "--out", out)
+    captured = capsys.readouterr()
+    if (kind, verb) in REFUSED:
+        want_code, text = REFUSED[kind, verb]
+        assert (code, captured.err, captured.out) == (want_code, f"error: {text}\n", "")
+        assert not out.exists()
+        return
+    sf = parse_file(src)
+    if (kind, verb) in REFUSED_BY_THE_FUNCTION:
+        with pytest.raises(KernelError) as refusal:
+            DISPATCHED[kind, verb](sf.get(name))
+        exc = refusal.value
+        assert (code, captured.err, captured.out) == (1, f"error: {exc.code}: {exc}\n", "")
+        assert not out.exists()
+        return
+    result = DISPATCHED[kind, verb](sf.get(name))
+    assert code == 0 and captured.err == ""
+    note = "note: right-module twist uses the mirrored composition (algebra argument fed through alpha^2)\n"
+    assert captured.out == (note if (kind, verb) == ("right module", "twist") else "") + f"wrote {out}\n"
+    written = parse_file(out)
+    assert written.get(name) == result
+    assert set(written.structures) == set(sf.structures)
 
 
 # --- check-morphism --------------------------------------------------------------

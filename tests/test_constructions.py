@@ -2,6 +2,8 @@
 
 The oracles below read the drawn nested lists, never the tensors built from
 them, and use nothing from ``homstruct`` but the shared zero they check for.
+The constructions are the ``laws.construct`` rows of the structure modules,
+the maps' ``compose`` and the tensors' ``apply`` methods.
 """
 
 from fractions import Fraction
@@ -9,6 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homstruct import algebras, coalgebras, comodules, modules
 from homstruct.exact import (
     _ZERO,
     ActionTensor,
@@ -18,8 +21,8 @@ from homstruct.exact import (
     MulTensor,
     Vector,
     compose,
-    squared,
 )
+from homstruct.laws import construct
 
 # Few distinct small values, so sums often cancel to zero; zeros of both spellings.
 ENTRIES = st.one_of(
@@ -79,6 +82,31 @@ def map_apply_ref(a, v, rows, cols):
     for i in range(rows):
         for j in range(cols):
             out[i] += a[i][j] * v[j]
+    return out
+
+
+def negated_ref(t):
+    """t'[...] = -t[...]."""
+    return [negated_ref(x) for x in t] if isinstance(t, list) else -t
+
+
+def swap_first_ref(t, a, b, c):
+    """t'[j][i][k] = t[i][j][k], for t of shape a x b x c."""
+    out = zeros(b, a, c)
+    for i in range(a):
+        for j in range(b):
+            for k in range(c):
+                out[j][i][k] = t[i][j][k]
+    return out
+
+
+def swap_last_ref(t, a, b, c):
+    """t'[i][k][j] = t[i][j][k], for t of shape a x b x c."""
+    out = zeros(a, c, b)
+    for i in range(a):
+        for j in range(b):
+            for k in range(c):
+                out[i][k][j] = t[i][j][k]
     return out
 
 
@@ -187,8 +215,8 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     f = LinearMap.from_rows(f_rows, k)
     g = LinearMap.from_rows(g_rows, dm)
     phi = LinearMap.from_rows(phi_rows, n)
+    phi2_rows = compose_ref(phi_rows, phi_rows, n, n, n)  # alpha^2 of the (co)module twists
     assert_entries(compose(f, g).entries, compose_ref(f_rows, g_rows, n, k, dm))
-    assert_entries(squared(phi).entries, compose_ref(phi_rows, phi_rows, n, n, n))
     v_k, x, y, m = block(data, k), block(data, n), block(data, n), block(data, dm)
     assert_entries(f.apply(Vector.from_entries(v_k)).entries, map_apply_ref(f_rows, v_k, n, k))
 
@@ -196,23 +224,34 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     mu = MulTensor.from_entries(c)
     x_vec, y_vec, m_vec = map(Vector.from_entries, (x, y, m))
     assert_entries(mu.apply(x_vec, y_vec).entries, mul_apply_ref(c, x, y, n))
-    assert_entries(mu.then_map(phi).c, then_map_ref(c, phi_rows, n))
+    assert_entries(construct(*algebras._YAU_TWIST, mu=mu, phi=phi), then_map_ref(c, phi_rows, n))
+    assert_entries(construct(*algebras._NEGATE, mu=mu), negated_ref(c))
+    assert_entries(construct(*algebras._OPPOSITE, mu=mu), swap_first_ref(c, n, n, n))
 
     d = block(data, n, n, n)
     delta = ComulTensor.from_entries(d)
     assert_entries(delta.apply(x_vec), comul_apply_ref(d, x, n))
-    assert_entries(delta.precompose(phi).d, precompose_ref(d, phi_rows, n))
+    assert_entries(construct(*coalgebras._YAU_TWIST, t=delta, phi=phi), precompose_ref(d, phi_rows, n))
+    assert_entries(construct(*coalgebras._NEGATE, t=delta), negated_ref(d))
+    assert_entries(construct(*coalgebras._OPPOSITE, t=delta), swap_last_ref(d, n, n, n))
 
-    a = block(data, n, dm, dm) if side == "left" else block(data, dm, n, dm)
+    shape = (n, dm, dm) if side == "left" else (dm, n, dm)
+    a = block(data, *shape)
     action = ActionTensor.from_entries(a, n, dm, side)
     acted = action.apply_left(x_vec, m_vec) if side == "left" else action.apply_right(m_vec, x_vec)
     assert_entries(acted.entries, act_ref(a, x, m, side, n, dm))
-    assert_entries(action.precompose_algebra(phi).a, precompose_algebra_ref(a, phi_rows, side, n, dm))
+    assert_entries(construct(*modules._TWIST[side], alpha=phi, act=action),
+                   precompose_algebra_ref(a, phi2_rows, side, n, dm))
+    # negation and the mirror read a right action as they read a left one
+    assert_entries(construct(*modules._NEGATE, act=action), negated_ref(a))
+    assert_entries(construct(*modules._OPPOSITE, act=action), swap_first_ref(a, *shape))
 
     h = block(data, dm, n, dm)
     coaction = CoactionTensor.from_entries(h, n, dm)
     assert_entries(coaction.apply(m_vec), coact_apply_ref(h, m, n, dm))
-    assert_entries(coaction.postcompose_coalgebra(phi).g, postcompose_coalgebra_ref(h, phi_rows, n, dm))
+    assert_entries(construct(*comodules._TWIST, alpha=phi, t=coaction),
+                   postcompose_coalgebra_ref(h, phi2_rows, n, dm))
+    assert_entries(construct(*comodules._NEGATE, t=coaction), negated_ref(h))
 
 
 def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
@@ -229,5 +268,5 @@ def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
     assert product == ((Fraction(1, 2), Fraction(1, 6)), (Fraction(1, 2), _ZERO))
     assert product[1][1] is _ZERO
     empty = ActionTensor.zero(0, 2, "right")
-    assert empty.precompose_algebra(LinearMap.zero(0, 0)).a == ((), ())
+    assert construct(*modules._TWIST["right"], alpha=LinearMap.zero(0, 0), act=empty) == ((), ())
     assert empty.apply_right(Vector.from_entries([1, 2]), Vector.zero(0)).entries == (_ZERO, _ZERO)

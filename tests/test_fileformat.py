@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homstruct import HomAlgebra, HomComodule, HomModule, HomPoissonCoalgebra
+from homstruct import algebras, coalgebras, comodules, modules
 from homstruct.catalog import DeterministicRng, dual_numbers, lie_only_coalgebra, octonions
 from homstruct.comodules import regular_comodule
 from homstruct.errors import FormatError
@@ -34,6 +35,7 @@ from homstruct.fileformat import (
     single_structure_file,
     write_file,
 )
+from homstruct.laws import construct
 from homstruct.modules import regular_module
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -508,9 +510,9 @@ def _write_entry(rng: random.Random):
 
 def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict, list]:
     """Structures over dim-n bases with dim-m (co)modules, built from random entries,
-    negations, opposites and contractions, regular (co)modules and a map on
-    ``alpha``'s own rows (arrays shared by tuple), and the tensors ``from_entries``
-    or ``negated`` built."""
+    negations, opposites and twists (the structure modules' construction rows),
+    regular (co)modules and a map on ``alpha``'s own rows (arrays shared by tuple),
+    and the tensors ``from_entries`` or a negation row built."""
 
     def cube(a, b, c):
         return [[[_write_entry(rng) for _ in range(c)] for _ in range(b)] for _ in range(a)]
@@ -518,26 +520,36 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
     def square(k):
         return LinearMap.from_rows(cube(1, k, k)[0], k)
 
+    def built(template, row, **operands):  # a tensor like template, holding what row builds
+        return dataclasses.replace(template, **{template._nested: construct(*row, **operands)})
+
     alpha, beta = square(n), square(m)
     mu = MulTensor.from_entries(cube(n, n, n))
     alg = HomAlgebra(n, mu, alpha)
     left = ActionTensor.from_entries(cube(n, m, m), n, m, "left")
-    right = ActionTensor.from_entries(cube(m, n, m), n, m, "right").negated()
+    right = ActionTensor.from_entries(cube(m, n, m), n, m, "right")
+    right = built(right, modules._NEGATE, act=right)
     delta = ComulTensor.from_entries(cube(n, n, n))
-    gamma = ComulTensor.from_entries(cube(n, n, n)).negated()
-    coalg = HomPoissonCoalgebra(n, delta, gamma.opposite().precompose(alpha), alpha, False)
+    gamma = ComulTensor.from_entries(cube(n, n, n))
+    gamma = built(gamma, coalgebras._NEGATE, t=gamma)
+    opposite = built(gamma, coalgebras._OPPOSITE, t=gamma)
+    coalg = HomPoissonCoalgebra(n, delta, built(gamma, coalgebras._YAU_TWIST, t=opposite, phi=alpha),
+                                alpha, False)
     coaction = CoactionTensor.from_entries(cube(m, n, m), n, m)
+    mu_neg, coaction_neg = built(mu, algebras._NEGATE, mu=mu), built(coaction, comodules._NEGATE, t=coaction)
+    mu_opposite = built(mu, algebras._OPPOSITE, mu=mu)
     structures = {
         "A": alg,
-        "A_neg": HomAlgebra(n, mu.negated(), alpha),
-        "A_twist": HomAlgebra(n, mu.opposite().then_map(alpha), alpha),
+        "A_neg": HomAlgebra(n, mu_neg, alpha),
+        "A_twist": HomAlgebra(n, built(mu, algebras._YAU_TWIST, mu=mu_opposite, phi=alpha), alpha),
         "L": HomModule(alg, m, beta, left, "left"),
-        "L_twist": HomModule(alg, m, beta, left.precompose_algebra(alpha), "left"),
+        "L_twist": HomModule(alg, m, beta, built(left, modules._TWIST["left"], alpha=alpha, act=left),
+                             "left"),
         "R": HomModule(alg, m, beta, right, "right"),
         "C": coalg,
-        "C_neg": HomPoissonCoalgebra(n, delta.negated(), gamma, alpha, True),
+        "C_neg": HomPoissonCoalgebra(n, built(delta, coalgebras._NEGATE, t=delta), gamma, alpha, True),
         "K": HomComodule(coalg, m, beta, "poisson", coaction,
-                         coaction.negated().postcompose_coalgebra(alpha)),
+                         built(coaction, comodules._TWIST, alpha=alpha, t=coaction_neg)),
         "A_left": regular_module(alg, "left"),
         "A_right": regular_module(alg, "right"),
         "C_regular": regular_comodule(coalg),
@@ -551,7 +563,7 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
     }
     bases = {"L": "A", "L_twist": "A", "R": "A", "K": "C", "A_left": "A", "A_right": "A",
              "C_regular": "C"}
-    interned = [mu, mu.negated(), alpha, beta, left, right, delta, gamma, coaction, coaction.negated()]
+    interned = [mu, mu_neg, alpha, beta, left, right, delta, gamma, coaction, coaction_neg]
     return structures, bases, interned
 
 

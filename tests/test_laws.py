@@ -1,5 +1,6 @@
 """Guards on the law core: the packed plan, its slots, and invariances of the inputs."""
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -26,7 +27,7 @@ from homstruct.exact import (
     MulTensor,
     _Tensor,
 )
-from homstruct.laws import COMMUTES, Law
+from homstruct.laws import COMMUTES, Law, construct
 from homstruct.modules import HomModule, check_left_module, check_right_module
 from reference_laws import UnpackedLaw
 
@@ -116,6 +117,16 @@ def test_each_term_needs_a_sign_of_its_own(sign):
     # A sign is one of "+" and "-", not any part of "+-".
     with pytest.raises(ValueError, match="needs a sign"):
         Law("i", "o", f"{sign} f.oa x.ai")
+
+
+@pytest.mark.parametrize("term", ["+ f", "+ f.oa.x x.ai", "+ .oa x.ai", "+ f. x.ai", "+"])
+def test_each_operand_is_a_name_a_dot_and_letters(term):
+    # "+ f" once ended in an IndexError, and "+ f.oa.x x.ai" dropped ".x" without a word.
+    message = re.escape(f"term {term!r} needs operands written name.letters")
+    with pytest.raises(ValueError, match=message):
+        Law("i", "o", term)
+    with pytest.raises(ValueError, match=message):  # the construction rows share the parser
+        construct("oi", term, f=LinearMap.identity(2), x=LinearMap.identity(2))
 
 
 # --- packed against per-coordinate evaluation ------------------------------------
