@@ -37,7 +37,7 @@ time in ms of ``modules.twist_module`` on the left module rebased on a dense
 algebra whose dense alpha is multiplicative (``multiplicative_algebra``; the
 twist checks that first), ``twist_module_ms``, of
 ``comodules.twist_poisson_comodule`` on the comodule
-(``twist_comodule_ms``), and of ``laws.construct`` on the Yau twist's row
+(``twist_comodule_ms``), and of ``exact.construct`` on the Yau twist's row
 for the algebra's ``mu`` and on the coalgebra Yau twist's row for the
 coalgebra's ``delta``, each along the structure's own ``alpha``
 (``then_map_ms``, ``precompose_ms``: ``phi . mu`` and ``delta . phi``).  The
@@ -65,9 +65,10 @@ from homstruct.axioms import AXIOMS, native_suite, verify  # noqa: E402
 from homstruct.catalog import DeterministicRng  # noqa: E402
 from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
 from homstruct.comodules import HomComodule, regular_comodule, twist_poisson_comodule  # noqa: E402
-from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor  # noqa: E402
+from homstruct.exact import (  # noqa: E402
+    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, construct,
+)
 from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize  # noqa: E402
-from homstruct.laws import construct  # noqa: E402
 from homstruct.modules import LEFT_MODULE, HomModule, regular_module, twist_module  # noqa: E402
 from homstruct.report import WITNESS_CAP, format_report  # noqa: E402
 
@@ -246,7 +247,7 @@ def time_constructions(n: int, repeat: int) -> list[float]:
     alg, left, _, coalg, comod = build_structures(n, dense_entries(n))
     left = HomModule(multiplicative_algebra(n), n, left.beta, left.action, "left")
     runs = [lambda: twist_module(left), lambda: twist_poisson_comodule(comod),
-            lambda: construct(*algebras._YAU_TWIST, mu=alg.mu, phi=alg.alpha),
+            lambda: construct(*algebras._YAU_TWIST, t=alg.mu, phi=alg.alpha),
             lambda: construct(*coalgebras._YAU_TWIST, t=coalg.delta, phi=coalg.alpha)]
     best = []
     gc.collect()

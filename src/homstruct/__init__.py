@@ -4,7 +4,8 @@ coalgebras, and their modules and comodules.
 Every axiom is a multilinear identity in the structure constants, stated
 once as a row of signed contraction terms (``laws.Law``) and decided exactly
 over the rationals; each construction (twists, opposites, negations) is
-stated once as one such term and evaluated exactly (``laws.construct``).
+stated once as one such term, evaluated exactly by ``exact.construct`` and
+put back into a copy of its structure by ``exact.rebuild``.
 """
 
 from .algebras import (

@@ -18,8 +18,8 @@ on basis triples directly (it is already trilinear).
 from __future__ import annotations
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotAnticommuting, NotEndomorphism
-from .exact import LinearMap, MulTensor, Record, Vector, _set, record
-from .laws import COMMUTES, Law, Plan, check, construct
+from .exact import LinearMap, MulTensor, Record, Vector, _set, rebuild, record
+from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
 LEFT_HOM_ALT = "LEFT_HOM_ALT"
@@ -75,10 +75,10 @@ _LAWS = {
 # f(mul(x, y)) = mul'(f(x), f(y)) on basis pairs, for f from (mu) to (nu).
 _MULTIPLICATIVE = Law("ij", "o", "+ mu.ija f.oa", "- nu.abo f.ai f.bj")
 
-# Constructions, one term each (``laws.construct``): the new mu's letters and its term.
-_YAU_TWIST = ("ijo", "+ mu.ijq phi.oq")  # phi(mul(x, y))
-_NEGATE = ("ijo", "- mu.ijo")
-_OPPOSITE = ("ijo", "+ mu.jio")  # mul(y, x)
+# Constructions, one term each (``exact.rebuild``) on the multiplication t.
+_YAU_TWIST = ("ijo", "+ t.ijq phi.oq")  # phi(mul(x, y))
+_NEGATE = ("ijo", "- t.ijo")
+_OPPOSITE = ("ijo", "+ t.jio")  # mul(y, x)
 
 
 def check_left_hom_alternative(a: HomAlgebra, plan: Plan | None = None) -> AxiomReport:
@@ -116,12 +116,12 @@ def check_endomorphism(a: HomAlgebra, phi: LinearMap) -> AxiomReport:
 
 def negate(a: HomAlgebra) -> HomAlgebra:
     """(A, -mul, alpha): every structure constant negated."""
-    return HomAlgebra(a.dim, MulTensor(construct(*_NEGATE, mu=a.mu)), a.alpha)
+    return rebuild(a, _NEGATE, ("mu",))
 
 
 def opposite(a: HomAlgebra) -> HomAlgebra:
     """(A, mul_op, alpha) with mul_op(x, y) = mul(y, x)."""
-    return HomAlgebra(a.dim, MulTensor(construct(*_OPPOSITE, mu=a.mu)), a.alpha)
+    return rebuild(a, _OPPOSITE, ("mu",))
 
 
 def yau_twist(a: HomAlgebra, phi: LinearMap) -> HomAlgebra:
@@ -137,7 +137,7 @@ def yau_twist(a: HomAlgebra, phi: LinearMap) -> HomAlgebra:
         raise NotEndomorphism(
             f"map is not multiplicative at {endo.total_failures} basis pairs"
         )
-    return HomAlgebra(a.dim, MulTensor(construct(*_YAU_TWIST, mu=a.mu, phi=phi)), phi)
+    return rebuild(a, _YAU_TWIST, ("mu",), {"alpha": phi}, phi=phi)
 
 
 def check_morphism(f: LinearMap, a: HomAlgebra, b: HomAlgebra) -> AxiomReport:

@@ -20,11 +20,9 @@ where tau flips a tensor square and rot(x @ y @ z) = z @ x @ y.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
-from .exact import ComulTensor, LinearMap, Record, _set, record
-from .laws import COMMUTES, Law, Plan, check, construct
+from .exact import ComulTensor, LinearMap, Record, _set, rebuild, record
+from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
@@ -144,7 +142,7 @@ _COLEIBNIZ = Law(
 # (f @ f) . src = dst . f for a map f between coalgebras.
 _MORPHISM = Law("k", "ij", "+ src.kab f.ia f.jb", "- f.lk dst.lij")
 
-# Constructions, one term each (``laws.construct``) on one comultiplication t.
+# Constructions, one term each (``exact.rebuild``) on one comultiplication t.
 _YAU_TWIST = ("kij", "+ phi.lk t.lij")  # t . phi
 _NEGATE = ("kij", "- t.kij")
 _OPPOSITE = ("kij", "+ t.kji")  # tau . t
@@ -182,21 +180,14 @@ def check_hom_poisson_coalgebra(p: HomPoissonCoalgebra, plan: Plan | None = None
     return check(p, HOM_POISSON_COALGEBRA, plan)
 
 
-def _built(p: HomPoissonCoalgebra, row: tuple, fields: tuple, phi=None, **changes):
-    """``p`` with ``changes`` made and each comultiplication named in ``fields``
-    replaced by what ``row`` builds from it (``t``) and ``phi``."""
-    built = {f: ComulTensor(construct(*row, t=getattr(p, f), phi=phi)) for f in fields}
-    return replace(p, **built, **changes)
-
-
 def opposite_coalgebra(p: HomPoissonCoalgebra) -> HomPoissonCoalgebra:
     """(A, delta_op, gamma, alpha); the result is treated as non-cocommutative."""
-    return _built(p, _OPPOSITE, ("delta",), cocommutative_expected=False)
+    return rebuild(p, _OPPOSITE, ("delta",), {"cocommutative_expected": False})
 
 
 def negate_coalgebra(p: HomPoissonCoalgebra) -> HomPoissonCoalgebra:
     """(A, -delta, -gamma, alpha)."""
-    return _built(p, _NEGATE, ("delta", "gamma"))
+    return rebuild(p, _NEGATE, ("delta", "gamma"))
 
 
 def check_coendomorphism(p: HomPoissonCoalgebra, phi: LinearMap) -> AxiomReport:
@@ -219,7 +210,7 @@ def yau_twist_coalgebra(p: HomPoissonCoalgebra, phi: LinearMap) -> HomPoissonCoa
         raise NotCoendomorphism(
             f"map fails the coalgebra map laws at {rep.total_failures} basis vectors"
         )
-    return _built(p, _YAU_TWIST, ("delta", "gamma"), phi, alpha=phi)
+    return rebuild(p, _YAU_TWIST, ("delta", "gamma"), {"alpha": phi}, phi=phi)
 
 
 def check_coalgebra_morphism(

@@ -24,13 +24,12 @@ legs.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
-from .exact import CoactionTensor, LinearMap, Record, _set, record
-from .laws import COMMUTES, Law, Plan, check, construct
+from .exact import CoactionTensor, LinearMap, Record, _set, compose, rebuild, record
+from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
 COASSOC_COMODULE = "COASSOC_COMODULE"
@@ -47,7 +46,10 @@ COMODULE_MORPHISM_DELTA = "COMODULE_MORPHISM_DELTA"
 COMODULE_MORPHISM_GAMMA = "COMODULE_MORPHISM_GAMMA"
 COMODULE_MORPHISM_BETA_COMMUTES = "COMODULE_MORPHISM_BETA_COMMUTES"
 
-KINDS = ("coassociative", "lie", "poisson")
+# The coactions each kind carries: delta_m on the comultiplication side, gamma_m on
+# the cobracket side, each over its base map of the same name less ``_m``.
+COACTIONS = {"coassociative": ("delta_m",), "lie": ("gamma_m",), "poisson": ("delta_m", "gamma_m")}
+KINDS = tuple(COACTIONS)
 
 
 @record
@@ -66,9 +68,9 @@ class HomComodule(Record):
     def __init__(self, coalgebra, dim_mod, beta, kind, delta_m=None, gamma_m=None):
         if kind not in KINDS:
             raise KindMismatch(f"unknown comodule kind {kind!r}")
-        if (kind in ("coassociative", "poisson")) != (delta_m is not None):
+        if ("delta_m" in COACTIONS[kind]) != (delta_m is not None):
             raise KindMismatch("comultiplication-side coaction presence does not match kind")
-        if (kind in ("lie", "poisson")) != (gamma_m is not None):
+        if ("gamma_m" in COACTIONS[kind]) != (gamma_m is not None):
             raise KindMismatch("cobracket-side coaction presence does not match kind")
         for t in (delta_m, gamma_m):
             if t is not None and (t.dim_coalg != coalgebra.dim or t.dim_mod != dim_mod):
@@ -84,8 +86,8 @@ class HomComodule(Record):
 
     def laws(self, axiom: str) -> list[tuple]:
         """The ``laws.Plan`` rows of ``axiom``'s parts; ``KindMismatch`` if the kind lacks it."""
-        kinds, parts, message = _PARTS[axiom]
-        if self.kind not in kinds:
+        coactions, parts, message = _PARTS[axiom]
+        if not set(coactions) <= set(COACTIONS[self.kind]):
             raise KindMismatch(message)
         base = self.coalgebra
         operands = {"delta": base.delta, "gamma": base.gamma, "alpha": base.alpha,
@@ -132,20 +134,20 @@ _LAWS = {
 }
 _COASSOC_PARTS = (DELTA_COACTION_MULTIPLICATIVITY, DELTA_COACTION_COASSOCIATIVITY)
 _LIE_PARTS = (GAMMA_COACTION_MULTIPLICATIVITY, GAMMA_COACTION_COMPATIBILITY)
-_PARTS = {  # id -> (kinds that have it, parts, message for another kind)
-    COASSOC_COMODULE: (("coassociative", "poisson"), _COASSOC_PARTS,
+_PARTS = {  # id -> (coactions it needs, parts, message for a kind without them)
+    COASSOC_COMODULE: (("delta_m",), _COASSOC_PARTS,
                        "comultiplication-side check needs a coassociative or poisson comodule"),
-    LIE_COMODULE: (("lie", "poisson"), _LIE_PARTS,
+    LIE_COMODULE: (("gamma_m",), _LIE_PARTS,
                    "cobracket-side check needs a lie or poisson comodule"),
-    POISSON_COMODULE: (("poisson",), (*_COASSOC_PARTS, *_LIE_PARTS, COMODULE_COLEIBNIZ,
-                                      COMODULE_COMULT_COMPAT),
+    POISSON_COMODULE: (COACTIONS["poisson"], (*_COASSOC_PARTS, *_LIE_PARTS, COMODULE_COLEIBNIZ,
+                                              COMODULE_COMULT_COMPAT),
                        "poisson check needs a poisson comodule"),
 }
 # (id @ f) . src = dst . f for a map f between comodules.
 _INTERTWINES = Law("p", "iq", "+ src.pis f.qs", "- f.rp dst.riq")
 
-# Constructions, one term each (``laws.construct``) on one coaction t.
-_TWIST = ("piq", "+ alpha.iu alpha.ul t.plq")  # (alpha^2 @ id) . t, the alpha pair joined first
+# Constructions, one term each (``exact.rebuild``) on one coaction t.
+_TWIST = ("piq", "+ square.il t.plq")  # (alpha^2 @ id) . t, square = alpha^2 built once
 _NEGATE = ("piq", "- t.piq")
 
 
@@ -161,45 +163,36 @@ def check_poisson_comodule(c: HomComodule, plan: Plan | None = None) -> AxiomRep
     return check(c, POISSON_COMODULE, plan)
 
 
-def _built(c: HomComodule, row: tuple, fields: tuple, **changes) -> HomComodule:
-    """``c`` with ``changes`` made and each coaction named in ``fields`` replaced by
-    what ``row`` builds from it (``t``) and its base's alpha."""
-    alpha, n = c.coalgebra.alpha, c.coalgebra.dim
-    built = {f: CoactionTensor(construct(*row, t=getattr(c, f), alpha=alpha), n, c.dim_mod)
-             for f in fields}
-    return replace(c, **built, **changes)
-
-
-def _twisted(c: HomComodule, fields: tuple, kinds: tuple, message: str) -> HomComodule:
-    """``c`` with each coaction named in ``fields`` replaced by (alpha^2 @ id) . coaction;
-    ``KindMismatch`` with ``message`` unless its kind is one of ``kinds``."""
-    if c.kind not in kinds:
+def _twisted(c: HomComodule, coactions: tuple, message: str) -> HomComodule:
+    """``c`` with each of ``coactions`` replaced by (alpha^2 @ id) . coaction, alpha^2
+    built once; ``KindMismatch`` with ``message`` unless its kind carries them."""
+    if not set(coactions) <= set(COACTIONS[c.kind]):
         raise KindMismatch(message)
-    return _built(c, _TWIST, fields)
+    alpha = c.coalgebra.alpha
+    return rebuild(c, _TWIST, coactions, square=compose(alpha, alpha))
 
 
 def twist_coassoc_comodule(c: HomComodule) -> HomComodule:
     """Replace dm by (alpha^2 @ id) . dm; beta and the base stay put."""
-    return _twisted(c, ("delta_m",), ("coassociative", "poisson"),
+    return _twisted(c, ("delta_m",),
                     "comultiplication-side twist needs a coassociative or poisson comodule")
 
 
 def twist_lie_comodule(c: HomComodule) -> HomComodule:
     """Replace gm by (alpha^2 @ id) . gm."""
-    return _twisted(c, ("gamma_m",), ("lie", "poisson"),
-                    "cobracket-side twist needs a lie or poisson comodule")
+    return _twisted(c, ("gamma_m",), "cobracket-side twist needs a lie or poisson comodule")
 
 
 def twist_poisson_comodule(c: HomComodule) -> HomComodule:
     """Twist both coactions by (alpha^2 @ id)."""
-    return _twisted(c, ("delta_m", "gamma_m"), ("poisson",), "poisson twist needs a poisson comodule")
+    return _twisted(c, COACTIONS["poisson"], "poisson twist needs a poisson comodule")
 
 
 def negate_poisson_comodule(c: HomComodule) -> HomComodule:
     """(M, -dm, -gm, beta) over the negated base coalgebra."""
     if c.kind != "poisson":
         raise KindMismatch("negation construction is stated for poisson comodules")
-    return _built(c, _NEGATE, ("delta_m", "gamma_m"), coalgebra=negate_coalgebra(c.coalgebra))
+    return rebuild(c, _NEGATE, COACTIONS["poisson"], {"coalgebra": negate_coalgebra(c.coalgebra)})
 
 
 def check_comodule_morphism(
@@ -212,13 +205,9 @@ def check_comodule_morphism(
         raise KindMismatch("comodules have different kinds")
     if f.dim_in != c1.dim_mod or f.dim_out != c2.dim_mod:
         raise DimensionMismatch("morphism candidate has wrong shape")
-    parts = []
-    if c1.kind in ("coassociative", "poisson"):
-        parts.append((COMODULE_MORPHISM_DELTA, _INTERTWINES,
-                      {"src": c1.delta_m, "dst": c2.delta_m, "f": f}))
-    if c1.kind in ("lie", "poisson"):
-        parts.append((COMODULE_MORPHISM_GAMMA, _INTERTWINES,
-                      {"src": c1.gamma_m, "dst": c2.gamma_m, "f": f}))
+    part = {"delta_m": COMODULE_MORPHISM_DELTA, "gamma_m": COMODULE_MORPHISM_GAMMA}
+    parts = [(part[m], _INTERTWINES, {"src": getattr(c1, m), "dst": getattr(c2, m), "f": f})
+             for m in COACTIONS[c1.kind]]
     if strict:
         parts.append((COMODULE_MORPHISM_BETA_COMMUTES, COMMUTES,
                       {"f": f, "x": c1.beta, "y": c2.beta}))
@@ -227,6 +216,6 @@ def check_comodule_morphism(
 
 def regular_comodule(base: HomPoissonCoalgebra, kind: str = "poisson") -> HomComodule:
     """M = A with beta = alpha and the coalgebra's own maps as coactions."""
-    dm = CoactionTensor(base.delta.d, base.dim, base.dim) if kind in ("coassociative", "poisson") else None
-    gm = CoactionTensor(base.gamma.d, base.dim, base.dim) if kind in ("lie", "poisson") else None
-    return HomComodule(base, base.dim, base.alpha, kind, dm, gm)
+    coactions = {name: CoactionTensor(getattr(base, name.removesuffix("_m")).d, base.dim, base.dim)
+                 for name in COACTIONS.get(kind, ())}
+    return HomComodule(base, base.dim, base.alpha, kind, **coactions)

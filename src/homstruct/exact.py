@@ -27,8 +27,10 @@ tuple: int}``, with ``s`` kept beside them.  That is the form ``contract``,
 the one exact contraction every law check and construction goes through,
 works on; a check divides ``s`` back out only for its reported witnesses, a
 construction once per nonzero output entry.  The tensors have no
-construction methods: a twist, negation or opposite is a one-term row of
-the ``laws.Law`` grammar, which ``laws.construct`` evaluates.
+construction methods: a twist, negation or opposite, and every ``apply``
+and ``compose``, is one signed term of the ``laws.Law`` grammar, which
+``construct`` evaluates; ``rebuild`` puts a structure's rebuilt tensors
+back into a copy of it.
 
 Entries are exact rationals (``fractions.Fraction``).  Zero entries are best
 the one shared ``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows``
@@ -52,7 +54,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import defaultdict
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -388,14 +390,14 @@ class LinearMap(_Tensor):
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim_in:
             raise DimensionMismatch(f"map expects dim {self.dim_in}, got {v.dim}")
-        return Vector(_contracted("ij,j->i", (self.dim_out,), self, v))
+        return Vector(construct("i", "+ t.ij v.j", t=self, v=v))
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Composite f . g (apply g first)."""
     if f.dim_in != g.dim_out:
         raise DimensionMismatch(f"cannot compose {f.dim_out}x{f.dim_in} after {g.dim_out}x{g.dim_in}")
-    return LinearMap(_contracted("il,lj->ij", (f.dim_out, g.dim_in), f, g), g.dim_in)
+    return LinearMap(construct("ij", "+ f.il g.lj", f=f, g=g), g.dim_in)
 
 
 class _SquareCube(_Tensor):
@@ -436,7 +438,7 @@ class MulTensor(_SquareCube):
         n = self.dim
         if x.dim != n or y.dim != n:
             raise DimensionMismatch(f"expected dim {n}, got {x.dim} and {y.dim}")
-        return Vector(_contracted("i,ijk,j->k", (n,), x, self, y))
+        return Vector(construct("k", "+ x.i t.ijk y.j", x=x, t=self, y=y))
 
 
 @record
@@ -454,7 +456,7 @@ class ComulTensor(_SquareCube):
         n = self.dim
         if v.dim != n:
             raise DimensionMismatch(f"expected dim {n}, got {v.dim}")
-        return _contracted("k,kij->ij", (n, n), v, self)
+        return construct("ij", "+ v.k t.kij", v=v, t=self)
 
 
 def action_shape(dim_alg: int, dim_mod: int, side: str) -> tuple[int, int, int]:
@@ -494,17 +496,17 @@ class ActionTensor(_Tensor):
     def apply_left(self, x: Vector, m: Vector) -> Vector:
         if self.side != "left":
             raise DimensionMismatch("left application of a right action")
-        return self._act("i,ipq,p->q", x, m)
+        return self._act("+ x.i t.ipq m.p", x, m)
 
     def apply_right(self, m: Vector, x: Vector) -> Vector:
         if self.side != "right":
             raise DimensionMismatch("right application of a left action")
-        return self._act("i,piq,p->q", x, m)
+        return self._act("+ x.i t.piq m.p", x, m)
 
-    def _act(self, spec: str, x: Vector, m: Vector) -> Vector:
+    def _act(self, term: str, x: Vector, m: Vector) -> Vector:
         if x.dim != self.dim_alg or m.dim != self.dim_mod:
             raise DimensionMismatch("action operand dims do not match")
-        return Vector(_contracted(spec, (self.dim_mod,), x, self, m))
+        return Vector(construct("q", term, x=x, t=self, m=m))
 
 
 @record
@@ -535,7 +537,7 @@ class CoactionTensor(_Tensor):
         """Image of m as an n x m coefficient matrix: out[i][q] = sum_p m_p g[p][i][q]."""
         if m.dim != self.dim_mod:
             raise DimensionMismatch(f"expected dim {self.dim_mod}, got {m.dim}")
-        return _contracted("p,piq->iq", (self.dim_coalg, self.dim_mod), m, self)
+        return construct("iq", "+ m.p t.piq", m=m, t=self)
 
 
 _PLANS: dict[str, tuple] = {}
@@ -791,11 +793,46 @@ def _slot_layout(slots: int, bits: int) -> tuple:
     return offset, mask, half, (1 << 16 * bits) - 1, blocks
 
 
-def _contracted(spec: str, shape: tuple[int, ...], *tensors: _Tensor, factor: int = 1) -> tuple:
-    """Nested entry tuples of ``shape`` holding ``factor`` times ``contract(spec, ...)``
-    of the operands' ``scaled`` entries: ``Fraction(v, s)`` for each nonzero sum ``v``,
-    ``s`` the product of the operands' scales, and ``_ZERO`` everywhere else."""
-    readings = [t.scaled for t in tensors]
+def _parse(term: str) -> tuple[bool, list[tuple[str, str]]]:
+    """``term``'s sign (True: +) and its operands as ``(name, letters)`` pairs.
+
+    A ``ValueError`` names the term unless it is ``+`` or ``-`` and then one
+    or more operands ``name.letters``, each with one dot and a nonempty name
+    and letters.
+    """
+    sign, *operands = term.split() or [""]
+    if sign not in ("+", "-"):
+        raise ValueError(f"term {term!r} needs a sign")
+    pairs = [tuple(op.split(".")) for op in operands]
+    if not pairs or any(len(pair) != 2 or not all(pair) for pair in pairs):
+        raise ValueError(f"term {term!r} needs operands written name.letters")
+    return sign == "+", pairs
+
+
+@lru_cache(maxsize=256)
+def _term(out: str, term: str) -> tuple:
+    """``construct``'s reading of ``term``: its ``contract`` spec, its sign as a factor,
+    its operand names, and per letter of ``out`` the first ``(name, axis)`` holding it."""
+    plus, pairs = _parse(term)
+    holders: dict[str, tuple[str, int]] = {}
+    for name, letters in pairs:
+        for axis, c in enumerate(letters):
+            holders.setdefault(c, (name, axis))
+    spec = ",".join(letters for _, letters in pairs) + "->" + out
+    names = tuple(name for name, _ in pairs)
+    return spec, 1 if plus else -1, names, tuple(holders[c] for c in out)
+
+
+def construct(out: str, term: str, **operands: _Tensor) -> tuple:
+    """The entries of one signed ``laws.Law``-grammar term on the named maps and
+    tensors, nested over the letters ``out``: ``construct("ijo", "+ t.jio", t=mu)``
+    is the opposite multiplication.  Each output letter is sized by the first
+    operand axis holding it.  The operands' ``scaled`` entries are contracted into
+    one list, the sign being ``contract``'s ``into`` factor; a nonzero sum ``v`` is
+    ``Fraction(v, s)``, ``s`` the product of their scales, and a zero ``_ZERO``."""
+    spec, factor, names, holders = _term(out, term)
+    shape = [operands[name].shape[axis] for name, axis in holders]
+    readings = [operands[name].scaled for name in names]
     sink = [0] * prod(shape)
     strides = tuple(prod(shape[axis + 1 :]) for axis in range(len(shape)))
     contract(spec, *[entries for _, entries, _ in readings], into=(sink, strides, factor))
@@ -805,3 +842,14 @@ def _contracted(spec: str, shape: tuple[int, ...], *tensors: _Tensor, factor: in
         size = shape[axis]
         flat = [tuple(flat[i * size : (i + 1) * size]) for i in range(prod(shape[:axis]))]
     return tuple(flat)
+
+
+def rebuild(structure, row: tuple, fields: tuple, changes: dict | None = None, **operands):
+    """``structure`` with ``changes`` made and each tensor named in ``fields``
+    rebuilt by ``row``, ``(out, term)`` for ``construct``, on itself (``t``) and
+    ``operands``; a rebuilt tensor keeps its other fields."""
+    built = {}
+    for field in fields:
+        t = getattr(structure, field)
+        built[field] = replace(t, **{t._nested: construct(*row, t=t, **operands)})
+    return replace(structure, **built, **(changes or {}))

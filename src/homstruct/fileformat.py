@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .algebras import HomAlgebra
 from .coalgebras import HomPoissonCoalgebra
-from .comodules import HomComodule
+from .comodules import COACTIONS, KINDS, HomComodule
 from .errors import FormatError
 from .exact import (
     _ZERO,
@@ -242,25 +242,21 @@ def parse_bytes(data: bytes) -> StructureFile:
             )
             comodule_kind = entry.get("structure")
             _require(
-                comodule_kind in ("coassociative", "lie", "poisson"),
+                comodule_kind in KINDS,
                 f"{name}: bad comodule structure {comodule_kind!r}",
             )
             dim, of = _parse_dim(entry.get("dim"), name), raw[ref]
             beta = numerals.like(entry, "beta", base.alpha, of["alpha"], name, dim, dim)
-            beta, delta_m, gamma_m = _kept(LinearMap(beta, dim), entry["beta"]), None, None
-            if comodule_kind in ("coassociative", "poisson"):
-                cube = numerals.like(entry, "delta_m", base.delta, of["delta"], name,
-                                     dim, base.dim, dim)
-                delta_m = _kept(CoactionTensor(cube, base.dim, dim), entry["delta_m"])
-            else:
-                _require("delta_m" not in entry, f"{name}: delta_m not allowed for this kind")
-            if comodule_kind in ("lie", "poisson"):
-                cube = numerals.like(entry, "gamma_m", base.gamma, of["gamma"], name,
-                                     dim, base.dim, dim)
-                gamma_m = _kept(CoactionTensor(cube, base.dim, dim), entry["gamma_m"])
-            else:
-                _require("gamma_m" not in entry, f"{name}: gamma_m not allowed for this kind")
-            structures[name] = HomComodule(base, dim, beta, comodule_kind, delta_m, gamma_m)
+            beta, coactions = _kept(LinearMap(beta, dim), entry["beta"]), {}
+            for field in ("delta_m", "gamma_m"):
+                if field in COACTIONS[comodule_kind]:
+                    src = field.removesuffix("_m")  # its base map
+                    cube = numerals.like(entry, field, getattr(base, src), of[src], name,
+                                         dim, base.dim, dim)
+                    coactions[field] = _kept(CoactionTensor(cube, base.dim, dim), entry[field])
+                else:
+                    _require(field not in entry, f"{name}: {field} not allowed for this kind")
+            structures[name] = HomComodule(base, dim, beta, comodule_kind, **coactions)
             base_of[name] = ref
 
     return StructureFile(FILE_VERSION, structures, base_of)

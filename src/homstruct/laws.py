@@ -15,8 +15,9 @@ as ``name.letters``, with letters following the index conventions of
 summed over.  A ``Plan`` evaluates the rows of one check on one structure
 together, names bound to maps and tensors; ``Law.check`` is a plan of one.
 A construction is one term in the same grammar, over the letters of the
-tensor it builds: ``construct("ijo", "+ mu.ijq phi.oq", ...)`` is the Yau
-twist's ``phi . mu``.  Each structure module states its constructions so,
+tensor it builds, which ``exact.construct`` evaluates: ``("ijo", "+ t.ijq
+phi.oq")`` is the Yau twist's ``phi . mu``, the tensor rebuilt being ``t``
+(``exact.rebuild``).  Each structure module states its constructions so,
 beside its laws.
 
 Evaluation is in ``int``: each operand enters as ``scaled``, its entries
@@ -69,42 +70,8 @@ from itertools import compress, repeat
 from math import lcm, prod
 from operator import add, floordiv, sub
 
-from .exact import _contracted, contract, lazy, pack, packing, unpack
+from .exact import _parse, contract, lazy, pack, packing, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
-
-
-def _parse(term: str) -> tuple[bool, list[tuple[str, str]]]:
-    """``term``'s sign (True: +) and its operands as ``(name, letters)`` pairs.
-
-    A ``ValueError`` names the term unless it is ``+`` or ``-`` and then one
-    or more operands ``name.letters``, each with one dot and a nonempty name
-    and letters.
-    """
-    sign, *operands = term.split() or [""]
-    if sign not in ("+", "-"):
-        raise ValueError(f"term {term!r} needs a sign")
-    pairs = [tuple(op.split(".")) for op in operands]
-    if not pairs or any(len(pair) != 2 or not all(pair) for pair in pairs):
-        raise ValueError(f"term {term!r} needs operands written name.letters")
-    return sign == "+", pairs
-
-
-def construct(out: str, term: str, **operands) -> tuple:
-    """The entries of one signed term on the named maps and tensors, as nested
-    tuples over the letters ``out``: a construction stated as data.
-
-    ``construct("ijo", "+ mu.jio", mu=mu)`` is the opposite multiplication.
-    Each output letter is sized by the first operand axis that holds it, and
-    the sign is ``exact._contracted``'s factor.
-    """
-    plus, pairs = _parse(term)
-    sizes: dict[str, int] = {}
-    for name, letters in pairs:
-        for c, size in zip(letters, operands[name].shape):
-            sizes.setdefault(c, size)
-    spec = ",".join(letters for _, letters in pairs) + "->" + out
-    tensors = [operands[name] for name, _ in pairs]
-    return _contracted(spec, tuple([sizes[c] for c in out]), *tensors, factor=1 if plus else -1)
 
 
 class Law:

@@ -27,8 +27,8 @@ from .algebras import (
     opposite as opposite_algebra,
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from .exact import ActionTensor, LinearMap, Record, Vector, _set, record
-from .laws import COMMUTES, Law, Plan, check, construct
+from .exact import ActionTensor, LinearMap, Record, Vector, _set, construct, rebuild, record
+from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
 LEFT_MODULE = "LEFT_MODULE"
@@ -98,15 +98,14 @@ _INTERTWINES = {
 }
 
 
-# Constructions, one term each (``laws.construct``): the new act's letters and its term.
-# The alpha pair is alpha^2, joined first; each side's twist feeds the algebra argument
-# through it.
+# Constructions, one term each (``exact.rebuild``) on the action t.  The alpha pair is
+# alpha^2, joined first; each side's twist feeds the algebra argument through it.
 _TWIST = {
-    "left": ("ipq", "+ alpha.ui alpha.ju act.jpq"),  # act(a^2(x), m)
-    "right": ("piq", "+ alpha.ui alpha.ju act.pjq"),  # act(m, a^2(x))
+    "left": ("ipq", "+ alpha.ui alpha.ju t.jpq"),  # act(a^2(x), m)
+    "right": ("piq", "+ alpha.ui alpha.ju t.pjq"),  # act(m, a^2(x))
 }
-_NEGATE = ("ipq", "- act.ipq")  # of a left action
-_OPPOSITE = ("piq", "+ act.ipq")  # a left action read as a right one: act(m, x) = act(x, m)
+_NEGATE = ("ipq", "- t.ipq")  # of a left action
+_OPPOSITE = ("piq", "+ t.ipq")  # a left action read as a right one: act(m, x) = act(x, m)
 
 
 def check_left_module(mod: HomModule, plan: Plan | None = None) -> AxiomReport:
@@ -137,14 +136,6 @@ def module_hom_associator(mod: HomModule, x: Vector, y: Vector, m: Vector) -> Ve
     )
 
 
-def _built(mod: HomModule, row: tuple, side: str, **changes) -> HomModule:
-    """``mod`` with ``changes`` made and, as its ``side`` action, what ``row`` builds
-    from its action and its algebra's alpha."""
-    action = construct(*row, act=mod.action, alpha=mod.algebra.alpha)
-    action = ActionTensor(action, mod.algebra.dim, mod.dim_mod, side)
-    return replace(mod, action=action, side=side, **changes)
-
-
 def twist_module(mod: HomModule) -> HomModule:
     """Replace the action by act . (alpha^2 @ id); beta and the algebra stay.
 
@@ -159,21 +150,22 @@ def twist_module(mod: HomModule) -> HomModule:
             raise NotEndomorphism(
                 f"algebra alpha is not multiplicative at {endo.total_failures} basis pairs"
             )
-    return _built(mod, _TWIST[mod.side], mod.side)
+    return rebuild(mod, _TWIST[mod.side], ("action",), alpha=alpha)
 
 
 def negate_module(mod: HomModule) -> HomModule:
     """(M, -act, beta) over the negated algebra."""
     if mod.side != "left":
         raise WrongSide("negation construction is stated for left modules")
-    return _built(mod, _NEGATE, "left", algebra=negate_algebra(mod.algebra))
+    return rebuild(mod, _NEGATE, ("action",), {"algebra": negate_algebra(mod.algebra)})
 
 
 def opposite_module(mod: HomModule) -> HomModule:
     """(M, act_op, beta) as a right module over the opposite algebra."""
     if mod.side != "left":
         raise WrongSide("opposite construction is stated for left modules")
-    return _built(mod, _OPPOSITE, "right", algebra=opposite_algebra(mod.algebra))
+    action = replace(mod.action, a=construct(*_OPPOSITE, t=mod.action), side="right")
+    return replace(mod, action=action, side="right", algebra=opposite_algebra(mod.algebra))
 
 
 def check_module_morphism(

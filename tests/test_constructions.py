@@ -2,16 +2,19 @@
 
 The oracles below read the drawn nested lists, never the tensors built from
 them, and use nothing from ``homstruct`` but the shared zero they check for.
-The constructions are the ``laws.construct`` rows of the structure modules,
-the maps' ``compose`` and the tensors' ``apply`` methods.
+The constructions are the ``exact.construct`` rows of the structure modules,
+the maps' ``compose`` and the tensors' ``apply`` methods.  Last, each public
+construction is held to ``exact.rebuild``'s contract on the catalogue.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homstruct import algebras, coalgebras, comodules, modules
+from homstruct import algebras, catalog, cli, coalgebras, comodules, modules
+from homstruct.errors import KernelError
 from homstruct.exact import (
     _ZERO,
     ActionTensor,
@@ -21,8 +24,8 @@ from homstruct.exact import (
     MulTensor,
     Vector,
     compose,
+    construct,
 )
-from homstruct.laws import construct
 
 # Few distinct small values, so sums often cancel to zero; zeros of both spellings.
 ENTRIES = st.one_of(
@@ -224,9 +227,9 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     mu = MulTensor.from_entries(c)
     x_vec, y_vec, m_vec = map(Vector.from_entries, (x, y, m))
     assert_entries(mu.apply(x_vec, y_vec).entries, mul_apply_ref(c, x, y, n))
-    assert_entries(construct(*algebras._YAU_TWIST, mu=mu, phi=phi), then_map_ref(c, phi_rows, n))
-    assert_entries(construct(*algebras._NEGATE, mu=mu), negated_ref(c))
-    assert_entries(construct(*algebras._OPPOSITE, mu=mu), swap_first_ref(c, n, n, n))
+    assert_entries(construct(*algebras._YAU_TWIST, t=mu, phi=phi), then_map_ref(c, phi_rows, n))
+    assert_entries(construct(*algebras._NEGATE, t=mu), negated_ref(c))
+    assert_entries(construct(*algebras._OPPOSITE, t=mu), swap_first_ref(c, n, n, n))
 
     d = block(data, n, n, n)
     delta = ComulTensor.from_entries(d)
@@ -240,16 +243,16 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     action = ActionTensor.from_entries(a, n, dm, side)
     acted = action.apply_left(x_vec, m_vec) if side == "left" else action.apply_right(m_vec, x_vec)
     assert_entries(acted.entries, act_ref(a, x, m, side, n, dm))
-    assert_entries(construct(*modules._TWIST[side], alpha=phi, act=action),
+    assert_entries(construct(*modules._TWIST[side], alpha=phi, t=action),
                    precompose_algebra_ref(a, phi2_rows, side, n, dm))
     # negation and the mirror read a right action as they read a left one
-    assert_entries(construct(*modules._NEGATE, act=action), negated_ref(a))
-    assert_entries(construct(*modules._OPPOSITE, act=action), swap_first_ref(a, *shape))
+    assert_entries(construct(*modules._NEGATE, t=action), negated_ref(a))
+    assert_entries(construct(*modules._OPPOSITE, t=action), swap_first_ref(a, *shape))
 
     h = block(data, dm, n, dm)
     coaction = CoactionTensor.from_entries(h, n, dm)
     assert_entries(coaction.apply(m_vec), coact_apply_ref(h, m, n, dm))
-    assert_entries(construct(*comodules._TWIST, alpha=phi, t=coaction),
+    assert_entries(construct(*comodules._TWIST, square=compose(phi, phi), t=coaction),
                    postcompose_coalgebra_ref(h, phi2_rows, n, dm))
     assert_entries(construct(*comodules._NEGATE, t=coaction), negated_ref(h))
 
@@ -268,5 +271,49 @@ def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
     assert product == ((Fraction(1, 2), Fraction(1, 6)), (Fraction(1, 2), _ZERO))
     assert product[1][1] is _ZERO
     empty = ActionTensor.zero(0, 2, "right")
-    assert construct(*modules._TWIST["right"], alpha=LinearMap.zero(0, 0), act=empty) == ((), ())
+    assert construct(*modules._TWIST["right"], alpha=LinearMap.zero(0, 0), t=empty) == ((), ())
     assert empty.apply_right(Vector.from_entries([1, 2]), Vector.zero(0)).entries == (_ZERO, _ZERO)
+
+
+# --- what a public construction rebuilds, and what it keeps -------------------------
+
+# Per construction: the tensors it rebuilds, and the other fields it sets.
+REBUILDS = {
+    algebras.yau_twist: (("mu",), ("alpha",)),
+    algebras.negate: (("mu",), ()),
+    algebras.opposite: (("mu",), ()),
+    coalgebras.yau_twist_coalgebra: (("delta", "gamma"), ("alpha",)),
+    coalgebras.negate_coalgebra: (("delta", "gamma"), ()),
+    coalgebras.opposite_coalgebra: (("delta",), ("cocommutative_expected",)),
+    modules.twist_module: (("action",), ()),
+    modules.negate_module: (("action",), ("algebra",)),
+    modules.opposite_module: (("action",), ("algebra", "side")),
+    comodules.twist_coassoc_comodule: (("delta_m",), ()),
+    comodules.twist_lie_comodule: (("gamma_m",), ()),
+    comodules.twist_poisson_comodule: (("delta_m", "gamma_m"), ()),
+    comodules.negate_poisson_comodule: (("delta_m", "gamma_m"), ("coalgebra",)),
+}
+ALONG_A_MAP = (algebras.yau_twist, coalgebras.yau_twist_coalgebra)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_a_construction_keeps_every_field_it_does_not_rebuild(name):
+    assert set(REBUILDS) == {*cli._TWISTS.values(), *cli._TRANSFORMS.values()}
+    payload = catalog.get(name).payload
+    runs = [cli._TWISTS[type(payload), getattr(payload, "kind", None)]]
+    runs += [f for (kind, _), f in cli._TRANSFORMS.items() if kind is type(payload)]
+    for construction in runs:
+        endo = (LinearMap.identity(payload.dim),) if construction in ALONG_A_MAP else ()
+        try:
+            out = construction(payload, *endo)
+        except KernelError:  # a precondition the entry does not meet
+            continue
+        rebuilt, changed = REBUILDS[construction]
+        for field in payload._fields:
+            if field not in rebuilt + changed:
+                assert getattr(out, field) is getattr(payload, field), (construction, field)
+        for field in rebuilt:
+            old, new = getattr(payload, field), getattr(out, field)
+            kept = [f for f in old._fields if f != old._nested
+                    and (f, construction) != ("side", modules.opposite_module)]
+            assert [getattr(new, f) for f in kept] == [getattr(old, f) for f in kept]

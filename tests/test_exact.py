@@ -19,6 +19,8 @@ from homstruct.exact import (
     Vector,
     _Tensor,
     compose,
+    construct,
+    contract,
     format_rational,
     lazy,
     pack,
@@ -28,7 +30,6 @@ from homstruct.exact import (
     unpack,
 )
 from homstruct import algebras, coalgebras, comodules, modules
-from homstruct.laws import construct, contract
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 nonzero_fractions = small_fractions.filter(lambda q: q != 0)
@@ -322,7 +323,7 @@ def test_action_and_coaction_shape_errors(build, message):
 
 def test_mul_tensor_opposite_and_negation():
     t = dual_number_tensor()
-    assert construct(*algebras._OPPOSITE, mu=t)[1][0][1] == t.c[0][1][1]
+    assert construct(*algebras._OPPOSITE, t=t)[1][0][1] == t.c[0][1][1]
     assert negated(t).c[0][0][0] == -1
     assert negated(negated(t)) == t
 
@@ -405,8 +406,8 @@ def other_fields(tensor) -> list:
 
 
 # The negation row of each structure tensor's kind, and the name it calls the tensor.
-NEGATE_ROWS = {MulTensor: (algebras._NEGATE, "mu"), ComulTensor: (coalgebras._NEGATE, "t"),
-               ActionTensor: (modules._NEGATE, "act"), CoactionTensor: (comodules._NEGATE, "t")}
+NEGATE_ROWS = {MulTensor: (algebras._NEGATE, "t"), ComulTensor: (coalgebras._NEGATE, "t"),
+               ActionTensor: (modules._NEGATE, "t"), CoactionTensor: (comodules._NEGATE, "t")}
 
 
 def negated(tensor):

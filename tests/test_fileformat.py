@@ -24,6 +24,7 @@ from homstruct.exact import (
     MulTensor,
     _Tensor,
     compose,
+    construct,
     format_ratio,
     format_rational,
 )
@@ -35,7 +36,6 @@ from homstruct.fileformat import (
     single_structure_file,
     write_file,
 )
-from homstruct.laws import construct
 from homstruct.modules import regular_module
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -528,7 +528,7 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
     alg = HomAlgebra(n, mu, alpha)
     left = ActionTensor.from_entries(cube(n, m, m), n, m, "left")
     right = ActionTensor.from_entries(cube(m, n, m), n, m, "right")
-    right = built(right, modules._NEGATE, act=right)
+    right = built(right, modules._NEGATE, t=right)
     delta = ComulTensor.from_entries(cube(n, n, n))
     gamma = ComulTensor.from_entries(cube(n, n, n))
     gamma = built(gamma, coalgebras._NEGATE, t=gamma)
@@ -536,20 +536,21 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
     coalg = HomPoissonCoalgebra(n, delta, built(gamma, coalgebras._YAU_TWIST, t=opposite, phi=alpha),
                                 alpha, False)
     coaction = CoactionTensor.from_entries(cube(m, n, m), n, m)
-    mu_neg, coaction_neg = built(mu, algebras._NEGATE, mu=mu), built(coaction, comodules._NEGATE, t=coaction)
-    mu_opposite = built(mu, algebras._OPPOSITE, mu=mu)
+    mu_neg, coaction_neg = built(mu, algebras._NEGATE, t=mu), built(coaction, comodules._NEGATE, t=coaction)
+    mu_opposite = built(mu, algebras._OPPOSITE, t=mu)
     structures = {
         "A": alg,
         "A_neg": HomAlgebra(n, mu_neg, alpha),
-        "A_twist": HomAlgebra(n, built(mu, algebras._YAU_TWIST, mu=mu_opposite, phi=alpha), alpha),
+        "A_twist": HomAlgebra(n, built(mu, algebras._YAU_TWIST, t=mu_opposite, phi=alpha), alpha),
         "L": HomModule(alg, m, beta, left, "left"),
-        "L_twist": HomModule(alg, m, beta, built(left, modules._TWIST["left"], alpha=alpha, act=left),
+        "L_twist": HomModule(alg, m, beta, built(left, modules._TWIST["left"], alpha=alpha, t=left),
                              "left"),
         "R": HomModule(alg, m, beta, right, "right"),
         "C": coalg,
         "C_neg": HomPoissonCoalgebra(n, built(delta, coalgebras._NEGATE, t=delta), gamma, alpha, True),
         "K": HomComodule(coalg, m, beta, "poisson", coaction,
-                         built(coaction, comodules._TWIST, alpha=alpha, t=coaction_neg)),
+                         built(coaction, comodules._TWIST, square=compose(alpha, alpha),
+                               t=coaction_neg)),
         "A_left": regular_module(alg, "left"),
         "A_right": regular_module(alg, "right"),
         "C_regular": regular_comodule(coalg),

@@ -26,8 +26,9 @@ from homstruct.exact import (
     LinearMap,
     MulTensor,
     _Tensor,
+    construct,
 )
-from homstruct.laws import COMMUTES, Law, construct
+from homstruct.laws import COMMUTES, Law
 from homstruct.modules import HomModule, check_left_module, check_right_module
 from reference_laws import UnpackedLaw
 

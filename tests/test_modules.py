@@ -19,8 +19,7 @@ from homstruct import (
 )
 from homstruct.catalog import dual_numbers, dual_numbers_twisted, entries, octonions, zero_algebra
 from homstruct.errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from homstruct.exact import ActionTensor, LinearMap
-from homstruct.laws import construct
+from homstruct.exact import ActionTensor, LinearMap, construct
 from homstruct.modules import _TWIST
 
 
@@ -149,7 +148,7 @@ def test_twist_module_refuses_an_alpha_that_is_not_multiplicative():
     alg = HomAlgebra(8, octonions().mu, LinearMap.diagonal([2] * 8))
     mod = regular_module(alg)
     assert check_left_module(mod).holds
-    action = ActionTensor(construct(*_TWIST["left"], alpha=alg.alpha, act=mod.action), 8, 8, "left")
+    action = ActionTensor(construct(*_TWIST["left"], alpha=alg.alpha, t=mod.action), 8, 8, "left")
     assert check_left_module(HomModule(alg, 8, mod.beta, action, "left")).total_failures == 176
     for side in ("left", "right"):
         with pytest.raises(NotEndomorphism, match="not multiplicative at 64 basis pairs"):
