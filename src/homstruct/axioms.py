@@ -77,45 +77,38 @@ AXIOMS = {
 }
 """(structure type, axiom id) -> checker taking the structure."""
 
-_KIND = {
-    HomAlgebra: "algebra",
-    HomModule: "module",
-    HomPoissonCoalgebra: "coalgebra",
-    HomComodule: "comodule",
+SUITES = {
+    HomAlgebra: ("algebra", {None: (LEFT_HOM_ALT, RIGHT_HOM_ALT, HOM_ASSOC)}),
+    HomModule: ("module", {"left": (LEFT_MODULE,), "right": (RIGHT_MODULE,)}),
+    HomPoissonCoalgebra: ("coalgebra", {None: (HOM_POISSON_COALGEBRA,)}),
+    HomComodule: ("comodule", {"coassociative": (COASSOC_COMODULE,), "lie": (LIE_COMODULE,),
+                               "poisson": (POISSON_COMODULE,)}),
 }
+"""structure type -> (its noun, the ids ``--suite all`` runs by the structure's side or
+comodule kind): every algebra law, else the structure's own aggregate."""
 
-_COMODULE_NATIVE = {
-    "coassociative": COASSOC_COMODULE,
-    "lie": LIE_COMODULE,
-    "poisson": POISSON_COMODULE,
-}
+
+def _suites(structure) -> tuple[str, dict]:
+    if type(structure) not in SUITES:
+        raise FormatError("structure kind cannot be verified")
+    return SUITES[type(structure)]
 
 
 def native_suite(structure) -> list[str]:
-    """The ids ``--suite all`` runs: every algebra law, else the structure's own aggregate."""
-    if isinstance(structure, HomAlgebra):
-        return [LEFT_HOM_ALT, RIGHT_HOM_ALT, HOM_ASSOC]
-    if isinstance(structure, HomModule):
-        return [LEFT_MODULE if structure.side == "left" else RIGHT_MODULE]
-    if isinstance(structure, HomPoissonCoalgebra):
-        return [HOM_POISSON_COALGEBRA]
-    if isinstance(structure, HomComodule):
-        return [_COMODULE_NATIVE[structure.kind]]
-    raise FormatError("structure kind cannot be verified")
+    """The ids ``--suite all`` runs on ``structure``."""
+    by_variant = _suites(structure)[1]
+    return list(by_variant[getattr(structure, "side", None) or getattr(structure, "kind", None)])
 
 
 def verify(structure, suite: list[str]) -> list[AxiomReport]:
     """One report per id of ``suite``, all from one ``laws.Plan``.  Every id
     is resolved first, so an unknown one computes nothing; a repeated id, or
     a part named beside its aggregate, is computed once."""
-    kind = _KIND.get(type(structure))
-    if kind is None:
-        raise FormatError("structure kind cannot be verified")
-    checkers = {}
+    noun, checkers = _suites(structure)[0], {}
     for axiom in suite:
         checkers[axiom] = AXIOMS.get((type(structure), axiom))
         if checkers[axiom] is None:
-            raise FormatError(f"unknown {kind} axiom {axiom!r}")
+            raise FormatError(f"unknown {noun} axiom {axiom!r}")
     plan = laws.Plan({axiom: structure.laws(axiom) for axiom in checkers})
     reports = {axiom: checker(structure, plan=plan) for axiom, checker in checkers.items()}
     return [reports[axiom] for axiom in suite]

@@ -40,7 +40,7 @@ from .comodules import (
 )
 from .errors import FormatError, KernelError, KindMismatch
 from .exact import LinearMap, parse_rational
-from .fileformat import StructureFile, parse_file, serialize, single_structure_file, write_file
+from .fileformat import BASES, StructureFile, parse_file, serialize, single_structure_file, write_file
 from .modules import (
     HomModule,
     check_module_morphism,
@@ -99,11 +99,11 @@ def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None) 
     structures = dict(sf.structures)
     base_of = dict(sf.base_of)
     if name in base_of:  # a (co)module's transform rewrites its base; a twist keeps it
-        structures[base_of[name]] = getattr(new_structure, "algebra", None) or new_structure.coalgebra
+        structures[base_of[name]] = getattr(new_structure, BASES[type(new_structure)])
     if new_name is None:
         structures[name] = new_structure
         for other in [key for key in base_of if base_of[key] == name]:  # entries over it
-            base = "algebra" if isinstance(new_structure, HomAlgebra) else "coalgebra"
+            base = BASES[type(structures[other])]
             structures[other] = dataclasses.replace(structures[other], **{base: new_structure})
     else:
         structures[new_name] = new_structure
@@ -112,7 +112,7 @@ def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None) 
     return StructureFile(sf.version, structures, base_of)
 
 
-# The construction each verb runs, by entry type (and a comodule's kind, or the op).
+# The construction or check each verb runs, by entry type (and a comodule's kind, or the op).
 _TWISTS = {
     (HomAlgebra, None): yau_twist,
     (HomPoissonCoalgebra, None): yau_twist_coalgebra,
@@ -130,6 +130,12 @@ _TRANSFORMS = {
     (HomModule, "opposite"): opposite_module,
     (HomComodule, "negate"): negate_poisson_comodule,
 }
+_MORPHISMS = {
+    HomAlgebra: check_morphism,
+    HomModule: check_module_morphism,
+    HomPoissonCoalgebra: check_coalgebra_morphism,
+    HomComodule: check_comodule_morphism,
+}
 
 
 def cmd_twist(args) -> int:
@@ -142,16 +148,15 @@ def cmd_twist(args) -> int:
     twist = _TWISTS.get((type(structure), getattr(structure, "kind", None)))
     if twist is None:
         raise KindMismatch("entry cannot be twisted")
-    if isinstance(structure, (HomAlgebra, HomPoissonCoalgebra)):
+    if type(structure) not in BASES:  # an algebra or coalgebra twists along a map
         if args.endo is None:
             raise FormatError("this twist needs --endo")
         twisted = twist(structure, _resolve_endo(sf, args.endo, structure.dim))
     elif args.endo is not None:
-        noun = "module" if isinstance(structure, HomModule) else "comodule"
-        raise FormatError(f"{noun} twists take no endomorphism")
+        raise FormatError(f"{axioms.SUITES[type(structure)][0]} twists take no endomorphism")
     else:
         twisted = twist(structure)
-    if isinstance(structure, HomModule) and structure.side == "right":
+    if getattr(structure, "side", None) == "right":
         _print("note: right-module twist uses the mirrored composition"
                " (algebra argument fed through alpha^2)")
     write_file(args.out, _replace(sf, args.name, twisted, args.rename))
@@ -170,8 +175,8 @@ def cmd_transform(args) -> int:
         raise FormatError(f"{base!r} is the base of {sharing[0]!r}" if base == args.name
                           else f"base {base!r} of {args.name!r} is shared with {sharing[0]!r}")
     transform = _TRANSFORMS.get((type(structure), args.op))
-    if transform is None:
-        raise KindMismatch("comodules only support negation" if isinstance(structure, HomComodule)
+    if transform is None:  # a type that negates but has no other transform is a comodule
+        raise KindMismatch("comodules only support negation" if (type(structure), "negate") in _TRANSFORMS
                            else "entry cannot be transformed")
     result = transform(structure)
     # transforms of modules/comodules rewrite their base entry in place, so
@@ -188,31 +193,21 @@ def cmd_check_morphism(args) -> int:
         raise FormatError(f"{args.map!r} is not a linear map entry")
     src = sf.get(getattr(args, "from"))
     dst = sf.get(args.to)
-    if isinstance(src, HomAlgebra) and isinstance(dst, HomAlgebra):
-        report = check_morphism(f, src, dst)
-    elif isinstance(src, HomModule) and isinstance(dst, HomModule):
-        report = check_module_morphism(f, src, dst, strict=args.strict)
-    elif isinstance(src, HomPoissonCoalgebra) and isinstance(dst, HomPoissonCoalgebra):
-        report = check_coalgebra_morphism(f, src, dst)
-    elif isinstance(src, HomComodule) and isinstance(dst, HomComodule):
-        report = check_comodule_morphism(f, src, dst, strict=args.strict)
-    else:
+    check = _MORPHISMS.get(type(src))
+    if check is None or type(dst) is not type(src):
         raise KindMismatch("morphism endpoints have different or unsupported kinds")
+    # --strict reaches (co)module morphisms only: an algebra's or coalgebra's always checks alpha
+    report = check(f, src, dst, strict=args.strict) if type(src) in BASES else check(f, src, dst)
     _print("\n".join(format_report(report, args.max_witnesses)))
     return 0 if report.holds else 1
 
 
 def _catalog_file(entry: catalog.CatalogEntry) -> StructureFile:
-    payload = entry.payload
-    if isinstance(payload, HomModule):
-        return single_structure_file(
-            entry.name, payload, (f"{entry.name}_algebra", payload.algebra)
-        )
-    if isinstance(payload, HomComodule):
-        return single_structure_file(
-            entry.name, payload, (f"{entry.name}_coalgebra", payload.coalgebra)
-        )
-    return single_structure_file(entry.name, payload)
+    base = BASES.get(type(entry.payload))
+    if base is None:
+        return single_structure_file(entry.name, entry.payload)
+    return single_structure_file(entry.name, entry.payload,
+                                 (f"{entry.name}_{base}", getattr(entry.payload, base)))
 
 
 def cmd_catalog(args) -> int:
@@ -312,12 +307,9 @@ def main(argv=None) -> int:
         if getattr(args, "max_witnesses", 0) < 0:
             raise FormatError("--max-witnesses must be nonnegative")
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 2
     except KernelError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, FormatError) else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

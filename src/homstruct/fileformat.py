@@ -55,6 +55,7 @@ from .exact import (
     MulTensor,
     Record,
     _set,
+    _Tensor,
     action_shape,
     parse_rational,
     record,
@@ -62,6 +63,8 @@ from .exact import (
 from .modules import HomModule
 
 FILE_VERSION = 1
+BASES = {HomModule: "algebra", HomComodule: "coalgebra"}
+"""The types that live over a base entry -> the field that holds it."""
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -279,53 +282,38 @@ def _base_name(name: str, base, sf: StructureFile) -> str:
     return ref
 
 
+# Each written type's wire kind and its fields in wire order, as (wire key, attribute):
+# a tensor is written through ``dump``, a base entry by its name, and a None field not
+# at all; a linear map's matrix is the map itself.
+_WIRE = {
+    HomAlgebra: ("hom_algebra", (("dim", "dim"), ("mul", "mu"), ("alpha", "alpha"))),
+    HomPoissonCoalgebra: ("hom_poisson_coalgebra", (
+        ("dim", "dim"), ("delta", "delta"), ("gamma", "gamma"), ("alpha", "alpha"),
+        ("cocommutative", "cocommutative_expected"))),
+    HomModule: ("hom_module", (
+        ("algebra", "algebra"), ("side", "side"), ("dim", "dim_mod"), ("beta", "beta"),
+        ("action", "action"))),
+    HomComodule: ("hom_comodule", (
+        ("coalgebra", "coalgebra"), ("structure", "kind"), ("dim", "dim_mod"), ("beta", "beta"),
+        ("delta_m", "delta_m"), ("gamma_m", "gamma_m"))),
+    LinearMap: ("linear_map", (("dim_in", "dim_in"), ("dim_out", "dim_out"), ("matrix", None))),
+}
+
+
 def _entry_doc(name: str, structure, sf: StructureFile, dump) -> dict:
-    if isinstance(structure, HomAlgebra):
-        return {
-            "kind": "hom_algebra",
-            "dim": structure.dim,
-            "mul": dump(structure.mu),
-            "alpha": dump(structure.alpha),
-        }
-    if isinstance(structure, HomPoissonCoalgebra):
-        return {
-            "kind": "hom_poisson_coalgebra",
-            "dim": structure.dim,
-            "delta": dump(structure.delta),
-            "gamma": dump(structure.gamma),
-            "alpha": dump(structure.alpha),
-            "cocommutative": structure.cocommutative_expected,
-        }
-    if isinstance(structure, HomModule):
-        return {
-            "kind": "hom_module",
-            "algebra": _base_name(name, structure.algebra, sf),
-            "side": structure.side,
-            "dim": structure.dim_mod,
-            "beta": dump(structure.beta),
-            "action": dump(structure.action),
-        }
-    if isinstance(structure, HomComodule):
-        doc = {
-            "kind": "hom_comodule",
-            "coalgebra": _base_name(name, structure.coalgebra, sf),
-            "structure": structure.kind,
-            "dim": structure.dim_mod,
-            "beta": dump(structure.beta),
-        }
-        if structure.delta_m is not None:
-            doc["delta_m"] = dump(structure.delta_m)
-        if structure.gamma_m is not None:
-            doc["gamma_m"] = dump(structure.gamma_m)
-        return doc
-    if isinstance(structure, LinearMap):
-        return {
-            "kind": "linear_map",
-            "dim_in": structure.dim_in,
-            "dim_out": structure.dim_out,
-            "matrix": dump(structure),
-        }
-    raise FormatError(f"{name}: cannot serialize {type(structure).__name__}")
+    if type(structure) not in _WIRE:
+        raise FormatError(f"{name}: cannot serialize {type(structure).__name__}")
+    kind, fields = _WIRE[type(structure)]
+    doc = {"kind": kind}
+    for key, attribute in fields:
+        value = structure if attribute is None else getattr(structure, attribute)
+        if key == BASES.get(type(structure)):
+            doc[key] = _base_name(name, value, sf)
+        elif isinstance(value, _Tensor):
+            doc[key] = dump(value)
+        elif value is not None:
+            doc[key] = value
+    return doc
 
 
 def serialize(sf: StructureFile) -> bytes:

@@ -1,27 +1,55 @@
+import contextlib
+import inspect
+import io
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from homstruct.algebras import HomAlgebra, negate, opposite, yau_twist
+from homstruct import axioms, cli
+from homstruct.algebras import (
+    HOM_ASSOC,
+    LEFT_HOM_ALT,
+    RIGHT_HOM_ALT,
+    HomAlgebra,
+    check_morphism,
+    negate,
+    opposite,
+    yau_twist,
+)
 from homstruct.catalog import octonions
 from homstruct.cli import main
 from homstruct.coalgebras import (
+    HOM_POISSON_COALGEBRA,
     HomPoissonCoalgebra,
+    check_coalgebra_morphism,
     negate_coalgebra,
     opposite_coalgebra,
     yau_twist_coalgebra,
 )
 from homstruct.comodules import (
+    COASSOC_COMODULE,
+    LIE_COMODULE,
+    POISSON_COMODULE,
+    check_comodule_morphism,
     negate_poisson_comodule,
     twist_coassoc_comodule,
     twist_lie_comodule,
     twist_poisson_comodule,
 )
 from homstruct.exact import ComulTensor, LinearMap, MulTensor
-from homstruct.fileformat import parse_file, single_structure_file, write_file
-from homstruct.modules import negate_module, opposite_module, regular_module, twist_module
+from homstruct.fileformat import StructureFile, parse_file, single_structure_file, write_file
+from homstruct.modules import (
+    LEFT_MODULE,
+    RIGHT_MODULE,
+    check_module_morphism,
+    negate_module,
+    opposite_module,
+    regular_module,
+    twist_module,
+)
+from homstruct.report import format_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = DATA / "corpus.json"
@@ -368,7 +396,7 @@ def test_opposite_comodule_unsupported(tmp_path, capsys):
     assert "KIND_MISMATCH" in capsys.readouterr().err
 
 
-# --- the dispatch of twist and transform ---------------------------------------------
+# --- the dispatch of every verb on every kind --------------------------------------
 
 # One catalogue entry of each kind the verbs dispatch on, with the --endo it is twisted
 # along (the algebra's and coalgebra's are an endomorphism and a coendomorphism).
@@ -380,11 +408,31 @@ KINDS = {
     "coassociative comodule": ("primitive2_line_comodule", "id"),
     "lie comodule": ("lie_only2_twisted_regular_comodule", "id"),
     "poisson comodule": ("primitive2_twisted_regular_comodule", "id"),
-    "linear map": (None, "id"),
+    "linear map": ("phi", "id"),
 }
-VERBS = {"twist --endo": ("twist", "--endo"), "twist": ("twist",),
-         "transform negate": ("transform", "negate"), "transform opposite": ("transform", "opposite")}
+# The verbs that write a file, and those that check and print a report.
+WRITERS = {"twist --endo": ("twist", "--endo"), "twist": ("twist",),
+           "transform negate": ("transform", "negate"), "transform opposite": ("transform", "opposite")}
+CHECKERS = {"verify --suite all": ("verify", "--suite", "all"), "check-morphism": ("check-morphism",),
+            "check-morphism --strict": ("check-morphism", "--strict")}
+VERBS = {**WRITERS, **CHECKERS}
 COMODULES = ("coassociative comodule", "lie comodule", "poisson comodule")
+# The map every exported file holds, ``identity`` on the entry's own space.
+IDENTITY = "identity"
+
+
+def identity_on(entry) -> LinearMap:
+    return LinearMap.identity(getattr(entry, "dim_mod", None) or entry.dim)
+
+
+def suite(*ids):
+    return lambda entry: axioms.verify(entry, list(ids))
+
+
+def morphism(check, **strict):
+    return lambda entry: [check(identity_on(entry), entry, entry, **strict)]
+
+
 # The public function each dispatched pair runs, as a call on the entry.
 DISPATCHED = {
     ("algebra", "twist --endo"): lambda a: yau_twist(a, LinearMap.diagonal([1, 2])),
@@ -403,6 +451,24 @@ DISPATCHED = {
     ("right module", "transform negate"): negate_module,
     ("right module", "transform opposite"): opposite_module,
     **{(kind, "transform negate"): negate_poisson_comodule for kind in COMODULES},
+    ("algebra", "verify --suite all"): suite(LEFT_HOM_ALT, RIGHT_HOM_ALT, HOM_ASSOC),
+    ("coalgebra", "verify --suite all"): suite(HOM_POISSON_COALGEBRA),
+    ("left module", "verify --suite all"): suite(LEFT_MODULE),
+    ("right module", "verify --suite all"): suite(RIGHT_MODULE),
+    ("coassociative comodule", "verify --suite all"): suite(COASSOC_COMODULE),
+    ("lie comodule", "verify --suite all"): suite(LIE_COMODULE),
+    ("poisson comodule", "verify --suite all"): suite(POISSON_COMODULE),
+    # --strict reaches the module and comodule checks; algebra and coalgebra morphisms
+    # always check alpha, so it is ignored there
+    **{("algebra", verb): morphism(check_morphism) for verb in ("check-morphism", "check-morphism --strict")},
+    **{("coalgebra", verb): morphism(check_coalgebra_morphism)
+       for verb in ("check-morphism", "check-morphism --strict")},
+    **{(kind, "check-morphism"): morphism(check_module_morphism) for kind in ("left module", "right module")},
+    **{(kind, "check-morphism --strict"): morphism(check_module_morphism, strict=True)
+       for kind in ("left module", "right module")},
+    **{(kind, "check-morphism"): morphism(check_comodule_morphism) for kind in COMODULES},
+    **{(kind, "check-morphism --strict"): morphism(check_comodule_morphism, strict=True)
+       for kind in COMODULES},
 }
 # The dispatched pairs whose function refuses the entry (stated for left modules, or
 # for poisson comodules).
@@ -423,7 +489,43 @@ REFUSED = {
     ("linear map", "twist"): (1, "KIND_MISMATCH: entry cannot be twisted"),
     ("linear map", "transform negate"): (1, "KIND_MISMATCH: entry cannot be transformed"),
     ("linear map", "transform opposite"): (1, "KIND_MISMATCH: entry cannot be transformed"),
+    ("linear map", "verify --suite all"): (2, "FORMAT_ERROR: structure kind cannot be verified"),
+    **{("linear map", verb): (1, "KIND_MISMATCH: morphism endpoints have different or unsupported kinds")
+       for verb in ("check-morphism", "check-morphism --strict")},
 }
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """Each kind's entry exported once, as ``catalog export`` writes it (a linear map
+    alone), with ``IDENTITY`` added."""
+    folder, paths = tmp_path_factory.mktemp("exported"), {}
+    for kind, (name, _) in KINDS.items():
+        path = paths[kind] = folder / f"{name}.json"
+        if kind == "linear map":
+            write_file(path, single_structure_file(name, LinearMap.identity(2)))
+        else:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run("catalog", "export", name, "--out", path) == 0
+        sf = parse_file(path)
+        entry = sf.get(name)
+        structures = {**sf.structures, IDENTITY: entry if kind == "linear map" else identity_on(entry)}
+        write_file(path, StructureFile(sf.version, structures, sf.base_of))
+    return paths
+
+
+def outcome(kind, verb, src, out, capsys):
+    """The exit code, stdout and stderr of ``verb`` on ``kind``'s entry in ``src``."""
+    name, endo = KINDS[kind]
+    command, *flags = VERBS[verb]
+    if command == "check-morphism":
+        code = run(command, src, IDENTITY, name, name, *flags)
+    elif command == "verify":
+        code = run(command, src, name, *flags)
+    else:
+        code = run(command, src, name, *flags, *([endo] if verb == "twist --endo" else []), "--out", out)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_every_kind_and_verb_pair_is_dispatched_or_refused():
@@ -431,25 +533,16 @@ def test_every_kind_and_verb_pair_is_dispatched_or_refused():
     assert not DISPATCHED.keys() & REFUSED.keys()
 
 
-@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("verb", WRITERS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_twist_and_transform_run_the_public_construction(tmp_path, capsys, kind, verb):
+def test_twist_and_transform_run_the_public_construction(exported, tmp_path, capsys, kind, verb):
     from homstruct.errors import KernelError
 
-    name, endo = KINDS[kind]
-    src, out = tmp_path / "in.json", tmp_path / "out.json"
-    if name is None:
-        name = "phi"
-        write_file(src, single_structure_file(name, LinearMap.identity(2)))
-    else:
-        assert run("catalog", "export", name, "--out", src) == 0
-        capsys.readouterr()
-    argv = [*VERBS[verb], endo] if verb == "twist --endo" else VERBS[verb]
-    code = run(argv[0], src, name, *argv[1:], "--out", out)
-    captured = capsys.readouterr()
+    name, src, out = KINDS[kind][0], exported[kind], tmp_path / "out.json"
+    code, stdout, stderr = outcome(kind, verb, src, out, capsys)
     if (kind, verb) in REFUSED:
         want_code, text = REFUSED[kind, verb]
-        assert (code, captured.err, captured.out) == (want_code, f"error: {text}\n", "")
+        assert (code, stderr, stdout) == (want_code, f"error: {text}\n", "")
         assert not out.exists()
         return
     sf = parse_file(src)
@@ -457,16 +550,54 @@ def test_twist_and_transform_run_the_public_construction(tmp_path, capsys, kind,
         with pytest.raises(KernelError) as refusal:
             DISPATCHED[kind, verb](sf.get(name))
         exc = refusal.value
-        assert (code, captured.err, captured.out) == (1, f"error: {exc.code}: {exc}\n", "")
+        assert (code, stderr, stdout) == (1, f"error: {exc.code}: {exc}\n", "")
         assert not out.exists()
         return
     result = DISPATCHED[kind, verb](sf.get(name))
-    assert code == 0 and captured.err == ""
+    assert code == 0 and stderr == ""
     note = "note: right-module twist uses the mirrored composition (algebra argument fed through alpha^2)\n"
-    assert captured.out == (note if (kind, verb) == ("right module", "twist") else "") + f"wrote {out}\n"
+    assert stdout == (note if (kind, verb) == ("right module", "twist") else "") + f"wrote {out}\n"
     written = parse_file(out)
     assert written.get(name) == result
     assert set(written.structures) == set(sf.structures)
+
+
+@pytest.mark.parametrize("verb", CHECKERS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_and_check_morphism_run_the_public_check(exported, capsys, kind, verb):
+    src = exported[kind]
+    code, stdout, stderr = outcome(kind, verb, src, None, capsys)
+    if (kind, verb) in REFUSED:
+        want_code, text = REFUSED[kind, verb]
+        assert (code, stderr, stdout) == (want_code, f"error: {text}\n", "")
+        return
+    reports = DISPATCHED[kind, verb](parse_file(src).get(KINDS[kind][0]))
+    assert stderr == ""
+    assert stdout == "".join(f"{line}\n" for report in reports for line in format_report(report, 16))
+    assert code == (0 if all(report.holds for report in reports) else 1)
+
+
+def test_every_dispatched_function_is_one_the_tracer_wraps():
+    # perfbench's tracer swaps a wrapper in for each public function of these modules
+    # wherever a module or a table holds it; a partial, lambda or tuple in a table would
+    # drop that construction or check from traced runs without a word
+    homes = {f"homstruct.{name}" for name in ("algebras", "modules", "coalgebras", "comodules")}
+    for table in (cli._TWISTS, cli._TRANSFORMS, cli._MORPHISMS):
+        for function in table.values():
+            assert inspect.isfunction(function) and function.__module__ in homes
+            assert not function.__name__.startswith("_")
+            assert getattr(sys.modules[function.__module__], function.__name__) is function
+
+
+@pytest.mark.parametrize("kind", ["left module", "poisson comodule"])
+def test_check_morphism_between_an_entry_and_its_base_is_a_kind_mismatch(exported, capsys, kind):
+    name = KINDS[kind][0]
+    base = parse_file(exported[kind]).base_of[name]
+    for src, dst in ((name, base), (base, name)):
+        assert run("check-morphism", exported[kind], IDENTITY, src, dst) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: KIND_MISMATCH: morphism endpoints have different or unsupported kinds\n")
 
 
 # --- check-morphism --------------------------------------------------------------
