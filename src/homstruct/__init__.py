@@ -23,8 +23,6 @@ from .algebras import (
     yau_twist,
 )
 from .coalgebras import (
-    HomCoassocCoalgebra,
-    HomLieCoalgebra,
     HomPoissonCoalgebra,
     check_coalgebra_morphism,
     check_cocommutativity,

@@ -1,10 +1,12 @@
-"""Hom-coassociative, Hom-Lie, and Hom-Poisson coalgebras.
+"""Hom-Poisson coalgebras, the one coalgebra record, and their laws by id.
 
 A Hom-Poisson coalgebra is a quadruple (A, delta, gamma, alpha) where delta
 is a Hom-coassociative comultiplication, gamma a Hom-Lie cobracket, and the
-two are linked by the co-Leibniz law.  Each identity is a row of
-``laws.Law`` checked per basis vector; residuals in a tensor square or cube
-are flattened lexicographically.  The seven individual checks:
+two are linked by the co-Leibniz law.  The Hom-coassociative and Hom-Lie
+parts are ids of that one record (``HOM_COASSOC_COALGEBRA``,
+``HOM_LIE_COALGEBRA``); a coalgebra of delta alone has a zero gamma.  Each
+identity is a row of ``laws.Law`` checked per basis vector; residuals in a
+tensor square or cube are flattened lexicographically.  The seven checks:
 
     cocommutativity      delta = tau . delta
     delta mult.          delta . alpha = (alpha @ alpha) . delta
@@ -41,57 +43,8 @@ COALGEBRA_MORPHISM_GAMMA = "COALGEBRA_MORPHISM_GAMMA"
 COALGEBRA_MORPHISM_TWIST_COMMUTES = "COALGEBRA_MORPHISM_TWIST_COMMUTES"
 
 
-class _Parts(Record):
-    """A coalgebra's laws as ``laws.Plan`` rows, one per part of an id.
-
-    The coalgebra carries the maps the parts need: ``delta`` for the first
-    three laws, ``gamma`` for the next three, both for co-Leibniz.
-    """
-
-    def laws(self, axiom: str) -> list[tuple]:
-        parts = _PARTS.get(axiom, (axiom,))
-        if axiom == HOM_POISSON_COALGEBRA and not self.cocommutative_expected:
-            parts = parts[1:]
-        maps = vars(self)  # its fields, named as the rows name them
-        return [(part, _ONE_MAP_LAWS.get(part, _COLEIBNIZ),
-                 {**maps, "t": maps["delta" if part in _ON_DELTA else "gamma"]})
-                for part in parts]
-
-
 @record
-class HomCoassocCoalgebra(_Parts):
-    """The Hom-coassociative coalgebra (K^dim, delta, alpha)."""
-
-    dim: int
-    delta: ComulTensor
-    alpha: LinearMap
-
-    def __init__(self, dim, delta, alpha):
-        if delta.dim != dim or not alpha.is_square(dim):
-            raise DimensionMismatch("coalgebra components have inconsistent sizes")
-        _set(self, "dim", dim)
-        _set(self, "delta", delta)
-        _set(self, "alpha", alpha)
-
-
-@record
-class HomLieCoalgebra(_Parts):
-    """The Hom-Lie coalgebra (K^dim, gamma, alpha)."""
-
-    dim: int
-    gamma: ComulTensor
-    alpha: LinearMap
-
-    def __init__(self, dim, gamma, alpha):
-        if gamma.dim != dim or not alpha.is_square(dim):
-            raise DimensionMismatch("coalgebra components have inconsistent sizes")
-        _set(self, "dim", dim)
-        _set(self, "gamma", gamma)
-        _set(self, "alpha", alpha)
-
-
-@record
-class HomPoissonCoalgebra(_Parts):
+class HomPoissonCoalgebra(Record):
     """The Hom-Poisson coalgebra (K^dim, delta, gamma, alpha); ``cocommutative_expected``
     puts ``COCOMMUTATIVITY`` in its suite."""
 
@@ -110,16 +63,20 @@ class HomPoissonCoalgebra(_Parts):
         _set(self, "alpha", alpha)
         _set(self, "cocommutative_expected", cocommutative_expected)
 
-    def coassociative_part(self) -> HomCoassocCoalgebra:
-        return HomCoassocCoalgebra(self.dim, self.delta, self.alpha)
+    def laws(self, axiom: str) -> list[tuple]:
+        """The ``laws.Plan`` rows of ``axiom``'s parts; each one-map law names its map ``t``."""
+        parts = _PARTS.get(axiom, (axiom,))
+        if axiom == HOM_POISSON_COALGEBRA and not self.cocommutative_expected:
+            parts = parts[1:]
+        maps = {"delta": self.delta, "gamma": self.gamma, "alpha": self.alpha}
+        return [(part, _LAWS[part], {**maps, "t": maps["delta" if part in _ON_DELTA else "gamma"]})
+                for part in parts]
 
-    def lie_part(self) -> HomLieCoalgebra:
-        return HomLieCoalgebra(self.dim, self.gamma, self.alpha)
 
-
-# The six laws that involve one comultiplication t and the twist alpha.
+# Every coalgebra law: six on one comultiplication t and the twist alpha, then
+# co-Leibniz on delta and gamma.
 _MULTIPLICATIVE = Law("k", "ij", "+ alpha.lk t.lij", "- t.kab alpha.ia alpha.jb")
-_ONE_MAP_LAWS = {
+_LAWS = {
     COCOMMUTATIVITY: Law("k", "ij", "+ t.kij", "- t.kji"),
     DELTA_MULTIPLICATIVITY: _MULTIPLICATIVE,
     HOM_COASSOCIATIVITY: Law("k", "ijl", "+ t.kab t.bjl alpha.ia", "- t.kab alpha.lb t.aij"),
@@ -131,14 +88,14 @@ _ONE_MAP_LAWS = {
         "+ t.kab alpha.ja t.bli",  # rotated once
         "+ t.kab alpha.la t.bij",  # rotated twice
     ),
+    HOM_COLEIBNIZ: Law(
+        "k", "ijl",
+        "+ gamma.kab delta.bjl alpha.ia",  # (alpha @ delta) . gamma
+        "- delta.kab alpha.lb gamma.aij",  # (gamma @ alpha) . delta
+        "- delta.kab alpha.ja gamma.bil",  # (tau @ id) . (alpha @ gamma) . delta
+    ),
 }
 _ON_DELTA = (COCOMMUTATIVITY, DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY)
-_COLEIBNIZ = Law(
-    "k", "ijl",
-    "+ gamma.kab delta.bjl alpha.ia",  # (alpha @ delta) . gamma
-    "- delta.kab alpha.lb gamma.aij",  # (gamma @ alpha) . delta
-    "- delta.kab alpha.ja gamma.bil",  # (tau @ id) . (alpha @ gamma) . delta
-)
 # (f @ f) . src = dst . f for a map f between coalgebras.
 _MORPHISM = Law("k", "ij", "+ src.kab f.ia f.jb", "- f.lk dst.lij")
 
@@ -157,17 +114,17 @@ _PARTS = {
 }
 
 
-def check_cocommutativity(c: HomCoassocCoalgebra, plan: Plan | None = None) -> AxiomReport:
+def check_cocommutativity(c: HomPoissonCoalgebra, plan: Plan | None = None) -> AxiomReport:
     """delta = tau . delta, i.e. the output coefficient matrix is symmetric."""
     return check(c, COCOMMUTATIVITY, plan)
 
 
-def check_hom_coassociative(c: HomCoassocCoalgebra, plan: Plan | None = None) -> AxiomReport:
+def check_hom_coassociative(c: HomPoissonCoalgebra, plan: Plan | None = None) -> AxiomReport:
     """Multiplicativity of alpha for delta plus Hom-coassociativity."""
     return check(c, HOM_COASSOC_COALGEBRA, plan)
 
 
-def check_hom_lie_coalgebra(l: HomLieCoalgebra, plan: Plan | None = None) -> AxiomReport:
+def check_hom_lie_coalgebra(l: HomPoissonCoalgebra, plan: Plan | None = None) -> AxiomReport:
     return check(l, HOM_LIE_COALGEBRA, plan)
 
 

@@ -65,12 +65,12 @@ class HomModule(Record):
 
     def laws(self, axiom: str) -> list[tuple]:
         """The ``laws.Plan`` row of ``axiom``, the module law of this module's side."""
-        side = "left" if axiom == LEFT_MODULE else "right"
+        law, side = _LAWS[axiom], "left" if axiom == LEFT_MODULE else "right"
         if self.side != side:
             raise WrongSide(f"{side} check on a {self.side} module")
         alg = self.algebra
         operands = {"mu": alg.mu, "alpha": alg.alpha, "act": self.action, "beta": self.beta}
-        return [(axiom, _LAWS[axiom], operands)]
+        return [(axiom, law, operands)]
 
 
 # Polarized laws, one row each; operands are mu, alpha, act and beta.

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import inspect
 import io
 import pathlib
@@ -140,6 +141,45 @@ def test_suite_all_stands_alone(capsys, suite):
 
 def test_verify_missing_file_exits_2():
     assert run("verify", DATA / "missing.json", "a") == 2
+
+
+def test_an_empty_suite_is_a_format_error(capsys):
+    assert run("verify", CORPUS, "octonions", "--suite", ",") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: FORMAT_ERROR: empty suite\n" and captured.out == ""
+
+
+def test_twist_along_an_entry_that_is_not_a_map_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run("twist", CORPUS, "dual_numbers", "--endo", "octonions", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: FORMAT_ERROR: 'octonions' is not a linear map entry\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("verb", [
+    ("twist", CORPUS, "dual_numbers", "--endo", "id"),
+    ("transform", CORPUS, "octonions", "negate"),
+    ("catalog", "export", "octonions"),
+], ids=lambda verb: verb[0])
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "under_a_missing_directory"])
+def test_an_out_that_cannot_be_opened_is_one_error_line(tmp_path, capsys, verb, missing):
+    out = tmp_path / "missing" / "x.json" if missing else tmp_path
+    assert run(*verb, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: [Errno ")
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_full_stdout_exits_2(monkeypatch, capsys):
+    class Full(io.TextIOBase):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert run("catalog", "list") == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 # --- twist ------------------------------------------------------------------

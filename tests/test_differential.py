@@ -62,9 +62,9 @@ def reference_coalgebra_suite(p: HomPoissonCoalgebra) -> dict:
     whole aggregates, with a part id picking its part out of one.  Each reference
     part is computed once, and the Poisson aggregate is put together from them as
     ``ref.check_hom_poisson_coalgebra`` puts it together."""
-    cocommutativity = ref.check_cocommutativity(p.coassociative_part())
-    coassociative = ref.check_hom_coassociative(p.coassociative_part())
-    lie = ref.check_hom_lie_coalgebra(p.lie_part())
+    cocommutativity = ref.check_cocommutativity(p)
+    coassociative = ref.check_hom_coassociative(p)
+    lie = ref.check_hom_lie_coalgebra(p)
     coleibniz = ref.check_hom_coleibniz(p)
     poisson = [cocommutativity] if p.cocommutative_expected else []
     poisson += [*coassociative.parts, *lie.parts, coleibniz]

@@ -47,12 +47,12 @@ ROWS = {
     "RIGHT_MODULE": (modules._LAWS[modules.RIGHT_MODULE], 4, 2, "q"),
     "module intertwines left": (modules._INTERTWINES["left"], 2, 2, "q"),
     "module intertwines right": (modules._INTERTWINES["right"], 2, 2, "q"),
-    "COCOMMUTATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.COCOMMUTATIVITY], 2, 2, "ij"),
+    "COCOMMUTATIVITY": (coalgebras._LAWS[coalgebras.COCOMMUTATIVITY], 2, 2, "ij"),
     "coalgebra multiplicative": (coalgebras._MULTIPLICATIVE, 2, 2, "ij"),
-    "HOM_COASSOCIATIVITY": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COASSOCIATIVITY], 2, 2, "jl"),
-    "SKEW_COSYMMETRY": (coalgebras._ONE_MAP_LAWS[coalgebras.SKEW_COSYMMETRY], 2, 2, "ij"),
-    "HOM_COJACOBI": (coalgebras._ONE_MAP_LAWS[coalgebras.HOM_COJACOBI], 3, 3, "jl"),
-    "HOM_COLEIBNIZ": (coalgebras._COLEIBNIZ, 3, 3, "jl"),
+    "HOM_COASSOCIATIVITY": (coalgebras._LAWS[coalgebras.HOM_COASSOCIATIVITY], 2, 2, "jl"),
+    "SKEW_COSYMMETRY": (coalgebras._LAWS[coalgebras.SKEW_COSYMMETRY], 2, 2, "ij"),
+    "HOM_COJACOBI": (coalgebras._LAWS[coalgebras.HOM_COJACOBI], 3, 3, "jl"),
+    "HOM_COLEIBNIZ": (coalgebras._LAWS[coalgebras.HOM_COLEIBNIZ], 3, 3, "jl"),
     "coalgebra morphism": (coalgebras._MORPHISM, 2, 2, "ij"),
     "coaction multiplicative": (comodules._MULTIPLICATIVE, 2, 2, "iq"),
     "DELTA_COACTION_COASSOCIATIVITY": (
