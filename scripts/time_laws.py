@@ -17,8 +17,12 @@ bytecode cache.  Then one ``exec`` line (dim ``-``): for each of those
 modules but ``__main__``, the best of 7 runs in ms of its compiled body in a
 fresh module namespace, every import it makes already loaded, so what is
 left is class creation and other module-level work, and their sum
-(``total_ms``).  Before its laws, each dim gets one
-``write`` line: the best time in ms to build the five structures from their
+(``total_ms``).  Then one ``catalog`` line (dim ``-``): ``axioms.verify`` of
+each catalogue entry's pinned suite on warm tensors (its ``scaled`` entries
+and plan programs already built), best of ``--repeat`` per entry, summed over
+the entries (``catalog_ms``), and the slowest entry (``slowest``, its
+``slowest_ms``): the fixed cost of small checks.  Before its laws, each dim
+gets one ``write`` line: the best time in ms to build the five structures from their
 drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), to
 ``fileformat.serialize`` them as one file (``serialize_ms``), and to
 serialize the algebra with its two regular modules and the coalgebra with
@@ -59,7 +63,7 @@ from fractions import Fraction
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from homstruct import algebras, coalgebras  # noqa: E402
+from homstruct import algebras, catalog, coalgebras  # noqa: E402
 from homstruct.algebras import HomAlgebra  # noqa: E402
 from homstruct.axioms import AXIOMS, native_suite, verify  # noqa: E402
 from homstruct.catalog import DeterministicRng  # noqa: E402
@@ -175,6 +179,26 @@ def time_exec() -> list[tuple[str, float]]:
         best.append((path.stem, seconds))
     gc.enable()
     return best
+
+
+def time_catalog(repeat: int) -> tuple[float, str, float]:
+    """(summed best seconds of ``verify`` of each catalogue entry's pinned suite,
+    warm, and the slowest entry's name and best seconds)."""
+    best = {}
+    gc.collect()
+    gc.disable()
+    for entry in catalog.entries():
+        structure, suite = entry.payload, list(entry.expected_verdicts)
+        verify(structure, suite)  # warm: scaled entries read, programs built
+        seconds = float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            verify(structure, suite)
+            seconds = min(seconds, time.perf_counter() - start)
+        best[entry.name] = seconds
+    gc.enable()
+    slowest = max(best, key=best.get)
+    return sum(best.values()), slowest, best[slowest]
 
 
 def time_write(n: int, repeat: int) -> tuple[float, float, float]:
@@ -316,6 +340,9 @@ def main(argv=None) -> int:
     execs.append(("total", sum(seconds for _, seconds in execs)))
     execs = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in execs)
     print(f"{'-':>3}  {'exec':<32} {execs}", flush=True)
+    total, slowest, slowest_seconds = time_catalog(args.repeat)
+    print(f"{'-':>3}  {'catalog':<32} catalog_ms={total * 1000:.3f} slowest={slowest}"
+          f" slowest_ms={slowest_seconds * 1000:.3f}", flush=True)
     for n in dims:
         build_seconds, write_seconds, regular_seconds = time_write(n, args.repeat)
         print(f"{n:>3}  {'write':<32} build_ms={build_seconds * 1000:.2f}"

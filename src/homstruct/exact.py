@@ -62,7 +62,7 @@ from itertools import chain, compress, count, product, repeat
 from operator import attrgetter, floordiv, is_not, itemgetter, mul
 from reprlib import recursive_repr
 
-from .errors import DimensionMismatch, FormatError
+from .errors import DimensionMismatch, FormatError, WrongSide
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -269,6 +269,13 @@ class _Tensor(Record):
         if 0 in entries.values():  # another zero than _ZERO
             entries = {key: x for key, x in entries.items() if x}
         return s, entries, max(map(abs, entries.values()), default=0).bit_length()
+
+    @lazy
+    def ident(self) -> tuple:
+        """``(id of the entry tuple, shape)``, which fix ``scaled``: a ``laws.Plan``
+        numbers its operands by it, so a regular module's action is its algebra's
+        multiplication."""
+        return id(getattr(self, self._nested)), self.shape
 
     @lazy
     def numerals(self) -> list:
@@ -478,7 +485,7 @@ class ActionTensor(_Tensor):
 
     def __init__(self, a, dim_alg, dim_mod, side):
         if side not in ("left", "right"):
-            raise DimensionMismatch(f"unknown side {side!r}")
+            raise WrongSide(f"unknown side {side!r}")
         _set(self, "a", a)
         _set(self, "dim_alg", dim_alg)
         _set(self, "dim_mod", dim_mod)
@@ -495,12 +502,12 @@ class ActionTensor(_Tensor):
 
     def apply_left(self, x: Vector, m: Vector) -> Vector:
         if self.side != "left":
-            raise DimensionMismatch("left application of a right action")
+            raise WrongSide("left application of a right action")
         return self._act("+ x.i t.ipq m.p", x, m)
 
     def apply_right(self, m: Vector, x: Vector) -> Vector:
         if self.side != "right":
-            raise DimensionMismatch("right application of a left action")
+            raise WrongSide("right application of a left action")
         return self._act("+ x.i t.piq m.p", x, m)
 
     def _act(self, term: str, x: Vector, m: Vector) -> Vector:
@@ -540,8 +547,14 @@ class CoactionTensor(_Tensor):
         return construct("iq", "+ m.p t.piq", m=m, t=self)
 
 
-_PLANS: dict[str, tuple] = {}
-_OFFSETS: dict[tuple, list] = {}  # (spec, strides) -> head and tail offset functions
+@lru_cache(maxsize=512)
+def compiled(build, *key):
+    """``build(*key)``, worked out once per process while ``key`` is among the 512
+    most recently used: the one cache of what a contraction spec (``_compile``),
+    its sink strides (``offsets``), a check's rows (``laws._program``) or a
+    construction's term (``_term``) fix with its operands' shapes.  Keys hold
+    laws, letters, operand numbers and shapes, never entry values."""
+    return build(*key)
 
 
 def _tuple_of(letters: str, chosen: str):
@@ -619,10 +632,16 @@ def _compile(spec: str) -> tuple:
     return steps, None if letters == out else _tuple_of(letters, out), summing, places
 
 
-def _offset(places: tuple[int, ...], strides):
-    """Function taking a key to ``sum key[i] * strides[places[i]]`` (0 where a place is -1),
-    spelled out for up to three places: it runs once per entry added."""
-    steps = [0 if p < 0 else strides[p] for p in places]
+def offsets(spec: str, strides: tuple[int, ...]) -> list:
+    """The sink offsets ``contract`` adds ``spec``'s output into a list at ``strides`` by:
+    a function of the last join's left key, and one of its right operand's key."""
+    places = compiled(_compile, spec)[3]
+    return [_offset([0 if p < 0 else strides[p] for p in side]) for side in places]
+
+
+def _offset(steps: list[int]):
+    """Function taking a key to ``sum key[i] * steps[i]``, spelled out for up to three
+    nonzero steps: it runs once per entry added."""
     used = [(i, s) for i, s in enumerate(steps) if s]
     if len(used) == 1:
         ((i, s),) = used
@@ -648,25 +667,20 @@ def contract(spec: str, *tensors: dict, into: tuple | None = None) -> dict | Non
     later operand and not the output needs it.  A join on every letter of
     its right operand (``t.kab`` then the packed ``t.b``) finds at most one
     right value per left key, so it is one dict lookup per left key.  Plans
-    are compiled once per spec.
+    are compiled once per spec (``compiled``).
 
-    With ``into=(sink, strides, factor)`` the last join instead adds
-    ``factor`` times the entry at output key ``k`` into the list ``sink`` at
-    ``sum_i k[i] * strides[i]``, building no key tuple and no dict, and the
+    With ``into=(sink, offsets(spec, strides), factor)`` the last join instead
+    adds ``factor`` times the entry at output key ``k`` into the list ``sink``
+    at ``sum_i k[i] * strides[i]``, building no key tuple and no dict, and the
     call returns None; ``factor`` is multiplied into the right operand's
     values (a lone operand's own) before the join.
     """
-    plan = _PLANS.get(spec)
-    if plan is None:
-        plan = _PLANS[spec] = _compile(spec)
-    steps, reorder, summing, places = plan
+    steps, reorder, summing, _ = compiled(_compile, spec)
+    if not all(tensors):  # a product with an empty operand is empty
+        return None if into is not None else {}
     acc = tensors[0]
     if into is not None:
-        sink, strides, factor = into
-        offsets = _OFFSETS.get((spec, strides))
-        if offsets is None:
-            offsets = _OFFSETS[spec, strides] = [_offset(side, strides) for side in places]
-        head_at, tail_at = offsets
+        sink, (head_at, tail_at), factor = into
         if not steps:
             for key, v in acc.items():
                 sink[head_at(key)] += factor * v
@@ -809,18 +823,21 @@ def _parse(term: str) -> tuple[bool, list[tuple[str, str]]]:
     return sign == "+", pairs
 
 
-@lru_cache(maxsize=256)
-def _term(out: str, term: str) -> tuple:
-    """``construct``'s reading of ``term``: its ``contract`` spec, its sign as a factor,
-    its operand names, and per letter of ``out`` the first ``(name, axis)`` holding it."""
+def _term(out: str, term: str, shapes: tuple) -> tuple:
+    """``construct``'s reading of ``term`` on operands of ``shapes``, ``(name, shape)``
+    pairs: its ``contract`` spec, its sign as a factor, its operand names, the
+    output's shape (each letter sized by the first operand axis holding it) and
+    sink offsets."""
     plus, pairs = _parse(term)
-    holders: dict[str, tuple[str, int]] = {}
+    shapes, holders = dict(shapes), {}
     for name, letters in pairs:
         for axis, c in enumerate(letters):
-            holders.setdefault(c, (name, axis))
+            holders.setdefault(c, shapes[name][axis])
     spec = ",".join(letters for _, letters in pairs) + "->" + out
-    names = tuple(name for name, _ in pairs)
-    return spec, 1 if plus else -1, names, tuple(holders[c] for c in out)
+    shape = tuple([holders[c] for c in out])
+    strides = tuple([prod(shape[axis + 1 :]) for axis in range(len(shape))])
+    names = tuple([name for name, _ in pairs])
+    return spec, 1 if plus else -1, names, shape, compiled(offsets, spec, strides)
 
 
 def construct(out: str, term: str, **operands: _Tensor) -> tuple:
@@ -830,12 +847,11 @@ def construct(out: str, term: str, **operands: _Tensor) -> tuple:
     operand axis holding it.  The operands' ``scaled`` entries are contracted into
     one list, the sign being ``contract``'s ``into`` factor; a nonzero sum ``v`` is
     ``Fraction(v, s)``, ``s`` the product of their scales, and a zero ``_ZERO``."""
-    spec, factor, names, holders = _term(out, term)
-    shape = [operands[name].shape[axis] for name, axis in holders]
+    shapes = tuple([(name, t.shape) for name, t in operands.items()])
+    spec, factor, names, shape, sinks = compiled(_term, out, term, shapes)
     readings = [operands[name].scaled for name in names]
     sink = [0] * prod(shape)
-    strides = tuple(prod(shape[axis + 1 :]) for axis in range(len(shape)))
-    contract(spec, *[entries for _, entries, _ in readings], into=(sink, strides, factor))
+    contract(spec, *[entries for _, entries, _ in readings], into=(sink, sinks, factor))
     s = prod(scale for scale, _, _ in readings)
     flat = [Fraction(v, s) if v else _ZERO for v in sink]
     for axis in range(len(shape) - 1, 0, -1):

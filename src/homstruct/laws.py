@@ -51,9 +51,9 @@ sign form one class.  Each class sums its contractions once into a list
 through a gather list: ``LEFT_HOM_ALT`` is ``W = A - B`` and then ``W +
 swap(W)``.  When a row's first add is the identity with sign +, ``W``
 itself is the residual; every later add builds a new list, so no list is
-written after its sum.  In a plan, an operand is known by its entry tuple
-and shape, which fix its ``scaled``, so a regular module's ``act`` is its
-algebra's ``mu``.  A scaled or packed operand, a class sum ``W`` and a
+written after its sum.  In a plan, an operand is numbered by its entry tuple
+and shape (``ident``), which fix its ``scaled``, so a regular module's ``act``
+is its algebra's ``mu``.  A scaled or packed operand, a class sum ``W`` and a
 contraction mean the same ints in every row, so each is built once: a class
 that two rows hold is summed once and spread by each, and a contraction
 that two distinct classes hold is contracted to its output dict and added
@@ -61,16 +61,24 @@ into each.  ``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and ``HOM_ASSOC`` spread
 one ``W = A - B``: two contractions for the three.  Zero coefficients are
 dropped, and a contraction never writes to its operands (``t.kij`` alone
 is the packed ``t``).
+
+A plan is a program and its arithmetic.  The program is all that the rows'
+laws, the pattern of their operand numbers and the operands' shapes fix:
+which groups and rows the scale and bound read, each row's layout, packings
+and classes, and each contraction's spec, loads, sharing and sink offsets
+(``_program``).  It is built once per process into ``exact.compiled``, the
+one bounded cache of compiled structure, keyed never by entry values.  A
+check then reads each distinct operand's ``scaled``, works out the common
+scale and B, packs, contracts, spreads and scans.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress, repeat
 from math import lcm, prod
 from operator import add, floordiv, sub
 
-from .exact import _parse, contract, lazy, pack, packing, unpack
+from .exact import _parse, compiled, contract, lazy, offsets, pack, packing, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
 
 
@@ -166,7 +174,7 @@ class Law:
                 s = 1 if row[0][1] > 0 else -1
                 by_row.setdefault(tuple((g, s * c) for g, c in row), []).append((s, permutation))
         classes = tuple((row, tuple(perms)) for row, perms in by_row.items())
-        names = {name for ids, _, _, _ in compiled for name, _ in ids}
+        names = tuple(dict.fromkeys(name for ids, _, _, _ in compiled for name, _ in ids))
         sizes = [local[c] for c in out + packed]  # every term holds every output letter
         loads = [
             [(op, packing(arity[op[0]], op[1]) if op[1] else None) for op in ids]
@@ -180,22 +188,19 @@ class Law:
         ``strides`` take a group's output key to its place in a class's list
         ``W``.  ``spreads`` holds, per class, one ``(sign, gather)`` per
         permutation, the residual at place ``r`` taking ``W[gather[r]]``
-        (None: ``W[r]``).  Worked out once per shape.
+        (None: ``W[r]``).  Worked out once per program (``_program``).
         """
-        layout = self._layouts.get(shape)
-        if layout is None:
-            strides = tuple([prod(shape[i + 1 :]) for i in range(len(shape))])
-            spreads = []
-            for _, perms in self.classes:
-                spreads.append([])
-                for s, permutation in perms:
-                    moved = tuple([strides[p] for p in permutation])
-                    gather = None if moved == strides else [0]  # built axis by axis
-                    for n, m in zip(shape, moved) if gather else ():
-                        gather = [r + d * m for r in gather for d in range(n)]
-                    spreads[-1].append((s, gather))
-            layout = self._layouts[shape] = strides, spreads
-        return layout
+        strides = tuple([prod(shape[i + 1 :]) for i in range(len(shape))])
+        spreads = []
+        for _, perms in self.classes:
+            spreads.append([])
+            for s, permutation in perms:
+                moved = tuple([strides[p] for p in permutation])
+                gather = None if moved == strides else [0]  # built axis by axis
+                for n, m in zip(shape, moved) if gather else ():
+                    gather = [r + d * m for r in gather for d in range(n)]
+                spreads[-1].append((s, gather))
+        return strides, spreads
 
     def check(self, axiom: str, **operands) -> AxiomReport:
         """Evaluate the law on the bound maps and tensors and report it as ``axiom``."""
@@ -210,8 +215,8 @@ class Plan:
     def __init__(self, parts: dict[str, list]):
         self._parts = parts
         self._rows = {row[0]: row for rows in parts.values() for row in rows}
-        self._reports, self._sums, self._values, self._packs = {}, {}, {}, {}
-        self._sized, self._scaled = None, []
+        self._reports, self._sums, self._values, self._entries = {}, {}, {}, {}
+        self._sized = None
 
     def check(self, axiom: str) -> AxiomReport:
         """The report on ``axiom``: its one row's, or an aggregate of its parts'."""
@@ -220,69 +225,56 @@ class Plan:
             return AxiomReport.aggregate(axiom, [self.check(part) for part, _, _ in rows])
         if axiom not in self._reports:
             self._sized = self._sized or self._size()
-            self._reports[axiom] = self._evaluate(*self._rows[axiom][:2])
+            self._reports[axiom] = self._evaluate(axiom)
         return self._reports[axiom]
 
     def _size(self) -> tuple:
-        """``(common scale, B, shared contractions, per axiom: (operand shapes,
-        operand numbers, group scales, contraction numbers, class keys or None))``.
-        An operand is numbered by first appearance of its (entry tuple, shape),
-        and its ``scaled`` read once per number, into ``_scaled``."""
-        common, rows, seen, signature, scaled = 1, [], {}, [], self._scaled
+        """``(common scale, B, per axiom its program, per product common // its
+        scale)``.  An operand is numbered by first appearance of its ``ident``,
+        (entry tuple, shape), and its ``scaled`` entries read once per number,
+        into ``_entries``; the rest is fixed by the rows and those shapes
+        (``_program``)."""
+        seen, signature = {}, []  # ident -> (number, the first operand with it)
         for axiom, law, operands in self._rows.values():
-            groups, _, names, _, _ = law._compiled
-            shapes, numbers = {name: operands[name].shape for name in names}, {}
-            for name in names:
-                t = operands[name]
-                key = id(getattr(t, t._nested)), shapes[name]
-                number = numbers[name] = seen.setdefault(key, len(seen))
-                if number == len(scaled):  # seen first
-                    scaled.append(t.scaled)
-            scales, bounds = [], []
-            for ids, _, summed, terms in groups:
-                scale, bits, count = 1, 0, len(terms)
-                for name, _ in ids:
-                    s, _, b = scaled[numbers[name]]
-                    scale, bits = scale * s, bits + b
-                for name, axis in summed:
-                    count *= shapes[name][axis]
-                scales.append(scale)
-                bounds.append(count << bits)
-            common = lcm(common, *scales)
-            rows.append((axiom, shapes, numbers, scales, bounds))
-            signature.append((law, tuple(numbers.values())))
+            numbers = [seen.setdefault(operands[name].ident, (len(seen), operands[name]))[0]
+                       for name in law._compiled[2]]
+            signature.append((axiom, law, tuple(numbers)))
+        shapes = tuple([shape for _, shape in seen])
+        products, bounds, rows = compiled(_program, tuple(signature), shapes)
+        scaled = [t.scaled for _, t in seen.values()]
+        self._entries.update(enumerate([entries for _, entries, _ in scaled]))
+        scales, widths = [s for s, _, _ in scaled], [b for _, _, b in scaled]
+        scales = [prod(map(scales.__getitem__, ops)) for ops in products]
+        widths = [sum(map(widths.__getitem__, ops)) for ops in products]
+        common = lcm(*scales)
+        factors = [common // s for s in scales]
         # Every residual coefficient of a row is less than its bound in absolute value.
-        bits = max(sum([common // s * b for s, b in zip(scales, bounds)])
-                   for *_, scales, bounds in rows).bit_length() + 2
-        shared, keys = _shared(tuple(signature))
-        return common, bits, shared, {axiom: (shapes, numbers, scales, *k)
-                                      for (axiom, shapes, numbers, scales, _), k in zip(rows, keys)}
+        bits = max([sum([factors[p] * (count << widths[p]) for p, count in bound])
+                    for bound in bounds]).bit_length() + 2
+        return common, bits, rows, factors
 
-    def _evaluate(self, axiom: str, law: Law) -> AxiomReport:
-        groups, classes, _, sizes, loads = law._compiled
-        common, bits, shared, rows = self._sized
-        shapes, numbers, scales, keys, kept = rows[axiom]
+    def _evaluate(self, axiom: str) -> AxiomReport:
+        common, bits, rows, factors = self._sized
+        k, last, size, index, outer, slots, packs, classes = rows[axiom]
         # Packed letter x (of two) steps over the n_y slots of y; the residual
         # is reported over one fused packed axis of n_x * n_y slots.
-        shape = tuple([shapes[name][axis] for name, axis in sizes])
-        k = len(law.residual[-2:])
-        steps, slots, shape = (shape[-1] * bits, bits)[-k:], prod(shape[-k:]), shape[:-k]
-        size = prod(shape)
-        strides, spreads = law._layout(shape)
+        steps, entries = (last * bits, bits)[-k:], self._entries
+        for key, number, layout in packs:  # each packed operand packed once per plan
+            if key not in entries:
+                entries[key] = pack(entries[number], layout, steps)
         residual = zeros = [0] * size
-        for (row, _), spread, key in zip(classes, spreads, kept):
+        for key, spread, terms in classes:
             w = self._sums.get(key)
             if w is None:
                 w = [0] * size
-                for g, c in row:
-                    spec, tensors = groups[g][1], self._load(numbers, loads[g], steps)
-                    if keys[g] in shared:  # contracted once, then added as a lone operand
-                        if keys[g] not in self._values:
-                            self._values[keys[g]] = contract(spec, *tensors)
-                        out = spec[spec.index(">") + 1 :]
-                        spec, tensors = f"{out}->{out}", [self._values[keys[g]]]
-                    contract(spec, *tensors, into=(w, strides, c * (common // scales[g])))
-                if key:
+                for shared, spec, loads, into, sinks, p, c in terms:
+                    tensors = self._values.get(shared)
+                    if tensors is None:
+                        tensors = map(entries.__getitem__, loads)
+                        if shared is not None:  # contracted once, then added as a lone operand
+                            tensors = self._values[shared] = [contract(spec, *tensors)]
+                    contract(into, *tensors, into=(w, sinks, c * factors[p]))
+                if key is not None:
                     self._sums[key] = w
             for s, gather in spread:
                 if residual is zeros and s > 0 and gather is None:
@@ -290,44 +282,65 @@ class Plan:
                 else:  # a new list, so no list is written after its sum
                     part = w if gather is None else map(w.__getitem__, gather)
                     residual = list(map(add if s > 0 else sub, residual, part))
-        width = len(law.index)
-        return _report(axiom, residual, shape[:width], prod(shape[width:]), slots, common, bits)
-
-    def _load(self, numbers: dict, loads: list, steps: tuple) -> list:
-        """A group's operands, scaled; packed ones packed once per plan."""
-        tensors = []
-        for (name, packed), layout in loads:
-            entries = self._scaled[numbers[name]][1]
-            if layout is not None:
-                key = (numbers[name], packed, steps)
-                if key not in self._packs:
-                    self._packs[key] = pack(entries, layout, steps)
-                entries = self._packs[key]
-            tensors.append(entries)
-        return tensors
+        return _report(axiom, residual, index, outer, slots, common, bits)
 
 
-@lru_cache(maxsize=256)
-def _shared(signature: tuple) -> tuple:
-    """What the rows ``(law, operand numbers)`` of a plan share: ``(shared
-    contractions, per row: (contraction numbers, class keys or None))``, a
-    contraction numbered by its spec and packed operands; a class's key is
-    kept only when two rows hold it."""
-    rows, uses, numbers = [], {}, {}
-    for law, operands in signature:
+def _program(rows: tuple, shapes: tuple) -> tuple:
+    """The program of a plan's rows, ``(axiom, law, operand numbers)``, on
+    operands of ``shapes``: ``(products, bounds, per axiom: (k, n, size, index
+    shape, outer, slots, packs, classes))``.  ``products`` lists each distinct
+    sorted tuple of a group's operand numbers (its scale and bits), ``bounds``
+    each distinct row's ``(product, uses times summed sizes)`` pairs.  A row
+    packs its last ``k`` letters, the last of size ``n``, into ``slots``;
+    ``size`` places, ``outer`` per witness index.  ``packs`` holds ``(number,
+    operand number, packing)`` per operand its classes pack, numbered after the
+    operands; a class is ``(its number if another row holds it, spreads,
+    terms)``, a term ``(shared, spec, loads, into, sink offsets, product,
+    coefficient)``, ``loads`` its operands' numbers.  A contraction is numbered
+    by spec and packed operands; ``shared`` is its number when two distinct
+    classes hold it: it is contracted once and added by the lone ``into``."""
+    numbered, uses, keyed = {}, {}, []
+    for _, law, numbers in rows:
         groups, classes, names, _, _ = law._compiled
-        number = dict(zip(names, operands))
-        keys = [numbers.setdefault((spec, *[(number[n], p) for n, p in ids]), len(numbers))
+        number = dict(zip(names, numbers))
+        keys = [numbered.setdefault((spec, *[(number[n], p) for n, p in ids]), len(numbered))
                 for ids, spec, _, _ in groups]
         classes = [tuple([(keys[g], c) for g, c in row]) for row, _ in classes]
         for key in classes:
             uses[key] = uses.get(key, 0) + 1
-        rows.append((keys, classes))
+        keyed.append((keys, classes))
     owned = [group for key in uses for group, _ in key]  # once per distinct class
-    shared = frozenset(g for i, g in enumerate(owned) if g in owned[:i])
-    rows = [(tuple(keys), tuple([key if uses[key] > 1 else None for key in classes]))
-            for keys, classes in rows]
-    return shared, tuple(rows)
+    shared = {g for i, g in enumerate(owned) if g in owned[:i]}
+    products, bounds, programs, packed_ids = {}, {}, {}, {}  # packed loads after operands
+    for (axiom, law, numbers), (keys, kept) in zip(rows, keyed):
+        groups, classes, names, sizes, loads = law._compiled
+        number = dict(zip(names, numbers))
+        shape = {name: shapes[n] for name, n in number.items()}
+        full = [shape[name][axis] for name, axis in sizes]  # every term holds every letter
+        k = len(law.residual[-2:])
+        out, width = tuple(full[:-k]), len(law.index)
+        strides, spreads = law._layout(out)
+        bound, packings, terms = {}, [], []
+        for g, (ids, spec, summed, used) in enumerate(groups):
+            p = products.setdefault(tuple(sorted([number[name] for name, _ in ids])),
+                                    len(products))
+            bound[p] = bound.get(p, 0) + len(used) * prod([shape[n][axis] for n, axis in summed])
+            share = keys[g] if keys[g] in shared else None
+            into = spec if share is None else "{0}->{0}".format(spec.split(">")[1])
+            load = [number[name] if layout is None else packed_ids.setdefault(
+                        (number[name], packed, (full[-1], 1)[-k:]), len(shapes) + len(packed_ids))
+                    for (name, packed), layout in loads[g]]
+            packings.append([(key, number[name], layout) for key, ((name, _), layout)
+                             in zip(load, loads[g]) if layout is not None])
+            terms.append((share, spec, tuple(load), into, compiled(offsets, into, strides), p))
+        bounds[tuple(bound.items())] = None
+        packs = {item[0]: item for row, _ in classes for g, _ in row for item in packings[g]}
+        programs[axiom] = (k, full[-1], prod(out), out[:width], prod(out[width:]),
+                           prod(full[-k:]), tuple(packs.values()), tuple([
+                               (list(uses).index(key) if uses[key] > 1 else None, spread,
+                                tuple([(*terms[g], c) for g, c in row]))
+                               for (row, _), spread, key in zip(classes, spreads, kept)]))
+    return tuple(products), tuple(bounds), programs
 
 
 def check(structure, axiom: str, plan: Plan | None = None) -> AxiomReport:

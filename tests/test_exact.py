@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homstruct.errors import DimensionMismatch, FormatError
+from homstruct.errors import DimensionMismatch, FormatError, WrongSide
 from homstruct.exact import (
     _ZERO,
     ActionTensor,
@@ -282,7 +282,6 @@ def _cube(d0, d1, d2, widths=None):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: ActionTensor.from_entries(_cube(2, 3, 3), 2, 3, "up"), "unknown side 'up'"),
         (lambda: ActionTensor.from_entries(_cube(3, 3, 3), 2, 3, "left"),
          "action tensor first index has wrong size"),
         (lambda: ActionTensor.from_entries(_cube(2, 3, 3), 2, 3, "right"),
@@ -319,6 +318,14 @@ def test_action_and_coaction_shape_errors(build, message):
     with pytest.raises(DimensionMismatch) as excinfo:
         build()
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("build", [lambda: ActionTensor.from_entries(_cube(2, 3, 3), 2, 3, "up"),
+                                   lambda: ActionTensor.zero(1, 1, "up")])
+def test_an_unknown_action_side_is_wrong_side(build):
+    # the fault HomModule reports for an unknown side, with the same code
+    with pytest.raises(WrongSide, match="^unknown side 'up'$"):
+        build()
 
 
 def test_mul_tensor_opposite_and_negation():

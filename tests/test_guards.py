@@ -91,9 +91,9 @@ GUARDS = {
     "comul apply dims": (lambda: ComulTensor.zero(2).apply(V3), DimensionMismatch,
                          "expected dim 2, got 3"),
     "left apply of a right action": (lambda: ActionTensor.zero(1, 1, "right").apply_left(V1, V1),
-                                     DimensionMismatch, "left application of a right action"),
+                                     WrongSide, "left application of a right action"),
     "right apply of a left action": (lambda: ActionTensor.zero(1, 1).apply_right(V1, V1),
-                                     DimensionMismatch, "right application of a left action"),
+                                     WrongSide, "right application of a left action"),
     "left action operand dims": (lambda: ActionTensor.zero(1, 2).apply_left(V2, V2),
                                  DimensionMismatch, "action operand dims do not match"),
     "right action operand dims": (lambda: ActionTensor.zero(1, 2, "right").apply_right(V1, V1),

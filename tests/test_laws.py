@@ -1,22 +1,25 @@
 """Guards on the law core: the packed plan, its slots, and invariances of the inputs."""
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import partial
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homstruct import algebras, coalgebras, comodules, modules
+import reference_checks as ref
+from homstruct import algebras, axioms, coalgebras, comodules, modules
 from homstruct.algebras import (
     HomAlgebra,
     check_hom_associative,
     check_left_hom_alternative,
     check_right_hom_alternative,
 )
-from homstruct.catalog import matrix_algebra
+from homstruct.catalog import DeterministicRng, matrix_algebra
 from homstruct.coalgebras import HomPoissonCoalgebra, check_hom_poisson_coalgebra
 from homstruct.comodules import HomComodule, check_poisson_comodule
 from homstruct.exact import (
@@ -26,10 +29,11 @@ from homstruct.exact import (
     LinearMap,
     MulTensor,
     _Tensor,
+    compiled,
     construct,
 )
-from homstruct.laws import COMMUTES, Law
-from homstruct.modules import HomModule, check_left_module, check_right_module
+from homstruct.laws import COMMUTES, Law, Plan
+from homstruct.modules import HomModule, check_left_module, check_right_module, regular_module
 from reference_laws import UnpackedLaw
 
 # (terms, distinct contractions, packed letters) of every row.  The packed
@@ -748,3 +752,134 @@ def coalgebra_shape(axiom: str, n: int) -> tuple:
 def comodule_shape(axiom: str, n: int, m: int) -> tuple:
     two = {comodules.DELTA_COACTION_MULTIPLICATIVITY, comodules.GAMMA_COACTION_MULTIPLICATIVITY}
     return (n, m) if axiom in two else (n, n, m)
+
+
+# --- the program cache ------------------------------------------------------------
+#
+# A plan's program is cached by its rows' laws, the pattern of its operand
+# numbers and the operands' shapes, never by entry values: structures that
+# differ only in which operands are one tensor must get programs of their own,
+# and a program evicted from the bounded cache must come back the same.
+
+
+def fresh(nested):
+    """Nested entry tuples rebuilt as new tuples around the same entries."""
+    return tuple(map(fresh, nested)) if isinstance(nested, tuple) else nested
+
+
+def aliasing_cases(n: int) -> list:
+    """(check, its reference reports) at dim n, rational entries: checks that
+    share laws and shapes but differ in which operands share a tuple."""
+    rng = DeterministicRng(260 + n)
+
+    def square():
+        return [[rng.point_entry() for _ in range(n)] for _ in range(n)]
+
+    def cube():
+        return [square() for _ in range(n)]
+
+    alg = HomAlgebra(n, MulTensor.from_entries(cube()), LinearMap.from_rows(square()))
+    regular = regular_module(alg)  # act is mu's tuple
+    copied = HomModule(alg, n, alg.alpha, ActionTensor(fresh(alg.mu.c), n, n, "left"), "left")
+    other = HomModule(alg, n, alg.alpha, ActionTensor.from_entries(cube(), n, n, "left"), "left")
+    delta, alpha = ComulTensor.from_entries(cube()), LinearMap.from_rows(square())
+    one = HomPoissonCoalgebra(n, delta, delta, alpha, True)  # gamma is delta
+    twin = HomPoissonCoalgebra(n, delta, ComulTensor(fresh(delta.d)), alpha, True)
+    two = HomPoissonCoalgebra(n, delta, ComulTensor.from_entries(cube()), alpha, True)
+    algebra = [ref.check_left_hom_alternative(alg), ref.check_right_hom_alternative(alg),
+               ref.check_hom_associative(alg)]
+    # The oracle reads entries only, so equal-entry structures share its reports.
+    module, coalgebra = [ref.check_left_module(regular)], [ref.check_hom_poisson_coalgebra(one)]
+    structures = [(alg, algebra), (regular, module), (copied, module),
+                  (other, [ref.check_left_module(other)]), (one, coalgebra), (twin, coalgebra),
+                  (two, [ref.check_hom_poisson_coalgebra(two)])]
+    cases = [(partial(verify_all, s), reports) for s, reports in structures]
+    # Square maps: f x = y f with f, x or y one map, whose shapes are one sequence.
+    a, b = alg.alpha, alpha
+    for f, x, y in ((a, a, b), (a, b, b), (a, b, a), (b, a, b)):
+        cases.append((partial(commutes, COMMUTES, f, x, y),
+                      commutes(UnpackedLaw.of(COMMUTES), f, x, y)))
+    return cases
+
+
+def verify_all(structure) -> list:
+    return axioms.verify(structure, axioms.native_suite(structure))
+
+
+def commutes(law, f, x, y) -> list:
+    return [law.check("COMMUTES", f=f, x=x, y=y)]
+
+
+def commutes_cases(count: int) -> list:
+    """``count`` COMMUTES rows, each on sparse maps of its own pair of sizes:
+    ``f x = y f`` fails where ``f`` is nonzero and ``x``'s diagonal is not 1."""
+    side = isqrt(count - 1) + 1
+    cases = []
+    for m, n in [(m, n) for m in range(1, side + 1) for n in range(1, side + 1)][:count]:
+        f = LinearMap.from_rows([[int((o + a) % 3 == 0) for a in range(n)] for o in range(m)])
+        x = LinearMap.diagonal([Fraction(a % 3 + 1, 2) for a in range(n)])
+        cases.append({"f": f, "x": x, "y": LinearMap.identity(m)})
+    return cases
+
+
+def test_programs_are_keyed_by_laws_aliasing_and_shapes():
+    bound = compiled.cache_info().maxsize
+    cases = [case for n in range(1, 5) for case in aliasing_cases(n)]
+    random.Random(26).shuffle(cases)
+    reports = [run() for run, _ in cases]
+    assert sum(not r.holds for rs in reports for r in rs) > 20  # witnesses are compared too
+    for (run, expected), got in zip(cases, reports):
+        assert got == expected
+        compiled.cache_clear()
+        assert run() == got
+    # More distinct shapes than the cache holds: the first programs are evicted
+    # and rebuilt equal, and so are the aliasing cases', checked again after.
+    rows = commutes_cases(bound + 1)
+    sweep = [COMMUTES.check("COMMUTES", **operands) for operands in rows]
+    assert compiled.cache_info().currsize == bound
+    misses = compiled.cache_info().misses
+    assert [COMMUTES.check("COMMUTES", **operands) for operands in rows[:3]] == sweep[:3]
+    assert compiled.cache_info().misses > misses
+    oracle = UnpackedLaw.of(COMMUTES)
+    for operands, got in zip(rows, sweep):
+        assert got == oracle.check("COMMUTES", **operands)
+    assert not all(r.holds for r in sweep)
+    for run, expected in reversed(cases):
+        assert run() == expected
+
+
+def slot_formula(rows: list) -> tuple[int, int]:
+    """The common scale and B of a plan of ``rows`` by the formula, group by group:
+    a group's scale is the product of its operands' scales, and a row's bound the
+    sum over its groups of common // scale * (uses * summed sizes << bits)."""
+    bounds = []
+    for _, law, operands in rows:
+        bounds.append([])
+        for ids, _, summed, uses in law.groups:
+            scale = prod(operands[name].scaled[0] for name, _ in ids)
+            bits = sum(operands[name].scaled[2] for name, _ in ids)
+            count = len(uses) * prod(operands[name].shape[axis] for name, axis in summed)
+            bounds[-1].append((scale, count << bits))
+    common = lcm(*[scale for row in bounds for scale, _ in row])
+    return common, max(sum(common // s * b for s, b in row) for row in bounds).bit_length() + 2
+
+
+def test_common_scale_and_slot_width_follow_the_formula():
+    top = Fraction(2**40 - 3, 7)
+    t = ComulTensor.from_entries([[[top, Fraction(1, 3)], [1, 0]],
+                                  [[0, Fraction(-5, 2)], [top, 1]]])
+    g = ComulTensor.from_entries([[[1, 2], [Fraction(1, 5), 0]], [[0, 3], [-1, 1]]])
+    coalg = HomPoissonCoalgebra(2, t, g, LinearMap.from_rows([[Fraction(3, 4), 1], [0, top]]), True)
+    alg = HomAlgebra(2, MulTensor.from_entries([[[top, 0], [1, Fraction(2, 9)]]] * 2),
+                     LinearMap.from_rows([[1, Fraction(1, 6)], [0, 2]]))
+    # COCOMMUTATIVITY (one operand), HOM_COJACOBI (three-fold products) and
+    # HOM_COLEIBNIZ (delta and gamma), alone and in one plan; an algebra row too.
+    rows = [row for axiom in ("COCOMMUTATIVITY", "HOM_COJACOBI", "HOM_COLEIBNIZ")
+            for row in coalg.laws(axiom)]
+    for plan_rows in [[row] for row in rows] + [rows, alg.laws("HOM_ASSOC")]:
+        plan = Plan({axiom: [(axiom, law, operands)] for axiom, law, operands in plan_rows})
+        assert plan._size()[:2] == slot_formula(plan_rows)
+    # pinned, so a change to the formula shows even where both sides move together
+    assert [Plan({"R": [("R", law, ops)]})._size()[:2] for _, law, ops in rows] == [
+        (42, 47), (700, 56), (5880, 95)]
+    assert Plan({axiom: [(axiom, law, ops)] for axiom, law, ops in rows})._size()[:2] == (29400, 97)

@@ -74,17 +74,18 @@ LAYER_FIELDS = {
     "ingest": ["parse_ms", "scaled_ms", "rewrite_ms"],
     "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
     "construct": ["twist_module_ms", "twist_comodule_ms", "then_map_ms", "precompose_ms"],
+    "catalog": ["catalog_ms", "slowest", "slowest_ms"],
 }
-RUN_LAYERS = [["-", "compile"], ["-", "exec"]]  # timed once a run
-DIM_LAYERS = [*LAYER_FIELDS][2:]  # timed once a dim
+RUN_LAYERS = [["-", "compile"], ["-", "exec"], ["-", "catalog"]]  # timed once a run
+DIM_LAYERS = [*LAYER_FIELDS][2:-1]  # timed once a dim
 
 
 def layer_ms(row: str) -> list[float]:
-    """The times of a ``compile``, ``exec``, ``write``, ``ingest``, ``suite`` or
-    ``construct`` line, checked against their names."""
+    """The times of a ``compile``, ``exec``, ``catalog``, ``write``, ``ingest``,
+    ``suite`` or ``construct`` line, checked against their names."""
     _, label, *fields = row.split()
     assert [field.split("=")[0] for field in fields] == LAYER_FIELDS[label], row
-    return [float(field.split("=")[1]) for field in fields]
+    return [float(value) for name, value in (f.split("=") for f in fields) if name.endswith("_ms")]
 
 
 def test_time_laws_prints_one_line_per_law(capsys):
@@ -133,12 +134,17 @@ def test_time_laws_at_dims_zero_and_one():
 
 
 def test_time_laws_times_only_the_named_laws(capsys):
-    run = time_laws("--dims", "2", "--laws", "HOM_POISSON_COALGEBRA")
+    from homstruct import catalog
+
+    run = time_laws("--dims", "2", "--laws", "HOM_POISSON_COALGEBRA", "--repeat", "2")
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
     assert [row.split()[:2] for row in rows] == RUN_LAYERS + [
         ["2", "write"], ["2", "ingest"], ["2", "suite"], ["2", "construct"],
         ["2", "HOM_POISSON_COALGEBRA"]
     ]
+    # The catalog line times every entry whatever --laws names: the sum, then the slowest.
+    total, slowest = layer_ms(rows[2])
+    assert 0 < slowest <= total and rows[2].split()[3].split("=")[1] in catalog.names()
     for laws in ("NO_SUCH_LAW", "HOM_ASSOC,NO_SUCH_LAW", ""):
         assert time_laws_refuses(capsys, "--dims", "2", "--laws", laws), laws
