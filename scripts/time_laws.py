@@ -36,7 +36,9 @@ nonzero, so these lines time the write and read paths where skipping zeros
 saves nothing.  Then one ``suite`` line: the best time in ms of ``verify
 --suite all`` on each of the five structures (``algebra_ms`` ...
 ``comodule_ms``), one ``laws.Plan`` each, so shared contractions and
-packings are built once per suite.  Then one ``construct`` line: the best
+packings are built once per suite.  Then one ``untwisted`` line, the same
+on the five structures with ``alpha`` and ``beta`` replaced by the
+identity, whose plans drop those operands.  Then one ``construct`` line: the best
 time in ms of ``modules.twist_module`` on the left module rebased on a dense
 algebra whose dense alpha is multiplicative (``multiplicative_algebra``; the
 twist checks that first), ``twist_module_ms``, of
@@ -129,6 +131,18 @@ def regular_file(structures: list) -> StructureFile:
     regular = [alg, regular_module(alg, "left"), regular_module(alg, "right"), coalg,
                regular_comodule(coalg)]
     return StructureFile(FILE_VERSION, dict(zip(NAMES, regular)), BASES)
+
+
+def untwisted(structures: list) -> list:
+    """The five structures of ``build_structures`` with alpha = beta = id."""
+    alg, left, right, coalg, comod = structures
+    one = LinearMap.identity(alg.dim)
+    alg = HomAlgebra(alg.dim, alg.mu, one)
+    left, right = (HomModule(alg, m.dim_mod, one, m.action, m.side) for m in (left, right))
+    coalg = HomPoissonCoalgebra(coalg.dim, coalg.delta, coalg.gamma, one,
+                                coalg.cocommutative_expected)
+    comod = HomComodule(coalg, comod.dim_mod, one, "poisson", comod.delta_m, comod.gamma_m)
+    return [alg, left, right, coalg, comod]
 
 
 def multiplicative_algebra(n: int) -> HomAlgebra:
@@ -250,12 +264,14 @@ def time_ingest(n: int, repeat: int) -> tuple[float, float, float]:
     return best_parse, best_build, best_rewrite
 
 
-def time_suites(n: int, repeat: int) -> list[float]:
-    """Best seconds of ``--suite all`` on each of the five dim-n structures."""
+def time_suites(n: int, repeat: int, untwist: bool = False) -> list[float]:
+    """Best seconds of ``--suite all`` on each of the five dim-n structures, or on
+    their ``untwisted`` forms."""
+    structures = build_structures(n, dense_entries(n))
     best = []
     gc.collect()
     gc.disable()
-    for structure in build_structures(n, dense_entries(n)):
+    for structure in untwisted(structures) if untwist else structures:
         suite, seconds = native_suite(structure), float("inf")
         for _ in range(repeat):
             start = time.perf_counter()
@@ -352,9 +368,10 @@ def main(argv=None) -> int:
         print(f"{n:>3}  {'ingest':<32} parse_ms={parse_seconds * 1000:.2f}"
               f" scaled_ms={build_seconds * 1000:.2f}"
               f" rewrite_ms={rewrite_seconds * 1000:.2f}", flush=True)
-        suites = " ".join(f"{name}_ms={seconds * 1000:.2f}"
-                          for name, seconds in zip(NAMES, time_suites(n, args.repeat)))
-        print(f"{n:>3}  {'suite':<32} {suites}", flush=True)
+        for label, untwist in (("suite", False), ("untwisted", True)):
+            suites = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds
+                              in zip(NAMES, time_suites(n, args.repeat, untwist)))
+            print(f"{n:>3}  {label:<32} {suites}", flush=True)
         constructs = zip(CONSTRUCTIONS, time_constructions(n, args.repeat))
         constructs = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in constructs)
         print(f"{n:>3}  {'construct':<32} {constructs}", flush=True)

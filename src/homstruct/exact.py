@@ -66,7 +66,7 @@ from .errors import DimensionMismatch, FormatError, WrongSide
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
+_NUMERATOR, _DENOMINATOR = attrgetter("_numerator"), attrgetter("_denominator")  # as ``rat``
 
 _RATIONAL_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
@@ -260,7 +260,11 @@ class _Tensor(Record):
         flat = self.flat()
         candidate = list(map(is_not, flat, repeat(_ZERO)))
         values = list(compress(flat, candidate))
-        denominators = list(map(_DENOMINATOR, values))
+        try:
+            denominators = list(map(_DENOMINATOR, values))
+        except AttributeError:  # an int put straight into a constructor has no slots
+            values = list(map(Fraction, values))
+            denominators = list(map(_DENOMINATOR, values))
         s = lcm(*denominators)
         scaled = map(_NUMERATOR, values)
         if s != 1:
@@ -269,6 +273,15 @@ class _Tensor(Record):
         if 0 in entries.values():  # another zero than _ZERO
             entries = {key: x for key, x in entries.items() if x}
         return s, entries, max(map(abs, entries.values()), default=0).bit_length()
+
+    def is_identity(self) -> bool:
+        return self._identity
+
+    @lazy
+    def _identity(self) -> bool:
+        """Whether this is a square identity matrix, read once from ``scaled`` in O(n)."""
+        n, *rest = self.shape
+        return rest == [n] and self.scaled[:2] == (1, {(i, i): 1 for i in range(n)})
 
     @lazy
     def ident(self) -> tuple:
@@ -378,15 +391,6 @@ class LinearMap(_Tensor):
         vals = Vector.from_entries(values).entries
         n = len(vals)
         return cls(tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
-
-    def is_identity(self) -> bool:
-        if self.dim_in != self.dim_out:
-            return False
-        return all(
-            x == (_ONE if i == j else _ZERO)
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-        )
 
     def is_square(self, dim: int) -> bool:
         return self.dim_in == dim and self.dim_out == dim

@@ -62,6 +62,14 @@ one ``W = A - B``: two contractions for the three.  Zero coefficients are
 dropped, and a contraction never writes to its operands (``t.kij`` alone
 is the packed ``t``).
 
+An operand bound to an identity map (``is_identity``) is a relabelling: a plan
+drops it from each term of two or more operands where another operand holds its
+summed letter, renamed to its other letter (``_untwisted``, once per law and
+names).  ``HOM_ASSOC`` under ``alpha = id`` is ``+ mu.ibo mu.jkb - mu.ako
+mu.ija``; a multiplicativity row is ``+ t.kij - t.kij``, which cancels.  A
+renaming that repeats a letter in an operand is not made, and a row that would
+then hold a packed letter twice in a term is evaluated as stated.
+
 A plan is a program and its arithmetic.  The program is all that the rows'
 laws, the pattern of their operand numbers and the operands' shapes fix:
 which groups and rows the scale and bound read, each row's layout, packings
@@ -74,9 +82,9 @@ scale and B, packs, contracts, spreads and scans.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress, count, islice
 from math import lcm, prod
-from operator import add, floordiv, sub
+from operator import add, sub
 
 from .exact import _parse, compiled, contract, lazy, offsets, pack, packing, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
@@ -110,7 +118,6 @@ class Law:
                 if letters.count(packed) != 1:
                     raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
         self.index, self.residual, self.terms = index, residual, terms
-        self._layouts: dict[tuple, tuple] = {}
 
     @property
     def groups(self) -> list[tuple]:
@@ -232,13 +239,16 @@ class Plan:
         """``(common scale, B, per axiom its program, per product common // its
         scale)``.  An operand is numbered by first appearance of its ``ident``,
         (entry tuple, shape), and its ``scaled`` entries read once per number,
-        into ``_entries``; the rest is fixed by the rows and those shapes
-        (``_program``)."""
+        into ``_entries``; a row runs without the names whose operands are
+        identity maps (``_untwisted``); the rest is fixed by the rows and those
+        shapes (``_program``)."""
         seen, signature = {}, []  # ident -> (number, the first operand with it)
         for axiom, law, operands in self._rows.values():
-            numbers = [seen.setdefault(operands[name].ident, (len(seen), operands[name]))[0]
-                       for name in law._compiled[2]]
-            signature.append((axiom, law, tuple(numbers)))
+            first = {name: seen.setdefault(operands[name].ident, (len(seen), operands[name]))
+                     for name in law._compiled[2]}
+            maps = tuple([name for name, (_, t) in first.items() if t.is_identity()])
+            law = compiled(_untwisted, law, maps) if maps else law
+            signature.append((axiom, law, tuple([first[name][0] for name in law._compiled[2]])))
         shapes = tuple([shape for _, shape in seen])
         products, bounds, rows = compiled(_program, tuple(signature), shapes)
         scaled = [t.scaled for _, t in seen.values()]
@@ -283,6 +293,34 @@ class Plan:
                     part = w if gather is None else map(w.__getitem__, gather)
                     residual = list(map(add if s > 0 else sub, residual, part))
         return _report(axiom, residual, index, outer, slots, common, bits)
+
+
+def _untwisted(law: Law, maps: tuple) -> Law:
+    """``law`` with the operands named in ``maps``, bound to identity maps, dropped
+    where the rules above allow; else ``law`` itself."""
+    out, parsed = law.index + law.residual, []
+    for plus, operands in law._parsed:
+        i = 0
+        while i < len(operands):
+            (name, own), rest = operands[i], operands[:i] + operands[i + 1 :]
+            held = "".join([letters for _, letters in rest])
+            summed = [c for c in own if c not in out and c in held]
+            if name in maps and len(set(own)) == len(own) == 2 and summed:
+                other = own.replace(summed[0], "")
+                renamed = [(n, letters.replace(summed[0], other)) for n, letters in rest]
+                if all(len(set(letters)) == len(letters) for _, letters in renamed):
+                    operands = renamed
+                    continue
+            i += 1
+        parsed.append((plus, operands))
+    if parsed == law._parsed:
+        return law
+    terms = ["+-"[not plus] + "".join([f" {n}.{letters}" for n, letters in operands])
+             for plus, operands in parsed]
+    try:
+        return Law(law.index, law.residual, *terms)
+    except ValueError:  # a packed letter moved into a second operand
+        return law
 
 
 def _program(rows: tuple, shapes: tuple) -> tuple:
@@ -362,18 +400,17 @@ def _report(axiom: str, residual: list, index: tuple[int, ...], outer: int, slot
     """
     if not any(residual):
         return AxiomReport(axiom, True, (), 0)
-    places = compress(range(len(residual)), residual)
-    failing = list(dict.fromkeys(map(floordiv, places, repeat(outer))))
+    fails = residual if outer == 1 else list(map(any, zip(*[iter(residual)] * outer)))
     zeros = (0,) * slots
     radix = [(prod(index[i + 1 :]), n) for i, n in enumerate(index)]
     kept = []
-    for flat in failing[:WITNESS_CAP]:
+    for flat in islice(compress(count(), fails), WITNESS_CAP):
         digits = []
         for packed in residual[flat * outer : (flat + 1) * outer]:
             digits += unpack(packed, slots, bits) if packed else zeros
         key = tuple([flat // stride % n for stride, n in radix])
         kept.append(Witness(key, tuple(digits), scale))
-    return AxiomReport(axiom, False, tuple(kept), len(failing))
+    return AxiomReport(axiom, False, tuple(kept), len(fails) - fails.count(0))
 
 
 COMMUTES = Law("i", "o", "+ f.oa x.ai", "- y.oa f.ai")

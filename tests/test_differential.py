@@ -45,6 +45,7 @@ from homstruct.comodules import (
     check_comodule_morphism,
     check_lie_comodule,
     check_poisson_comodule,
+    regular_comodule,
 )
 from homstruct.errors import KernelError
 from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor
@@ -53,6 +54,7 @@ from homstruct.modules import (
     check_left_module,
     check_module_morphism,
     check_right_module,
+    regular_module,
 )
 from homstruct.report import AxiomReport
 
@@ -394,3 +396,28 @@ def test_random_comodules_match_reference(kind, dim):
         other = random_comodule(3100 + 10 * dim + seed, base, (dim + 1 + seed) % 5, kind, OVER)
         f = Draw(seed).map(other.dim_mod, c.dim_mod, OVER["f"])
         agree_lax_and_strict(COMODULE_MORPHISMS, f, c, other)
+
+
+# --- alpha = beta = id: plans drop the identity operands, the reference does not -----
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_untwisted_structures_and_their_regular_ones_match_reference(dim):
+    one = LinearMap.identity(dim)
+    for seed, over in enumerate((NO_SCALE, OVER)):
+        alg, other = (HomAlgebra(dim, random_algebra(1200 + 10 * dim + seed + k, dim, over).mu, one)
+                      for k in (0, 5))
+        module = random_module(1300 + 10 * dim + seed, alg, dim, "left", over)
+        structures = [alg, regular_module(alg, "left"), regular_module(alg, "right"),
+                      HomModule(alg, dim, one, module.action, "left")]
+        coalg, target = (HomPoissonCoalgebra(dim, c.delta, c.gamma, one, c.cocommutative_expected)
+                         for c in (random_coalgebra(1400 + 10 * dim + seed + k, dim, over)
+                                   for k in (0, 5)))
+        comodule = random_comodule(1500 + 10 * dim + seed, coalg, dim, "poisson", over)
+        structures += [coalg, HomComodule(coalg, dim, one, "poisson", comodule.delta_m,
+                                          comodule.gamma_m)]
+        structures += [regular_comodule(coalg, kind) for kind in KINDS]
+        for structure in structures:
+            check_everything(structure)  # f = id among the morphisms of each to itself
+        agree((check_morphism, ref.check_morphism), one, alg, other)
+        agree((check_coalgebra_morphism, ref.check_coalgebra_morphism), one, coalg, target)

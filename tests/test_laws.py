@@ -822,6 +822,37 @@ def commutes_cases(count: int) -> list:
     return cases
 
 
+def session_argv(entry, out) -> list[list[str]]:
+    """The README session's commands on one catalogue entry: export it, verify its
+    pinned suite, then transform and twist it where its kind allows, verifying each."""
+    name, payload = entry.name, entry.payload
+    src, transformed, twisted = (str(out / f"{name}{suffix}.json") for suffix in ("", ".t", ".w"))
+    runs = [["catalog", "export", name, "--out", src],
+            ["verify", src, name, "--suite", ",".join(entry.expected_verdicts)]]
+    side, kind = getattr(payload, "side", "left"), getattr(payload, "kind", "poisson")
+    op = "opposite" if hasattr(payload, "alpha") else "negate"
+    if side == "left" and kind == "poisson":
+        runs += [["transform", src, name, op, "--out", transformed], ["verify", transformed, name]]
+    if not hasattr(payload, "alpha") or payload.alpha.is_identity():
+        endo = ["--endo", "id"] if hasattr(payload, "alpha") else []
+        runs += [["twist", src, name, "--out", twisted, *endo], ["verify", twisted, name]]
+    return runs
+
+
+def test_the_catalogue_sweep_and_session_evict_no_compiled_entry(tmp_path, capsys):
+    from homstruct import catalog, cli
+
+    compiled.cache_clear()
+    for entry in catalog.entries():
+        assert catalog.run_expected_checks(entry) == entry.expected_verdicts
+    for entry in catalog.entries():
+        for argv in session_argv(entry, tmp_path):
+            assert cli.main(argv) in (0, 1), argv
+    capsys.readouterr()
+    info = compiled.cache_info()
+    assert info.misses == info.currsize < info.maxsize  # every entry built is still held
+
+
 def test_programs_are_keyed_by_laws_aliasing_and_shapes():
     bound = compiled.cache_info().maxsize
     cases = [case for n in range(1, 5) for case in aliasing_cases(n)]

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homstruct.laws as laws
-from homstruct import axioms, catalog
+from homstruct import algebras, axioms, catalog, coalgebras, comodules, modules
 from homstruct.algebras import HomAlgebra
 from homstruct.coalgebras import HomPoissonCoalgebra
 from homstruct.comodules import HomComodule
 from homstruct.errors import KernelError
-from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor
+from homstruct.exact import (
+    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, Vector, compiled,
+)
 from homstruct.modules import HomModule
 from homstruct.report import AxiomReport
 from reference_laws import UnpackedLaw
@@ -127,19 +129,22 @@ def recorded(monkeypatch):
 
 def test_an_algebra_suite_contracts_twice(monkeypatch):
     contractions, packings = recorded(monkeypatch)
-    for name in ("octonions", "non_alternative2", "matrix2_twisted"):
+    # A = alpha.ai mu.abo mu.jkb and B = alpha.bk mu.abo mu.ija: all ten terms.  Under
+    # alpha = id they are A = mu.ibo mu.jkb and B = mu.ako mu.ija.
+    twisted, untwisted = ["ai,ab,jkb->ijk", "bk,ab,ija->ijk"], ["ak,ija->ijk", "ib,jkb->ijk"]
+    for name, specs in (("matrix2_twisted", twisted), ("dual_numbers_twisted", twisted),
+                        ("octonions", untwisted), ("non_alternative2", untwisted)):
         structure = catalog.get(name).payload
         del contractions[:], packings[:]
         reports = axioms.verify(structure, axioms.native_suite(structure))
         assert [r.axiom for r in reports] == ["LEFT_HOM_ALT", "RIGHT_HOM_ALT", "HOM_ASSOC"]
-        # A = alpha.ai mu.abo mu.jkb and B = alpha.bk mu.abo mu.ija: all ten terms.
-        assert sorted(spec for spec, _ in contractions) == ["ai,ab,jkb->ijk", "bk,ab,ija->ijk"]
+        assert sorted(spec for spec, _ in contractions) == specs, name
         assert len(packings) == 1  # mu over o
 
 
 def test_the_mixed_poisson_comodule_term_is_contracted_once(monkeypatch):
     contractions, _ = recorded(monkeypatch)
-    for name in ("poisson_dual4_regular_comodule", "poisson_dual4_comodule_corrupt"):
+    for name in ("poisson_dual4_twisted_regular_comodule", "primitive2_twisted_regular_comodule"):
         comodule = catalog.get(name).payload
         del contractions[:]
         (report,) = axioms.verify(comodule, ["POISSON_COMODULE"])
@@ -148,6 +153,16 @@ def test_the_mixed_poisson_comodule_term_is_contracted_once(monkeypatch):
                   if spec == "pas,a,si->pi" and tensors[0] is comodule.delta_m.scaled[1]]
         assert shared == ["pas,a,si->pi"]
         assert [spec for spec, _ in contractions].count("pi->pi") == 2
+        assert report == alone(comodule, "POISSON_COMODULE")
+    for name in ("poisson_dual4_regular_comodule", "poisson_dual4_comodule_corrupt"):
+        comodule = catalog.get(name).payload
+        del contractions[:]
+        (report,) = axioms.verify(comodule, ["POISSON_COMODULE"])
+        # Under alpha = id the shared term is - dm.pjs gm.siq; the other ps,si->pi is
+        # GAMMA_COACTION_COMPATIBILITY's + gm.pjs gm.siq, on its own packed gm.
+        specs = [spec for spec, _ in contractions]
+        firsts = {id(tensors[0]) for spec, tensors in contractions if spec == "ps,si->pi"}
+        assert specs.count("ps,si->pi") == len(firsts) == 2 and specs.count("pi->pi") == 2
         assert report == alone(comodule, "POISSON_COMODULE")
 
 
@@ -158,8 +173,10 @@ def test_no_operand_is_packed_twice_in_one_plan(monkeypatch):
         del packings[:]
         axioms.verify(structure, axioms.native_suite(structure) + list(entry.expected_verdicts))
         assert len(packings) == len(set(packings)), entry.name
-    # The 7-part coalgebra and 6-part comodule suites: 10 and 7 distinct packings.
-    for name, count in (("poisson_dual4", 10), ("poisson_dual4_regular_comodule", 7)):
+    # The 7-part coalgebra and 6-part comodule suites: 10 and 7 distinct packings; 11
+    # and 8 under alpha = beta = id, where the packed letters the maps held move to tensors.
+    for name, count in (("poisson_dual4_twisted", 10), ("poisson_dual4_twisted_regular_comodule", 7),
+                        ("poisson_dual4", 11), ("poisson_dual4_regular_comodule", 8)):
         structure = catalog.get(name).payload
         del packings[:]
         axioms.verify(structure, axioms.native_suite(structure))
@@ -198,6 +215,92 @@ def test_a_kept_class_sum_takes_no_later_adds():
                       "SECOND": [("SECOND", second, operands)]})
     for axiom, law in (("FIRST", first), ("SECOND", second)):
         assert plan.check(axiom) == UnpackedLaw.of(law).check(axiom, **operands)
+
+
+# --- identity operands ----------------------------------------------------------
+
+
+def alike(*terms):
+    """A row with no beta: the same terms under alpha = id and under alpha = beta = id."""
+    return terms, terms
+
+
+# Each registered row's terms under alpha = id, then under alpha = beta = id.
+UNTWISTED = {
+    "LEFT_HOM_ALT": alike("+ mu.ibo mu.jkb", "- mu.ako mu.ija", "+ mu.jbo mu.ikb",
+                          "- mu.ako mu.jia"),
+    "RIGHT_HOM_ALT": alike("+ mu.ibo mu.jkb", "- mu.ako mu.ija", "+ mu.ibo mu.kjb",
+                           "- mu.ajo mu.ika"),
+    "HOM_ASSOC": alike("+ mu.ibo mu.jkb", "- mu.ako mu.ija"),
+    "LEFT_MODULE": (
+        ("+ act.irq act.jpr", "- beta.rp act.arq mu.ija", "+ act.jrq act.ipr",
+         "- beta.rp act.arq mu.jia"),
+        ("+ act.irq act.jpr", "- act.apq mu.ija", "+ act.jrq act.ipr", "- act.apq mu.jia"),
+    ),
+    "RIGHT_MODULE": (
+        ("+ act.rjq act.pir", "+ act.riq act.pjr", "- beta.rp act.raq mu.ija",
+         "- beta.rp act.raq mu.jia"),
+        ("+ act.rjq act.pir", "+ act.riq act.pjr", "- act.paq mu.ija", "- act.paq mu.jia"),
+    ),
+    "COCOMMUTATIVITY": alike("+ t.kij", "- t.kji"),
+    "DELTA_MULTIPLICATIVITY": alike("+ t.kij", "- t.kij"),
+    "HOM_COASSOCIATIVITY": alike("+ t.kib t.bjl", "- t.kal t.aij"),
+    "SKEW_COSYMMETRY": alike("+ t.kij", "+ t.kji"),
+    "GAMMA_MULTIPLICATIVITY": alike("+ t.kij", "- t.kij"),
+    "HOM_COJACOBI": alike("+ t.kib t.bjl", "+ t.kjb t.bli", "+ t.klb t.bij"),
+    "HOM_COLEIBNIZ": alike("+ gamma.kib delta.bjl", "- delta.kal gamma.aij",
+                           "- delta.kjb gamma.bil"),
+    "DELTA_COACTION_MULTIPLICATIVITY": (("+ beta.rp t.riq", "- t.pis beta.qs"),
+                                        ("+ t.piq", "- t.piq")),
+    "DELTA_COACTION_COASSOCIATIVITY": (("+ dm.pis dm.sjq", "- dm.pas beta.qs delta.aij"),
+                                       ("+ dm.pis dm.sjq", "- dm.paq delta.aij")),
+    "GAMMA_COACTION_MULTIPLICATIVITY": (("+ beta.rp t.riq", "- t.pis beta.qs"),
+                                        ("+ t.piq", "- t.piq")),
+    "GAMMA_COACTION_COMPATIBILITY": (
+        ("+ gm.pas beta.qs gamma.aij", "- gm.pis gm.sjq", "+ gm.pjs gm.siq"),
+        ("+ gm.paq gamma.aij", "- gm.pis gm.sjq", "+ gm.pjs gm.siq"),
+    ),
+    "COMODULE_COLEIBNIZ": (
+        ("+ gm.pis dm.sjq", "- dm.pas beta.qs gamma.aij", "- dm.pjs gm.siq"),
+        ("+ gm.pis dm.sjq", "- dm.paq gamma.aij", "- dm.pjs gm.siq"),
+    ),
+    "COMODULE_COMULT_COMPAT": (
+        ("+ gm.pas beta.qs delta.aij", "- dm.pis gm.sjq", "- dm.pjs gm.siq"),
+        ("+ gm.paq delta.aij", "- dm.pis gm.sjq", "- dm.pjs gm.siq"),
+    ),
+}
+
+
+def test_identity_operands_are_dropped_from_every_registered_row():
+    rows = {**algebras._LAWS, **modules._LAWS, **coalgebras._LAWS, **comodules._LAWS}
+    assert set(rows) == set(UNTWISTED)
+    for axiom, law in rows.items():
+        for bound, terms in zip((("alpha",), ("alpha", "beta")), UNTWISTED[axiom]):
+            maps = tuple([name for name in law._compiled[2] if name in bound])  # as in a Plan
+            rewritten = compiled(laws._untwisted, law, maps)
+            assert rewritten.terms == terms, (axiom, bound)
+            assert compiled(laws._untwisted, law, maps) is rewritten  # one Law per process
+            assert (rewritten is law) == (terms == law.terms)
+            # A multiplicativity row whose every map is the identity cancels to nothing.
+            cancels = "MULTIPLICATIVITY" in axiom and {"alpha", "beta"} & set(law._compiled[2]) <= set(bound)
+            assert (rewritten.classes == ()) == cancels, (axiom, bound)
+
+
+def test_an_identity_is_kept_where_dropping_it_is_no_relabelling():
+    e, f = LinearMap.identity(3), LinearMap.from_rows([[1, -2, 0], [Fraction(1, 3), 0, 5], [0, 0, 2]])
+    v = Vector.from_entries([2, 0, Fraction(-1, 2)])
+    t = MulTensor.from_entries([[[i - j + k for k in range(3)] for j in range(3)] for i in range(3)])
+    cases = [
+        (laws.Law("ij", "o", "+ e.ij v.o"), {"e": e, "v": v}),  # both letters are outputs
+        (laws.Law("i", "o", "+ e.ia t.iao"), {"e": e, "t": t}),  # t.iio repeats a letter
+        # x.io y.jo would hold the packed o twice: the stated row is kept.
+        (laws.Law("ij", "o", "+ e.ao x.ia y.ja"), {"e": e, "x": f, "y": f}),
+    ]
+    for law, operands in cases:
+        assert laws._untwisted(law, ("e",)) is law, law.terms
+        report = law.check("KEPT", **operands)
+        assert not report.holds
+        assert report == UnpackedLaw.of(law).check("KEPT", **operands)
 
 
 # --- operands known by their entries ------------------------------------------

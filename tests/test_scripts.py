@@ -73,6 +73,7 @@ LAYER_FIELDS = {
     "write": ["build_ms", "serialize_ms", "regular_ms"],
     "ingest": ["parse_ms", "scaled_ms", "rewrite_ms"],
     "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
+    "untwisted": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
     "construct": ["twist_module_ms", "twist_comodule_ms", "then_map_ms", "precompose_ms"],
     "catalog": ["catalog_ms", "slowest", "slowest_ms"],
 }
@@ -82,7 +83,7 @@ DIM_LAYERS = [*LAYER_FIELDS][2:-1]  # timed once a dim
 
 def layer_ms(row: str) -> list[float]:
     """The times of a ``compile``, ``exec``, ``catalog``, ``write``, ``ingest``,
-    ``suite`` or ``construct`` line, checked against their names."""
+    ``suite``, ``untwisted`` or ``construct`` line, checked against their names."""
     _, label, *fields = row.split()
     assert [field.split("=")[0] for field in fields] == LAYER_FIELDS[label], row
     return [float(value) for name, value in (f.split("=") for f in fields) if name.endswith("_ms")]
@@ -140,7 +141,7 @@ def test_time_laws_times_only_the_named_laws(capsys):
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
     assert [row.split()[:2] for row in rows] == RUN_LAYERS + [
-        ["2", "write"], ["2", "ingest"], ["2", "suite"], ["2", "construct"],
+        ["2", "write"], ["2", "ingest"], ["2", "suite"], ["2", "untwisted"], ["2", "construct"],
         ["2", "HOM_POISSON_COALGEBRA"]
     ]
     # The catalog line times every entry whatever --laws names: the sum, then the slowest.
