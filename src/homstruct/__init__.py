@@ -5,21 +5,19 @@ Every axiom is a multilinear identity in the structure constants, stated
 once as a row of signed contraction terms (``laws.Law``) and decided exactly
 over the rationals; each construction (twists, opposites, negations) is
 stated once as one such term, evaluated exactly by ``exact.construct`` and
-put back into a copy of its structure by ``exact.rebuild``.
+put back into a copy of its structure by ``exact.rebuild``.  The package
+decides laws on basis tuples only; it evaluates no map or tensor at a point.
 """
 
 from .algebras import (
     HomAlgebra,
-    check_anticommute_identity,
     check_endomorphism,
     check_hom_associative,
     check_left_hom_alternative,
     check_morphism,
     check_right_hom_alternative,
-    left_alternative_defect,
     negate,
     opposite,
-    right_alternative_defect,
     yau_twist,
 )
 from .coalgebras import (
@@ -46,7 +44,6 @@ from .comodules import (
     twist_coassoc_comodule,
     twist_lie_comodule,
     twist_poisson_comodule,
-    with_coalgebra,
 )
 from .errors import (
     AlgebraMismatch,
@@ -56,7 +53,6 @@ from .errors import (
     FormatError,
     KernelError,
     KindMismatch,
-    NotAnticommuting,
     NotCoendomorphism,
     NotEndomorphism,
     WrongSide,
@@ -78,8 +74,6 @@ from .modules import (
     check_left_module,
     check_module_morphism,
     check_right_module,
-    left_module_defect,
-    module_hom_associator,
     negate_module,
     opposite_module,
     regular_module,

@@ -17,8 +17,8 @@ on basis triples directly (it is already trilinear).
 
 from __future__ import annotations
 
-from .errors import AlreadyTwisted, DimensionMismatch, NotAnticommuting, NotEndomorphism
-from .exact import LinearMap, MulTensor, Record, Vector, _set, rebuild, record
+from .errors import AlreadyTwisted, DimensionMismatch, NotEndomorphism
+from .exact import LinearMap, MulTensor, Record, _set, rebuild, record
 from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
@@ -95,18 +95,6 @@ def check_hom_associative(a: HomAlgebra, plan: Plan | None = None) -> AxiomRepor
     return check(a, HOM_ASSOC, plan)
 
 
-def left_alternative_defect(a: HomAlgebra, x: Vector, y: Vector) -> Vector:
-    """Direct evaluation of the unpolarized left law at arbitrary vectors."""
-    mu = a.mu
-    ax = a.alpha.apply(x)
-    return mu.apply(ax, mu.apply(x, y)) - mu.apply(mu.apply(x, x), a.alpha.apply(y))
-
-
-def right_alternative_defect(a: HomAlgebra, x: Vector, y: Vector) -> Vector:
-    mu = a.mu
-    return mu.apply(a.alpha.apply(x), mu.apply(y, y)) - mu.apply(mu.apply(x, y), a.alpha.apply(y))
-
-
 def check_endomorphism(a: HomAlgebra, phi: LinearMap) -> AxiomReport:
     """Verify phi(e_i e_j) = phi(e_i) phi(e_j) on all basis pairs."""
     if not phi.is_square(a.dim):
@@ -150,18 +138,3 @@ def check_morphism(f: LinearMap, a: HomAlgebra, b: HomAlgebra) -> AxiomReport:
     ]
     return Plan({MORPHISM: parts}).check(MORPHISM)
 
-
-def check_anticommute_identity(a: HomAlgebra, x: Vector, y: Vector, z: Vector) -> bool:
-    """For anticommuting x and y, test the two swap identities at (x, y, z).
-
-    Precondition: mul(x, y) = -mul(y, x); raises otherwise.  Returns whether
-    both ``mul(a(x), mul(y, z)) = -mul(a(y), mul(x, z))`` and
-    ``mul(mul(z, x), a(y)) = -mul(mul(z, y), a(x))`` hold at these vectors.
-    """
-    mu = a.mu
-    if not (mu.apply(x, y) + mu.apply(y, x)).is_zero():
-        raise NotAnticommuting("arguments do not anticommute")
-    ax, ay = a.alpha.apply(x), a.alpha.apply(y)
-    first = mu.apply(ax, mu.apply(y, z)) + mu.apply(ay, mu.apply(x, z))
-    second = mu.apply(mu.apply(z, x), ay) + mu.apply(mu.apply(z, y), ax)
-    return first.is_zero() and second.is_zero()

@@ -35,7 +35,6 @@ from .exact import (
     LinearMap,
     MulTensor,
     Record,
-    Vector,
     _set,
     rat,
     record,
@@ -181,17 +180,6 @@ def lie_only_coalgebra() -> HomPoissonCoalgebra:
     return _coalgebra(2, {}, {(0, 0, 1): 1, (0, 1, 0): -1}, True)
 
 
-def poisson_coalgebra_examples() -> list[HomPoissonCoalgebra]:
-    return [
-        grouplike_coalgebra(),
-        primitive_coalgebra(),
-        coleibniz_failing_coalgebra(),
-        noncocommutative_coalgebra(),
-        poisson_dual_dim4(),
-        lie_only_coalgebra(),
-    ]
-
-
 class DeterministicRng:
     """Fixed 64-bit LCG; identical output on every platform for a given seed."""
 
@@ -216,9 +204,6 @@ class DeterministicRng:
     def point_entry(self) -> Fraction:
         """Small rational for evaluation points: numerator -4..4, denominator 1..3."""
         return Fraction(self.int_between(-4, 4), self.int_between(1, 3))
-
-    def vector(self, dim: int) -> Vector:
-        return Vector(tuple(self.point_entry() for _ in range(dim)))
 
 
 def random_structure(seed: int, dim: int, kind: str):

@@ -96,13 +96,6 @@ class HomComodule(Record):
             "dm" if part == DELTA_COACTION_MULTIPLICATIVITY else "gm"]}) for part in parts]
 
 
-def with_coalgebra(c: HomComodule, base: HomPoissonCoalgebra) -> HomComodule:
-    """The same structure maps viewed over a different base coalgebra."""
-    if base.dim != c.coalgebra.dim:
-        raise DimensionMismatch("replacement coalgebra has a different dimension")
-    return HomComodule(base, c.dim_mod, c.beta, c.kind, c.delta_m, c.gamma_m)
-
-
 # coaction . beta = (alpha @ beta) . coaction, for the coaction t of the part.
 _MULTIPLICATIVE = Law("p", "iq", "+ beta.rp t.riq", "- t.pas alpha.ia beta.qs")
 _LAWS = {

@@ -28,10 +28,6 @@ class AlreadyTwisted(KernelError):
     code = "ALREADY_TWISTED"
 
 
-class NotAnticommuting(KernelError):
-    code = "NOT_ANTICOMMUTING"
-
-
 class WrongSide(KernelError):
     code = "WRONG_SIDE"
 

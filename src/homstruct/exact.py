@@ -27,15 +27,16 @@ tuple: int}``, with ``s`` kept beside them.  That is the form ``contract``,
 the one exact contraction every law check and construction goes through,
 works on; a check divides ``s`` back out only for its reported witnesses, a
 construction once per nonzero output entry.  The tensors have no
-construction methods: a twist, negation or opposite, and every ``apply``
-and ``compose``, is one signed term of the ``laws.Law`` grammar, which
+construction or evaluation methods: a twist, negation or opposite, and
+``compose``, is one signed term of the ``laws.Law`` grammar, which
 ``construct`` evaluates; ``rebuild`` puts a structure's rebuilt tensors
-back into a copy of it.
+back into a copy of it.  Nothing here evaluates a map or tensor at a point:
+the test oracle does that with loops of its own.
 
 Entries are exact rationals (``fractions.Fraction``).  Zero entries are best
 the one shared ``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows``
 and ``diagonal``, returns it for every zero, ``fileformat`` parses every
-``"0"`` to it, and ``zero``, ``identity``, ``basis`` and contractions fill
+``"0"`` to it, and ``zero``, ``identity`` and contractions fill
 with it.  ``scaled`` and ``numerals``, the wire form ``fileformat`` writes
 (kept from the file when parsed), pick out the other entries in C, so a
 zero costs no Python call; another ``Fraction(0)``, put straight into a
@@ -285,10 +286,11 @@ class _Tensor(Record):
 
     @lazy
     def ident(self) -> tuple:
-        """``(id of the entry tuple, shape)``, which fix ``scaled``: a ``laws.Plan``
-        numbers its operands by it, so a regular module's action is its algebra's
-        multiplication."""
-        return id(getattr(self, self._nested)), self.shape
+        """``(id of the entry tuple, shape)``, which fix ``scaled``, the id being None
+        for an identity map, whose shape fixes it: a ``laws.Plan`` numbers its
+        operands by it, so a regular module's action is its algebra's
+        multiplication, and every identity map of a shape is one operand."""
+        return None if self.is_identity() else id(getattr(self, self._nested)), self.shape
 
     @lazy
     def numerals(self) -> list:
@@ -328,26 +330,6 @@ class Vector(_Tensor):
     @classmethod
     def zero(cls, dim: int) -> "Vector":
         return cls(_zeros((dim,)))
-
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "Vector":
-        return cls(tuple(_ONE if i == index else _ZERO for i in range(dim)))
-
-    def is_zero(self) -> bool:
-        return all(not x for x in self.entries)
-
-    def __add__(self, other: "Vector") -> "Vector":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"vector dims {self.dim} != {other.dim}")
-        return Vector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"vector dims {self.dim} != {other.dim}")
-        return Vector(tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "Vector":
-        return Vector(tuple(-a for a in self.entries))
 
 
 @record
@@ -395,14 +377,6 @@ class LinearMap(_Tensor):
     def is_square(self, dim: int) -> bool:
         return self.dim_in == dim and self.dim_out == dim
 
-    def column(self, j: int) -> Vector:
-        return Vector(tuple(row[j] for row in self.entries))
-
-    def apply(self, v: Vector) -> Vector:
-        if v.dim != self.dim_in:
-            raise DimensionMismatch(f"map expects dim {self.dim_in}, got {v.dim}")
-        return Vector(construct("i", "+ t.ij v.j", t=self, v=v))
-
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Composite f . g (apply g first)."""
@@ -440,17 +414,6 @@ class MulTensor(_SquareCube):
         _set(self, "c", c)
         self._check_shape()
 
-    def product(self, i: int, j: int) -> Vector:
-        """The product of basis vectors e_i e_j."""
-        return Vector(self.c[i][j])
-
-    def apply(self, x: Vector, y: Vector) -> Vector:
-        """Evaluate the multiplication at arbitrary vectors, exactly."""
-        n = self.dim
-        if x.dim != n or y.dim != n:
-            raise DimensionMismatch(f"expected dim {n}, got {x.dim} and {y.dim}")
-        return Vector(construct("k", "+ x.i t.ijk y.j", x=x, t=self, y=y))
-
 
 @record
 class ComulTensor(_SquareCube):
@@ -462,12 +425,6 @@ class ComulTensor(_SquareCube):
     def __init__(self, d):
         _set(self, "d", d)
         self._check_shape()
-
-    def apply(self, v: Vector) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.dim
-        if v.dim != n:
-            raise DimensionMismatch(f"expected dim {n}, got {v.dim}")
-        return construct("ij", "+ v.k t.kij", v=v, t=self)
 
 
 def action_shape(dim_alg: int, dim_mod: int, side: str) -> tuple[int, int, int]:
@@ -504,21 +461,6 @@ class ActionTensor(_Tensor):
     def zero(cls, dim_alg: int, dim_mod: int, side: str = "left") -> "ActionTensor":
         return cls(_zeros(action_shape(dim_alg, dim_mod, side)), dim_alg, dim_mod, side)
 
-    def apply_left(self, x: Vector, m: Vector) -> Vector:
-        if self.side != "left":
-            raise WrongSide("left application of a right action")
-        return self._act("+ x.i t.ipq m.p", x, m)
-
-    def apply_right(self, m: Vector, x: Vector) -> Vector:
-        if self.side != "right":
-            raise WrongSide("right application of a left action")
-        return self._act("+ x.i t.piq m.p", x, m)
-
-    def _act(self, term: str, x: Vector, m: Vector) -> Vector:
-        if x.dim != self.dim_alg or m.dim != self.dim_mod:
-            raise DimensionMismatch("action operand dims do not match")
-        return Vector(construct("q", term, x=x, t=self, m=m))
-
 
 @record
 class CoactionTensor(_Tensor):
@@ -543,12 +485,6 @@ class CoactionTensor(_Tensor):
     @classmethod
     def zero(cls, dim_coalg: int, dim_mod: int) -> "CoactionTensor":
         return cls(_zeros((dim_mod, dim_coalg, dim_mod)), dim_coalg, dim_mod)
-
-    def apply(self, m: Vector) -> tuple[tuple[Fraction, ...], ...]:
-        """Image of m as an n x m coefficient matrix: out[i][q] = sum_p m_p g[p][i][q]."""
-        if m.dim != self.dim_mod:
-            raise DimensionMismatch(f"expected dim {self.dim_mod}, got {m.dim}")
-        return construct("iq", "+ m.p t.piq", m=m, t=self)
 
 
 @lru_cache(maxsize=512)

@@ -58,9 +58,11 @@ contraction mean the same ints in every row, so each is built once: a class
 that two rows hold is summed once and spread by each, and a contraction
 that two distinct classes hold is contracted to its output dict and added
 into each.  ``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and ``HOM_ASSOC`` spread
-one ``W = A - B``: two contractions for the three.  Zero coefficients are
-dropped, and a contraction never writes to its operands (``t.kij`` alone
-is the packed ``t``).
+one ``W = A - B``: two contractions for the three.  A class's coefficients
+are summed per contraction and zero ones dropped, so terms that bound
+operands make one contraction cancel, and a class left empty is not
+evaluated; a contraction never writes to its operands (``t.kij`` alone is
+the packed ``t``).
 
 An operand bound to an identity map (``is_identity``) is a relabelling: a plan
 drops it from each term of two or more operands where another operand holds its
@@ -332,7 +334,8 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
     packs its last ``k`` letters, the last of size ``n``, into ``slots``;
     ``size`` places, ``outer`` per witness index.  ``packs`` holds ``(number,
     operand number, packing)`` per operand its classes pack, numbered after the
-    operands; a class is ``(its number if another row holds it, spreads,
+    operands; a class, its coefficients summed per contraction and left out
+    when they all cancel, is ``(its number if another row holds it, spreads,
     terms)``, a term ``(shared, spec, loads, into, sink offsets, product,
     coefficient)``, ``loads`` its operands' numbers.  A contraction is numbered
     by spec and packed operands; ``shared`` is its number when two distinct
@@ -343,15 +346,22 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
         number = dict(zip(names, numbers))
         keys = [numbered.setdefault((spec, *[(number[n], p) for n, p in ids]), len(numbered))
                 for ids, spec, _, _ in groups]
-        classes = [tuple([(keys[g], c) for g, c in row]) for row, _ in classes]
-        for key in classes:
-            uses[key] = uses.get(key, 0) + 1
-        keyed.append((keys, classes))
+        kept = []  # (place in classes, row, key) of each class that does not cancel
+        for place, (row, _) in enumerate(classes):
+            summed = {}  # contraction key -> [its first group, summed coefficient]
+            for g, c in row:
+                summed.setdefault(keys[g], [g, 0])[1] += c
+            row = [(g, c) for g, c in summed.values() if c]
+            if row:
+                key = tuple([(keys[g], c) for g, c in row])
+                uses[key] = uses.get(key, 0) + 1
+                kept.append((place, row, key))
+        keyed.append((keys, kept))
     owned = [group for key in uses for group, _ in key]  # once per distinct class
     shared = {g for i, g in enumerate(owned) if g in owned[:i]}
     products, bounds, programs, packed_ids = {}, {}, {}, {}  # packed loads after operands
     for (axiom, law, numbers), (keys, kept) in zip(rows, keyed):
-        groups, classes, names, sizes, loads = law._compiled
+        groups, _, names, sizes, loads = law._compiled
         number = dict(zip(names, numbers))
         shape = {name: shapes[n] for name, n in number.items()}
         full = [shape[name][axis] for name, axis in sizes]  # every term holds every letter
@@ -372,12 +382,12 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
                              in zip(load, loads[g]) if layout is not None])
             terms.append((share, spec, tuple(load), into, compiled(offsets, into, strides), p))
         bounds[tuple(bound.items())] = None
-        packs = {item[0]: item for row, _ in classes for g, _ in row for item in packings[g]}
+        packs = {item[0]: item for _, row, _ in kept for g, _ in row for item in packings[g]}
         programs[axiom] = (k, full[-1], prod(out), out[:width], prod(out[width:]),
                            prod(full[-k:]), tuple(packs.values()), tuple([
-                               (list(uses).index(key) if uses[key] > 1 else None, spread,
+                               (list(uses).index(key) if uses[key] > 1 else None, spreads[place],
                                 tuple([(*terms[g], c) for g, c in row]))
-                               for (row, _), spread, key in zip(classes, spreads, kept)]))
+                               for place, row, key in kept]))
     return tuple(products), tuple(bounds), programs
 
 

@@ -10,10 +10,11 @@ characteristic zero, each stated as a row of ``laws.Law``:
     right: act(act(m, x), a(y)) + act(act(m, y), a(x))
          - act(b(m), mul(x, y)) - act(b(m), mul(y, x)) = 0
 
-The module associator is ``assoc(x, y, m) = act(a(x), act(y, m)) -
-act(mul(y, x), b(m))``; note the swapped product in the second term, kept
-exactly in that operand order.  On a verified left module it vanishes for
-x = y and is antisymmetric in (x, y).
+The module associator ``assoc(x, y, m) = act(a(x), act(y, m)) -
+act(mul(y, x), b(m))`` (the swapped product in the second term) is the left
+row's first two terms; it has no row of its own.  On a verified left module
+it vanishes for x = y and is antisymmetric in (x, y), which the test oracle
+checks at points.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .algebras import (
     opposite as opposite_algebra,
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from .exact import ActionTensor, LinearMap, Record, Vector, _set, construct, rebuild, record
+from .exact import ActionTensor, LinearMap, Record, _set, construct, rebuild, record
 from .laws import COMMUTES, Law, Plan, check
 from .report import AxiomReport
 
@@ -114,26 +115,6 @@ def check_left_module(mod: HomModule, plan: Plan | None = None) -> AxiomReport:
 
 def check_right_module(mod: HomModule, plan: Plan | None = None) -> AxiomReport:
     return check(mod, RIGHT_MODULE, plan)
-
-
-def left_module_defect(mod: HomModule, x: Vector, m: Vector) -> Vector:
-    """Direct evaluation of the unpolarized left module law at (x, m)."""
-    alg = mod.algebra
-    act = mod.action
-    return act.apply_left(alg.alpha.apply(x), act.apply_left(x, m)) - act.apply_left(
-        alg.mu.apply(x, x), mod.beta.apply(m)
-    )
-
-
-def module_hom_associator(mod: HomModule, x: Vector, y: Vector, m: Vector) -> Vector:
-    """assoc(x, y, m) = act(a(x), act(y, m)) - act(mul(y, x), b(m)), exact."""
-    if mod.side != "left":
-        raise WrongSide("module associator is defined for left modules")
-    alg = mod.algebra
-    act = mod.action
-    return act.apply_left(alg.alpha.apply(x), act.apply_left(y, m)) - act.apply_left(
-        alg.mu.apply(y, x), mod.beta.apply(m)
-    )
 
 
 def twist_module(mod: HomModule) -> HomModule:

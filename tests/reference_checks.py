@@ -1,10 +1,12 @@
 """Reference implementation of every basis-scan check: the test oracle.
 
 These are the hand-unrolled ``Fraction`` loops the library used before its
-laws became rows of signed contraction terms, kept verbatim (the one edit:
-``from_scan``, formerly a classmethod of ``AxiomReport``, is a function
-here).  ``test_differential.py`` requires the library's reports to equal
-these, field for field.
+laws became rows of signed contraction terms, kept verbatim but for two
+edits: ``from_scan``, formerly a classmethod of ``AxiomReport``, is a
+function here, and the algebra and module scans, and every ``f . x = y . f``
+scan, evaluate maps and tensors at points with ``reference_eval``'s loops
+where they called the package's own evaluation.  ``test_differential.py``
+requires the library's reports to equal these, field for field.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from homstruct.errors import (
     KindMismatch,
     WrongSide,
 )
-from homstruct.exact import CoactionTensor, ComulTensor, LinearMap, Vector, compose
+from homstruct.exact import CoactionTensor, ComulTensor, LinearMap, Vector
 from homstruct.modules import (
     LEFT_MODULE,
     MODULE_MORPHISM,
@@ -72,6 +74,7 @@ from homstruct.modules import (
     HomModule,
 )
 from homstruct.report import WITNESS_CAP, AxiomReport, Witness
+from reference_eval import act, add, apply, basis, column, composite, is_zero, mul, sub
 
 _ZERO = Fraction(0)
 
@@ -98,66 +101,62 @@ def flatten_cube(cube: Iterable[Iterable[Iterable[Fraction]]]) -> Vector:
 # --- algebras -----------------------------------------------------------
 
 
-def _alpha_columns(a: HomAlgebra) -> list[Vector]:
-    return [a.alpha.column(i) for i in range(a.dim)]
+def _witness(index: tuple[int, ...], r: list) -> Witness:
+    return Witness.of(index, Vector(tuple(r)))
 
 
 def check_left_hom_alternative(a: HomAlgebra) -> AxiomReport:
     """Decide the left Hom-alternative law via its polarized basis form."""
-    mu = a.mu
-    cols = _alpha_columns(a)
+    mu, c = a.mu, a.mu.c
+    cols = [column(a.alpha.entries, i) for i in range(a.dim)]
 
     def scan() -> Iterator[Witness]:
         n = a.dim
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    r = (
-                        mu.apply(cols[i], mu.product(j, k))
-                        - mu.apply(mu.product(i, j), cols[k])
-                        + mu.apply(cols[j], mu.product(i, k))
-                        - mu.apply(mu.product(j, i), cols[k])
+                    r = add(
+                        sub(mul(mu, cols[i], c[j][k]), mul(mu, c[i][j], cols[k])),
+                        sub(mul(mu, cols[j], c[i][k]), mul(mu, c[j][i], cols[k])),
                     )
-                    if not r.is_zero():
-                        yield Witness.of((i, j, k), r)
+                    if not is_zero(r):
+                        yield _witness((i, j, k), r)
 
     return from_scan(LEFT_HOM_ALT, scan())
 
 
 def check_right_hom_alternative(a: HomAlgebra) -> AxiomReport:
     """Decide the right Hom-alternative law via its polarized basis form."""
-    mu = a.mu
-    cols = _alpha_columns(a)
+    mu, c = a.mu, a.mu.c
+    cols = [column(a.alpha.entries, i) for i in range(a.dim)]
 
     def scan() -> Iterator[Witness]:
         n = a.dim
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    r = (
-                        mu.apply(cols[i], mu.product(j, k))
-                        - mu.apply(mu.product(i, j), cols[k])
-                        + mu.apply(cols[i], mu.product(k, j))
-                        - mu.apply(mu.product(i, k), cols[j])
+                    r = add(
+                        sub(mul(mu, cols[i], c[j][k]), mul(mu, c[i][j], cols[k])),
+                        sub(mul(mu, cols[i], c[k][j]), mul(mu, c[i][k], cols[j])),
                     )
-                    if not r.is_zero():
-                        yield Witness.of((i, j, k), r)
+                    if not is_zero(r):
+                        yield _witness((i, j, k), r)
 
     return from_scan(RIGHT_HOM_ALT, scan())
 
 
 def check_hom_associative(a: HomAlgebra) -> AxiomReport:
-    mu = a.mu
-    cols = _alpha_columns(a)
+    mu, c = a.mu, a.mu.c
+    cols = [column(a.alpha.entries, i) for i in range(a.dim)]
 
     def scan() -> Iterator[Witness]:
         n = a.dim
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    r = mu.apply(cols[i], mu.product(j, k)) - mu.apply(mu.product(i, j), cols[k])
-                    if not r.is_zero():
-                        yield Witness.of((i, j, k), r)
+                    r = sub(mul(mu, cols[i], c[j][k]), mul(mu, c[i][j], cols[k]))
+                    if not is_zero(r):
+                        yield _witness((i, j, k), r)
 
     return from_scan(HOM_ASSOC, scan())
 
@@ -167,81 +166,72 @@ def check_endomorphism(a: HomAlgebra, phi: LinearMap) -> AxiomReport:
     if not phi.is_square(a.dim):
         raise DimensionMismatch("endomorphism candidate has wrong shape")
     mu = a.mu
-    cols = [phi.column(i) for i in range(a.dim)]
+    cols = [column(phi.entries, i) for i in range(a.dim)]
 
     def scan() -> Iterator[Witness]:
         for i in range(a.dim):
             for j in range(a.dim):
-                r = phi.apply(mu.product(i, j)) - mu.apply(cols[i], cols[j])
-                if not r.is_zero():
-                    yield Witness.of((i, j), r)
+                r = sub(apply(phi, mu.c[i][j]), mul(mu, cols[i], cols[j]))
+                if not is_zero(r):
+                    yield _witness((i, j), r)
 
     return from_scan(ENDOMORPHISM, scan())
+
+
+def _commute_scan(f: LinearMap, x: LinearMap, y: LinearMap) -> Iterator[Witness]:
+    """f . x = y . f, column by column."""
+    fx, yf = composite(f, x), composite(y, f)
+    for i in range(x.dim_in):
+        r = sub(column(fx, i), column(yf, i))
+        if not is_zero(r):
+            yield _witness((i,), r)
 
 
 def check_morphism(f: LinearMap, a: HomAlgebra, b: HomAlgebra) -> AxiomReport:
     """Verify f(xy) = f(x)f(y) on basis pairs and f . alpha = alpha' . f."""
     if f.dim_in != a.dim or f.dim_out != b.dim:
         raise DimensionMismatch("morphism candidate has wrong shape")
-    cols = [f.column(i) for i in range(a.dim)]
+    cols = [column(f.entries, i) for i in range(a.dim)]
 
     def scan_mult() -> Iterator[Witness]:
         for i in range(a.dim):
             for j in range(a.dim):
-                r = f.apply(a.mu.product(i, j)) - b.mu.apply(cols[i], cols[j])
-                if not r.is_zero():
-                    yield Witness.of((i, j), r)
-
-    def scan_comm() -> Iterator[Witness]:
-        fa = compose(f, a.alpha)
-        af = compose(b.alpha, f)
-        for i in range(a.dim):
-            r = fa.column(i) - af.column(i)
-            if not r.is_zero():
-                yield Witness.of((i,), r)
+                r = sub(apply(f, a.mu.c[i][j]), mul(b.mu, cols[i], cols[j]))
+                if not is_zero(r):
+                    yield _witness((i, j), r)
 
     parts = (
         from_scan(MORPHISM_MULTIPLICATIVE, scan_mult()),
-        from_scan(MORPHISM_TWIST_COMMUTES, scan_comm()),
+        from_scan(MORPHISM_TWIST_COMMUTES, _commute_scan(f, a.alpha, b.alpha)),
     )
     return AxiomReport.aggregate(MORPHISM, parts)
 
 
 # --- modules ------------------------------------------------------------
-
-
-def _mod_basis(mod: HomModule) -> list[Vector]:
-    return [Vector.basis(mod.dim_mod, p) for p in range(mod.dim_mod)]
+#
+# act(e_i, f_p) is the row a[i][p] of a left action and a[p][i] of a right one.
 
 
 def check_left_module(mod: HomModule) -> AxiomReport:
     if mod.side != "left":
         raise WrongSide("left check on a right module")
     alg = mod.algebra
-    act = mod.action
-    acols = [alg.alpha.column(i) for i in range(alg.dim)]
-    bcols = [mod.beta.column(p) for p in range(mod.dim_mod)]
-    basis_a = [Vector.basis(alg.dim, i) for i in range(alg.dim)]
-    basis_m = _mod_basis(mod)
-    inner = [
-        [act.apply_left(basis_a[i], basis_m[p]) for p in range(mod.dim_mod)]
-        for i in range(alg.dim)
-    ]
+    action, a = mod.action, mod.action.a
+    acols = [column(alg.alpha.entries, i) for i in range(alg.dim)]
+    bcols = [column(mod.beta.entries, p) for p in range(mod.dim_mod)]
 
     def scan() -> Iterator[Witness]:
         for i in range(alg.dim):
             for j in range(alg.dim):
-                mu_ij = alg.mu.product(i, j)
-                mu_ji = alg.mu.product(j, i)
+                mu_ij = alg.mu.c[i][j]
+                mu_ji = alg.mu.c[j][i]
                 for p in range(mod.dim_mod):
-                    r = (
-                        act.apply_left(acols[i], inner[j][p])
-                        - act.apply_left(mu_ij, bcols[p])
-                        + act.apply_left(acols[j], inner[i][p])
-                        - act.apply_left(mu_ji, bcols[p])
+                    r = add(
+                        sub(act(action, acols[i], a[j][p]), act(action, mu_ij, bcols[p])),
+                        sub(act(action, acols[j], a[i][p]), act(action, mu_ji, bcols[p])),
                     )
-                    if not r.is_zero():
-                        yield Witness.of((i, j, p), r)
+                    if not is_zero(r):
+                        yield _witness((i, j, p), r)
 
     return from_scan(LEFT_MODULE, scan())
 
@@ -250,28 +240,21 @@ def check_right_module(mod: HomModule) -> AxiomReport:
     if mod.side != "right":
         raise WrongSide("right check on a left module")
     alg = mod.algebra
-    act = mod.action
-    acols = [alg.alpha.column(i) for i in range(alg.dim)]
-    bcols = [mod.beta.column(p) for p in range(mod.dim_mod)]
-    basis_m = _mod_basis(mod)
-    basis_a = [Vector.basis(alg.dim, i) for i in range(alg.dim)]
-    inner = [
-        [act.apply_right(basis_m[p], basis_a[i]) for i in range(alg.dim)]
-        for p in range(mod.dim_mod)
-    ]
+    action, a = mod.action, mod.action.a
+    acols = [column(alg.alpha.entries, i) for i in range(alg.dim)]
+    bcols = [column(mod.beta.entries, p) for p in range(mod.dim_mod)]
 
     def scan() -> Iterator[Witness]:
         for p in range(mod.dim_mod):
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    r = (
-                        act.apply_right(inner[p][i], acols[j])
-                        + act.apply_right(inner[p][j], acols[i])
-                        - act.apply_right(bcols[p], alg.mu.product(i, j))
-                        - act.apply_right(bcols[p], alg.mu.product(j, i))
+                    r = sub(
+                        add(act(action, acols[j], a[p][i]), act(action, acols[i], a[p][j])),
+                        add(act(action, alg.mu.c[i][j], bcols[p]),
+                            act(action, alg.mu.c[j][i], bcols[p])),
                     )
-                    if not r.is_zero():
-                        yield Witness.of((p, i, j), r)
+                    if not is_zero(r):
+                        yield _witness((p, i, j), r)
 
     return from_scan(RIGHT_MODULE, scan())
 
@@ -291,35 +274,21 @@ def check_module_morphism(
     if f.dim_in != m1.dim_mod or f.dim_out != m2.dim_mod:
         raise DimensionMismatch("morphism candidate has wrong shape")
     alg = m1.algebra
-    basis_a = [Vector.basis(alg.dim, i) for i in range(alg.dim)]
-    basis_m = [Vector.basis(m1.dim_mod, p) for p in range(m1.dim_mod)]
-    fcols = [f.column(p) for p in range(m1.dim_mod)]
+    a1 = m1.action.a
+    fcols = [column(f.entries, p) for p in range(m1.dim_mod)]
 
     def scan_intertwine() -> Iterator[Witness]:
         for i in range(alg.dim):
+            e_i = basis(alg.dim, i)
             for p in range(m1.dim_mod):
-                if m1.side == "left":
-                    lhs = f.apply(m1.action.apply_left(basis_a[i], basis_m[p]))
-                    rhs = m2.action.apply_left(basis_a[i], fcols[p])
-                else:
-                    lhs = f.apply(m1.action.apply_right(basis_m[p], basis_a[i]))
-                    rhs = m2.action.apply_right(fcols[p], basis_a[i])
-                r = lhs - rhs
-                if not r.is_zero():
-                    yield Witness.of((i, p), r)
+                lhs = apply(f, a1[i][p] if m1.side == "left" else a1[p][i])
+                r = sub(lhs, act(m2.action, e_i, fcols[p]))
+                if not is_zero(r):
+                    yield _witness((i, p), r)
 
     parts = [from_scan(MODULE_MORPHISM_INTERTWINES, scan_intertwine())]
     if strict:
-
-        def scan_beta() -> Iterator[Witness]:
-            fb = compose(f, m1.beta)
-            bf = compose(m2.beta, f)
-            for p in range(m1.dim_mod):
-                r = fb.column(p) - bf.column(p)
-                if not r.is_zero():
-                    yield Witness.of((p,), r)
-
-        parts.append(from_scan(MODULE_MORPHISM_BETA_COMMUTES, scan_beta()))
+        parts.append(from_scan(MODULE_MORPHISM_BETA_COMMUTES, _commute_scan(f, m1.beta, m2.beta)))
     return AxiomReport.aggregate(MODULE_MORPHISM, parts)
 
 
@@ -646,18 +615,10 @@ def check_coalgebra_morphism(
 
         return from_scan(tag, gen())
 
-    def commute() -> Iterator[Witness]:
-        fa = compose(f, p1.alpha)
-        af = compose(p2.alpha, f)
-        for k in range(n1):
-            r = fa.column(k) - af.column(k)
-            if not r.is_zero():
-                yield Witness.of((k,), r)
-
     parts = (
         tensor_side(p1.delta, p2.delta, COALGEBRA_MORPHISM_DELTA),
         tensor_side(p1.gamma, p2.gamma, COALGEBRA_MORPHISM_GAMMA),
-        from_scan(COALGEBRA_MORPHISM_TWIST_COMMUTES, commute()),
+        from_scan(COALGEBRA_MORPHISM_TWIST_COMMUTES, _commute_scan(f, p1.alpha, p2.alpha)),
     )
     return AxiomReport.aggregate(COALGEBRA_MORPHISM, parts)
 
@@ -995,14 +956,5 @@ def check_comodule_morphism(
     if c1.kind in ("lie", "poisson"):
         parts.append(intertwine(c1.gamma_m, c2.gamma_m, COMODULE_MORPHISM_GAMMA))
     if strict:
-
-        def scan_beta() -> Iterator[Witness]:
-            fb = compose(f, c1.beta)
-            bf = compose(c2.beta, f)
-            for p in range(c1.dim_mod):
-                r = fb.column(p) - bf.column(p)
-                if not r.is_zero():
-                    yield Witness.of((p,), r)
-
-        parts.append(from_scan(COMODULE_MORPHISM_BETA_COMMUTES, scan_beta()))
+        parts.append(from_scan(COMODULE_MORPHISM_BETA_COMMUTES, _commute_scan(f, c1.beta, c2.beta)))
     return AxiomReport.aggregate(COMODULE_MORPHISM, parts)

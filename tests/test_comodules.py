@@ -15,11 +15,9 @@ from homstruct import (
     twist_coassoc_comodule,
     twist_lie_comodule,
     twist_poisson_comodule,
-    with_coalgebra,
 )
 from homstruct.catalog import (
     entries,
-    grouplike_coalgebra,
     lie_only_coalgebra,
     poisson_dual_dim4,
     primitive_coalgebra,
@@ -242,15 +240,3 @@ def test_non_morphism_detected():
     reg = regular_comodule(base)
     rep = check_comodule_morphism(LinearMap.from_rows([[0, 1], [1, 0]]), reg, reg)
     assert not rep.holds
-
-
-# --- rebase helper --------------------------------------------------------------------
-
-def test_with_coalgebra_swaps_base():
-    reg = regular_comodule(grouplike_coalgebra())
-    other = negate_coalgebra(grouplike_coalgebra())
-    moved = with_coalgebra(reg, other)
-    assert moved.coalgebra == other
-    assert moved.delta_m == reg.delta_m
-    with pytest.raises(DimensionMismatch):
-        with_coalgebra(reg, primitive_coalgebra())

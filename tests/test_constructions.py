@@ -1,10 +1,12 @@
 """Every construction against a nested-loop Fraction evaluation of its formula.
 
-The oracles below read the drawn nested lists, never the tensors built from
-them, and use nothing from ``homstruct`` but the shared zero they check for.
-The constructions are the ``exact.construct`` rows of the structure modules,
-the maps' ``compose`` and the tensors' ``apply`` methods.  Last, each public
-construction is held to ``exact.rebuild``'s contract on the catalogue.
+The oracles read the drawn nested lists, never the tensors built from them,
+and use nothing from ``homstruct`` but the shared zero they check for; the
+point evaluations are ``reference_eval``'s, the test oracle's own.  The
+constructions are the ``exact.construct`` rows of the structure modules,
+``compose``, and the terms that evaluate a map or tensor at a point.  Last,
+each public construction is held to ``exact.rebuild``'s contract on the
+catalogue.
 """
 
 from fractions import Fraction
@@ -26,6 +28,23 @@ from homstruct.exact import (
     compose,
     construct,
 )
+from reference_eval import (
+    act_ref,
+    coact_apply_ref,
+    comul_apply_ref,
+    compose_ref,
+    map_apply_ref,
+    mul_apply_ref,
+    zeros,
+)
+
+# The terms that evaluate a map or tensor at a point (x, y in the algebra, m in the
+# module): f(v), mul(x, y), comul(x), act(x, m) of either side and coact(m).
+MAP_AT = ("i", "+ t.ij v.j")
+MUL_AT = ("k", "+ x.i t.ijk y.j")
+COMUL_AT = ("ij", "+ v.k t.kij")
+ACT_AT = {"left": ("q", "+ x.i t.ipq m.p"), "right": ("q", "+ x.i t.piq m.p")}
+COACT_AT = ("iq", "+ m.p t.piq")
 
 # Few distinct small values, so sums often cancel to zero; zeros of both spellings.
 ENTRIES = st.one_of(
@@ -49,12 +68,6 @@ def block(data, *shape):
     return nest(*shape)
 
 
-def zeros(*shape):
-    if not shape:
-        return Fraction(0)
-    return [zeros(*shape[1:]) for _ in range(shape[0])]
-
-
 def assert_entries(result, want):
     """``result`` (nested tuples) equals ``want`` (nested lists), every zero is the
     shared ``_ZERO`` and every other entry a ``Fraction``."""
@@ -68,25 +81,6 @@ def assert_entries(result, want):
 
 
 # --- the oracles: each construction's docstring formula, summed in loops ------------
-
-def compose_ref(f, g, rows, inner, cols):
-    """(f . g)[i][j] = sum_l f[i][l] g[l][j]."""
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            for l in range(inner):
-                out[i][j] += f[i][l] * g[l][j]
-    return out
-
-
-def map_apply_ref(a, v, rows, cols):
-    """f(v)[i] = sum_j a[i][j] v[j]."""
-    out = zeros(rows)
-    for i in range(rows):
-        for j in range(cols):
-            out[i] += a[i][j] * v[j]
-    return out
-
 
 def negated_ref(t):
     """t'[...] = -t[...]."""
@@ -113,16 +107,6 @@ def swap_last_ref(t, a, b, c):
     return out
 
 
-def mul_apply_ref(c, x, y, n):
-    """mul(x, y)[k] = sum_ij x_i y_j c[i][j][k]."""
-    out = zeros(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[k] += x[i] * y[j] * c[i][j][k]
-    return out
-
-
 def then_map_ref(c, phi, n):
     """c'[i][j][k] = sum_l c[i][j][l] phi[k][l]."""
     out = zeros(n, n, n)
@@ -134,16 +118,6 @@ def then_map_ref(c, phi, n):
     return out
 
 
-def comul_apply_ref(d, v, n):
-    """comul(v)[i][j] = sum_k v_k d[k][i][j]."""
-    out = zeros(n, n)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += v[k] * d[k][i][j]
-    return out
-
-
 def precompose_ref(d, phi, n):
     """d'[k][i][j] = sum_l phi[l][k] d[l][i][j]."""
     out = zeros(n, n, n)
@@ -152,17 +126,6 @@ def precompose_ref(d, phi, n):
             for j in range(n):
                 for l in range(n):
                     out[k][i][j] += phi[l][k] * d[l][i][j]
-    return out
-
-
-def act_ref(a, x, m, side, n, dm):
-    """act(x, m)[q] = sum_ip x_i m_p a[i][p][q] (left) or a[p][i][q] (right)."""
-    out = zeros(dm)
-    for i in range(n):
-        for p in range(dm):
-            for q in range(dm):
-                entry = a[i][p][q] if side == "left" else a[p][i][q]
-                out[q] += x[i] * m[p] * entry
     return out
 
 
@@ -183,16 +146,6 @@ def precompose_algebra_ref(a, phi, side, n, dm):
             for q in range(dm):
                 for j in range(n):
                     out[p][i][q] += phi[j][i] * a[p][j][q]
-    return out
-
-
-def coact_apply_ref(g, m, n, dm):
-    """coact(m)[i][q] = sum_p m_p g[p][i][q]."""
-    out = zeros(n, dm)
-    for p in range(dm):
-        for i in range(n):
-            for q in range(dm):
-                out[i][q] += m[p] * g[p][i][q]
     return out
 
 
@@ -221,19 +174,20 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     phi2_rows = compose_ref(phi_rows, phi_rows, n, n, n)  # alpha^2 of the (co)module twists
     assert_entries(compose(f, g).entries, compose_ref(f_rows, g_rows, n, k, dm))
     v_k, x, y, m = block(data, k), block(data, n), block(data, n), block(data, dm)
-    assert_entries(f.apply(Vector.from_entries(v_k)).entries, map_apply_ref(f_rows, v_k, n, k))
+    assert_entries(construct(*MAP_AT, t=f, v=Vector.from_entries(v_k)),
+                   map_apply_ref(f_rows, v_k, n, k))
 
     c = block(data, n, n, n)
     mu = MulTensor.from_entries(c)
     x_vec, y_vec, m_vec = map(Vector.from_entries, (x, y, m))
-    assert_entries(mu.apply(x_vec, y_vec).entries, mul_apply_ref(c, x, y, n))
+    assert_entries(construct(*MUL_AT, x=x_vec, t=mu, y=y_vec), mul_apply_ref(c, x, y, n))
     assert_entries(construct(*algebras._YAU_TWIST, t=mu, phi=phi), then_map_ref(c, phi_rows, n))
     assert_entries(construct(*algebras._NEGATE, t=mu), negated_ref(c))
     assert_entries(construct(*algebras._OPPOSITE, t=mu), swap_first_ref(c, n, n, n))
 
     d = block(data, n, n, n)
     delta = ComulTensor.from_entries(d)
-    assert_entries(delta.apply(x_vec), comul_apply_ref(d, x, n))
+    assert_entries(construct(*COMUL_AT, v=x_vec, t=delta), comul_apply_ref(d, x, n))
     assert_entries(construct(*coalgebras._YAU_TWIST, t=delta, phi=phi), precompose_ref(d, phi_rows, n))
     assert_entries(construct(*coalgebras._NEGATE, t=delta), negated_ref(d))
     assert_entries(construct(*coalgebras._OPPOSITE, t=delta), swap_last_ref(d, n, n, n))
@@ -241,8 +195,8 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     shape = (n, dm, dm) if side == "left" else (dm, n, dm)
     a = block(data, *shape)
     action = ActionTensor.from_entries(a, n, dm, side)
-    acted = action.apply_left(x_vec, m_vec) if side == "left" else action.apply_right(m_vec, x_vec)
-    assert_entries(acted.entries, act_ref(a, x, m, side, n, dm))
+    assert_entries(construct(*ACT_AT[side], x=x_vec, t=action, m=m_vec),
+                   act_ref(a, x, m, side, n, dm))
     assert_entries(construct(*modules._TWIST[side], alpha=phi, t=action),
                    precompose_algebra_ref(a, phi2_rows, side, n, dm))
     # negation and the mirror read a right action as they read a left one
@@ -251,7 +205,7 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
 
     h = block(data, dm, n, dm)
     coaction = CoactionTensor.from_entries(h, n, dm)
-    assert_entries(coaction.apply(m_vec), coact_apply_ref(h, m, n, dm))
+    assert_entries(construct(*COACT_AT, m=m_vec, t=coaction), coact_apply_ref(h, m, n, dm))
     assert_entries(construct(*comodules._TWIST, square=compose(phi, phi), t=coaction),
                    postcompose_coalgebra_ref(h, phi2_rows, n, dm))
     assert_entries(construct(*comodules._NEGATE, t=coaction), negated_ref(h))
@@ -263,7 +217,7 @@ def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
     assert all(x is _ZERO for row in compose(wide, tall).entries for x in row)
     none = compose(LinearMap.zero(0, 3), wide)
     assert none.entries == () and none.shape == (0, 0)
-    assert wide.apply(Vector.zero(0)).entries == (_ZERO,) * 3
+    assert construct(*MAP_AT, t=wide, v=Vector.zero(0)) == (_ZERO,) * 3
     # rationals in, rationals out; the last entry is 1 - 1, a sum that cancels
     f = LinearMap.from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, 1]])
     g = LinearMap.from_rows([[2, 1], [Fraction(-3, 2), -1]])
@@ -272,7 +226,8 @@ def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
     assert product[1][1] is _ZERO
     empty = ActionTensor.zero(0, 2, "right")
     assert construct(*modules._TWIST["right"], alpha=LinearMap.zero(0, 0), t=empty) == ((), ())
-    assert empty.apply_right(Vector.from_entries([1, 2]), Vector.zero(0)).entries == (_ZERO, _ZERO)
+    acted = construct(*ACT_AT["right"], x=Vector.zero(0), t=empty, m=Vector.from_entries([1, 2]))
+    assert acted == (_ZERO, _ZERO)
 
 
 # --- what a public construction rebuilds, and what it keeps -------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homstruct.laws as laws
+import reference_checks as ref
 from homstruct import algebras, axioms, catalog, coalgebras, comodules, modules
 from homstruct.algebras import HomAlgebra
 from homstruct.coalgebras import HomPoissonCoalgebra
@@ -164,6 +165,20 @@ def test_the_mixed_poisson_comodule_term_is_contracted_once(monkeypatch):
         firsts = {id(tensors[0]) for spec, tensors in contractions if spec == "ps,si->pi"}
         assert specs.count("ps,si->pi") == len(firsts) == 2 and specs.count("pi->pi") == 2
         assert report == alone(comodule, "POISSON_COMODULE")
+
+
+def test_equal_contractions_in_one_class_cancel(monkeypatch):
+    contractions, _ = recorded(monkeypatch)
+    # Under f = id, with mu and nu one tensor, the multiplicativity row is + mu.ijo -
+    # nu.ijo: one contraction, coefficients 1 and -1.  Under f = alpha = id, COMMUTES is
+    # + x.oi - f.oi, every identity map of a shape being one operand.  Both cancel.
+    octo, e = catalog.octonions(), LinearMap.identity(8)
+    checks = [(algebras.check_endomorphism, ref.check_endomorphism, (octo, e)),
+              (algebras.check_morphism, ref.check_morphism, (e, octo, octo))]
+    for check, reference, args in checks:
+        del contractions[:]
+        assert check(*args) == reference(*args)
+        assert contractions == [], check.__name__
 
 
 def test_no_operand_is_packed_twice_in_one_plan(monkeypatch):
