@@ -11,11 +11,23 @@ import pytest
 
 import homstruct
 from homstruct import axioms, catalog, fileformat, laws
-from homstruct.algebras import HOM_ASSOC, HomAlgebra, check_morphism
-from homstruct.catalog import matrix_conjugation
-from homstruct.coalgebras import HomPoissonCoalgebra, check_coalgebra_morphism, check_coendomorphism
-from homstruct.comodules import HomComodule
-from homstruct.errors import DimensionMismatch, FormatError, KindMismatch, WrongSide
+from homstruct.algebras import HOM_ASSOC, HomAlgebra, check_endomorphism, check_morphism, yau_twist
+from homstruct.catalog import matrix_algebra, matrix_conjugation, random_structure
+from homstruct.coalgebras import (
+    HomPoissonCoalgebra,
+    check_coalgebra_morphism,
+    check_coendomorphism,
+    yau_twist_coalgebra,
+)
+from homstruct.comodules import HomComodule, check_comodule_morphism, negate_poisson_comodule
+from homstruct.errors import (
+    AlreadyTwisted,
+    CoalgebraMismatch,
+    DimensionMismatch,
+    FormatError,
+    KindMismatch,
+    WrongSide,
+)
 from homstruct.exact import (
     ActionTensor,
     CoactionTensor,
@@ -23,6 +35,8 @@ from homstruct.exact import (
     LinearMap,
     MulTensor,
     Vector,
+    compose,
+    rat,
 )
 from homstruct.fileformat import StructureFile, serialize
 from homstruct.laws import Law
@@ -35,6 +49,8 @@ V1, V2, V3 = Vector.zero(1), Vector.zero(2), Vector.zero(3)
 ALG = HomAlgebra(1, MulTensor.zero(1), ONE)
 COALG = HomPoissonCoalgebra(1, ComulTensor.zero(1), ComulTensor.zero(1), ONE)
 CO = CoactionTensor.zero(1, 1)
+DOUBLE = LinearMap.diagonal([2])
+LIE = HomComodule(COALG, 1, ONE, "lie", None, CO)
 
 
 def module(side: str) -> HomModule:
@@ -49,6 +65,11 @@ GUARDS = {
                       "alpha is not square of size dim"),
     "algebra morphism shape": (lambda: check_morphism(TWO, ALG, ALG), DimensionMismatch,
                                "morphism candidate has wrong shape"),
+    "endomorphism shape": (lambda: check_endomorphism(ALG, TWO), DimensionMismatch,
+                           "endomorphism candidate has wrong shape"),
+    "twist of a twisted algebra": (lambda: yau_twist(HomAlgebra(1, MulTensor.zero(1), DOUBLE), ONE),
+                                   AlreadyTwisted,
+                                   "source algebra already carries a nonidentity alpha"),
     "coalgebra sizes": (lambda: HomPoissonCoalgebra(2, ComulTensor.zero(1), ComulTensor.zero(2),
                                                     TWO), DimensionMismatch,
                         "coalgebra components have inconsistent sizes"),
@@ -56,8 +77,15 @@ GUARDS = {
                              "coendomorphism candidate has wrong shape"),
     "coalgebra morphism shape": (lambda: check_coalgebra_morphism(TWO, COALG, COALG),
                                  DimensionMismatch, "morphism candidate has wrong shape"),
+    "twist of a twisted coalgebra": (lambda: yau_twist_coalgebra(
+        HomPoissonCoalgebra(1, ComulTensor.zero(1), ComulTensor.zero(1), DOUBLE), ONE),
+                                     AlreadyTwisted,
+                                     "source coalgebra already carries a nonidentity alpha"),
     "comodule kind": (lambda: HomComodule(COALG, 1, ONE, "hopf"), KindMismatch,
                       "unknown comodule kind 'hopf'"),
+    "comodule comultiplication side": (
+        lambda: HomComodule(COALG, 1, ONE, "lie", CO, CO), KindMismatch,
+        "comultiplication-side coaction presence does not match kind"),
     "comodule cobracket side": (lambda: HomComodule(COALG, 1, ONE, "coassociative", CO, CO),
                                 KindMismatch,
                                 "cobracket-side coaction presence does not match kind"),
@@ -66,6 +94,18 @@ GUARDS = {
                                "coaction tensor does not match coalgebra/module dims"),
     "comodule beta": (lambda: HomComodule(COALG, 1, TWO, "lie", None, CO), DimensionMismatch,
                       "beta is not square of size dim_mod"),
+    "comodule morphism across coalgebras": (lambda: check_comodule_morphism(
+        ONE, LIE, HomComodule(HomPoissonCoalgebra(1, ComulTensor.zero(1), ComulTensor.zero(1),
+                                                   DOUBLE), 1, ONE, "lie", None, CO)),
+                                            CoalgebraMismatch,
+                                            "comodules live over different coalgebras"),
+    "comodule morphism across kinds": (lambda: check_comodule_morphism(
+        ONE, LIE, HomComodule(COALG, 1, ONE, "coassociative", CO)), KindMismatch,
+                                       "comodules have different kinds"),
+    "comodule morphism shape": (lambda: check_comodule_morphism(TWO, LIE, LIE), DimensionMismatch,
+                                "morphism candidate has wrong shape"),
+    "negation of a lie comodule": (lambda: negate_poisson_comodule(LIE), KindMismatch,
+                                   "negation construction is stated for poisson comodules"),
     "module side": (lambda: HomModule(ALG, 1, ONE, ActionTensor.zero(1, 1), "up"), WrongSide,
                     "unknown side 'up'"),
     "module action side": (lambda: HomModule(ALG, 1, ONE, ActionTensor.zero(1, 1, "right"),
@@ -80,10 +120,19 @@ GUARDS = {
     "module morphism across sides": (lambda: check_module_morphism(ONE, module("left"),
                                                                    module("right")),
                                      WrongSide, "modules have different sides"),
+    "compose dims": (lambda: compose(TWO, LinearMap.identity(3)), DimensionMismatch,
+                     "cannot compose 2x2 after 3x3"),
+    "rational of another type": (lambda: rat(0.5), TypeError, "cannot interpret 0.5 as a rational"),
     "vector difference dims": (lambda: sub(V2.entries, V3.entries), DimensionMismatch,
                                "vector dims 2 != 3"),
     "conjugation by a zero entry": (lambda: matrix_conjugation(2, [1, 0]), DimensionMismatch,
                                     "need k nonzero diagonal entries"),
+    "matrix algebra size": (lambda: matrix_algebra(4), DimensionMismatch,
+                            "matrix algebra catalogue covers k <= 3"),
+    "random structure dims": (lambda: random_structure(0, 5, "mul"), DimensionMismatch,
+                              "random structures cover dims 0..4"),
+    "random structure kind": (lambda: random_structure(0, 1, "coalgebra"), DimensionMismatch,
+                              "unknown random structure kind 'coalgebra'"),
     "report part missing": (lambda: AxiomReport("Q", True, (), 0).part("P"), KeyError, "P"),
     "serialize a vector": (lambda: serialize(StructureFile(1, {"v": V1}, {})), FormatError,
                            "v: cannot serialize Vector"),
