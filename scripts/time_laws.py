@@ -21,7 +21,14 @@ left is class creation and other module-level work, and their sum
 each catalogue entry's pinned suite on warm tensors (its ``scaled`` entries
 and plan programs already built), best of ``--repeat`` per entry, summed over
 the entries (``catalog_ms``), and the slowest entry (``slowest``, its
-``slowest_ms``): the fixed cost of small checks.  Before its laws, each dim
+``slowest_ms``): the fixed cost of small checks.  Then one ``sparse``
+line, at dim 16 whatever ``--dims`` says: the 4 x 4 matrix algebra on its
+unit basis (constants 1, 192 of its 256 rows zero) with its regular left
+module, and the coalgebra of its transposed constants (``gamma`` zero) with
+its regular Poisson comodule, as one file; the best time in ms of
+``parse_bytes`` on it (``parse_ms``), of building the parsed tensors'
+``scaled`` entries (``scaled_ms``), and of ``verify --suite all`` on each of
+the four structures (``algebra_ms`` ... ``comodule_ms``).  Before its laws, each dim
 gets one ``write`` line: the best time in ms to build the five structures from their
 drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), to
 ``fileformat.serialize`` them as one file (``serialize_ms``), and to
@@ -32,8 +39,9 @@ formatted once); then one ``ingest`` line: the best time in ms of
 building the parsed tensors' ``scaled`` entries, the one form a check reads
 (``scaled_ms``), and of serializing the parsed file again (``rewrite_ms``:
 parsed arrays are written back from their numerals).  Every entry is
-nonzero, so these lines time the write and read paths where skipping zeros
-saves nothing.  Then one ``suite`` line: the best time in ms of ``verify
+nonzero, so these two lines time the write and read paths with no zero to
+skip; the ``sparse`` line below times them where almost every entry is 0.
+Then one ``suite`` line: the best time in ms of ``verify
 --suite all`` on each of the five structures (``algebra_ms`` ...
 ``comodule_ms``), one ``laws.Plan`` each, so shared contractions and
 packings are built once per suite.  Then one ``untwisted`` line, the same
@@ -72,7 +80,7 @@ from homstruct.catalog import DeterministicRng  # noqa: E402
 from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
 from homstruct.comodules import HomComodule, regular_comodule, twist_poisson_comodule  # noqa: E402
 from homstruct.exact import (  # noqa: E402
-    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, construct,
+    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, _Tensor, construct,
 )
 from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize  # noqa: E402
 from homstruct.modules import LEFT_MODULE, HomModule, regular_module, twist_module  # noqa: E402
@@ -155,6 +163,49 @@ def multiplicative_algebra(n: int) -> HomAlgebra:
     mu = [[[Fraction(1, n * n)] * n] * n] * n if n else []
     alpha = [[int(i == j) + a[i] * b[j] for j in range(n)] for i in range(n)]
     return HomAlgebra(n, MulTensor.from_entries(mu), LinearMap.from_rows(alpha))
+
+
+def sparse_file() -> bytes:
+    """The ``sparse`` line's four structures as one file.  ``catalog.matrix_algebra``
+    stops at k = 3, so the k = 4 constants are stated here, as it states them."""
+    k, n = 4, 16
+    r = range(k)
+    units = {(i * k + j, j * k + m, i * k + m): 1 for i in r for j in r for m in r}
+    alg = catalog._algebra(n, units)
+    delta = [[[alg.mu.c[i][j][k] for j in range(n)] for i in range(n)] for k in range(n)]
+    coalg = HomPoissonCoalgebra(n, ComulTensor.from_entries(delta), ComulTensor.zero(n),
+                                LinearMap.identity(n), False)
+    structures = {"algebra": alg, "left": regular_module(alg, "left"), "coalgebra": coalg,
+                  "comodule": regular_comodule(coalg)}
+    return serialize(StructureFile(FILE_VERSION, structures, {"left": "algebra",
+                                                              "comodule": "coalgebra"}))
+
+
+def time_sparse(repeat: int) -> list[tuple[str, float]]:
+    """(column, best seconds) for the ``sparse`` line: parse, ``scaled``, then the suites."""
+    data = sparse_file()
+    best = dict.fromkeys(["parse", "scaled"], float("inf"))
+    gc.collect()
+    gc.disable()
+    for _ in range(repeat):
+        start = time.perf_counter()
+        sf = parse_bytes(data)
+        best["parse"] = min(best["parse"], time.perf_counter() - start)
+        tensors = [value for structure in sf.structures.values()
+                   for value in vars(structure).values() if isinstance(value, _Tensor)]
+        start = time.perf_counter()
+        for tensor in tensors:
+            tensor.scaled
+        best["scaled"] = min(best["scaled"], time.perf_counter() - start)
+    for name in ("algebra", "left", "coalgebra", "comodule"):
+        structure = sf.get(name)
+        suite, best[name] = native_suite(structure), float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            verify(structure, suite)
+            best[name] = min(best[name], time.perf_counter() - start)
+    gc.enable()
+    return list(best.items())
 
 
 def time_compile() -> list[tuple[str, float]]:
@@ -359,6 +410,9 @@ def main(argv=None) -> int:
     total, slowest, slowest_seconds = time_catalog(args.repeat)
     print(f"{'-':>3}  {'catalog':<32} catalog_ms={total * 1000:.3f} slowest={slowest}"
           f" slowest_ms={slowest_seconds * 1000:.3f}", flush=True)
+    sparse = " ".join(f"{name}_ms={seconds * 1000:.2f}"
+                      for name, seconds in time_sparse(args.repeat))
+    print(f"{16:>3}  {'sparse':<32} {sparse}", flush=True)
     for n in dims:
         build_seconds, write_seconds, regular_seconds = time_write(n, args.repeat)
         print(f"{n:>3}  {'write':<32} build_ms={build_seconds * 1000:.2f}"

@@ -37,10 +37,11 @@ Entries are exact rationals (``fractions.Fraction``).  Zero entries are best
 the one shared ``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows``
 and ``diagonal``, returns it for every zero, ``fileformat`` parses every
 ``"0"`` to it, and ``zero``, ``identity`` and contractions fill
-with it.  ``scaled`` and ``numerals``, the wire form ``fileformat`` writes
-(kept from the file when parsed), pick out the other entries in C, so a
-zero costs no Python call; another ``Fraction(0)``, put straight into a
-constructor, is still dropped, only more slowly.
+with it; a zero row is best the one shared row of its width, which
+``fileformat`` makes of every zero row.  ``scaled`` and ``numerals``, the wire
+form ``fileformat`` writes (kept from the file when parsed), pick out the
+other entries in C (``scaled`` the other rows too), so a zero costs no Python
+call; another ``Fraction(0)`` or zero row is still dropped, only more slowly.
 
 One or two axes of an operand can also be ``pack``-ed into fixed-width
 slots of a single ``int``, so that ``contract``'s Python-level multiply-adds
@@ -145,6 +146,12 @@ def _zeros(shape) -> tuple:
     return nested
 
 
+def _row_keys(shape) -> list:
+    """The index tuples of ``shape``, one tuple of them per row along the last axis."""
+    keys, width = list(product(*map(range, shape))), shape[-1]
+    return [tuple(keys[i * width : (i + 1) * width]) for i in range(prod(shape[:-1]))]
+
+
 class lazy:
     """An attribute computed on first read into the instance ``__dict__``, where later
     reads find it; unlike the standard cached property before Python 3.12, with no lock."""
@@ -241,24 +248,30 @@ class _Tensor(Record):
             freeze = lambda rows, inner=freeze: tuple(map(inner, rows))
         return cls(freeze(entries), *fields)
 
+    def _rows(self) -> list:
+        """Every row along the last axis, in the lexicographic order of the index tuples."""
+        rows = (getattr(self, self._nested),)
+        for _ in self.shape[1:]:
+            rows = chain.from_iterable(rows)
+        return list(rows)
+
     def flat(self) -> list:
         """Every entry, in the lexicographic order of the index tuples."""
-        flat = getattr(self, self._nested)
-        for _ in self.shape[1:]:
-            flat = chain.from_iterable(flat)
-        return list(flat)
+        return list(chain.from_iterable(self._rows()))
 
     @lazy
     def scaled(self) -> tuple[int, dict[tuple[int, ...], int], int]:
         """``(s, {index tuple: s * entry}, bits)`` over the nonzero entries, ``s`` the
         lcm of their denominators.
 
-        Read in one pass over the entries other than ``_ZERO``, in C; any other
-        zero is dropped after.  ``bits`` is the bit length of the largest scaled
-        entry's absolute value (0 when there are none), from which ``laws.Law``
-        bounds its packed slots.
+        Read in C over the rows other than the shared zero row and their entries
+        other than ``_ZERO``, keyed from ``_row_keys``; any other zero is dropped
+        after.  ``bits`` is the bit length of the largest scaled entry's absolute
+        value (0 when there are none), from which ``laws.Law`` bounds its slots.
         """
-        flat = self.flat()
+        rows, shape = self._rows(), self.shape
+        live = list(map(is_not, rows, repeat(compiled(_zeros, shape[-1:]))))
+        flat = list(chain.from_iterable(compress(rows, live)))
         candidate = list(map(is_not, flat, repeat(_ZERO)))
         values = list(compress(flat, candidate))
         try:
@@ -270,7 +283,8 @@ class _Tensor(Record):
         scaled = map(_NUMERATOR, values)
         if s != 1:
             scaled = map(mul, scaled, map(floordiv, repeat(s), denominators))
-        entries = dict(zip(compress(product(*map(range, self.shape)), candidate), scaled))
+        keys = chain.from_iterable(compress(compiled(_row_keys, shape), live))
+        entries = dict(zip(compress(keys, candidate), scaled))
         if 0 in entries.values():  # another zero than _ZERO
             entries = {key: x for key, x in entries.items() if x}
         return s, entries, max(map(abs, entries.values()), default=0).bit_length()
@@ -382,6 +396,8 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Composite f . g (apply g first)."""
     if f.dim_in != g.dim_out:
         raise DimensionMismatch(f"cannot compose {f.dim_out}x{f.dim_in} after {g.dim_out}x{g.dim_in}")
+    if f.is_identity() or g.is_identity():  # a relabelling: the other map itself
+        return g if f.is_identity() else f
     return LinearMap(construct("ij", "+ f.il g.lj", f=f, g=g), g.dim_in)
 
 
@@ -492,8 +508,9 @@ def compiled(build, *key):
     """``build(*key)``, worked out once per process while ``key`` is among the 512
     most recently used: the one cache of what a contraction spec (``_compile``),
     its sink strides (``offsets``), a check's rows (``laws._program``) or a
-    construction's term (``_term``) fix with its operands' shapes.  Keys hold
-    laws, letters, operand numbers and shapes, never entry values."""
+    construction's term (``_term``) fix with its operands' shapes, and of each
+    width's shared zero row (``_zeros``) and each shape's row keys (``_row_keys``).
+    Keys hold laws, letters, operand numbers and shapes, never entry values."""
     return build(*key)
 
 
@@ -606,8 +623,9 @@ def contract(spec: str, *tensors: dict, into: tuple | None = None) -> dict | Non
     the order the spec lists them, and a letter is summed over as soon as no
     later operand and not the output needs it.  A join on every letter of
     its right operand (``t.kab`` then the packed ``t.b``) finds at most one
-    right value per left key, so it is one dict lookup per left key.  Plans
-    are compiled once per spec (``compiled``).
+    right value per left key, so it is one dict lookup per left key.  Any other
+    join whose factor and right values are all +-1 adds or subtracts each left
+    value with no multiply.  Plans are compiled once per spec (``compiled``).
 
     With ``into=(sink, offsets(spec, strides), factor)`` the last join instead
     adds ``factor`` times the entry at output key ``k`` into the list ``sink``
@@ -637,6 +655,21 @@ def contract(spec: str, *tensors: dict, into: tuple | None = None) -> dict | Non
                 w = get(left_join(key))
                 if w is not None:
                     out[key if left_keep is None else left_keep(key)] += v * w
+            acc = out
+            continue
+        if (f == 1 or f == -1) and all(map({1, -1}.__contains__, right.values())):
+            units = defaultdict(lambda: ([], []))  # join key: tails weighted +1, tails weighted -1
+            for key, w in right.items():
+                units[right_join(key)][w != f].append(right_keep(key))
+            for key, v in acc.items():
+                group = units.get(left_join(key))
+                if group is not None:
+                    head = key if left_keep is None else left_keep(key)
+                    plus, minus = group
+                    for tail in plus:
+                        out[head + tail] += v
+                    for tail in minus:
+                        out[head + tail] -= v
             acc = out
             continue
         groups: dict = {}
@@ -763,6 +796,24 @@ def _parse(term: str) -> tuple[bool, list[tuple[str, str]]]:
     return sign == "+", pairs
 
 
+def untwisted(operands: list, out: str, maps: tuple) -> list:
+    """A term's ``(name, letters)`` operands over the letters ``out`` without those named
+    in ``maps``, bound to identity maps, where the rules of ``laws`` allow."""
+    i = 0
+    while i < len(operands):
+        (name, own), rest = operands[i], operands[:i] + operands[i + 1 :]
+        held = "".join([letters for _, letters in rest])
+        summed = [c for c in own if c not in out and c in held]
+        if name in maps and len(set(own)) == len(own) == 2 and summed:
+            other = own.replace(summed[0], "")
+            renamed = [(n, letters.replace(summed[0], other)) for n, letters in rest]
+            if all(len(set(letters)) == len(letters) for _, letters in renamed):
+                operands = renamed
+                continue
+        i += 1
+    return operands
+
+
 def _term(out: str, term: str, shapes: tuple) -> tuple:
     """``construct``'s reading of ``term`` on operands of ``shapes``, ``(name, shape)``
     pairs: its ``contract`` spec, its sign as a factor, its operand names, the
@@ -803,9 +854,13 @@ def construct(out: str, term: str, **operands: _Tensor) -> tuple:
 def rebuild(structure, row: tuple, fields: tuple, changes: dict | None = None, **operands):
     """``structure`` with ``changes`` made and each tensor named in ``fields``
     rebuilt by ``row``, ``(out, term)`` for ``construct``, on itself (``t``) and
-    ``operands``; a rebuilt tensor keeps its other fields."""
+    ``operands``; a rebuilt tensor keeps its other fields, and is kept itself where
+    the row less its identity maps (``untwisted``) is ``+ t.<out>``."""
+    (out, term), maps = row, tuple([name for name, t in operands.items() if t.is_identity()])
+    plus, pairs = _parse(term)
+    kept = plus and untwisted(pairs, out, maps) == [("t", out)]
     built = {}
     for field in fields:
         t = getattr(structure, field)
-        built[field] = replace(t, **{t._nested: construct(*row, t=t, **operands)})
+        built[field] = t if kept else replace(t, **{t._nested: construct(*row, t=t, **operands)})
     return replace(structure, **built, **(changes or {}))

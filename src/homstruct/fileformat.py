@@ -22,8 +22,9 @@ keeps a ``{numeral: Fraction}`` memo for the one call, and the decoded rows go
 straight into the tensor constructors.  Only valid numerals enter the memo,
 so every bad entry is rejected where it first occurs.  The memo starts as
 ``{"0": exact._ZERO}``: ``"0"`` is the grammar's one spelling of zero, so
-every zero entry of every file is that one object, which ``scaled`` skips
-without a Python call.  Writing skips it the same way: ``numerals`` take one
+every zero entry of every file is that one object, and every zero row, found
+by one list comparison, the one shared row of its width in ``exact.compiled``;
+``scaled`` skips both without a Python call.  Writing skips zeros the same way: ``numerals`` take one
 format call per nonzero entry and none per zero, ``serialize`` takes them once
 per distinct array (entry tuple and shape), and a parsed tensor's are the
 array it was read from (every valid numeral is canonical).
@@ -56,7 +57,9 @@ from .exact import (
     Record,
     _set,
     _Tensor,
+    _zeros,
     action_shape,
+    compiled,
     parse_rational,
     record,
 )
@@ -114,13 +117,13 @@ class _Numerals(dict):
         # Not _require: it would format the message for every row, valid or not.
         if not isinstance(data, list) or len(data) != rows:
             raise FormatError(f"{what}: expected {rows} rows")
-        get = self.__getitem__
+        get, zeros, zero = self.__getitem__, ["0"] * cols, compiled(_zeros, (cols,))
         out = []
         for row in data:
             if not isinstance(row, list) or len(row) != cols:
                 raise FormatError(f"{what}: expected {cols} columns")
-            try:
-                out.append(tuple(map(get, row)))
+            try:  # a zero row, found in one comparison in C, is the shared one ``scaled`` skips
+                out.append(zero if row == zeros else tuple(map(get, row)))
             except TypeError:  # an unhashable entry; the entries before it are valid
                 for x in row:
                     _parse_scalar(x)

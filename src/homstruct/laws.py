@@ -88,7 +88,7 @@ from itertools import compress, count, islice
 from math import lcm, prod
 from operator import add, sub
 
-from .exact import _parse, compiled, contract, lazy, offsets, pack, packing, unpack
+from .exact import _parse, compiled, contract, lazy, offsets, pack, packing, unpack, untwisted
 from .report import WITNESS_CAP, AxiomReport, Witness
 
 
@@ -300,21 +300,7 @@ class Plan:
 def _untwisted(law: Law, maps: tuple) -> Law:
     """``law`` with the operands named in ``maps``, bound to identity maps, dropped
     where the rules above allow; else ``law`` itself."""
-    out, parsed = law.index + law.residual, []
-    for plus, operands in law._parsed:
-        i = 0
-        while i < len(operands):
-            (name, own), rest = operands[i], operands[:i] + operands[i + 1 :]
-            held = "".join([letters for _, letters in rest])
-            summed = [c for c in own if c not in out and c in held]
-            if name in maps and len(set(own)) == len(own) == 2 and summed:
-                other = own.replace(summed[0], "")
-                renamed = [(n, letters.replace(summed[0], other)) for n, letters in rest]
-                if all(len(set(letters)) == len(letters) for _, letters in renamed):
-                    operands = renamed
-                    continue
-            i += 1
-        parsed.append((plus, operands))
+    parsed = [(plus, untwisted(ops, law.index + law.residual, maps)) for plus, ops in law._parsed]
     if parsed == law._parsed:
         return law
     terms = ["+-"[not plus] + "".join([f" {n}.{letters}" for n, letters in operands])

@@ -272,3 +272,74 @@ def test_a_construction_keeps_every_field_it_does_not_rebuild(name):
             kept = [f for f in old._fields if f != old._nested
                     and (f, construction) != ("side", modules.opposite_module)]
             assert [getattr(new, f) for f in kept] == [getattr(old, f) for f in kept]
+
+
+def identity_twist_argv(entry, src) -> list | None:
+    """The CLI twist of a catalogue entry that is a relabelling: ``--endo id`` of an
+    untwisted algebra or coalgebra, the twist of a module or comodule whose base's
+    alpha is the identity; None for any other entry."""
+    payload = entry.payload
+    base = getattr(payload, "algebra", None) or getattr(payload, "coalgebra", None)
+    if base is None:
+        return ["twist", src, entry.name, "--out", src, "--endo", "id"] \
+            if payload.alpha.is_identity() else None
+    return ["twist", src, entry.name, "--out", src] if base.alpha.is_identity() else None
+
+
+def test_an_identity_twist_keeps_each_tensor_and_constructs_nothing(monkeypatch, tmp_path, capsys):
+    from homstruct import exact
+
+    calls = []
+    monkeypatch.setattr(exact, "construct", lambda *args, **kwargs: calls.append(args))
+    twisted = 0
+    for entry in catalog.entries():
+        src = str(tmp_path / f"{entry.name}.json")
+        argv = identity_twist_argv(entry, src)
+        if argv is None:
+            continue
+        assert cli.main(["catalog", "export", entry.name, "--out", src]) == 0
+        exported = (tmp_path / f"{entry.name}.json").read_bytes()
+        assert cli.main(argv) == 0, entry.name
+        assert (tmp_path / f"{entry.name}.json").read_bytes() == exported, entry.name
+        twisted += 1
+    capsys.readouterr()
+    assert calls == [] and twisted >= 20
+    # In process, each rebuilt tensor is the tensor itself; a map twist keeps its fields.
+    alg = catalog.get("octonions").payload
+    out = algebras.yau_twist(alg, LinearMap.identity(8))
+    assert out.mu is alg.mu and out.alpha == LinearMap.identity(8)
+    square = LinearMap.identity(3)
+    assert compose(square, square) is square
+    tall = LinearMap.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert compose(square, tall) is tall and compose(tall, LinearMap.identity(2)) is tall
+
+
+# Rows on the octonions' ``mu`` or ``alpha`` (letters ``ijo`` or ``ij``), each other
+# operand bound to the identity but in the last case.
+@pytest.mark.parametrize("row, field, kept", [
+    (algebras._YAU_TWIST, "mu", True),
+    (coalgebras._YAU_TWIST, "mu", True),
+    (modules._TWIST["left"], "mu", True),
+    (modules._TWIST["right"], "mu", True),
+    (comodules._TWIST, "mu", True),
+    (algebras._NEGATE, "mu", False),  # a sign is no relabelling
+    (algebras._OPPOSITE, "mu", False),  # t.jio is not t.ijo
+    (("ij", "+ t.ik f.kj"), "alpha", True),
+    (("ij", "+ f.ik t.kj f.jl"), "alpha", False),  # l is summed over f alone
+    (("ijk", "+ t.ij f.kl"), "alpha", False),  # an outer product with the identity
+    (("i", "+ t.ik f.kk"), "alpha", False),  # a trace, not a relabelling
+    (("ij", "+ f.ab t.ij"), "alpha", False),  # a summed factor: 8 times t
+    (("ijo", "+ t.ijq f.oq g.ab"), "mu", False),
+])
+def test_rebuild_keeps_t_where_its_row_less_its_identity_maps_is_t(row, field, kept, monkeypatch):
+    from homstruct import exact
+
+    calls = []
+    monkeypatch.setattr(exact, "construct", lambda out, term, t, **operands:
+                        calls.append(term) or getattr(t, t._nested))
+    alg, one = catalog.get("octonions").payload, LinearMap.identity(8)
+    names = {name for name, _ in exact._parse(row[1])[1]} - {"t"}
+    operands = {name: one if name != "g" else LinearMap.diagonal(range(1, 9)) for name in names}
+    out = exact.rebuild(alg, row, (field,), **operands)
+    assert (getattr(out, field) is getattr(alg, field)) is kept
+    assert calls == ([] if kept else [row[1]])

@@ -6,6 +6,7 @@ residuals and parts, so ``==`` pins all of them.  Where the reference raises,
 the library must raise the same error.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,7 @@ from homstruct.comodules import (
 )
 from homstruct.errors import KernelError
 from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor
+from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize
 from homstruct.modules import (
     HomModule,
     check_left_module,
@@ -421,3 +423,49 @@ def test_untwisted_structures_and_their_regular_ones_match_reference(dim):
             check_everything(structure)  # f = id among the morphisms of each to itself
         agree((check_morphism, ref.check_morphism), one, alg, other)
         agree((check_coalgebra_morphism, ref.check_coalgebra_morphism), one, coalg, target)
+
+
+# --- unit constants with zero rows, read back from a file ---------------------------
+
+
+def unit_cube(rng, a: int, b: int, c: int) -> list:
+    """A cube of 0s with one ±1 in about two rows of three: the octonions' pattern of
+    constants, with zero rows as in the truncated Poisson duals."""
+    cube = [[[0] * c for _ in range(b)] for _ in range(a)]
+    for plane in cube:
+        for row in plane:
+            if c and rng.random() < 0.65:
+                row[rng.randrange(c)] = rng.choice((1, -1))
+    return cube
+
+
+def signed_permutation(rng, n: int) -> LinearMap:
+    order = rng.sample(range(n), n)
+    return LinearMap.from_rows([[rng.choice((1, -1)) if j == order[i] else 0 for j in range(n)]
+                                for i in range(n)], n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_constant_structures_read_back_match_reference(seed):
+    # The +-1 constants take contract's unit join, the parsed zero rows scaled's
+    # skip; the reference sees neither.
+    rng = random.Random(2900 + seed)
+    n, m = 2 + seed % 3, 1 + seed % 2
+    alpha = LinearMap.identity(n) if seed % 2 else signed_permutation(rng, n)
+    alg = HomAlgebra(n, MulTensor.from_entries(unit_cube(rng, n, n, n)), alpha)
+    coalg = HomPoissonCoalgebra(n, *(ComulTensor.from_entries(unit_cube(rng, n, n, n))
+                                     for _ in range(2)), alpha, seed % 4 < 2)
+    structures = {
+        "A": alg, "AL": regular_module(alg, "left"), "AR": regular_module(alg, "right"),
+        "C": coalg, "CR": regular_comodule(coalg),
+        "L": HomModule(alg, m, signed_permutation(rng, m),
+                       ActionTensor.from_entries(unit_cube(rng, n, m, m), n, m, "left"), "left"),
+        "M": HomComodule(coalg, m, signed_permutation(rng, m), "poisson",
+                         *(CoactionTensor.from_entries(unit_cube(rng, m, n, m), n, m)
+                           for _ in range(2))),
+    }
+    base_of = {"AL": "A", "AR": "A", "L": "A", "CR": "C", "M": "C"}
+    sf = parse_bytes(serialize(StructureFile(FILE_VERSION, structures, base_of)))
+    for name, structure in structures.items():
+        assert sf.structures[name] == structure
+        check_everything(sf.structures[name])

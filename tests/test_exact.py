@@ -2,7 +2,7 @@ import dataclasses
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +18,14 @@ from homstruct.exact import (
     MulTensor,
     Vector,
     _Tensor,
+    _zeros,
+    compiled,
     compose,
     construct,
     contract,
     format_rational,
     lazy,
+    offsets,
     pack,
     packing,
     parse_rational,
@@ -569,3 +572,87 @@ def test_unpack_reads_slots_across_block_boundaries(slots, bits):
         digits = [cycle[(start + o * 5) % len(cycle)] for o in range(slots)]
         value = sum(d << (o * bits) for o, d in enumerate(digits))
         assert unpack(value, slots, bits) == unpack_by_borrowing(value, slots, bits) == digits
+
+
+# --- unit weights and shared zero rows --------------------------------------------
+
+# Specs whose every join keeps a right letter, so ``contract`` groups the right
+# values by join key: the loop whose ±1 case joins without a multiply.
+GROUPED = ("ij,jk->ik", "ijk,kl->ijl", "ij,jk->k", "ab,bc,cd->ad", "i,ij->j")
+
+
+def einsum_reference(spec: str, *operands: dict) -> dict:
+    """``spec`` on ``{index tuple: value}`` operands in ``Fraction`` arithmetic: one
+    product per combination of their entries that agrees on every shared letter."""
+    inputs, out = spec.split("->")
+    result: dict = {}
+    for combo in product(*[list(op.items()) for op in operands]):
+        binding: dict = {}
+        if all(binding.setdefault(c, i) == i
+               for letters, (key, _) in zip(inputs.split(","), combo)
+               for c, i in zip(letters, key)):
+            key = tuple(binding[c] for c in out)
+            result[key] = result.get(key, 0) + prod(Fraction(v) for _, v in combo)
+    return {key: v for key, v in result.items() if v}
+
+
+def nonzero(entries: dict) -> dict:
+    return {key: v for key, v in entries.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GROUPED), st.randoms(use_true_random=False))
+def test_the_unit_join_equals_the_general_loop_and_fraction_sums(spec, rng):
+    inputs, out = spec.split("->")
+    first, *rest = inputs.split(",")
+    size = rng.randint(1, 3)
+    # Left values as small ints or as wide as packed slots; right values all +1, all
+    # -1 or mixed, so a join key's plus or minus list is often empty.
+    left = {key: rng.choice((rng.randint(-9, 9) or 1, rng.getrandbits(130) - (1 << 129)))
+            for key in product(range(size), repeat=len(first)) if rng.random() < 0.7}
+    signs = rng.choice(((1,), (-1,), (1, -1)))
+    units = [{key: rng.choice(signs) for key in product(range(size), repeat=len(letters))
+              if rng.random() < 0.6} for letters in rest]
+    got = contract(spec, left, *units)
+    assert nonzero(got) == einsum_reference(spec, left, *units)
+    # The same operands with every right value doubled take the general loop.
+    doubled = [{key: 2 * w for key, w in op.items()} for op in units]
+    shift = len(units)
+    general = nonzero(contract(spec, left, *doubled))
+    assert {key: v << shift for key, v in nonzero(got).items()} == general
+    # As a construction's last join: into a sink, the factor of either sign.
+    strides = tuple(size ** (len(out) - 1 - axis) for axis in range(len(out)))
+    sinks = offsets(spec, strides)
+    for factor in (1, -1):
+        sink, wide = [0] * size ** len(out), [0] * size ** len(out)
+        contract(spec, left, *units, into=(sink, sinks, factor))
+        contract(spec, left, *doubled, into=(wide, sinks, factor))
+        assert [x << shift for x in sink] == wide
+        assert sink == [factor * got.get(key, 0) for key in product(range(size), repeat=len(out))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), st.randoms(use_true_random=False))
+def test_scaled_of_shared_unshared_and_other_zero_rows(n, rng):
+    m = n + 1
+    shared = {width: compiled(_zeros, (width,)) for width in (n, m)}
+
+    def row(width):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return shared[width]  # the row a parse makes of every zero row
+        if kind == 1:
+            return tuple([_ZERO] * width)  # a zero row of its own
+        if kind == 2:
+            return tuple([Fraction(0)] * width)  # other zeros
+        return tuple([mixed_entry(rng) for _ in range(width)])
+
+    def cube(a, b, c):
+        return tuple([tuple([row(c) for _ in range(b)]) for _ in range(a)])
+
+    tensors = [Vector(row(n)), LinearMap(cube(1, n, m)[0], m), MulTensor(cube(n, n, n)),
+               ComulTensor(cube(n, n, n)), ActionTensor(cube(n, m, m), n, m, "left"),
+               ActionTensor(cube(m, n, m), n, m, "right"), CoactionTensor(cube(m, n, m), n, m)]
+    for tensor in tensors:
+        assert_scaled_follows_the_reference_rule(tensor)
+    assert all(compiled(_zeros, (width,)) is zero for width, zero in shared.items())

@@ -410,6 +410,88 @@ def test_module_and_comodule_cubes_take_their_sides_sizes():
     )
 
 
+ZERO3 = ["0"] * 3
+
+
+@pytest.mark.parametrize(
+    "dim_out, dim_in, matrix, message",
+    [
+        (2, 3, [ZERO3, ["0", "0"]], "f: expected 3 columns"),  # a zero row, too short
+        (2, 3, [["0"] * 4, ZERO3], "f: expected 3 columns"),  # a zero row, too long
+        (2, 3, [["0"] * 2, ["1", "0", "1"]], "f: expected 3 columns"),
+        (3, 3, [ZERO3, ZERO3, ["0", "01", "0"]], "malformed rational '01'"),
+        (3, 3, [ZERO3, ZERO3, ["0", "1/1", []]], "malformed rational '1/1'"),
+        (3, 3, [ZERO3, ZERO3, ["0", [], "01"]], "rational entries must be strings, got []"),
+        (3, 3, [ZERO3, ZERO3, ["0", "0", {"0": "0"}]],
+         "rational entries must be strings, got {'0': '0'}"),
+        (3, 3, [ZERO3, ["0", "0", 0], ZERO3], "rational entries must be strings, got 0"),
+        (3, 3, [ZERO3, ZERO3, "0"], "f: expected 3 columns"),
+        (3, 3, [ZERO3, ZERO3, {"0": "0"}], "f: expected 3 columns"),
+        (3, 3, [ZERO3, ZERO3, None], "f: expected 3 columns"),
+        (3, 3, [ZERO3, ZERO3], "f: expected 3 rows"),
+        (2, 0, [[], ["0"]], "f: expected 0 columns"),  # no columns: [] is the zero row
+        (2, 0, [[], "0"], "f: expected 0 columns"),
+        (2, 0, [[], {}], "f: expected 0 columns"),
+        (2, 0, [[]], "f: expected 2 rows"),
+        (0, 2, [ZERO3[:2]], "f: expected 0 rows"),
+        (0, 0, [[]], "f: expected 0 rows"),
+    ],
+)
+def test_zero_rows_keep_the_errors_around_them(dim_out, dim_in, matrix, message):
+    f = {"kind": "linear_map", "dim_in": dim_in, "dim_out": dim_out, "matrix": matrix}
+    assert _shape_error({"f": f}) == message
+
+
+@pytest.mark.parametrize(
+    "mul, message",
+    [
+        ([[]], "a: expected 0 planes"),
+        ([[[]]], "a: expected 0 planes"),
+        ({}, "a: expected 0 planes"),
+    ],
+)
+def test_a_dim_zero_cube_keeps_its_errors(mul, message):
+    assert _shape_error({"a": {"kind": "hom_algebra", "dim": 0, "mul": mul, "alpha": []}}) == message
+
+
+def test_a_zero_dim_module_cube_over_an_algebra_keeps_its_errors():
+    module = {"kind": "hom_module", "algebra": "a", "side": "left", "dim": 0, "beta": []}
+    for action, message in [
+        ([[], [[]]], "m: expected 0 rows"),
+        ([[], []], None),
+        ([[]], "m: expected 2 planes"),
+    ]:
+        entries = {"a": ALGEBRA, "m": {**module, "action": action}}
+        if message is None:
+            assert parse_bytes(json.dumps({"version": 1, "structures": entries}).encode())
+        else:
+            assert _shape_error(entries) == message
+
+
+def test_every_parsed_zero_row_is_the_shared_one():
+    from homstruct.exact import _zeros, compiled
+
+    body = {
+        "a": {"kind": "hom_algebra", "dim": 3,
+              "mul": [[ZERO3, ["0", "1", "0"], ZERO3]] * 2 + [[ZERO3] * 3],
+              "alpha": [["1", "0", "0"], ZERO3, ["0", "0", "-1/2"]]},
+        "f": {"kind": "linear_map", "dim_in": 0, "dim_out": 2, "matrix": [[], []]},
+        "g": {"kind": "linear_map", "dim_in": 3, "dim_out": 0, "matrix": []},
+    }
+    data = json.dumps({"version": 1, "structures": body}).encode()
+    sf = parse_bytes(data)
+    a, f = sf.structures["a"], sf.structures["f"]
+    zero = compiled(_zeros, (3,))
+    rows = [*(row for plane in a.mu.c for row in plane), *a.alpha.entries]
+    assert [row is zero for row in rows] == [not any(row) for row in rows]
+    assert sum(row is zero for row in rows) == 8
+    assert all(row is compiled(_zeros, (0,)) for row in f.entries)
+    assert a.mu.scaled == (1, {(0, 1, 1): 1, (1, 1, 1): 1}, 1)
+    assert a.alpha.scaled == (2, {(0, 0): 2, (2, 2): -1}, 2)
+    assert f.scaled[1] == {} and sf.structures["g"].scaled[1] == {}
+    assert serialize(sf) == serialize(parse_bytes(serialize(sf)))
+
+
 # --- what parsing builds ----------------------------------------------------------
 
 def _regen_golden():

@@ -31,8 +31,6 @@ from reference_eval import (
     with_coalgebra,
 )
 
-small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
-
 
 def vec(*entries):
     return [Fraction(x) for x in entries]
@@ -80,17 +78,20 @@ def test_apply_bilinear_right_unit_tensor():
     assert mul(t, basis(3, 1), basis(3, 0)) == basis(3, 1)
 
 
-@given(st.integers(1, 3), st.data())
+def small_fraction(rng) -> Fraction:
+    """A rational in -8..8 with denominator at most 12, each such value possible."""
+    d = rng.randint(1, 12)
+    return Fraction(rng.randint(-8 * d, 8 * d), d)
+
+
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
 @settings(max_examples=100)
-def test_apply_bilinear_is_bilinear(n, data):
-    entries = st.lists(
-        st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n),
-        min_size=n,
-        max_size=n,
-    )
-    t = MulTensor.from_entries(data.draw(entries))
-    pts = st.lists(small_fractions, min_size=n, max_size=n)
-    x, x2, y = (data.draw(pts) for _ in range(3))
+def test_apply_bilinear_is_bilinear(n, rng):
+    # One seeded draw an example: drawing each of up to 36 entries through
+    # hypothesis strategies cost most of this test's time.
+    t = MulTensor.from_entries([[[small_fraction(rng) for _ in range(n)] for _ in range(n)]
+                                for _ in range(n)])
+    x, x2, y = ([small_fraction(rng) for _ in range(n)] for _ in range(3))
     assert mul(t, add(x, x2), y) == add(mul(t, x, y), mul(t, x2, y))
     assert mul(t, y, add(x, x2)) == add(mul(t, y, x), mul(t, y, x2))
 

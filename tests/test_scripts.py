@@ -76,14 +76,16 @@ LAYER_FIELDS = {
     "untwisted": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
     "construct": ["twist_module_ms", "twist_comodule_ms", "then_map_ms", "precompose_ms"],
     "catalog": ["catalog_ms", "slowest", "slowest_ms"],
+    "sparse": ["parse_ms", "scaled_ms", "algebra_ms", "left_ms", "coalgebra_ms", "comodule_ms"],
 }
-RUN_LAYERS = [["-", "compile"], ["-", "exec"], ["-", "catalog"]]  # timed once a run
-DIM_LAYERS = [*LAYER_FIELDS][2:-1]  # timed once a dim
+# timed once a run, the sparse line at dim 16 whatever --dims says
+RUN_LAYERS = [["-", "compile"], ["-", "exec"], ["-", "catalog"], ["16", "sparse"]]
+DIM_LAYERS = ["write", "ingest", "suite", "untwisted", "construct"]  # timed once a dim
 
 
 def layer_ms(row: str) -> list[float]:
-    """The times of a ``compile``, ``exec``, ``catalog``, ``write``, ``ingest``,
-    ``suite``, ``untwisted`` or ``construct`` line, checked against their names."""
+    """The times of a ``compile``, ``exec``, ``catalog``, ``sparse``, ``write``,
+    ``ingest``, ``suite``, ``untwisted`` or ``construct`` line, checked against their names."""
     _, label, *fields = row.split()
     assert [field.split("=")[0] for field in fields] == LAYER_FIELDS[label], row
     return [float(value) for name, value in (f.split("=") for f in fields) if name.endswith("_ms")]
