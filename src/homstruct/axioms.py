@@ -2,7 +2,8 @@
 
 Keys are ``(structure type, axiom id)`` so that a structure finds its own
 checkers directly; an id registered for another type is unknown to it.
-The CLI and the catalogue both check through ``verify``.
+Each type's noun and ``--suite all`` ids are in its ``fileformat.TYPES``
+entry.  The CLI and the catalogue both check through ``verify``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .comodules import (
     check_poisson_comodule,
 )
 from .errors import FormatError
+from .fileformat import TYPES
 from .modules import LEFT_MODULE, RIGHT_MODULE, HomModule, check_left_module, check_right_module
 from .report import AxiomReport
 
@@ -77,34 +79,24 @@ AXIOMS = {
 }
 """(structure type, axiom id) -> checker taking the structure."""
 
-SUITES = {
-    HomAlgebra: ("algebra", {None: (LEFT_HOM_ALT, RIGHT_HOM_ALT, HOM_ASSOC)}),
-    HomModule: ("module", {"left": (LEFT_MODULE,), "right": (RIGHT_MODULE,)}),
-    HomPoissonCoalgebra: ("coalgebra", {None: (HOM_POISSON_COALGEBRA,)}),
-    HomComodule: ("comodule", {"coassociative": (COASSOC_COMODULE,), "lie": (LIE_COMODULE,),
-                               "poisson": (POISSON_COMODULE,)}),
-}
-"""structure type -> (its noun, the ids ``--suite all`` runs by the structure's side or
-comodule kind): every algebra law, else the structure's own aggregate."""
-
-
-def _suites(structure) -> tuple[str, dict]:
-    if type(structure) not in SUITES:
+def _kind(structure):
+    kind = TYPES.get(type(structure))
+    if kind is None or kind.suites is None:
         raise FormatError("structure kind cannot be verified")
-    return SUITES[type(structure)]
+    return kind
 
 
 def native_suite(structure) -> list[str]:
-    """The ids ``--suite all`` runs on ``structure``."""
-    by_variant = _suites(structure)[1]
-    return list(by_variant[getattr(structure, "side", None) or getattr(structure, "kind", None)])
+    """The ids ``--suite all`` runs on ``structure``, by its side or comodule kind."""
+    kind = _kind(structure)
+    return list(kind.suites[kind.variant and getattr(structure, kind.variant)])
 
 
 def verify(structure, suite: list[str]) -> list[AxiomReport]:
     """One report per id of ``suite``, all from one ``laws.Plan``.  Every id
     is resolved first, so an unknown one computes nothing; a repeated id, or
     a part named beside its aggregate, is computed once."""
-    noun, checkers = _suites(structure)[0], {}
+    noun, checkers = _kind(structure).noun, {}
     for axiom in suite:
         checkers[axiom] = AXIOMS.get((type(structure), axiom))
         if checkers[axiom] is None:

@@ -40,7 +40,7 @@ from .comodules import (
 )
 from .errors import FormatError, KernelError, KindMismatch
 from .exact import LinearMap, parse_rational
-from .fileformat import BASES, StructureFile, parse_file, serialize, single_structure_file, write_file
+from .fileformat import TYPES, StructureFile, parse_file, serialize, single_structure_file, write_file
 from .modules import (
     HomModule,
     check_module_morphism,
@@ -99,11 +99,11 @@ def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None) 
     structures = dict(sf.structures)
     base_of = dict(sf.base_of)
     if name in base_of:  # a (co)module's transform rewrites its base; a twist keeps it
-        structures[base_of[name]] = getattr(new_structure, BASES[type(new_structure)])
+        structures[base_of[name]] = getattr(new_structure, TYPES[type(new_structure)].base)
     if new_name is None:
         structures[name] = new_structure
         for other in [key for key in base_of if base_of[key] == name]:  # entries over it
-            base = BASES[type(structures[other])]
+            base = TYPES[type(structures[other])].base
             structures[other] = dataclasses.replace(structures[other], **{base: new_structure})
     else:
         structures[new_name] = new_structure
@@ -148,12 +148,12 @@ def cmd_twist(args) -> int:
     twist = _TWISTS.get((type(structure), getattr(structure, "kind", None)))
     if twist is None:
         raise KindMismatch("entry cannot be twisted")
-    if type(structure) not in BASES:  # an algebra or coalgebra twists along a map
+    if TYPES[type(structure)].base is None:  # an algebra or coalgebra twists along a map
         if args.endo is None:
             raise FormatError("this twist needs --endo")
         twisted = twist(structure, _resolve_endo(sf, args.endo, structure.dim))
     elif args.endo is not None:
-        raise FormatError(f"{axioms.SUITES[type(structure)][0]} twists take no endomorphism")
+        raise FormatError(f"{TYPES[type(structure)].noun} twists take no endomorphism")
     else:
         twisted = twist(structure)
     if getattr(structure, "side", None) == "right":
@@ -197,13 +197,13 @@ def cmd_check_morphism(args) -> int:
     if check is None or type(dst) is not type(src):
         raise KindMismatch("morphism endpoints have different or unsupported kinds")
     # --strict reaches (co)module morphisms only: an algebra's or coalgebra's always checks alpha
-    report = check(f, src, dst, strict=args.strict) if type(src) in BASES else check(f, src, dst)
+    report = check(f, src, dst, strict=args.strict) if TYPES[type(src)].base else check(f, src, dst)
     _print("\n".join(format_report(report, args.max_witnesses)))
     return 0 if report.holds else 1
 
 
 def _catalog_file(entry: catalog.CatalogEntry) -> StructureFile:
-    base = BASES.get(type(entry.payload))
+    base = TYPES[type(entry.payload)].base
     if base is None:
         return single_structure_file(entry.name, entry.payload)
     return single_structure_file(entry.name, entry.payload,

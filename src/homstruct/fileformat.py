@@ -5,17 +5,12 @@ rationals in lowest terms (``p`` or ``p/q``), compact separators, and a
 single trailing newline.  ``serialize(parse(data))`` canonicalizes any valid
 file and is a byte-level fixed point on canonical ones.
 
-Entry kinds and fields:
-
-    hom_algebra            kind, dim, mul, alpha
-    hom_module             kind, algebra, side, dim, beta, action
-    hom_poisson_coalgebra  kind, dim, delta, gamma, alpha, cocommutative
-    hom_comodule           kind, coalgebra, structure, dim, beta,
-                           delta_m (coassociative/poisson), gamma_m (lie/poisson)
-    linear_map             kind, dim_in, dim_out, matrix
-
-Modules name their base algebra and comodules their base coalgebra; all
-references must resolve inside the same file.
+``TYPES`` states each structure kind once: its wire kind, its noun and
+``--suite all`` ids, and its fields in wire order with how each is read.  The
+parser walks an entry's fields in that order, so the first fault in it is
+reported, and the writer writes them in it.  Modules name their base algebra
+and comodules their base coalgebra; all references must resolve inside the
+same file.
 
 Each distinct numeral is validated and decoded once per file: ``parse_bytes``
 keeps a ``{numeral: Fraction}`` memo for the one call, and the decoded rows go
@@ -29,11 +24,11 @@ format call per nonzero entry and none per zero, ``serialize`` takes them once
 per distinct array (entry tuple and shape), and a parsed tensor's are the
 array it was read from (every valid numeral is canonical).
 
-Each distinct array is read once too: a module's ``beta`` or ``action`` (a
-comodule's ``beta``, ``delta_m`` or ``gamma_m``) with its base entry's dims
-that equals the base's ``alpha`` or ``mul`` (``alpha``, ``delta`` or
-``gamma``) as JSON is built on the base tensor's own entry tuple
-(``_Numerals.like``), so ``laws.Plan`` reads it as one operand.  It is
+Each distinct array is read once too: a tensor field whose ``TYPES`` entry
+names a base tensor (a module's ``beta`` or ``action``, a comodule's ``beta``,
+``delta_m`` or ``gamma_m``), when it has that tensor's dims and equals its
+array as JSON, is built on the base tensor's own entry tuple
+(``_Numerals.array``), so ``laws.Plan`` reads it as one operand.  It is
 compared with that one base array only, so parsing stays linear.
 """
 
@@ -43,9 +38,9 @@ import json
 import os
 from fractions import Fraction
 
-from .algebras import HomAlgebra
-from .coalgebras import HomPoissonCoalgebra
-from .comodules import COACTIONS, KINDS, HomComodule
+from .algebras import HOM_ASSOC, LEFT_HOM_ALT, RIGHT_HOM_ALT, HomAlgebra
+from .coalgebras import HOM_POISSON_COALGEBRA, HomPoissonCoalgebra
+from .comodules import COACTIONS, COASSOC_COMODULE, LIE_COMODULE, POISSON_COMODULE, HomComodule
 from .errors import FormatError
 from .exact import (
     _ZERO,
@@ -63,11 +58,9 @@ from .exact import (
     parse_rational,
     record,
 )
-from .modules import HomModule
+from .modules import LEFT_MODULE, RIGHT_MODULE, HomModule
 
 FILE_VERSION = 1
-BASES = {HomModule: "algebra", HomComodule: "coalgebra"}
-"""The types that live over a base entry -> the field that holds it."""
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -96,21 +89,17 @@ def _require(cond: bool, msg: str):
         raise FormatError(msg)
 
 
-def _parse_scalar(value) -> Fraction:
-    _require(isinstance(value, str), f"rational entries must be strings, got {value!r}")
-    return parse_rational(value)
-
-
 class _Numerals(dict):
     """The numerals of one file, ``{numeral: Fraction}``, and the readers that use them.
 
     A miss validates and decodes the entry.  Only strings that parse are
     stored, so any other entry misses (a list or object raises ``TypeError``
-    on lookup) and is rejected by ``_parse_scalar``.
+    on lookup) and is rejected by ``__missing__``.
     """
 
     def __missing__(self, value) -> Fraction:
-        self[value] = number = _parse_scalar(value)
+        _require(isinstance(value, str), f"rational entries must be strings, got {value!r}")
+        self[value] = number = parse_rational(value)
         return number
 
     def matrix(self, data, rows: int, cols: int, what: str) -> tuple[tuple[Fraction, ...], ...]:
@@ -126,34 +115,21 @@ class _Numerals(dict):
                 out.append(zero if row == zeros else tuple(map(get, row)))
             except TypeError:  # an unhashable entry; the entries before it are valid
                 for x in row:
-                    _parse_scalar(x)
+                    self.__missing__(x)
                 raise
         return tuple(out)
 
-    def cube(self, data, d0: int, d1: int, d2: int, what: str) -> tuple:
-        if not isinstance(data, list) or len(data) != d0:
-            raise FormatError(f"{what}: expected {d0} planes")
-        return tuple([self.matrix(plane, d1, d2, what) for plane in data])
-
-    def like(self, entry: dict, field: str, base, base_data, what: str, *dims: int) -> tuple:
-        """The entries of ``entry[field]``, an array of ``dims``: ``base``'s own tuple when
-        the dims are ``base``'s and it equals ``base_data`` (one comparison, in C), else read."""
-        data = entry.get(field)
-        if dims == base.shape and data == base_data:
-            entry[field] = base_data  # so both tensors keep one array as their numerals
-            return getattr(base, base._nested)
-        return (self.matrix if len(dims) == 2 else self.cube)(data, *dims, what)
-
-
-def _kept(tensor, data: list):
-    """``tensor``, with the array it was read from as its ``numerals``."""
-    vars(tensor)["numerals"] = data
-    return tensor
-
-
-def _parse_dim(raw, what: str) -> int:
-    _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0, f"{what}: bad dim")
-    return raw
+    def array(self, data, dims: tuple, what: str, like=None) -> tuple:
+        """The entries of ``data``, an array of ``dims``, and the array its tensor keeps as
+        ``numerals``: ``like``'s own when the dims are ``like``'s and ``data`` equals its
+        numerals (one comparison, in C), else what was read."""
+        if like is not None and dims == like.shape and data == like.numerals:
+            return getattr(like, like._nested), like.numerals
+        if len(dims) == 2:
+            return self.matrix(data, *dims, what), data
+        if not isinstance(data, list) or len(data) != dims[0]:
+            raise FormatError(f"{what}: expected {dims[0]} planes")
+        return tuple([self.matrix(plane, *dims[1:], what) for plane in data]), data
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -169,6 +145,105 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+class _Array:
+    """A tensor field: its class; its shape and its constructor's arguments after the entries,
+    named by earlier fields (``base.dim``: the base's dim), or a shape as a function of those
+    arguments; the base tensor whose equal array it shares; and what each variant carries."""
+
+    def __init__(self, cls, shape, args="", like=None, only=None):
+        self.cls, self.args, self.like, self.only = cls, tuple(args.split()), like, only
+        self.shape = shape if callable(shape) else tuple(shape.split())
+
+
+class Kind:
+    """A structure kind: its wire kind, its noun, the ids ``--suite all`` runs by variant
+    (None if it has no laws), and its fields in wire order as ``(wire key, attribute,
+    read)``.  ``read`` is ``int`` for a dim, ``bool`` for a boolean, a structure type for
+    the name of a base entry of that type, a string for the variant (naming it in errors),
+    or an ``_Array``; a None attribute is the structure itself.  ``base`` is the field
+    naming the base entry, and ``variant`` the attribute ``suites`` is keyed by, if any."""
+
+    def __init__(self, wire: str, noun: str | None, suites: dict | None, fields: tuple):
+        self.wire, self.noun, self.suites, self.fields = wire, noun, suites, fields
+        self.base = next((key for key, _, read in fields
+                          if isinstance(read, type) and read not in (int, bool)), None)
+        self.variant = next((attribute for _, attribute, read in fields if isinstance(read, str)), None)
+
+
+_COACTION = "dim base.dim dim", "base.dim dim"  # shape, arguments
+TYPES = {
+    HomAlgebra: Kind("hom_algebra", "algebra", {None: (LEFT_HOM_ALT, RIGHT_HOM_ALT, HOM_ASSOC)}, (
+        ("dim", "dim", int),
+        ("mul", "mu", _Array(MulTensor, "dim dim dim")),
+        ("alpha", "alpha", _Array(LinearMap, "dim dim", "dim")),
+    )),
+    HomPoissonCoalgebra: Kind("hom_poisson_coalgebra", "coalgebra", {None: (HOM_POISSON_COALGEBRA,)}, (
+        ("dim", "dim", int),
+        ("delta", "delta", _Array(ComulTensor, "dim dim dim")),
+        ("gamma", "gamma", _Array(ComulTensor, "dim dim dim")),
+        ("alpha", "alpha", _Array(LinearMap, "dim dim", "dim")),
+        ("cocommutative", "cocommutative_expected", bool),
+    )),
+    HomModule: Kind("hom_module", "module", {"left": (LEFT_MODULE,), "right": (RIGHT_MODULE,)}, (
+        ("algebra", "algebra", HomAlgebra),
+        ("side", "side", "side"),
+        ("dim", "dim_mod", int),
+        ("beta", "beta", _Array(LinearMap, "dim dim", "dim", "alpha")),
+        ("action", "action", _Array(ActionTensor, action_shape, "base.dim dim side", "mu")),
+    )),
+    HomComodule: Kind("hom_comodule", "comodule", dict(
+        coassociative=(COASSOC_COMODULE,), lie=(LIE_COMODULE,), poisson=(POISSON_COMODULE,)), (
+        ("coalgebra", "coalgebra", HomPoissonCoalgebra),
+        ("structure", "kind", "comodule structure"),
+        ("dim", "dim_mod", int),
+        ("beta", "beta", _Array(LinearMap, "dim dim", "dim", "alpha")),
+        ("delta_m", "delta_m", _Array(CoactionTensor, *_COACTION, "delta", COACTIONS)),
+        ("gamma_m", "gamma_m", _Array(CoactionTensor, *_COACTION, "gamma", COACTIONS)),
+    )),
+    LinearMap: Kind("linear_map", None, None, (
+        ("dim_in", "dim_in", int),
+        ("dim_out", "dim_out", int),
+        ("matrix", None, _Array(LinearMap, "dim_out dim_in", "dim_in")),
+    )),
+}
+"""Each structure type -> its ``Kind``, which ``parse_bytes``, ``serialize``, axioms and cli read."""
+_BY_WIRE = {kind.wire: cls for cls, kind in TYPES.items()}
+
+
+def _read(name: str, entry: dict, numerals: _Numerals, structures: dict, base_of: dict):
+    """Read ``entry`` into ``structures[name]``, field by field in wire order."""
+    cls = _BY_WIRE[entry["kind"]]
+    kind, named = TYPES[cls], {}
+    for key, attribute, read in kind.fields:
+        value = entry.get(key)
+        if isinstance(read, _Array):
+            if read.only is not None and key not in read.only[variant]:
+                _require(key not in entry, f"{name}: {key} not allowed for this kind")
+            else:
+                args = tuple(map(named.__getitem__, read.args))
+                dims = (read.shape(*args) if callable(read.shape)
+                        else tuple(map(named.__getitem__, read.shape)))
+                like = read.like and getattr(base, read.like)
+                entries, data = numerals.array(value, dims, name, like)
+                value = read.cls(entries, *args)
+                vars(value)["numerals"] = data  # the array it was read from
+        elif read is int:
+            _require(type(value) is int and value >= 0, f"{name}: bad dim")
+        elif read is bool:
+            _require(isinstance(value, bool), f"{name}: {key} must be a boolean")
+        elif isinstance(read, str):
+            _require(isinstance(value, str) and value in kind.suites, f"{name}: bad {read} {value!r}")
+            variant = value
+        else:
+            _require(isinstance(value, str), f"{name}: missing {key} reference")
+            base = structures.get(value)
+            _require(isinstance(base, read), f"{name}: {key} {value!r} not found")
+            value, named["base.dim"], base_of[name] = base, base.dim, value
+        named[key] = value
+    built = {attribute: named[key] for key, attribute, _ in kind.fields}
+    structures[name] = built[None] if None in built else cls(**built)
 
 
 def parse_bytes(data: bytes) -> StructureFile:
@@ -188,82 +263,20 @@ def parse_bytes(data: bytes) -> StructureFile:
     raw = doc.get("structures")
     _require(isinstance(raw, dict) and raw is not None, "missing structures map")
 
-    structures: dict[str, object] = {}
-    base_of: dict[str, str] = {}
-    pending: list[tuple[str, dict]] = []
+    structures, base_of, pending = {}, {}, []
     numerals = _Numerals({"0": _ZERO})  # the grammar's one spelling of zero
 
     for name, entry in raw.items():
         _require(isinstance(name, str) and name != "", "structure names must be nonempty strings")
         _require(isinstance(entry, dict), f"{name}: entry must be an object")
         kind = entry.get("kind")
-        if kind == "hom_algebra":
-            dim = _parse_dim(entry.get("dim"), name)
-            mul, alpha = entry.get("mul"), entry.get("alpha")
-            mul = _kept(MulTensor(numerals.cube(mul, dim, dim, dim, name)), mul)
-            alpha = _kept(LinearMap(numerals.matrix(alpha, dim, dim, name), dim), alpha)
-            structures[name] = HomAlgebra(dim, mul, alpha)
-        elif kind == "hom_poisson_coalgebra":
-            dim = _parse_dim(entry.get("dim"), name)
-            delta, gamma, alpha = entry.get("delta"), entry.get("gamma"), entry.get("alpha")
-            delta = _kept(ComulTensor(numerals.cube(delta, dim, dim, dim, name)), delta)
-            gamma = _kept(ComulTensor(numerals.cube(gamma, dim, dim, dim, name)), gamma)
-            alpha = _kept(LinearMap(numerals.matrix(alpha, dim, dim, name), dim), alpha)
-            flag = entry.get("cocommutative")
-            _require(isinstance(flag, bool), f"{name}: cocommutative must be a boolean")
-            structures[name] = HomPoissonCoalgebra(dim, delta, gamma, alpha, flag)
-        elif kind == "linear_map":
-            dim_in = _parse_dim(entry.get("dim_in"), name)
-            dim_out = _parse_dim(entry.get("dim_out"), name)
-            rows = entry.get("matrix")
-            matrix = numerals.matrix(rows, dim_out, dim_in, name)
-            structures[name] = _kept(LinearMap(matrix, dim_in), rows)
-        elif kind in ("hom_module", "hom_comodule"):
+        _require(isinstance(kind, str) and kind in _BY_WIRE, f"{name}: unknown kind {kind!r}")
+        if TYPES[_BY_WIRE[kind]].base is None:
+            _read(name, entry, numerals, structures, base_of)
+        else:  # read once every entry it may live over is
             pending.append((name, entry))
-        else:
-            raise FormatError(f"{name}: unknown kind {kind!r}")
-
     for name, entry in pending:
-        if entry["kind"] == "hom_module":
-            ref = entry.get("algebra")
-            _require(isinstance(ref, str), f"{name}: missing algebra reference")
-            base = structures.get(ref)
-            _require(isinstance(base, HomAlgebra), f"{name}: algebra {ref!r} not found")
-            side = entry.get("side")
-            _require(side in ("left", "right"), f"{name}: bad side {side!r}")
-            dim, of = _parse_dim(entry.get("dim"), name), raw[ref]
-            beta = numerals.like(entry, "beta", base.alpha, of["alpha"], name, dim, dim)
-            shape = action_shape(base.dim, dim, side)
-            cube = numerals.like(entry, "action", base.mu, of["mul"], name, *shape)
-            beta = _kept(LinearMap(beta, dim), entry["beta"])
-            action = _kept(ActionTensor(cube, base.dim, dim, side), entry["action"])
-            structures[name] = HomModule(base, dim, beta, action, side)
-            base_of[name] = ref
-        else:
-            ref = entry.get("coalgebra")
-            _require(isinstance(ref, str), f"{name}: missing coalgebra reference")
-            base = structures.get(ref)
-            _require(
-                isinstance(base, HomPoissonCoalgebra), f"{name}: coalgebra {ref!r} not found"
-            )
-            comodule_kind = entry.get("structure")
-            _require(
-                comodule_kind in KINDS,
-                f"{name}: bad comodule structure {comodule_kind!r}",
-            )
-            dim, of = _parse_dim(entry.get("dim"), name), raw[ref]
-            beta = numerals.like(entry, "beta", base.alpha, of["alpha"], name, dim, dim)
-            beta, coactions = _kept(LinearMap(beta, dim), entry["beta"]), {}
-            for field in ("delta_m", "gamma_m"):
-                if field in COACTIONS[comodule_kind]:
-                    src = field.removesuffix("_m")  # its base map
-                    cube = numerals.like(entry, field, getattr(base, src), of[src], name,
-                                         dim, base.dim, dim)
-                    coactions[field] = _kept(CoactionTensor(cube, base.dim, dim), entry[field])
-                else:
-                    _require(field not in entry, f"{name}: {field} not allowed for this kind")
-            structures[name] = HomComodule(base, dim, beta, comodule_kind, **coactions)
-            base_of[name] = ref
+        _read(name, entry, numerals, structures, base_of)
 
     return StructureFile(FILE_VERSION, structures, base_of)
 
@@ -285,32 +298,14 @@ def _base_name(name: str, base, sf: StructureFile) -> str:
     return ref
 
 
-# Each written type's wire kind and its fields in wire order, as (wire key, attribute):
-# a tensor is written through ``dump``, a base entry by its name, and a None field not
-# at all; a linear map's matrix is the map itself.
-_WIRE = {
-    HomAlgebra: ("hom_algebra", (("dim", "dim"), ("mul", "mu"), ("alpha", "alpha"))),
-    HomPoissonCoalgebra: ("hom_poisson_coalgebra", (
-        ("dim", "dim"), ("delta", "delta"), ("gamma", "gamma"), ("alpha", "alpha"),
-        ("cocommutative", "cocommutative_expected"))),
-    HomModule: ("hom_module", (
-        ("algebra", "algebra"), ("side", "side"), ("dim", "dim_mod"), ("beta", "beta"),
-        ("action", "action"))),
-    HomComodule: ("hom_comodule", (
-        ("coalgebra", "coalgebra"), ("structure", "kind"), ("dim", "dim_mod"), ("beta", "beta"),
-        ("delta_m", "delta_m"), ("gamma_m", "gamma_m"))),
-    LinearMap: ("linear_map", (("dim_in", "dim_in"), ("dim_out", "dim_out"), ("matrix", None))),
-}
-
-
 def _entry_doc(name: str, structure, sf: StructureFile, dump) -> dict:
-    if type(structure) not in _WIRE:
+    if type(structure) not in TYPES:
         raise FormatError(f"{name}: cannot serialize {type(structure).__name__}")
-    kind, fields = _WIRE[type(structure)]
-    doc = {"kind": kind}
-    for key, attribute in fields:
+    kind = TYPES[type(structure)]
+    doc, base = {"kind": kind.wire}, kind.base
+    for key, attribute, _ in kind.fields:
         value = structure if attribute is None else getattr(structure, attribute)
-        if key == BASES.get(type(structure)):
+        if key == base:
             doc[key] = _base_name(name, value, sf)
         elif isinstance(value, _Tensor):
             doc[key] = dump(value)

@@ -100,8 +100,9 @@ def test_octonion_associator_is_alternating_at_random_points():
     rng = DeterministicRng(31415)
     for _ in range(100):
         x, y, z = (point(rng, 8) for _ in range(3))
-        assert is_zero(add(assoc(x, y, z), assoc(y, x, z)))
-        assert is_zero(add(assoc(x, y, z), assoc(x, z, y)))
+        xyz = assoc(x, y, z)
+        assert is_zero(add(xyz, assoc(y, x, z)))
+        assert is_zero(add(xyz, assoc(x, z, y)))
         assert is_zero(assoc(x, x, z))
         assert is_zero(assoc(x, y, y))
 

@@ -410,6 +410,41 @@ def test_module_and_comodule_cubes_take_their_sides_sizes():
     )
 
 
+# --- of two faults in one entry, the earlier in wire order is reported ----------------
+
+_COALGEBRA = {"kind": "hom_poisson_coalgebra", "dim": 2, "delta": ALGEBRA["mul"],
+              "gamma": ALGEBRA["mul"], "alpha": ALGEBRA["alpha"], "cocommutative": False}
+_MODULE = {"kind": "hom_module", "algebra": "a", "side": "left", "dim": 2,
+           "beta": ALGEBRA["alpha"], "action": ALGEBRA["mul"]}
+_LIE = {"kind": "hom_comodule", "coalgebra": "c", "structure": "lie", "dim": 2,
+        "beta": ALGEBRA["alpha"], "gamma_m": ALGEBRA["mul"]}
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"a": {**ALGEBRA, "mul": "x", "alpha": "y"}}, "a: expected 2 planes"),
+        ({"a": {**ALGEBRA, "dim": -1, "mul": "x"}}, "a: bad dim"),
+        ({"c": {**_COALGEBRA, "alpha": "x", "cocommutative": 1}}, "c: expected 2 rows"),
+        ({"c": {**_COALGEBRA, "delta": "x", "gamma": ["y", "z"]}}, "c: expected 2 planes"),
+        ({"c": {**_COALGEBRA, "delta": ["y", "z"], "gamma": "x"}}, "c: expected 2 rows"),
+        ({"a": ALGEBRA, "m": {**_MODULE, "side": "up", "dim": -1}}, "m: bad side 'up'"),
+        ({"a": ALGEBRA, "m": {**_MODULE, "algebra": "nope", "side": "up"}},
+         "m: algebra 'nope' not found"),
+        ({"a": ALGEBRA, "m": {**_MODULE, "beta": "x", "action": "y"}}, "m: expected 2 rows"),
+        ({"c": _COALGEBRA, "m": {**_LIE, "delta_m": ALGEBRA["mul"], "gamma_m": "x"}},
+         "m: delta_m not allowed for this kind"),
+        ({"c": _COALGEBRA, "m": {**_LIE, "structure": "up", "dim": -1}},
+         "m: bad comodule structure 'up'"),
+        ({"c": _COALGEBRA, "m": {**_LIE, "coalgebra": 1, "structure": "up"}},
+         "m: missing coalgebra reference"),
+        ({"f": {"kind": "linear_map", "dim_in": 2, "dim_out": -1, "matrix": "x"}}, "f: bad dim"),
+    ],
+)
+def test_the_first_of_two_faults_in_wire_order_is_reported(entries, message):
+    assert _shape_error(entries) == message
+
+
 ZERO3 = ["0"] * 3
 
 

@@ -5,12 +5,13 @@ structure type that states laws."""
 
 import importlib
 import inspect
+import json
 import pkgutil
 
 import pytest
 
 import homstruct
-from homstruct import axioms, catalog, fileformat, laws
+from homstruct import catalog, cli, fileformat, laws
 from homstruct.algebras import HOM_ASSOC, HomAlgebra, check_endomorphism, check_morphism, yau_twist
 from homstruct.catalog import matrix_algebra, matrix_conjugation, random_structure
 from homstruct.coalgebras import (
@@ -186,4 +187,22 @@ def test_every_type_with_laws_is_verified_and_written():
         if inspect.isclass(cls) and cls.__module__.startswith("homstruct.") and hasattr(cls, "laws")
     }
     assert {HomAlgebra, HomModule, HomPoissonCoalgebra, HomComodule} <= types
-    assert types <= set(axioms.SUITES) and types <= set(fileformat._WIRE)
+    assert types <= {cls for cls, kind in fileformat.TYPES.items() if kind.suites}
+
+
+def test_every_kind_is_written_with_its_fields_in_table_order_and_reads_back():
+    maps = [("f", LinearMap.from_rows([[1, 0, "1/2"], [0, -3, 0]])), ("z", LinearMap.zero(0, 2))]
+    files = [cli._catalog_file(entry) for entry in catalog.entries()]
+    files += [StructureFile(1, dict(maps), {})]
+    seen = set()
+    for sf in files:
+        data = serialize(sf)
+        assert serialize(fileformat.parse_bytes(data)) == data
+        for name, doc in json.loads(data)["structures"].items():
+            structure = sf.structures[name]
+            kind = fileformat.TYPES[type(structure)]
+            keys = [key for key, attribute, _ in kind.fields
+                    if attribute is None or getattr(structure, attribute) is not None]
+            assert list(doc) == ["kind", *keys] and doc["kind"] == kind.wire, name
+            seen.add(type(structure))
+    assert seen == set(fileformat.TYPES)
