@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotEndomorphism
 from .exact import LinearMap, MulTensor, Record, _set, rebuild, record
-from .laws import COMMUTES, Law, Plan, check
+from .laws import COMMUTES, Law, Plan, check, check_map
 from .report import AxiomReport
 
 LEFT_HOM_ALT = "LEFT_HOM_ALT"
@@ -72,8 +72,10 @@ _LAWS = {
     HOM_ASSOC: Law("ijk", "o", "+ alpha.ai mu.abo mu.jkb", "- alpha.bk mu.abo mu.ija"),
 }
 
-# f(mul(x, y)) = mul'(f(x), f(y)) on basis pairs, for f from (mu) to (nu).
-_MULTIPLICATIVE = Law("ij", "o", "+ mu.ija f.oa", "- nu.abo f.ai f.bj")
+# f(mul(x, y)) = mul'(f(x), f(y)) on basis pairs, for f from (src) to (dst).
+_MULTIPLICATIVE = Law("ij", "o", "+ src.ija f.oa", "- dst.abo f.ai f.bj")
+_MORPHISM_PARTS = ((MORPHISM_MULTIPLICATIVE, _MULTIPLICATIVE, "mu"),
+                   (MORPHISM_TWIST_COMMUTES, COMMUTES, "alpha"))
 
 # Constructions, one term each (``exact.rebuild``) on the multiplication t.
 _YAU_TWIST = ("ijo", "+ t.ijq phi.oq")  # phi(mul(x, y))
@@ -99,7 +101,8 @@ def check_endomorphism(a: HomAlgebra, phi: LinearMap) -> AxiomReport:
     """Verify phi(e_i e_j) = phi(e_i) phi(e_j) on all basis pairs."""
     if not phi.is_square(a.dim):
         raise DimensionMismatch("endomorphism candidate has wrong shape")
-    return _MULTIPLICATIVE.check(ENDOMORPHISM, mu=a.mu, nu=a.mu, f=phi)
+    parts = ((ENDOMORPHISM, _MULTIPLICATIVE, "mu"),)
+    return check_map(ENDOMORPHISM, parts, phi, a, a, (a.dim, a.dim))
 
 
 def negate(a: HomAlgebra) -> HomAlgebra:
@@ -130,11 +133,5 @@ def yau_twist(a: HomAlgebra, phi: LinearMap) -> HomAlgebra:
 
 def check_morphism(f: LinearMap, a: HomAlgebra, b: HomAlgebra) -> AxiomReport:
     """Verify f(xy) = f(x)f(y) on basis pairs and f . alpha = alpha' . f."""
-    if f.dim_in != a.dim or f.dim_out != b.dim:
-        raise DimensionMismatch("morphism candidate has wrong shape")
-    parts = [
-        (MORPHISM_MULTIPLICATIVE, _MULTIPLICATIVE, {"mu": a.mu, "nu": b.mu, "f": f}),
-        (MORPHISM_TWIST_COMMUTES, COMMUTES, {"f": f, "x": a.alpha, "y": b.alpha}),
-    ]
-    return Plan({MORPHISM: parts}).check(MORPHISM)
+    return check_map(MORPHISM, _MORPHISM_PARTS, f, a, b, (a.dim, b.dim))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
 from .exact import ComulTensor, LinearMap, Record, _set, rebuild, record
-from .laws import COMMUTES, Law, Plan, check
+from .laws import COMMUTES, Law, Plan, check, check_map
 from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
@@ -98,6 +98,9 @@ _LAWS = {
 _ON_DELTA = (COCOMMUTATIVITY, DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY)
 # (f @ f) . src = dst . f for a map f between coalgebras.
 _MORPHISM = Law("k", "ij", "+ src.kab f.ia f.jb", "- f.lk dst.lij")
+_MORPHISM_PARTS = ((COALGEBRA_MORPHISM_DELTA, _MORPHISM, "delta"),
+                   (COALGEBRA_MORPHISM_GAMMA, _MORPHISM, "gamma"),
+                   (COALGEBRA_MORPHISM_TWIST_COMMUTES, COMMUTES, "alpha"))
 
 # Constructions, one term each (``exact.rebuild``) on one comultiplication t.
 _YAU_TWIST = ("kij", "+ phi.lk t.lij")  # t . phi
@@ -174,11 +177,4 @@ def check_coalgebra_morphism(
     f: LinearMap, p1: HomPoissonCoalgebra, p2: HomPoissonCoalgebra
 ) -> AxiomReport:
     """(f @ f) . delta1 = delta2 . f, same for gamma, and f . alpha1 = alpha2 . f."""
-    if f.dim_in != p1.dim or f.dim_out != p2.dim:
-        raise DimensionMismatch("morphism candidate has wrong shape")
-    parts = [
-        (COALGEBRA_MORPHISM_DELTA, _MORPHISM, {"src": p1.delta, "dst": p2.delta, "f": f}),
-        (COALGEBRA_MORPHISM_GAMMA, _MORPHISM, {"src": p1.gamma, "dst": p2.gamma, "f": f}),
-        (COALGEBRA_MORPHISM_TWIST_COMMUTES, COMMUTES, {"f": f, "x": p1.alpha, "y": p2.alpha}),
-    ]
-    return Plan({COALGEBRA_MORPHISM: parts}).check(COALGEBRA_MORPHISM)
+    return check_map(COALGEBRA_MORPHISM, _MORPHISM_PARTS, f, p1, p2, (p1.dim, p2.dim))

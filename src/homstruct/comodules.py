@@ -29,7 +29,7 @@ from typing import Optional
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
 from .exact import CoactionTensor, LinearMap, Record, _set, compose, rebuild, record
-from .laws import COMMUTES, Law, Plan, check
+from .laws import COMMUTES, Law, Plan, check, check_map
 from .report import AxiomReport
 
 COASSOC_COMODULE = "COASSOC_COMODULE"
@@ -138,6 +138,9 @@ _PARTS = {  # id -> (coactions it needs, parts, message for a kind without them)
 }
 # (id @ f) . src = dst . f for a map f between comodules.
 _INTERTWINES = Law("p", "iq", "+ src.pis f.qs", "- f.rp dst.riq")
+_MORPHISM_PARTS = ((COMODULE_MORPHISM_DELTA, _INTERTWINES, "delta_m"),
+                   (COMODULE_MORPHISM_GAMMA, _INTERTWINES, "gamma_m"),
+                   (COMODULE_MORPHISM_BETA_COMMUTES, COMMUTES, "beta"))
 
 # Constructions, one term each (``exact.rebuild``) on one coaction t.
 _TWIST = ("piq", "+ square.il t.plq")  # (alpha^2 @ id) . t, square = alpha^2 built once
@@ -191,20 +194,14 @@ def negate_poisson_comodule(c: HomComodule) -> HomComodule:
 def check_comodule_morphism(
     f: LinearMap, c1: HomComodule, c2: HomComodule, strict: bool = False
 ) -> AxiomReport:
-    """Verify (id @ f) . coaction1 = coaction2 . f for the maps the kind carries."""
+    """Verify (id @ f) . coaction1 = coaction2 . f for the maps the kind carries;
+    ``strict`` additionally requires f . beta = beta' . f."""
     if c1.coalgebra != c2.coalgebra:
         raise CoalgebraMismatch("comodules live over different coalgebras")
     if c1.kind != c2.kind:
         raise KindMismatch("comodules have different kinds")
-    if f.dim_in != c1.dim_mod or f.dim_out != c2.dim_mod:
-        raise DimensionMismatch("morphism candidate has wrong shape")
-    part = {"delta_m": COMODULE_MORPHISM_DELTA, "gamma_m": COMODULE_MORPHISM_GAMMA}
-    parts = [(part[m], _INTERTWINES, {"src": getattr(c1, m), "dst": getattr(c2, m), "f": f})
-             for m in COACTIONS[c1.kind]]
-    if strict:
-        parts.append((COMODULE_MORPHISM_BETA_COMMUTES, COMMUTES,
-                      {"f": f, "x": c1.beta, "y": c2.beta}))
-    return Plan({COMODULE_MORPHISM: parts}).check(COMODULE_MORPHISM)
+    parts = _MORPHISM_PARTS[: None if strict else -1]
+    return check_map(COMODULE_MORPHISM, parts, f, c1, c2, (c1.dim_mod, c2.dim_mod))
 
 
 def regular_comodule(base: HomPoissonCoalgebra, kind: str = "poisson") -> HomComodule:

@@ -384,7 +384,7 @@ class LinearMap(_Tensor):
 
     @classmethod
     def diagonal(cls, values) -> "LinearMap":
-        vals = Vector.from_entries(values).entries
+        vals = tuple(map(rat, values))
         n = len(vals)
         return cls(tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
 

@@ -88,6 +88,7 @@ from itertools import compress, count, islice
 from math import lcm, prod
 from operator import add, sub
 
+from .errors import DimensionMismatch
 from .exact import _parse, compiled, contract, lazy, offsets, pack, packing, unpack, untwisted
 from .report import WITNESS_CAP, AxiomReport, Witness
 
@@ -383,6 +384,17 @@ def check(structure, axiom: str, plan: Plan | None = None) -> AxiomReport:
     return (plan or Plan({axiom: structure.laws(axiom)})).check(axiom)
 
 
+def check_map(axiom: str, parts: tuple, f, src, dst, dims: tuple[int, int]) -> AxiomReport:
+    """``axiom``'s report on ``f``, of shape ``dims`` (in, out), as a map from ``src`` to ``dst``.
+    Each part ``(part id, law, field)`` binds the law's ``src`` and ``dst`` to that field of
+    each end and ``f`` to the map; a part whose field ``src`` lacks (None) is left out."""
+    if (f.dim_in, f.dim_out) != dims:
+        raise DimensionMismatch("morphism candidate has wrong shape")
+    rows = [(part, law, {"src": getattr(src, field), "dst": getattr(dst, field), "f": f})
+            for part, law, field in parts if getattr(src, field) is not None]
+    return Plan({axiom: rows}).check(axiom)
+
+
 def _report(axiom: str, residual: list, index: tuple[int, ...], outer: int, slots: int,
             scale: int, bits: int) -> AxiomReport:
     """Report on a packed residual list over index letters of sizes ``index``.
@@ -409,5 +421,5 @@ def _report(axiom: str, residual: list, index: tuple[int, ...], outer: int, slot
     return AxiomReport(axiom, False, tuple(kept), len(fails) - fails.count(0))
 
 
-COMMUTES = Law("i", "o", "+ f.oa x.ai", "- y.oa f.ai")
-"""``f . x = y . f``, column by column: a morphism intertwines two twist maps."""
+COMMUTES = Law("i", "o", "+ f.oa src.ai", "- dst.oa f.ai")
+"""``f . src = dst . f``, column by column: a morphism intertwines two twist maps."""

@@ -29,7 +29,7 @@ from .algebras import (
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
 from .exact import ActionTensor, LinearMap, Record, _set, construct, rebuild, record
-from .laws import COMMUTES, Law, Plan, check
+from .laws import COMMUTES, Law, Plan, check, check_map
 from .report import AxiomReport
 
 LEFT_MODULE = "LEFT_MODULE"
@@ -92,11 +92,14 @@ _LAWS = {
     ),
 }
 
-# f(act(x, m)) = act'(x, f(m)) on basis pairs, per side of the action tensors.
+# f(act(x, m)) = act'(x, f(m)) on basis pairs, per side, for f from (src) to (dst).
 _INTERTWINES = {
-    "left": Law("ip", "q", "+ act.ipr f.qr", "- f.rp act2.irq"),
-    "right": Law("ip", "q", "+ act.pir f.qr", "- f.rp act2.riq"),
+    "left": Law("ip", "q", "+ src.ipr f.qr", "- f.rp dst.irq"),
+    "right": Law("ip", "q", "+ src.pir f.qr", "- f.rp dst.riq"),
 }
+_MORPHISM_PARTS = {side: ((MODULE_MORPHISM_INTERTWINES, law, "action"),
+                          (MODULE_MORPHISM_BETA_COMMUTES, COMMUTES, "beta"))
+                   for side, law in _INTERTWINES.items()}
 
 
 # Constructions, one term each (``exact.rebuild``) on the action t.  The alpha pair is
@@ -161,14 +164,8 @@ def check_module_morphism(
         raise AlgebraMismatch("modules live over different algebras")
     if m1.side != m2.side:
         raise WrongSide("modules have different sides")
-    if f.dim_in != m1.dim_mod or f.dim_out != m2.dim_mod:
-        raise DimensionMismatch("morphism candidate has wrong shape")
-    parts = [(MODULE_MORPHISM_INTERTWINES, _INTERTWINES[m1.side],
-              {"act": m1.action, "act2": m2.action, "f": f})]
-    if strict:
-        parts.append((MODULE_MORPHISM_BETA_COMMUTES, COMMUTES,
-                      {"f": f, "x": m1.beta, "y": m2.beta}))
-    return Plan({MODULE_MORPHISM: parts}).check(MODULE_MORPHISM)
+    parts = _MORPHISM_PARTS[m1.side][: None if strict else -1]
+    return check_map(MODULE_MORPHISM, parts, f, m1, m2, (m1.dim_mod, m2.dim_mod))
 
 
 def regular_module(alg: HomAlgebra, side: str = "left") -> HomModule:

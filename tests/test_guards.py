@@ -11,7 +11,7 @@ import pkgutil
 import pytest
 
 import homstruct
-from homstruct import catalog, cli, fileformat, laws
+from homstruct import algebras, catalog, cli, coalgebras, comodules, fileformat, laws, modules
 from homstruct.algebras import HOM_ASSOC, HomAlgebra, check_endomorphism, check_morphism, yau_twist
 from homstruct.catalog import matrix_algebra, matrix_conjugation, random_structure
 from homstruct.coalgebras import (
@@ -22,6 +22,7 @@ from homstruct.coalgebras import (
 )
 from homstruct.comodules import HomComodule, check_comodule_morphism, negate_poisson_comodule
 from homstruct.errors import (
+    AlgebraMismatch,
     AlreadyTwisted,
     CoalgebraMismatch,
     DimensionMismatch,
@@ -118,9 +119,15 @@ GUARDS = {
                     DimensionMismatch, "beta is not square of size dim_mod"),
     "associator of a right module": (lambda: module_hom_associator(module("right"), V1, V1, V1),
                                      WrongSide, "module associator is defined for left modules"),
+    "module morphism across algebras": (lambda: check_module_morphism(
+        ONE, module("left"), HomModule(HomAlgebra(1, MulTensor.zero(1), DOUBLE), 1, ONE,
+                                       ActionTensor.zero(1, 1), "left")),
+                                        AlgebraMismatch, "modules live over different algebras"),
     "module morphism across sides": (lambda: check_module_morphism(ONE, module("left"),
                                                                    module("right")),
                                      WrongSide, "modules have different sides"),
+    "module morphism shape": (lambda: check_module_morphism(TWO, module("left"), module("left")),
+                              DimensionMismatch, "morphism candidate has wrong shape"),
     "compose dims": (lambda: compose(TWO, LinearMap.identity(3)), DimensionMismatch,
                      "cannot compose 2x2 after 3x3"),
     "rational of another type": (lambda: rat(0.5), TypeError, "cannot interpret 0.5 as a rational"),
@@ -188,6 +195,21 @@ def test_every_type_with_laws_is_verified_and_written():
     }
     assert {HomAlgebra, HomModule, HomPoissonCoalgebra, HomComodule} <= types
     assert types <= {cls for cls, kind in fileformat.TYPES.items() if kind.suites}
+
+
+def test_every_morphism_check_binds_each_tensor_field_of_its_kind_once():
+    # (part id, law, field) lists, one per side of a module: a kind added to the
+    # table without a part list, or a part list without one of its maps, fails here.
+    part_lists = {HomAlgebra: {None: algebras._MORPHISM_PARTS}, HomModule: modules._MORPHISM_PARTS,
+                  HomPoissonCoalgebra: {None: coalgebras._MORPHISM_PARTS},
+                  HomComodule: {None: comodules._MORPHISM_PARTS}}
+    assert set(part_lists) == {cls for cls, kind in fileformat.TYPES.items() if kind.suites}
+    assert set(modules._MORPHISM_PARTS) == set(fileformat.TYPES[HomModule].suites)
+    for cls, by_variant in part_lists.items():
+        tensors = sorted(attribute for _, attribute, read in fileformat.TYPES[cls].fields
+                         if isinstance(read, fileformat._Array))
+        for parts in by_variant.values():
+            assert sorted(field for _, _, field in parts) == tensors, cls
 
 
 def test_every_kind_is_written_with_its_fields_in_table_order_and_reads_back():

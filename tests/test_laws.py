@@ -815,7 +815,7 @@ def verify_all(structure) -> list:
 
 
 def commutes(law, f, x, y) -> list:
-    return [law.check("COMMUTES", f=f, x=x, y=y)]
+    return [law.check("COMMUTES", f=f, src=x, dst=y)]
 
 
 def commutes_cases(count: int) -> list:
@@ -826,7 +826,7 @@ def commutes_cases(count: int) -> list:
     for m, n in [(m, n) for m in range(1, side + 1) for n in range(1, side + 1)][:count]:
         f = LinearMap.from_rows([[int((o + a) % 3 == 0) for a in range(n)] for o in range(m)])
         x = LinearMap.diagonal([Fraction(a % 3 + 1, 2) for a in range(n)])
-        cases.append({"f": f, "x": x, "y": LinearMap.identity(m)})
+        cases.append({"f": f, "src": x, "dst": LinearMap.identity(m)})
     return cases
 
 

@@ -169,9 +169,9 @@ def test_the_mixed_poisson_comodule_term_is_contracted_once(monkeypatch):
 
 def test_equal_contractions_in_one_class_cancel(monkeypatch):
     contractions, _ = recorded(monkeypatch)
-    # Under f = id, with mu and nu one tensor, the multiplicativity row is + mu.ijo -
-    # nu.ijo: one contraction, coefficients 1 and -1.  Under f = alpha = id, COMMUTES is
-    # + x.oi - f.oi, every identity map of a shape being one operand.  Both cancel.
+    # Under f = id, with src and dst one tensor, the multiplicativity row is + src.ijo -
+    # dst.ijo: one contraction, coefficients 1 and -1.  Under f = alpha = id, COMMUTES is
+    # + src.oi - f.oi, every identity map of a shape being one operand.  Both cancel.
     octo, e = catalog.octonions(), LinearMap.identity(8)
     checks = [(algebras.check_endomorphism, ref.check_endomorphism, (octo, e)),
               (algebras.check_morphism, ref.check_morphism, (e, octo, octo))]
