@@ -1,25 +1,20 @@
 """Hom-alternative and Hom-associative algebras: exact axiom checks and twists.
 
-A Hom-algebra is a triple (A, mul, alpha) with alpha a linear self-map.  The
-left Hom-alternative law is ``mul(alpha(x), mul(x, y)) = mul(mul(x, x),
-alpha(y))``; the right law mirrors it.  Over a field of characteristic zero
-each law is equivalent to its polarized, fully multilinear form, so the
-checkers decide it exactly on all basis triples (as rows of ``laws.Law``):
-
-    left:  mul(a(x), mul(y, z)) - mul(mul(x, y), a(z))
-         + mul(a(y), mul(x, z)) - mul(mul(y, x), a(z)) = 0
-    right: mul(a(x), mul(y, z)) - mul(mul(x, y), a(z))
-         + mul(a(x), mul(z, y)) - mul(mul(x, z), a(y)) = 0
-
-Hom-associativity is ``mul(a(x), mul(y, z)) = mul(mul(x, y), a(z))``, checked
-on basis triples directly (it is already trilinear).
+A Hom-algebra is a triple (A, mul, alpha) with alpha a linear self-map.  Its
+Hom-associator is ``as(x, y, z) = mul(a(x), mul(y, z)) - mul(mul(x, y), a(z))``;
+Hom-associativity is ``as = 0``.  The left Hom-alternative law is ``as(x, x, z) =
+0`` and the right one ``as(x, y, y) = 0``.  Over a field of characteristic zero
+each is equivalent to its polarization, ``as`` plus ``as`` with x and y (right: y
+and z) exchanged, so the checkers decide all three exactly on basis triples, as
+rows of ``laws.Law``: the associator is stated once, and ``laws.polarized`` swaps
+its letters ``ij`` (left) or ``jk`` (right).
 """
 
 from __future__ import annotations
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotEndomorphism
 from .exact import LinearMap, MulTensor, Record, _set, rebuild, record
-from .laws import COMMUTES, Law, Plan, check, check_map
+from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, polarized
 from .report import AxiomReport
 
 LEFT_HOM_ALT = "LEFT_HOM_ALT"
@@ -53,23 +48,14 @@ class HomAlgebra(Record):
         return [(axiom, _LAWS[axiom], {"mu": self.mu, "alpha": self.alpha})]
 
 
-# Polarized laws, one row each; operands are mu and alpha.
+# The Hom-associator, one row on mu and alpha, and its two polarizations.
+_ASSOCIATOR = ("ijk", "o",
+               "+ alpha.ai mu.abo mu.jkb",  # mul(a(x), mul(y, z))
+               "- alpha.bk mu.abo mu.ija")  # mul(mul(x, y), a(z))
 _LAWS = {
-    LEFT_HOM_ALT: Law(
-        "ijk", "o",
-        "+ alpha.ai mu.abo mu.jkb",  # mul(a(x), mul(y, z))
-        "- alpha.bk mu.abo mu.ija",  # mul(mul(x, y), a(z))
-        "+ alpha.aj mu.abo mu.ikb",  # mul(a(y), mul(x, z))
-        "- alpha.bk mu.abo mu.jia",  # mul(mul(y, x), a(z))
-    ),
-    RIGHT_HOM_ALT: Law(
-        "ijk", "o",
-        "+ alpha.ai mu.abo mu.jkb",  # mul(a(x), mul(y, z))
-        "- alpha.bk mu.abo mu.ija",  # mul(mul(x, y), a(z))
-        "+ alpha.ai mu.abo mu.kjb",  # mul(a(x), mul(z, y))
-        "- alpha.bj mu.abo mu.ika",  # mul(mul(x, z), a(y))
-    ),
-    HOM_ASSOC: Law("ijk", "o", "+ alpha.ai mu.abo mu.jkb", "- alpha.bk mu.abo mu.ija"),
+    LEFT_HOM_ALT: polarized(*_ASSOCIATOR, swap="ij"),
+    RIGHT_HOM_ALT: polarized(*_ASSOCIATOR, swap="jk"),
+    HOM_ASSOC: Law(*_ASSOCIATOR),
 }
 
 # f(mul(x, y)) = mul'(f(x), f(y)) on basis pairs, for f from (src) to (dst).
@@ -77,10 +63,9 @@ _MULTIPLICATIVE = Law("ij", "o", "+ src.ija f.oa", "- dst.abo f.ai f.bj")
 _MORPHISM_PARTS = ((MORPHISM_MULTIPLICATIVE, _MULTIPLICATIVE, "mu"),
                    (MORPHISM_TWIST_COMMUTES, COMMUTES, "alpha"))
 
-# Constructions, one term each (``exact.rebuild``) on the multiplication t.
+# The Yau twist, one term (``exact.rebuild``) on the multiplication t; negation and
+# the opposite are ``laws.NEGATE`` and ``laws.SWAP``.
 _YAU_TWIST = ("ijo", "+ t.ijq phi.oq")  # phi(mul(x, y))
-_NEGATE = ("ijo", "- t.ijo")
-_OPPOSITE = ("ijo", "+ t.jio")  # mul(y, x)
 
 
 def check_left_hom_alternative(a: HomAlgebra, plan: Plan | None = None) -> AxiomReport:
@@ -107,12 +92,12 @@ def check_endomorphism(a: HomAlgebra, phi: LinearMap) -> AxiomReport:
 
 def negate(a: HomAlgebra) -> HomAlgebra:
     """(A, -mul, alpha): every structure constant negated."""
-    return rebuild(a, _NEGATE, ("mu",))
+    return rebuild(a, NEGATE, ("mu",))
 
 
 def opposite(a: HomAlgebra) -> HomAlgebra:
     """(A, mul_op, alpha) with mul_op(x, y) = mul(y, x)."""
-    return rebuild(a, _OPPOSITE, ("mu",))
+    return rebuild(a, SWAP, ("mu",))
 
 
 def yau_twist(a: HomAlgebra, phi: LinearMap) -> HomAlgebra:

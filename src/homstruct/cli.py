@@ -48,7 +48,7 @@ from .modules import (
     opposite_module,
     twist_module,
 )
-from .report import format_report
+from .report import WITNESS_CAP, format_report
 
 
 def _print(text: str, end: str = "\n") -> None:
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("name")
     p.add_argument("--suite", default="all", help="comma-separated axiom ids, or 'all'")
-    p.add_argument("--max-witnesses", type=int, default=16)
+    p.add_argument("--max-witnesses", type=int, default=WITNESS_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("twist", help="twist a structure and write the result")
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("from")
     p.add_argument("to")
     p.add_argument("--strict", action="store_true", help="also require commuting with beta")
-    p.add_argument("--max-witnesses", type=int, default=16)
+    p.add_argument("--max-witnesses", type=int, default=WITNESS_CAP)
     p.set_defaults(func=cmd_check_morphism)
 
     p = sub.add_parser("catalog", help="list or export built-in structures")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
 from .exact import ComulTensor, LinearMap, Record, _set, rebuild, record
-from .laws import COMMUTES, Law, Plan, check, check_map
+from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map
 from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
@@ -104,7 +104,6 @@ _MORPHISM_PARTS = ((COALGEBRA_MORPHISM_DELTA, _MORPHISM, "delta"),
 
 # Constructions, one term each (``exact.rebuild``) on one comultiplication t.
 _YAU_TWIST = ("kij", "+ phi.lk t.lij")  # t . phi
-_NEGATE = ("kij", "- t.kij")
 _OPPOSITE = ("kij", "+ t.kji")  # tau . t
 
 
@@ -147,7 +146,7 @@ def opposite_coalgebra(p: HomPoissonCoalgebra) -> HomPoissonCoalgebra:
 
 def negate_coalgebra(p: HomPoissonCoalgebra) -> HomPoissonCoalgebra:
     """(A, -delta, -gamma, alpha)."""
-    return rebuild(p, _NEGATE, ("delta", "gamma"))
+    return rebuild(p, NEGATE, ("delta", "gamma"))
 
 
 def check_coendomorphism(p: HomPoissonCoalgebra, phi: LinearMap) -> AxiomReport:

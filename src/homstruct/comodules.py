@@ -29,7 +29,7 @@ from typing import Optional
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
 from .exact import CoactionTensor, LinearMap, Record, _set, compose, rebuild, record
-from .laws import COMMUTES, Law, Plan, check, check_map
+from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map
 from .report import AxiomReport
 
 COASSOC_COMODULE = "COASSOC_COMODULE"
@@ -142,9 +142,8 @@ _MORPHISM_PARTS = ((COMODULE_MORPHISM_DELTA, _INTERTWINES, "delta_m"),
                    (COMODULE_MORPHISM_GAMMA, _INTERTWINES, "gamma_m"),
                    (COMODULE_MORPHISM_BETA_COMMUTES, COMMUTES, "beta"))
 
-# Constructions, one term each (``exact.rebuild``) on one coaction t.
+# The twist, one term (``exact.rebuild``) on one coaction t.
 _TWIST = ("piq", "+ square.il t.plq")  # (alpha^2 @ id) . t, square = alpha^2 built once
-_NEGATE = ("piq", "- t.piq")
 
 
 def check_coassoc_comodule(c: HomComodule, plan: Plan | None = None) -> AxiomReport:
@@ -188,7 +187,7 @@ def negate_poisson_comodule(c: HomComodule) -> HomComodule:
     """(M, -dm, -gm, beta) over the negated base coalgebra."""
     if c.kind != "poisson":
         raise KindMismatch("negation construction is stated for poisson comodules")
-    return rebuild(c, _NEGATE, COACTIONS["poisson"], {"coalgebra": negate_coalgebra(c.coalgebra)})
+    return rebuild(c, NEGATE, COACTIONS["poisson"], {"coalgebra": negate_coalgebra(c.coalgebra)})
 
 
 def check_comodule_morphism(

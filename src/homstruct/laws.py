@@ -12,13 +12,17 @@ lexicographic order; the second the letters of the residual vector at each
 index, flattened lexicographically.  Each term is a sign and then operands
 as ``name.letters``, with letters following the index conventions of
 ``exact.py``; a letter shared by operands and absent from the output is
-summed over.  A ``Plan`` evaluates the rows of one check on one structure
-together, names bound to maps and tensors; ``Law.check`` is a plan of one.
+summed over.  A law with a repeated argument is stated by its multilinear
+form and the two letters to exchange (``polarized``): ``LEFT_HOM_ALT`` is the
+row above followed by its terms with ``i`` and ``j`` swapped.  A ``Plan``
+evaluates the rows of one check on one structure together, names bound to
+maps and tensors; ``Law.check`` is a plan of one.
 A construction is one term in the same grammar, over the letters of the
 tensor it builds, which ``exact.construct`` evaluates: ``("ijo", "+ t.ijq
 phi.oq")`` is the Yau twist's ``phi . mu``, the tensor rebuilt being ``t``
 (``exact.rebuild``).  Each structure module states its constructions so,
-beside its laws.
+beside its laws; negation and the swap of the first two axes, which every
+structure shares, are ``NEGATE`` and ``SWAP`` here.
 
 Evaluation is in ``int``: each operand enters as ``scaled``, its entries
 times the lcm of their denominators, the terms are brought to the lcm over
@@ -304,12 +308,25 @@ def _untwisted(law: Law, maps: tuple) -> Law:
     parsed = [(plus, untwisted(ops, law.index + law.residual, maps)) for plus, ops in law._parsed]
     if parsed == law._parsed:
         return law
-    terms = ["+-"[not plus] + "".join([f" {n}.{letters}" for n, letters in operands])
-             for plus, operands in parsed]
     try:
-        return Law(law.index, law.residual, *terms)
+        return Law(law.index, law.residual, *[_term(plus, operands) for plus, operands in parsed])
     except ValueError:  # a packed letter moved into a second operand
         return law
+
+
+def _term(plus: bool, operands: list) -> str:
+    """A term, its sign and ``(name, letters)`` operands, written in the grammar."""
+    return "+-"[not plus] + "".join([f" {name}.{letters}" for name, letters in operands])
+
+
+def polarized(index: str, residual: str, *terms: str, swap: str) -> Law:
+    """The law of ``terms`` followed by each term again with the two letters of ``swap``
+    exchanged in its operands' letters.  A law with a repeated argument, ``as(x, x, y) =
+    0``, is its multilinear ``as(x, y, z)`` polarized in the letters of x and y."""
+    flip = str.maketrans(swap, swap[::-1])
+    return Law(index, residual, *terms, *[
+        _term(plus, [(name, letters.translate(flip)) for name, letters in operands])
+        for plus, operands in map(_parse, terms)])
 
 
 def _program(rows: tuple, shapes: tuple) -> tuple:
@@ -423,3 +440,7 @@ def _report(axiom: str, residual: list, index: tuple[int, ...], outer: int, slot
 
 COMMUTES = Law("i", "o", "+ f.oa src.ai", "- dst.oa f.ai")
 """``f . src = dst . f``, column by column: a morphism intertwines two twist maps."""
+
+# Constructions every structure shares, on a three-axis tensor t (``exact.rebuild``).
+NEGATE = ("ijk", "- t.ijk")
+SWAP = ("ijk", "+ t.jik")  # the first two axes exchanged

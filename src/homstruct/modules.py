@@ -1,20 +1,12 @@
 """Modules over Hom-alternative algebras.
 
-A left module over (A, mul, alpha) is (M, act, beta) with ``act(alpha(x),
-act(x, m)) = act(mul(x, x), beta(m))``; right modules mirror the slots.  As
-with the algebra laws, checks run on the polarized basis form, equivalent in
-characteristic zero, each stated as a row of ``laws.Law``:
-
-    left:  act(a(x), act(y, m)) - act(mul(x, y), b(m))
-         + act(a(y), act(x, m)) - act(mul(y, x), b(m)) = 0
-    right: act(act(m, x), a(y)) + act(act(m, y), a(x))
-         - act(b(m), mul(x, y)) - act(b(m), mul(y, x)) = 0
-
-The module associator ``assoc(x, y, m) = act(a(x), act(y, m)) -
-act(mul(y, x), b(m))`` (the swapped product in the second term) is the left
-row's first two terms; it has no row of its own.  On a verified left module
-it vanishes for x = y and is antisymmetric in (x, y), which the test oracle
-checks at points.
+A left module over (A, mul, alpha) is (M, act, beta) whose module associator
+``act(a(x), act(y, m)) - act(mul(x, y), b(m))`` vanishes at x = y; a right module's
+is ``act(act(m, x), a(y)) - act(b(m), mul(x, y))``, the Hom-associator of (m, x, y)
+with its sign flipped, and vanishes at x = y too.  As with the algebra laws, checks
+run on the polarized basis form, equivalent in characteristic zero: each side's
+associator is stated once, as a row of ``laws.Law``, and ``laws.polarized`` adds it
+again with the algebra letters ``ij`` exchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +21,7 @@ from .algebras import (
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
 from .exact import ActionTensor, LinearMap, Record, _set, construct, rebuild, record
-from .laws import COMMUTES, Law, Plan, check, check_map
+from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, polarized
 from .report import AxiomReport
 
 LEFT_MODULE = "LEFT_MODULE"
@@ -74,21 +66,19 @@ class HomModule(Record):
         return [(axiom, law, operands)]
 
 
-# Polarized laws, one row each; operands are mu, alpha, act and beta.
+# Each side's module associator on mu, alpha, act and beta, polarized in x and y.
 _LAWS = {
-    LEFT_MODULE: Law(
+    LEFT_MODULE: polarized(
         "ijp", "q",
         "+ alpha.ai act.arq act.jpr",  # act(a(x), act(y, m))
         "- beta.rp act.arq mu.ija",    # act(mul(x, y), b(m))
-        "+ alpha.aj act.arq act.ipr",  # act(a(y), act(x, m))
-        "- beta.rp act.arq mu.jia",    # act(mul(y, x), b(m))
+        swap="ij",
     ),
-    RIGHT_MODULE: Law(
+    RIGHT_MODULE: polarized(
         "pij", "q",
         "+ alpha.aj act.raq act.pir",  # act(act(m, x), a(y))
-        "+ alpha.ai act.raq act.pjr",  # act(act(m, y), a(x))
         "- beta.rp act.raq mu.ija",    # act(b(m), mul(x, y))
-        "- beta.rp act.raq mu.jia",    # act(b(m), mul(y, x))
+        swap="ij",
     ),
 }
 
@@ -108,8 +98,6 @@ _TWIST = {
     "left": ("ipq", "+ alpha.ui alpha.ju t.jpq"),  # act(a^2(x), m)
     "right": ("piq", "+ alpha.ui alpha.ju t.pjq"),  # act(m, a^2(x))
 }
-_NEGATE = ("ipq", "- t.ipq")  # of a left action
-_OPPOSITE = ("piq", "+ t.ipq")  # a left action read as a right one: act(m, x) = act(x, m)
 
 
 def check_left_module(mod: HomModule, plan: Plan | None = None) -> AxiomReport:
@@ -141,14 +129,14 @@ def negate_module(mod: HomModule) -> HomModule:
     """(M, -act, beta) over the negated algebra."""
     if mod.side != "left":
         raise WrongSide("negation construction is stated for left modules")
-    return rebuild(mod, _NEGATE, ("action",), {"algebra": negate_algebra(mod.algebra)})
+    return rebuild(mod, NEGATE, ("action",), {"algebra": negate_algebra(mod.algebra)})
 
 
 def opposite_module(mod: HomModule) -> HomModule:
-    """(M, act_op, beta) as a right module over the opposite algebra."""
+    """(M, act_op, beta), act_op(m, x) = act(x, m), as a right module over the opposite algebra."""
     if mod.side != "left":
         raise WrongSide("opposite construction is stated for left modules")
-    action = replace(mod.action, a=construct(*_OPPOSITE, t=mod.action), side="right")
+    action = replace(mod.action, a=construct(*SWAP, t=mod.action), side="right")
     return replace(mod, action=action, side="right", algebra=opposite_algebra(mod.algebra))
 
 

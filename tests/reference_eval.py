@@ -2,8 +2,9 @@
 
 Each formula is summed in plain loops over nested sequences, a tensor's entry
 tuples or drawn lists, and returns lists; a factor that is zero is skipped,
-never multiplied.  Nothing here reads ``scaled`` or calls ``homstruct.exact``'s
-contraction core (``test_reference_eval.py`` holds that for this file and for
+never multiplied, and a structure constant of 1 or -1 adds or subtracts.
+Nothing here reads ``scaled`` or calls ``homstruct.exact``'s contraction
+core (``test_reference_eval.py`` holds that for this file and for
 ``reference_checks``), so the oracle and the checker it judges share no
 evaluator.  A point is a list of ``Fraction`` coordinates.
 """
@@ -16,9 +17,13 @@ from homstruct.comodules import HomComodule
 from homstruct.errors import DimensionMismatch, WrongSide
 
 
+ZERO = Fraction(0)
+
+
 def zeros(*shape):
-    if not shape:
-        return Fraction(0)
+    """A nested list of ``shape`` holding one shared zero (a ``Fraction`` is immutable)."""
+    if len(shape) < 2:
+        return [ZERO] * shape[0] if shape else ZERO
     return [zeros(*shape[1:]) for _ in range(shape[0])]
 
 
@@ -56,10 +61,10 @@ def mul_apply_ref(c, x, y, n):
         if x[i]:
             for j in range(n):
                 if y[j]:
-                    xy, row = x[i] * y[j], c[i][j]
-                    for k in range(n):
-                        if row[k]:
-                            out[k] += xy * row[k]
+                    xy = x[i] * y[j]
+                    for k, c_k in enumerate(c[i][j]):
+                        if c_k:
+                            out[k] += xy if c_k == 1 else -xy if c_k == -1 else xy * c_k
     return out
 
 
@@ -83,10 +88,10 @@ def act_ref(a, x, m, side, n, dm):
         if x[i]:
             for p in range(dm):
                 if m[p]:
-                    xm, row = x[i] * m[p], a[i][p] if side == "left" else a[p][i]
-                    for q in range(dm):
-                        if row[q]:
-                            out[q] += xm * row[q]
+                    xm = x[i] * m[p]
+                    for q, a_q in enumerate(a[i][p] if side == "left" else a[p][i]):
+                        if a_q:
+                            out[q] += xm if a_q == 1 else -xm if a_q == -1 else xm * a_q
     return out
 
 

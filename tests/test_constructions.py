@@ -28,6 +28,7 @@ from homstruct.exact import (
     compose,
     construct,
 )
+from homstruct.laws import NEGATE, SWAP
 from reference_eval import (
     act_ref,
     coact_apply_ref,
@@ -182,14 +183,14 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     x_vec, y_vec, m_vec = map(Vector.from_entries, (x, y, m))
     assert_entries(construct(*MUL_AT, x=x_vec, t=mu, y=y_vec), mul_apply_ref(c, x, y, n))
     assert_entries(construct(*algebras._YAU_TWIST, t=mu, phi=phi), then_map_ref(c, phi_rows, n))
-    assert_entries(construct(*algebras._NEGATE, t=mu), negated_ref(c))
-    assert_entries(construct(*algebras._OPPOSITE, t=mu), swap_first_ref(c, n, n, n))
+    assert_entries(construct(*NEGATE, t=mu), negated_ref(c))
+    assert_entries(construct(*SWAP, t=mu), swap_first_ref(c, n, n, n))
 
     d = block(data, n, n, n)
     delta = ComulTensor.from_entries(d)
     assert_entries(construct(*COMUL_AT, v=x_vec, t=delta), comul_apply_ref(d, x, n))
     assert_entries(construct(*coalgebras._YAU_TWIST, t=delta, phi=phi), precompose_ref(d, phi_rows, n))
-    assert_entries(construct(*coalgebras._NEGATE, t=delta), negated_ref(d))
+    assert_entries(construct(*NEGATE, t=delta), negated_ref(d))
     assert_entries(construct(*coalgebras._OPPOSITE, t=delta), swap_last_ref(d, n, n, n))
 
     shape = (n, dm, dm) if side == "left" else (dm, n, dm)
@@ -200,15 +201,15 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     assert_entries(construct(*modules._TWIST[side], alpha=phi, t=action),
                    precompose_algebra_ref(a, phi2_rows, side, n, dm))
     # negation and the mirror read a right action as they read a left one
-    assert_entries(construct(*modules._NEGATE, t=action), negated_ref(a))
-    assert_entries(construct(*modules._OPPOSITE, t=action), swap_first_ref(a, *shape))
+    assert_entries(construct(*NEGATE, t=action), negated_ref(a))
+    assert_entries(construct(*SWAP, t=action), swap_first_ref(a, *shape))
 
     h = block(data, dm, n, dm)
     coaction = CoactionTensor.from_entries(h, n, dm)
     assert_entries(construct(*COACT_AT, m=m_vec, t=coaction), coact_apply_ref(h, m, n, dm))
     assert_entries(construct(*comodules._TWIST, square=compose(phi, phi), t=coaction),
                    postcompose_coalgebra_ref(h, phi2_rows, n, dm))
-    assert_entries(construct(*comodules._NEGATE, t=coaction), negated_ref(h))
+    assert_entries(construct(*NEGATE, t=coaction), negated_ref(h))
 
 
 def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
@@ -322,8 +323,8 @@ def test_an_identity_twist_keeps_each_tensor_and_constructs_nothing(monkeypatch,
     (modules._TWIST["left"], "mu", True),
     (modules._TWIST["right"], "mu", True),
     (comodules._TWIST, "mu", True),
-    (algebras._NEGATE, "mu", False),  # a sign is no relabelling
-    (algebras._OPPOSITE, "mu", False),  # t.jio is not t.ijo
+    (NEGATE, "mu", False),  # a sign is no relabelling
+    (SWAP, "mu", False),  # t.jik is not t.ijk
     (("ij", "+ t.ik f.kj"), "alpha", True),
     (("ij", "+ f.ik t.kj f.jl"), "alpha", False),  # l is summed over f alone
     (("ijk", "+ t.ij f.kl"), "alpha", False),  # an outer product with the identity

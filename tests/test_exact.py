@@ -32,7 +32,7 @@ from homstruct.exact import (
     rat,
     unpack,
 )
-from homstruct import algebras, coalgebras, comodules, modules
+from homstruct.laws import NEGATE, SWAP
 from reference_eval import apply, column
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -267,7 +267,7 @@ def test_an_unknown_action_side_is_wrong_side(build):
 
 def test_mul_tensor_opposite_and_negation():
     t = dual_number_tensor()
-    assert construct(*algebras._OPPOSITE, t=t)[1][0][1] == t.c[0][1][1]
+    assert construct(*SWAP, t=t)[1][0][1] == t.c[0][1][1]
     assert negated(t).c[0][0][0] == -1
     assert negated(negated(t)) == t
 
@@ -349,15 +349,13 @@ def other_fields(tensor) -> list:
     return [getattr(tensor, f.name) for f in dataclasses.fields(tensor)[1:]]
 
 
-# The negation row of each structure tensor's kind, and the name it calls the tensor.
-NEGATE_ROWS = {MulTensor: (algebras._NEGATE, "t"), ComulTensor: (coalgebras._NEGATE, "t"),
-               ActionTensor: (modules._NEGATE, "t"), CoactionTensor: (comodules._NEGATE, "t")}
+# The structure tensors, each negated by the one row ``laws.NEGATE``.
+CUBES = (MulTensor, ComulTensor, ActionTensor, CoactionTensor)
 
 
 def negated(tensor):
-    """``tensor`` through the negation row of its kind (a right action read as a left one)."""
-    row, name = NEGATE_ROWS[type(tensor)]
-    return type(tensor)(construct(*row, **{name: tensor}), *other_fields(tensor))
+    """``tensor`` through ``laws.NEGATE`` (a right action read as a left one)."""
+    return type(tensor)(construct(*NEGATE, t=tensor), *other_fields(tensor))
 
 
 def rebuilt(tensor, entries):
@@ -416,7 +414,7 @@ def test_nonzeros_of_shared_and_other_zeros(n, rng):
     entries = iter(drawn)
     tensors = each_kind(n, lambda *index: next(entries), direct=True)
     assert next(entries, None) is None
-    minus = [negated(t) for t in tensors if type(t) in NEGATE_ROWS]
+    minus = [negated(t) for t in tensors if type(t) in CUBES]
     for tensor in tensors + minus:
         assert_scaled_follows_the_reference_rule(tensor)
     replay = iter(drawn)  # the same entries, now through from_entries and from_rows

@@ -36,6 +36,7 @@ from homstruct.fileformat import (
     single_structure_file,
     write_file,
 )
+from homstruct.laws import NEGATE, SWAP
 from homstruct.modules import regular_module
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -645,16 +646,16 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
     alg = HomAlgebra(n, mu, alpha)
     left = ActionTensor.from_entries(cube(n, m, m), n, m, "left")
     right = ActionTensor.from_entries(cube(m, n, m), n, m, "right")
-    right = built(right, modules._NEGATE, t=right)
+    right = built(right, NEGATE, t=right)
     delta = ComulTensor.from_entries(cube(n, n, n))
     gamma = ComulTensor.from_entries(cube(n, n, n))
-    gamma = built(gamma, coalgebras._NEGATE, t=gamma)
+    gamma = built(gamma, NEGATE, t=gamma)
     opposite = built(gamma, coalgebras._OPPOSITE, t=gamma)
     coalg = HomPoissonCoalgebra(n, delta, built(gamma, coalgebras._YAU_TWIST, t=opposite, phi=alpha),
                                 alpha, False)
     coaction = CoactionTensor.from_entries(cube(m, n, m), n, m)
-    mu_neg, coaction_neg = built(mu, algebras._NEGATE, t=mu), built(coaction, comodules._NEGATE, t=coaction)
-    mu_opposite = built(mu, algebras._OPPOSITE, t=mu)
+    mu_neg, coaction_neg = built(mu, NEGATE, t=mu), built(coaction, NEGATE, t=coaction)
+    mu_opposite = built(mu, SWAP, t=mu)
     structures = {
         "A": alg,
         "A_neg": HomAlgebra(n, mu_neg, alpha),
@@ -664,7 +665,7 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
                              "left"),
         "R": HomModule(alg, m, beta, right, "right"),
         "C": coalg,
-        "C_neg": HomPoissonCoalgebra(n, built(delta, coalgebras._NEGATE, t=delta), gamma, alpha, True),
+        "C_neg": HomPoissonCoalgebra(n, built(delta, NEGATE, t=delta), gamma, alpha, True),
         "K": HomComodule(coalg, m, beta, "poisson", coaction,
                          built(coaction, comodules._TWIST, square=compose(alpha, alpha),
                                t=coaction_neg)),

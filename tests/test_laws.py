@@ -1,5 +1,6 @@
 """Guards on the law core: the packed plan, its slots, and invariances of the inputs."""
 
+import pathlib
 import random
 import re
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from homstruct.exact import (
     compiled,
     construct,
 )
-from homstruct.laws import COMMUTES, Law, Plan
+from homstruct.laws import COMMUTES, Law, Plan, polarized
 from homstruct.modules import HomModule, check_left_module, check_right_module, regular_module
 from reference_laws import UnpackedLaw
 
@@ -132,6 +133,30 @@ def test_each_operand_is_a_name_a_dot_and_letters(term):
         Law("i", "o", term)
     with pytest.raises(ValueError, match=message):  # the construction rows share the parser
         construct("oi", term, f=LinearMap.identity(2), x=LinearMap.identity(2))
+
+
+def test_polarized_swaps_operand_letters_and_never_names():
+    law = polarized("ij", "o", "+ ij.iao x.aj", "- ij.jio", swap="ij")
+    assert law.terms == ("+ ij.iao x.aj", "- ij.jio", "+ ij.jao x.ai", "- ij.ijo")
+    with pytest.raises(ValueError, match=re.escape("term '+ f' needs operands")):
+        polarized("i", "o", "+ f", swap="ij")  # read by the grammar's own parser
+
+
+def test_readme_term_table_lists_each_law_row_as_stated():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("* **The term table.**", 1)[1].split("* **The construction table.**")[0]
+    stated = {axiom: law for module in (algebras, modules, coalgebras, comodules)
+              for axiom, law in module._LAWS.items()}
+    listed = {}
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].strip("`") in stated:  # a row that names one id
+            listed[cells[0].strip("`")] = cells[1:]
+    assert len(listed) == 14
+    for axiom, (index, residual, terms) in listed.items():
+        law = stated[axiom]
+        assert (index, residual) == (f"`{law.index}`", f"`{law.residual}`"), axiom
+        assert re.findall("`([^`]*)`", terms) == [t[0] + t[2:] for t in law.terms], axiom
 
 
 # --- packed against per-coordinate evaluation ------------------------------------

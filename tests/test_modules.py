@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from corpus import module_corpus, point_rng, POINTS_PER_STRUCTURE
@@ -14,9 +16,19 @@ from homstruct import (
     regular_module,
     twist_module,
 )
-from homstruct.catalog import dual_numbers, dual_numbers_twisted, entries, octonions, zero_algebra
+from homstruct.algebras import check_left_hom_alternative, check_right_hom_alternative
+from homstruct.catalog import (
+    DeterministicRng,
+    dual_numbers,
+    dual_numbers_twisted,
+    entries,
+    octonions,
+    random_structure,
+    zero_algebra,
+)
 from homstruct.errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from homstruct.exact import ActionTensor, LinearMap, construct
+from homstruct.exact import ActionTensor, LinearMap, MulTensor, action_shape, construct
+from homstruct.report import Witness
 from homstruct.modules import _TWIST
 from reference_eval import (
     add,
@@ -272,3 +284,82 @@ def test_module_polarization_agrees_with_direct_evaluation():
         assert basis_verdict == point_verdict, f"instance {idx}"
         verdicts.add(basis_verdict)
     assert verdicts == {True, False}
+
+
+# --- the split-null extension ------------------------------------------------------------------
+# M is a left (right) Hom-alternative module over A exactly when A + M, multiplied by
+# (x, m)(y, n) = (xy, x.n) (right: (xy, m.y)) and twisted by alpha + beta, is a left
+# (right) Hom-alternative algebra (Schafer 1952 untwisted).  This holds each module row
+# against the algebra row it comes from, however either is written.
+
+
+def split_null_extension(mod: HomModule) -> HomAlgebra:
+    """A + M as a Hom-algebra, built from the action alone; M's basis follows A's."""
+    n, d, act = mod.algebra.dim, mod.dim_mod, mod.action.a
+    c = [[[0] * (n + d) for _ in range(n + d)] for _ in range(n + d)]
+    for i, j, k in product(range(n), repeat=3):
+        c[i][j][k] = mod.algebra.mu.c[i][j][k]
+    for x, p, q in product(range(n), range(d), range(d)):
+        if mod.side == "left":
+            c[x][n + p][n + q] = act[x][p][q]  # x.m_p
+        else:
+            c[n + p][x][n + q] = act[p][x][q]  # m_p.x
+    twist = [list(row) + [0] * d for row in mod.algebra.alpha.entries]
+    twist += [[0] * n + list(row) for row in mod.beta.entries]
+    return HomAlgebra(n + d, MulTensor.from_entries(c), LinearMap.from_rows(twist, n + d))
+
+
+def raised(mod: HomModule) -> HomModule:
+    """``mod`` with one action constant raised by 1."""
+    cube = [[list(row) for row in plane] for plane in mod.action.a]
+    cube[-1][0][-1] += 1
+    action = ActionTensor.from_entries(cube, mod.algebra.dim, mod.dim_mod, mod.side)
+    return HomModule(mod.algebra, mod.dim_mod, mod.beta, action, mod.side)
+
+
+def extension_cases() -> list[HomModule]:
+    """Every catalogue module; each catalogue algebra's regular module of each side, and
+    it raised; seeded random modules of both sides, every third with a zero action."""
+    cases = [e.payload for e in module_entries()]
+    for alg in [e.payload for e in entries() if isinstance(e.payload, HomAlgebra)]:
+        for side in ("left", "right"):
+            cases += [regular_module(alg, side), raised(regular_module(alg, side))]
+    for seed in range(24):
+        rng = DeterministicRng(6000 + seed)
+        side, n, d = ("left", "right")[seed % 2], 1 + seed % 3, 1 + seed // 2 % 3
+        beta = LinearMap.from_rows([[rng.point_entry() for _ in range(d)] for _ in range(d)])
+        draw = (lambda: 0) if seed % 3 == 2 else rng.tensor_entry
+        shape = action_shape(n, d, side)
+        cube = [[[draw() for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
+        cases.append(HomModule(random_structure(7000 + seed, n, "algebra"), d, beta,
+                               ActionTensor.from_entries(cube, n, d, side), side))
+    return cases
+
+
+def test_a_module_law_is_its_split_null_extensions_algebra_law():
+    seen = set()
+    for mod in extension_cases():
+        n, left = mod.algebra.dim, mod.side == "left"
+        law = check_left_hom_alternative if left else check_right_hom_alternative
+        ext, alg = law(split_null_extension(mod)), law(mod.algebra)
+        own = (check_left_module if left else check_right_module)(mod)
+        assert ext.holds == (alg.holds and own.holds), mod
+        assert ext.total_failures == alg.total_failures + own.total_failures
+        seen.add((mod.side, alg.holds, own.holds))
+        # Only an index with its module slot in M (left: the last, right: the first)
+        # fails in M; there the residual is the module's, its sign flipped on the right.
+        on_alg, on_mod = {w.index: w for w in alg.witnesses}, {w.index: w for w in own.witnesses}
+        slot = 2 if left else 0
+        for w in ext.witnesses:
+            index, in_a, in_m = list(w.index), w.digits[:n], w.digits[n:]
+            if index[slot] < n:
+                assert w.index in on_alg and not any(in_m)
+                assert Witness(w.index, in_a, w.scale) == on_alg[w.index]
+            else:
+                index[slot] -= n
+                if not left:
+                    in_m = tuple([-digit for digit in in_m])
+                assert max(index[:slot] + index[slot + 1 :]) < n and not any(in_a)
+                assert Witness(tuple(index), in_m, w.scale) == on_mod[tuple(index)]
+    # Each side meets every pair of verdicts.
+    assert seen == set(product(("left", "right"), (True, False), (True, False)))

@@ -253,9 +253,9 @@ UNTWISTED = {
         ("+ act.irq act.jpr", "- act.apq mu.ija", "+ act.jrq act.ipr", "- act.apq mu.jia"),
     ),
     "RIGHT_MODULE": (
-        ("+ act.rjq act.pir", "+ act.riq act.pjr", "- beta.rp act.raq mu.ija",
+        ("+ act.rjq act.pir", "- beta.rp act.raq mu.ija", "+ act.riq act.pjr",
          "- beta.rp act.raq mu.jia"),
-        ("+ act.rjq act.pir", "+ act.riq act.pjr", "- act.paq mu.ija", "- act.paq mu.jia"),
+        ("+ act.rjq act.pir", "- act.paq mu.ija", "+ act.riq act.pjr", "- act.paq mu.jia"),
     ),
     "COCOMMUTATIVITY": alike("+ t.kij", "- t.kji"),
     "DELTA_MULTIPLICATIVITY": alike("+ t.kij", "- t.kij"),
