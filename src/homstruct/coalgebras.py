@@ -6,7 +6,9 @@ two are linked by the co-Leibniz law.  The Hom-coassociative and Hom-Lie
 parts are ids of that one record (``HOM_COASSOC_COALGEBRA``,
 ``HOM_LIE_COALGEBRA``); a coalgebra of delta alone has a zero gamma.  Each
 identity is a row of ``laws.Law`` checked per basis vector; residuals in a
-tensor square or cube are flattened lexicographically.  The seven checks:
+tensor square or cube are flattened lexicographically.  A coendomorphism phi
+and multiplicativity (phi = alpha) report ``t . phi - (phi @ phi) . t``, a
+morphism f ``(f @ f) . src - dst . f``.  The seven checks:
 
     cocommutativity      delta = tau . delta
     delta mult.          delta . alpha = (alpha @ alpha) . delta
@@ -64,18 +66,19 @@ class HomPoissonCoalgebra(Record):
         _set(self, "cocommutative_expected", cocommutative_expected)
 
     def laws(self, axiom: str) -> list[tuple]:
-        """The ``laws.Plan`` rows of ``axiom``'s parts; each one-map law names its map ``t``."""
+        """The ``laws.Plan`` rows of ``axiom``'s parts; each one-map law names its map ``t``,
+        and a map row (multiplicativity) its ends ``src`` and ``dst`` and its map ``f``."""
         parts = _PARTS.get(axiom, (axiom,))
         if axiom == HOM_POISSON_COALGEBRA and not self.cocommutative_expected:
             parts = parts[1:]
-        maps = {"delta": self.delta, "gamma": self.gamma, "alpha": self.alpha}
-        return [(part, _LAWS[part], {**maps, "t": maps["delta" if part in _ON_DELTA else "gamma"]})
-                for part in parts]
+        maps = {"delta": self.delta, "gamma": self.gamma, "alpha": self.alpha, "f": self.alpha}
+        ts = [maps["delta" if part in _ON_DELTA else "gamma"] for part in parts]
+        return [(part, _LAWS[part], {**maps, "t": t, "src": t, "dst": t}) for part, t in zip(parts, ts)]
 
 
 # Every coalgebra law: six on one comultiplication t and the twist alpha, then
-# co-Leibniz on delta and gamma.
-_MULTIPLICATIVE = Law("k", "ij", "+ alpha.lk t.lij", "- t.kab alpha.ia alpha.jb")
+# co-Leibniz on delta and gamma; multiplicativity is a map row, of f = alpha on t.
+_MULTIPLICATIVE = Law("k", "ij", "+ f.lk src.lij", "- dst.kab f.ia f.jb")
 _LAWS = {
     COCOMMUTATIVITY: Law("k", "ij", "+ t.kij", "- t.kji"),
     DELTA_MULTIPLICATIVITY: _MULTIPLICATIVE,
@@ -153,11 +156,9 @@ def check_coendomorphism(p: HomPoissonCoalgebra, phi: LinearMap) -> AxiomReport:
     """Verify delta . phi = (phi @ phi) . delta and likewise for gamma."""
     if not phi.is_square(p.dim):
         raise DimensionMismatch("coendomorphism candidate has wrong shape")
-    parts = [
-        (COALGEBRA_MORPHISM_DELTA, _MULTIPLICATIVE, {"t": p.delta, "alpha": phi}),
-        (COALGEBRA_MORPHISM_GAMMA, _MULTIPLICATIVE, {"t": p.gamma, "alpha": phi}),
-    ]
-    return Plan({COALGEBRA_MORPHISM: parts}).check(COALGEBRA_MORPHISM)
+    parts = ((COALGEBRA_MORPHISM_DELTA, _MULTIPLICATIVE, "delta"),
+             (COALGEBRA_MORPHISM_GAMMA, _MULTIPLICATIVE, "gamma"))
+    return check_map(COALGEBRA_MORPHISM, parts, phi, p, p, (p.dim, p.dim))
 
 
 def yau_twist_coalgebra(p: HomPoissonCoalgebra, phi: LinearMap) -> HomPoissonCoalgebra:

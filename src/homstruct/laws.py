@@ -64,17 +64,17 @@ that two distinct classes hold is contracted to its output dict and added
 into each.  ``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and ``HOM_ASSOC`` spread
 one ``W = A - B``: two contractions for the three.  A class's coefficients
 are summed per contraction and zero ones dropped, so terms that bound
-operands make one contraction cancel, and a class left empty is not
-evaluated; a contraction never writes to its operands (``t.kij`` alone is
-the packed ``t``).
+operands make one contraction cancel: a class left empty is not evaluated,
+and a contraction that every class cancels is neither read nor bounded.  A
+contraction never writes to its operands (``t.kij`` alone is the packed ``t``).
 
 An operand bound to an identity map (``is_identity``) is a relabelling: a plan
 drops it from each term of two or more operands where another operand holds its
 summed letter, renamed to its other letter (``_untwisted``, once per law and
 names).  ``HOM_ASSOC`` under ``alpha = id`` is ``+ mu.ibo mu.jkb - mu.ako
-mu.ija``; a multiplicativity row is ``+ t.kij - t.kij``, which cancels.  A
-renaming that repeats a letter in an operand is not made, and a row that would
-then hold a packed letter twice in a term is evaluated as stated.
+mu.ija``; a multiplicativity row is ``+ src.kij - dst.kij``, which cancels on one
+tensor.  A renaming that repeats a letter in an operand is not made, and a row
+that would then hold a packed letter twice in a term is evaluated as stated.
 
 A plan is a program and its arithmetic.  The program is all that the rows'
 laws, the pattern of their operand numbers and the operands' shapes fix:
@@ -82,8 +82,8 @@ which groups and rows the scale and bound read, each row's layout, packings
 and classes, and each contraction's spec, loads, sharing and sink offsets
 (``_program``).  It is built once per process into ``exact.compiled``, the
 one bounded cache of compiled structure, keyed never by entry values.  A
-check then reads each distinct operand's ``scaled``, works out the common
-scale and B, packs, contracts, spreads and scans.
+check then reads the ``scaled`` of each distinct operand a kept contraction
+loads, works out the common scale and B, packs, contracts, spreads and scans.
 """
 
 from __future__ import annotations
@@ -245,10 +245,10 @@ class Plan:
     def _size(self) -> tuple:
         """``(common scale, B, per axiom its program, per product common // its
         scale)``.  An operand is numbered by first appearance of its ``ident``,
-        (entry tuple, shape), and its ``scaled`` entries read once per number,
-        into ``_entries``; a row runs without the names whose operands are
-        identity maps (``_untwisted``); the rest is fixed by the rows and those
-        shapes (``_program``)."""
+        (entry tuple, shape), and its ``scaled`` entries read once per number a
+        kept contraction loads, into ``_entries``; a row runs without the names
+        whose operands are identity maps (``_untwisted``); the rest is fixed by
+        the rows and those shapes (``_program``)."""
         seen, signature = {}, []  # ident -> (number, the first operand with it)
         for axiom, law, operands in self._rows.values():
             first = {name: seen.setdefault(operands[name].ident, (len(seen), operands[name]))
@@ -257,12 +257,11 @@ class Plan:
             law = compiled(_untwisted, law, maps) if maps else law
             signature.append((axiom, law, tuple([first[name][0] for name in law._compiled[2]])))
         shapes = tuple([shape for _, shape in seen])
-        products, bounds, rows = compiled(_program, tuple(signature), shapes)
-        scaled = [t.scaled for _, t in seen.values()]
-        self._entries.update(enumerate([entries for _, entries, _ in scaled]))
-        scales, widths = [s for s, _, _ in scaled], [b for _, _, b in scaled]
-        scales = [prod(map(scales.__getitem__, ops)) for ops in products]
-        widths = [sum(map(widths.__getitem__, ops)) for ops in products]
+        products, bounds, rows, loaded = compiled(_program, tuple(signature), shapes)
+        scaled = {n: t.scaled for n, t in seen.values() if n in loaded}
+        self._entries.update({n: entries for n, (_, entries, _) in scaled.items()})
+        scales = [prod([scaled[n][0] for n in ops]) for ops in products]
+        widths = [sum([scaled[n][2] for n in ops]) for ops in products]
         common = lcm(*scales)
         factors = [common // s for s in scales]
         # Every residual coefficient of a row is less than its bound in absolute value.
@@ -332,18 +331,19 @@ def polarized(index: str, residual: str, *terms: str, swap: str) -> Law:
 def _program(rows: tuple, shapes: tuple) -> tuple:
     """The program of a plan's rows, ``(axiom, law, operand numbers)``, on
     operands of ``shapes``: ``(products, bounds, per axiom: (k, n, size, index
-    shape, outer, slots, packs, classes))``.  ``products`` lists each distinct
-    sorted tuple of a group's operand numbers (its scale and bits), ``bounds``
-    each distinct row's ``(product, uses times summed sizes)`` pairs.  A row
-    packs its last ``k`` letters, the last of size ``n``, into ``slots``;
-    ``size`` places, ``outer`` per witness index.  ``packs`` holds ``(number,
-    operand number, packing)`` per operand its classes pack, numbered after the
-    operands; a class, its coefficients summed per contraction and left out
-    when they all cancel, is ``(its number if another row holds it, spreads,
-    terms)``, a term ``(shared, spec, loads, into, sink offsets, product,
-    coefficient)``, ``loads`` its operands' numbers.  A contraction is numbered
-    by spec and packed operands; ``shared`` is its number when two distinct
-    classes hold it: it is contracted once and added by the lone ``into``."""
+    shape, outer, slots, packs, classes), loaded)``.  Over the groups whose
+    contraction a kept class holds, ``products`` lists each distinct sorted
+    tuple of a group's operand numbers (its scale and bits), ``bounds`` each
+    distinct row's ``(product, uses times summed sizes)`` pairs and ``loaded``
+    the operand numbers read.  A row packs its last ``k`` letters, the last of
+    size ``n``, into ``slots``; ``size`` places, ``outer`` per witness index.
+    ``packs`` holds ``(number, operand number, packing)`` per operand its
+    classes pack, numbered after the operands; a class, its coefficients summed
+    per contraction and left out when they all cancel, is ``(its number if
+    another row holds it, spreads, terms)``, a term ``(shared, spec, loads, into,
+    sink offsets, product, coefficient)``, ``loads`` its operands' numbers.  A
+    contraction is numbered by spec and packed operands; ``shared`` is its number
+    when two distinct classes hold it: contracted once, added by the lone ``into``."""
     numbered, uses, keyed = {}, {}, []
     for _, law, numbers in rows:
         groups, classes, names, _, _ = law._compiled
@@ -372,8 +372,9 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
         k = len(law.residual[-2:])
         out, width = tuple(full[:-k]), len(law.index)
         strides, spreads = law._layout(out)
-        bound, packings, terms = {}, [], []
-        for g, (ids, spec, summed, used) in enumerate(groups):
+        held = {keys[g] for _, row, _ in kept for g, _ in row}  # else neither read nor bounded
+        bound, packings, terms = {}, {}, {}
+        for g, (ids, spec, summed, used) in compress(enumerate(groups), map(held.__contains__, keys)):
             p = products.setdefault(tuple(sorted([number[name] for name, _ in ids])),
                                     len(products))
             bound[p] = bound.get(p, 0) + len(used) * prod([shape[n][axis] for n, axis in summed])
@@ -382,9 +383,9 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
             load = [number[name] if layout is None else packed_ids.setdefault(
                         (number[name], packed, (full[-1], 1)[-k:]), len(shapes) + len(packed_ids))
                     for (name, packed), layout in loads[g]]
-            packings.append([(key, number[name], layout) for key, ((name, _), layout)
-                             in zip(load, loads[g]) if layout is not None])
-            terms.append((share, spec, tuple(load), into, compiled(offsets, into, strides), p))
+            packings[g] = [(key, number[name], layout) for key, ((name, _), layout)
+                           in zip(load, loads[g]) if layout is not None]
+            terms[g] = (share, spec, tuple(load), into, compiled(offsets, into, strides), p)
         bounds[tuple(bound.items())] = None
         packs = {item[0]: item for _, row, _ in kept for g, _ in row for item in packings[g]}
         programs[axiom] = (k, full[-1], prod(out), out[:width], prod(out[width:]),
@@ -392,7 +393,7 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
                                (list(uses).index(key) if uses[key] > 1 else None, spreads[place],
                                 tuple([(*terms[g], c) for g, c in row]))
                                for place, row, key in kept]))
-    return tuple(products), tuple(bounds), programs
+    return tuple(products), tuple(bounds), programs, frozenset([n for ops in products for n in ops])
 
 
 def check(structure, axiom: str, plan: Plan | None = None) -> AxiomReport:

@@ -115,14 +115,12 @@ def twist_module(mod: HomModule) -> HomModule:
     Refuses unless the algebra's alpha is multiplicative, without which the
     twisted action need not satisfy the module law.
     """
-    alpha = mod.algebra.alpha
-    if not alpha.is_identity():  # the identity needs no check
-        endo = check_endomorphism(mod.algebra, alpha)
-        if not endo.holds:
-            raise NotEndomorphism(
-                f"algebra alpha is not multiplicative at {endo.total_failures} basis pairs"
-            )
-    return rebuild(mod, _TWIST[mod.side], ("action",), alpha=alpha)
+    endo = check_endomorphism(mod.algebra, mod.algebra.alpha)
+    if not endo.holds:
+        raise NotEndomorphism(
+            f"algebra alpha is not multiplicative at {endo.total_failures} basis pairs"
+        )
+    return rebuild(mod, _TWIST[mod.side], ("action",), alpha=mod.algebra.alpha)
 
 
 def negate_module(mod: HomModule) -> HomModule:

@@ -206,12 +206,12 @@ def left_module_defect(mod, x, m) -> list:
 
 
 def module_hom_associator(mod, x, y, m) -> list:
-    """assoc(x, y, m) = act(a(x), act(y, m)) - act(mul(y, x), b(m)), exact."""
+    """assoc(x, y, m) = act(a(x), act(y, m)) - act(mul(x, y), b(m)), exact."""
     if mod.side != "left":
         raise WrongSide("module associator is defined for left modules")
     alg, action = mod.algebra, mod.action
     return sub(act(action, apply(alg.alpha, x), act(action, y, m)),
-               act(action, mul(alg.mu, y, x), apply(mod.beta, m)))
+               act(action, mul(alg.mu, x, y), apply(mod.beta, m)))
 
 
 def with_coalgebra(c: HomComodule, base) -> HomComodule:

@@ -29,7 +29,8 @@ from homstruct.catalog import (
 from homstruct.errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
 from homstruct.exact import ActionTensor, LinearMap, MulTensor, action_shape, construct
 from homstruct.report import Witness
-from homstruct.modules import _TWIST
+from homstruct.laws import Law
+from homstruct.modules import _LAWS, _TWIST, LEFT_MODULE
 from reference_eval import (
     add,
     basis,
@@ -117,14 +118,20 @@ def test_associator_zero_arguments():
 
 
 def test_associator_octonion_values():
-    # with the swapped product in its second term, the associator vanishes at
-    # (e1, e2, e4) because e1 and e2 anticommute; (e1, e2, e3) is nonzero
+    # act(a(x), act(y, m)) - act(mul(x, y), b(m)) on the regular octonions: e1 e2 = e3,
+    # so it vanishes at (e1, e2, e3) and is -2 e7 at (e1, e2, e4)
     mod = regular_module(octonions())
     e = lambda i: basis(8, i)
-    assert is_zero(module_hom_associator(mod, e(1), e(2), e(4)))
-    value = module_hom_associator(mod, e(1), e(2), e(3))
-    assert value[0] == -2
-    assert all(x == 0 for x in value[1:])
+    assert is_zero(module_hom_associator(mod, e(1), e(2), e(3)))
+    value = module_hom_associator(mod, e(1), e(2), e(4))
+    assert value == [0] * 7 + [-2]
+    # The kernel's left module row, its first two terms, as a one-row plan: its
+    # witnesses are listed in index order, so (1, 2, 3) would precede (1, 2, 4).
+    law = _LAWS[LEFT_MODULE]
+    (_, _, operands), = mod.laws(LEFT_MODULE)
+    report = Law(law.index, law.residual, *law.terms[:2]).check("ASSOCIATOR", **operands)
+    residuals = {w.index: list(w.residual.entries) for w in report.witnesses}
+    assert (1, 2, 3) not in residuals and residuals[(1, 2, 4)] == value
 
 
 def test_associator_antisymmetry_at_random_points():

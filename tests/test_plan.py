@@ -21,7 +21,7 @@ from homstruct.coalgebras import HomPoissonCoalgebra
 from homstruct.comodules import HomComodule
 from homstruct.errors import KernelError
 from homstruct.exact import (
-    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, Vector, compiled,
+    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, Vector, _parse, compiled,
 )
 from homstruct.modules import HomModule
 from homstruct.report import AxiomReport
@@ -258,10 +258,10 @@ UNTWISTED = {
         ("+ act.rjq act.pir", "- act.paq mu.ija", "+ act.riq act.pjr", "- act.paq mu.jia"),
     ),
     "COCOMMUTATIVITY": alike("+ t.kij", "- t.kji"),
-    "DELTA_MULTIPLICATIVITY": alike("+ t.kij", "- t.kij"),
+    "DELTA_MULTIPLICATIVITY": alike("+ src.kij", "- dst.kij"),
     "HOM_COASSOCIATIVITY": alike("+ t.kib t.bjl", "- t.kal t.aij"),
     "SKEW_COSYMMETRY": alike("+ t.kij", "+ t.kji"),
-    "GAMMA_MULTIPLICATIVITY": alike("+ t.kij", "- t.kij"),
+    "GAMMA_MULTIPLICATIVITY": alike("+ src.kij", "- dst.kij"),
     "HOM_COJACOBI": alike("+ t.kib t.bjl", "+ t.kjb t.bli", "+ t.klb t.bij"),
     "HOM_COLEIBNIZ": alike("+ gamma.kib delta.bjl", "- delta.kal gamma.aij",
                            "- delta.kjb gamma.bil"),
@@ -286,19 +286,77 @@ UNTWISTED = {
 }
 
 
+def cancelled(law: laws.Law) -> bool:
+    """Whether a plan keeps no class of ``law``, its ``src`` and ``dst`` one operand as a
+    coalgebra binds its multiplicativity rows, every axis of size 2."""
+    names = law._compiled[2]
+    arity = {name: len(letters) for _, ops in map(_parse, law.terms) for name, letters in ops}
+    numbers = tuple([names.index("dst" if name == "src" and "dst" in names else name)
+                     for name in names])
+    shapes = tuple([(2,) * arity[name] for name in names])
+    return compiled(laws._program, (("R", law, numbers),), shapes)[2]["R"][-1] == ()
+
+
 def test_identity_operands_are_dropped_from_every_registered_row():
     rows = {**algebras._LAWS, **modules._LAWS, **coalgebras._LAWS, **comodules._LAWS}
     assert set(rows) == set(UNTWISTED)
     for axiom, law in rows.items():
-        for bound, terms in zip((("alpha",), ("alpha", "beta")), UNTWISTED[axiom]):
+        for bound, terms in zip((("alpha", "f"), ("alpha", "beta", "f")), UNTWISTED[axiom]):
             maps = tuple([name for name in law._compiled[2] if name in bound])  # as in a Plan
             rewritten = compiled(laws._untwisted, law, maps)
             assert rewritten.terms == terms, (axiom, bound)
             assert compiled(laws._untwisted, law, maps) is rewritten  # one Law per process
             assert (rewritten is law) == (terms == law.terms)
             # A multiplicativity row whose every map is the identity cancels to nothing.
-            cancels = "MULTIPLICATIVITY" in axiom and {"alpha", "beta"} & set(law._compiled[2]) <= set(bound)
-            assert (rewritten.classes == ()) == cancels, (axiom, bound)
+            cancels = "MULTIPLICATIVITY" in axiom and {"alpha", "beta", "f"} & set(law._compiled[2]) <= set(bound)
+            assert cancelled(rewritten) == cancels, (axiom, bound)
+
+
+def test_a_plan_whose_rows_all_cancel_reports_pass():
+    # Under alpha = id both multiplicativity rows cancel: the plan reads no
+    # tensor, bounds nothing, and reports PASS at the minimum slot width.
+    coalg = catalog.poisson_dual_dim4()
+    suite = ["DELTA_MULTIPLICATIVITY", "GAMMA_MULTIPLICATIVITY"]
+    plan = laws.Plan({axiom: coalg.laws(axiom) for axiom in suite})
+    assert coalg.alpha.is_identity() and plan._size()[:2] == (1, 2)
+    for axiom in suite:
+        assert plan.check(axiom) == AxiomReport(axiom, True, (), 0)
+    assert "scaled" not in vars(coalg.delta) and "scaled" not in vars(coalg.gamma)
+
+
+def test_identity_map_checks_read_no_structure_tensor():
+    # An identity map's every multiplicativity row cancels, so neither the
+    # endomorphism and coendomorphism checks nor a module twist over alpha = id
+    # compute the structure tensor's scaled reading; the twist keeps the action.
+    from homstruct import fileformat
+
+    octonions, coalg = catalog.octonions(), catalog.poisson_dual_dim4()
+    assert algebras.check_endomorphism(octonions, LinearMap.identity(8)).holds
+    assert coalgebras.check_coendomorphism(coalg, LinearMap.identity(coalg.dim)).holds
+    assert "scaled" not in vars(octonions.mu)
+    assert "scaled" not in vars(coalg.delta) and "scaled" not in vars(coalg.gamma)
+    regular = fileformat.single_structure_file("m", modules.regular_module(octonions),
+                                               ("o", octonions))
+    for side in ("left", "right"):
+        parsed = fileformat.parse_bytes(fileformat.serialize(regular)).structures["m"]
+        mod = parsed if side == "left" else modules.regular_module(parsed.algebra, side)
+        twisted = modules.twist_module(mod)
+        assert twisted.action is mod.action and twisted == mod
+        assert "scaled" not in vars(mod.algebra.mu) and "scaled" not in vars(mod.action)
+
+
+def test_only_the_plan_and_the_registry_build_a_plan():
+    import ast
+    from pathlib import Path
+
+    builders = set()
+    for path in Path(laws.__file__).parent.glob("*.py"):
+        text = path.read_text()  # a call of Plan names it: no other file need be parsed
+        for node in ast.walk(ast.parse(text)) if "Plan" in text else ():
+            if isinstance(node, ast.Call) and "Plan" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+                builders.add(path.name)
+    assert builders == {"laws.py", "axioms.py"}
 
 
 def test_an_identity_is_kept_where_dropping_it_is_no_relabelling():
