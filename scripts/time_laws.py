@@ -26,19 +26,21 @@ line, at dim 16 whatever ``--dims`` says: the 4 x 4 matrix algebra on its
 unit basis (constants 1, 192 of its 256 rows zero) with its regular left
 module, and the coalgebra of its transposed constants (``gamma`` zero) with
 its regular Poisson comodule, as one file; the best time in ms of
-``parse_bytes`` on it (``parse_ms``), of building the parsed tensors'
+``fileformat.serialize`` on the freshly built file (``serialize_ms``), of
+``parse_bytes`` on its bytes (``parse_ms``), of building the parsed tensors'
 ``scaled`` entries (``scaled_ms``), and of ``verify --suite all`` on each of
 the four structures (``algebra_ms`` ... ``comodule_ms``).  Before its laws, each dim
 gets one ``write`` line: the best time in ms to build the five structures from their
 drawn entries with ``from_entries`` and ``from_rows`` (``build_ms``), to
 ``fileformat.serialize`` them as one file (``serialize_ms``), and to
 serialize the algebra with its two regular modules and the coalgebra with
-its regular comodule as one file (``regular_ms``: each shared array is
-formatted once); then one ``ingest`` line: the best time in ms of
+its regular comodule as one file (``regular_ms``: each shared array's text is
+joined once), and the ``tracemalloc`` peak in KB of that last write
+(``regular_kb``); then one ``ingest`` line: the best time in ms of
 ``fileformat.parse_bytes`` on the five structures' file (``parse_ms``), of
 building the parsed tensors' ``scaled`` entries, the one form a check reads
 (``scaled_ms``), and of serializing the parsed file again (``rewrite_ms``:
-parsed arrays are written back from their numerals).  Every entry is
+parsed arrays are joined back into text from the numerals read).  Every entry is
 nonzero, so these two lines time the write and read paths with no zero to
 skip; the ``sparse`` line below times them where almost every entry is 0.
 Then one ``suite`` line: the best time in ms of ``verify
@@ -68,6 +70,7 @@ import gc
 import pathlib
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -165,7 +168,7 @@ def multiplicative_algebra(n: int) -> HomAlgebra:
     return HomAlgebra(n, MulTensor.from_entries(mu), LinearMap.from_rows(alpha))
 
 
-def sparse_file() -> bytes:
+def sparse_file() -> StructureFile:
     """The ``sparse`` line's four structures as one file.  ``catalog.matrix_algebra``
     stops at k = 3, so the k = 4 constants are stated here, as it states them."""
     k, n = 4, 16
@@ -177,17 +180,20 @@ def sparse_file() -> bytes:
                                 LinearMap.identity(n), False)
     structures = {"algebra": alg, "left": regular_module(alg, "left"), "coalgebra": coalg,
                   "comodule": regular_comodule(coalg)}
-    return serialize(StructureFile(FILE_VERSION, structures, {"left": "algebra",
-                                                              "comodule": "coalgebra"}))
+    return StructureFile(FILE_VERSION, structures, {"left": "algebra", "comodule": "coalgebra"})
 
 
 def time_sparse(repeat: int) -> list[tuple[str, float]]:
-    """(column, best seconds) for the ``sparse`` line: parse, ``scaled``, then the suites."""
-    data = sparse_file()
-    best = dict.fromkeys(["parse", "scaled"], float("inf"))
+    """(column, best seconds) for the ``sparse`` line: serialize, parse, ``scaled``, then
+    the suites."""
+    best = dict.fromkeys(["serialize", "parse", "scaled"], float("inf"))
     gc.collect()
     gc.disable()
     for _ in range(repeat):
+        sf = sparse_file()  # fresh tensors: nothing written yet
+        start = time.perf_counter()
+        data = serialize(sf)
+        best["serialize"] = min(best["serialize"], time.perf_counter() - start)
         start = time.perf_counter()
         sf = parse_bytes(data)
         best["parse"] = min(best["parse"], time.perf_counter() - start)
@@ -266,9 +272,10 @@ def time_catalog(repeat: int) -> tuple[float, str, float]:
     return sum(best.values()), slowest, best[slowest]
 
 
-def time_write(n: int, repeat: int) -> tuple[float, float, float]:
+def time_write(n: int, repeat: int) -> tuple[float, float, float, int]:
     """(best seconds to build the five dim-n structures from their entries,
-    best ``serialize`` seconds of their file, and of ``regular_file``'s)."""
+    best ``serialize`` seconds of their file, and of ``regular_file``'s, and the
+    ``tracemalloc`` peak in bytes of serializing ``regular_file``'s)."""
     entries = dense_entries(n)
     best_build = best_write = best_regular = float("inf")
     gc.collect()
@@ -286,7 +293,12 @@ def time_write(n: int, repeat: int) -> tuple[float, float, float]:
         serialize(sf)
         best_regular = min(best_regular, time.perf_counter() - start)
     gc.enable()
-    return best_build, best_write, best_regular
+    sf = regular_file(build_structures(n, entries))
+    tracemalloc.start()
+    serialize(sf)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return best_build, best_write, best_regular, peak
 
 
 def time_ingest(n: int, repeat: int) -> tuple[float, float, float]:
@@ -414,10 +426,10 @@ def main(argv=None) -> int:
                       for name, seconds in time_sparse(args.repeat))
     print(f"{16:>3}  {'sparse':<32} {sparse}", flush=True)
     for n in dims:
-        build_seconds, write_seconds, regular_seconds = time_write(n, args.repeat)
+        build_seconds, write_seconds, regular_seconds, peak = time_write(n, args.repeat)
         print(f"{n:>3}  {'write':<32} build_ms={build_seconds * 1000:.2f}"
               f" serialize_ms={write_seconds * 1000:.2f}"
-              f" regular_ms={regular_seconds * 1000:.2f}", flush=True)
+              f" regular_ms={regular_seconds * 1000:.2f} regular_kb={peak / 1024:.1f}", flush=True)
         parse_seconds, build_seconds, rewrite_seconds = time_ingest(n, args.repeat)
         print(f"{n:>3}  {'ingest':<32} parse_ms={parse_seconds * 1000:.2f}"
               f" scaled_ms={build_seconds * 1000:.2f}"

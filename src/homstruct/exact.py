@@ -38,10 +38,10 @@ the one shared ``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows``
 and ``diagonal``, returns it for every zero, ``fileformat`` parses every
 ``"0"`` to it, and ``zero``, ``identity`` and contractions fill
 with it; a zero row is best the one shared row of its width, which
-``fileformat`` makes of every zero row.  ``scaled`` and ``numerals``, the wire
-form ``fileformat`` writes (kept from the file when parsed), pick out the
-other entries in C (``scaled`` the other rows too), so a zero costs no Python
-call; another ``Fraction(0)`` or zero row is still dropped, only more slowly.
+``from_entries``, ``construct``, ``zero`` and ``fileformat`` make of each.
+``scaled`` and ``text``, the JSON text ``fileformat`` writes, pick out the
+other rows and entries in C, so a zero costs no Python call; another
+``Fraction(0)`` or zero row is still dropped (or written), only more slowly.
 
 One or two axes of an operand can also be ``pack``-ed into fixed-width
 slots of a single ``int``, so that ``contract``'s Python-level multiply-adds
@@ -139,11 +139,32 @@ def format_rational(value: Fraction) -> str:
 
 
 def _zeros(shape) -> tuple:
-    """Nested entry tuples of ``shape``, every entry ``_ZERO``."""
-    nested = _ZERO
-    for size in reversed(shape):
+    """Nested entry tuples of ``shape``, every entry ``_ZERO`` and every row the shared one."""
+    nested = (_ZERO,) * shape[-1] if len(shape) == 1 else compiled(_zeros, shape[-1:])
+    for size in reversed(shape[:-1]):
         nested = (nested,) * size
     return nested
+
+
+def _row(entries) -> tuple:
+    """``entries`` made ``Fraction``s by ``rat``: the shared zero row when all are ``_ZERO``."""
+    row = tuple(map(rat, entries))
+    if (row and row[0] is not _ZERO) or any(map(is_not, row, repeat(_ZERO))):  # no scan, mostly
+        return row
+    return compiled(_zeros, (len(row),))
+
+
+def _nest(rows: list, shape: tuple, wrap=tuple):
+    """``rows`` along the last axis of ``shape``, in order, nested by ``wrap`` over the others."""
+    for axis in range(len(shape) - 2, -1, -1):
+        size = shape[axis]
+        rows = [wrap(rows[i * size : (i + 1) * size]) for i in range(prod(shape[:axis]))]
+    return rows[0]
+
+
+def _join(texts: list, quote: str = "") -> str:
+    """The JSON text of an array of ``texts``, each in ``quote``s: numerals need no escapes."""
+    return f"[{quote}{(quote + ',' + quote).join(texts)}{quote}]" if texts else "[]"
 
 
 def _row_keys(shape) -> list:
@@ -216,7 +237,8 @@ def record(cls):
 
 class _Tensor(Record):
     """What every map and structure tensor shares: its shape guard, freezing, zeros,
-    and its integer reading and wire form, built once.
+    and its integer reading and wire form, built once; the wire form is one string,
+    ``text``, and a parsed tensor keeps the array it was read from (``array``) instead.
 
     A subclass names the field holding its nested entry tuples in ``_nested``,
     their depth in ``_axes`` and the ``DimensionMismatch`` texts for a wrong
@@ -242,22 +264,18 @@ class _Tensor(Record):
     @classmethod
     def from_entries(cls, entries, *fields):
         """The tensor of ``fields`` whose entries, nested ``_axes`` deep, are made
-        ``Fraction``s by ``rat``."""
-        freeze = rat
-        for _ in range(cls._axes):
+        ``Fraction``s by ``rat``, each zero row the shared one (``_row``)."""
+        freeze = _row
+        for _ in range(cls._axes - 1):
             freeze = lambda rows, inner=freeze: tuple(map(inner, rows))
         return cls(freeze(entries), *fields)
 
-    def _rows(self) -> list:
-        """Every row along the last axis, in the lexicographic order of the index tuples."""
-        rows = (getattr(self, self._nested),)
+    def _rows(self, nested=None) -> list:
+        """Every row along the last axis of the entries, or of ``nested``, in index order."""
+        rows = (getattr(self, self._nested) if nested is None else nested,)
         for _ in self.shape[1:]:
             rows = chain.from_iterable(rows)
         return list(rows)
-
-    def flat(self) -> list:
-        """Every entry, in the lexicographic order of the index tuples."""
-        return list(chain.from_iterable(self._rows()))
 
     @lazy
     def scaled(self) -> tuple[int, dict[tuple[int, ...], int], int]:
@@ -307,19 +325,29 @@ class _Tensor(Record):
         return None if self.is_identity() else id(getattr(self, self._nested)), self.shape
 
     @lazy
-    def numerals(self) -> list:
-        """The entries as nested lists of wire numerals: ``"0"`` for each ``_ZERO``
-        (picked out in C), ``format_rational`` of each other entry."""
-        flat = self.flat()
+    def text(self) -> str:
+        """The JSON text of the entries' array, which ``fileformat`` writes: ``"0"`` for
+        each ``_ZERO`` and one text for every shared zero row, both picked out in C,
+        and ``format_rational`` of each other entry, joined row by row."""
+        rows, width = self._rows(), self.shape[-1]
+        live = list(map(is_not, rows, repeat(compiled(_zeros, (width,)))))
+        flat = list(chain.from_iterable(compress(rows, live)))
         out = ["0"] * len(flat)
         written = list(map(is_not, flat, repeat(_ZERO)))
         for i, x in zip(compress(count(), written), compress(flat, written)):
             out[i] = format_rational(x)
-        shape = self.shape
-        for axis in range(len(shape) - 1, 0, -1):  # slice the rows, then the planes, back out
-            width = shape[axis]
-            out = [out[i * width : (i + 1) * width] for i in range(prod(shape[:axis]))]
-        return out
+        texts = [_join(["0"] * width, '"')] * len(rows)
+        for k, i in enumerate(compress(count(), live)):
+            texts[i] = _join(out[k * width : (k + 1) * width], '"')
+        return _nest(texts, self.shape, _join)
+
+    def wire(self) -> str:
+        """``text``, or for a parsed tensor the text of the array it was read from (its
+        ``array``, kept for ``fileformat``'s base comparison), joined anew and not kept."""
+        array = self.__dict__.get("array")
+        if array is None:
+            return self.text
+        return _nest(list(map(_join, self._rows(array), repeat('"'))), self.shape, _join)
 
 
 @record
@@ -343,7 +371,7 @@ class Vector(_Tensor):
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
-        return cls(_zeros((dim,)))
+        return cls(compiled(_zeros, (dim,)))
 
 
 @record
@@ -384,9 +412,9 @@ class LinearMap(_Tensor):
 
     @classmethod
     def diagonal(cls, values) -> "LinearMap":
-        vals = tuple(map(rat, values))
-        n = len(vals)
-        return cls(tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
+        vals = list(values)
+        return cls.from_entries([[x if i == j else 0 for j in range(len(vals))]
+                                 for i, x in enumerate(vals)], len(vals))
 
     def is_square(self, dim: int) -> bool:
         return self.dim_in == dim and self.dim_out == dim
@@ -837,18 +865,18 @@ def construct(out: str, term: str, **operands: _Tensor) -> tuple:
     is the opposite multiplication.  Each output letter is sized by the first
     operand axis holding it.  The operands' ``scaled`` entries are contracted into
     one list, the sign being ``contract``'s ``into`` factor; a nonzero sum ``v`` is
-    ``Fraction(v, s)``, ``s`` the product of their scales, and a zero ``_ZERO``."""
+    ``Fraction(v, s)``, ``s`` the product of their scales, a zero ``_ZERO`` and an all-zero
+    row the shared one."""
     shapes = tuple([(name, t.shape) for name, t in operands.items()])
     spec, factor, names, shape, sinks = compiled(_term, out, term, shapes)
     readings = [operands[name].scaled for name in names]
     sink = [0] * prod(shape)
     contract(spec, *[entries for _, entries, _ in readings], into=(sink, sinks, factor))
-    s = prod(scale for scale, _, _ in readings)
-    flat = [Fraction(v, s) if v else _ZERO for v in sink]
-    for axis in range(len(shape) - 1, 0, -1):
-        size = shape[axis]
-        flat = [tuple(flat[i * size : (i + 1) * size]) for i in range(prod(shape[:axis]))]
-    return tuple(flat)
+    s, width = prod(scale for scale, _, _ in readings), shape[-1]
+    rows = [sink[i * width : (i + 1) * width] for i in range(prod(shape[:-1]))]
+    zero = compiled(_zeros, (width,))
+    return _nest([tuple([Fraction(v, s) if v else _ZERO for v in row]) if any(row) else zero
+                  for row in rows], shape)
 
 
 def rebuild(structure, row: tuple, fields: tuple, changes: dict | None = None, **operands):

@@ -19,10 +19,13 @@ so every bad entry is rejected where it first occurs.  The memo starts as
 ``{"0": exact._ZERO}``: ``"0"`` is the grammar's one spelling of zero, so
 every zero entry of every file is that one object, and every zero row, found
 by one list comparison, the one shared row of its width in ``exact.compiled``;
-``scaled`` skips both without a Python call.  Writing skips zeros the same way: ``numerals`` take one
-format call per nonzero entry and none per zero, ``serialize`` takes them once
-per distinct array (entry tuple and shape), and a parsed tensor's are the
-array it was read from (every valid numeral is canonical).
+``scaled`` skips both without a Python call.  Writing skips them the same way:
+a tensor's ``text`` takes one format call per nonzero entry, and ``serialize``
+puts each distinct array's text (by entry tuple and shape) once into the
+document it assembles, passing only strings through the JSON encoder; a
+parsed tensor's text is joined from the array it was read from (every valid
+numeral is canonical, and none needs escaping).  Writing the built dim-16 sedenions
+and both regular modules takes ~0.85 ms, peaking at 197 KB (~1.7 ms, 1,028 KB as lists).
 
 Each distinct array is read once too: a tensor field whose ``TYPES`` entry
 names a base tensor (a module's ``beta`` or ``action``, a comodule's ``beta``,
@@ -120,11 +123,11 @@ class _Numerals(dict):
         return tuple(out)
 
     def array(self, data, dims: tuple, what: str, like=None) -> tuple:
-        """The entries of ``data``, an array of ``dims``, and the array its tensor keeps as
-        ``numerals``: ``like``'s own when the dims are ``like``'s and ``data`` equals its
-        numerals (one comparison, in C), else what was read."""
-        if like is not None and dims == like.shape and data == like.numerals:
-            return getattr(like, like._nested), like.numerals
+        """The entries of ``data``, an array of ``dims``, and the array its tensor keeps:
+        ``like``'s own when the dims are ``like``'s and ``data`` equals its array (one
+        comparison, in C), else what was read."""
+        if like is not None and dims == like.shape and data == like.array:
+            return getattr(like, like._nested), like.array
         if len(dims) == 2:
             return self.matrix(data, *dims, what), data
         if not isinstance(data, list) or len(data) != dims[0]:
@@ -228,7 +231,7 @@ def _read(name: str, entry: dict, numerals: _Numerals, structures: dict, base_of
                 like = read.like and getattr(base, read.like)
                 entries, data = numerals.array(value, dims, name, like)
                 value = read.cls(entries, *args)
-                vars(value)["numerals"] = data  # the array it was read from
+                vars(value)["array"] = data  # the array it was read from
         elif read is int:
             _require(type(value) is int and value >= 0, f"{name}: bad dim")
         elif read is bool:
@@ -298,41 +301,42 @@ def _base_name(name: str, base, sf: StructureFile) -> str:
     return ref
 
 
-def _entry_doc(name: str, structure, sf: StructureFile, dump) -> dict:
+def _json(value) -> str:
+    """The JSON text of a string (by ``_ENCODER``), or of a dim or a flag (by ``str``)."""
+    return _ENCODER.encode(value) if isinstance(value, str) else str(value).lower()
+
+
+def _entry_text(name: str, structure, sf: StructureFile, dump) -> str:
     if type(structure) not in TYPES:
         raise FormatError(f"{name}: cannot serialize {type(structure).__name__}")
     kind = TYPES[type(structure)]
-    doc, base = {"kind": kind.wire}, kind.base
+    parts = [f'{{"kind":"{kind.wire}"']
     for key, attribute, _ in kind.fields:
         value = structure if attribute is None else getattr(structure, attribute)
-        if key == base:
-            doc[key] = _base_name(name, value, sf)
-        elif isinstance(value, _Tensor):
-            doc[key] = dump(value)
-        elif value is not None:
-            doc[key] = value
-    return doc
+        if key == kind.base:
+            value = _base_name(name, value, sf)
+        elif value is None:
+            continue
+        parts.append(f'"{key}":{dump(value) if isinstance(value, _Tensor) else _json(value)}')
+    return ",".join(parts) + "}"
 
 
 def serialize(sf: StructureFile) -> bytes:
     for name in sf.base_of.values():
         if name not in sf.structures:
             raise FormatError(f"dangling reference to {name!r}")
-    written: dict[tuple, list] = {}  # (id of an entry tuple, shape): its numerals
+    written: dict[tuple, str] = {}  # (id of an entry tuple, shape): its text
 
-    def dump(tensor) -> list:
+    def dump(tensor) -> str:
         key = id(getattr(tensor, tensor._nested)), tensor.shape
         if key not in written:
-            written[key] = tensor.numerals
+            written[key] = tensor.wire()
         return written[key]
 
-    doc = {
-        "version": sf.version,
-        "structures": {
-            name: _entry_doc(name, sf.structures[name], sf, dump) for name in sorted(sf.structures)
-        },
-    }
-    return (_ENCODER.encode(doc) + "\n").encode("utf-8")
+    entries = [_json(name) + ":" + _entry_text(name, sf.structures[name], sf, dump)
+               for name in sorted(sf.structures)]
+    text = f'{{"version":{_json(sf.version)},"structures":{{{",".join(entries)}}}}}\n'
+    return text.encode("utf-8")
 
 
 def write_file(path, sf: StructureFile):

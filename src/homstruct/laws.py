@@ -402,12 +402,13 @@ def check(structure, axiom: str, plan: Plan | None = None) -> AxiomReport:
     return (plan or Plan({axiom: structure.laws(axiom)})).check(axiom)
 
 
-def check_map(axiom: str, parts: tuple, f, src, dst, dims: tuple[int, int]) -> AxiomReport:
+def check_map(axiom: str, parts: tuple, f, src, dst, dims: tuple, noun="morphism") -> AxiomReport:
     """``axiom``'s report on ``f``, of shape ``dims`` (in, out), as a map from ``src`` to ``dst``.
     Each part ``(part id, law, field)`` binds the law's ``src`` and ``dst`` to that field of
-    each end and ``f`` to the map; a part whose field ``src`` lacks (None) is left out."""
+    each end and ``f`` to the map; a part whose field ``src`` lacks (None) is left out.  A
+    map of another shape is refused as a ``noun`` candidate."""
     if (f.dim_in, f.dim_out) != dims:
-        raise DimensionMismatch("morphism candidate has wrong shape")
+        raise DimensionMismatch(f"{noun} candidate has wrong shape")
     rows = [(part, law, {"src": getattr(src, field), "dst": getattr(dst, field), "f": f})
             for part, law, field in parts if getattr(src, field) is not None]
     return Plan({axiom: rows}).check(axiom)

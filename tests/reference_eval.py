@@ -20,6 +20,14 @@ from homstruct.errors import DimensionMismatch, WrongSide
 ZERO = Fraction(0)
 
 
+def flat(tensor) -> list:
+    """Every entry of a map or tensor, in the lexicographic order of its index tuples."""
+    level = [getattr(tensor, tensor._nested)]
+    for _ in tensor.shape:
+        level = [x for nested in level for x in nested]
+    return level
+
+
 def zeros(*shape):
     """A nested list of ``shape`` holding one shared zero (a ``Fraction`` is immutable)."""
     if len(shape) < 2:

@@ -33,7 +33,7 @@ from homstruct.exact import (
     unpack,
 )
 from homstruct.laws import NEGATE, SWAP
-from reference_eval import apply, column
+from reference_eval import apply, column, flat
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 nonzero_fractions = small_fractions.filter(lambda q: q != 0)
@@ -385,14 +385,14 @@ def test_every_kind_freezes_zeros_and_negates_alike(n):
         for size in reversed(tensor.shape):
             zeros = [zeros] * size
         assert zero == rebuilt(tensor, zeros) and zero.shape == tensor.shape
-        assert all(x is _ZERO for x in zero.flat())
+        assert all(x is _ZERO for x in flat(zero))
         if isinstance(tensor, (Vector, LinearMap)):
             continue
         minus = negated(tensor)
         assert type(minus) is type(tensor)
         assert other_fields(minus) == other_fields(tensor)
-        assert minus.flat() == [-x for x in tensor.flat()]
-        assert all(x is _ZERO for x in minus.flat() if not x)
+        assert flat(minus) == [-x for x in flat(tensor)]
+        assert all(x is _ZERO for x in flat(minus) if not x)
         assert negated(minus) == tensor and negated(zero) == zero
 
 
@@ -419,7 +419,7 @@ def test_nonzeros_of_shared_and_other_zeros(n, rng):
         assert_scaled_follows_the_reference_rule(tensor)
     replay = iter(drawn)  # the same entries, now through from_entries and from_rows
     for tensor in minus + each_kind(n, lambda *index: next(replay)):
-        assert all(x is _ZERO for x in tensor.flat() if not x)
+        assert all(x is _ZERO for x in flat(tensor) if not x)
 
 
 def test_lazy_attributes_are_computed_once_into_the_instance_dict(monkeypatch):
@@ -427,7 +427,7 @@ def test_lazy_attributes_are_computed_once_into_the_instance_dict(monkeypatch):
     from homstruct.report import Witness
 
     mu = MulTensor.from_entries([[[Fraction(1, 2), 0], [0, 3]], [[0, 0], [1, Fraction(-2, 3)]]])
-    sites = [(_Tensor, "scaled", mu), (_Tensor, "numerals", mu),
+    sites = [(_Tensor, "scaled", mu), (_Tensor, "text", mu),
              (_Tensor, "_identity", LinearMap.identity(2)),
              (Law, "_compiled", Law("i", "o", "+ f.oa x.ai")), (Witness, "residual", Witness((0,), (1, 2), 4))]
     for cls, name, instance in sites:
@@ -468,7 +468,7 @@ def test_rat_shares_zeros():
     assert type(rat(Numerator(2))) is Fraction and rat(Numerator(0)) is _ZERO
     assert type(rat(Ratio(1, 3))) is Fraction and rat(Ratio(0)) is _ZERO
     diagonal = LinearMap.diagonal([0, Fraction(0), 2])
-    assert all(x is _ZERO for x in diagonal.flat() if not x)
+    assert all(x is _ZERO for x in flat(diagonal) if not x)
 
 
 def test_pack_and_unpack_are_inverse():
@@ -654,3 +654,21 @@ def test_scaled_of_shared_unshared_and_other_zero_rows(n, rng):
     for tensor in tensors:
         assert_scaled_follows_the_reference_rule(tensor)
     assert all(compiled(_zeros, (width,)) is zero for width, zero in shared.items())
+
+
+def test_every_zero_row_of_a_built_constructed_or_zero_tensor_is_the_shared_row():
+    mu = MulTensor.from_entries([[[0, 0], [1, "0"]], [[Fraction(0), 0], [0, Fraction(2, 3)]]])
+    f = LinearMap.from_rows([[0, 0, 0], [0, 2, 0]])
+    built = [mu, f, LinearMap.diagonal([0, 3]), Vector.from_entries([0, False]),
+             ActionTensor.from_entries([[[0], [1]]], 2, 1, "right"),
+             CoactionTensor.from_entries([[[1], [0]]], 2, 1)]
+    constructed = [LinearMap(construct("ij", "+ f.il g.lj", f=f, g=LinearMap.zero(3, 2)), 2),
+                   compose(f, LinearMap.from_rows([[1, 0], [0, 0], [0, 1]])),
+                   MulTensor(construct(*SWAP, t=mu)), MulTensor(construct(*NEGATE, t=mu))]
+    zeros = [MulTensor.zero(3), ComulTensor.zero(2), LinearMap.zero(2, 3), Vector.zero(3),
+             ActionTensor.zero(2, 3, "right"), CoactionTensor.zero(2, 3)]
+    for tensor in built + constructed + zeros:
+        zero_rows = [row for row in tensor._rows() if not any(row)]
+        assert zero_rows, tensor  # each tensor has some
+        shared = compiled(_zeros, tensor.shape[-1:])
+        assert all(row is shared for row in zero_rows), tensor

@@ -29,6 +29,7 @@ from homstruct.exact import (
     format_rational,
 )
 from homstruct.fileformat import (
+    TYPES,
     StructureFile,
     parse_bytes,
     parse_file,
@@ -38,6 +39,7 @@ from homstruct.fileformat import (
 )
 from homstruct.laws import NEGATE, SWAP
 from homstruct.modules import regular_module
+from reference_eval import flat
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -696,7 +698,7 @@ def test_serialize_matches_the_per_entry_writer(n, m, seed):
     back = parse_bytes(written)  # written back from the numerals it was read from
     assert serialize(back) == _serialize_by_entry(back) == written
     for tensor in interned:
-        assert all(x is _ZERO for x in tensor.flat() if not x)
+        assert all(x is _ZERO for x in flat(tensor) if not x)
 
 
 @pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (2, 0), (3, 2)])
@@ -727,14 +729,99 @@ def test_twist_as_writes_what_the_per_entry_writer_writes(n, m, tmp_path, capsys
 def test_parsed_numerals_are_the_numerals_of_the_parsed_entries(n, m, seed):
     structures, bases, _ = _written_structures(n, m, random.Random(seed))
     sf = parse_bytes(serialize(StructureFile(1, structures, bases)))
-    compute = vars(_Tensor)["numerals"].compute
+    compute = vars(_Tensor)["text"].compute
     for name, structure in sf.structures.items():
         for tensor in _tensors(structure):
-            assert vars(tensor)["numerals"] == compute(tensor), name
+            # the text joined from the array read is the text of the entries read
+            assert tensor.wire() == compute(tensor), name
+            assert json.loads(tensor.wire()) == vars(tensor)["array"], name
+            assert "text" not in vars(tensor), name
+
+
+def _encoded(sf: StructureFile) -> bytes:
+    """The encoder ``serialize`` replaced: one ``encode`` call on the nested-list document,
+    every tensor written by entry."""
+    structures = {}
+    for name in sorted(sf.structures):
+        structure = sf.structures[name]
+        kind = TYPES[type(structure)]
+        entry = structures[name] = {"kind": kind.wire}
+        for key, attribute, _ in kind.fields:
+            value = structure if attribute is None else getattr(structure, attribute)
+            if key == kind.base:
+                value = sf.base_of[name]
+            elif isinstance(value, _Tensor):
+                value = _dump_by_entry(getattr(value, value._nested))
+            if value is not None:
+                entry[key] = value
+    doc = {"version": sf.version, "structures": structures}
+    return (json.JSONEncoder(separators=(",", ":")).encode(doc) + "\n").encode()
+
+
+def _escaped_names_file() -> StructureFile:
+    """Names that need JSON escapes, on entries and in ``base_of``, and one array (the
+    algebra's ``mu``) shared by three entries."""
+    octo = octonions()  # fresh tensors: the catalogue's may hold their text already
+    alg = HomAlgebra(8, MulTensor.from_entries(octo.mu.c), LinearMap.from_rows(octo.alpha.entries))
+    coalg = lie_only_coalgebra()
+    names = ['quote"d', "back\\slash", "control\x01\t", "non-ascii \u00e9\u2202\U0001d400"]
+    structures = {names[0]: alg, names[1]: regular_module(alg, "left"),
+                  names[2]: regular_module(alg, "right"), names[3]: coalg,
+                  "comodule\n": regular_comodule(coalg), "map\u2028": alg.alpha}
+    bases = {names[1]: names[0], names[2]: names[0], "comodule\n": names[3]}
+    return StructureFile(1, structures, bases)
+
+
+def _writer_cases() -> list:
+    from homstruct.catalog import entries
+    from homstruct.cli import _catalog_file
+
+    cases = [_catalog_file(entry) for entry in entries()]
+    for n, m in ((0, 0), (0, 2), (2, 0), (3, 2)):
+        cases.append(StructureFile(1, *_written_structures(n, m, random.Random(n + 7 * m))[:2]))
+    return cases + [_escaped_names_file()]
+
+
+class _StringsOnly:
+    """An encoder that refuses anything but a string, as ``serialize`` must use it."""
+
+    def __init__(self, encoder):
+        self.encoder, self.seen = encoder, []
+
+    def encode(self, value):
+        assert type(value) is str, value
+        self.seen.append(value)
+        return self.encoder.encode(value)
+
+
+def test_serialize_is_the_encoder_on_the_nested_list_document(monkeypatch):
+    from homstruct import fileformat
+
+    encoder = _StringsOnly(fileformat._ENCODER)
+    monkeypatch.setattr(fileformat, "_ENCODER", encoder)
+    for sf in _writer_cases():
+        written = serialize(sf)
+        assert written == _encoded(sf), sorted(sf.structures)
+        assert serialize(parse_bytes(written)) == written
+    assert encoder.seen and 'quote"d' in encoder.seen
+
+
+def test_an_array_shared_by_three_entries_is_written_from_one_text(monkeypatch):
+    descriptor = vars(_Tensor)["text"]
+    formatted, compute = [], descriptor.compute
+    monkeypatch.setattr(descriptor, "compute",
+                        lambda tensor: formatted.append(tensor) or compute(tensor))
+    sf = _escaped_names_file()
+    mu = sf.structures['quote"d'].mu
+    data = serialize(sf)
+    (one,) = [t for t in formatted if getattr(t, t._nested) is mu.c]  # the first written
+    doc = json.loads(data)["structures"]
+    arrays = [doc['quote"d']["mul"], doc["back\\slash"]["action"], doc["control\x01\t"]["action"]]
+    assert arrays == [json.loads(one.text)] * 3
 
 
 def test_an_array_shared_by_tuple_is_formatted_once_and_a_parsed_one_never(monkeypatch):
-    descriptor = vars(_Tensor)["numerals"]
+    descriptor = vars(_Tensor)["text"]
     formatted, compute = [], descriptor.compute
     monkeypatch.setattr(descriptor, "compute",
                         lambda tensor: formatted.append(tensor) or compute(tensor))
@@ -746,8 +833,14 @@ def test_an_array_shared_by_tuple_is_formatted_once_and_a_parsed_one_never(monke
     data = serialize(sf)
     # each distinct array once, in the order written; alg and coalg share one alpha
     assert list(map(id, formatted)) == list(map(id, [alg.mu, alg.alpha, coalg.delta, coalg.gamma]))
+    for tensor in formatted:  # each keeps its one text and no nested numeral list
+        assert type(vars(tensor)["text"]) is str
+        assert not [value for value in vars(tensor).values() if type(value) is list]
     formatted.clear()
-    assert serialize(parse_bytes(data)) == data and formatted == []
+    parsed = parse_bytes(data)
+    assert serialize(parsed) == data and formatted == []
+    for structure in parsed.structures.values():
+        assert not [t for t in _tensors(structure) if "text" in vars(t)]
 
 
 def test_a_module_or_comodule_missing_from_base_of_is_format_error():
@@ -904,9 +997,9 @@ def test_a_module_array_equal_to_its_bases_is_the_bases_tuple():
         base = sf.get(sf.base_of[name])
         for own, of in PAIRS[kind]:
             assert _entry_tuple(structure, own) is _entry_tuple(base, of), (name, own)
-            # and both tensors keep the base's one JSON array as their numerals
+            # and both tensors keep the base's one JSON array
             mine, theirs = (getattr(s, FIELDS.get(f, f)) for s, f in ((structure, own), (base, of)))
-            assert vars(mine)["numerals"] is vars(theirs)["numerals"], (name, own)
+            assert vars(mine)["array"] is vars(theirs)["array"], (name, own)
     structure = parse_bytes(right).get("m")
     assert structure.action.a is structure.algebra.mu.c
     assert structure.beta.entries is structure.algebra.alpha.entries

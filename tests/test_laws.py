@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checks as ref
+from reference_eval import flat
 from homstruct import algebras, axioms, coalgebras, comodules, modules
 from homstruct.algebras import (
     HomAlgebra,
@@ -421,7 +422,7 @@ def test_check_leaves_its_operands_unchanged(row, data):
 
     def state():
         return {
-            name: (op.flat(), op.scaled[0], dict(op.scaled[1]), op.scaled[2])
+            name: (flat(op), op.scaled[0], dict(op.scaled[1]), op.scaled[2])
             for name, op in operands.items()
         }
 

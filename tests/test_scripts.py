@@ -70,25 +70,26 @@ MODULES = [path.stem for path in sorted((ROOT / "src" / "homstruct").glob("*.py"
 LAYER_FIELDS = {
     "compile": [f"{stem}_ms" for stem in MODULES] + ["total_ms"],
     "exec": [f"{stem}_ms" for stem in MODULES if stem != "__main__"] + ["total_ms"],
-    "write": ["build_ms", "serialize_ms", "regular_ms"],
+    "write": ["build_ms", "serialize_ms", "regular_ms", "regular_kb"],
     "ingest": ["parse_ms", "scaled_ms", "rewrite_ms"],
     "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
     "untwisted": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
     "construct": ["twist_module_ms", "twist_comodule_ms", "then_map_ms", "precompose_ms"],
     "catalog": ["catalog_ms", "slowest", "slowest_ms"],
-    "sparse": ["parse_ms", "scaled_ms", "algebra_ms", "left_ms", "coalgebra_ms", "comodule_ms"],
+    "sparse": ["serialize_ms", "parse_ms", "scaled_ms", "algebra_ms", "left_ms", "coalgebra_ms", "comodule_ms"],
 }
 # timed once a run, the sparse line at dim 16 whatever --dims says
 RUN_LAYERS = [["-", "compile"], ["-", "exec"], ["-", "catalog"], ["16", "sparse"]]
 DIM_LAYERS = ["write", "ingest", "suite", "untwisted", "construct"]  # timed once a dim
 
 
-def layer_ms(row: str) -> list[float]:
-    """The times of a ``compile``, ``exec``, ``catalog``, ``sparse``, ``write``,
-    ``ingest``, ``suite``, ``untwisted`` or ``construct`` line, checked against their names."""
+def layer_ms(row: str, unit: str = "_ms") -> list[float]:
+    """The times (or with ``unit="_kb"`` the sizes) of a ``compile``, ``exec``, ``catalog``,
+    ``sparse``, ``write``, ``ingest``, ``suite``, ``untwisted`` or ``construct`` line, checked
+    against their names."""
     _, label, *fields = row.split()
     assert [field.split("=")[0] for field in fields] == LAYER_FIELDS[label], row
-    return [float(value) for name, value in (f.split("=") for f in fields) if name.endswith("_ms")]
+    return [float(value) for name, value in (f.split("=") for f in fields) if name.endswith(unit)]
 
 
 def test_time_laws_prints_one_line_per_law(capsys):
@@ -107,6 +108,8 @@ def test_time_laws_prints_one_line_per_law(capsys):
     for row in rows:
         if row.split()[1] in LAYER_FIELDS:
             assert min(layer_ms(row)) >= 0, row
+            if row.split()[1] == "write":  # the regular file's write allocates something
+                assert layer_ms(row, "_kb")[0] > 0, row
             continue
         _, _, ms, fmt_ms, failures = row.split()
         assert float(ms) >= 0 and float(fmt_ms) >= 0 and int(failures) >= 0
