@@ -761,9 +761,7 @@ def _encoded(sf: StructureFile) -> bytes:
 def _escaped_names_file() -> StructureFile:
     """Names that need JSON escapes, on entries and in ``base_of``, and one array (the
     algebra's ``mu``) shared by three entries."""
-    octo = octonions()  # fresh tensors: the catalogue's may hold their text already
-    alg = HomAlgebra(8, MulTensor.from_entries(octo.mu.c), LinearMap.from_rows(octo.alpha.entries))
-    coalg = lie_only_coalgebra()
+    alg, coalg = octonions(), lie_only_coalgebra()
     names = ['quote"d', "back\\slash", "control\x01\t", "non-ascii \u00e9\u2202\U0001d400"]
     structures = {names[0]: alg, names[1]: regular_module(alg, "left"),
                   names[2]: regular_module(alg, "right"), names[3]: coalg,
@@ -804,20 +802,6 @@ def test_serialize_is_the_encoder_on_the_nested_list_document(monkeypatch):
         assert written == _encoded(sf), sorted(sf.structures)
         assert serialize(parse_bytes(written)) == written
     assert encoder.seen and 'quote"d' in encoder.seen
-
-
-def test_an_array_shared_by_three_entries_is_written_from_one_text(monkeypatch):
-    descriptor = vars(_Tensor)["text"]
-    formatted, compute = [], descriptor.compute
-    monkeypatch.setattr(descriptor, "compute",
-                        lambda tensor: formatted.append(tensor) or compute(tensor))
-    sf = _escaped_names_file()
-    mu = sf.structures['quote"d'].mu
-    data = serialize(sf)
-    (one,) = [t for t in formatted if getattr(t, t._nested) is mu.c]  # the first written
-    doc = json.loads(data)["structures"]
-    arrays = [doc['quote"d']["mul"], doc["back\\slash"]["action"], doc["control\x01\t"]["action"]]
-    assert arrays == [json.loads(one.text)] * 3
 
 
 def test_an_array_shared_by_tuple_is_formatted_once_and_a_parsed_one_never(monkeypatch):
