@@ -1,4 +1,4 @@
-"""Built-in exactly-known structures and deterministic random generators.
+"""Built-in exactly-known structures and a deterministic random generator.
 
 The octonion multiplication table is pinned to one convention and never
 configurable.  Basis e_0..e_7 with e_0 the unit, e_i * e_i = -e_0 for
@@ -10,10 +10,10 @@ each read cyclically: for a triple (a,b,c), e_a e_b = e_c, e_b e_c = e_a,
 e_c e_a = e_b, and products anticommute.  This is the doubling of the
 quaternions by e_4, so e_1 e_4 = e_5, e_2 e_4 = e_6, e_3 e_4 = e_7.
 
-Random structures come from a fixed 64-bit linear congruential generator
+``DeterministicRng`` is a fixed 64-bit linear congruential generator
 (multiplier 6364136223846793005, increment 1442695040888963407, output the
-top 31 bits) so that the same seed reproduces the same structure on every
-platform.  Tensor entries are drawn from {-2, ..., 2}.
+top 31 bits), so that the same seed reproduces the same draws on every
+platform; the test corpora and the benchmark's structures are drawn from it.
 """
 
 from __future__ import annotations
@@ -198,34 +198,9 @@ class DeterministicRng:
         """Uniform-ish integer in [lo, hi], inclusive."""
         return lo + self.next_raw() % (hi - lo + 1)
 
-    def tensor_entry(self) -> Fraction:
-        return Fraction(self.int_between(-2, 2))
-
     def point_entry(self) -> Fraction:
         """Small rational for evaluation points: numerator -4..4, denominator 1..3."""
         return Fraction(self.int_between(-4, 4), self.int_between(1, 3))
-
-
-def random_structure(seed: int, dim: int, kind: str):
-    """Deterministic pseudo-random structure with entries in {-2, ..., 2}."""
-    if dim < 0 or dim > 4:
-        raise DimensionMismatch("random structures cover dims 0..4")
-    rng = DeterministicRng(seed)
-
-    def draw(axes: int):
-        """A dim x ... x dim block of ``axes`` axes, drawn in lexicographic order."""
-        if not axes:
-            return rng.tensor_entry()
-        return [draw(axes - 1) for _ in range(dim)]
-
-    if kind == "mul":
-        return MulTensor.from_entries(draw(3))
-    if kind == "action":
-        return ActionTensor.from_entries(draw(3), dim, dim, "left")
-    if kind == "algebra":
-        mul = MulTensor.from_entries(draw(3))
-        return HomAlgebra(dim, mul, LinearMap.from_rows(draw(2)))
-    raise DimensionMismatch(f"unknown random structure kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +321,3 @@ def get(name: str) -> CatalogEntry:
 def names() -> list[str]:
     return [e.name for e in entries()]
 
-
-def run_expected_checks(entry: CatalogEntry) -> dict[str, bool]:
-    """Live verdicts for the axioms an entry pins down."""
-    return {r.axiom: r.holds for r in axioms.verify(entry.payload, list(entry.expected_verdicts))}

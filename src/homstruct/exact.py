@@ -590,7 +590,7 @@ def _joins(spec: str) -> tuple[list, str, str]:
 
 
 def _compile(spec: str) -> tuple:
-    """Plan for ``contract``: one step per joined operand, the output order, the sink places.
+    """Plan for ``contract``: one step per joined operand, and the sink places.
 
     A step holds the left join key, the left letters kept (None: all), the
     right join key, the right letters kept, and whether every right letter
@@ -613,14 +613,13 @@ def _compile(spec: str) -> tuple:
     left, right, _, keep, new = joins[-1] if joins else (letters, "", "", out, "")
     places = [tuple(out.index(c) if c in chosen else -1 for c in side)
               for side, chosen in ((left, keep), (right, new))]
-    summing = len(letters) > len(out)  # only a lone operand can still hold extra letters
-    return steps, None if letters == out else _tuple_of(letters, out), summing, places
+    return steps, places
 
 
 def offsets(spec: str, strides: tuple[int, ...]) -> list:
     """The sink offsets ``contract`` adds ``spec``'s output into a list at ``strides`` by:
     a function of the last join's left key, and one of its right operand's key."""
-    places = compiled(_compile, spec)[3]
+    places = compiled(_compile, spec)[1]
     return [_offset([0 if p < 0 else strides[p] for p in side]) for side in places]
 
 
@@ -640,42 +639,43 @@ def _offset(steps: list[int]):
     return lambda key: sum(map(mul, key, steps))
 
 
-def contract(spec: str, *tensors: dict, into: tuple | None = None) -> dict | None:
-    """Exact einsum over nonzero entries, e.g. ``contract("ij,jk->ik", f, g)``.
+def contract(spec: str, *tensors: dict, into: tuple) -> None:
+    """Exact einsum over nonzero entries, added into a list:
+    ``contract("ij,jk->ik", f, g, into=(sink, offsets("ij,jk->ik", (n, 1)), 1))`` adds
+    the matrix product of ``f`` and ``g``, ``n`` columns wide, into ``sink`` row by row.
 
-    Operands and result are ``{index tuple: value}`` maps of nonzero entries
-    (the result may also hold entries that cancelled to zero, and may be an
-    operand itself: treat both as read-only).  Values are ``int``; a
-    ``pack``-ed operand's values are ints whose packed axes ride along
-    through every product and sum.  Operands are joined pairwise in
-    the order the spec lists them, and a letter is summed over as soon as no
-    later operand and not the output needs it.  A join on every letter of
-    its right operand (``t.kab`` then the packed ``t.b``) finds at most one
-    right value per left key, so it is one dict lookup per left key.  Any other
-    join whose factor and right values are all +-1 adds or subtracts each left
-    value with no multiply.  Plans are compiled once per spec (``compiled``).
+    Operands are ``{index tuple: value}`` maps of nonzero entries, only read.
+    Values are ``int``; a ``pack``-ed operand's values are ints whose packed
+    axes ride along through every product and sum.  Operands are joined
+    pairwise in the order the spec lists them, and a letter is summed over as
+    soon as no later operand and not the output needs it.  A join on every
+    letter of its right operand (``t.kab`` then the packed ``t.b``) finds at
+    most one right value per left key, so it is one dict lookup per left key.
+    Any other join whose factor and right values are all +-1 adds or subtracts
+    each left value with no multiply.  Plans are compiled once per spec
+    (``compiled``).
 
-    With ``into=(sink, offsets(spec, strides), factor)`` the last join instead
-    adds ``factor`` times the entry at output key ``k`` into the list ``sink``
-    at ``sum_i k[i] * strides[i]``, building no key tuple and no dict, and the
-    call returns None; ``factor`` is multiplied into the right operand's
-    values (a lone operand's own) before the join.
+    ``into`` is ``(sink, offsets(spec, strides), factor)``: the last join adds
+    ``factor`` times the entry at output key ``k`` into the list ``sink`` at
+    ``sum_i k[i] * strides[i]``, building no key tuple and no dict;
+    ``factor`` is multiplied into the right operand's values (a lone
+    operand's own) before the join.  A lone operand's letters missing from the
+    output are summed in the sink.
     """
-    steps, reorder, summing, _ = compiled(_compile, spec)
+    steps, _ = compiled(_compile, spec)
     if not all(tensors):  # a product with an empty operand is empty
-        return None if into is not None else {}
+        return
     acc = tensors[0]
-    if into is not None:
-        sink, (head_at, tail_at), factor = into
-        if not steps:
-            for key, v in acc.items():
-                sink[head_at(key)] += factor * v
-            return None
+    sink, (head_at, tail_at), factor = into
+    if not steps:
+        for key, v in acc.items():
+            sink[head_at(key)] += factor * v
+        return
     for t, ((left_join, left_keep, right_join, right_keep, lookup), right) in enumerate(
         zip(steps, tensors[1:]), 1
     ):
         out, f = defaultdict(int), 1
-        if into is not None and t == len(steps):
+        if t == len(steps):
             out, left_keep, right_keep, f = sink, head_at, tail_at, factor
         if lookup:
             get = {right_join(key): w if f == 1 else f * w for key, w in right.items()}.get
@@ -714,16 +714,6 @@ def contract(spec: str, *tensors: dict, into: tuple | None = None) -> dict | Non
                 for tail, w in group:
                     out[head + tail] += v * w
         acc = out
-    if into is not None:
-        return None
-    if summing:
-        out = defaultdict(int)
-        for key, v in acc.items():
-            out[reorder(key)] += v
-        return out
-    if reorder is not None:
-        return {reorder(key): v for key, v in acc.items()}
-    return acc
 
 
 def packing(arity: int, axes: tuple[tuple[int, int], ...]) -> tuple:

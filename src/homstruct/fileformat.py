@@ -87,6 +87,9 @@ class StructureFile(Record):
         return self.structures[name]
 
 
+_NAMES = "structure names must be nonempty strings"
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise FormatError(msg)
@@ -270,7 +273,7 @@ def parse_bytes(data: bytes) -> StructureFile:
     numerals = _Numerals({"0": _ZERO})  # the grammar's one spelling of zero
 
     for name, entry in raw.items():
-        _require(isinstance(name, str) and name != "", "structure names must be nonempty strings")
+        _require(isinstance(name, str) and name != "", _NAMES)
         _require(isinstance(entry, dict), f"{name}: entry must be an object")
         kind = entry.get("kind")
         _require(isinstance(kind, str) and kind in _BY_WIRE, f"{name}: unknown kind {kind!r}")
@@ -322,6 +325,7 @@ def _entry_text(name: str, structure, sf: StructureFile, dump) -> str:
 
 
 def serialize(sf: StructureFile) -> bytes:
+    _require(all(isinstance(name, str) and name for name in sf.structures), _NAMES)  # as the reader
     for name in sf.base_of.values():
         if name not in sf.structures:
             raise FormatError(f"dangling reference to {name!r}")

@@ -16,7 +16,7 @@ summed over.  A law with a repeated argument is stated by its multilinear
 form and the two letters to exchange (``polarized``): ``LEFT_HOM_ALT`` is the
 row above followed by its terms with ``i`` and ``j`` swapped.  A ``Plan``
 evaluates the rows of one check on one structure together, names bound to
-maps and tensors; ``Law.check`` is a plan of one.
+maps and tensors.
 A construction is one term in the same grammar, over the letters of the
 tensor it builds, which ``exact.construct`` evaluates: ``("ijo", "+ t.ijq
 phi.oq")`` is the Yau twist's ``phi . mu``, the tensor rebuilt being ``t``
@@ -60,8 +60,9 @@ and shape (``ident``), which fix its ``scaled``, so a regular module's ``act``
 is its algebra's ``mu``.  A scaled or packed operand, a class sum ``W`` and a
 contraction mean the same ints in every row, so each is built once: a class
 that two rows hold is summed once and spread by each, and a contraction
-that two distinct classes hold is contracted to its output dict and added
-into each.  ``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and ``HOM_ASSOC`` spread
+that two distinct classes hold is contracted once into a list of its own,
+laid out as ``W``, and added into each class's ``W`` by one C-level ``map``.
+``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and ``HOM_ASSOC`` spread
 one ``W = A - B``: two contractions for the three.  A class's coefficients
 are summed per contraction and zero ones dropped, so terms that bound
 operands make one contraction cancel: a class left empty is not evaluated,
@@ -88,9 +89,9 @@ loads, works out the common scale and B, packs, contracts, spreads and scans.
 
 from __future__ import annotations
 
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from math import lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch
 from .exact import _parse, compiled, contract, lazy, offsets, pack, packing, unpack, untwisted
@@ -216,10 +217,6 @@ class Law:
                 spreads[-1].append((s, gather))
         return strides, spreads
 
-    def check(self, axiom: str, **operands) -> AxiomReport:
-        """Evaluate the law on the bound maps and tensors and report it as ``axiom``."""
-        return Plan({axiom: [(axiom, self, operands)]}).check(axiom)
-
 
 class Plan:
     """The rows of one check on one structure (see above).  ``parts`` maps
@@ -283,13 +280,17 @@ class Plan:
             w = self._sums.get(key)
             if w is None:
                 w = [0] * size
-                for shared, spec, loads, into, sinks, p, c in terms:
-                    tensors = self._values.get(shared)
-                    if tensors is None:
-                        tensors = map(entries.__getitem__, loads)
-                        if shared is not None:  # contracted once, then added as a lone operand
-                            tensors = self._values[shared] = [contract(spec, *tensors)]
-                    contract(into, *tensors, into=(w, sinks, c * factors[p]))
+                for shared, spec, loads, sinks, p, c in terms:
+                    f = c * factors[p]
+                    if shared is None:
+                        contract(spec, *map(entries.__getitem__, loads), into=(w, sinks, f))
+                        continue
+                    value = self._values.get(shared)
+                    if value is None:  # contracted once, laid out as every W that adds it
+                        value = self._values[shared] = [0] * size
+                        contract(spec, *map(entries.__getitem__, loads), into=(value, sinks, 1))
+                    part = value if f == 1 or f == -1 else map(mul, value, repeat(f))
+                    w = list(map(sub if f == -1 else add, w, part))
                 if key is not None:
                     self._sums[key] = w
             for s, gather in spread:
@@ -340,10 +341,11 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
     ``packs`` holds ``(number, operand number, packing)`` per operand its
     classes pack, numbered after the operands; a class, its coefficients summed
     per contraction and left out when they all cancel, is ``(its number if
-    another row holds it, spreads, terms)``, a term ``(shared, spec, loads, into,
-    sink offsets, product, coefficient)``, ``loads`` its operands' numbers.  A
+    another row holds it, spreads, terms)``, a term ``(shared, spec, loads, sink
+    offsets, product, coefficient)``, ``loads`` its operands' numbers.  A
     contraction is numbered by spec and packed operands; ``shared`` is its number
-    when two distinct classes hold it: contracted once, added by the lone ``into``."""
+    when two distinct classes hold it: contracted once into a list laid out as
+    their ``W``, which the operands' shapes fix, and added into each ``W``."""
     numbered, uses, keyed = {}, {}, []
     for _, law, numbers in rows:
         groups, classes, names, _, _ = law._compiled
@@ -379,13 +381,12 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
                                     len(products))
             bound[p] = bound.get(p, 0) + len(used) * prod([shape[n][axis] for n, axis in summed])
             share = keys[g] if keys[g] in shared else None
-            into = spec if share is None else "{0}->{0}".format(spec.split(">")[1])
             load = [number[name] if layout is None else packed_ids.setdefault(
                         (number[name], packed, (full[-1], 1)[-k:]), len(shapes) + len(packed_ids))
                     for (name, packed), layout in loads[g]]
             packings[g] = [(key, number[name], layout) for key, ((name, _), layout)
                            in zip(load, loads[g]) if layout is not None]
-            terms[g] = (share, spec, tuple(load), into, compiled(offsets, into, strides), p)
+            terms[g] = (share, spec, tuple(load), compiled(offsets, spec, strides), p)
         bounds[tuple(bound.items())] = None
         packs = {item[0]: item for _, row, _ in kept for g, _ in row for item in packings[g]}
         programs[axiom] = (k, full[-1], prod(out), out[:width], prod(out[width:]),

@@ -13,7 +13,7 @@ index order, together with the total count.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .exact import _ZERO, Record, Vector, _set, format_ratio, lazy, record
@@ -38,13 +38,6 @@ class Witness(Record):
         _set(self, "index", index)
         _set(self, "digits", digits)
         _set(self, "scale", scale)
-
-    @classmethod
-    def of(cls, index: tuple[int, ...], residual: Vector) -> "Witness":
-        """The witness of a residual given as a ``Vector`` of rationals."""
-        scale = lcm(*(x.denominator for x in residual.entries))
-        return cls(index, tuple(x.numerator * (scale // x.denominator) for x in residual.entries),
-                   scale)
 
     @lazy
     def residual(self) -> Vector:

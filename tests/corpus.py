@@ -1,27 +1,53 @@
-"""Deterministic mixed pass/fail corpora for the polarization agreement suites.
+"""Deterministic random structures, and mixed pass/fail corpora of them for the
+polarization agreement suites.
 
-Every structure is reproducible from the fixed seeds below; roughly one in
-eight algebra entries (one in ten module entries) is a known-good structure
-so that both verdict classes are exercised.
+Every structure is reproducible from the fixed seeds below, its entries drawn
+from ``catalog.DeterministicRng``; roughly one in eight algebra entries (one in
+ten module entries) is a known-good structure so that both verdict classes are
+exercised.
 """
 
+from fractions import Fraction
+
 from homstruct import HomAlgebra, HomModule
-from homstruct.catalog import (
-    DeterministicRng,
-    dual_numbers,
-    dual_numbers_twisted,
-    group_algebra_z2,
-    random_structure,
-)
-from homstruct.exact import LinearMap, MulTensor
+from homstruct.catalog import DeterministicRng, dual_numbers, dual_numbers_twisted, group_algebra_z2
+from homstruct.errors import DimensionMismatch
+from homstruct.exact import ActionTensor, LinearMap, MulTensor
 from homstruct.modules import regular_module
 
 POINTS_PER_STRUCTURE = 50
 
 
+def tensor_entry(rng: DeterministicRng) -> Fraction:
+    """An entry in {-2, ..., 2}."""
+    return Fraction(rng.int_between(-2, 2))
+
+
+def random_structure(seed: int, dim: int, kind: str):
+    """Deterministic pseudo-random structure with entries in {-2, ..., 2}."""
+    if dim < 0 or dim > 4:
+        raise DimensionMismatch("random structures cover dims 0..4")
+    rng = DeterministicRng(seed)
+
+    def draw(axes: int):
+        """A dim x ... x dim block of ``axes`` axes, drawn in lexicographic order."""
+        if not axes:
+            return tensor_entry(rng)
+        return [draw(axes - 1) for _ in range(dim)]
+
+    if kind == "mul":
+        return MulTensor.from_entries(draw(3))
+    if kind == "action":
+        return ActionTensor.from_entries(draw(3), dim, dim, "left")
+    if kind == "algebra":
+        mul = MulTensor.from_entries(draw(3))
+        return HomAlgebra(dim, mul, LinearMap.from_rows(draw(2)))
+    raise DimensionMismatch(f"unknown random structure kind {kind!r}")
+
+
 def _random_map(seed: int, dim: int) -> LinearMap:
     rng = DeterministicRng(seed)
-    return LinearMap.from_rows([[rng.tensor_entry() for _ in range(dim)] for _ in range(dim)])
+    return LinearMap.from_rows([[tensor_entry(rng) for _ in range(dim)] for _ in range(dim)])
 
 
 def _known_good_algebras():

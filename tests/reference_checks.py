@@ -1,17 +1,19 @@
 """Reference implementation of every basis-scan check: the test oracle.
 
 These are the hand-unrolled ``Fraction`` loops the library used before its
-laws became rows of signed contraction terms, kept verbatim but for two
-edits: ``from_scan``, formerly a classmethod of ``AxiomReport``, is a
-function here, and the algebra and module scans, and every ``f . x = y . f``
-scan, evaluate maps and tensors at points with ``reference_eval``'s loops
-where they called the package's own evaluation.  ``test_differential.py``
+laws became rows of signed contraction terms, kept verbatim but for three
+edits: ``from_scan`` and ``witness_of``, formerly classmethods of
+``AxiomReport`` and ``Witness``, are functions here, and the algebra and
+module scans, and every ``f . x = y . f`` scan, evaluate maps and tensors at
+points with ``reference_eval``'s loops where they called the package's own
+evaluation.  ``test_differential.py``
 requires the library's reports to equal these, field for field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from homstruct.algebras import (
@@ -89,6 +91,13 @@ def from_scan(axiom: str, failures: Iterator[Witness]) -> AxiomReport:
     return AxiomReport(axiom, total == 0, tuple(kept), total)
 
 
+def witness_of(index: tuple[int, ...], residual: Vector) -> Witness:
+    """The witness of a residual given as a ``Vector`` of rationals."""
+    scale = lcm(*(x.denominator for x in residual.entries))
+    return Witness(index, tuple(x.numerator * (scale // x.denominator) for x in residual.entries),
+                   scale)
+
+
 def flatten_matrix(mat: Sequence[Sequence[Fraction]]) -> Vector:
     """Flatten an n1 x n2 coefficient matrix to the lexicographic tensor basis."""
     return Vector(tuple(x for row in mat for x in row))
@@ -102,7 +111,7 @@ def flatten_cube(cube: Iterable[Iterable[Iterable[Fraction]]]) -> Vector:
 
 
 def _witness(index: tuple[int, ...], r: list) -> Witness:
-    return Witness.of(index, Vector(tuple(r)))
+    return witness_of(index, Vector(tuple(r)))
 
 
 def check_left_hom_alternative(a: HomAlgebra) -> AxiomReport:
@@ -342,7 +351,7 @@ def check_cocommutativity(c: HomPoissonCoalgebra) -> AxiomReport:
             plane = c.delta.d[k]
             res = [[plane[i][j] - plane[j][i] for j in range(n)] for i in range(n)]
             if any(x for row in res for x in row):
-                yield Witness.of((k,), flatten_matrix(res))
+                yield witness_of((k,), flatten_matrix(res))
 
     return from_scan(COCOMMUTATIVITY, scan())
 
@@ -356,7 +365,7 @@ def _multiplicativity_report(axiom: str, t: ComulTensor, alpha: LinearMap) -> Ax
             rhs = _two_leg_alpha(t, alpha, k)
             res = [[lhs[i][j] - rhs[i][j] for j in range(n)] for i in range(n)]
             if any(x for row in res for x in row):
-                yield Witness.of((k,), flatten_matrix(res))
+                yield witness_of((k,), flatten_matrix(res))
 
     return from_scan(axiom, scan())
 
@@ -400,7 +409,7 @@ def _coassociativity_report(t: ComulTensor, alpha: LinearMap) -> AxiomReport:
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness.of((k,), flatten_cube(res))
+                yield witness_of((k,), flatten_cube(res))
 
     return from_scan(HOM_COASSOCIATIVITY, scan())
 
@@ -422,7 +431,7 @@ def _skew_report(t: ComulTensor) -> AxiomReport:
             plane = t.d[k]
             res = [[plane[i][j] + plane[j][i] for j in range(n)] for i in range(n)]
             if any(x for row in res for x in row):
-                yield Witness.of((k,), flatten_matrix(res))
+                yield witness_of((k,), flatten_matrix(res))
 
     return from_scan(SKEW_COSYMMETRY, scan())
 
@@ -463,7 +472,7 @@ def _cojacobi_report(t: ComulTensor, alpha: LinearMap) -> AxiomReport:
                         # identity + rotation + rotation^2 of x1@x2@x3 -> x3@x1@x2
                         res[i][j][l] = base[i][j][l] + base[j][l][i] + base[l][i][j]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness.of((k,), flatten_cube(res))
+                yield witness_of((k,), flatten_cube(res))
 
     return from_scan(HOM_COJACOBI, scan())
 
@@ -532,7 +541,7 @@ def _coleibniz_report(delta: ComulTensor, gamma: ComulTensor, alpha: LinearMap) 
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness.of((k,), flatten_cube(res))
+                yield witness_of((k,), flatten_cube(res))
 
     return from_scan(HOM_COLEIBNIZ, scan())
 
@@ -565,7 +574,7 @@ def check_coendomorphism(p: HomPoissonCoalgebra, phi: LinearMap) -> AxiomReport:
                 rhs = _two_leg_alpha(t, phi, k)
                 res = [[lhs[i][j] - rhs[i][j] for j in range(n)] for i in range(n)]
                 if any(x for row in res for x in row):
-                    yield Witness.of((k,), flatten_matrix(res))
+                    yield witness_of((k,), flatten_matrix(res))
 
         return from_scan(tag, gen())
 
@@ -611,7 +620,7 @@ def check_coalgebra_morphism(
                                 rhs[i][j] += fl * w
                 res = [[lhs[i][j] - rhs[i][j] for j in range(n2)] for i in range(n2)]
                 if any(x for row in res for x in row):
-                    yield Witness.of((k,), flatten_matrix(res))
+                    yield witness_of((k,), flatten_matrix(res))
 
         return from_scan(tag, gen())
 
@@ -660,7 +669,7 @@ def _beta_compat_report(axiom: str, t: CoactionTensor, alpha: LinearMap, beta: L
                                 rhs[i][q] += v * ai * bq
             res = [[lhs[i][q] - rhs[i][q] for q in range(m)] for i in range(n)]
             if any(x for row in res for x in row):
-                yield Witness.of((p,), flatten_matrix(res))
+                yield witness_of((p,), flatten_matrix(res))
 
     return from_scan(axiom, scan())
 
@@ -704,7 +713,7 @@ def _coassoc_compat_report(t: CoactionTensor, delta: ComulTensor, alpha: LinearM
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness.of((p,), flatten_cube(res))
+                yield witness_of((p,), flatten_cube(res))
 
     return from_scan(DELTA_COACTION_COASSOCIATIVITY, scan())
 
@@ -766,7 +775,7 @@ def _lie_compat_report(t: CoactionTensor, gamma: ComulTensor, alpha: LinearMap, 
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness.of((p,), flatten_cube(res))
+                yield witness_of((p,), flatten_cube(res))
 
     return from_scan(GAMMA_COACTION_COMPATIBILITY, scan())
 
@@ -838,7 +847,7 @@ def _mixed_coleibniz_report(c: HomComodule) -> AxiomReport:
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness.of((p,), flatten_cube(res))
+                yield witness_of((p,), flatten_cube(res))
 
     return from_scan(COMODULE_COLEIBNIZ, scan())
 
@@ -891,7 +900,7 @@ def _mixed_comult_report(c: HomComodule) -> AxiomReport:
                 for i in range(n)
             ]
             if any(x for plane2 in res for row in plane2 for x in row):
-                yield Witness.of((p,), flatten_cube(res))
+                yield witness_of((p,), flatten_cube(res))
 
     return from_scan(COMODULE_COMULT_COMPAT, scan())
 
@@ -946,7 +955,7 @@ def check_comodule_morphism(
                                 rhs[i][q] += fr * w
                 res = [[lhs[i][q] - rhs[i][q] for q in range(c2.dim_mod)] for i in range(n)]
                 if any(x for row in res for x in row):
-                    yield Witness.of((p,), flatten_matrix(res))
+                    yield witness_of((p,), flatten_matrix(res))
 
         return from_scan(tag, gen())
 

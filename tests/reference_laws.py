@@ -4,7 +4,8 @@
 residual letter was packed into slots of one ``int``: every residual
 coordinate is its own key of the contraction, added term by term, and
 ``report`` builds the witnesses from those keys.  ``test_laws.py`` requires
-the packed ``Law.check`` to equal it, field for field.
+the packed row, checked as a plan of one (``check_row``), to equal it, field
+for field.  ``contracted`` reads ``exact.contract``'s sum back as a dict.
 """
 
 from __future__ import annotations
@@ -15,8 +16,32 @@ from itertools import product
 from math import lcm, prod
 from operator import itemgetter
 
-from homstruct.exact import Vector, contract
-from homstruct.report import WITNESS_CAP, AxiomReport, Witness
+from homstruct.exact import Vector, contract, offsets
+from homstruct.laws import Law, Plan
+from homstruct.report import WITNESS_CAP, AxiomReport
+from reference_checks import witness_of
+
+
+def check_row(law: Law, axiom: str, **operands) -> AxiomReport:
+    """``law`` on the bound maps and tensors, checked as a plan of one row."""
+    return Plan({axiom: [(axiom, law, operands)]}).check(axiom)
+
+
+def contracted(spec: str, *tensors: dict) -> dict:
+    """``contract``'s sum of ``spec`` as ``{index tuple: value}`` over its nonzero entries:
+    added into a list over the output letters, each sized by the largest index an
+    operand holds for it, and read back."""
+    inputs, out = spec.split("->")
+    sizes: dict = {}
+    for letters, tensor in zip(inputs.split(","), tensors):
+        for key in tensor:
+            for c, i in zip(letters, key):
+                sizes[c] = max(sizes.get(c, 0), i + 1)
+    shape = [sizes.get(c, 0) for c in out]
+    strides = tuple(prod(shape[axis + 1 :]) for axis in range(len(shape)))
+    sink = [0] * prod(shape)
+    contract(spec, *tensors, into=(sink, offsets(spec, strides), 1))
+    return {key: v for key, v in zip(product(*map(range, shape)), sink) if v}
 
 
 def report(axiom: str, residual: dict, width: int, shape: tuple, scale: int) -> AxiomReport:
@@ -27,7 +52,7 @@ def report(axiom: str, residual: dict, width: int, shape: tuple, scale: int) -> 
     zero = Fraction(0)
     positions = list(product(*map(range, shape)))
     kept = tuple(
-        Witness.of(index, Vector(tuple(
+        witness_of(index, Vector(tuple(
             Fraction(x, scale) if (x := residual.get(index + p)) else zero for p in positions
         )))
         for index in failing[:WITNESS_CAP]
@@ -77,7 +102,7 @@ class UnpackedLaw:
         terms = []
         for names, spec, uses in self.groups:
             scale = prod(scaled[name][0] for name in names)
-            terms.append((scale, contract(spec, *(scaled[name][1] for name in names)), uses))
+            terms.append((scale, contracted(spec, *(scaled[name][1] for name in names)), uses))
         common = lcm(*(scale for scale, _, _ in terms))
         residual: dict = defaultdict(int)
         for scale, value, uses in terms:

@@ -1,8 +1,14 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import reference_checks as ref
+
+from homstruct import laws
 from homstruct import (
+    HomAlgebra,
     HomPoissonCoalgebra,
     check_coalgebra_morphism,
     check_cocommutativity,
@@ -34,7 +40,8 @@ from homstruct.coalgebras import (
     SKEW_COSYMMETRY,
 )
 from homstruct.errors import AlreadyTwisted, NotCoendomorphism
-from homstruct.exact import ComulTensor, LinearMap
+from homstruct.algebras import HOM_ASSOC
+from homstruct.exact import ComulTensor, LinearMap, MulTensor
 
 
 def coalgebra_entries():
@@ -281,3 +288,65 @@ def test_non_morphism_detected():
     p = primitive_coalgebra()
     rep = check_coalgebra_morphism(LinearMap.diagonal([2, 1]), p, p)
     assert not rep.holds
+
+
+# --- duality: a coalgebra law is its dual algebra's law ------------------------------------
+
+def dual_algebra(c: HomPoissonCoalgebra) -> HomAlgebra:
+    """``(delta^T, alpha^T)``: ``mu[i][j][k] = delta[k][i][j]`` and the transposed twist."""
+    n, d, a = c.dim, c.delta.d, c.alpha.entries
+    mu = [[[d[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
+    return HomAlgebra(n, MulTensor.from_entries(mu), LinearMap.from_rows(
+        [[a[j][i] for j in range(n)] for i in range(n)], n))
+
+
+def dense_coalgebra(rng: random.Random, n: int) -> HomPoissonCoalgebra:
+    """Every entry of delta and alpha a nonzero rational; gamma zero."""
+    def entry():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    delta = ComulTensor.from_entries([[[entry() for _ in range(n)] for _ in range(n)]
+                                      for _ in range(n)])
+    alpha = LinearMap.from_rows([[entry() for _ in range(n)] for _ in range(n)], n)
+    return HomPoissonCoalgebra(n, delta, ComulTensor.zero(n), alpha)
+
+
+def test_hom_coassociativity_is_the_dual_algebras_hom_associativity(monkeypatch):
+    # The oracle with no witness cap gives every failing index's full residual.
+    monkeypatch.setattr(ref, "WITNESS_CAP", 10**6)
+    cases = [c.payload for c in coalgebra_entries()]
+    cases += [dense_coalgebra(random.Random(100 * n + seed), n)
+              for n, seed in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1))]
+    verdicts = []
+    for c in cases:
+        n, mu = c.dim, dual_algebra(c)
+        holds = laws.check(c, HOM_COASSOCIATIVITY).holds
+        assert holds == laws.check(mu, HOM_ASSOC).holds
+        co = ref.check_hom_coassociative(c).part(HOM_COASSOCIATIVITY).witnesses
+        algebra = ref.check_hom_associative(mu).witnesses
+        # Coalgebra index (k; i, j, l) is algebra index (i, j, l; k).
+        got = {(k, *key): v for (k,), w in ((w.index, w) for w in co)
+               for key, v in zip(product(range(n), repeat=3), w.residual.entries) if v}
+        want = {(k, *w.index): v for w in algebra for k, v in enumerate(w.residual.entries) if v}
+        assert got == want and holds == (not got)
+        verdicts.append(holds)
+    assert True in verdicts and False in verdicts
+
+
+def test_the_transposed_commutator_of_a_hom_associative_algebra_is_hom_lie():
+    # gamma[k][i][j] = mu[i][j][k] - mu[j][i][k] with alpha^T: the dual of mu - mu^op.
+    checked = {}
+    for entry in entries():
+        alg = entry.payload
+        if not isinstance(alg, HomAlgebra):
+            continue
+        n, c, a = alg.dim, alg.mu.c, alg.alpha.entries
+        gamma = [[[c[i][j][k] - c[j][i][k] for j in range(n)] for i in range(n)] for k in range(n)]
+        alpha = LinearMap.from_rows([[a[j][i] for j in range(n)] for i in range(n)], n)
+        coalg = HomPoissonCoalgebra(n, ComulTensor.zero(n), ComulTensor.from_entries(gamma), alpha)
+        checked[entry.name] = (entry.expected_verdicts[HOM_ASSOC], check_hom_lie_coalgebra(coalg))
+    associative = [name for name, (assoc, _) in checked.items() if assoc]
+    assert len(associative) == 6
+    assert all(checked[name][1].holds for name in associative)
+    report = checked["octonions"][1]
+    assert [(p.axiom, p.total_failures) for p in report.parts if not p.holds] == [(HOM_COJACOBI, 7)]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import reference_checks as ref
-from corpus import algebra_corpus, module_corpus
+from corpus import algebra_corpus, module_corpus, random_structure, tensor_entry
 from homstruct import axioms, catalog
 from homstruct.algebras import (
     HomAlgebra,
@@ -22,7 +22,7 @@ from homstruct.algebras import (
     check_morphism,
     check_right_hom_alternative,
 )
-from homstruct.catalog import DeterministicRng, random_structure
+from homstruct.catalog import DeterministicRng
 from homstruct.coalgebras import (
     COCOMMUTATIVITY,
     DELTA_MULTIPLICATIVITY,
@@ -173,7 +173,7 @@ class Draw:
             return Fraction(0)
         if over is not None:
             return Fraction((self.rng.next_raw() << 31 | self.rng.next_raw()) - (1 << 61), over)
-        return self.rng.point_entry() if self.rational else self.rng.tensor_entry()
+        return self.rng.point_entry() if self.rational else tensor_entry(self.rng)
 
     def matrix(self, rows: int, cols: int, over: int | None = None):
         return [[self.entry(over) for _ in range(cols)] for _ in range(rows)]

@@ -191,6 +191,25 @@ def test_dangling_reference_rejected_on_write():
         serialize(sf)
 
 
+def test_the_writer_refuses_the_names_the_reader_refuses():
+    alg = dual_numbers(2)[0]
+    for name in ("", 7, None):
+        # Alone, and beside a string name, which once made ``sorted`` raise TypeError.
+        for structures in ({name: alg}, {name: alg, "a": alg}):
+            with pytest.raises(FormatError) as info:
+                serialize(StructureFile(1, structures, {}))
+            assert info.value.args == ("structure names must be nonempty strings",)
+    data = b'{"version":1,"structures":{"":{"kind":"linear_map","matrix":[["1"]]}}}\n'
+    with pytest.raises(FormatError, match="^structure names must be nonempty strings$"):
+        parse_bytes(data)
+    # A name that needs JSON escapes reads back and writes the same bytes.
+    names = ['a"b', "back\\slash", "tab\tand\nline", "\x00", "/", "é   \U0001f600"]
+    data = serialize(StructureFile(1, {name: alg for name in names}, {}))
+    parsed = parse_bytes(data)
+    assert sorted(parsed.structures) == sorted(names)
+    assert serialize(parsed) == data
+
+
 def test_write_file_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
     path = tmp_path / "out.json"
     long = single_structure_file("octo", octonions())

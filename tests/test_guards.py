@@ -11,9 +11,10 @@ import pkgutil
 import pytest
 
 import homstruct
+from corpus import random_structure
 from homstruct import algebras, catalog, cli, coalgebras, comodules, fileformat, laws, modules
 from homstruct.algebras import HOM_ASSOC, HomAlgebra, check_endomorphism, check_morphism, yau_twist
-from homstruct.catalog import matrix_algebra, matrix_conjugation, random_structure
+from homstruct.catalog import matrix_algebra, matrix_conjugation
 from homstruct.coalgebras import (
     HomPoissonCoalgebra,
     check_coalgebra_morphism,

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from corpus import module_corpus, point_rng, POINTS_PER_STRUCTURE
+from corpus import module_corpus, point_rng, random_structure, tensor_entry, POINTS_PER_STRUCTURE
 from homstruct import (
     HomAlgebra,
     HomModule,
@@ -23,7 +23,6 @@ from homstruct.catalog import (
     dual_numbers_twisted,
     entries,
     octonions,
-    random_structure,
     zero_algebra,
 )
 from homstruct.errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
@@ -40,6 +39,7 @@ from reference_eval import (
     point,
     zeros,
 )
+from reference_laws import check_row
 
 
 def module_entries():
@@ -129,7 +129,7 @@ def test_associator_octonion_values():
     # witnesses are listed in index order, so (1, 2, 3) would precede (1, 2, 4).
     law = _LAWS[LEFT_MODULE]
     (_, _, operands), = mod.laws(LEFT_MODULE)
-    report = Law(law.index, law.residual, *law.terms[:2]).check("ASSOCIATOR", **operands)
+    report = check_row(Law(law.index, law.residual, *law.terms[:2]), "ASSOCIATOR", **operands)
     residuals = {w.index: list(w.residual.entries) for w in report.witnesses}
     assert (1, 2, 3) not in residuals and residuals[(1, 2, 4)] == value
 
@@ -335,7 +335,7 @@ def extension_cases() -> list[HomModule]:
         rng = DeterministicRng(6000 + seed)
         side, n, d = ("left", "right")[seed % 2], 1 + seed % 3, 1 + seed // 2 % 3
         beta = LinearMap.from_rows([[rng.point_entry() for _ in range(d)] for _ in range(d)])
-        draw = (lambda: 0) if seed % 3 == 2 else rng.tensor_entry
+        draw = (lambda: 0) if seed % 3 == 2 else (lambda: tensor_entry(rng))
         shape = action_shape(n, d, side)
         cube = [[[draw() for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
         cases.append(HomModule(random_structure(7000 + seed, n, "algebra"), d, beta,

