@@ -5,8 +5,6 @@ from itertools import product
 import pytest
 
 import reference_checks as ref
-
-from homstruct import laws
 from homstruct import (
     HomAlgebra,
     HomPoissonCoalgebra,
@@ -17,10 +15,12 @@ from homstruct import (
     check_hom_coleibniz,
     check_hom_lie_coalgebra,
     check_hom_poisson_coalgebra,
+    laws,
     negate_coalgebra,
     opposite_coalgebra,
     yau_twist_coalgebra,
 )
+from homstruct.algebras import HOM_ASSOC
 from homstruct.catalog import (
     coleibniz_failing_coalgebra,
     entries,
@@ -40,7 +40,6 @@ from homstruct.coalgebras import (
     SKEW_COSYMMETRY,
 )
 from homstruct.errors import AlreadyTwisted, NotCoendomorphism
-from homstruct.algebras import HOM_ASSOC
 from homstruct.exact import ComulTensor, LinearMap, MulTensor
 
 
@@ -292,12 +291,16 @@ def test_non_morphism_detected():
 
 # --- duality: a coalgebra law is its dual algebra's law ------------------------------------
 
+def transposed(f: LinearMap) -> LinearMap:
+    n, a = f.dim_out, f.entries  # a square twist
+    return LinearMap.from_rows([[a[j][i] for j in range(n)] for i in range(n)], n)
+
+
 def dual_algebra(c: HomPoissonCoalgebra) -> HomAlgebra:
     """``(delta^T, alpha^T)``: ``mu[i][j][k] = delta[k][i][j]`` and the transposed twist."""
-    n, d, a = c.dim, c.delta.d, c.alpha.entries
+    n, d = c.dim, c.delta.d
     mu = [[[d[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-    return HomAlgebra(n, MulTensor.from_entries(mu), LinearMap.from_rows(
-        [[a[j][i] for j in range(n)] for i in range(n)], n))
+    return HomAlgebra(n, MulTensor.from_entries(mu), transposed(c.alpha))
 
 
 def dense_coalgebra(rng: random.Random, n: int) -> HomPoissonCoalgebra:
@@ -325,7 +328,7 @@ def test_hom_coassociativity_is_the_dual_algebras_hom_associativity(monkeypatch)
         co = ref.check_hom_coassociative(c).part(HOM_COASSOCIATIVITY).witnesses
         algebra = ref.check_hom_associative(mu).witnesses
         # Coalgebra index (k; i, j, l) is algebra index (i, j, l; k).
-        got = {(k, *key): v for (k,), w in ((w.index, w) for w in co)
+        got = {(*w.index, *key): v for w in co
                for key, v in zip(product(range(n), repeat=3), w.residual.entries) if v}
         want = {(k, *w.index): v for w in algebra for k, v in enumerate(w.residual.entries) if v}
         assert got == want and holds == (not got)
@@ -340,10 +343,10 @@ def test_the_transposed_commutator_of_a_hom_associative_algebra_is_hom_lie():
         alg = entry.payload
         if not isinstance(alg, HomAlgebra):
             continue
-        n, c, a = alg.dim, alg.mu.c, alg.alpha.entries
+        n, c = alg.dim, alg.mu.c
         gamma = [[[c[i][j][k] - c[j][i][k] for j in range(n)] for i in range(n)] for k in range(n)]
-        alpha = LinearMap.from_rows([[a[j][i] for j in range(n)] for i in range(n)], n)
-        coalg = HomPoissonCoalgebra(n, ComulTensor.zero(n), ComulTensor.from_entries(gamma), alpha)
+        coalg = HomPoissonCoalgebra(n, ComulTensor.zero(n), ComulTensor.from_entries(gamma),
+                                    transposed(alg.alpha))
         checked[entry.name] = (entry.expected_verdicts[HOM_ASSOC], check_hom_lie_coalgebra(coalg))
     associative = [name for name, (assoc, _) in checked.items() if assoc]
     assert len(associative) == 6

@@ -1,7 +1,7 @@
-"""Every guard of a record or a check, and of the test oracle's point evaluation,
-pinned by its error type and exact text; what ``laws(id)`` does with an id its
-structure does not hold; and that the registry and the file format serve every
-structure type that states laws."""
+"""Every guard of a record or a check, and of the test oracle's point evaluation and
+the test corpus's random structures, pinned by its error type and exact text; what
+``laws(id)`` does with an id its structure does not hold; and that the registry and
+the file format serve every structure type that states laws."""
 
 import importlib
 import inspect
