@@ -1,12 +1,12 @@
 """Hom-Poisson coalgebras, the one coalgebra record, and their laws by id.
 
-A Hom-Poisson coalgebra is a quadruple (A, delta, gamma, alpha) where delta
-is a Hom-coassociative comultiplication, gamma a Hom-Lie cobracket, and the
-two are linked by the co-Leibniz law.  The Hom-coassociative and Hom-Lie
-parts are ids of that one record (``HOM_COASSOC_COALGEBRA``,
-``HOM_LIE_COALGEBRA``); a coalgebra of delta alone has a zero gamma.  Each
-identity is a row of ``laws.Law`` checked per basis vector; residuals in a
-tensor square or cube are flattened lexicographically.  A coendomorphism phi
+A Hom-Poisson coalgebra is a quadruple (A, delta, gamma, alpha) where delta is a
+Hom-coassociative comultiplication, gamma a Hom-Lie cobracket, and the two are linked
+by the co-Leibniz law.  The Hom-coassociative and Hom-Lie parts are ids of that one
+record (``HOM_COASSOC_COALGEBRA``, ``HOM_LIE_COALGEBRA``); a coalgebra of delta alone
+has a zero gamma.  Each identity is a row of ``laws.Law`` checked per basis vector,
+residuals in a tensor square or cube flattened lexicographically; a row that is the dual
+algebra's (A*, delta^T, alpha^T) is that row ``laws.transposed``.  A coendomorphism phi
 and multiplicativity (phi = alpha) report ``t . phi - (phi @ phi) . t``, a
 morphism f ``(f @ f) . src - dst . f``.  The seven checks:
 
@@ -24,9 +24,10 @@ where tau flips a tensor square and rot(x @ y @ z) = z @ x @ y.
 
 from __future__ import annotations
 
+from .algebras import _ASSOCIATOR, _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
 from .exact import ComulTensor, LinearMap, Record, _set, rebuild, record
-from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map
+from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, transposed
 from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
@@ -78,11 +79,11 @@ class HomPoissonCoalgebra(Record):
 
 # Every coalgebra law: six on one comultiplication t and the twist alpha, then
 # co-Leibniz on delta and gamma; multiplicativity is a map row, of f = alpha on t.
-_MULTIPLICATIVE = Law("k", "ij", "+ f.lk src.lij", "- dst.kab f.ia f.jb")
+_MULTIPLICATIVE = transposed(_ALGEBRA_MULTIPLICATIVE)
 _LAWS = {
     COCOMMUTATIVITY: Law("k", "ij", "+ t.kij", "- t.kji"),
     DELTA_MULTIPLICATIVITY: _MULTIPLICATIVE,
-    HOM_COASSOCIATIVITY: Law("k", "ijl", "+ t.kab t.bjl alpha.ia", "- t.kab alpha.lb t.aij"),
+    HOM_COASSOCIATIVITY: transposed(Law(*_ASSOCIATOR), mu="t"),
     SKEW_COSYMMETRY: Law("k", "ij", "+ t.kij", "+ t.kji"),
     GAMMA_MULTIPLICATIVITY: _MULTIPLICATIVE,
     HOM_COJACOBI: Law(

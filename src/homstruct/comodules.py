@@ -17,9 +17,9 @@ of M and with residuals flattened lexicographically:
         delta(m[-1]) @ beta(m[0]) =  alpha(m(-1)) @ gm(m(0))
                                   + swap12( alpha(m(-1)) @ gm(m(0)) )
 
-Each law is a row of ``laws.Law``; the mixed laws are stated in exactly
-these component (Sweedler) forms, and swap12 exchanges the first two tensor
-legs.
+Each law is a row of ``laws.Law``; the mixed laws are stated in exactly these
+component (Sweedler) forms, swap12 exchanging the first two tensor legs.  The
+coassociativity row is the dual left module's associator ``laws.transposed``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import Optional
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
 from .exact import CoactionTensor, LinearMap, Record, _set, compose, rebuild, record
-from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map
+from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, transposed
+from .modules import _ASSOCIATOR as _MODULE_ASSOCIATOR
 from .report import AxiomReport
 
 COASSOC_COMODULE = "COASSOC_COMODULE"
@@ -100,11 +101,8 @@ class HomComodule(Record):
 _MULTIPLICATIVE = Law("p", "iq", "+ beta.rp t.riq", "- t.pas alpha.ia beta.qs")
 _LAWS = {
     DELTA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
-    DELTA_COACTION_COASSOCIATIVITY: Law(
-        "p", "ijq",
-        "+ dm.pas dm.sjq alpha.ia",    # (alpha @ dm) . dm
-        "- dm.pas beta.qs delta.aij",  # (delta @ beta) . dm
-    ),
+    DELTA_COACTION_COASSOCIATIVITY: transposed(Law(*_MODULE_ASSOCIATOR["left"]),
+                                               act="dm", mu="delta"),
     GAMMA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
     GAMMA_COACTION_COMPATIBILITY: Law(
         "p", "ijq",

@@ -169,7 +169,8 @@ def _join(texts: list, quote: str = "") -> str:
 
 def _row_keys(shape) -> list:
     """The index tuples of ``shape``, one tuple of them per row along the last axis."""
-    keys, width = list(product(*map(range, shape))), shape[-1]
+    # product reads every range whole first: a shape with an empty axis has no key, so skip it
+    keys, width = list(product(*map(range, shape))) if 0 not in shape else [], shape[-1]
     return [tuple(keys[i * width : (i + 1) * width]) for i in range(prod(shape[:-1]))]
 
 
@@ -288,7 +289,7 @@ class _Tensor(Record):
         value (0 when there are none), from which ``laws.Law`` bounds its slots.
         """
         rows, shape = self._rows(), self.shape
-        live = list(map(is_not, rows, repeat(compiled(_zeros, shape[-1:]))))
+        live = list(map(is_not, rows, repeat(rows and compiled(_zeros, shape[-1:]))))
         flat = list(chain.from_iterable(compress(rows, live)))
         candidate = list(map(is_not, flat, repeat(_ZERO)))
         values = list(compress(flat, candidate))
@@ -330,13 +331,13 @@ class _Tensor(Record):
         each ``_ZERO`` and one text for every shared zero row, both picked out in C,
         and ``format_rational`` of each other entry, joined row by row."""
         rows, width = self._rows(), self.shape[-1]
-        live = list(map(is_not, rows, repeat(compiled(_zeros, (width,)))))
+        live = list(map(is_not, rows, repeat(rows and compiled(_zeros, (width,)))))
         flat = list(chain.from_iterable(compress(rows, live)))
         out = ["0"] * len(flat)
         written = list(map(is_not, flat, repeat(_ZERO)))
         for i, x in zip(compress(count(), written), compress(flat, written)):
             out[i] = format_rational(x)
-        texts = [_join(["0"] * width, '"')] * len(rows)
+        texts = [_join(["0"] * width, '"')] * len(rows) if rows else []
         for k, i in enumerate(compress(count(), live)):
             texts[i] = _join(out[k * width : (k + 1) * width], '"')
         return _nest(texts, self.shape, _join)

@@ -112,11 +112,12 @@ class _Numerals(dict):
         # Not _require: it would format the message for every row, valid or not.
         if not isinstance(data, list) or len(data) != rows:
             raise FormatError(f"{what}: expected {rows} rows")
-        get, zeros, zero = self.__getitem__, ["0"] * cols, compiled(_zeros, (cols,))
-        out = []
+        get, zeros, out = self.__getitem__, None, []
         for row in data:
             if not isinstance(row, list) or len(row) != cols:
                 raise FormatError(f"{what}: expected {cols} columns")
+            if zeros is None:  # built once a row of this width is read, not from a dim alone
+                zeros, zero = ["0"] * cols, compiled(_zeros, (cols,))
             try:  # a zero row, found in one comparison in C, is the shared one ``scaled`` skips
                 out.append(zero if row == zeros else tuple(map(get, row)))
             except TypeError:  # an unhashable entry; the entries before it are valid

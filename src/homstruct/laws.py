@@ -14,9 +14,10 @@ as ``name.letters``, with letters following the index conventions of
 ``exact.py``; a letter shared by operands and absent from the output is
 summed over.  A law with a repeated argument is stated by its multilinear
 form and the two letters to exchange (``polarized``): ``LEFT_HOM_ALT`` is the
-row above followed by its terms with ``i`` and ``j`` swapped.  A ``Plan``
-evaluates the rows of one check on one structure together, names bound to
-maps and tensors.
+row above followed by its terms with ``i`` and ``j`` swapped.  A coalgebra or
+comodule law that is the dual of an algebra or module row is that row
+``transposed``: ``HOM_COASSOCIATIVITY`` is the row above with ``mu`` named ``t``.
+A ``Plan`` evaluates the rows of one check on one structure together.
 A construction is one term in the same grammar, over the letters of the
 tensor it builds, which ``exact.construct`` evaluates: ``("ijo", "+ t.ijq
 phi.oq")`` is the Yau twist's ``phi . mu``, the tensor rebuilt being ``t``
@@ -73,7 +74,7 @@ An operand bound to an identity map (``is_identity``) is a relabelling: a plan
 drops it from each term of two or more operands where another operand holds its
 summed letter, renamed to its other letter (``_untwisted``, once per law and
 names).  ``HOM_ASSOC`` under ``alpha = id`` is ``+ mu.ibo mu.jkb - mu.ako
-mu.ija``; a multiplicativity row is ``+ src.kij - dst.kij``, which cancels on one
+mu.ija``; a multiplicativity row is ``+ src.oij - dst.oij``, which cancels on one
 tensor.  A renaming that repeats a letter in an operand is not made, and a row
 that would then hold a packed letter twice in a term is evaluated as stated.
 
@@ -161,8 +162,9 @@ class Law:
                 for name, sub in zip(names, subscripts)
             )
             subscripts = ["".join(c for c in sub if c not in packed) for sub in subscripts]
-            # Letters renamed in order of first appearance: equal forms are
-            # one contraction with the output letters permuted.
+            # Letters renamed in order of first appearance: equal forms are one contraction
+            # with the output letters permuted, and a spec spelled in those letters (a, b,
+            # ...) compiles once (``exact.compiled``) whatever letters a row names it by.
             rename = {c: i for i, c in enumerate(dict.fromkeys("".join(subscripts)))}
             form = (
                 ids,
@@ -171,7 +173,8 @@ class Law:
             )
             if form not in groups:
                 summed = tuple(local[c] for c in rename if c not in out)
-                spec = ",".join(subscripts) + "->" + out
+                spelling = {ord(c): ord("a") + i for c, i in rename.items()}
+                spec = (",".join(subscripts) + "->" + out).translate(spelling)
                 groups[form] = (len(groups), ids, spec, summed, rename, [])
             g, _, _, _, first, uses = groups[form]
             letter_of = {i: c for c, i in first.items()}
@@ -327,6 +330,25 @@ def polarized(index: str, residual: str, *terms: str, swap: str) -> Law:
     return Law(index, residual, *terms, *[
         _term(plus, [(name, letters.translate(flip)) for name, letters in operands])
         for plus, operands in map(_parse, terms)])
+
+
+def transposed(law: Law, **names: str) -> Law:
+    """The dual law of ``law``: index and residual letters exchanged, each operand's last
+    letter moved first (``mu.abo`` to ``t.oab``, ``alpha.ai`` to ``alpha.ia``), its name
+    renamed by ``names``.  A term starts at the operand holding the first index letter, then
+    takes the first operand, in stated order, whose unpacked letters are all held (a lookup
+    join), else the first left: ``alpha.ia`` first would join in n^4, not n^3."""
+    index, residual, terms = law.residual, law.index, []
+    for plus, operands in law._parsed:
+        rest = [(names.get(name, name), letters[-1] + letters[:-1]) for name, letters in operands]
+        ordered = [next(op for op in rest if index[0] in op[1])]
+        rest.remove(ordered[0])
+        while rest:  # the packed letters count as held: they are not joined on
+            held = set("".join([letters for _, letters in ordered]) + residual[-2:])
+            ordered.append(next((op for op in rest if set(op[1]) <= held), rest[0]))
+            rest.remove(ordered[-1])
+        terms.append(_term(plus, ordered))
+    return Law(index, residual, *terms)
 
 
 def _program(rows: tuple, shapes: tuple) -> tuple:

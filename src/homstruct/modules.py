@@ -3,10 +3,10 @@
 A left module over (A, mul, alpha) is (M, act, beta) whose module associator
 ``act(a(x), act(y, m)) - act(mul(x, y), b(m))`` vanishes at x = y; a right module's
 is ``act(act(m, x), a(y)) - act(b(m), mul(x, y))``, the Hom-associator of (m, x, y)
-with its sign flipped, and vanishes at x = y too.  As with the algebra laws, checks
-run on the polarized basis form, equivalent in characteristic zero: each side's
-associator is stated once, as a row of ``laws.Law``, and ``laws.polarized`` adds it
-again with the algebra letters ``ij`` exchanged.
+with its sign flipped, and vanishes at x = y too.  As with the algebra laws, checks run
+on the polarized basis form, equivalent in characteristic zero: each side's associator
+is stated once, as a row of ``laws.Law``, and ``laws.polarized`` adds it again with the
+algebra letters ``ij`` exchanged.  The left one transposed is a comodule row.
 """
 
 from __future__ import annotations
@@ -66,21 +66,17 @@ class HomModule(Record):
         return [(axiom, law, operands)]
 
 
-# Each side's module associator on mu, alpha, act and beta, polarized in x and y.
-_LAWS = {
-    LEFT_MODULE: polarized(
-        "ijp", "q",
-        "+ alpha.ai act.arq act.jpr",  # act(a(x), act(y, m))
-        "- beta.rp act.arq mu.ija",    # act(mul(x, y), b(m))
-        swap="ij",
-    ),
-    RIGHT_MODULE: polarized(
-        "pij", "q",
-        "+ alpha.aj act.raq act.pir",  # act(act(m, x), a(y))
-        "- beta.rp act.raq mu.ija",    # act(b(m), mul(x, y))
-        swap="ij",
-    ),
+# Each side's module associator on mu, alpha, act and beta; its law polarizes it in x and y.
+_ASSOCIATOR = {
+    "left": ("ijp", "q",
+             "+ alpha.ai act.arq act.jpr",  # act(a(x), act(y, m))
+             "- beta.rp act.arq mu.ija"),   # act(mul(x, y), b(m))
+    "right": ("pij", "q",
+              "+ alpha.aj act.raq act.pir",  # act(act(m, x), a(y))
+              "- beta.rp act.raq mu.ija"),   # act(b(m), mul(x, y))
 }
+_LAWS = {LEFT_MODULE: polarized(*_ASSOCIATOR["left"], swap="ij"),
+         RIGHT_MODULE: polarized(*_ASSOCIATOR["right"], swap="ij")}
 
 # f(act(x, m)) = act'(x, f(m)) on basis pairs, per side, for f from (src) to (dst).
 _INTERTWINES = {

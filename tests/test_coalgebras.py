@@ -5,8 +5,11 @@ from itertools import product
 import pytest
 
 import reference_checks as ref
+from reference_eval import basis, module_hom_associator
 from homstruct import (
     HomAlgebra,
+    HomComodule,
+    HomModule,
     HomPoissonCoalgebra,
     check_coalgebra_morphism,
     check_cocommutativity,
@@ -39,8 +42,10 @@ from homstruct.coalgebras import (
     HOM_COLEIBNIZ,
     SKEW_COSYMMETRY,
 )
+from homstruct.comodules import DELTA_COACTION_COASSOCIATIVITY, check_coassoc_comodule
 from homstruct.errors import AlreadyTwisted, NotCoendomorphism
-from homstruct.exact import ComulTensor, LinearMap, MulTensor
+from homstruct.exact import ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor
+from homstruct.report import WITNESS_CAP
 
 
 def coalgebra_entries():
@@ -333,6 +338,46 @@ def test_hom_coassociativity_is_the_dual_algebras_hom_associativity(monkeypatch)
         want = {(k, *w.index): v for w in algebra for k, v in enumerate(w.residual.entries) if v}
         assert got == want and holds == (not got)
         verdicts.append(holds)
+    assert True in verdicts and False in verdicts
+
+
+def dense_comodule(rng: random.Random, n: int, d: int) -> HomComodule:
+    """A coassociative comodule of dim ``d`` over ``dense_coalgebra``, every entry of its
+    coaction and beta a nonzero rational."""
+    def entry():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    dm = [[[entry() for _ in range(d)] for _ in range(n)] for _ in range(d)]
+    beta = LinearMap.from_rows([[entry() for _ in range(d)] for _ in range(d)], d)
+    return HomComodule(dense_coalgebra(rng, n), d, beta, "coassociative",
+                       CoactionTensor.from_entries(dm, n, d))
+
+
+def test_coaction_coassociativity_is_the_dual_modules_hom_associator():
+    # The dual left module: mu[i][j][k] = delta[k][i][j], act[i][p][q] = dm[q][i][p], and
+    # the transposed twists.  Residual (p; i, j, q) is the associator's coordinate p at
+    # (e_i, e_j, f_q).
+    cases = [e.payload for e in entries()
+             if isinstance(e.payload, HomComodule) and e.payload.delta_m is not None]
+    cases += [dense_comodule(random.Random(1000 * n + 10 * d + seed), n, d)
+              for n, d, seed in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1))]
+    assert len(cases) == 12
+    verdicts = []
+    for c in cases:
+        n, d, dm = c.coalgebra.dim, c.dim_mod, c.delta_m.g
+        act = [[[dm[q][i][p] for q in range(d)] for p in range(d)] for i in range(n)]
+        mod = HomModule(dual_algebra(c.coalgebra), d, transposed(c.beta),
+                        ActionTensor.from_entries(act, n, d, "left"), "left")
+        report = check_coassoc_comodule(c).part(DELTA_COACTION_COASSOCIATIVITY)
+        got = {(*w.index, *key): v for w in report.witnesses
+               for key, v in zip(product(range(n), range(n), range(d)), w.residual.entries) if v}
+        want = {}
+        for i, j, q in product(range(n), range(n), range(d)):
+            at = module_hom_associator(mod, basis(n, i), basis(n, j), basis(d, q))
+            want.update({(p, i, j, q): v for p, v in enumerate(at) if v})
+        assert got == want
+        assert report.total_failures == len({p for p, *_ in want}) < WITNESS_CAP
+        verdicts.append(report.holds)
     assert True in verdicts and False in verdicts
 
 

@@ -124,6 +124,27 @@ def test_map_without_rows_round_trips():
     assert serialize(sf) == body
 
 
+def test_a_width_with_no_row_builds_no_zero_row(tmp_path, capsys):
+    # A zero row of a width is built once a row of that width is read: a map of no
+    # rows, 10**15 columns wide, once ended in a MemoryError traceback.
+    from homstruct.cli import main
+
+    wide = b'"f":{"kind":"linear_map","dim_in":1000000000000000,"dim_out":0,"matrix":[]}'
+    body = serialize(single_structure_file("a", dual_numbers(2)[0]))
+    body = body[: -len(b"}}\n")] + b"," + wide + b"}}\n"
+    path, out = tmp_path / "wide.json", tmp_path / "twisted.json"
+    path.write_bytes(body)
+    f = parse_bytes(body).get("f")
+    assert f.shape == (0, 10**15) and f.scaled == (1, {}, 0) and f.text == "[]"
+    assert main(["verify", str(path), "f"]) == 2
+    captured = capsys.readouterr()
+    assert "FORMAT_ERROR" in captured.err and "Traceback" not in captured.err
+    assert main(["twist", str(path), "a", "--endo", "id", "--out", str(out)]) == 0
+    assert out.read_bytes() == body
+    assert main(["twist", str(path), "a", "--endo", "diag:1,2", "--out", str(out)]) == 0
+    assert wide in out.read_bytes() and out.read_bytes() != body
+
+
 def test_comodule_kinds_round_trip():
     lie = lie_only_coalgebra()
     sf = single_structure_file("lie_reg", regular_comodule(lie, "lie"), ("lie2", lie))

@@ -31,6 +31,7 @@ from homstruct.exact import (
     LinearMap,
     MulTensor,
     _Tensor,
+    _parse,
     compiled,
     construct,
 )
@@ -55,14 +56,14 @@ ROWS = {
     "module intertwines right": (modules._INTERTWINES["right"], 2, 2, "q"),
     "COCOMMUTATIVITY": (coalgebras._LAWS[coalgebras.COCOMMUTATIVITY], 2, 2, "ij"),
     "coalgebra multiplicative": (coalgebras._MULTIPLICATIVE, 2, 2, "ij"),
-    "HOM_COASSOCIATIVITY": (coalgebras._LAWS[coalgebras.HOM_COASSOCIATIVITY], 2, 2, "jl"),
+    "HOM_COASSOCIATIVITY": (coalgebras._LAWS[coalgebras.HOM_COASSOCIATIVITY], 2, 2, "jk"),
     "SKEW_COSYMMETRY": (coalgebras._LAWS[coalgebras.SKEW_COSYMMETRY], 2, 2, "ij"),
     "HOM_COJACOBI": (coalgebras._LAWS[coalgebras.HOM_COJACOBI], 3, 3, "jl"),
     "HOM_COLEIBNIZ": (coalgebras._LAWS[coalgebras.HOM_COLEIBNIZ], 3, 3, "jl"),
     "coalgebra morphism": (coalgebras._MORPHISM, 2, 2, "ij"),
     "coaction multiplicative": (comodules._MULTIPLICATIVE, 2, 2, "iq"),
     "DELTA_COACTION_COASSOCIATIVITY": (
-        comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY], 2, 2, "jq"
+        comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY], 2, 2, "jp"
     ),
     "GAMMA_COACTION_COMPATIBILITY": (
         comodules._LAWS[comodules.GAMMA_COACTION_COMPATIBILITY], 3, 3, "jq"
@@ -141,6 +142,40 @@ def test_polarized_swaps_operand_letters_and_never_names():
     assert law.terms == ("+ ij.iao x.aj", "- ij.jio", "+ ij.jao x.ai", "- ij.ijo")
     with pytest.raises(ValueError, match=re.escape("term '+ f' needs operands")):
         polarized("i", "o", "+ f", swap="ij")  # read by the grammar's own parser
+
+
+# Each row that ``transposed`` derives, and its statement by hand before it was derived.
+HAND_WRITTEN = {
+    "HOM_COASSOCIATIVITY": (
+        coalgebras._LAWS[coalgebras.HOM_COASSOCIATIVITY],
+        ("k", "ijl", "+ t.kab t.bjl alpha.ia", "- t.kab alpha.lb t.aij"),
+    ),
+    "coalgebra multiplicative": (
+        coalgebras._MULTIPLICATIVE, ("k", "ij", "+ f.lk src.lij", "- dst.kab f.ia f.jb"),
+    ),
+    "DELTA_COACTION_COASSOCIATIVITY": (
+        comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY],
+        ("p", "ijq", "+ dm.pas dm.sjq alpha.ia", "- dm.pas beta.qs delta.aij"),
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(HAND_WRITTEN))
+def test_each_transposed_row_is_its_hand_written_statement(row):
+    # The same index and residual letters in order, signs, and operands in order, up to
+    # one renaming of letters per term: so the same contractions, joined in the same order.
+    law, (index, residual, *terms) = HAND_WRITTEN[row]
+    assert (len(law.index), len(law.residual), len(law.terms)) == (len(index), len(residual),
+                                                                   len(terms))
+    for (plus, operands), (stated_plus, stated) in zip(law._parsed, map(_parse, terms)):
+        assert plus == stated_plus
+        assert [name for name, _ in operands] == [name for name, _ in stated]
+        rename = dict(zip(law.index + law.residual, index + residual))
+        for (_, letters), (_, stated_letters) in zip(operands, stated):
+            assert len(letters) == len(stated_letters)
+            for c, was in zip(letters, stated_letters):
+                assert rename.setdefault(c, was) == was, (row, letters, stated_letters)
+        assert len(set(rename.values())) == len(rename)  # one to one
 
 
 def test_readme_term_table_lists_each_law_row_as_stated():
@@ -479,7 +514,7 @@ def test_list_rows_compile_as_intended():
     from homstruct.exact import _compile
 
     lone, lookup = LIST_ROWS["lone and lookup"].groups
-    assert lone[1] == "kp->kp" and _compile(lookup[1])[0][-1][4]
+    assert lone[1] == "ab->ab" and _compile(lookup[1])[0][-1][4]
     assert LIST_ROWS["cyclic"].classes == (
         (((0, 3), (1, -2)), ((1, (0, 1, 2)), (1, (2, 0, 1)), (-1, (1, 2, 0)))),
     )

@@ -131,8 +131,10 @@ def recorded(monkeypatch):
 def test_an_algebra_suite_contracts_twice(monkeypatch):
     contractions, packings = recorded(monkeypatch)
     # A = alpha.ai mu.abo mu.jkb and B = alpha.bk mu.abo mu.ija: all ten terms.  Under
-    # alpha = id they are A = mu.ibo mu.jkb and B = mu.ako mu.ija.
-    twisted, untwisted = ["ai,ab,jkb->ijk", "bk,ab,ija->ijk"], ["ak,ija->ijk", "ib,jkb->ijk"]
+    # alpha = id they are A = mu.ibo mu.jkb and B = mu.ako mu.ija.  A spec spells its
+    # letters a, b, c, ... in order of first appearance: A's ai,ab,jkb->ijk is
+    # ab,ac,dec->bde.
+    twisted, untwisted = ["ab,ac,dec->bde", "ab,ca,dec->deb"], ["ab,cda->cdb", "ab,cdb->acd"]
     for name, specs in (("matrix2_twisted", twisted), ("dual_numbers_twisted", twisted),
                         ("octonions", untwisted), ("non_alternative2", untwisted)):
         structure = catalog.get(name).payload
@@ -149,22 +151,26 @@ def test_the_mixed_poisson_comodule_term_is_contracted_once(monkeypatch):
         comodule = catalog.get(name).payload
         del contractions[:]
         (report,) = axioms.verify(comodule, ["POISSON_COMODULE"])
-        # - dm.pas alpha.ja gm.siq, in COMODULE_COLEIBNIZ and COMODULE_COMULT_COMPAT
+        # - dm.pas alpha.ja gm.siq (pas,a,si->pi), in COMODULE_COLEIBNIZ and
+        # COMODULE_COMULT_COMPAT
         shared = [spec for spec, tensors in contractions
-                  if spec == "pas,a,si->pi" and tensors[0] is comodule.delta_m.scaled[1]]
-        assert shared == ["pas,a,si->pi"]
+                  if spec == "abc,b,cd->ad" and tensors[0] is comodule.delta_m.scaled[1]]
+        assert shared == ["abc,b,cd->ad"]
         # Added into each class's W as a list: no lone-operand contraction re-adds it.
-        assert [spec for spec, _ in contractions].count("pi->pi") == 0
+        assert [spec for spec, _ in contractions].count("ab->ab") == 0
         assert report == alone(comodule, "POISSON_COMODULE")
     for name in ("poisson_dual4_regular_comodule", "poisson_dual4_comodule_corrupt"):
         comodule = catalog.get(name).payload
         del contractions[:]
         (report,) = axioms.verify(comodule, ["POISSON_COMODULE"])
         # Under alpha = id the shared term is - dm.pjs gm.siq; the other ps,si->pi is
-        # GAMMA_COACTION_COMPATIBILITY's + gm.pjs gm.siq, on its own packed gm.
+        # GAMMA_COACTION_COMPATIBILITY's + gm.pjs gm.siq, on its own packed gm.  Both are
+        # spelled ab,bc->ac, as are the four pa,ai->pi terms on a base map: ten
+        # contractions in all, none made twice, and no lone operand re-added.
+        made = [(spec, *map(id, tensors)) for spec, tensors in contractions]
         specs = [spec for spec, _ in contractions]
-        firsts = {id(tensors[0]) for spec, tensors in contractions if spec == "ps,si->pi"}
-        assert specs.count("ps,si->pi") == len(firsts) == 2 and specs.count("pi->pi") == 0
+        assert len(set(made)) == len(made) == 10 and specs.count("ab,bc->ac") == 6
+        assert specs.count("ab->ab") == 0
         assert report == alone(comodule, "POISSON_COMODULE")
 
 
@@ -259,17 +265,17 @@ UNTWISTED = {
         ("+ act.rjq act.pir", "- act.paq mu.ija", "+ act.riq act.pjr", "- act.paq mu.jia"),
     ),
     "COCOMMUTATIVITY": alike("+ t.kij", "- t.kji"),
-    "DELTA_MULTIPLICATIVITY": alike("+ src.kij", "- dst.kij"),
-    "HOM_COASSOCIATIVITY": alike("+ t.kib t.bjl", "- t.kal t.aij"),
+    "DELTA_MULTIPLICATIVITY": alike("+ src.oij", "- dst.oij"),
+    "HOM_COASSOCIATIVITY": alike("+ t.oib t.bjk", "- t.oak t.aij"),
     "SKEW_COSYMMETRY": alike("+ t.kij", "+ t.kji"),
-    "GAMMA_MULTIPLICATIVITY": alike("+ src.kij", "- dst.kij"),
+    "GAMMA_MULTIPLICATIVITY": alike("+ src.oij", "- dst.oij"),
     "HOM_COJACOBI": alike("+ t.kib t.bjl", "+ t.kjb t.bli", "+ t.klb t.bij"),
     "HOM_COLEIBNIZ": alike("+ gamma.kib delta.bjl", "- delta.kal gamma.aij",
                            "- delta.kjb gamma.bil"),
     "DELTA_COACTION_MULTIPLICATIVITY": (("+ beta.rp t.riq", "- t.pis beta.qs"),
                                         ("+ t.piq", "- t.piq")),
-    "DELTA_COACTION_COASSOCIATIVITY": (("+ dm.pis dm.sjq", "- dm.pas beta.qs delta.aij"),
-                                       ("+ dm.pis dm.sjq", "- dm.paq delta.aij")),
+    "DELTA_COACTION_COASSOCIATIVITY": (("+ dm.qir dm.rjp", "- dm.qar beta.pr delta.aij"),
+                                       ("+ dm.qir dm.rjp", "- dm.qap delta.aij")),
     "GAMMA_COACTION_MULTIPLICATIVITY": (("+ beta.rp t.riq", "- t.pis beta.qs"),
                                         ("+ t.piq", "- t.piq")),
     "GAMMA_COACTION_COMPATIBILITY": (

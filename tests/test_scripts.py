@@ -1,5 +1,6 @@
 """The maintenance scripts under scripts/ still run against the library."""
 
+import functools
 import importlib.util
 import pathlib
 import subprocess
@@ -54,6 +55,13 @@ def time_laws(*argv):
     )
 
 
+@functools.cache
+def time_laws_at_small_dims():
+    """One run at dims 0 to 3, which two tests read: each run times the once-a-run lines
+    (the sparse one at dim 16) again."""
+    return time_laws("--dims", "0,1,2,3")
+
+
 def time_laws_refuses(capsys, *argv):
     """Whether ``time_laws.py``'s ``main`` ends ``argv`` as a usage error: exit 2,
     usage on stderr and nothing on stdout (in process, as no timing starts)."""
@@ -95,12 +103,12 @@ def layer_ms(row: str, unit: str = "_ms") -> list[float]:
 def test_time_laws_prints_one_line_per_law(capsys):
     from homstruct.axioms import AXIOMS
 
-    run = time_laws("--dims", "2,3")
+    run = time_laws_at_small_dims()
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
     assert header.split() == ["dim", "law", "ms", "fmt_ms", "failures"]
     assert [row.split()[:2] for row in rows] == RUN_LAYERS + [
-        [str(n), law] for n in (2, 3) for law in DIM_LAYERS + [axiom for _, axiom in AXIOMS]
+        [str(n), law] for n in range(4) for law in DIM_LAYERS + [axiom for _, axiom in AXIOMS]
     ]
     for row in rows[:2]:
         *modules, total = layer_ms(row)
@@ -120,13 +128,13 @@ def test_time_laws_prints_one_line_per_law(capsys):
 def test_time_laws_at_dims_zero_and_one():
     from homstruct.axioms import AXIOMS
 
-    run = time_laws("--dims", "0,1")
+    run = time_laws_at_small_dims()
     assert run.returncode == 0, run.stdout + run.stderr
     rows = [row.split() for row in run.stdout.splitlines()[1:]]
     layers = [row[:2] for row in rows if row[1] in LAYER_FIELDS]
-    assert layers == RUN_LAYERS + [[n, label] for n in ("0", "1") for label in DIM_LAYERS]
+    assert layers == RUN_LAYERS + [[str(n), label] for n in range(4) for label in DIM_LAYERS]
     rows = [row for row in rows if row[1] not in LAYER_FIELDS]
-    assert [row[:2] for row in rows] == [[str(n), axiom] for n in (0, 1) for _, axiom in AXIOMS]
+    assert [row[:2] for row in rows] == [[str(n), axiom] for n in range(4) for _, axiom in AXIOMS]
     # Nothing fails over empty structures; the dim-1 counts are pinned.
     failures = {(n, axiom): int(f) for n, axiom, _, _, f in rows}
     assert {failures["0", axiom] for _, axiom in AXIOMS} == {0}
