@@ -536,10 +536,11 @@ class CoactionTensor(_Tensor):
 def compiled(build, *key):
     """``build(*key)``, worked out once per process while ``key`` is among the 512
     most recently used: the one cache of what a contraction spec (``_compile``),
-    its sink strides (``offsets``), a check's rows (``laws._program``) or a
-    construction's term (``_term``) fix with its operands' shapes, and of each
-    width's shared zero row (``_zeros``) and each shape's row keys (``_row_keys``).
-    Keys hold laws, letters, operand numbers and shapes, never entry values."""
+    its sink strides (``offsets``), a law's row (``laws._row``), a check's rows
+    (``laws._program``) or a construction's term (``_term``) fix with its operands'
+    numbers and shapes, and of each width's shared zero row (``_zeros``) and each
+    shape's row keys (``_row_keys``).  Keys hold laws, letters, operand numbers,
+    names and shapes, never entry values."""
     return build(*key)
 
 

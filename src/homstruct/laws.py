@@ -43,49 +43,51 @@ term's operands in the order listed, so order them to keep joins small:
 ``alpha.ai mu.abo mu.jkb`` sums ``a`` in O(n^3) and joins ``mu.jkb`` in
 O(n^4), where ``alpha.ai mu.jkb mu.abo`` starts with an n^5 product.
 
-Terms that are one contraction up to a permutation of the unpacked output
+A plan compiles each row once (``_row``), by the numbers of its operands:
+terms that are one contraction up to a permutation of the unpacked output
 letters (``+ alpha.aj mu.abo mu.ikb`` is the first term above with ``i``
 and ``j`` swapped) are contracted once; a term that moves a packed letter
-is a contraction of its own.  A row's residual is one list of packed ints
-in the lexicographic order of its unpacked letters.  For each key
-permutation the terms add under, the signed count of its uses of each
-contraction is its coefficient row; permutations whose rows agree up to
-sign form one class.  Each class sums its contractions once into a list
-``W`` of its own, a contraction's last join adding straight into it
+is a contraction of its own.  In a plan, an operand is numbered by its entry
+tuple and shape (``ident``), which fix its ``scaled``, so a regular module's
+``act`` is its algebra's ``mu``, and terms that differ only in names of one
+operand are one contraction.  A row's residual is one list of packed ints in
+the lexicographic order of its unpacked letters.  For each key permutation
+the terms add under, the signed count of its uses of each contraction is its
+coefficient row, zero ones dropped; permutations whose rows agree up to sign
+form one class.  Each class sums its contractions once into a list ``W`` of
+its own, a contraction's last join adding straight into it
 (``exact.contract``'s ``into``), and adds ``W`` under each permutation
 through a gather list: ``LEFT_HOM_ALT`` is ``W = A - B`` and then ``W +
 swap(W)``.  When a row's first add is the identity with sign +, ``W``
 itself is the residual; every later add builds a new list, so no list is
-written after its sum.  In a plan, an operand is numbered by its entry tuple
-and shape (``ident``), which fix its ``scaled``, so a regular module's ``act``
-is its algebra's ``mu``.  A scaled or packed operand, a class sum ``W`` and a
+written after its sum.  A scaled or packed operand, a class sum ``W`` and a
 contraction mean the same ints in every row, so each is built once: a class
 that two rows hold is summed once and spread by each, and a contraction
 that two distinct classes hold is contracted once into a list of its own,
 laid out as ``W``, and added into each class's ``W`` by one C-level ``map``.
-``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and ``HOM_ASSOC`` spread
-one ``W = A - B``: two contractions for the three.  A class's coefficients
-are summed per contraction and zero ones dropped, so terms that bound
-operands make one contraction cancel: a class left empty is not evaluated,
-and a contraction that every class cancels is neither read nor bounded.  A
-contraction never writes to its operands (``t.kij`` alone is the packed ``t``).
+``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and ``HOM_ASSOC`` spread one ``W = A -
+B``: two contractions for the three.  Terms that bind operands to one
+tensor can cancel: a class left empty is not evaluated, and a contraction
+that every class cancels is neither read nor bounded.  A contraction never
+writes to its operands (``t.kij`` alone is the packed ``t``).
 
-An operand bound to an identity map (``is_identity``) is a relabelling: a plan
-drops it from each term of two or more operands where another operand holds its
-summed letter, renamed to its other letter (``_untwisted``, once per law and
-names).  ``HOM_ASSOC`` under ``alpha = id`` is ``+ mu.ibo mu.jkb - mu.ako
-mu.ija``; a multiplicativity row is ``+ src.oij - dst.oij``, which cancels on one
-tensor.  A renaming that repeats a letter in an operand is not made, and a row
-that would then hold a packed letter twice in a term is evaluated as stated.
+An operand bound to an identity map (``is_identity``) is a relabelling: the
+compile drops it from each term of two or more operands where another operand
+holds its summed letter, renamed to its other letter (``_terms``).
+``HOM_ASSOC`` under ``alpha = id`` is ``+ mu.ibo mu.jkb - mu.ako mu.ija``; a
+multiplicativity row is ``+ src.oij - dst.oij``, which cancels on one tensor.
+A renaming that repeats a letter in an operand is not made, and a row that
+would then hold a packed letter twice in a term is compiled as stated.
 
 A plan is a program and its arithmetic.  The program is all that the rows'
-laws, the pattern of their operand numbers and the operands' shapes fix:
-which groups and rows the scale and bound read, each row's layout, packings
-and classes, and each contraction's spec, loads, sharing and sink offsets
-(``_program``).  It is built once per process into ``exact.compiled``, the
-one bounded cache of compiled structure, keyed never by entry values.  A
-check then reads the ``scaled`` of each distinct operand a kept contraction
-loads, works out the common scale and B, packs, contracts, spreads and scans.
+laws, the pattern of their operand numbers, the operands bound to identity
+maps and the operands' shapes fix: which groups and rows the scale and bound
+read, each row's layout, packings and classes, and each contraction's spec,
+loads, sharing and sink offsets (``_program``).  It and each row's compile
+are built once per process into ``exact.compiled``, the one bounded cache of
+compiled structure, keyed never by entry values.  A check then reads the
+``scaled`` of each distinct operand a kept contraction loads, works out the
+common scale and B, packs, contracts, spreads and scans.
 """
 
 from __future__ import annotations
@@ -95,26 +97,18 @@ from math import lcm, prod
 from operator import add, mul, sub
 
 from .errors import DimensionMismatch
-from .exact import _parse, compiled, contract, lazy, offsets, pack, packing, unpack, untwisted
+from .exact import _parse, compiled, contract, offsets, pack, packing, unpack, untwisted
 from .report import WITNESS_CAP, AxiomReport, Witness
 
 
 class Law:
     """One law: witness index letters, residual letters, signed terms.
 
-    ``terms`` keeps the row as stated; its last two residual letters (or its
-    only one) are carried in packed slots.  ``groups`` lists the distinct
-    contractions the terms compile to, each as ``(operands, contract spec,
-    summed, uses)``: an operand is ``(name, packed)``, ``packed`` holding an
-    ``(axis, p)`` pair for each packed letter it has, ``p`` that letter's
-    place among the packed ones (empty: unpacked); the spec's output is the
-    unpacked output letters in order; ``summed`` holds one ``(name, axis)``
-    per summed letter, to size it; a use is one term's sign (True: +).
-    ``classes`` lists the assembly: ``(row, permutations)`` with ``row`` the
-    ``(group, coefficient)`` pairs summed into ``W`` and each permutation a
-    ``(sign, positions)`` pair, residual letter ``i`` being output letter
-    ``positions[i]`` of ``W``.  Both are compiled on first use; stating a
-    row only parses each term and checks its packed letters.
+    ``terms`` keeps the row as stated, ``_parsed`` each term's sign (True: +)
+    and ``(name, letters)`` operands, and ``names`` the operand names in order
+    of first appearance.  Its last two residual letters (or its only one) are
+    carried in packed slots.  Stating a row only parses each term and checks
+    its packed letters; a plan compiles it by its operands' numbers (``_row``).
     """
 
     def __init__(self, index: str, residual: str, *terms: str):
@@ -122,103 +116,110 @@ class Law:
             raise ValueError("a law needs a residual letter to pack and a term")
         self._parsed = list(map(_parse, terms))
         for term, (_, operands) in zip(terms, self._parsed):
-            letters = "".join(sub for _, sub in operands)
-            for packed in residual[-2:]:
-                if letters.count(packed) != 1:
-                    raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
+            if (packed := _misheld(operands, residual)) is not None:
+                raise ValueError(f"term {term!r} must hold {packed!r} in exactly one operand")
         self.index, self.residual, self.terms = index, residual, terms
+        self.names = tuple(dict.fromkeys([name for _, ops in self._parsed for name, _ in ops]))
 
-    @property
-    def groups(self) -> list[tuple]:
-        return self._compiled[0]
 
-    @property
-    def classes(self) -> tuple[tuple, ...]:
-        return self._compiled[1]
+def _misheld(operands: list, residual: str) -> str | None:
+    """The first packed letter of ``residual`` that a term's ``(name, letters)``
+    operands do not hold once in exactly one operand, else None."""
+    letters = "".join([sub for _, sub in operands])
+    return next((c for c in residual[-2:] if letters.count(c) != 1), None)
 
-    @lazy
-    def _compiled(self) -> tuple:
-        """``(groups, classes, operand names, residual axis sizes, loads)``.
 
-        ``loads`` holds, per group, an ``(operand, packing or None)`` pair
-        for each of its operands.
-        """
-        index, residual = self.index, self.residual
-        packed = residual[-2:]
-        out = index + residual[: -len(packed)]
-        groups: dict[tuple, tuple] = {}
-        rows: dict[tuple, dict] = {}  # key permutation -> {group: signed use count}
-        arity: dict[str, int] = {}
-        for plus, operands in self._parsed:
-            names = [name for name, _ in operands]
-            subscripts = [sub for _, sub in operands]
-            local = {}  # letter -> (name, axis) of an operand of this term that has it
-            for name, sub in zip(names, subscripts):
-                arity[name] = len(sub)
-                for axis, c in enumerate(sub):
-                    local.setdefault(c, (name, axis))
-            ids = tuple(
-                (name, tuple((sub.index(c), p) for p, c in enumerate(packed) if c in sub))
-                for name, sub in zip(names, subscripts)
-            )
-            subscripts = ["".join(c for c in sub if c not in packed) for sub in subscripts]
-            # Letters renamed in order of first appearance: equal forms are one contraction
-            # with the output letters permuted, and a spec spelled in those letters (a, b,
-            # ...) compiles once (``exact.compiled``) whatever letters a row names it by.
-            rename = {c: i for i, c in enumerate(dict.fromkeys("".join(subscripts)))}
-            form = (
-                ids,
-                tuple(tuple(rename[c] for c in sub) for sub in subscripts),
-                frozenset(map(rename.get, out)),
-            )
-            if form not in groups:
-                summed = tuple(local[c] for c in rename if c not in out)
-                spelling = {ord(c): ord("a") + i for c, i in rename.items()}
-                spec = (",".join(subscripts) + "->" + out).translate(spelling)
-                groups[form] = (len(groups), ids, spec, summed, rename, [])
-            g, _, _, _, first, uses = groups[form]
-            letter_of = {i: c for c, i in first.items()}
-            permutation = tuple(out.index(letter_of[rename[c]]) for c in out)
-            uses.append(plus)
-            row = rows.setdefault(permutation, {})
-            row[g] = row.get(g, 0) + (1 if plus else -1)
-        compiled = [
-            (ids, spec, summed, tuple(uses)) for _, ids, spec, summed, _, uses in groups.values()
-        ]
-        by_row: dict[tuple, list] = {}
-        for permutation, row in rows.items():
-            row = sorted((g, c) for g, c in row.items() if c)
-            if row:
-                s = 1 if row[0][1] > 0 else -1
-                by_row.setdefault(tuple((g, s * c) for g, c in row), []).append((s, permutation))
-        classes = tuple((row, tuple(perms)) for row, perms in by_row.items())
-        names = tuple(dict.fromkeys(name for ids, _, _, _ in compiled for name, _ in ids))
-        sizes = [local[c] for c in out + packed]  # every term holds every output letter
-        loads = [
-            [(op, packing(arity[op[0]], op[1]) if op[1] else None) for op in ids]
-            for ids, _, _, _ in compiled
-        ]
-        return compiled, classes, names, sizes, loads
+def _terms(law: Law, maps: tuple) -> list:
+    """``law``'s parsed terms without the operands named in ``maps``, bound to identity
+    maps, where the rules above allow; the stated terms if a packed letter would then
+    sit in two operands of a term."""
+    if not maps:
+        return law._parsed
+    parsed = [(plus, untwisted(ops, law.index + law.residual, maps)) for plus, ops in law._parsed]
+    return law._parsed if any(_misheld(ops, law.residual) for _, ops in parsed) else parsed
 
-    def _layout(self, shape: tuple[int, ...]) -> tuple:
-        """``(strides, spreads)`` for an unpacked output of ``shape``.
 
-        ``strides`` take a group's output key to its place in a class's list
-        ``W``.  ``spreads`` holds, per class, one ``(sign, gather)`` per
-        permutation, the residual at place ``r`` taking ``W[gather[r]]``
-        (None: ``W[r]``).  Worked out once per program (``_program``).
-        """
-        strides = tuple([prod(shape[i + 1 :]) for i in range(len(shape))])
-        spreads = []
-        for _, perms in self.classes:
-            spreads.append([])
-            for s, permutation in perms:
-                moved = tuple([strides[p] for p in permutation])
-                gather = None if moved == strides else [0]  # built axis by axis
-                for n, m in zip(shape, moved) if gather else ():
-                    gather = [r + d * m for r in gather for d in range(n)]
-                spreads[-1].append((s, gather))
-        return strides, spreads
+def _row(law: Law, numbers: tuple, maps: tuple) -> tuple:
+    """``(groups, classes, residual axis sizes, loads)`` of ``law`` with operand
+    ``law.names[i]`` numbered ``numbers[i]``, less the identity maps named in
+    ``maps`` (``_terms``).  ``groups`` lists the distinct contractions, each as
+    ``(operands, contract spec, summed, uses)``: an operand is ``(number, packed)``,
+    ``packed`` holding an ``(axis, p)`` pair for each packed letter it has, ``p``
+    that letter's place among the packed ones (empty: unpacked); the spec's output
+    is the unpacked output letters in order; ``summed`` holds one ``(number, axis)``
+    per summed letter, to size it; a use is one term's sign (True: +).  ``classes``
+    lists the assembly: ``(row, permutations)`` with ``row`` the ``(group,
+    coefficient)`` pairs, none zero, summed into ``W`` and each permutation a
+    ``(sign, positions)`` pair, residual letter ``i`` being output letter
+    ``positions[i]`` of ``W``.  ``loads`` holds, per group, an ``(operand, packing
+    or None)`` pair for each of its operands."""
+    number = dict(zip(law.names, numbers))
+    packed = law.residual[-2:]
+    out = law.index + law.residual[: -len(packed)]
+    groups: dict[tuple, tuple] = {}
+    rows: dict[tuple, dict] = {}  # key permutation -> {group: signed use count}
+    arity: dict[int, int] = {}
+    for plus, operands in _terms(law, maps):
+        numbered = [(number[name], sub) for name, sub in operands]
+        local = {}  # letter -> (number, axis) of an operand of this term that has it
+        for n, sub in numbered:
+            arity[n] = len(sub)
+            for axis, c in enumerate(sub):
+                local.setdefault(c, (n, axis))
+        ids = tuple((n, tuple((sub.index(c), p) for p, c in enumerate(packed) if c in sub))
+                    for n, sub in numbered)
+        subscripts = ["".join(c for c in sub if c not in packed) for _, sub in numbered]
+        # Letters renamed in order of first appearance: equal forms are one contraction
+        # with the output letters permuted, and a spec spelled in those letters (a, b,
+        # ...) compiles once (``exact.compiled``) whatever letters a row names it by.
+        rename = {c: i for i, c in enumerate(dict.fromkeys("".join(subscripts)))}
+        form = (ids, tuple(tuple(rename[c] for c in sub) for sub in subscripts),
+                frozenset(map(rename.get, out)))
+        if form not in groups:
+            summed = tuple(local[c] for c in rename if c not in out)
+            spelling = {ord(c): ord("a") + i for c, i in rename.items()}
+            spec = (",".join(subscripts) + "->" + out).translate(spelling)
+            groups[form] = (len(groups), ids, spec, summed, rename, [])
+        g, _, _, _, first, uses = groups[form]
+        letter_of = {i: c for c, i in first.items()}
+        permutation = tuple(out.index(letter_of[rename[c]]) for c in out)
+        uses.append(plus)
+        row = rows.setdefault(permutation, {})
+        row[g] = row.get(g, 0) + (1 if plus else -1)
+    compiled_groups = [(ids, spec, summed, tuple(uses))
+                       for _, ids, spec, summed, _, uses in groups.values()]
+    by_row: dict[tuple, list] = {}
+    for permutation, row in rows.items():
+        row = sorted((g, c) for g, c in row.items() if c)
+        if row:
+            s = 1 if row[0][1] > 0 else -1
+            by_row.setdefault(tuple((g, s * c) for g, c in row), []).append((s, permutation))
+    classes = tuple((row, tuple(perms)) for row, perms in by_row.items())
+    sizes = tuple([local[c] for c in out + packed])  # every term holds every output letter
+    loads = [[(op, packing(arity[op[0]], op[1]) if op[1] else None) for op in ids]
+             for ids, _, _, _ in compiled_groups]
+    return compiled_groups, classes, sizes, loads
+
+
+def _layout(classes: tuple, shape: tuple[int, ...]) -> tuple:
+    """``(strides, spreads)`` for an unpacked output of ``shape``.
+
+    ``strides`` take a group's output key to its place in a class's list
+    ``W``.  ``spreads`` holds, per class, one ``(sign, gather)`` per
+    permutation, the residual at place ``r`` taking ``W[gather[r]]``
+    (None: ``W[r]``).  Worked out once per program (``_program``).
+    """
+    strides = tuple([prod(shape[i + 1 :]) for i in range(len(shape))])
+    spreads = []
+    for _, perms in classes:
+        spreads.append([])
+        for s, permutation in perms:
+            moved = tuple([strides[p] for p in permutation])
+            gather = None if moved == strides else [0]  # built axis by axis
+            for n, m in zip(shape, moved) if gather else ():
+                gather = [r + d * m for r in gather for d in range(n)]
+            spreads[-1].append((s, gather))
+    return strides, spreads
 
 
 class Plan:
@@ -247,15 +248,14 @@ class Plan:
         scale)``.  An operand is numbered by first appearance of its ``ident``,
         (entry tuple, shape), and its ``scaled`` entries read once per number a
         kept contraction loads, into ``_entries``; a row runs without the names
-        whose operands are identity maps (``_untwisted``); the rest is fixed by
-        the rows and those shapes (``_program``)."""
+        whose operands are identity maps (``_row``); the rest is fixed by the
+        rows and those shapes (``_program``)."""
         seen, signature = {}, []  # ident -> (number, the first operand with it)
         for axiom, law, operands in self._rows.values():
-            first = {name: seen.setdefault(operands[name].ident, (len(seen), operands[name]))
-                     for name in law._compiled[2]}
-            maps = tuple([name for name, (_, t) in first.items() if t.is_identity()])
-            law = compiled(_untwisted, law, maps) if maps else law
-            signature.append((axiom, law, tuple([first[name][0] for name in law._compiled[2]])))
+            first = [seen.setdefault(operands[name].ident, (len(seen), operands[name]))
+                     for name in law.names]
+            maps = tuple([name for name, (_, t) in zip(law.names, first) if t.is_identity()])
+            signature.append((axiom, law, tuple([n for n, _ in first]), maps))
         shapes = tuple([shape for _, shape in seen])
         products, bounds, rows, loaded = compiled(_program, tuple(signature), shapes)
         scaled = {n: t.scaled for n, t in seen.values() if n in loaded}
@@ -305,18 +305,6 @@ class Plan:
         return _report(axiom, residual, index, outer, slots, common, bits)
 
 
-def _untwisted(law: Law, maps: tuple) -> Law:
-    """``law`` with the operands named in ``maps``, bound to identity maps, dropped
-    where the rules above allow; else ``law`` itself."""
-    parsed = [(plus, untwisted(ops, law.index + law.residual, maps)) for plus, ops in law._parsed]
-    if parsed == law._parsed:
-        return law
-    try:
-        return Law(law.index, law.residual, *[_term(plus, operands) for plus, operands in parsed])
-    except ValueError:  # a packed letter moved into a second operand
-        return law
-
-
 def _term(plus: bool, operands: list) -> str:
     """A term, its sign and ``(name, letters)`` operands, written in the grammar."""
     return "+-"[not plus] + "".join([f" {name}.{letters}" for name, letters in operands])
@@ -352,70 +340,57 @@ def transposed(law: Law, **names: str) -> Law:
 
 
 def _program(rows: tuple, shapes: tuple) -> tuple:
-    """The program of a plan's rows, ``(axiom, law, operand numbers)``, on
-    operands of ``shapes``: ``(products, bounds, per axiom: (k, n, size, index
-    shape, outer, slots, packs, classes), loaded)``.  Over the groups whose
-    contraction a kept class holds, ``products`` lists each distinct sorted
-    tuple of a group's operand numbers (its scale and bits), ``bounds`` each
-    distinct row's ``(product, uses times summed sizes)`` pairs and ``loaded``
-    the operand numbers read.  A row packs its last ``k`` letters, the last of
-    size ``n``, into ``slots``; ``size`` places, ``outer`` per witness index.
-    ``packs`` holds ``(number, operand number, packing)`` per operand its
-    classes pack, numbered after the operands; a class, its coefficients summed
-    per contraction and left out when they all cancel, is ``(its number if
-    another row holds it, spreads, terms)``, a term ``(shared, spec, loads, sink
-    offsets, product, coefficient)``, ``loads`` its operands' numbers.  A
-    contraction is numbered by spec and packed operands; ``shared`` is its number
-    when two distinct classes hold it: contracted once into a list laid out as
-    their ``W``, which the operands' shapes fix, and added into each ``W``."""
+    """The program of a plan's rows, ``(axiom, law, operand numbers, identity
+    maps)``, on operands of ``shapes``: ``(products, bounds, per axiom: (k, n, size,
+    index shape, outer, slots, packs, classes), loaded)``.  Over the groups a class
+    holds (``_row``), ``products`` lists each distinct sorted tuple of a group's
+    operand numbers (its scale and bits), ``bounds`` each distinct row's
+    ``(product, uses times summed sizes)`` pairs and ``loaded`` the operand numbers
+    read.  A row packs its last ``k`` letters, the last of size ``n``, into
+    ``slots``; ``size`` places, ``outer`` per witness index.  ``packs`` holds
+    ``(number, operand number, packing)`` per operand its classes pack, numbered
+    after the operands; a class is ``(its number if another row holds it, spreads,
+    terms)``, a term ``(shared, spec, loads, sink offsets, product, coefficient)``,
+    ``loads`` its operands' numbers.  A contraction is numbered by spec and packed
+    operands; ``shared`` is its number when two distinct classes hold it: contracted
+    once into a list laid out as their ``W``, which the operands' shapes fix, and
+    added into each ``W``."""
     numbered, uses, keyed = {}, {}, []
-    for _, law, numbers in rows:
-        groups, classes, names, _, _ = law._compiled
-        number = dict(zip(names, numbers))
-        keys = [numbered.setdefault((spec, *[(number[n], p) for n, p in ids]), len(numbered))
-                for ids, spec, _, _ in groups]
-        kept = []  # (place in classes, row, key) of each class that does not cancel
-        for place, (row, _) in enumerate(classes):
-            summed = {}  # contraction key -> [its first group, summed coefficient]
-            for g, c in row:
-                summed.setdefault(keys[g], [g, 0])[1] += c
-            row = [(g, c) for g, c in summed.values() if c]
-            if row:
-                key = tuple([(keys[g], c) for g, c in row])
-                uses[key] = uses.get(key, 0) + 1
-                kept.append((place, row, key))
-        keyed.append((keys, kept))
-    owned = [group for key in uses for group, _ in key]  # once per distinct class
-    shared = {g for i, g in enumerate(owned) if g in owned[:i]}
+    for _, law, numbers, maps in rows:
+        groups, classes, _, _ = compiled(_row, law, numbers, maps)
+        keys = [numbered.setdefault((spec, *ids), len(numbered)) for ids, spec, _, _ in groups]
+        keyed.append((keys, [tuple([(keys[g], c) for g, c in row]) for row, _ in classes]))
+        for key in keyed[-1][1]:
+            uses[key] = uses.get(key, 0) + 1
+    owned = [contraction for key in uses for contraction, _ in key]  # once per distinct class
+    shared = {n for i, n in enumerate(owned) if n in owned[:i]}
     products, bounds, programs, packed_ids = {}, {}, {}, {}  # packed loads after operands
-    for (axiom, law, numbers), (keys, kept) in zip(rows, keyed):
-        groups, _, names, sizes, loads = law._compiled
-        number = dict(zip(names, numbers))
-        shape = {name: shapes[n] for name, n in number.items()}
-        full = [shape[name][axis] for name, axis in sizes]  # every term holds every letter
+    for (axiom, law, numbers, maps), (keys, class_keys) in zip(rows, keyed):
+        groups, classes, sizes, loads = compiled(_row, law, numbers, maps)
+        full = [shapes[n][axis] for n, axis in sizes]  # every term holds every letter
         k = len(law.residual[-2:])
         out, width = tuple(full[:-k]), len(law.index)
-        strides, spreads = law._layout(out)
-        held = {keys[g] for _, row, _ in kept for g, _ in row}  # else neither read nor bounded
+        strides, spreads = _layout(classes, out)
+        held = {g for row, _ in classes for g, _ in row}  # else neither read nor bounded
         bound, packings, terms = {}, {}, {}
-        for g, (ids, spec, summed, used) in compress(enumerate(groups), map(held.__contains__, keys)):
-            p = products.setdefault(tuple(sorted([number[name] for name, _ in ids])),
-                                    len(products))
-            bound[p] = bound.get(p, 0) + len(used) * prod([shape[n][axis] for n, axis in summed])
-            share = keys[g] if keys[g] in shared else None
-            load = [number[name] if layout is None else packed_ids.setdefault(
-                        (number[name], packed, (full[-1], 1)[-k:]), len(shapes) + len(packed_ids))
-                    for (name, packed), layout in loads[g]]
-            packings[g] = [(key, number[name], layout) for key, ((name, _), layout)
+        for g in sorted(held):
+            ids, spec, summed, used = groups[g]
+            p = products.setdefault(tuple(sorted([n for n, _ in ids])), len(products))
+            bound[p] = bound.get(p, 0) + len(used) * prod([shapes[n][axis] for n, axis in summed])
+            load = [n if layout is None else packed_ids.setdefault(
+                        (n, packed, (full[-1], 1)[-k:]), len(shapes) + len(packed_ids))
+                    for (n, packed), layout in loads[g]]
+            packings[g] = [(number, n, layout) for number, ((n, _), layout)
                            in zip(load, loads[g]) if layout is not None]
+            share = keys[g] if keys[g] in shared else None
             terms[g] = (share, spec, tuple(load), compiled(offsets, spec, strides), p)
         bounds[tuple(bound.items())] = None
-        packs = {item[0]: item for _, row, _ in kept for g, _ in row for item in packings[g]}
+        packs = {item[0]: item for row, _ in classes for g, _ in row for item in packings[g]}
         programs[axiom] = (k, full[-1], prod(out), out[:width], prod(out[width:]),
                            prod(full[-k:]), tuple(packs.values()), tuple([
-                               (list(uses).index(key) if uses[key] > 1 else None, spreads[place],
+                               (list(uses).index(key) if uses[key] > 1 else None, spread,
                                 tuple([(*terms[g], c) for g, c in row]))
-                               for place, row, key in kept]))
+                               for (row, _), spread, key in zip(classes, spreads, class_keys)]))
     return tuple(products), tuple(bounds), programs, frozenset([n for ops in products for n in ops])
 
 

@@ -20,7 +20,7 @@ from .algebras import (
     opposite as opposite_algebra,
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from .exact import ActionTensor, LinearMap, Record, _set, construct, rebuild, record
+from .exact import ActionTensor, LinearMap, Record, _set, compose, construct, rebuild, record
 from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, polarized
 from .report import AxiomReport
 
@@ -88,11 +88,11 @@ _MORPHISM_PARTS = {side: ((MODULE_MORPHISM_INTERTWINES, law, "action"),
                    for side, law in _INTERTWINES.items()}
 
 
-# Constructions, one term each (``exact.rebuild``) on the action t.  The alpha pair is
-# alpha^2, joined first; each side's twist feeds the algebra argument through it.
+# Constructions, one term each (``exact.rebuild``) on the action t, square = alpha^2
+# built once; each side's twist feeds the algebra argument through it.
 _TWIST = {
-    "left": ("ipq", "+ alpha.ui alpha.ju t.jpq"),  # act(a^2(x), m)
-    "right": ("piq", "+ alpha.ui alpha.ju t.pjq"),  # act(m, a^2(x))
+    "left": ("ipq", "+ square.ji t.jpq"),  # act(a^2(x), m)
+    "right": ("piq", "+ square.ji t.pjq"),  # act(m, a^2(x))
 }
 
 
@@ -116,7 +116,8 @@ def twist_module(mod: HomModule) -> HomModule:
         raise NotEndomorphism(
             f"algebra alpha is not multiplicative at {endo.total_failures} basis pairs"
         )
-    return rebuild(mod, _TWIST[mod.side], ("action",), alpha=mod.algebra.alpha)
+    alpha = mod.algebra.alpha
+    return rebuild(mod, _TWIST[mod.side], ("action",), square=compose(alpha, alpha))
 
 
 def negate_module(mod: HomModule) -> HomModule:

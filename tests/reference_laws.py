@@ -5,7 +5,8 @@ residual letter was packed into slots of one ``int``: every residual
 coordinate is its own key of the contraction, added term by term, and
 ``report`` builds the witnesses from those keys.  ``test_laws.py`` requires
 the packed row, checked as a plan of one (``check_row``), to equal it, field
-for field.  ``contracted`` reads ``exact.contract``'s sum back as a dict.
+for field.  ``contracted`` reads ``exact.contract``'s sum back as a dict, and
+``compiled_row`` reads what a plan compiles a row to.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import lcm, prod
 from operator import itemgetter
 
 from homstruct.exact import Vector, contract, offsets
-from homstruct.laws import Law, Plan
+from homstruct.laws import Law, Plan, _row
 from homstruct.report import WITNESS_CAP, AxiomReport
 from reference_checks import witness_of
 
@@ -25,6 +26,12 @@ from reference_checks import witness_of
 def check_row(law: Law, axiom: str, **operands) -> AxiomReport:
     """``law`` on the bound maps and tensors, checked as a plan of one row."""
     return Plan({axiom: [(axiom, law, operands)]}).check(axiom)
+
+
+def compiled_row(law: Law, maps: tuple = ()) -> tuple:
+    """``laws._row`` of ``law``, less the identity maps named in ``maps``, with operand
+    number ``n`` being ``law.names[n]``: ``(groups, classes, sizes, loads)``."""
+    return _row(law, tuple(range(len(law.names))), maps)
 
 
 def contracted(spec: str, *tensors: dict) -> dict:

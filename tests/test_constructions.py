@@ -198,7 +198,7 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     action = ActionTensor.from_entries(a, n, dm, side)
     assert_entries(construct(*ACT_AT[side], x=x_vec, t=action, m=m_vec),
                    act_ref(a, x, m, side, n, dm))
-    assert_entries(construct(*modules._TWIST[side], alpha=phi, t=action),
+    assert_entries(construct(*modules._TWIST[side], square=compose(phi, phi), t=action),
                    precompose_algebra_ref(a, phi2_rows, side, n, dm))
     # negation and the mirror read a right action as they read a left one
     assert_entries(construct(*NEGATE, t=action), negated_ref(a))
@@ -226,7 +226,7 @@ def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
     assert product == ((Fraction(1, 2), Fraction(1, 6)), (Fraction(1, 2), _ZERO))
     assert product[1][1] is _ZERO
     empty = ActionTensor.zero(0, 2, "right")
-    assert construct(*modules._TWIST["right"], alpha=LinearMap.zero(0, 0), t=empty) == ((), ())
+    assert construct(*modules._TWIST["right"], square=LinearMap.zero(0, 0), t=empty) == ((), ())
     acted = construct(*ACT_AT["right"], x=Vector.zero(0), t=empty, m=Vector.from_entries([1, 2]))
     assert acted == (_ZERO, _ZERO)
 

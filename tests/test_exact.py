@@ -424,13 +424,11 @@ def test_nonzeros_of_shared_and_other_zeros(n, rng):
 
 
 def test_lazy_attributes_are_computed_once_into_the_instance_dict(monkeypatch):
-    from homstruct.laws import Law
     from homstruct.report import Witness
 
     mu = MulTensor.from_entries([[[Fraction(1, 2), 0], [0, 3]], [[0, 0], [1, Fraction(-2, 3)]]])
     sites = [(_Tensor, "scaled", mu), (_Tensor, "text", mu),
-             (_Tensor, "_identity", LinearMap.identity(2)),
-             (Law, "_compiled", Law("i", "o", "+ f.oa x.ai")), (Witness, "residual", Witness((0,), (1, 2), 4))]
+             (_Tensor, "_identity", LinearMap.identity(2)), (Witness, "residual", Witness((0,), (1, 2), 4))]
     for cls, name, instance in sites:
         descriptor = vars(cls)[name]
         assert isinstance(descriptor, lazy) and getattr(cls, name) is descriptor

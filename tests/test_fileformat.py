@@ -703,8 +703,8 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
         "A_neg": HomAlgebra(n, mu_neg, alpha),
         "A_twist": HomAlgebra(n, built(mu, algebras._YAU_TWIST, t=mu_opposite, phi=alpha), alpha),
         "L": HomModule(alg, m, beta, left, "left"),
-        "L_twist": HomModule(alg, m, beta, built(left, modules._TWIST["left"], alpha=alpha, t=left),
-                             "left"),
+        "L_twist": HomModule(alg, m, beta, built(left, modules._TWIST["left"],
+                                                 square=compose(alpha, alpha), t=left), "left"),
         "R": HomModule(alg, m, beta, right, "right"),
         "C": coalg,
         "C_neg": HomPoissonCoalgebra(n, built(delta, NEGATE, t=delta), gamma, alpha, True),

@@ -1,5 +1,6 @@
 """Guards on the law core: the packed plan, its slots, and invariances of the inputs."""
 
+import copy
 import pathlib
 import random
 import re
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import reference_checks as ref
 from reference_eval import flat
-from homstruct import algebras, axioms, coalgebras, comodules, modules
+from homstruct import algebras, axioms, coalgebras, comodules, laws, modules
 from homstruct.algebras import (
     HomAlgebra,
     check_hom_associative,
@@ -35,9 +36,9 @@ from homstruct.exact import (
     compiled,
     construct,
 )
-from homstruct.laws import COMMUTES, Law, Plan, polarized
+from homstruct.laws import COMMUTES, Law, Plan, _layout, polarized
 from homstruct.modules import HomModule, check_left_module, check_right_module, regular_module
-from reference_laws import UnpackedLaw, check_row
+from reference_laws import UnpackedLaw, check_row, compiled_row
 
 # (terms, distinct contractions, packed letters) of every row.  The packed
 # letters are the residual's last two, or its only one.  Terms that are one
@@ -77,10 +78,11 @@ ROWS = {
 @pytest.mark.parametrize("row", list(ROWS))
 def test_row_compiles_to_its_distinct_contractions(row):
     law, terms, contractions, packed = ROWS[row]
-    assert sum(len(uses) for *_, uses in law.groups) == terms == len(law.terms)
-    assert len(law.groups) == contractions
+    groups = compiled_row(law)[0]
+    assert sum(len(uses) for *_, uses in groups) == terms == len(law.terms)
+    assert len(groups) == contractions
     assert law.residual[-2:] == packed
-    for ids, spec, _, _ in law.groups:
+    for ids, spec, _, _ in groups:
         # Each packed letter rides in exactly one operand axis of each contraction.
         assert sorted(p for _, axes in ids for _, p in axes) == list(range(len(packed)))
         assert not set(packed) & set(spec)
@@ -91,12 +93,12 @@ def test_shared_term_adds_under_its_own_permutation():
     t = MulTensor.from_entries([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
     law = Law("ki", "j", "+ t.kij", "+ t.ikj", "- t.kij")
     report = check_row(law, "TRANSPOSED", t=t)
-    assert len(law.groups) == 1
+    assert len(compiled_row(law)[0]) == 1
     assert [w.residual.entries for w in report.witnesses] == [(1, 2), (5, 6), (3, 4), (7, 8)]
     # t.kji moves the packed letter j to another axis of t: a contraction of its own.
     law = Law("k", "ij", "+ t.kij", "+ t.kji", "- t.kij")
     report = check_row(law, "SYMMETRIC_PART", t=t)
-    assert len(law.groups) == 2
+    assert len(compiled_row(law)[0]) == 2
     assert [w.residual.entries for w in report.witnesses] == [(1, 3, 2, 4), (5, 7, 6, 8)]
 
 
@@ -318,17 +320,18 @@ CLASSES = {
 @pytest.mark.parametrize("row", list(ROWS))
 def test_row_assembles_by_key_permutation(row):
     law = ROWS[row][0]
+    groups, classes, _, _ = compiled_row(law)
     identity = tuple(range(len(law.index) + len(law.residual) - len(law.residual[-2:])))
     if row in CLASSES:
-        assert list(law.classes) == CLASSES[row]
+        assert list(classes) == CLASSES[row]
     else:
         # One identity class: its sum W is the residual itself.
-        (coefficients, permutations), = law.classes
-        assert [g for g, _ in coefficients] == list(range(len(law.groups)))
+        (coefficients, permutations), = classes
+        assert [g for g, _ in coefficients] == list(range(len(groups)))
         assert permutations == ((1, identity),)
     # Nothing cancels in a stated row: the classes account for every term.
     assert len(law.terms) == sum(
-        abs(c) * len(permutations) for coefficients, permutations in law.classes
+        abs(c) * len(permutations) for coefficients, permutations in classes
         for _, c in coefficients
     )
 
@@ -380,7 +383,7 @@ SYNTHETIC = {
 @pytest.mark.parametrize("row", list(SYNTHETIC))
 def test_synthetic_row_classes_and_reports(row):
     law, classes = SYNTHETIC[row]
-    assert law.classes == classes
+    assert compiled_row(law)[1] == classes
     # Mixed scales: t carries 3, s carries 5, so common // scale is 5 for t and 3 for s.
     operands = {"t": fractions_block((3, 3, 2), 3), "s": fractions_block((3, 3, 2), 5)}
     report = check_row(law, row, **operands)
@@ -416,8 +419,9 @@ TWO_LETTER = {
 @pytest.mark.parametrize("row", list(TWO_LETTER))
 def test_two_letter_row_compiles_to_its_distinct_contractions(row):
     law, contractions = TWO_LETTER[row]
-    assert len(law.groups) == contractions
-    for ids, spec, _, _ in law.groups:
+    groups = compiled_row(law)[0]
+    assert len(groups) == contractions
+    for ids, spec, _, _ in groups:
         assert sorted(p for _, axes in ids for _, p in axes) == [0, 1]
         assert not {"i", "j"} & set(spec)
 
@@ -451,7 +455,7 @@ def test_two_letter_terms_that_cancel_exactly_pass():
 
 def test_a_row_that_cancels_entirely_holds():
     law = Law("k", "ij", "+ t.kij", "- t.kij")
-    assert law.classes == ()
+    assert compiled_row(law)[1] == ()
     t = fractions_block((2, 2, 2), 7)
     report = check_row(law, "CANCELLED", t=t)
     assert report.holds and report.total_failures == 0
@@ -513,28 +517,28 @@ LIST_ROWS = {
 def test_list_rows_compile_as_intended():
     from homstruct.exact import _compile
 
-    lone, lookup = LIST_ROWS["lone and lookup"].groups
+    lone, lookup = compiled_row(LIST_ROWS["lone and lookup"])[0]
     assert lone[1] == "ab->ab" and _compile(lookup[1])[0][-1][4]
-    assert LIST_ROWS["cyclic"].classes == (
+    assert compiled_row(LIST_ROWS["cyclic"])[1] == (
         (((0, 3), (1, -2)), ((1, (0, 1, 2)), (1, (2, 0, 1)), (-1, (1, 2, 0)))),
     )
-    assert LIST_ROWS["cycled"].classes == (
+    assert compiled_row(LIST_ROWS["cycled"])[1] == (
         (((0, 1), (1, -1)), ((1, (0, 1, 2)),)), (((0, 1),), ((1, (2, 0, 1)),))
     )
-    (row, permutations), = LIST_ROWS["symmetrised join"].classes
+    (row, permutations), = compiled_row(LIST_ROWS["symmetrised join"])[1]
     assert row == ((0, 2), (1, -1)) and len(permutations) == 2
-    law = LIST_ROWS["symmetrised then cycled"]
-    assert law.classes == (
+    classes = compiled_row(LIST_ROWS["symmetrised then cycled"])[1]
+    assert classes == (
         (((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (1, 0, 2)))), (((0, 1),), ((1, (2, 0, 1)),))
     )
     # Each class is summed at the identity strides and spread under each of its
     # permutations; the first spread, the identity with sign +, is W itself.
-    strides, ((first, swap), (cycle,)) = law._layout((2, 2, 2))
+    strides, ((first, swap), (cycle,)) = _layout(classes, (2, 2, 2))
     assert strides == (4, 2, 1)
     assert first == (1, None) and swap == (1, [0, 1, 4, 5, 2, 3, 6, 7])
     assert cycle == (1, [0, 2, 4, 6, 1, 3, 5, 7])
     # With sign -1 on the identity, both permutations spread with sign -1.
-    strides, (spreads,) = SYNTHETIC["negated symmetrised"][0]._layout((2, 2))
+    strides, (spreads,) = _layout(compiled_row(SYNTHETIC["negated symmetrised"][0])[1], (2, 2))
     assert strides == (2, 1) and spreads == [(-1, None), (-1, [0, 2, 1, 3])]
 
 
@@ -934,6 +938,44 @@ def test_the_catalogue_sweep_and_session_evict_no_compiled_entry(tmp_path, capsy
     assert info.misses == info.currsize < info.maxsize  # every entry built is still held
 
 
+def stated_laws() -> list:
+    """Every ``Law`` the structure modules and ``laws`` hold, at module level or in
+    a dict or tuple there."""
+    found = {}
+
+    def walk(value):
+        if isinstance(value, Law):
+            found[id(value)] = value
+        elif isinstance(value, (dict, tuple, list)):
+            for item in value.values() if isinstance(value, dict) else value:
+                walk(item)
+
+    for module in (laws, algebras, modules, coalgebras, comodules):
+        walk(list(vars(module).values()))
+    return list(found.values())
+
+
+def test_a_check_leaves_every_law_as_stated(tmp_path, capsys, monkeypatch):
+    # A plan compiles each row by its operands' numbers, less its identity maps
+    # (``laws._row``): no check builds a Law, and each Law keeps only its row.
+    from homstruct import catalog, cli
+
+    stated = stated_laws()
+    assert len(stated) > 20
+    before = [copy.deepcopy(vars(law)) for law in stated]
+    built, init = [], Law.__init__
+    monkeypatch.setattr(Law, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    compiled.cache_clear()
+    for entry in catalog.entries():
+        axioms.verify(entry.payload, list(entry.expected_verdicts))
+        for argv in session_argv(entry, tmp_path):
+            assert cli.main(argv) in (0, 1), argv
+    capsys.readouterr()
+    assert built == []
+    for law, was in zip(stated, before):
+        assert vars(law) == was and set(was) == {"index", "residual", "terms", "_parsed", "names"}
+
+
 def test_programs_are_keyed_by_laws_aliasing_and_shapes():
     bound = compiled.cache_info().maxsize
     cases = [case for n in range(1, 5) for case in aliasing_cases(n)]
@@ -967,10 +1009,11 @@ def slot_formula(rows: list) -> tuple[int, int]:
     bounds = []
     for _, law, operands in rows:
         bounds.append([])
-        for ids, _, summed, uses in law.groups:
-            scale = prod(operands[name].scaled[0] for name, _ in ids)
-            bits = sum(operands[name].scaled[2] for name, _ in ids)
-            count = len(uses) * prod(operands[name].shape[axis] for name, axis in summed)
+        named = [operands[name] for name in law.names]  # operand n is law.names[n]
+        for ids, _, summed, uses in compiled_row(law)[0]:
+            scale = prod(named[n].scaled[0] for n, _ in ids)
+            bits = sum(named[n].scaled[2] for n, _ in ids)
+            count = len(uses) * prod(named[n].shape[axis] for n, axis in summed)
             bounds[-1].append((scale, count << bits))
     common = lcm(*[scale for row in bounds for scale, _ in row])
     return common, max(sum(common // s * b for s, b in row) for row in bounds).bit_length() + 2

@@ -26,7 +26,7 @@ from homstruct.catalog import (
     zero_algebra,
 )
 from homstruct.errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from homstruct.exact import ActionTensor, LinearMap, MulTensor, action_shape, construct
+from homstruct.exact import ActionTensor, LinearMap, MulTensor, action_shape, compose, construct
 from homstruct.report import Witness
 from homstruct.laws import Law
 from homstruct.modules import _LAWS, _TWIST, LEFT_MODULE
@@ -173,7 +173,8 @@ def test_twist_module_refuses_an_alpha_that_is_not_multiplicative():
     alg = HomAlgebra(8, octonions().mu, LinearMap.diagonal([2] * 8))
     mod = regular_module(alg)
     assert check_left_module(mod).holds
-    action = ActionTensor(construct(*_TWIST["left"], alpha=alg.alpha, t=mod.action), 8, 8, "left")
+    square = compose(alg.alpha, alg.alpha)
+    action = ActionTensor(construct(*_TWIST["left"], square=square, t=mod.action), 8, 8, "left")
     assert check_left_module(HomModule(alg, 8, mod.beta, action, "left")).total_failures == 176
     for side in ("left", "right"):
         with pytest.raises(NotEndomorphism, match="not multiplicative at 64 basis pairs"):

@@ -25,7 +25,7 @@ from homstruct.exact import (
 )
 from homstruct.modules import HomModule
 from homstruct.report import AxiomReport
-from reference_laws import UnpackedLaw, check_row
+from reference_laws import UnpackedLaw, check_row, compiled_row
 
 # Sparse, signed and fractional: half the entries are zero.
 entry = st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -232,7 +232,7 @@ def test_a_kept_class_sum_takes_no_later_adds():
     cubes = [[[[Fraction(i * 9 + j * 3 + k + 1, d) * (-1) ** k for k in range(3)]
                for j in range(3)] for i in range(3)] for d in (2, 3, 5)]
     operands = dict(zip("tsu", map(MulTensor.from_entries, cubes)))
-    assert len(first.classes) == 2
+    assert len(compiled_row(first)[1]) == 2
     plan = laws.Plan({"FIRST": [("FIRST", first, operands)],
                       "SECOND": [("SECOND", second, operands)]})
     for axiom, law in (("FIRST", first), ("SECOND", second)):
@@ -293,15 +293,16 @@ UNTWISTED = {
 }
 
 
-def cancelled(law: laws.Law) -> bool:
-    """Whether a plan keeps no class of ``law``, its ``src`` and ``dst`` one operand as a
-    coalgebra binds its multiplicativity rows, every axis of size 2."""
-    names = law._compiled[2]
+def cancelled(law: laws.Law, maps: tuple) -> bool:
+    """Whether a plan keeps no class of ``law`` less the identity maps named in ``maps``,
+    its ``src`` and ``dst`` one operand as a coalgebra binds its multiplicativity rows,
+    every axis of size 2."""
+    names = law.names
     arity = {name: len(letters) for _, ops in map(_parse, law.terms) for name, letters in ops}
     numbers = tuple([names.index("dst" if name == "src" and "dst" in names else name)
                      for name in names])
     shapes = tuple([(2,) * arity[name] for name in names])
-    return compiled(laws._program, (("R", law, numbers),), shapes)[2]["R"][-1] == ()
+    return compiled(laws._program, (("R", law, numbers, maps),), shapes)[2]["R"][-1] == ()
 
 
 def test_identity_operands_are_dropped_from_every_registered_row():
@@ -309,14 +310,13 @@ def test_identity_operands_are_dropped_from_every_registered_row():
     assert set(rows) == set(UNTWISTED)
     for axiom, law in rows.items():
         for bound, terms in zip((("alpha", "f"), ("alpha", "beta", "f")), UNTWISTED[axiom]):
-            maps = tuple([name for name in law._compiled[2] if name in bound])  # as in a Plan
-            rewritten = compiled(laws._untwisted, law, maps)
-            assert rewritten.terms == terms, (axiom, bound)
-            assert compiled(laws._untwisted, law, maps) is rewritten  # one Law per process
-            assert (rewritten is law) == (terms == law.terms)
+            maps = tuple([name for name in law.names if name in bound])  # as in a Plan
+            compiled_terms = laws._terms(law, maps)  # what the plan compiles (laws._row)
+            assert tuple([laws._term(*term) for term in compiled_terms]) == terms, (axiom, bound)
+            assert (compiled_terms == law._parsed) == (terms == law.terms)
             # A multiplicativity row whose every map is the identity cancels to nothing.
-            cancels = "MULTIPLICATIVITY" in axiom and {"alpha", "beta", "f"} & set(law._compiled[2]) <= set(bound)
-            assert cancelled(rewritten) == cancels, (axiom, bound)
+            cancels = "MULTIPLICATIVITY" in axiom and {"alpha", "beta", "f"} & set(law.names) <= set(bound)
+            assert cancelled(law, maps) == cancels, (axiom, bound)
 
 
 def test_a_plan_whose_rows_all_cancel_reports_pass():
@@ -377,7 +377,7 @@ def test_an_identity_is_kept_where_dropping_it_is_no_relabelling():
         (laws.Law("ij", "o", "+ e.ao x.ia y.ja"), {"e": e, "x": f, "y": f}),
     ]
     for law, operands in cases:
-        assert laws._untwisted(law, ("e",)) is law, law.terms
+        assert laws._terms(law, ("e",)) == law._parsed, law.terms
         report = check_row(law, "KEPT", **operands)
         assert not report.holds
         assert report == UnpackedLaw.of(law).check("KEPT", **operands)
