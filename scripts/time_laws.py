@@ -49,7 +49,11 @@ skip; the ``sparse`` line below times them where almost every entry is 0.
 Then one ``suite`` line: the best time in ms of ``verify
 --suite all`` on each of the five structures (``algebra_ms`` ...
 ``comodule_ms``), one ``laws.Plan`` each, so shared contractions and
-packings are built once per suite.  Then one ``untwisted`` line, the same
+packings are built once per suite, and the ``tracemalloc`` size in KB of what
+``exact.compiled`` holds after one more, untimed run of the five suites started
+on an emptied cache (``compiled_kb``): programs, row compiles, contraction
+plans, sink offsets and spreads, but not the row keys of each shape, which
+``scaled`` read before the cache was emptied.  Then one ``untwisted`` line, the same
 on the five structures with ``alpha`` and ``beta`` replaced by the
 identity, whose plans drop those operands.  Then one ``construct`` line: the best
 time in ms of ``modules.twist_module`` on the left module rebased on a dense
@@ -86,7 +90,7 @@ from homstruct.catalog import DeterministicRng  # noqa: E402
 from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
 from homstruct.comodules import HomComodule, regular_comodule, twist_poisson_comodule  # noqa: E402
 from homstruct.exact import (  # noqa: E402
-    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, _Tensor, construct,
+    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, _Tensor, compiled, construct,
 )
 from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize  # noqa: E402
 from homstruct.modules import LEFT_MODULE, HomModule, regular_module, twist_module  # noqa: E402
@@ -333,14 +337,12 @@ def time_ingest(n: int, repeat: int) -> tuple[float, float, float]:
     return best_parse, best_build, best_rewrite
 
 
-def time_suites(n: int, repeat: int, untwist: bool = False) -> list[float]:
-    """Best seconds of ``--suite all`` on each of the five dim-n structures, or on
-    their ``untwisted`` forms."""
-    structures = build_structures(n, dense_entries(n))
+def time_suites(structures: list, repeat: int) -> list[float]:
+    """Best seconds of ``--suite all`` on each of ``structures``."""
     best = []
     gc.collect()
     gc.disable()
-    for structure in untwisted(structures) if untwist else structures:
+    for structure in structures:
         suite, seconds = native_suite(structure), float("inf")
         for _ in range(repeat):
             start = time.perf_counter()
@@ -349,6 +351,21 @@ def time_suites(n: int, repeat: int, untwist: bool = False) -> list[float]:
         best.append(seconds)
     gc.enable()
     return best
+
+
+def compiled_bytes(structures: list) -> int:
+    """The ``tracemalloc`` size of what ``exact.compiled`` holds after ``--suite all``
+    on each of ``structures``, run once on an emptied cache.  The suites ran on them
+    before (``time_suites``), so their tensors' ``scaled`` entries are read already: no
+    other allocation is kept, and the row keys that ``scaled`` reads are not rebuilt."""
+    compiled.cache_clear()
+    tracemalloc.start()
+    for structure in structures:
+        verify(structure, native_suite(structure))
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return held
 
 
 def time_constructions(n: int, repeat: int) -> list[float]:
@@ -440,10 +457,14 @@ def main(argv=None) -> int:
         print(f"{n:>3}  {'ingest':<32} parse_ms={parse_seconds * 1000:.2f}"
               f" scaled_ms={build_seconds * 1000:.2f}"
               f" rewrite_ms={rewrite_seconds * 1000:.2f}", flush=True)
-        for label, untwist in (("suite", False), ("untwisted", True)):
-            suites = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds
-                              in zip(NAMES, time_suites(n, args.repeat, untwist)))
-            print(f"{n:>3}  {label:<32} {suites}", flush=True)
+        structures = build_structures(n, dense_entries(n))
+        suites = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds
+                          in zip(NAMES, time_suites(structures, args.repeat)))
+        held = compiled_bytes(structures)
+        print(f"{n:>3}  {'suite':<32} {suites} compiled_kb={held / 1024:.1f}", flush=True)
+        suites = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in zip(
+            NAMES, time_suites(untwisted(build_structures(n, dense_entries(n))), args.repeat)))
+        print(f"{n:>3}  {'untwisted':<32} {suites}", flush=True)
         constructs = zip(CONSTRUCTIONS, time_constructions(n, args.repeat))
         constructs = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in constructs)
         print(f"{n:>3}  {'construct':<32} {constructs}", flush=True)

@@ -537,10 +537,10 @@ def compiled(build, *key):
     """``build(*key)``, worked out once per process while ``key`` is among the 512
     most recently used: the one cache of what a contraction spec (``_compile``),
     its sink strides (``offsets``), a law's row (``laws._row``), a check's rows
-    (``laws._program``) or a construction's term (``_term``) fix with its operands'
-    numbers and shapes, and of each width's shared zero row (``_zeros``) and each
-    shape's row keys (``_row_keys``).  Keys hold laws, letters, operand numbers,
-    names and shapes, never entry values."""
+    (``laws._program``), a permutation's spread (``laws._spread``) or a construction's
+    term (``_term``) fix with its operands' numbers and shapes, and of each width's
+    shared zero row (``_zeros``) and each shape's row keys (``_row_keys``).  Keys
+    hold laws, letters, operand numbers, names and shapes, never entry values."""
     return build(*key)
 
 
@@ -857,8 +857,9 @@ def construct(out: str, term: str, **operands: _Tensor) -> tuple:
     is the opposite multiplication.  Each output letter is sized by the first
     operand axis holding it.  The operands' ``scaled`` entries are contracted into
     one list, the sign being ``contract``'s ``into`` factor; a nonzero sum ``v`` is
-    ``Fraction(v, s)``, ``s`` the product of their scales, a zero ``_ZERO`` and an all-zero
-    row the shared one."""
+    ``Fraction(v, s)``, ``s`` the product of their scales (``Fraction(v)``, which skips
+    the normalising gcd, when ``s`` is 1), a zero ``_ZERO`` and an all-zero row the
+    shared one."""
     shapes = tuple([(name, t.shape) for name, t in operands.items()])
     spec, factor, names, shape, sinks = compiled(_term, out, term, shapes)
     readings = [operands[name].scaled for name in names]
@@ -867,7 +868,8 @@ def construct(out: str, term: str, **operands: _Tensor) -> tuple:
     s, width = prod(scale for scale, _, _ in readings), shape[-1]
     rows = [sink[i * width : (i + 1) * width] for i in range(prod(shape[:-1]))]
     zero = compiled(_zeros, (width,))
-    return _nest([tuple([Fraction(v, s) if v else _ZERO for v in row]) if any(row) else zero
+    entry = Fraction if s == 1 else lambda v: Fraction(v, s)
+    return _nest([tuple([entry(v) if v else _ZERO for v in row]) if any(row) else zero
                   for row in rows], shape)
 
 

@@ -57,13 +57,14 @@ coefficient row, zero ones dropped; permutations whose rows agree up to sign
 form one class.  Each class sums its contractions once into a list ``W`` of
 its own, a contraction's last join adding straight into it
 (``exact.contract``'s ``into``), and adds ``W`` under each permutation
-through a gather list: ``LEFT_HOM_ALT`` is ``W = A - B`` and then ``W +
-swap(W)``.  When a row's first add is the identity with sign +, ``W``
-itself is the residual; every later add builds a new list, so no list is
-written after its sum.  A scaled or packed operand, a class sum ``W`` and a
-contraction mean the same ints in every row, so each is built once: a class
-that two rows hold is summed once and spread by each, and a contraction
-that two distinct classes hold is contracted once into a list of its own,
+through strided slices of it, one per place of the letters before the last
+(``_spread``): ``LEFT_HOM_ALT`` is ``W = A - B`` and then ``W + swap(W)``.
+When a row's first add is the identity with sign +, ``W`` itself is the
+residual; every later add builds a new list, so no list is written after its
+sum.  A scaled or packed operand, a class sum ``W`` and a contraction mean
+the same ints in every row, so each is built once: a class that two rows
+hold is summed once and spread by each, and a contraction that two distinct
+classes hold is contracted once into a list of its own,
 laid out as ``W``, and added into each class's ``W`` by one C-level ``map``.
 ``LEFT_HOM_ALT``, ``RIGHT_HOM_ALT`` and ``HOM_ASSOC`` spread one ``W = A -
 B``: two contractions for the three.  Terms that bind operands to one
@@ -83,16 +84,18 @@ A plan is a program and its arithmetic.  The program is all that the rows'
 laws, the pattern of their operand numbers, the operands bound to identity
 maps and the operands' shapes fix: which groups and rows the scale and bound
 read, each row's layout, packings and classes, and each contraction's spec,
-loads, sharing and sink offsets (``_program``).  It and each row's compile
-are built once per process into ``exact.compiled``, the one bounded cache of
-compiled structure, keyed never by entry values.  A check then reads the
-``scaled`` of each distinct operand a kept contraction loads, works out the
-common scale and B, packs, contracts, spreads and scans.
+loads, sharing and sink offsets (``_program``).  It, each row's compile and
+each spread, by permutation and shape, are built once per process into
+``exact.compiled``, the one bounded cache of compiled structure, keyed never
+by entry values; a program holds O(n^2) per spread on n-dim tensors, and the
+O(n^3) row keys that ``scaled`` reads are kept once per shape.  A check then
+reads the ``scaled`` of each distinct operand a kept contraction loads, works
+out the common scale and B, packs, contracts, spreads and scans.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import lcm, prod
 from operator import add, mul, sub
 
@@ -205,21 +208,36 @@ def _layout(classes: tuple, shape: tuple[int, ...]) -> tuple:
     """``(strides, spreads)`` for an unpacked output of ``shape``.
 
     ``strides`` take a group's output key to its place in a class's list
-    ``W``.  ``spreads`` holds, per class, one ``(sign, gather)`` per
-    permutation, the residual at place ``r`` taking ``W[gather[r]]``
-    (None: ``W[r]``).  Worked out once per program (``_program``).
+    ``W``.  ``spreads`` holds, per class, one ``(sign, slices)`` per
+    permutation: None when the permutation moves no stride (the residual
+    is ``W`` itself), else its ``_spread``.  Worked out once per program
+    (``_program``), each spread once per process (``exact.compiled``).
     """
     strides = tuple([prod(shape[i + 1 :]) for i in range(len(shape))])
-    spreads = []
-    for _, perms in classes:
-        spreads.append([])
-        for s, permutation in perms:
-            moved = tuple([strides[p] for p in permutation])
-            gather = None if moved == strides else [0]  # built axis by axis
-            for n, m in zip(shape, moved) if gather else ():
-                gather = [r + d * m for r in gather for d in range(n)]
-            spreads[-1].append((s, gather))
+    spreads = [[(s, None if tuple([strides[p] for p in permutation]) == strides
+                 else compiled(_spread, permutation, shape)) for s, permutation in perms]
+               for _, perms in classes]
     return strides, spreads
+
+
+def _spread(permutation: tuple, shape: tuple[int, ...]) -> tuple:
+    """The strided slices of ``W`` whose concatenation is ``W`` under ``permutation``.
+
+    Residual letter ``i`` is output letter ``permutation[i]`` of ``W``, so a
+    step along residual axis ``i`` is a step of ``W``'s stride at that axis.
+    There is one slice per place of the residual axes before the last, in
+    lexicographic order, each reading the last axis's ``n`` places from its
+    start ``r`` at that step ``m``: ``slice(r, r + n * m, m)``.  That is
+    O(n^2) slices for a three-letter output, read in C.
+    """
+    strides = [prod(shape[i + 1 :]) for i in range(len(shape))]
+    starts = [0]  # built axis by axis, the last axis left to the slices
+    for n, p in zip(shape[:-1], permutation):
+        starts = [r + d * strides[p] for r in starts for d in range(n)]
+    n, m = shape[-1], strides[permutation[-1]]
+    # An empty last axis leaves no place to read, and its stride m may be 0,
+    # which no slice steps by.
+    return tuple([slice(r, r + n * m, m) for r in starts]) if n else ()
 
 
 class Plan:
@@ -296,11 +314,12 @@ class Plan:
                     w = list(map(sub if f == -1 else add, w, part))
                 if key is not None:
                     self._sums[key] = w
-            for s, gather in spread:
-                if residual is zeros and s > 0 and gather is None:
+            for s, slices in spread:
+                if residual is zeros and s > 0 and slices is None:
                     residual = w  # the row's first add: W itself
                 else:  # a new list, so no list is written after its sum
-                    part = w if gather is None else map(w.__getitem__, gather)
+                    part = w if slices is None else chain.from_iterable(
+                        map(w.__getitem__, slices))
                     residual = list(map(add if s > 0 else sub, residual, part))
         return _report(axiom, residual, index, outer, slots, common, bits)
 

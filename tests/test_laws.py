@@ -7,6 +7,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain, product
 from math import isqrt, lcm, prod
 
 import pytest
@@ -500,7 +501,7 @@ LIST_ROWS = {
     # One class of three permutations whose row weighs t by 3 and s by -2:
     # the identity and a 3-cycle add, its square (the inverse) subtracts.
     "cyclic": Law("ijk", "o", *weighted("ijk", 1), *weighted("jki", 1), *weighted("kij", -1)),
-    # A 3-cycle alone in its class, spread through a gather list.
+    # A 3-cycle alone in its class, spread through strided slices.
     "cycled": Law("ijk", "o", "+ t.ijko", "+ t.jkio", "- s.ijko"),
     # A symmetrised row of two joins over rectangular letters (i, j in one
     # size, p in another), as the module laws are, with coefficient 2.
@@ -532,14 +533,55 @@ def test_list_rows_compile_as_intended():
         (((0, 1), (1, -1)), ((1, (0, 1, 2)), (1, (1, 0, 2)))), (((0, 1),), ((1, (2, 0, 1)),))
     )
     # Each class is summed at the identity strides and spread under each of its
-    # permutations; the first spread, the identity with sign +, is W itself.
+    # permutations; the first spread, the identity with sign +, is W itself.  A
+    # spread is one slice along W's stride for the last letter per place of the
+    # others, read in order.
     strides, ((first, swap), (cycle,)) = _layout(classes, (2, 2, 2))
     assert strides == (4, 2, 1)
-    assert first == (1, None) and swap == (1, [0, 1, 4, 5, 2, 3, 6, 7])
-    assert cycle == (1, [0, 2, 4, 6, 1, 3, 5, 7])
+    assert first == (1, None)
+    assert swap == (1, (slice(0, 2, 1), slice(4, 6, 1), slice(2, 4, 1), slice(6, 8, 1)))
+    assert spread_read(swap[1], 8) == [0, 1, 4, 5, 2, 3, 6, 7]
+    assert cycle == (1, (slice(0, 4, 2), slice(4, 8, 2), slice(1, 5, 2), slice(5, 9, 2)))
+    assert spread_read(cycle[1], 8) == [0, 2, 4, 6, 1, 3, 5, 7]
     # With sign -1 on the identity, both permutations spread with sign -1.
     strides, (spreads,) = _layout(compiled_row(SYNTHETIC["negated symmetrised"][0])[1], (2, 2))
-    assert strides == (2, 1) and spreads == [(-1, None), (-1, [0, 2, 1, 3])]
+    assert strides == (2, 1) and spreads == [(-1, None), (-1, (slice(0, 4, 2), slice(1, 5, 2)))]
+    assert spread_read(spreads[1][1], 4) == [0, 2, 1, 3]
+    # A dim-16 swap holds one slice per place of its first two letters, not 16^3 ints.
+    [[(_, slices)]] = _layout(((((0, 1),), ((1, (1, 0, 2)),)),), (16, 16, 16))[1]
+    assert len(slices) == 256 and {s.step for s in slices} == {1}
+    assert spread_read(slices[:2], 16**3) == [*range(16), *range(256, 272)]
+
+
+def spread_read(slices: tuple, size: int) -> list:
+    """The places of a ``size``-place ``W`` that a spread's slices read, in order."""
+    return list(chain.from_iterable(map(list(range(size)).__getitem__, slices)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_spread_reads_the_permuted_list(data):
+    # Shapes of 1-4 axes of sizes 0-4, under permutations that move the last
+    # axis or keep it; the letters a permutation exchanges share a size, as in
+    # a row.  Residual axis i is W's axis p[i]: the slices read W in the order
+    # of a gather built key by key.
+    permutation = tuple(data.draw(st.permutations(range(data.draw(st.integers(1, 4))))))
+    cycle_of = {}  # letter -> its cycle's first letter: a cycle's letters share a size
+    for first in permutation:
+        letter = first
+        while letter not in cycle_of:
+            cycle_of[letter], letter = first, permutation[letter]
+    sizes = {first: data.draw(st.integers(0, 4)) for first in dict.fromkeys(cycle_of.values())}
+    shape = tuple([sizes[cycle_of[i]] for i in range(len(permutation))])
+    strides = [prod(shape[i + 1 :]) for i in range(len(shape))]
+    gather = [sum([key[i] * strides[p] for i, p in enumerate(permutation)])
+              for key in product(*map(range, shape))]
+    [[(_, slices)]] = _layout(((((0, 1),), ((1, permutation),)),), shape)[1]
+    if slices is None:  # a permutation that moves no stride leaves W as it is
+        assert gather == list(range(prod(shape)))
+    else:
+        assert spread_read(slices, prod(shape)) == gather
+        assert len(slices) == (prod(shape[:-1]) if shape[-1] else 0)
 
 
 @pytest.mark.parametrize("row", list(LIST_ROWS))

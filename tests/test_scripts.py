@@ -80,7 +80,7 @@ LAYER_FIELDS = {
     "exec": [f"{stem}_ms" for stem in MODULES if stem != "__main__"] + ["total_ms"],
     "write": ["build_ms", "serialize_ms", "regular_ms", "regular_kb"],
     "ingest": ["parse_ms", "scaled_ms", "rewrite_ms"],
-    "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
+    "suite": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms", "compiled_kb"],
     "untwisted": ["algebra_ms", "left_ms", "right_ms", "coalgebra_ms", "comodule_ms"],
     "construct": ["twist_module_ms", "twist_comodule_ms", "then_map_ms", "precompose_ms"],
     "catalog": ["catalog_ms", "slowest", "slowest_ms", "first_ms"],
@@ -116,7 +116,8 @@ def test_time_laws_prints_one_line_per_law(capsys):
     for row in rows:
         if row.split()[1] in LAYER_FIELDS:
             assert min(layer_ms(row)) >= 0, row
-            if row.split()[1] == "write":  # the regular file's write allocates something
+            # the regular file's write allocates something, and the suites compile programs
+            if row.split()[1] in ("write", "suite"):
                 assert layer_ms(row, "_kb")[0] > 0, row
             continue
         _, _, ms, fmt_ms, failures = row.split()
