@@ -60,7 +60,7 @@ time in ms of ``modules.twist_module`` on the left module rebased on a dense
 algebra whose dense alpha is multiplicative (``multiplicative_algebra``; the
 twist checks that first), ``twist_module_ms``, of
 ``comodules.twist_poisson_comodule`` on the comodule
-(``twist_comodule_ms``), and of ``exact.construct`` on the Yau twist's row
+(``twist_comodule_ms``), and of ``laws.construct`` on the Yau twist's row
 for the algebra's ``mu`` and on the coalgebra Yau twist's row for the
 coalgebra's ``delta``, each along the structure's own ``alpha``
 (``then_map_ms``, ``precompose_ms``: ``phi . mu`` and ``delta . phi``).  The
@@ -90,9 +90,10 @@ from homstruct.catalog import DeterministicRng  # noqa: E402
 from homstruct.coalgebras import HomPoissonCoalgebra  # noqa: E402
 from homstruct.comodules import HomComodule, regular_comodule, twist_poisson_comodule  # noqa: E402
 from homstruct.exact import (  # noqa: E402
-    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, _Tensor, compiled, construct,
+    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, _Tensor, compiled,
 )
 from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize  # noqa: E402
+from homstruct.laws import construct  # noqa: E402
 from homstruct.modules import LEFT_MODULE, HomModule, regular_module, twist_module  # noqa: E402
 from homstruct.report import WITNESS_CAP, format_report  # noqa: E402
 

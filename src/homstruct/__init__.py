@@ -4,8 +4,8 @@ coalgebras, and their modules and comodules.
 Every axiom is a multilinear identity in the structure constants, stated
 once as a row of signed contraction terms (``laws.Law``) and decided exactly
 over the rationals; each construction (twists, opposites, negations) is
-stated once as one such term, evaluated exactly by ``exact.construct`` and
-put back into a copy of its structure by ``exact.rebuild``.  The package
+stated once as one such term, evaluated exactly by ``laws.construct`` and
+put back into a copy of its structure by ``laws.rebuild``.  The package
 decides laws on basis tuples only; it evaluates no map or tensor at a point.
 """
 
@@ -64,11 +64,11 @@ from .exact import (
     LinearMap,
     MulTensor,
     Vector,
-    compose,
     format_rational,
     parse_rational,
     rat,
 )
+from .laws import compose
 from .modules import (
     HomModule,
     check_left_module,

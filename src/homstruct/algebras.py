@@ -13,8 +13,8 @@ its letters ``ij`` (left) or ``jk`` (right).
 from __future__ import annotations
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotEndomorphism
-from .exact import LinearMap, MulTensor, Record, _set, rebuild, record
-from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, polarized
+from .exact import LinearMap, MulTensor, Record, _set, record
+from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, polarized, rebuild
 from .report import AxiomReport
 
 LEFT_HOM_ALT = "LEFT_HOM_ALT"
@@ -63,7 +63,7 @@ _MULTIPLICATIVE = Law("ij", "o", "+ src.ija f.oa", "- dst.abo f.ai f.bj")
 _MORPHISM_PARTS = ((MORPHISM_MULTIPLICATIVE, _MULTIPLICATIVE, "mu"),
                    (MORPHISM_TWIST_COMMUTES, COMMUTES, "alpha"))
 
-# The Yau twist, one term (``exact.rebuild``) on the multiplication t; negation and
+# The Yau twist, one term (``laws.rebuild``) on the multiplication t; negation and
 # the opposite are ``laws.NEGATE`` and ``laws.SWAP``.
 _YAU_TWIST = ("ijo", "+ t.ijq phi.oq")  # phi(mul(x, y))
 

@@ -316,8 +316,3 @@ def get(name: str) -> CatalogEntry:
         if entry.name == name:
             return entry
     raise KeyError(name)
-
-
-def names() -> list[str]:
-    return [e.name for e in entries()]
-

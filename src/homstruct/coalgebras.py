@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from .algebras import _ASSOCIATOR, _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
-from .exact import ComulTensor, LinearMap, Record, _set, rebuild, record
-from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, transposed
+from .exact import ComulTensor, LinearMap, Record, _set, record
+from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, rebuild, transposed
 from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
@@ -106,7 +106,7 @@ _MORPHISM_PARTS = ((COALGEBRA_MORPHISM_DELTA, _MORPHISM, "delta"),
                    (COALGEBRA_MORPHISM_GAMMA, _MORPHISM, "gamma"),
                    (COALGEBRA_MORPHISM_TWIST_COMMUTES, COMMUTES, "alpha"))
 
-# Constructions, one term each (``exact.rebuild``) on one comultiplication t.
+# Constructions, one term each (``laws.rebuild``) on one comultiplication t.
 _YAU_TWIST = ("kij", "+ phi.lk t.lij")  # t . phi
 _OPPOSITE = ("kij", "+ t.kji")  # tau . t
 

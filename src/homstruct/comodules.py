@@ -28,8 +28,8 @@ from typing import Optional
 
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
-from .exact import CoactionTensor, LinearMap, Record, _set, compose, rebuild, record
-from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, transposed
+from .exact import CoactionTensor, LinearMap, Record, _set, record
+from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, compose, rebuild, transposed
 from .modules import _ASSOCIATOR as _MODULE_ASSOCIATOR
 from .report import AxiomReport
 
@@ -140,7 +140,7 @@ _MORPHISM_PARTS = ((COMODULE_MORPHISM_DELTA, _INTERTWINES, "delta_m"),
                    (COMODULE_MORPHISM_GAMMA, _INTERTWINES, "gamma_m"),
                    (COMODULE_MORPHISM_BETA_COMMUTES, COMMUTES, "beta"))
 
-# The twist, one term (``exact.rebuild``) on one coaction t.
+# The twist, one term (``laws.rebuild``) on one coaction t.
 _TWIST = ("piq", "+ square.il t.plq")  # (alpha^2 @ id) . t, square = alpha^2 built once
 
 

@@ -26,22 +26,17 @@ the nonzero entries times the lcm ``s`` of their denominators, as ``{index
 tuple: int}``, with ``s`` kept beside them.  That is the form ``contract``,
 the one exact contraction every law check and construction goes through,
 works on; a check divides ``s`` back out only for its reported witnesses, a
-construction once per nonzero output entry.  The tensors have no
-construction or evaluation methods: a twist, negation or opposite, and
-``compose``, is one signed term of the ``laws.Law`` grammar, which
-``construct`` evaluates; ``rebuild`` puts a structure's rebuilt tensors
-back into a copy of it.  Nothing here evaluates a map or tensor at a point:
-the test oracle does that with loops of its own.
+construction once per nonzero output entry.  Nothing here evaluates a map or
+tensor at a point: the test oracle does that with loops of its own.
 
 Entries are exact rationals (``fractions.Fraction``).  Zero entries are best
 the one shared ``_ZERO``: ``rat``, so every ``from_entries``, ``from_rows``
 and ``diagonal``, returns it for every zero, ``fileformat`` parses every
 ``"0"`` to it, and ``zero``, ``identity`` and contractions fill
 with it; a zero row is best the one shared row of its width, which
-``from_entries``, ``construct``, ``zero`` and ``fileformat`` make of each.
-``scaled`` and ``text``, the JSON text ``fileformat`` writes, pick out the
-other rows and entries in C, so a zero costs no Python call; another
-``Fraction(0)`` or zero row is still dropped (or written), only more slowly.
+``from_entries``, ``zero``, ``fileformat`` and ``laws.construct`` make of each.
+``scaled`` picks out the other rows and entries in C, so a zero costs no Python
+call; another ``Fraction(0)`` or zero row is still dropped, only more slowly.
 
 One or two axes of an operand can also be ``pack``-ed into fixed-width
 slots of a single ``int``, so that ``contract``'s Python-level multiply-adds
@@ -56,11 +51,11 @@ from __future__ import annotations
 import re
 import sys
 from collections import defaultdict
-from dataclasses import FrozenInstanceError, dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, product, repeat
 from operator import attrgetter, floordiv, is_not, itemgetter, mul
 from reprlib import recursive_repr
 
@@ -162,11 +157,6 @@ def _nest(rows: list, shape: tuple, wrap=tuple):
     return rows[0]
 
 
-def _join(texts: list, quote: str = "") -> str:
-    """The JSON text of an array of ``texts``, each in ``quote``s: numerals need no escapes."""
-    return f"[{quote}{(quote + ',' + quote).join(texts)}{quote}]" if texts else "[]"
-
-
 def _row_keys(shape) -> list:
     """The index tuples of ``shape``, one tuple of them per row along the last axis."""
     # product reads every range whole first: a shape with an empty axis has no key, so skip it
@@ -238,8 +228,7 @@ def record(cls):
 
 class _Tensor(Record):
     """What every map and structure tensor shares: its shape guard, freezing, zeros,
-    and its integer reading and wire form, built once; the wire form is one string,
-    ``text``, and a parsed tensor keeps the array it was read from (``array``) instead.
+    and its integer reading, built once.
 
     A subclass names the field holding its nested entry tuples in ``_nested``,
     their depth in ``_axes`` and the ``DimensionMismatch`` texts for a wrong
@@ -325,31 +314,6 @@ class _Tensor(Record):
         multiplication, and every identity map of a shape is one operand."""
         return None if self.is_identity() else id(getattr(self, self._nested)), self.shape
 
-    @lazy
-    def text(self) -> str:
-        """The JSON text of the entries' array, which ``fileformat`` writes: ``"0"`` for
-        each ``_ZERO`` and one text for every shared zero row, both picked out in C,
-        and ``format_rational`` of each other entry, joined row by row."""
-        rows, width = self._rows(), self.shape[-1]
-        live = list(map(is_not, rows, repeat(rows and compiled(_zeros, (width,)))))
-        flat = list(chain.from_iterable(compress(rows, live)))
-        out = ["0"] * len(flat)
-        written = list(map(is_not, flat, repeat(_ZERO)))
-        for i, x in zip(compress(count(), written), compress(flat, written)):
-            out[i] = format_rational(x)
-        texts = [_join(["0"] * width, '"')] * len(rows) if rows else []
-        for k, i in enumerate(compress(count(), live)):
-            texts[i] = _join(out[k * width : (k + 1) * width], '"')
-        return _nest(texts, self.shape, _join)
-
-    def wire(self) -> str:
-        """``text``, or for a parsed tensor the text of the array it was read from (its
-        ``array``, kept for ``fileformat``'s base comparison), joined anew and not kept."""
-        array = self.__dict__.get("array")
-        if array is None:
-            return self.text
-        return _nest(list(map(_join, self._rows(array), repeat('"'))), self.shape, _join)
-
 
 @record
 class Vector(_Tensor):
@@ -419,15 +383,6 @@ class LinearMap(_Tensor):
 
     def is_square(self, dim: int) -> bool:
         return self.dim_in == dim and self.dim_out == dim
-
-
-def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Composite f . g (apply g first)."""
-    if f.dim_in != g.dim_out:
-        raise DimensionMismatch(f"cannot compose {f.dim_out}x{f.dim_in} after {g.dim_out}x{g.dim_in}")
-    if f.is_identity() or g.is_identity():  # a relabelling: the other map itself
-        return g if f.is_identity() else f
-    return LinearMap(construct("ij", "+ f.il g.lj", f=f, g=g), g.dim_in)
 
 
 class _SquareCube(_Tensor):
@@ -538,21 +493,18 @@ def compiled(build, *key):
     most recently used: the one cache of what a contraction spec (``_compile``),
     its sink strides (``offsets``), a law's row (``laws._row``), a check's rows
     (``laws._program``), a permutation's spread (``laws._spread``) or a construction's
-    term (``_term``) fix with its operands' numbers and shapes, and of each width's
+    term (``laws._reading``) fix with its operands' numbers and shapes, and of each width's
     shared zero row (``_zeros``) and each shape's row keys (``_row_keys``).  Keys
     hold laws, letters, operand numbers, names and shapes, never entry values."""
     return build(*key)
 
 
 def _tuple_of(letters: str, chosen: str):
-    """Function taking a key over ``letters`` to the tuple of its ``chosen`` letters."""
+    """Function taking a key over ``letters`` to the tuple of its ``chosen`` letters, in C."""
     positions = [letters.index(c) for c in chosen]
-    if not positions:
-        return lambda key: ()
-    if len(positions) == 1:
-        (p,) = positions
-        return lambda key: (key[p],)
-    return itemgetter(*positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0, 0))
 
 
 def _join_key(letters: str, shared: str):
@@ -562,7 +514,7 @@ def _join_key(letters: str, shared: str):
     letter, a tuple otherwise.
     """
     if not shared:
-        return lambda key: ()
+        return itemgetter(slice(0, 0))
     return itemgetter(*[letters.index(c) for c in shared])
 
 
@@ -798,91 +750,3 @@ def _slot_layout(slots: int, bits: int) -> tuple:
         for first in range(0, slots, 16)
     )
     return offset, mask, half, (1 << 16 * bits) - 1, blocks
-
-
-def _parse(term: str) -> tuple[bool, list[tuple[str, str]]]:
-    """``term``'s sign (True: +) and its operands as ``(name, letters)`` pairs.
-
-    A ``ValueError`` names the term unless it is ``+`` or ``-`` and then one
-    or more operands ``name.letters``, each with one dot and a nonempty name
-    and letters.
-    """
-    sign, *operands = term.split() or [""]
-    if sign not in ("+", "-"):
-        raise ValueError(f"term {term!r} needs a sign")
-    pairs = [tuple(op.split(".")) for op in operands]
-    if not pairs or any(len(pair) != 2 or not all(pair) for pair in pairs):
-        raise ValueError(f"term {term!r} needs operands written name.letters")
-    return sign == "+", pairs
-
-
-def untwisted(operands: list, out: str, maps: tuple) -> list:
-    """A term's ``(name, letters)`` operands over the letters ``out`` without those named
-    in ``maps``, bound to identity maps, where the rules of ``laws`` allow."""
-    i = 0
-    while i < len(operands):
-        (name, own), rest = operands[i], operands[:i] + operands[i + 1 :]
-        held = "".join([letters for _, letters in rest])
-        summed = [c for c in own if c not in out and c in held]
-        if name in maps and len(set(own)) == len(own) == 2 and summed:
-            other = own.replace(summed[0], "")
-            renamed = [(n, letters.replace(summed[0], other)) for n, letters in rest]
-            if all(len(set(letters)) == len(letters) for _, letters in renamed):
-                operands = renamed
-                continue
-        i += 1
-    return operands
-
-
-def _term(out: str, term: str, shapes: tuple) -> tuple:
-    """``construct``'s reading of ``term`` on operands of ``shapes``, ``(name, shape)``
-    pairs: its ``contract`` spec, its sign as a factor, its operand names, the
-    output's shape (each letter sized by the first operand axis holding it) and
-    sink offsets."""
-    plus, pairs = _parse(term)
-    shapes, holders = dict(shapes), {}
-    for name, letters in pairs:
-        for axis, c in enumerate(letters):
-            holders.setdefault(c, shapes[name][axis])
-    spec = ",".join(letters for _, letters in pairs) + "->" + out
-    shape = tuple([holders[c] for c in out])
-    strides = tuple([prod(shape[axis + 1 :]) for axis in range(len(shape))])
-    names = tuple([name for name, _ in pairs])
-    return spec, 1 if plus else -1, names, shape, compiled(offsets, spec, strides)
-
-
-def construct(out: str, term: str, **operands: _Tensor) -> tuple:
-    """The entries of one signed ``laws.Law``-grammar term on the named maps and
-    tensors, nested over the letters ``out``: ``construct("ijo", "+ t.jio", t=mu)``
-    is the opposite multiplication.  Each output letter is sized by the first
-    operand axis holding it.  The operands' ``scaled`` entries are contracted into
-    one list, the sign being ``contract``'s ``into`` factor; a nonzero sum ``v`` is
-    ``Fraction(v, s)``, ``s`` the product of their scales (``Fraction(v)``, which skips
-    the normalising gcd, when ``s`` is 1), a zero ``_ZERO`` and an all-zero row the
-    shared one."""
-    shapes = tuple([(name, t.shape) for name, t in operands.items()])
-    spec, factor, names, shape, sinks = compiled(_term, out, term, shapes)
-    readings = [operands[name].scaled for name in names]
-    sink = [0] * prod(shape)
-    contract(spec, *[entries for _, entries, _ in readings], into=(sink, sinks, factor))
-    s, width = prod(scale for scale, _, _ in readings), shape[-1]
-    rows = [sink[i * width : (i + 1) * width] for i in range(prod(shape[:-1]))]
-    zero = compiled(_zeros, (width,))
-    entry = Fraction if s == 1 else lambda v: Fraction(v, s)
-    return _nest([tuple([entry(v) if v else _ZERO for v in row]) if any(row) else zero
-                  for row in rows], shape)
-
-
-def rebuild(structure, row: tuple, fields: tuple, changes: dict | None = None, **operands):
-    """``structure`` with ``changes`` made and each tensor named in ``fields``
-    rebuilt by ``row``, ``(out, term)`` for ``construct``, on itself (``t``) and
-    ``operands``; a rebuilt tensor keeps its other fields, and is kept itself where
-    the row less its identity maps (``untwisted``) is ``+ t.<out>``."""
-    (out, term), maps = row, tuple([name for name, t in operands.items() if t.is_identity()])
-    plus, pairs = _parse(term)
-    kept = plus and untwisted(pairs, out, maps) == [("t", out)]
-    built = {}
-    for field in fields:
-        t = getattr(structure, field)
-        built[field] = t if kept else replace(t, **{t._nested: construct(*row, t=t, **operands)})
-    return replace(structure, **built, **(changes or {}))

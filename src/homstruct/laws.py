@@ -19,9 +19,9 @@ comodule law that is the dual of an algebra or module row is that row
 ``transposed``: ``HOM_COASSOCIATIVITY`` is the row above with ``mu`` named ``t``.
 A ``Plan`` evaluates the rows of one check on one structure together.
 A construction is one term in the same grammar, over the letters of the
-tensor it builds, which ``exact.construct`` evaluates: ``("ijo", "+ t.ijq
+tensor it builds, which ``construct`` evaluates: ``("ijo", "+ t.ijq
 phi.oq")`` is the Yau twist's ``phi . mu``, the tensor rebuilt being ``t``
-(``exact.rebuild``).  Each structure module states its constructions so,
+(``rebuild``).  Each structure module states its constructions so,
 beside its laws; negation and the swap of the first two axes, which every
 structure shares, are ``NEGATE`` and ``SWAP`` here.
 
@@ -95,13 +95,31 @@ out the common scale and B, packs, contracts, spreads and scans.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
 from math import lcm, prod
 from operator import add, mul, sub
 
 from .errors import DimensionMismatch
-from .exact import _parse, compiled, contract, offsets, pack, packing, unpack, untwisted
+from .exact import _ZERO, LinearMap, _nest, _zeros, compiled, contract, offsets, pack, packing, unpack
 from .report import WITNESS_CAP, AxiomReport, Witness
+
+
+def _parse(term: str) -> tuple[bool, list[tuple[str, str]]]:
+    """``term``'s sign (True: +) and its operands as ``(name, letters)`` pairs.
+
+    A ``ValueError`` names the term unless it is ``+`` or ``-`` and then one
+    or more operands ``name.letters``, each with one dot and a nonempty name
+    and letters.
+    """
+    sign, *operands = term.split() or [""]
+    if sign not in ("+", "-"):
+        raise ValueError(f"term {term!r} needs a sign")
+    pairs = [tuple(op.split(".")) for op in operands]
+    if not pairs or any(len(pair) != 2 or not all(pair) for pair in pairs):
+        raise ValueError(f"term {term!r} needs operands written name.letters")
+    return sign == "+", pairs
 
 
 class Law:
@@ -130,6 +148,24 @@ def _misheld(operands: list, residual: str) -> str | None:
     operands do not hold once in exactly one operand, else None."""
     letters = "".join([sub for _, sub in operands])
     return next((c for c in residual[-2:] if letters.count(c) != 1), None)
+
+
+def untwisted(operands: list, out: str, maps: tuple) -> list:
+    """A term's ``(name, letters)`` operands over the letters ``out`` without those named
+    in ``maps``, bound to identity maps, where the rules above allow."""
+    i = 0
+    while i < len(operands):
+        (name, own), rest = operands[i], operands[:i] + operands[i + 1 :]
+        held = "".join([letters for _, letters in rest])
+        summed = [c for c in own if c not in out and c in held]
+        if name in maps and len(set(own)) == len(own) == 2 and summed:
+            other = own.replace(summed[0], "")
+            renamed = [(n, letters.replace(summed[0], other)) for n, letters in rest]
+            if all(len(set(letters)) == len(letters) for _, letters in renamed):
+                operands = renamed
+                continue
+        i += 1
+    return operands
 
 
 def _terms(law: Law, maps: tuple) -> list:
@@ -213,11 +249,16 @@ def _layout(classes: tuple, shape: tuple[int, ...]) -> tuple:
     is ``W`` itself), else its ``_spread``.  Worked out once per program
     (``_program``), each spread once per process (``exact.compiled``).
     """
-    strides = tuple([prod(shape[i + 1 :]) for i in range(len(shape))])
+    strides = _strides(shape)
     spreads = [[(s, None if tuple([strides[p] for p in permutation]) == strides
                  else compiled(_spread, permutation, shape)) for s, permutation in perms]
                for _, perms in classes]
     return strides, spreads
+
+
+def _strides(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The row-major strides of ``shape``: a step along axis ``i`` is ``prod(shape[i + 1 :])``."""
+    return tuple([prod(shape[i + 1 :]) for i in range(len(shape))])
 
 
 def _spread(permutation: tuple, shape: tuple[int, ...]) -> tuple:
@@ -230,7 +271,7 @@ def _spread(permutation: tuple, shape: tuple[int, ...]) -> tuple:
     start ``r`` at that step ``m``: ``slice(r, r + n * m, m)``.  That is
     O(n^2) slices for a three-letter output, read in C.
     """
-    strides = [prod(shape[i + 1 :]) for i in range(len(shape))]
+    strides = _strides(shape)
     starts = [0]  # built axis by axis, the last axis left to the slices
     for n, p in zip(shape[:-1], permutation):
         starts = [r + d * strides[p] for r in starts for d in range(n)]
@@ -446,7 +487,7 @@ def _report(axiom: str, residual: list, index: tuple[int, ...], outer: int, slot
         return AxiomReport(axiom, True, (), 0)
     fails = residual if outer == 1 else list(map(any, zip(*[iter(residual)] * outer)))
     zeros = (0,) * slots
-    radix = [(prod(index[i + 1 :]), n) for i, n in enumerate(index)]
+    radix = list(zip(_strides(index), index))
     kept = []
     for flat in islice(compress(count(), fails), WITNESS_CAP):
         digits = []
@@ -460,6 +501,67 @@ def _report(axiom: str, residual: list, index: tuple[int, ...], outer: int, slot
 COMMUTES = Law("i", "o", "+ f.oa src.ai", "- dst.oa f.ai")
 """``f . src = dst . f``, column by column: a morphism intertwines two twist maps."""
 
-# Constructions every structure shares, on a three-axis tensor t (``exact.rebuild``).
+def _reading(out: str, term: str, shapes: tuple) -> tuple:
+    """``construct``'s reading of ``term`` on operands of ``shapes``, ``(name, shape)``
+    pairs: its ``contract`` spec, its sign as a factor, its operand names, the
+    output's shape (each letter sized by the first operand axis holding it) and
+    sink offsets."""
+    plus, pairs = _parse(term)
+    shapes, holders = dict(shapes), {}
+    for name, letters in pairs:
+        for axis, c in enumerate(letters):
+            holders.setdefault(c, shapes[name][axis])
+    spec = ",".join(letters for _, letters in pairs) + "->" + out
+    shape = tuple([holders[c] for c in out])
+    names = tuple([name for name, _ in pairs])
+    return spec, 1 if plus else -1, names, shape, compiled(offsets, spec, _strides(shape))
+
+
+def construct(out: str, term: str, **operands) -> tuple:
+    """The entries of one signed term on the named maps and tensors, nested over the
+    letters ``out``: ``construct("ijo", "+ t.jio", t=mu)`` is the opposite
+    multiplication.  Each output letter is sized by the first operand axis holding
+    it.  The operands' ``scaled`` entries are contracted into one list, the sign
+    being ``contract``'s ``into`` factor; a nonzero sum ``v`` is ``Fraction(v, s)``,
+    ``s`` the product of their scales (``Fraction(v)``, which skips the normalising
+    gcd, when ``s`` is 1), a zero ``_ZERO`` and an all-zero row the shared one."""
+    shapes = tuple([(name, t.shape) for name, t in operands.items()])
+    spec, factor, names, shape, sinks = compiled(_reading, out, term, shapes)
+    readings = [operands[name].scaled for name in names]
+    sink = [0] * prod(shape)
+    contract(spec, *[entries for _, entries, _ in readings], into=(sink, sinks, factor))
+    s, width = prod(scale for scale, _, _ in readings), shape[-1]
+    rows = [sink[i * width : (i + 1) * width] for i in range(prod(shape[:-1]))]
+    zero = compiled(_zeros, (width,))
+    entry = Fraction if s == 1 else lambda v: Fraction(v, s)
+    return _nest([tuple([entry(v) if v else _ZERO for v in row]) if any(row) else zero
+                  for row in rows], shape)
+
+
+def rebuild(structure, row: tuple, fields: tuple, changes: dict | None = None, **operands):
+    """``structure`` with ``changes`` made and each tensor named in ``fields``
+    rebuilt by ``row``, ``(out, term)`` for ``construct``, on itself (``t``) and
+    ``operands``; a rebuilt tensor keeps its other fields, and is kept itself where
+    the row less its identity maps (``untwisted``) is ``+ t.<out>``."""
+    (out, term), maps = row, tuple([name for name, t in operands.items() if t.is_identity()])
+    plus, pairs = _parse(term)
+    kept = plus and untwisted(pairs, out, maps) == [("t", out)]
+    built = {}
+    for field in fields:
+        t = getattr(structure, field)
+        built[field] = t if kept else replace(t, **{t._nested: construct(*row, t=t, **operands)})
+    return replace(structure, **built, **(changes or {}))
+
+
+def compose(f: LinearMap, g: LinearMap) -> LinearMap:
+    """Composite f . g (apply g first)."""
+    if f.dim_in != g.dim_out:
+        raise DimensionMismatch(f"cannot compose {f.dim_out}x{f.dim_in} after {g.dim_out}x{g.dim_in}")
+    if f.is_identity() or g.is_identity():  # a relabelling: the other map itself
+        return g if f.is_identity() else f
+    return LinearMap(construct("ij", "+ f.il g.lj", f=f, g=g), g.dim_in)
+
+
+# Constructions every structure shares, on a three-axis tensor t (``rebuild``).
 NEGATE = ("ijk", "- t.ijk")
 SWAP = ("ijk", "+ t.jik")  # the first two axes exchanged

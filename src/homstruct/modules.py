@@ -20,8 +20,8 @@ from .algebras import (
     opposite as opposite_algebra,
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from .exact import ActionTensor, LinearMap, Record, _set, compose, construct, rebuild, record
-from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, polarized
+from .exact import ActionTensor, LinearMap, Record, _set, record
+from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, compose, construct, polarized, rebuild
 from .report import AxiomReport
 
 LEFT_MODULE = "LEFT_MODULE"
@@ -88,7 +88,7 @@ _MORPHISM_PARTS = {side: ((MODULE_MORPHISM_INTERTWINES, law, "action"),
                    for side, law in _INTERTWINES.items()}
 
 
-# Constructions, one term each (``exact.rebuild``) on the action t, square = alpha^2
+# Constructions, one term each (``laws.rebuild``) on the action t, square = alpha^2
 # built once; each side's twist feeds the algebra argument through it.
 _TWIST = {
     "left": ("ipq", "+ square.ji t.jpq"),  # act(a^2(x), m)

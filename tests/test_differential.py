@@ -308,7 +308,7 @@ def test_assembled_reference_aggregates_equal_the_reference_s_own():
             assert reference_coalgebra_suite(structure)[HOM_POISSON_COALGEBRA] == want
 
 
-@pytest.mark.parametrize("name", catalog.names())
+@pytest.mark.parametrize("name", [entry.name for entry in catalog.entries()])
 def test_catalogue_entry_matches_reference(name):
     check_everything(catalog.get(name).payload)
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homstruct import HomAlgebra, HomComodule, HomModule, HomPoissonCoalgebra
-from homstruct import algebras, coalgebras, comodules, modules
+from homstruct import algebras, coalgebras, comodules, exact, fileformat, laws, modules
 from homstruct.catalog import DeterministicRng, dual_numbers, lie_only_coalgebra, octonions
 from homstruct.comodules import regular_comodule
 from homstruct.errors import FormatError
@@ -23,8 +23,6 @@ from homstruct.exact import (
     LinearMap,
     MulTensor,
     _Tensor,
-    compose,
-    construct,
     format_ratio,
     format_rational,
 )
@@ -37,7 +35,7 @@ from homstruct.fileformat import (
     single_structure_file,
     write_file,
 )
-from homstruct.laws import NEGATE, SWAP
+from homstruct.laws import NEGATE, SWAP, compose, construct
 from homstruct.modules import regular_module
 from reference_eval import flat
 
@@ -135,7 +133,8 @@ def test_a_width_with_no_row_builds_no_zero_row(tmp_path, capsys):
     path, out = tmp_path / "wide.json", tmp_path / "twisted.json"
     path.write_bytes(body)
     f = parse_bytes(body).get("f")
-    assert f.shape == (0, 10**15) and f.scaled == (1, {}, 0) and f.text == "[]"
+    assert f.shape == (0, 10**15) and f.scaled == (1, {}, 0)
+    assert fileformat._text(f) == fileformat._text(LinearMap(f.entries, f.dim_in)) == "[]"
     assert main(["verify", str(path), "f"]) == 2
     captured = capsys.readouterr()
     assert "FORMAT_ERROR" in captured.err and "Traceback" not in captured.err
@@ -769,12 +768,12 @@ def test_twist_as_writes_what_the_per_entry_writer_writes(n, m, tmp_path, capsys
 def test_parsed_numerals_are_the_numerals_of_the_parsed_entries(n, m, seed):
     structures, bases, _ = _written_structures(n, m, random.Random(seed))
     sf = parse_bytes(serialize(StructureFile(1, structures, bases)))
-    compute = vars(_Tensor)["text"].compute
     for name, structure in sf.structures.items():
         for tensor in _tensors(structure):
             # the text joined from the array read is the text of the entries read
-            assert tensor.wire() == compute(tensor), name
-            assert json.loads(tensor.wire()) == vars(tensor)["array"], name
+            joined = fileformat._text(tensor)
+            assert joined == fileformat._text(dataclasses.replace(tensor)), name
+            assert json.loads(joined) == vars(tensor)["array"], name
             assert "text" not in vars(tensor), name
 
 
@@ -833,8 +832,6 @@ class _StringsOnly:
 
 
 def test_serialize_is_the_encoder_on_the_nested_list_document(monkeypatch):
-    from homstruct import fileformat
-
     encoder = _StringsOnly(fileformat._ENCODER)
     monkeypatch.setattr(fileformat, "_ENCODER", encoder)
     for sf in _writer_cases():
@@ -845,10 +842,16 @@ def test_serialize_is_the_encoder_on_the_nested_list_document(monkeypatch):
 
 
 def test_an_array_shared_by_tuple_is_formatted_once_and_a_parsed_one_never(monkeypatch):
-    descriptor = vars(_Tensor)["text"]
-    formatted, compute = [], descriptor.compute
-    monkeypatch.setattr(descriptor, "compute",
-                        lambda tensor: formatted.append(tensor) or compute(tensor))
+    formatted, text = [], fileformat._text
+
+    def formatting(tensor):  # a tensor is formatted when it first keeps its text
+        fresh = "text" not in vars(tensor)
+        written = text(tensor)
+        if fresh and "text" in vars(tensor):
+            formatted.append(tensor)
+        return written
+
+    monkeypatch.setattr(fileformat, "_text", formatting)
     structures, _, _ = _written_structures(3, 2, random.Random(5))
     alg, coalg = structures["A"], structures["C"]
     sf = StructureFile(1, {"a": alg, "l": regular_module(alg, "left"),
@@ -865,6 +868,22 @@ def test_an_array_shared_by_tuple_is_formatted_once_and_a_parsed_one_never(monke
     assert serialize(parsed) == data and formatted == []
     for structure in parsed.structures.values():
         assert not [t for t in _tensors(structure) if "text" in vars(t)]
+
+
+def test_only_fileformat_keeps_array_text_and_only_laws_holds_the_term_grammar():
+    built = octonions()
+    parsed = parse_bytes(serialize(single_structure_file("o", built))).get("o")
+    for _ in range(2):  # a second write keeps nothing more
+        for alg in (built, parsed):
+            serialize(single_structure_file("o", alg))
+    for tensor in (built.mu, built.alpha):  # one kept text, the string written
+        assert [type(vars(tensor).get(key)) for key in ("array", "text")] == [type(None), str]
+    for tensor in (parsed.mu, parsed.alpha):  # the array read, and no text
+        assert [type(vars(tensor).get(key)) for key in ("array", "text")] == [list, type(None)]
+    moved = ("_parse", "untwisted", "construct", "rebuild", "compose", "_join", "_term")
+    assert [name for name in moved if hasattr(exact, name)] == []
+    assert not hasattr(exact._Tensor, "text") and not hasattr(exact._Tensor, "wire")
+    assert all(hasattr(laws, name) for name in moved[:5]) and hasattr(fileformat, "_join")
 
 
 def test_a_module_or_comodule_missing_from_base_of_is_format_error():

@@ -38,11 +38,10 @@ from homstruct.exact import (
     LinearMap,
     MulTensor,
     Vector,
-    compose,
     rat,
 )
 from homstruct.fileformat import StructureFile, serialize
-from homstruct.laws import Law
+from homstruct.laws import Law, compose
 from homstruct.modules import LEFT_MODULE, RIGHT_MODULE, HomModule, check_module_morphism
 from homstruct.report import AxiomReport
 from reference_eval import module_hom_associator, sub

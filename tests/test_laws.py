@@ -33,11 +33,9 @@ from homstruct.exact import (
     LinearMap,
     MulTensor,
     _Tensor,
-    _parse,
     compiled,
-    construct,
 )
-from homstruct.laws import COMMUTES, Law, Plan, _layout, polarized
+from homstruct.laws import COMMUTES, Law, Plan, _layout, _parse, construct, polarized
 from homstruct.modules import HomModule, check_left_module, check_right_module, regular_module
 from reference_laws import UnpackedLaw, check_row, compiled_row
 

@@ -26,9 +26,9 @@ from homstruct.catalog import (
     zero_algebra,
 )
 from homstruct.errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from homstruct.exact import ActionTensor, LinearMap, MulTensor, action_shape, compose, construct
+from homstruct.exact import ActionTensor, LinearMap, MulTensor, action_shape
 from homstruct.report import Witness
-from homstruct.laws import Law
+from homstruct.laws import Law, compose, construct
 from homstruct.modules import _LAWS, _TWIST, LEFT_MODULE
 from reference_eval import (
     add,

@@ -21,8 +21,9 @@ from homstruct.coalgebras import HomPoissonCoalgebra
 from homstruct.comodules import HomComodule
 from homstruct.errors import KernelError
 from homstruct.exact import (
-    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, Vector, _parse, compiled,
+    ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, Vector, compiled,
 )
+from homstruct.laws import _parse
 from homstruct.modules import HomModule
 from homstruct.report import AxiomReport
 from reference_laws import UnpackedLaw, check_row, compiled_row

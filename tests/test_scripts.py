@@ -46,6 +46,26 @@ def test_benchmark_own_tests_pass():
     assert run.returncode == 0, run.stdout + run.stderr
 
 
+def test_ab_replay_reads_a_tree_against_itself_and_exits_1_on_another_output(tmp_path):
+    def replay(*trees):
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_replay.py"),
+                               "catalog_session", "1", *trees],
+                              capture_output=True, text=True, timeout=300)
+
+    src = ROOT / "src"
+    same = replay(f"a={src}", f"b={src}")
+    assert same.returncode == 0 and same.stderr == "", same.stdout + same.stderr
+    lines = same.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["a", "b"] and lines[0].endswith(" 1.0000x a")
+    report = tmp_path / "src" / "homstruct" / "report.py"  # a tree that prints PASS otherwise
+    report.parent.mkdir(parents=True)
+    for path in (src / "homstruct").glob("*.py"):
+        (report.parent / path.name).write_text(path.read_text())
+    report.write_text(report.read_text().replace(": PASS", ": Pass"))
+    other = replay(f"a={src}", f"b={tmp_path / 'src'}")
+    assert other.returncode == 1 and "DIFFERS round 0 verify:" in other.stderr, other.stderr
+
+
 def time_laws(*argv):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "time_laws.py"), *argv],
@@ -161,6 +181,6 @@ def test_time_laws_times_only_the_named_laws(capsys):
     # The catalog line times every entry whatever --laws names: the sum, then the slowest,
     # then the sum of the first runs, which also compile every row and program.
     total, slowest, first = layer_ms(rows[2])
-    assert 0 < slowest <= total < first and rows[2].split()[3].split("=")[1] in catalog.names()
+    assert 0 < slowest <= total < first and rows[2].split()[3].split("=")[1] in [entry.name for entry in catalog.entries()]
     for laws in ("NO_SUCH_LAW", "HOM_ASSOC,NO_SUCH_LAW", ""):
         assert time_laws_refuses(capsys, "--dims", "2", "--laws", laws), laws
