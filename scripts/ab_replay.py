@@ -1,15 +1,18 @@
-"""Replay one pass of a benchmark workload through several source trees, interleaved.
+"""Replay the passes of a benchmark workload through several source trees, interleaved.
 
     python scripts/ab_replay.py WORKLOAD ROUNDS NAME=SRC NAME=SRC [NAME=SRC ...]
 
 Each ``SRC`` is a tree's ``src`` directory.  Its ``homstruct`` is imported under
 a package name of its own, ``homstruct_NAME`` (every import inside the package
-is relative), so the trees run side by side in one process.  The inputs of one
-pass of ``WORKLOAD`` (``perfbench/workloads.py``, seed ``SEED``) are written by
-the first tree's ``homstruct`` into a temporary directory, and every op of the
-pass runs there as ``cli.main(argv)`` of each tree in turn (``perfbench``'s
-``run_op``).  The order of the trees rotates by one from op to op and from
-round to round, and each round starts after a full garbage collection.
+is relative), so the trees run side by side in one process.  The inputs of
+``WORKLOAD`` (``perfbench/workloads.py``, seed ``SEED``) are written by the first
+tree's ``homstruct`` into a temporary directory: every pass that a benchmark run
+of ``BENCHMARK.json``'s ``run_seconds`` replays (``perfbench/run.py``'s
+``pass_count``) where the ops depend on the seed, else one pass
+(``workloads.SEED_INDEPENDENT``).  Every op runs there as ``cli.main(argv)`` of
+each tree in turn (``perfbench``'s ``run_op``).  The order of the trees rotates
+by one from op to op and from round to round, and each round starts after a full
+garbage collection.
 
 Prints, per tree, the sum over the ops of each op's minimum time over the
 ``ROUNDS`` rounds, and its ratio to the first tree's.  Exits 1 if any op's exit
@@ -22,6 +25,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import json
 import math
 import os
 import sys
@@ -61,12 +65,17 @@ def main(argv=None) -> int:
 
     sys.path[:0] = [str(Path(args.trees[0][1]).resolve()), str(ROOT / "perfbench")]
     import workloads  # builds the inputs with the first tree's plain ``homstruct``
+    from run import pass_count
     from timing import run_op
 
     mains = [load(name, src).main for name, src in args.trees]
     problems, old_cwd = [], os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
-        ops = workloads.WORKLOADS[args.workload](SEED, 1, Path(workdir))[0]
+        seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+        passes = 1 if workloads.SEED_INDEPENDENT[args.workload] else pass_count(args.workload,
+                                                                                 seconds)
+        ops = [op for one in workloads.WORKLOADS[args.workload](SEED, passes, Path(workdir))
+               for op in one]
         best = [[math.inf] * len(ops) for _ in mains]
         os.chdir(workdir)
         try:

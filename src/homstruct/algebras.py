@@ -48,15 +48,22 @@ class HomAlgebra(Record):
         return [(axiom, _LAWS[axiom], {"mu": self.mu, "alpha": self.alpha})]
 
 
-# The Hom-associator, one row on mu and alpha, and its two polarizations.
-_ASSOCIATOR = ("ijk", "o",
-               "+ alpha.ai mu.abo mu.jkb",  # mul(a(x), mul(y, z))
-               "- alpha.bk mu.abo mu.ija")  # mul(mul(x, y), a(z))
+# Every algebra row; every other row is one ``laws.restricted``, ``laws.transposed`` or both.
+# The Hom-associator, one row on mu and alpha, and its two polarizations are checked here.
+_ASSOCIATOR = Law("ijk", "o",
+                  "+ alpha.ai mu.abo mu.jkb",  # mul(a(x), mul(y, z))
+                  "- alpha.bk mu.abo mu.ija")  # mul(mul(x, y), a(z))
 _LAWS = {
-    LEFT_HOM_ALT: polarized(*_ASSOCIATOR, swap="ij"),
-    RIGHT_HOM_ALT: polarized(*_ASSOCIATOR, swap="jk"),
-    HOM_ASSOC: Law(*_ASSOCIATOR),
+    LEFT_HOM_ALT: polarized(_ASSOCIATOR, swap="ij"),
+    RIGHT_HOM_ALT: polarized(_ASSOCIATOR, swap="jk"),
+    HOM_ASSOC: _ASSOCIATOR,
 }
+_COMMUTATOR = Law("ij", "k", "+ mu.ijk", "- mu.jik")  # mul(x, y) - mul(y, x)
+_ANTICOMMUTATOR = Law("ij", "k", "+ mu.ijk", "+ mu.jik")
+_JACOBI = Law("ijk", "o", "+ alpha.ai br.abo br.jkb",  # {a(x), {y, z}}, cycled in x, y, z
+              "+ alpha.aj br.abo br.kib", "+ alpha.ak br.abo br.ijb")
+_LEIBNIZ = Law("ijk", "o",  # Hom-Leibniz: {a(x), yz} = {x, y} a(z) + a(y) {x, z}
+               "+ alpha.ai br.abo mu.jkb", "- alpha.bk mu.abo br.ija", "- alpha.aj mu.abo br.ikb")
 
 # f(mul(x, y)) = mul'(f(x), f(y)) on basis pairs, for f from (src) to (dst).
 _MULTIPLICATIVE = Law("ij", "o", "+ src.ija f.oa", "- dst.abo f.ai f.bj")

@@ -5,8 +5,8 @@ Hom-coassociative comultiplication, gamma a Hom-Lie cobracket, and the two are l
 by the co-Leibniz law.  The Hom-coassociative and Hom-Lie parts are ids of that one
 record (``HOM_COASSOC_COALGEBRA``, ``HOM_LIE_COALGEBRA``); a coalgebra of delta alone
 has a zero gamma.  Each identity is a row of ``laws.Law`` checked per basis vector,
-residuals in a tensor square or cube flattened lexicographically; a row that is the dual
-algebra's (A*, delta^T, alpha^T) is that row ``laws.transposed``.  A coendomorphism phi
+residuals in a tensor square or cube flattened lexicographically: the dual algebra's
+(A*, delta^T, alpha^T) law, an ``algebras`` row ``laws.transposed``.  A coendomorphism phi
 and multiplicativity (phi = alpha) report ``t . phi - (phi @ phi) . t``, a
 morphism f ``(f @ f) . src - dst . f``.  The seven checks:
 
@@ -24,10 +24,11 @@ where tau flips a tensor square and rot(x @ y @ z) = z @ x @ y.
 
 from __future__ import annotations
 
-from .algebras import _ASSOCIATOR, _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE
+from .algebras import _ANTICOMMUTATOR, _ASSOCIATOR, _COMMUTATOR, _JACOBI, _LEIBNIZ
+from .algebras import _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
 from .exact import ComulTensor, LinearMap, Record, _set, record
-from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, rebuild, transposed
+from .laws import COMMUTES, NEGATE, Plan, check, check_map, rebuild, transposed
 from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
@@ -81,27 +82,17 @@ class HomPoissonCoalgebra(Record):
 # co-Leibniz on delta and gamma; multiplicativity is a map row, of f = alpha on t.
 _MULTIPLICATIVE = transposed(_ALGEBRA_MULTIPLICATIVE)
 _LAWS = {
-    COCOMMUTATIVITY: Law("k", "ij", "+ t.kij", "- t.kji"),
+    COCOMMUTATIVITY: transposed(_COMMUTATOR, mu="t"),
     DELTA_MULTIPLICATIVITY: _MULTIPLICATIVE,
-    HOM_COASSOCIATIVITY: transposed(Law(*_ASSOCIATOR), mu="t"),
-    SKEW_COSYMMETRY: Law("k", "ij", "+ t.kij", "+ t.kji"),
+    HOM_COASSOCIATIVITY: transposed(_ASSOCIATOR, mu="t"),
+    SKEW_COSYMMETRY: transposed(_ANTICOMMUTATOR, mu="t"),
     GAMMA_MULTIPLICATIVITY: _MULTIPLICATIVE,
-    HOM_COJACOBI: Law(
-        "k", "ijl",
-        "+ t.kab t.bjl alpha.ia",  # (alpha @ t) . t
-        "+ t.kab alpha.ja t.bli",  # rotated once
-        "+ t.kab alpha.la t.bij",  # rotated twice
-    ),
-    HOM_COLEIBNIZ: Law(
-        "k", "ijl",
-        "+ gamma.kab delta.bjl alpha.ia",  # (alpha @ delta) . gamma
-        "- delta.kab alpha.lb gamma.aij",  # (gamma @ alpha) . delta
-        "- delta.kab alpha.ja gamma.bil",  # (tau @ id) . (alpha @ gamma) . delta
-    ),
+    HOM_COJACOBI: transposed(_JACOBI, br="t"),
+    HOM_COLEIBNIZ: transposed(_LEIBNIZ, br="gamma", mu="delta"),
 }
 _ON_DELTA = (COCOMMUTATIVITY, DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY)
-# (f @ f) . src = dst . f for a map f between coalgebras.
-_MORPHISM = Law("k", "ij", "+ src.kab f.ia f.jb", "- f.lk dst.lij")
+# (f @ f) . src = dst . f for a map f between coalgebras: minus multiplicativity, its ends exchanged.
+_MORPHISM = transposed(_ALGEBRA_MULTIPLICATIVE, -1, src="dst", dst="src")
 _MORPHISM_PARTS = ((COALGEBRA_MORPHISM_DELTA, _MORPHISM, "delta"),
                    (COALGEBRA_MORPHISM_GAMMA, _MORPHISM, "gamma"),
                    (COALGEBRA_MORPHISM_TWIST_COMMUTES, COMMUTES, "alpha"))

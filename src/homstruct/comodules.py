@@ -17,20 +17,21 @@ of M and with residuals flattened lexicographically:
         delta(m[-1]) @ beta(m[0]) =  alpha(m(-1)) @ gm(m(0))
                                   + swap12( alpha(m(-1)) @ gm(m(0)) )
 
-Each law is a row of ``laws.Law``; the mixed laws are stated in exactly these
-component (Sweedler) forms, swap12 exchanging the first two tensor legs.  The
-coassociativity row is the dual left module's associator ``laws.transposed``.
+Each law is a row of ``laws.Law`` in exactly these component (Sweedler) forms, swap12
+exchanging the first two tensor legs: the block of an ``algebras`` row that the coextension
+C + M holds beyond C, on the dual algebra's side (``laws.restricted``), transposed.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from .algebras import _ASSOCIATOR, _JACOBI, _LEIBNIZ, _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
 from .exact import CoactionTensor, LinearMap, Record, _set, record
-from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, compose, rebuild, transposed
-from .modules import _ASSOCIATOR as _MODULE_ASSOCIATOR
+from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, compose, rebuild, restricted, transposed
+from .modules import _INTERTWINES as _MODULE_INTERTWINES
 from .report import AxiomReport
 
 COASSOC_COMODULE = "COASSOC_COMODULE"
@@ -97,31 +98,22 @@ class HomComodule(Record):
             "dm" if part == DELTA_COACTION_MULTIPLICATIVITY else "gm"]}) for part in parts]
 
 
-# coaction . beta = (alpha @ beta) . coaction, for the coaction t of the part.
-_MULTIPLICATIVE = Law("p", "iq", "+ beta.rp t.riq", "- t.pas alpha.ia beta.qs")
+# C + M's operands: delta and gamma with one argument in M are dm and gm, mirrored (gm
+# negated), alpha on M is beta.  (x, y, m) and (y, z, x) at x in M have legs (C, C, M).
+_COEXTENSION = {"mu.AAA": "delta", "mu.AMM": "dm", "mu.MAM": "dm.bac", "br.AAA": "gamma",
+                "br.AMM": "gm", "br.MAM": "-gm.bac", "alpha.MM": "beta"}
+_AT_M, _AT_X = dict(i="A", j="A", k="M"), dict(j="A", k="A", i="M")
+_MULTIPLICATIVE = transposed(restricted(_ALGEBRA_MULTIPLICATIVE, dict(i="A", j="M"), {
+    "src.AMM": "t", "dst.AMM": "t", "f.AA": "alpha", "f.MM": "beta"}))  # t the coaction
+_COMULT = transposed(restricted(_LEIBNIZ, _AT_X, _COEXTENSION, -1))
 _LAWS = {
     DELTA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
-    DELTA_COACTION_COASSOCIATIVITY: transposed(Law(*_MODULE_ASSOCIATOR["left"]),
-                                               act="dm", mu="delta"),
+    DELTA_COACTION_COASSOCIATIVITY: transposed(restricted(_ASSOCIATOR, _AT_M, _COEXTENSION)),
     GAMMA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
-    GAMMA_COACTION_COMPATIBILITY: Law(
-        "p", "ijq",
-        "+ gm.pas beta.qs gamma.aij",  # (gamma @ beta) . gm
-        "- gm.pas gm.sjq alpha.ia",    # (alpha @ gm) . gm
-        "+ gm.pas alpha.ja gm.siq",    # (tau @ id) . (alpha @ gm) . gm
-    ),
-    COMODULE_COLEIBNIZ: Law(
-        "p", "ijq",
-        "+ gm.pas dm.sjq alpha.ia",    # alpha(m[-1]) @ dm(m[0])
-        "- dm.pas beta.qs gamma.aij",  # gamma(m(-1)) @ beta(m(0))
-        "- dm.pas alpha.ja gm.siq",    # swap12(alpha(m(-1)) @ gm(m(0)))
-    ),
-    COMODULE_COMULT_COMPAT: Law(
-        "p", "ijq",
-        "+ gm.pas beta.qs delta.aij",  # delta(m[-1]) @ beta(m[0])
-        "- dm.pas gm.sjq alpha.ia",    # alpha(m(-1)) @ gm(m(0))
-        "- dm.pas alpha.ja gm.siq",    # swap12 of the same
-    ),
+    GAMMA_COACTION_COMPATIBILITY: transposed(restricted(_JACOBI, _AT_X, _COEXTENSION, -1)),
+    COMODULE_COLEIBNIZ: transposed(restricted(_LEIBNIZ, _AT_M, _COEXTENSION)),
+    # Hom-Leibniz lists its last two terms the other way round.
+    COMODULE_COMULT_COMPAT: Law(_COMULT.index, _COMULT.residual, _COMULT.terms[0], *_COMULT.terms[:0:-1]),
 }
 _COASSOC_PARTS = (DELTA_COACTION_MULTIPLICATIVITY, DELTA_COACTION_COASSOCIATIVITY)
 _LIE_PARTS = (GAMMA_COACTION_MULTIPLICATIVITY, GAMMA_COACTION_COMPATIBILITY)
@@ -134,8 +126,8 @@ _PARTS = {  # id -> (coactions it needs, parts, message for a kind without them)
                                               COMODULE_COMULT_COMPAT),
                        "poisson check needs a poisson comodule"),
 }
-# (id @ f) . src = dst . f for a map f between comodules.
-_INTERTWINES = Law("p", "iq", "+ src.pis f.qs", "- f.rp dst.riq")
+# (id @ f) . src = dst . f for a map f between comodules: minus the left module's, its ends exchanged.
+_INTERTWINES = transposed(_MODULE_INTERTWINES["left"], -1, src="dst", dst="src")
 _MORPHISM_PARTS = ((COMODULE_MORPHISM_DELTA, _INTERTWINES, "delta_m"),
                    (COMODULE_MORPHISM_GAMMA, _INTERTWINES, "gamma_m"),
                    (COMODULE_MORPHISM_BETA_COMMUTES, COMMUTES, "beta"))

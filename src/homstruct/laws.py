@@ -14,9 +14,9 @@ as ``name.letters``, with letters following the index conventions of
 ``exact.py``; a letter shared by operands and absent from the output is
 summed over.  A law with a repeated argument is stated by its multilinear
 form and the two letters to exchange (``polarized``): ``LEFT_HOM_ALT`` is the
-row above followed by its terms with ``i`` and ``j`` swapped.  A coalgebra or
-comodule law that is the dual of an algebra or module row is that row
-``transposed``: ``HOM_COASSOCIATIVITY`` is the row above with ``mu`` named ``t``.
+row above followed by its terms with ``i`` and ``j`` swapped.  Every other law is an
+algebra row ``restricted`` to an extension's blocks, ``transposed`` to the dual algebra
+(``HOM_COASSOCIATIVITY`` is the row above, ``mu`` named ``t``), or both.
 A ``Plan`` evaluates the rows of one check on one structure together.
 A construction is one term in the same grammar, over the letters of the
 tensor it builds, which ``construct`` evaluates: ``("ijo", "+ t.ijq
@@ -39,7 +39,7 @@ entries and of the sizes of its summed letters, bounds every residual
 coefficient of a row; B is the largest row's bound's bit length plus 2, so
 a residual is 0 exactly when every slot is, and slots are decoded
 (``exact.unpack``) only for reported witnesses.  ``contract`` joins a
-term's operands in the order listed, so order them to keep joins small:
+term's operands in the order listed, so order an algebra row's to keep joins small:
 ``alpha.ai mu.abo mu.jkb`` sums ``a`` in O(n^3) and joins ``mu.jkb`` in
 O(n^4), where ``alpha.ai mu.jkb mu.abo`` starts with an n^5 product.
 
@@ -370,22 +370,28 @@ def _term(plus: bool, operands: list) -> str:
     return "+-"[not plus] + "".join([f" {name}.{letters}" for name, letters in operands])
 
 
-def polarized(index: str, residual: str, *terms: str, swap: str) -> Law:
-    """The law of ``terms`` followed by each term again with the two letters of ``swap``
+def polarized(law: Law, swap: str) -> Law:
+    """``law`` followed by each of its terms again with the two letters of ``swap``
     exchanged in its operands' letters.  A law with a repeated argument, ``as(x, x, y) =
     0``, is its multilinear ``as(x, y, z)`` polarized in the letters of x and y."""
     flip = str.maketrans(swap, swap[::-1])
-    return Law(index, residual, *terms, *[
+    return Law(law.index, law.residual, *law.terms, *[
         _term(plus, [(name, letters.translate(flip)) for name, letters in operands])
-        for plus, operands in map(_parse, terms)])
+        for plus, operands in law._parsed])
 
 
-def transposed(law: Law, **names: str) -> Law:
-    """The dual law of ``law``: index and residual letters exchanged, each operand's last
-    letter moved first (``mu.abo`` to ``t.oab``, ``alpha.ai`` to ``alpha.ia``), its name
-    renamed by ``names``.  A term starts at the operand holding the first index letter, then
-    takes the first operand, in stated order, whose unpacked letters are all held (a lookup
-    join), else the first left: ``alpha.ia`` first would join in n^4, not n^3."""
+def _signed(index: str, residual: str, terms: list, sign: int) -> Law:
+    """``terms``, ``(plus, operands)`` pairs, times ``sign`` as a law, from its first + term on."""
+    written = [_term(plus == (sign > 0), operands) for plus, operands in terms]
+    first = next((i for i, term in enumerate(written) if term[0] == "+"), 0)
+    return Law(index, residual, *written[first:], *written[:first])
+
+
+def transposed(law: Law, sign: int = 1, **names: str) -> Law:
+    """The dual law of ``law`` times ``sign``: index and residual letters exchanged, each operand's
+    last letter moved first (``mu.abo`` to ``t.oab``), its name renamed by ``names``.  A term
+    starts at the operand holding the first index letter, then takes the first operand whose
+    unpacked letters are all held (a lookup join), else the first left, in stated order."""
     index, residual, terms = law.residual, law.index, []
     for plus, operands in law._parsed:
         rest = [(names.get(name, name), letters[-1] + letters[:-1]) for name, letters in operands]
@@ -395,8 +401,35 @@ def transposed(law: Law, **names: str) -> Law:
             held = set("".join([letters for _, letters in ordered]) + residual[-2:])
             ordered.append(next((op for op in rest if set(op[1]) <= held), rest[0]))
             rest.remove(ordered[-1])
-        terms.append(_term(plus, ordered))
-    return Law(index, residual, *terms)
+        terms.append((plus, ordered))
+    return _signed(index, residual, terms, sign)
+
+
+def restricted(law: Law, blocks: dict, names: dict, sign: int = 1) -> Law:
+    """The algebra row ``law`` times ``sign`` at index letters in the blocks (``"A"``, ``"M"``)
+    that ``blocks`` lists, in its order.  A map's letters share a block, a product is M when
+    exactly one argument is, and a term with a product of two M letters is dropped.  An operand
+    in blocks ``P`` is ``names["name.P"]``: ``"act"``, or ``"-gm.bac"`` negated, legs swapped."""
+    terms = []
+    for term, (plus, operands) in zip(law.terms, law._parsed):
+        block = dict(blocks)
+        for _, letters in operands * len(operands):  # a pass blocks one more operand, or none will
+            known = [block.get(c) for c in letters]
+            if len(letters) == 2 and known.count(None) == 1:
+                block.update(dict.fromkeys(letters, known[0] or known[1]))
+            elif len(letters) > 2 and None not in known[:-1]:
+                block[letters[-1]] = "AMX"[min(known[:-1].count("M"), 2)]  # X: two M letters
+        if not set("".join([letters for _, letters in operands])) <= set(block):
+            raise ValueError(f"term {term!r} has a letter that no operand blocks")
+        renamed = []
+        for name, letters in operands:
+            value = names.get(name + "." + "".join([block[c] for c in letters]), name)
+            plus ^= value.startswith("-")
+            name, _, legs = value.lstrip("-").partition(".")
+            renamed.append((name, "".join([letters["abc".index(c)] for c in legs]) or letters))
+        if "X" not in block.values():
+            terms.append((plus, renamed))
+    return _signed("".join(blocks), law.residual, terms, sign)
 
 
 def _program(rows: tuple, shapes: tuple) -> tuple:

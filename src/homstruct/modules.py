@@ -4,9 +4,9 @@ A left module over (A, mul, alpha) is (M, act, beta) whose module associator
 ``act(a(x), act(y, m)) - act(mul(x, y), b(m))`` vanishes at x = y; a right module's
 is ``act(act(m, x), a(y)) - act(b(m), mul(x, y))``, the Hom-associator of (m, x, y)
 with its sign flipped, and vanishes at x = y too.  As with the algebra laws, checks run
-on the polarized basis form, equivalent in characteristic zero: each side's associator
-is stated once, as a row of ``laws.Law``, and ``laws.polarized`` adds it again with the
-algebra letters ``ij`` exchanged.  The left one transposed is a comodule row.
+on the polarized basis form, equivalent in characteristic zero.  Each associator is the
+block of ``algebras._ASSOCIATOR`` that the split-null extension A + M holds beyond A
+(``laws.restricted``), polarized in its algebra letters (``laws.polarized``).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .algebras import (
+    _ASSOCIATOR,
     HomAlgebra,
     check_endomorphism,
     negate as negate_algebra,
@@ -21,7 +22,8 @@ from .algebras import (
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
 from .exact import ActionTensor, LinearMap, Record, _set, record
-from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, compose, construct, polarized, rebuild
+from .laws import (COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, compose, construct,
+                   polarized, rebuild, restricted)
 from .report import AxiomReport
 
 LEFT_MODULE = "LEFT_MODULE"
@@ -66,17 +68,12 @@ class HomModule(Record):
         return [(axiom, law, operands)]
 
 
-# Each side's module associator on mu, alpha, act and beta; its law polarizes it in x and y.
-_ASSOCIATOR = {
-    "left": ("ijp", "q",
-             "+ alpha.ai act.arq act.jpr",  # act(a(x), act(y, m))
-             "- beta.rp act.arq mu.ija"),   # act(mul(x, y), b(m))
-    "right": ("pij", "q",
-              "+ alpha.aj act.raq act.pir",  # act(act(m, x), a(y))
-              "- beta.rp act.raq mu.ija"),   # act(b(m), mul(x, y))
-}
-_LAWS = {LEFT_MODULE: polarized(*_ASSOCIATOR["left"], swap="ij"),
-         RIGHT_MODULE: polarized(*_ASSOCIATOR["right"], swap="ij")}
+# A + M's operands (mu with one argument in M is act, alpha on M beta); the associators are
+# the Hom-associator at (x, y, m) (left) and minus it at (m, x, y) (right).
+_EXTENSION = {"mu.AMM": "act", "mu.MAM": "act", "alpha.MM": "beta"}
+_LEFT, _RIGHT = dict(i="A", j="A", k="M"), dict(i="M", j="A", k="A")
+_LAWS = {LEFT_MODULE: polarized(restricted(_ASSOCIATOR, _LEFT, _EXTENSION), swap="ij"),
+         RIGHT_MODULE: polarized(restricted(_ASSOCIATOR, _RIGHT, _EXTENSION, -1), swap="jk")}
 
 # f(act(x, m)) = act'(x, f(m)) on basis pairs, per side, for f from (src) to (dst).
 _INTERTWINES = {

@@ -35,7 +35,7 @@ from homstruct.exact import (
     _Tensor,
     compiled,
 )
-from homstruct.laws import COMMUTES, Law, Plan, _layout, _parse, construct, polarized
+from homstruct.laws import COMMUTES, Law, Plan, _layout, _parse, construct, polarized, restricted
 from homstruct.modules import HomModule, check_left_module, check_right_module, regular_module
 from reference_laws import UnpackedLaw, check_row, compiled_row
 
@@ -50,27 +50,27 @@ ROWS = {
     "HOM_ASSOC": (algebras._LAWS[algebras.HOM_ASSOC], 2, 2, "o"),
     "algebra multiplicative": (algebras._MULTIPLICATIVE, 2, 2, "o"),
     "COMMUTES": (COMMUTES, 2, 2, "o"),
-    "LEFT_MODULE": (modules._LAWS[modules.LEFT_MODULE], 4, 2, "q"),
-    "RIGHT_MODULE": (modules._LAWS[modules.RIGHT_MODULE], 4, 2, "q"),
+    "LEFT_MODULE": (modules._LAWS[modules.LEFT_MODULE], 4, 2, "o"),
+    "RIGHT_MODULE": (modules._LAWS[modules.RIGHT_MODULE], 4, 2, "o"),
     "module intertwines left": (modules._INTERTWINES["left"], 2, 2, "q"),
     "module intertwines right": (modules._INTERTWINES["right"], 2, 2, "q"),
     "COCOMMUTATIVITY": (coalgebras._LAWS[coalgebras.COCOMMUTATIVITY], 2, 2, "ij"),
     "coalgebra multiplicative": (coalgebras._MULTIPLICATIVE, 2, 2, "ij"),
     "HOM_COASSOCIATIVITY": (coalgebras._LAWS[coalgebras.HOM_COASSOCIATIVITY], 2, 2, "jk"),
     "SKEW_COSYMMETRY": (coalgebras._LAWS[coalgebras.SKEW_COSYMMETRY], 2, 2, "ij"),
-    "HOM_COJACOBI": (coalgebras._LAWS[coalgebras.HOM_COJACOBI], 3, 3, "jl"),
-    "HOM_COLEIBNIZ": (coalgebras._LAWS[coalgebras.HOM_COLEIBNIZ], 3, 3, "jl"),
+    "HOM_COJACOBI": (coalgebras._LAWS[coalgebras.HOM_COJACOBI], 3, 3, "jk"),
+    "HOM_COLEIBNIZ": (coalgebras._LAWS[coalgebras.HOM_COLEIBNIZ], 3, 3, "jk"),
     "coalgebra morphism": (coalgebras._MORPHISM, 2, 2, "ij"),
-    "coaction multiplicative": (comodules._MULTIPLICATIVE, 2, 2, "iq"),
+    "coaction multiplicative": (comodules._MULTIPLICATIVE, 2, 2, "ij"),
     "DELTA_COACTION_COASSOCIATIVITY": (
-        comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY], 2, 2, "jp"
+        comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY], 2, 2, "jk"
     ),
     "GAMMA_COACTION_COMPATIBILITY": (
-        comodules._LAWS[comodules.GAMMA_COACTION_COMPATIBILITY], 3, 3, "jq"
+        comodules._LAWS[comodules.GAMMA_COACTION_COMPATIBILITY], 3, 3, "ki"
     ),
-    "COMODULE_COLEIBNIZ": (comodules._LAWS[comodules.COMODULE_COLEIBNIZ], 3, 3, "jq"),
-    "COMODULE_COMULT_COMPAT": (comodules._LAWS[comodules.COMODULE_COMULT_COMPAT], 3, 3, "jq"),
-    "comodule intertwines": (comodules._INTERTWINES, 2, 2, "iq"),
+    "COMODULE_COLEIBNIZ": (comodules._LAWS[comodules.COMODULE_COLEIBNIZ], 3, 3, "jk"),
+    "COMODULE_COMULT_COMPAT": (comodules._LAWS[comodules.COMODULE_COMULT_COMPAT], 3, 3, "ki"),
+    "comodule intertwines": (comodules._INTERTWINES, 2, 2, "ip"),
 }
 
 
@@ -139,30 +139,106 @@ def test_each_operand_is_a_name_a_dot_and_letters(term):
 
 
 def test_polarized_swaps_operand_letters_and_never_names():
-    law = polarized("ij", "o", "+ ij.iao x.aj", "- ij.jio", swap="ij")
+    law = polarized(Law("ij", "o", "+ ij.iao x.aj", "- ij.jio"), swap="ij")
     assert law.terms == ("+ ij.iao x.aj", "- ij.jio", "+ ij.jao x.ai", "- ij.ijo")
     with pytest.raises(ValueError, match=re.escape("term '+ f' needs operands")):
-        polarized("i", "o", "+ f", swap="ij")  # read by the grammar's own parser
+        polarized(Law("i", "o", "+ f"), swap="ij")  # read by the grammar's own parser
 
 
-# Each row that ``transposed`` derives, and its statement by hand before it was derived.
+def test_restricted_drops_a_term_with_a_product_of_two_module_letters():
+    law = Law("ij", "o", "+ mu.ijo", "- f.oi")
+    assert restricted(law, {"i": "M", "j": "M"}, {"f.MM": "beta"}).terms == ("- beta.oi",)
+    # A block that every term of a product law drops, as a module's (A, M, M) block of
+    # the associator, leaves no row.
+    with pytest.raises(ValueError, match="needs a residual letter to pack and a term"):
+        restricted(algebras._ASSOCIATOR, {"i": "A", "j": "M", "k": "M"}, {})
+
+
+def test_restricted_names_a_term_with_a_letter_no_operand_blocks():
+    with pytest.raises(ValueError, match=re.escape("term '+ mu.abo f.ai' has a letter")):
+        restricted(Law("i", "o", "- f.oi", "+ mu.abo f.ai"), {"i": "A"}, {})
+
+
+def test_restricted_mirrors_a_bracket_and_applies_the_overall_sign():
+    bracket = Law("ij", "k", "+ br.ijk")
+    assert restricted(bracket, {"i": "M", "j": "A"}, {"br.MAM": "-gm.bac"}).terms == ("- gm.jik",)
+    assert restricted(bracket, {"j": "A", "i": "M"}, {}).index == "ji"  # the index as listed
+    commutator = Law("ij", "k", "+ mu.ijk", "- mu.jik")
+    names = {"mu.AMM": "act", "mu.MAM": "act"}
+    assert restricted(commutator, {"i": "A", "j": "M"}, names).terms == ("+ act.ijk", "- act.jik")
+    # Negated, the row is listed from its first + term on, as every stated row starts.
+    assert restricted(commutator, {"i": "A", "j": "M"}, names, -1).terms == ("+ act.jik",
+                                                                             "- act.ijk")
+
+
+# Each row derived from an algebra row (``transposed``, ``restricted`` or both), and its
+# statement by hand before it was derived.
 HAND_WRITTEN = {
+    "LEFT_MODULE": (
+        modules._LAWS[modules.LEFT_MODULE],
+        ("ijp", "q", "+ alpha.ai act.arq act.jpr", "- beta.rp act.arq mu.ija",
+         "+ alpha.aj act.arq act.ipr", "- beta.rp act.arq mu.jia"),
+    ),
+    "RIGHT_MODULE": (
+        modules._LAWS[modules.RIGHT_MODULE],
+        ("pij", "q", "+ alpha.aj act.raq act.pir", "- beta.rp act.raq mu.ija",
+         "+ alpha.ai act.raq act.pjr", "- beta.rp act.raq mu.jia"),
+    ),
+    "COCOMMUTATIVITY": (
+        coalgebras._LAWS[coalgebras.COCOMMUTATIVITY], ("k", "ij", "+ t.kij", "- t.kji"),
+    ),
     "HOM_COASSOCIATIVITY": (
         coalgebras._LAWS[coalgebras.HOM_COASSOCIATIVITY],
         ("k", "ijl", "+ t.kab t.bjl alpha.ia", "- t.kab alpha.lb t.aij"),
     ),
+    "SKEW_COSYMMETRY": (
+        coalgebras._LAWS[coalgebras.SKEW_COSYMMETRY], ("k", "ij", "+ t.kij", "+ t.kji"),
+    ),
+    "HOM_COJACOBI": (
+        coalgebras._LAWS[coalgebras.HOM_COJACOBI],
+        ("k", "ijl", "+ t.kab t.bjl alpha.ia", "+ t.kab alpha.ja t.bli", "+ t.kab alpha.la t.bij"),
+    ),
+    "HOM_COLEIBNIZ": (
+        coalgebras._LAWS[coalgebras.HOM_COLEIBNIZ],
+        ("k", "ijl", "+ gamma.kab delta.bjl alpha.ia", "- delta.kab alpha.lb gamma.aij",
+         "- delta.kab alpha.ja gamma.bil"),
+    ),
     "coalgebra multiplicative": (
         coalgebras._MULTIPLICATIVE, ("k", "ij", "+ f.lk src.lij", "- dst.kab f.ia f.jb"),
+    ),
+    "coalgebra morphism": (
+        coalgebras._MORPHISM, ("k", "ij", "+ src.kab f.ia f.jb", "- f.lk dst.lij"),
+    ),
+    "coaction multiplicative": (
+        comodules._MULTIPLICATIVE, ("p", "iq", "+ beta.rp t.riq", "- t.pas alpha.ia beta.qs"),
     ),
     "DELTA_COACTION_COASSOCIATIVITY": (
         comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY],
         ("p", "ijq", "+ dm.pas dm.sjq alpha.ia", "- dm.pas beta.qs delta.aij"),
     ),
+    "GAMMA_COACTION_COMPATIBILITY": (
+        comodules._LAWS[comodules.GAMMA_COACTION_COMPATIBILITY],
+        ("p", "ijq", "+ gm.pas beta.qs gamma.aij", "- gm.pas gm.sjq alpha.ia",
+         "+ gm.pas alpha.ja gm.siq"),
+    ),
+    "COMODULE_COLEIBNIZ": (
+        comodules._LAWS[comodules.COMODULE_COLEIBNIZ],
+        ("p", "ijq", "+ gm.pas dm.sjq alpha.ia", "- dm.pas beta.qs gamma.aij",
+         "- dm.pas alpha.ja gm.siq"),
+    ),
+    "COMODULE_COMULT_COMPAT": (
+        comodules._LAWS[comodules.COMODULE_COMULT_COMPAT],
+        ("p", "ijq", "+ gm.pas beta.qs delta.aij", "- dm.pas gm.sjq alpha.ia",
+         "- dm.pas alpha.ja gm.siq"),
+    ),
+    "comodule intertwines": (
+        comodules._INTERTWINES, ("p", "iq", "+ src.pis f.qs", "- f.rp dst.riq"),
+    ),
 }
 
 
 @pytest.mark.parametrize("row", list(HAND_WRITTEN))
-def test_each_transposed_row_is_its_hand_written_statement(row):
+def test_each_derived_row_is_its_hand_written_statement(row):
     # The same index and residual letters in order, signs, and operands in order, up to
     # one renaming of letters per term: so the same contractions, joined in the same order.
     law, (index, residual, *terms) = HAND_WRITTEN[row]
@@ -177,6 +253,11 @@ def test_each_transposed_row_is_its_hand_written_statement(row):
             for c, was in zip(letters, stated_letters):
                 assert rename.setdefault(c, was) == was, (row, letters, stated_letters)
         assert len(set(rename.values())) == len(rename)  # one to one
+    # So each compiles to the stated row's program, with and without its identity maps (a
+    # load's packing holds an ``itemgetter``, which compares by identity, so by its repr).
+    for maps in ((), ("alpha",), ("alpha", "beta"), ("f",)):
+        derived, stated = compiled_row(law, maps), compiled_row(Law(index, residual, *terms), maps)
+        assert (derived[:3], repr(derived[3])) == (stated[:3], repr(stated[3])), maps
 
 
 def test_readme_term_table_lists_each_law_row_as_stated():

@@ -256,40 +256,40 @@ UNTWISTED = {
                            "- mu.ajo mu.ika"),
     "HOM_ASSOC": alike("+ mu.ibo mu.jkb", "- mu.ako mu.ija"),
     "LEFT_MODULE": (
-        ("+ act.irq act.jpr", "- beta.rp act.arq mu.ija", "+ act.jrq act.ipr",
-         "- beta.rp act.arq mu.jia"),
-        ("+ act.irq act.jpr", "- act.apq mu.ija", "+ act.jrq act.ipr", "- act.apq mu.jia"),
+        ("+ act.ibo act.jkb", "- beta.bk act.abo mu.ija", "+ act.jbo act.ikb",
+         "- beta.bk act.abo mu.jia"),
+        ("+ act.ibo act.jkb", "- act.ako mu.ija", "+ act.jbo act.ikb", "- act.ako mu.jia"),
     ),
     "RIGHT_MODULE": (
-        ("+ act.rjq act.pir", "- beta.rp act.raq mu.ija", "+ act.riq act.pjr",
-         "- beta.rp act.raq mu.jia"),
-        ("+ act.rjq act.pir", "- act.paq mu.ija", "+ act.riq act.pjr", "- act.paq mu.jia"),
+        ("+ act.ako act.ija", "- beta.ai act.abo mu.jkb", "+ act.ajo act.ika",
+         "- beta.ai act.abo mu.kjb"),
+        ("+ act.ako act.ija", "- act.ibo mu.jkb", "+ act.ajo act.ika", "- act.ibo mu.kjb"),
     ),
     "COCOMMUTATIVITY": alike("+ t.kij", "- t.kji"),
     "DELTA_MULTIPLICATIVITY": alike("+ src.oij", "- dst.oij"),
     "HOM_COASSOCIATIVITY": alike("+ t.oib t.bjk", "- t.oak t.aij"),
     "SKEW_COSYMMETRY": alike("+ t.kij", "+ t.kji"),
     "GAMMA_MULTIPLICATIVITY": alike("+ src.oij", "- dst.oij"),
-    "HOM_COJACOBI": alike("+ t.kib t.bjl", "+ t.kjb t.bli", "+ t.klb t.bij"),
-    "HOM_COLEIBNIZ": alike("+ gamma.kib delta.bjl", "- delta.kal gamma.aij",
-                           "- delta.kjb gamma.bil"),
-    "DELTA_COACTION_MULTIPLICATIVITY": (("+ beta.rp t.riq", "- t.pis beta.qs"),
-                                        ("+ t.piq", "- t.piq")),
-    "DELTA_COACTION_COASSOCIATIVITY": (("+ dm.qir dm.rjp", "- dm.qar beta.pr delta.aij"),
-                                       ("+ dm.qir dm.rjp", "- dm.qap delta.aij")),
-    "GAMMA_COACTION_MULTIPLICATIVITY": (("+ beta.rp t.riq", "- t.pis beta.qs"),
-                                        ("+ t.piq", "- t.piq")),
+    "HOM_COJACOBI": alike("+ t.oib t.bjk", "+ t.ojb t.bki", "+ t.okb t.bij"),
+    "HOM_COLEIBNIZ": alike("+ gamma.oib delta.bjk", "- delta.oak gamma.aij",
+                           "- delta.ojb gamma.bik"),
+    "DELTA_COACTION_MULTIPLICATIVITY": (("+ beta.ao t.aij", "- t.oib beta.jb"),
+                                        ("+ t.oij", "- t.oij")),
+    "DELTA_COACTION_COASSOCIATIVITY": (("+ dm.oib dm.bjk", "- dm.oab beta.kb delta.aij"),
+                                       ("+ dm.oib dm.bjk", "- dm.oak delta.aij")),
+    "GAMMA_COACTION_MULTIPLICATIVITY": (("+ beta.ao t.aij", "- t.oib beta.jb"),
+                                        ("+ t.oij", "- t.oij")),
     "GAMMA_COACTION_COMPATIBILITY": (
-        ("+ gm.pas beta.qs gamma.aij", "- gm.pis gm.sjq", "+ gm.pjs gm.siq"),
-        ("+ gm.paq gamma.aij", "- gm.pis gm.sjq", "+ gm.pjs gm.siq"),
+        ("+ gm.oba beta.ia gamma.bjk", "- gm.ojb gm.bki", "+ gm.okb gm.bji"),
+        ("+ gm.obi gamma.bjk", "- gm.ojb gm.bki", "+ gm.okb gm.bji"),
     ),
     "COMODULE_COLEIBNIZ": (
-        ("+ gm.pis dm.sjq", "- dm.pas beta.qs gamma.aij", "- dm.pjs gm.siq"),
-        ("+ gm.pis dm.sjq", "- dm.paq gamma.aij", "- dm.pjs gm.siq"),
+        ("+ gm.oib dm.bjk", "- dm.oab beta.kb gamma.aij", "- dm.ojb gm.bik"),
+        ("+ gm.oib dm.bjk", "- dm.oak gamma.aij", "- dm.ojb gm.bik"),
     ),
     "COMODULE_COMULT_COMPAT": (
-        ("+ gm.pas beta.qs delta.aij", "- dm.pis gm.sjq", "- dm.pjs gm.siq"),
-        ("+ gm.paq delta.aij", "- dm.pis gm.sjq", "- dm.pjs gm.siq"),
+        ("+ gm.oba beta.ia delta.bjk", "- dm.ojb gm.bki", "- dm.oka gm.aji"),
+        ("+ gm.obi delta.bjk", "- dm.ojb gm.bki", "- dm.oka gm.aji"),
     ),
 }
 
