@@ -374,8 +374,8 @@ def time_constructions(n: int, repeat: int) -> list[float]:
     alg, left, _, coalg, comod = build_structures(n, dense_entries(n))
     left = HomModule(multiplicative_algebra(n), n, left.beta, left.action, "left")
     runs = [lambda: twist_module(left), lambda: twist_poisson_comodule(comod),
-            lambda: construct(*algebras._YAU_TWIST, t=alg.mu, phi=alg.alpha),
-            lambda: construct(*coalgebras._YAU_TWIST, t=coalg.delta, phi=coalg.alpha)]
+            lambda: construct(algebras._YAU_TWIST, t=alg.mu, phi=alg.alpha),
+            lambda: construct(coalgebras._YAU_TWIST, t=coalg.delta, phi=coalg.alpha)]
     best = []
     gc.collect()
     gc.disable()

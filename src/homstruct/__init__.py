@@ -3,10 +3,10 @@ coalgebras, and their modules and comodules.
 
 Every axiom is a multilinear identity in the structure constants, stated
 once as a row of signed contraction terms (``laws.Law``) and decided exactly
-over the rationals; each construction (twists, opposites, negations) is
-stated once as one such term, evaluated exactly by ``laws.construct`` and
-put back into a copy of its structure by ``laws.rebuild``.  The package
-decides laws on basis tuples only; it evaluates no map or tensor at a point.
+over the rationals; each construction (twists, opposites, negations) is a
+row of one such term, stated once or derived from the row it is the dual or
+mirror of, evaluated exactly by ``laws.construct`` and put into a copy of its
+structure by ``laws.rebuild``.  The package evaluates no map at a point.
 """
 
 from .algebras import (

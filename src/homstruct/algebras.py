@@ -70,9 +70,8 @@ _MULTIPLICATIVE = Law("ij", "o", "+ src.ija f.oa", "- dst.abo f.ai f.bj")
 _MORPHISM_PARTS = ((MORPHISM_MULTIPLICATIVE, _MULTIPLICATIVE, "mu"),
                    (MORPHISM_TWIST_COMMUTES, COMMUTES, "alpha"))
 
-# The Yau twist, one term (``laws.rebuild``) on the multiplication t; negation and
-# the opposite are ``laws.NEGATE`` and ``laws.SWAP``.
-_YAU_TWIST = ("ijo", "+ t.ijq phi.oq")  # phi(mul(x, y))
+# The Yau twist (``laws.rebuild``) of t; negation and the opposite are ``laws.NEGATE``, ``SWAP``.
+_YAU_TWIST = Law("ij", "o", "+ t.ijq phi.oq")  # phi(mul(x, y))
 
 
 def check_left_hom_alternative(a: HomAlgebra, plan: Plan | None = None) -> AxiomReport:

@@ -25,10 +25,10 @@ where tau flips a tensor square and rot(x @ y @ z) = z @ x @ y.
 from __future__ import annotations
 
 from .algebras import _ANTICOMMUTATOR, _ASSOCIATOR, _COMMUTATOR, _JACOBI, _LEIBNIZ
-from .algebras import _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE
+from .algebras import _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE, _YAU_TWIST as _ALGEBRA_YAU_TWIST
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
 from .exact import ComulTensor, LinearMap, Record, _set, record
-from .laws import COMMUTES, NEGATE, Plan, check, check_map, rebuild, transposed
+from .laws import COMMUTES, NEGATE, SWAP, Plan, check, check_map, rebuild, transposed
 from .report import AxiomReport
 
 COCOMMUTATIVITY = "COCOMMUTATIVITY"
@@ -97,9 +97,9 @@ _MORPHISM_PARTS = ((COALGEBRA_MORPHISM_DELTA, _MORPHISM, "delta"),
                    (COALGEBRA_MORPHISM_GAMMA, _MORPHISM, "gamma"),
                    (COALGEBRA_MORPHISM_TWIST_COMMUTES, COMMUTES, "alpha"))
 
-# Constructions, one term each (``laws.rebuild``) on one comultiplication t.
-_YAU_TWIST = ("kij", "+ phi.lk t.lij")  # t . phi
-_OPPOSITE = ("kij", "+ t.kji")  # tau . t
+# Constructions (``laws.rebuild``) on one comultiplication t: the dual algebra's, transposed.
+_YAU_TWIST = transposed(_ALGEBRA_YAU_TWIST)  # t . phi
+_OPPOSITE = transposed(SWAP)  # tau . t
 
 
 _PARTS = {

@@ -31,7 +31,7 @@ from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
 from .exact import CoactionTensor, LinearMap, Record, _set, record
 from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, compose, rebuild, restricted, transposed
-from .modules import _INTERTWINES as _MODULE_INTERTWINES
+from .modules import _INTERTWINES as _MODULE_INTERTWINES, _TWIST as _MODULE_TWIST
 from .report import AxiomReport
 
 COASSOC_COMODULE = "COASSOC_COMODULE"
@@ -132,8 +132,8 @@ _MORPHISM_PARTS = ((COMODULE_MORPHISM_DELTA, _INTERTWINES, "delta_m"),
                    (COMODULE_MORPHISM_GAMMA, _INTERTWINES, "gamma_m"),
                    (COMODULE_MORPHISM_BETA_COMMUTES, COMMUTES, "beta"))
 
-# The twist, one term (``laws.rebuild``) on one coaction t.
-_TWIST = ("piq", "+ square.il t.plq")  # (alpha^2 @ id) . t, square = alpha^2 built once
+# The twist, one term (``laws.rebuild``) on one coaction t: the left module's, transposed.
+_TWIST = transposed(_MODULE_TWIST["left"])  # (alpha^2 @ id) . t, square = alpha^2 built once
 
 
 def check_coassoc_comodule(c: HomComodule, plan: Plan | None = None) -> AxiomReport:

@@ -18,12 +18,12 @@ row above followed by its terms with ``i`` and ``j`` swapped.  Every other law i
 algebra row ``restricted`` to an extension's blocks, ``transposed`` to the dual algebra
 (``HOM_COASSOCIATIVITY`` is the row above, ``mu`` named ``t``), or both.
 A ``Plan`` evaluates the rows of one check on one structure together.
-A construction is one term in the same grammar, over the letters of the
-tensor it builds, which ``construct`` evaluates: ``("ijo", "+ t.ijq
-phi.oq")`` is the Yau twist's ``phi . mu``, the tensor rebuilt being ``t``
-(``rebuild``).  Each structure module states its constructions so,
-beside its laws; negation and the swap of the first two axes, which every
-structure shares, are ``NEGATE`` and ``SWAP`` here.
+A construction is a one-term ``Law`` over the letters, index then residual, of
+the tensor it builds (``construct``): ``Law("ij", "o", "+ t.ijq phi.oq")`` is
+the Yau twist's ``phi . mu``, the tensor rebuilt being ``t`` (``rebuild``).  A
+structure module states or derives its constructions beside its laws, as law rows
+are derived; negation and the swap of the first two axes, which every structure
+shares, are ``NEGATE`` and ``SWAP`` here, beside ``compose``'s row.
 
 Evaluation is in ``int``: each operand enters as ``scaled``, its entries
 times the lcm of their denominators, the terms are brought to the lcm over
@@ -406,20 +406,22 @@ def transposed(law: Law, sign: int = 1, **names: str) -> Law:
 
 
 def restricted(law: Law, blocks: dict, names: dict, sign: int = 1) -> Law:
-    """The algebra row ``law`` times ``sign`` at index letters in the blocks (``"A"``, ``"M"``)
-    that ``blocks`` lists, in its order.  A map's letters share a block, a product is M when
-    exactly one argument is, and a term with a product of two M letters is dropped.  An operand
+    """The row ``law`` times ``sign`` at index letters in the blocks (``"A"``, ``"M"``) that
+    ``blocks`` lists, in its order.  A map's letters share a block, a product (three letters) is M
+    when exactly one argument is, and a term with a product of two M letters is dropped.  An operand
     in blocks ``P`` is ``names["name.P"]``: ``"act"``, or ``"-gm.bac"`` negated, legs swapped."""
     terms = []
     for term, (plus, operands) in zip(law.terms, law._parsed):
-        block = dict(blocks)
-        for _, letters in operands * len(operands):  # a pass blocks one more operand, or none will
-            known = [block.get(c) for c in letters]
-            if len(letters) == 2 and known.count(None) == 1:
-                block.update(dict.fromkeys(letters, known[0] or known[1]))
-            elif len(letters) > 2 and None not in known[:-1]:
-                block[letters[-1]] = "AMX"[min(known[:-1].count("M"), 2)]  # X: two M letters
-        if not set("".join([letters for _, letters in operands])) <= set(block):
+        block, size, held = dict(blocks), -1, set("".join([letters for _, letters in operands]))
+        while size < len(block) and not held <= block.keys():  # until all are, or a pass adds none
+            size = len(block)
+            for _, letters in operands:
+                known = [block.get(c) for c in letters]
+                if len(letters) == 2 and known.count(None) == 1:
+                    block.update(dict.fromkeys(letters, known[0] or known[1]))
+                elif len(letters) > 2 and None not in known[:-1]:
+                    block[letters[-1]] = "AMX"[min(known[:-1].count("M"), 2)]  # X: two M letters
+        if not held <= block.keys():
             raise ValueError(f"term {term!r} has a letter that no operand blocks")
         renamed = []
         for name, letters in operands:
@@ -534,12 +536,12 @@ def _report(axiom: str, residual: list, index: tuple[int, ...], outer: int, slot
 COMMUTES = Law("i", "o", "+ f.oa src.ai", "- dst.oa f.ai")
 """``f . src = dst . f``, column by column: a morphism intertwines two twist maps."""
 
-def _reading(out: str, term: str, shapes: tuple) -> tuple:
-    """``construct``'s reading of ``term`` on operands of ``shapes``, ``(name, shape)``
-    pairs: its ``contract`` spec, its sign as a factor, its operand names, the
-    output's shape (each letter sized by the first operand axis holding it) and
-    sink offsets."""
-    plus, pairs = _parse(term)
+def _reading(row: Law, shapes: tuple) -> tuple:
+    """``construct``'s reading of the one-term ``row`` on operands of ``shapes``,
+    ``(name, shape)`` pairs: its ``contract`` spec, its sign as a factor, its operand
+    names, the output's shape (each letter sized by the first operand axis holding
+    it) and sink offsets."""
+    ((plus, pairs),), out = row._parsed, row.index + row.residual
     shapes, holders = dict(shapes), {}
     for name, letters in pairs:
         for axis, c in enumerate(letters):
@@ -550,16 +552,16 @@ def _reading(out: str, term: str, shapes: tuple) -> tuple:
     return spec, 1 if plus else -1, names, shape, compiled(offsets, spec, _strides(shape))
 
 
-def construct(out: str, term: str, **operands) -> tuple:
-    """The entries of one signed term on the named maps and tensors, nested over the
-    letters ``out``: ``construct("ijo", "+ t.jio", t=mu)`` is the opposite
-    multiplication.  Each output letter is sized by the first operand axis holding
-    it.  The operands' ``scaled`` entries are contracted into one list, the sign
+def construct(row: Law, **operands) -> tuple:
+    """The entries of the one-term ``row`` on the named maps and tensors, nested over
+    its index letters and then its residual ones: ``construct(SWAP, t=mu)`` is the
+    opposite multiplication.  Each output letter is sized by the first operand axis
+    holding it.  The operands' ``scaled`` entries are contracted into one list, the sign
     being ``contract``'s ``into`` factor; a nonzero sum ``v`` is ``Fraction(v, s)``,
     ``s`` the product of their scales (``Fraction(v)``, which skips the normalising
     gcd, when ``s`` is 1), a zero ``_ZERO`` and an all-zero row the shared one."""
     shapes = tuple([(name, t.shape) for name, t in operands.items()])
-    spec, factor, names, shape, sinks = compiled(_reading, out, term, shapes)
+    spec, factor, names, shape, sinks = compiled(_reading, row, shapes)
     readings = [operands[name].scaled for name in names]
     sink = [0] * prod(shape)
     contract(spec, *[entries for _, entries, _ in readings], into=(sink, sinks, factor))
@@ -567,22 +569,22 @@ def construct(out: str, term: str, **operands) -> tuple:
     rows = [sink[i * width : (i + 1) * width] for i in range(prod(shape[:-1]))]
     zero = compiled(_zeros, (width,))
     entry = Fraction if s == 1 else lambda v: Fraction(v, s)
-    return _nest([tuple([entry(v) if v else _ZERO for v in row]) if any(row) else zero
-                  for row in rows], shape)
+    return _nest([tuple([entry(v) if v else _ZERO for v in r]) if any(r) else zero
+                  for r in rows], shape)
 
 
-def rebuild(structure, row: tuple, fields: tuple, changes: dict | None = None, **operands):
+def rebuild(structure, row: Law, fields: tuple, changes: dict | None = None, **operands):
     """``structure`` with ``changes`` made and each tensor named in ``fields``
-    rebuilt by ``row``, ``(out, term)`` for ``construct``, on itself (``t``) and
+    rebuilt by the one-term ``row`` (``construct``) on itself (``t``) and
     ``operands``; a rebuilt tensor keeps its other fields, and is kept itself where
-    the row less its identity maps (``untwisted``) is ``+ t.<out>``."""
-    (out, term), maps = row, tuple([name for name, t in operands.items() if t.is_identity()])
-    plus, pairs = _parse(term)
+    the row less its identity maps (``untwisted``) is ``+ t.<its letters>``."""
+    ((plus, pairs),), out = row._parsed, row.index + row.residual
+    maps = tuple([name for name, t in operands.items() if t.is_identity()])
     kept = plus and untwisted(pairs, out, maps) == [("t", out)]
     built = {}
     for field in fields:
         t = getattr(structure, field)
-        built[field] = t if kept else replace(t, **{t._nested: construct(*row, t=t, **operands)})
+        built[field] = t if kept else replace(t, **{t._nested: construct(row, t=t, **operands)})
     return replace(structure, **built, **(changes or {}))
 
 
@@ -592,9 +594,10 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
         raise DimensionMismatch(f"cannot compose {f.dim_out}x{f.dim_in} after {g.dim_out}x{g.dim_in}")
     if f.is_identity() or g.is_identity():  # a relabelling: the other map itself
         return g if f.is_identity() else f
-    return LinearMap(construct("ij", "+ f.il g.lj", f=f, g=g), g.dim_in)
+    return LinearMap(construct(_COMPOSITE, f=f, g=g), g.dim_in)
 
 
-# Constructions every structure shares, on a three-axis tensor t (``rebuild``).
-NEGATE = ("ijk", "- t.ijk")
-SWAP = ("ijk", "+ t.jik")  # the first two axes exchanged
+# Constructions every structure shares, on a three-axis tensor t (``rebuild``), and f . g.
+NEGATE = Law("ij", "k", "- t.ijk")
+SWAP = Law("ij", "k", "+ t.jik")  # the first two axes exchanged
+_COMPOSITE = Law("i", "j", "+ f.il g.lj")  # f . g

@@ -75,11 +75,11 @@ _LEFT, _RIGHT = dict(i="A", j="A", k="M"), dict(i="M", j="A", k="A")
 _LAWS = {LEFT_MODULE: polarized(restricted(_ASSOCIATOR, _LEFT, _EXTENSION), swap="ij"),
          RIGHT_MODULE: polarized(restricted(_ASSOCIATOR, _RIGHT, _EXTENSION, -1), swap="jk")}
 
+# A right module's row is the left one's with each action's legs exchanged (``_MIRROR``).
+_MIRROR = {f"{name}.AMM": f"{name}.bac" for name in ("t", "src", "dst")}
 # f(act(x, m)) = act'(x, f(m)) on basis pairs, per side, for f from (src) to (dst).
-_INTERTWINES = {
-    "left": Law("ip", "q", "+ src.ipr f.qr", "- f.rp dst.irq"),
-    "right": Law("ip", "q", "+ src.pir f.qr", "- f.rp dst.riq"),
-}
+_INTERTWINES = {"left": Law("ip", "q", "+ src.ipr f.qr", "- f.rp dst.irq")}
+_INTERTWINES["right"] = restricted(_INTERTWINES["left"], dict(i="A", p="M"), _MIRROR)
 _MORPHISM_PARTS = {side: ((MODULE_MORPHISM_INTERTWINES, law, "action"),
                           (MODULE_MORPHISM_BETA_COMMUTES, COMMUTES, "beta"))
                    for side, law in _INTERTWINES.items()}
@@ -87,10 +87,8 @@ _MORPHISM_PARTS = {side: ((MODULE_MORPHISM_INTERTWINES, law, "action"),
 
 # Constructions, one term each (``laws.rebuild``) on the action t, square = alpha^2
 # built once; each side's twist feeds the algebra argument through it.
-_TWIST = {
-    "left": ("ipq", "+ square.ji t.jpq"),  # act(a^2(x), m)
-    "right": ("piq", "+ square.ji t.pjq"),  # act(m, a^2(x))
-}
+_TWIST = {"left": Law("ip", "q", "+ square.ji t.jpq")}  # act(a^2(x), m)
+_TWIST["right"] = restricted(_TWIST["left"], dict(p="M", i="A"), _MIRROR)  # act(m, a^2(x))
 
 
 def check_left_module(mod: HomModule, plan: Plan | None = None) -> AxiomReport:
@@ -128,7 +126,7 @@ def opposite_module(mod: HomModule) -> HomModule:
     """(M, act_op, beta), act_op(m, x) = act(x, m), as a right module over the opposite algebra."""
     if mod.side != "left":
         raise WrongSide("opposite construction is stated for left modules")
-    action = replace(mod.action, a=construct(*SWAP, t=mod.action), side="right")
+    action = replace(mod.action, a=construct(SWAP, t=mod.action), side="right")
     return replace(mod, action=action, side="right", algebra=opposite_algebra(mod.algebra))
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homstruct import algebras, catalog, cli, coalgebras, comodules, modules
+from homstruct.comodules import regular_comodule
 from homstruct.errors import KernelError
 from homstruct.exact import (
     _ZERO,
@@ -26,7 +27,8 @@ from homstruct.exact import (
     MulTensor,
     Vector,
 )
-from homstruct.laws import NEGATE, SWAP, compose, construct
+from homstruct.laws import NEGATE, SWAP, Law, compose, construct
+from homstruct.modules import regular_module
 from reference_eval import (
     act_ref,
     coact_apply_ref,
@@ -39,11 +41,11 @@ from reference_eval import (
 
 # The terms that evaluate a map or tensor at a point (x, y in the algebra, m in the
 # module): f(v), mul(x, y), comul(x), act(x, m) of either side and coact(m).
-MAP_AT = ("i", "+ t.ij v.j")
-MUL_AT = ("k", "+ x.i t.ijk y.j")
-COMUL_AT = ("ij", "+ v.k t.kij")
-ACT_AT = {"left": ("q", "+ x.i t.ipq m.p"), "right": ("q", "+ x.i t.piq m.p")}
-COACT_AT = ("iq", "+ m.p t.piq")
+MAP_AT = Law("", "i", "+ t.ij v.j")
+MUL_AT = Law("", "k", "+ x.i t.ijk y.j")
+COMUL_AT = Law("i", "j", "+ v.k t.kij")
+ACT_AT = {"left": Law("", "q", "+ x.i t.ipq m.p"), "right": Law("", "q", "+ x.i t.piq m.p")}
+COACT_AT = Law("i", "q", "+ m.p t.piq")
 
 # Few distinct small values, so sums often cancel to zero; zeros of both spellings.
 ENTRIES = st.one_of(
@@ -173,41 +175,41 @@ def test_every_construction_equals_its_fraction_formula(n, dm, k, side, data):
     phi2_rows = compose_ref(phi_rows, phi_rows, n, n, n)  # alpha^2 of the (co)module twists
     assert_entries(compose(f, g).entries, compose_ref(f_rows, g_rows, n, k, dm))
     v_k, x, y, m = block(data, k), block(data, n), block(data, n), block(data, dm)
-    assert_entries(construct(*MAP_AT, t=f, v=Vector.from_entries(v_k)),
+    assert_entries(construct(MAP_AT, t=f, v=Vector.from_entries(v_k)),
                    map_apply_ref(f_rows, v_k, n, k))
 
     c = block(data, n, n, n)
     mu = MulTensor.from_entries(c)
     x_vec, y_vec, m_vec = map(Vector.from_entries, (x, y, m))
-    assert_entries(construct(*MUL_AT, x=x_vec, t=mu, y=y_vec), mul_apply_ref(c, x, y, n))
-    assert_entries(construct(*algebras._YAU_TWIST, t=mu, phi=phi), then_map_ref(c, phi_rows, n))
-    assert_entries(construct(*NEGATE, t=mu), negated_ref(c))
-    assert_entries(construct(*SWAP, t=mu), swap_first_ref(c, n, n, n))
+    assert_entries(construct(MUL_AT, x=x_vec, t=mu, y=y_vec), mul_apply_ref(c, x, y, n))
+    assert_entries(construct(algebras._YAU_TWIST, t=mu, phi=phi), then_map_ref(c, phi_rows, n))
+    assert_entries(construct(NEGATE, t=mu), negated_ref(c))
+    assert_entries(construct(SWAP, t=mu), swap_first_ref(c, n, n, n))
 
     d = block(data, n, n, n)
     delta = ComulTensor.from_entries(d)
-    assert_entries(construct(*COMUL_AT, v=x_vec, t=delta), comul_apply_ref(d, x, n))
-    assert_entries(construct(*coalgebras._YAU_TWIST, t=delta, phi=phi), precompose_ref(d, phi_rows, n))
-    assert_entries(construct(*NEGATE, t=delta), negated_ref(d))
-    assert_entries(construct(*coalgebras._OPPOSITE, t=delta), swap_last_ref(d, n, n, n))
+    assert_entries(construct(COMUL_AT, v=x_vec, t=delta), comul_apply_ref(d, x, n))
+    assert_entries(construct(coalgebras._YAU_TWIST, t=delta, phi=phi), precompose_ref(d, phi_rows, n))
+    assert_entries(construct(NEGATE, t=delta), negated_ref(d))
+    assert_entries(construct(coalgebras._OPPOSITE, t=delta), swap_last_ref(d, n, n, n))
 
     shape = (n, dm, dm) if side == "left" else (dm, n, dm)
     a = block(data, *shape)
     action = ActionTensor.from_entries(a, n, dm, side)
-    assert_entries(construct(*ACT_AT[side], x=x_vec, t=action, m=m_vec),
+    assert_entries(construct(ACT_AT[side], x=x_vec, t=action, m=m_vec),
                    act_ref(a, x, m, side, n, dm))
-    assert_entries(construct(*modules._TWIST[side], square=compose(phi, phi), t=action),
+    assert_entries(construct(modules._TWIST[side], square=compose(phi, phi), t=action),
                    precompose_algebra_ref(a, phi2_rows, side, n, dm))
     # negation and the mirror read a right action as they read a left one
-    assert_entries(construct(*NEGATE, t=action), negated_ref(a))
-    assert_entries(construct(*SWAP, t=action), swap_first_ref(a, *shape))
+    assert_entries(construct(NEGATE, t=action), negated_ref(a))
+    assert_entries(construct(SWAP, t=action), swap_first_ref(a, *shape))
 
     h = block(data, dm, n, dm)
     coaction = CoactionTensor.from_entries(h, n, dm)
-    assert_entries(construct(*COACT_AT, m=m_vec, t=coaction), coact_apply_ref(h, m, n, dm))
-    assert_entries(construct(*comodules._TWIST, square=compose(phi, phi), t=coaction),
+    assert_entries(construct(COACT_AT, m=m_vec, t=coaction), coact_apply_ref(h, m, n, dm))
+    assert_entries(construct(comodules._TWIST, square=compose(phi, phi), t=coaction),
                    postcompose_coalgebra_ref(h, phi2_rows, n, dm))
-    assert_entries(construct(*NEGATE, t=coaction), negated_ref(h))
+    assert_entries(construct(NEGATE, t=coaction), negated_ref(h))
 
 
 def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
@@ -216,7 +218,7 @@ def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
     assert all(x is _ZERO for row in compose(wide, tall).entries for x in row)
     none = compose(LinearMap.zero(0, 3), wide)
     assert none.entries == () and none.shape == (0, 0)
-    assert construct(*MAP_AT, t=wide, v=Vector.zero(0)) == (_ZERO,) * 3
+    assert construct(MAP_AT, t=wide, v=Vector.zero(0)) == (_ZERO,) * 3
     # rationals in, rationals out; the last entry is 1 - 1, a sum that cancels
     f = LinearMap.from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, 1]])
     g = LinearMap.from_rows([[2, 1], [Fraction(-3, 2), -1]])
@@ -224,8 +226,8 @@ def test_empty_shapes_and_cancelling_sums_give_the_shared_zero():
     assert product == ((Fraction(1, 2), Fraction(1, 6)), (Fraction(1, 2), _ZERO))
     assert product[1][1] is _ZERO
     empty = ActionTensor.zero(0, 2, "right")
-    assert construct(*modules._TWIST["right"], square=LinearMap.zero(0, 0), t=empty) == ((), ())
-    acted = construct(*ACT_AT["right"], x=Vector.zero(0), t=empty, m=Vector.from_entries([1, 2]))
+    assert construct(modules._TWIST["right"], square=LinearMap.zero(0, 0), t=empty) == ((), ())
+    acted = construct(ACT_AT["right"], x=Vector.zero(0), t=empty, m=Vector.from_entries([1, 2]))
     assert acted == (_ZERO, _ZERO)
 
 
@@ -313,6 +315,36 @@ def test_an_identity_twist_keeps_each_tensor_and_constructs_nothing(monkeypatch,
     assert compose(square, tall) is tall and compose(tall, LinearMap.identity(2)) is tall
 
 
+# Each construction row derived from another row, its statement by hand before it was
+# derived, and whether ``rebuild`` keeps ``t`` with every other operand the identity.
+DERIVED = {
+    "coalgebra twist": (coalgebras._YAU_TWIST, Law("ki", "j", "+ phi.lk t.lij"), True),
+    "coalgebra opposite": (coalgebras._OPPOSITE, Law("ki", "j", "+ t.kji"), False),
+    "comodule twist": (comodules._TWIST, Law("pi", "q", "+ square.il t.plq"), True),
+    "right module twist": (modules._TWIST["right"], Law("pi", "q", "+ square.ji t.pjq"), True),
+}
+
+
+@pytest.mark.parametrize("name", list(DERIVED))
+def test_each_derived_construction_builds_what_its_hand_written_statement_built(name):
+    # On poisson_dual4's delta and gamma, its regular comodule's coactions and the
+    # octonions' right regular module's action, along a map that is not the identity.
+    derived, stated, _ = DERIVED[name]
+    coalg = catalog.get("poisson_dual4").payload
+    comod = regular_comodule(coalg)
+    ts = {"comodule twist": (comod.delta_m, comod.gamma_m),
+          "right module twist": (regular_module(catalog.get("octonions").payload, "right").action,),
+          }.get(name, (coalg.delta, coalg.gamma))
+    n = ts[0].shape[1]  # the base's dim, the middle axis of each of these tensors
+    phi = LinearMap.from_rows([[Fraction(i - 2 * j, 1 + j) for j in range(n)] for i in range(n)], n)
+    maps = {"phi": phi, "square": compose(phi, phi)}
+    maps = {key: maps[key] for key in stated.names if key != "t"}
+    for t in ts:
+        built = construct(derived, t=t, **maps)
+        assert built == construct(stated, t=t, **maps), name
+        assert any(x for plane in built for row in plane for x in row), name
+
+
 # Rows on the octonions' ``mu`` or ``alpha`` (letters ``ijo`` or ``ij``), each other
 # operand bound to the identity but in the last case.
 @pytest.mark.parametrize("row, field, kept", [
@@ -323,22 +355,24 @@ def test_an_identity_twist_keeps_each_tensor_and_constructs_nothing(monkeypatch,
     (comodules._TWIST, "mu", True),
     (NEGATE, "mu", False),  # a sign is no relabelling
     (SWAP, "mu", False),  # t.jik is not t.ijk
-    (("ij", "+ t.ik f.kj"), "alpha", True),
-    (("ij", "+ f.ik t.kj f.jl"), "alpha", False),  # l is summed over f alone
-    (("ijk", "+ t.ij f.kl"), "alpha", False),  # an outer product with the identity
-    (("i", "+ t.ik f.kk"), "alpha", False),  # a trace, not a relabelling
-    (("ij", "+ f.ab t.ij"), "alpha", False),  # a summed factor: 8 times t
-    (("ijo", "+ t.ijq f.oq g.ab"), "mu", False),
+    (Law("i", "j", "+ t.ik f.kj"), "alpha", True),
+    (Law("i", "j", "+ f.ik t.kj f.il"), "alpha", False),  # l is summed over f alone
+    (Law("ij", "k", "+ t.ij f.kl"), "alpha", False),  # an outer product with the identity
+    (Law("", "i", "+ t.ik f.kk"), "alpha", False),  # a trace, not a relabelling
+    (Law("i", "j", "+ f.ab t.ij"), "alpha", False),  # a summed factor: 8 times t
+    (Law("ij", "o", "+ t.ijq f.oq g.ab"), "mu", False),
+    (coalgebras._OPPOSITE, "mu", False),  # t.kji is not t.kij
+    *[(stated, "mu", kept) for _, stated, kept in DERIVED.values()],  # as derived rows are
 ])
 def test_rebuild_keeps_t_where_its_row_less_its_identity_maps_is_t(row, field, kept, monkeypatch):
     from homstruct import laws
 
     calls = []
-    monkeypatch.setattr(laws, "construct", lambda out, term, t, **operands:
-                        calls.append(term) or getattr(t, t._nested))
+    monkeypatch.setattr(laws, "construct", lambda row, t, **operands:
+                        calls.append(row) or getattr(t, t._nested))
     alg, one = catalog.get("octonions").payload, LinearMap.identity(8)
-    names = {name for name, _ in laws._parse(row[1])[1]} - {"t"}
+    names = set(row.names) - {"t"}
     operands = {name: one if name != "g" else LinearMap.diagonal(range(1, 9)) for name in names}
     out = laws.rebuild(alg, row, (field,), **operands)
     assert (getattr(out, field) is getattr(alg, field)) is kept
-    assert calls == ([] if kept else [row[1]])
+    assert calls == ([] if kept else [row])

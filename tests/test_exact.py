@@ -30,7 +30,7 @@ from homstruct.exact import (
     rat,
     unpack,
 )
-from homstruct.laws import NEGATE, SWAP, compose, construct
+from homstruct.laws import _COMPOSITE, NEGATE, SWAP, compose, construct
 from reference_eval import apply, column, flat
 from reference_laws import contracted
 
@@ -266,7 +266,7 @@ def test_an_unknown_action_side_is_wrong_side(build):
 
 def test_mul_tensor_opposite_and_negation():
     t = dual_number_tensor()
-    assert construct(*SWAP, t=t)[1][0][1] == t.c[0][1][1]
+    assert construct(SWAP, t=t)[1][0][1] == t.c[0][1][1]
     assert negated(t).c[0][0][0] == -1
     assert negated(negated(t)) == t
 
@@ -354,7 +354,7 @@ CUBES = (MulTensor, ComulTensor, ActionTensor, CoactionTensor)
 
 def negated(tensor):
     """``tensor`` through ``laws.NEGATE`` (a right action read as a left one)."""
-    return type(tensor)(construct(*NEGATE, t=tensor), *other_fields(tensor))
+    return type(tensor)(construct(NEGATE, t=tensor), *other_fields(tensor))
 
 
 def rebuilt(tensor, entries):
@@ -659,9 +659,9 @@ def test_every_zero_row_of_a_built_constructed_or_zero_tensor_is_the_shared_row(
     built = [mu, f, LinearMap.diagonal([0, 3]), Vector.from_entries([0, False]),
              ActionTensor.from_entries([[[0], [1]]], 2, 1, "right"),
              CoactionTensor.from_entries([[[1], [0]]], 2, 1)]
-    constructed = [LinearMap(construct("ij", "+ f.il g.lj", f=f, g=LinearMap.zero(3, 2)), 2),
+    constructed = [LinearMap(construct(_COMPOSITE, f=f, g=LinearMap.zero(3, 2)), 2),
                    compose(f, LinearMap.from_rows([[1, 0], [0, 0], [0, 1]])),
-                   MulTensor(construct(*SWAP, t=mu)), MulTensor(construct(*NEGATE, t=mu))]
+                   MulTensor(construct(SWAP, t=mu)), MulTensor(construct(NEGATE, t=mu))]
     zeros = [MulTensor.zero(3), ComulTensor.zero(2), LinearMap.zero(2, 3), Vector.zero(3),
              ActionTensor.zero(2, 3, "right"), CoactionTensor.zero(2, 3)]
     for tensor in built + constructed + zeros:

@@ -680,7 +680,7 @@ def _written_structures(n: int, m: int, rng: random.Random) -> tuple[dict, dict,
         return LinearMap.from_rows(cube(1, k, k)[0], k)
 
     def built(template, row, **operands):  # a tensor like template, holding what row builds
-        return dataclasses.replace(template, **{template._nested: construct(*row, **operands)})
+        return dataclasses.replace(template, **{template._nested: construct(row, **operands)})
 
     alpha, beta = square(n), square(m)
     mu = MulTensor.from_entries(cube(n, n, n))

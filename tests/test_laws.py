@@ -35,7 +35,7 @@ from homstruct.exact import (
     _Tensor,
     compiled,
 )
-from homstruct.laws import COMMUTES, Law, Plan, _layout, _parse, construct, polarized, restricted
+from homstruct.laws import COMMUTES, Law, Plan, _layout, construct, polarized, restricted
 from homstruct.modules import HomModule, check_left_module, check_right_module, regular_module
 from reference_laws import UnpackedLaw, check_row, compiled_row
 
@@ -134,8 +134,8 @@ def test_each_operand_is_a_name_a_dot_and_letters(term):
     message = re.escape(f"term {term!r} needs operands written name.letters")
     with pytest.raises(ValueError, match=message):
         Law("i", "o", term)
-    with pytest.raises(ValueError, match=message):  # the construction rows share the parser
-        construct("oi", term, f=LinearMap.identity(2), x=LinearMap.identity(2))
+    with pytest.raises(ValueError, match=message):  # a construction row is a law too
+        construct(Law("o", "i", term), f=LinearMap.identity(2), x=LinearMap.identity(2))
 
 
 def test_polarized_swaps_operand_letters_and_never_names():
@@ -171,7 +171,7 @@ def test_restricted_mirrors_a_bracket_and_applies_the_overall_sign():
                                                                              "- act.ijk")
 
 
-# Each row derived from an algebra row (``transposed``, ``restricted`` or both), and its
+# Each row derived from a stated row (``transposed``, ``restricted`` or both), and its
 # statement by hand before it was derived.
 HAND_WRITTEN = {
     "LEFT_MODULE": (
@@ -234,6 +234,9 @@ HAND_WRITTEN = {
     "comodule intertwines": (
         comodules._INTERTWINES, ("p", "iq", "+ src.pis f.qs", "- f.rp dst.riq"),
     ),
+    "module intertwines right": (
+        modules._INTERTWINES["right"], ("ip", "q", "+ src.pir f.qr", "- f.rp dst.riq"),
+    ),
 }
 
 
@@ -244,7 +247,8 @@ def test_each_derived_row_is_its_hand_written_statement(row):
     law, (index, residual, *terms) = HAND_WRITTEN[row]
     assert (len(law.index), len(law.residual), len(law.terms)) == (len(index), len(residual),
                                                                    len(terms))
-    for (plus, operands), (stated_plus, stated) in zip(law._parsed, map(_parse, terms)):
+    for (plus, operands), (stated_plus, stated) in zip(law._parsed,
+                                                       Law(index, residual, *terms)._parsed):
         assert plus == stated_plus
         assert [name for name, _ in operands] == [name for name, _ in stated]
         rename = dict(zip(law.index + law.residual, index + residual))

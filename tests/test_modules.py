@@ -174,7 +174,7 @@ def test_twist_module_refuses_an_alpha_that_is_not_multiplicative():
     mod = regular_module(alg)
     assert check_left_module(mod).holds
     square = compose(alg.alpha, alg.alpha)
-    action = ActionTensor(construct(*_TWIST["left"], square=square, t=mod.action), 8, 8, "left")
+    action = ActionTensor(construct(_TWIST["left"], square=square, t=mod.action), 8, 8, "left")
     assert check_left_module(HomModule(alg, 8, mod.beta, action, "left")).total_failures == 176
     for side in ("left", "right"):
         with pytest.raises(NotEndomorphism, match="not multiplicative at 64 basis pairs"):

@@ -23,7 +23,6 @@ from homstruct.errors import KernelError
 from homstruct.exact import (
     ActionTensor, CoactionTensor, ComulTensor, LinearMap, MulTensor, Vector, compiled,
 )
-from homstruct.laws import _parse
 from homstruct.modules import HomModule
 from homstruct.report import AxiomReport
 from reference_laws import UnpackedLaw, check_row, compiled_row
@@ -299,7 +298,7 @@ def cancelled(law: laws.Law, maps: tuple) -> bool:
     its ``src`` and ``dst`` one operand as a coalgebra binds its multiplicativity rows,
     every axis of size 2."""
     names = law.names
-    arity = {name: len(letters) for _, ops in map(_parse, law.terms) for name, letters in ops}
+    arity = {name: len(letters) for _, ops in law._parsed for name, letters in ops}
     numbers = tuple([names.index("dst" if name == "src" and "dst" in names else name)
                      for name in names])
     shapes = tuple([(2,) * arity[name] for name in names])
