@@ -124,3 +124,14 @@ def check_morphism(f: LinearMap, a: HomAlgebra, b: HomAlgebra) -> AxiomReport:
     """Verify f(xy) = f(x)f(y) on basis pairs and f . alpha = alpha' . f."""
     return check_map(MORPHISM, _MORPHISM_PARTS, f, a, b, (a.dim, b.dim))
 
+
+# What each verb runs on an algebra; ``fileformat.TYPES`` holds it, and the axiom registry
+# and the CLI read their tables from there.
+VERBS = {
+    "suites": {None: (LEFT_HOM_ALT, RIGHT_HOM_ALT, HOM_ASSOC)},
+    "checks": {LEFT_HOM_ALT: check_left_hom_alternative, RIGHT_HOM_ALT: check_right_hom_alternative,
+               HOM_ASSOC: check_hom_associative},
+    "twists": {None: yau_twist},
+    "transforms": {"negate": negate, "opposite": opposite},
+    "morphism": check_morphism,
+}

@@ -16,38 +16,9 @@ import os
 import sys
 
 from . import axioms, catalog
-from .algebras import (
-    HomAlgebra,
-    check_morphism,
-    negate as negate_algebra,
-    opposite as opposite_algebra,
-    yau_twist,
-)
-from .coalgebras import (
-    HomPoissonCoalgebra,
-    check_coalgebra_morphism,
-    negate_coalgebra,
-    opposite_coalgebra,
-    yau_twist_coalgebra,
-)
-from .comodules import (
-    HomComodule,
-    check_comodule_morphism,
-    negate_poisson_comodule,
-    twist_coassoc_comodule,
-    twist_lie_comodule,
-    twist_poisson_comodule,
-)
 from .errors import FormatError, KernelError, KindMismatch
 from .exact import LinearMap, parse_rational
 from .fileformat import TYPES, StructureFile, parse_file, serialize, single_structure_file, write_file
-from .modules import (
-    HomModule,
-    check_module_morphism,
-    negate_module,
-    opposite_module,
-    twist_module,
-)
 from .report import WITNESS_CAP, format_report
 
 
@@ -112,30 +83,12 @@ def _replace(sf: StructureFile, name: str, new_structure, new_name: str | None) 
     return StructureFile(sf.version, structures, base_of)
 
 
-# The construction or check each verb runs, by entry type (and a comodule's kind, or the op).
-_TWISTS = {
-    (HomAlgebra, None): yau_twist,
-    (HomPoissonCoalgebra, None): yau_twist_coalgebra,
-    (HomModule, None): twist_module,
-    (HomComodule, "coassociative"): twist_coassoc_comodule,
-    (HomComodule, "lie"): twist_lie_comodule,
-    (HomComodule, "poisson"): twist_poisson_comodule,
-}
-_TRANSFORMS = {
-    (HomAlgebra, "negate"): negate_algebra,
-    (HomAlgebra, "opposite"): opposite_algebra,
-    (HomPoissonCoalgebra, "negate"): negate_coalgebra,
-    (HomPoissonCoalgebra, "opposite"): opposite_coalgebra,
-    (HomModule, "negate"): negate_module,
-    (HomModule, "opposite"): opposite_module,
-    (HomComodule, "negate"): negate_poisson_comodule,
-}
-_MORPHISMS = {
-    HomAlgebra: check_morphism,
-    HomModule: check_module_morphism,
-    HomPoissonCoalgebra: check_coalgebra_morphism,
-    HomComodule: check_comodule_morphism,
-}
+# The construction or check each verb runs, by entry type (and a comodule's kind, or the op):
+# each kind's ``VERBS``, flattened, so that perfbench's tracer sees every function in them.
+_VERBS = {cls: kind.verbs for cls, kind in TYPES.items() if kind.verbs}
+_TWISTS = {(cls, variant): f for cls, verbs in _VERBS.items() for variant, f in verbs["twists"].items()}
+_TRANSFORMS = {(cls, op): f for cls, verbs in _VERBS.items() for op, f in verbs["transforms"].items()}
+_MORPHISMS = {cls: verbs["morphism"] for cls, verbs in _VERBS.items()}
 
 
 def cmd_twist(args) -> int:

@@ -24,6 +24,8 @@ where tau flips a tensor square and rot(x @ y @ z) = z @ x @ y.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .algebras import _ANTICOMMUTATOR, _ASSOCIATOR, _COMMUTATOR, _JACOBI, _LEIBNIZ
 from .algebras import _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE, _YAU_TWIST as _ALGEBRA_YAU_TWIST
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
@@ -168,3 +170,18 @@ def check_coalgebra_morphism(
 ) -> AxiomReport:
     """(f @ f) . delta1 = delta2 . f, same for gamma, and f . alpha1 = alpha2 . f."""
     return check_map(COALGEBRA_MORPHISM, _MORPHISM_PARTS, f, p1, p2, (p1.dim, p2.dim))
+
+
+# What each verb runs on a coalgebra, as ``algebras.VERBS``; the parts of the Hom-coassociative
+# and Hom-Lie ids are checked by ``laws.check`` under their own ids.
+VERBS = {
+    "suites": {None: (HOM_POISSON_COALGEBRA,)},
+    "checks": {COCOMMUTATIVITY: check_cocommutativity, HOM_COASSOC_COALGEBRA: check_hom_coassociative,
+               **{part: partial(check, axiom=part) for part in _PARTS[HOM_COASSOC_COALGEBRA]},
+               HOM_LIE_COALGEBRA: check_hom_lie_coalgebra,
+               **{part: partial(check, axiom=part) for part in _PARTS[HOM_LIE_COALGEBRA]},
+               HOM_COLEIBNIZ: check_hom_coleibniz, HOM_POISSON_COALGEBRA: check_hom_poisson_coalgebra},
+    "twists": {None: yau_twist_coalgebra},
+    "transforms": {"negate": negate_coalgebra, "opposite": opposite_coalgebra},
+    "morphism": check_coalgebra_morphism,
+}

@@ -198,3 +198,15 @@ def regular_comodule(base: HomPoissonCoalgebra, kind: str = "poisson") -> HomCom
     coactions = {name: CoactionTensor(getattr(base, name.removesuffix("_m")).d, base.dim, base.dim)
                  for name in COACTIONS.get(kind, ())}
     return HomComodule(base, base.dim, base.alpha, kind, **coactions)
+
+
+# What each verb runs on a comodule, as ``algebras.VERBS``, by its kind.
+VERBS = {
+    "suites": dict(coassociative=(COASSOC_COMODULE,), lie=(LIE_COMODULE,), poisson=(POISSON_COMODULE,)),
+    "checks": {COASSOC_COMODULE: check_coassoc_comodule, LIE_COMODULE: check_lie_comodule,
+               POISSON_COMODULE: check_poisson_comodule},
+    "twists": {"coassociative": twist_coassoc_comodule, "lie": twist_lie_comodule,
+               "poisson": twist_poisson_comodule},
+    "transforms": {"negate": negate_poisson_comodule},
+    "morphism": check_comodule_morphism,
+}

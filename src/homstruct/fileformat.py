@@ -5,12 +5,13 @@ rationals in lowest terms (``p`` or ``p/q``), compact separators, and a
 single trailing newline.  ``serialize(parse(data))`` canonicalizes any valid
 file and is a byte-level fixed point on canonical ones.
 
-``TYPES`` states each structure kind once: its wire kind, its noun and
-``--suite all`` ids, and its fields in wire order with how each is read.  The
-parser walks an entry's fields in that order, so the first fault in it is
-reported, and the writer writes them in it.  Modules name their base algebra
-and comodules their base coalgebra; all references must resolve inside the
-same file.
+``TYPES`` states each structure kind once: its wire kind, its noun, its
+structure module's ``VERBS`` (what ``verify``, ``twist``, ``transform`` and
+``check-morphism`` run on it), and its fields in wire order with how each is
+read.  The parser walks an entry's fields in that order, so the first fault
+in it is reported, and the writer writes them in it.  Modules name their base
+algebra and comodules their base coalgebra; all references must resolve
+inside the same file.
 
 Each distinct numeral is validated and decoded once per file: ``parse_bytes``
 keeps a ``{numeral: Fraction}`` memo for the one call, and the decoded rows go
@@ -43,9 +44,9 @@ from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from operator import is_not
 
-from .algebras import HOM_ASSOC, LEFT_HOM_ALT, RIGHT_HOM_ALT, HomAlgebra
-from .coalgebras import HOM_POISSON_COALGEBRA, HomPoissonCoalgebra
-from .comodules import COACTIONS, COASSOC_COMODULE, LIE_COMODULE, POISSON_COMODULE, HomComodule
+from .algebras import VERBS as _ALGEBRA, HomAlgebra
+from .coalgebras import VERBS as _COALGEBRA, HomPoissonCoalgebra
+from .comodules import COACTIONS, VERBS as _COMODULE, HomComodule
 from .errors import FormatError
 from .exact import (
     _ZERO,
@@ -65,7 +66,7 @@ from .exact import (
     parse_rational,
     record,
 )
-from .modules import LEFT_MODULE, RIGHT_MODULE, HomModule
+from .modules import VERBS as _MODULE, HomModule
 
 FILE_VERSION = 1
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -169,15 +170,17 @@ class _Array:
 
 
 class Kind:
-    """A structure kind: its wire kind, its noun, the ids ``--suite all`` runs by variant
-    (None if it has no laws), and its fields in wire order as ``(wire key, attribute,
-    read)``.  ``read`` is ``int`` for a dim, ``bool`` for a boolean, a structure type for
-    the name of a base entry of that type, a string for the variant (naming it in errors),
-    or an ``_Array``; a None attribute is the structure itself.  ``base`` is the field
-    naming the base entry, and ``variant`` the attribute ``suites`` is keyed by, if any."""
+    """A structure kind: its wire kind, its noun, its module's ``VERBS`` (None if it has no
+    laws), and its fields in wire order as ``(wire key, attribute, read)``.  ``read`` is
+    ``int`` for a dim, ``bool`` for a boolean, a structure type for the name of a base entry
+    of that type, a string for the variant (naming it in errors), or an ``_Array``; a None
+    attribute is the structure itself.  ``suites`` holds the ids ``--suite all`` runs, by
+    variant; ``base`` is the field naming the base entry, and ``variant`` the attribute
+    ``suites`` is keyed by, if any."""
 
-    def __init__(self, wire: str, noun: str | None, suites: dict | None, fields: tuple):
-        self.wire, self.noun, self.suites, self.fields = wire, noun, suites, fields
+    def __init__(self, wire: str, noun: str | None, verbs: dict | None, fields: tuple):
+        self.wire, self.noun, self.verbs, self.fields = wire, noun, verbs, fields
+        self.suites = verbs and verbs["suites"]
         self.base = next((key for key, _, read in fields
                           if isinstance(read, type) and read not in (int, bool)), None)
         self.variant = next((attribute for _, attribute, read in fields if isinstance(read, str)), None)
@@ -185,27 +188,26 @@ class Kind:
 
 _COACTION = "dim base.dim dim", "base.dim dim"  # shape, arguments
 TYPES = {
-    HomAlgebra: Kind("hom_algebra", "algebra", {None: (LEFT_HOM_ALT, RIGHT_HOM_ALT, HOM_ASSOC)}, (
+    HomAlgebra: Kind("hom_algebra", "algebra", _ALGEBRA, (
         ("dim", "dim", int),
         ("mul", "mu", _Array(MulTensor, "dim dim dim")),
         ("alpha", "alpha", _Array(LinearMap, "dim dim", "dim")),
     )),
-    HomPoissonCoalgebra: Kind("hom_poisson_coalgebra", "coalgebra", {None: (HOM_POISSON_COALGEBRA,)}, (
-        ("dim", "dim", int),
-        ("delta", "delta", _Array(ComulTensor, "dim dim dim")),
-        ("gamma", "gamma", _Array(ComulTensor, "dim dim dim")),
-        ("alpha", "alpha", _Array(LinearMap, "dim dim", "dim")),
-        ("cocommutative", "cocommutative_expected", bool),
-    )),
-    HomModule: Kind("hom_module", "module", {"left": (LEFT_MODULE,), "right": (RIGHT_MODULE,)}, (
+    HomModule: Kind("hom_module", "module", _MODULE, (
         ("algebra", "algebra", HomAlgebra),
         ("side", "side", "side"),
         ("dim", "dim_mod", int),
         ("beta", "beta", _Array(LinearMap, "dim dim", "dim", "alpha")),
         ("action", "action", _Array(ActionTensor, action_shape, "base.dim dim side", "mu")),
     )),
-    HomComodule: Kind("hom_comodule", "comodule", dict(
-        coassociative=(COASSOC_COMODULE,), lie=(LIE_COMODULE,), poisson=(POISSON_COMODULE,)), (
+    HomPoissonCoalgebra: Kind("hom_poisson_coalgebra", "coalgebra", _COALGEBRA, (
+        ("dim", "dim", int),
+        ("delta", "delta", _Array(ComulTensor, "dim dim dim")),
+        ("gamma", "gamma", _Array(ComulTensor, "dim dim dim")),
+        ("alpha", "alpha", _Array(LinearMap, "dim dim", "dim")),
+        ("cocommutative", "cocommutative_expected", bool),
+    )),
+    HomComodule: Kind("hom_comodule", "comodule", _COMODULE, (
         ("coalgebra", "coalgebra", HomPoissonCoalgebra),
         ("structure", "kind", "comodule structure"),
         ("dim", "dim_mod", int),
@@ -219,7 +221,8 @@ TYPES = {
         ("matrix", None, _Array(LinearMap, "dim_out dim_in", "dim_in")),
     )),
 }
-"""Each structure type -> its ``Kind``, which ``parse_bytes``, ``serialize``, axioms and cli read."""
+"""Each structure type -> its ``Kind``, which ``parse_bytes`` and ``serialize`` read, and
+from which ``axioms`` and ``cli`` build their dispatch tables."""
 _BY_WIRE = {kind.wire: cls for cls, kind in TYPES.items()}
 
 

@@ -149,3 +149,13 @@ def check_module_morphism(
 def regular_module(alg: HomAlgebra, side: str = "left") -> HomModule:
     """The algebra acting on itself: M = A, beta = alpha, action = mul."""
     return HomModule(alg, alg.dim, alg.alpha, ActionTensor(alg.mu.c, alg.dim, alg.dim, side), side)
+
+
+# What each verb runs on a module, as ``algebras.VERBS``; one twist serves both sides.
+VERBS = {
+    "suites": {"left": (LEFT_MODULE,), "right": (RIGHT_MODULE,)},
+    "checks": {LEFT_MODULE: check_left_module, RIGHT_MODULE: check_right_module},
+    "twists": {None: twist_module},
+    "transforms": {"negate": negate_module, "opposite": opposite_module},
+    "morphism": check_module_morphism,
+}

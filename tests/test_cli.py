@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import functools
 import inspect
 import io
 import pathlib
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from homstruct import axioms, cli
+from homstruct import axioms, cli, laws
 from homstruct.algebras import (
     HOM_ASSOC,
     LEFT_HOM_ALT,
@@ -627,6 +628,19 @@ def test_every_dispatched_function_is_one_the_tracer_wraps():
             assert inspect.isfunction(function) and function.__module__ in homes
             assert not function.__name__.startswith("_")
             assert getattr(sys.modules[function.__module__], function.__name__) is function
+    # the checkers too, but for the coalgebra part ids, checked by ``laws.check`` itself
+    parts = set()
+    for (kind, axiom), checker in axioms.AXIOMS.items():
+        if isinstance(checker, functools.partial):
+            assert (checker.func, checker.args, checker.keywords) == (laws.check, (), {"axiom": axiom})
+            parts.add((kind, axiom))
+        else:
+            assert inspect.isfunction(checker) and checker.__module__ in homes
+            assert not checker.__name__.startswith("_")
+            assert getattr(sys.modules[checker.__module__], checker.__name__) is checker
+    assert parts == {(HomPoissonCoalgebra, axiom) for axiom in (
+        "DELTA_MULTIPLICATIVITY", "HOM_COASSOCIATIVITY", "SKEW_COSYMMETRY", "GAMMA_MULTIPLICATIVITY",
+        "HOM_COJACOBI")}
 
 
 def test_no_module_holds_a_traced_layer_whole():

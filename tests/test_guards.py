@@ -3,6 +3,7 @@ the test corpus's random structures, pinned by its error type and exact text; wh
 ``laws(id)`` does with an id its structure does not hold; and that the registry and
 the file format serve every structure type that states laws."""
 
+import contextlib
 import importlib
 import inspect
 import json
@@ -12,7 +13,7 @@ import pytest
 
 import homstruct
 from corpus import random_structure
-from homstruct import algebras, catalog, cli, coalgebras, comodules, fileformat, laws, modules
+from homstruct import algebras, axioms, catalog, cli, coalgebras, comodules, fileformat, laws, modules
 from homstruct.algebras import HOM_ASSOC, HomAlgebra, check_endomorphism, check_morphism, yau_twist
 from homstruct.catalog import matrix_algebra, matrix_conjugation
 from homstruct.coalgebras import (
@@ -195,6 +196,41 @@ def test_every_type_with_laws_is_verified_and_written():
     }
     assert {HomAlgebra, HomModule, HomPoissonCoalgebra, HomComodule} <= types
     assert types <= {cls for cls, kind in fileformat.TYPES.items() if kind.suites}
+
+
+def test_each_kind_states_its_verbs_once():
+    # every table the registry and the CLI dispatch through is its kinds' VERBS, flattened,
+    # so a kind is added by its own module and its TYPES entry alone
+    verbs = {cls: kind.verbs for cls, kind in fileformat.TYPES.items() if kind.verbs}
+    assert set(verbs) == {HomAlgebra, HomModule, HomPoissonCoalgebra, HomComodule}
+
+    def flat(table: str) -> dict:
+        return {(cls, key): value for cls, held in verbs.items() for key, value in held[table].items()}
+
+    assert axioms.AXIOMS == flat("checks")
+    assert (cli._TWISTS, cli._TRANSFORMS) == (flat("twists"), flat("transforms"))
+    assert cli._MORPHISMS == {cls: held["morphism"] for cls, held in verbs.items()}
+    payloads = [entry.payload for entry in catalog.entries()]
+    for cls, held in verbs.items():
+        assert fileformat.TYPES[cls].suites is held["suites"]
+        assert {axiom for ids in held["suites"].values() for axiom in ids} <= set(held["checks"])
+        variants = {}  # a structure of each variant the catalogue holds
+        for payload in payloads:
+            if type(payload) is cls:
+                variant = fileformat.TYPES[cls].variant
+                variants.setdefault(variant and getattr(payload, variant), payload)
+        assert set(variants) == set(held["suites"]), cls
+        for axiom in held["checks"]:
+            resolved = []
+            for structure in variants.values():
+                with contextlib.suppress(KindMismatch, WrongSide):
+                    resolved.append(structure.laws(axiom))
+            assert resolved and all(resolved), (cls, axiom)
+    homes = {module.__name__ for module in (algebras, modules, coalgebras, comodules)}
+    for module in (axioms, cli):
+        for name, value in vars(module).items():
+            defined = inspect.isfunction(value) or inspect.isclass(value)
+            assert not (defined and value.__module__ in homes), (module.__name__, name)
 
 
 def test_every_morphism_check_binds_each_tensor_field_of_its_kind_once():
