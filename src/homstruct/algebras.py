@@ -13,7 +13,7 @@ its letters ``ij`` (left) or ``jk`` (right).
 from __future__ import annotations
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotEndomorphism
-from .exact import LinearMap, MulTensor, Record, _set, record
+from .exact import LinearMap, MulTensor, Record, _set
 from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, polarized, rebuild
 from .report import AxiomReport
 
@@ -26,7 +26,6 @@ MORPHISM_MULTIPLICATIVE = "MORPHISM_MULTIPLICATIVE"
 MORPHISM_TWIST_COMMUTES = "MORPHISM_TWIST_COMMUTES"
 
 
-@record
 class HomAlgebra(Record):
     """The Hom-algebra (K^dim, mu, alpha)."""
 

@@ -37,7 +37,6 @@ from .exact import (
     Record,
     _set,
     rat,
-    record,
 )
 from .modules import HomModule, regular_module
 
@@ -46,7 +45,6 @@ Payload = Union[HomAlgebra, HomPoissonCoalgebra, HomModule, HomComodule]
 OCTONION_TRIPLES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7), (2, 5, 7), (3, 6, 5), (1, 7, 6))
 
 
-@record
 class CatalogEntry(Record):
     """A named catalogue structure and the verdict it pins on each id of its suite."""
 

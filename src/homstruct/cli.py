@@ -63,6 +63,8 @@ def _resolve_endo(sf: StructureFile, spec: str, dim: int) -> LinearMap:
     target = sf.get(spec)
     if not isinstance(target, LinearMap):
         raise FormatError(f"{spec!r} is not a linear map entry")
+    if not target.is_square(dim):
+        raise FormatError(f"endomorphism {spec!r} is not {dim} x {dim}")
     return target
 
 

@@ -29,7 +29,7 @@ from functools import partial
 from .algebras import _ANTICOMMUTATOR, _ASSOCIATOR, _COMMUTATOR, _JACOBI, _LEIBNIZ
 from .algebras import _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE, _YAU_TWIST as _ALGEBRA_YAU_TWIST
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
-from .exact import ComulTensor, LinearMap, Record, _set, record
+from .exact import ComulTensor, LinearMap, Record, _set
 from .laws import COMMUTES, NEGATE, SWAP, Plan, check, check_map, rebuild, transposed
 from .report import AxiomReport
 
@@ -49,7 +49,6 @@ COALGEBRA_MORPHISM_GAMMA = "COALGEBRA_MORPHISM_GAMMA"
 COALGEBRA_MORPHISM_TWIST_COMMUTES = "COALGEBRA_MORPHISM_TWIST_COMMUTES"
 
 
-@record
 class HomPoissonCoalgebra(Record):
     """The Hom-Poisson coalgebra (K^dim, delta, gamma, alpha); ``cocommutative_expected``
     puts ``COCOMMUTATIVITY`` in its suite."""

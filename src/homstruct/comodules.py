@@ -29,7 +29,7 @@ from typing import Optional
 from .algebras import _ASSOCIATOR, _JACOBI, _LEIBNIZ, _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
-from .exact import CoactionTensor, LinearMap, Record, _set, record
+from .exact import CoactionTensor, LinearMap, Record, _set
 from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, compose, rebuild, restricted, transposed
 from .modules import _INTERTWINES as _MODULE_INTERTWINES, _TWIST as _MODULE_TWIST
 from .report import AxiomReport
@@ -54,7 +54,6 @@ COACTIONS = {"coassociative": ("delta_m",), "lie": ("gamma_m",), "poisson": ("de
 KINDS = tuple(COACTIONS)
 
 
-@record
 class HomComodule(Record):
     """A Hom-comodule (K^dim_mod, beta) of ``kind`` over ``coalgebra``, with the
     coactions its kind has: ``delta_m`` on the comultiplication side, ``gamma_m``

@@ -18,9 +18,9 @@ conventions are pinned here once:
   sits at flat index ``i*n + j``, and ``e_i @ e_j @ e_k`` at ``i*n*n + j*n + k``
   (with the middle/last factor sizes adjusted for mixed products).
 
-Maps and tensors share one base, ``_Tensor``, that states their shape guard,
-freezing (``from_entries``) and zeros once; it is a ``Record``, the frozen
-base of every value type of the package.  They expose ``shape`` (axis
+Maps and tensors share one mixin, ``_Tensor``, that states their shape guard,
+freezing (``from_entries``) and zeros once; each is also a ``Record``, the
+frozen base of every value type of the package.  They expose ``shape`` (axis
 sizes in the index order above) and ``scaled``, their one integer reading:
 the nonzero entries times the lcm ``s`` of their denominators, as ``{index
 tuple: int}``, with ``s`` kept beside them.  That is the form ``contract``,
@@ -182,16 +182,24 @@ _set = object.__setattr__  # how a record's ``__init__`` stores each of its fiel
 
 
 class Record:
-    """A frozen record of the fields ``record`` declares, with the methods
+    """A frozen record of the fields its subclass annotates, with the methods
     ``dataclass(frozen=True)`` would generate for it, written once.
 
-    Equality (same class, equal fields in order), hashing and ``repr`` read
-    the fields; assigning or deleting an attribute raises
+    Subclassing declares the annotated fields in order as dataclass fields,
+    generating no method, so ``dataclasses.fields``, ``replace`` and
+    ``__match_args__`` read them (a subclass has a docstring, or ``dataclass``
+    would write one).  Equality (same class, equal fields in order), hashing
+    and ``repr`` read the fields; assigning or deleting an attribute raises
     ``FrozenInstanceError``.  Each record has its own ``__init__``, which
     checks its arguments and stores each field with ``_set``.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        dataclass(init=False, repr=False, eq=False)(cls)
+        cls._fields = tuple([f.name for f in fields(cls)])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -216,25 +224,15 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls):
-    """Declare the annotated fields of ``cls``, a ``Record``, as dataclass fields in
-    order, and generate no method: ``dataclasses.fields``, ``replace`` and
-    ``__match_args__`` read them.  ``cls`` has a docstring, or ``dataclass`` would
-    write one from ``inspect.signature``."""
-    cls = dataclass(init=False, repr=False, eq=False)(cls)
-    cls._fields = tuple([f.name for f in fields(cls)])
-    return cls
-
-
-class _Tensor(Record):
+class _Tensor:
     """What every map and structure tensor shares: its shape guard, freezing, zeros,
-    and its integer reading, built once.
+    and its integer reading, built once: a mixin, so it declares no field.
 
-    A subclass names the field holding its nested entry tuples in ``_nested``,
-    their depth in ``_axes`` and the ``DimensionMismatch`` texts for a wrong
-    first and a wrong later axis in ``_misfit`` (formatted with the tensor;
-    None where its entries size that axis), gives ``shape``, and ends its
-    ``__init__`` with ``_check_shape``.
+    A subclass lists ``Record`` after it among its bases, names the field
+    holding its nested entry tuples in ``_nested``, their depth in ``_axes`` and
+    the ``DimensionMismatch`` texts for a wrong first and a wrong later axis in
+    ``_misfit`` (formatted with the tensor; None where its entries size that
+    axis), gives ``shape``, and ends its ``__init__`` with ``_check_shape``.
     """
 
     _nested: str
@@ -315,8 +313,7 @@ class _Tensor(Record):
         return None if self.is_identity() else id(getattr(self, self._nested)), self.shape
 
 
-@record
-class Vector(_Tensor):
+class Vector(_Tensor, Record):
     """Element of K^n with exact rational coordinates."""
 
     entries: tuple[Fraction, ...]
@@ -339,8 +336,7 @@ class Vector(_Tensor):
         return cls(compiled(_zeros, (dim,)))
 
 
-@record
-class LinearMap(_Tensor):
+class LinearMap(_Tensor, Record):
     """Matrix of a linear map K^dim_in -> K^dim_out; column j is the image of e_j.
 
     ``dim_in`` defaults to the row width; give it when there are no rows.
@@ -403,8 +399,7 @@ class _SquareCube(_Tensor):
         return cls(_zeros((dim,) * 3))
 
 
-@record
-class MulTensor(_SquareCube):
+class MulTensor(_SquareCube, Record):
     """Structure constants of a bilinear multiplication on K^n."""
 
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -415,8 +410,7 @@ class MulTensor(_SquareCube):
         self._check_shape()
 
 
-@record
-class ComulTensor(_SquareCube):
+class ComulTensor(_SquareCube, Record):
     """Structure constants of a comultiplication K^n -> K^n @ K^n."""
 
     d: tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -432,8 +426,7 @@ def action_shape(dim_alg: int, dim_mod: int, side: str) -> tuple[int, int, int]:
     return (dim_alg, dim_mod, dim_mod) if side == "left" else (dim_mod, dim_alg, dim_mod)
 
 
-@record
-class ActionTensor(_Tensor):
+class ActionTensor(_Tensor, Record):
     """Structure constants of a module action, sided as documented above."""
 
     a: tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -462,8 +455,7 @@ class ActionTensor(_Tensor):
         return cls(_zeros(action_shape(dim_alg, dim_mod, side)), dim_alg, dim_mod, side)
 
 
-@record
-class CoactionTensor(_Tensor):
+class CoactionTensor(_Tensor, Record):
     """Structure constants of a coaction M -> C @ M."""
 
     g: tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -494,8 +486,9 @@ def compiled(build, *key):
     its sink strides (``offsets``), a law's row (``laws._row``), a check's rows
     (``laws._program``), a permutation's spread (``laws._spread``) or a construction's
     term (``laws._reading``) fix with its operands' numbers and shapes, and of each width's
-    shared zero row (``_zeros``) and each shape's row keys (``_row_keys``).  Keys
-    hold laws, letters, operand numbers, names and shapes, never entry values."""
+    shared zero row (``_zeros``), each shape's row keys (``_row_keys``) and each slot count
+    and width's ``unpack`` layout (``_slot_layout``).  Keys hold laws, letters, operand
+    numbers, names, shapes and slot counts and widths, never entry values."""
     return build(*key)
 
 
@@ -730,7 +723,7 @@ def unpack(value: int, slots: int, bits: int) -> list[int]:
     of its block: reading 256 slots then moves ~16x fewer bits than
     shifting the whole value once per slot.
     """
-    offset, mask, half, block_mask, blocks = _slot_layout(slots, bits)
+    offset, mask, half, block_mask, blocks = compiled(_slot_layout, slots, bits)
     value += offset
     digits = []
     for start, shifts in blocks:
@@ -739,7 +732,6 @@ def unpack(value: int, slots: int, bits: int) -> list[int]:
     return digits
 
 
-@lru_cache(maxsize=64)
 def _slot_layout(slots: int, bits: int) -> tuple:
     """``(sum_o 2**(bits - 1) << (o * bits), slot mask, 2**(bits - 1), block mask,
     blocks)``, a block being its first bit and its slots' shifts within it."""

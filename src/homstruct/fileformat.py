@@ -26,7 +26,7 @@ a built tensor's text (``_text``) takes one format call per nonzero entry, and
 into the document it assembles, passing only strings through the JSON encoder;
 a parsed tensor's is joined from the array it was read from (every valid
 numeral is canonical, and none needs escaping).  Writing the built dim-16 sedenions
-and both regular modules takes ~0.85 ms, peaking at 197 KB (~1.7 ms, 1,028 KB as lists).
+and both regular modules takes ~0.85 ms, peaking at 197 KB.
 
 Each distinct array is read once too: a tensor field whose ``TYPES`` entry
 names a base tensor (a module's ``beta`` or ``action``, a comodule's ``beta``,
@@ -64,7 +64,6 @@ from .exact import (
     compiled,
     format_rational,
     parse_rational,
-    record,
 )
 from .modules import VERBS as _MODULE, HomModule
 
@@ -72,7 +71,6 @@ FILE_VERSION = 1
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-@record
 class StructureFile(Record):
     """A structure file: its named structures and, in ``base_of``, the name of each
     module's or comodule's base entry."""
@@ -275,7 +273,7 @@ def parse_bytes(data: bytes) -> StructureFile:
     # type(...) is int: true == 1 and 1.0 == 1 would let other bytes give the same file
     _require(type(version) is int and version == FILE_VERSION, f"unsupported version {version!r}")
     raw = doc.get("structures")
-    _require(isinstance(raw, dict) and raw is not None, "missing structures map")
+    _require(isinstance(raw, dict), "missing structures map")
 
     structures, base_of, pending = {}, {}, []
     numerals = _Numerals({"0": _ZERO})  # the grammar's one spelling of zero

@@ -21,7 +21,7 @@ from .algebras import (
     opposite as opposite_algebra,
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from .exact import ActionTensor, LinearMap, Record, _set, record
+from .exact import ActionTensor, LinearMap, Record, _set
 from .laws import (COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, compose, construct,
                    polarized, rebuild, restricted)
 from .report import AxiomReport
@@ -33,7 +33,6 @@ MODULE_MORPHISM_INTERTWINES = "MODULE_MORPHISM_INTERTWINES"
 MODULE_MORPHISM_BETA_COMMUTES = "MODULE_MORPHISM_BETA_COMMUTES"
 
 
-@record
 class HomModule(Record):
     """A ``side`` Hom-module (K^dim_mod, action, beta) over ``algebra``."""
 

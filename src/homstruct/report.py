@@ -16,12 +16,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .exact import _ZERO, Record, Vector, _set, format_ratio, lazy, record
+from .exact import _ZERO, Record, Vector, _set, format_ratio, lazy
 
 WITNESS_CAP = 16
 
 
-@record
 class Witness(Record):
     """Residual ``digits[i] / scale`` at basis index ``index``, in lowest common terms."""
 
@@ -45,7 +44,6 @@ class Witness(Record):
         return Vector(tuple(Fraction(d, s) if d else _ZERO for d in self.digits))
 
 
-@record
 class AxiomReport(Record):
     """The verdict on ``axiom``: whether it holds, up to ``WITNESS_CAP`` witnesses,
     the count of failing indices, and the reports of its parts, if any."""

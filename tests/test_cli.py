@@ -301,6 +301,21 @@ def test_twist_endo_requires_algebra_dim(tmp_path, capsys):
     assert run("twist", CORPUS, "dual_numbers", "--endo", "diag:1/0,1", "--out", tmp_path / "x.json") == 2
 
 
+@pytest.mark.parametrize("name, endo, error", [
+    ("octonions", "diag:1,2", "diag endomorphism needs 8 entries"),
+    ("octonions", "dual_scale", "endomorphism 'dual_scale' is not 8 x 8"),
+    ("dual_numbers", "line_embed", "endomorphism 'line_embed' is not 2 x 2"),
+    ("poisson_dual4", "diag:1,2", "diag endomorphism needs 4 entries"),
+    ("poisson_dual4", "dual_scale", "endomorphism 'dual_scale' is not 4 x 4"),
+])
+def test_an_endo_of_the_wrong_size_is_a_format_error_in_either_form(tmp_path, capsys, name, endo, error):
+    out = tmp_path / "x.json"
+    assert run("twist", CORPUS, name, "--endo", endo, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: FORMAT_ERROR: {error}\n" and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", ["1.5", "1e3", " 2", "1_0", "2/4", "4/1", "-0", "1e5000", "9" * 4301,
                                    "1\n", "1/3\n", "1\u0663"])
 def test_twist_diag_entries_follow_the_wire_grammar(tmp_path, capsys, entry):

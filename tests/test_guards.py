@@ -1,9 +1,11 @@
 """Every guard of a record or a check, and of the test oracle's point evaluation and
 the test corpus's random structures, pinned by its error type and exact text; what
-``laws(id)`` does with an id its structure does not hold; and that the registry and
-the file format serve every structure type that states laws."""
+each twist gives with its guard bypassed; what ``laws(id)`` does with an id its
+structure does not hold; and that the registry and the file format serve every
+structure type that states laws."""
 
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import json
@@ -14,7 +16,15 @@ import pytest
 import homstruct
 from corpus import random_structure
 from homstruct import algebras, axioms, catalog, cli, coalgebras, comodules, fileformat, laws, modules
-from homstruct.algebras import HOM_ASSOC, HomAlgebra, check_endomorphism, check_morphism, yau_twist
+from homstruct.algebras import (
+    HOM_ASSOC,
+    LEFT_HOM_ALT,
+    RIGHT_HOM_ALT,
+    HomAlgebra,
+    check_endomorphism,
+    check_morphism,
+    yau_twist,
+)
 from homstruct.catalog import matrix_algebra, matrix_conjugation
 from homstruct.coalgebras import (
     HomPoissonCoalgebra,
@@ -30,6 +40,8 @@ from homstruct.errors import (
     DimensionMismatch,
     FormatError,
     KindMismatch,
+    NotCoendomorphism,
+    NotEndomorphism,
     WrongSide,
 )
 from homstruct.exact import (
@@ -42,9 +54,16 @@ from homstruct.exact import (
     rat,
 )
 from homstruct.fileformat import StructureFile, serialize
-from homstruct.laws import Law, compose
-from homstruct.modules import LEFT_MODULE, RIGHT_MODULE, HomModule, check_module_morphism
-from homstruct.report import AxiomReport
+from homstruct.laws import Law, compose, rebuild
+from homstruct.modules import (
+    LEFT_MODULE,
+    RIGHT_MODULE,
+    HomModule,
+    check_module_morphism,
+    regular_module,
+    twist_module,
+)
+from homstruct.report import AxiomReport, Witness
 from reference_eval import module_hom_associator, sub
 
 ONE, TWO = LinearMap.identity(1), LinearMap.identity(2)
@@ -162,6 +181,65 @@ def test_guard_raises_its_error_and_text(guard):
 
 def test_a_map_that_is_not_square_is_not_the_identity():
     assert LinearMap.from_rows([[1, 0]]).is_identity() is False
+
+
+# --- each twist with its guard bypassed through laws.rebuild ---------------------------
+# A guard that is only sufficient stays, as the paper's statement: each case pins what
+# the unguarded twist gives and that the guard still refuses it.
+
+def twisted_regular_module(c: int) -> tuple:
+    """The regular module of matrix2 with alpha = c id, and its twist by ``rebuild`` alone."""
+    alpha = LinearMap.diagonal([c] * 4)
+    mod = regular_module(dataclasses.replace(catalog.get("matrix2").payload, alpha=alpha))
+    return mod, rebuild(mod, modules._TWIST["left"], ("action",), square=compose(alpha, alpha))
+
+
+@pytest.mark.parametrize("c", [2, 3, -1])
+def test_the_module_twist_along_a_non_multiplicative_alpha(c):
+    mod, twisted = twisted_regular_module(c)
+    assert laws.check(mod.algebra, HOM_ASSOC).holds  # for every c; multiplicative for c in {0, 1}
+    report = laws.check(twisted, LEFT_MODULE)
+    if c == -1:  # the twist holds, yet the guard refuses it
+        assert report.holds
+    else:
+        assert report.total_failures == 28
+        assert report.witnesses[0] == Witness((0, 0, 0), (2 * (c**5 - c**3), 0, 0, 0), 1)
+        indices = [w.index for w in laws.check(twisted_regular_module(2)[1], LEFT_MODULE).witnesses]
+        assert [w.index for w in report.witnesses] == indices
+    with pytest.raises(NotEndomorphism) as info:
+        twist_module(mod)
+    assert info.value.args == ("algebra alpha is not multiplicative at 8 basis pairs",)
+
+
+@pytest.mark.parametrize("name, diagonal, failures, refused", [
+    ("octonions", [1, 2] + [1] * 6, (201, 201, 254), 19),
+    ("octonions", [1] + [2] * 7, (231, 231, 350), 49),
+    ("matrix2", [1, 2, 3, 4], (16, 16, 8), 5),
+    ("matrix2", [2] * 4, (0, 0, 0), 8),  # the twist holds, yet the guard refuses it
+])
+def test_the_yau_twist_along_a_non_multiplicative_map(name, diagonal, failures, refused):
+    algebra, phi = catalog.get(name).payload, LinearMap.diagonal(diagonal)
+    twisted = rebuild(algebra, algebras._YAU_TWIST, ("mu",), {"alpha": phi}, phi=phi)
+    reports = axioms.verify(twisted, [LEFT_HOM_ALT, RIGHT_HOM_ALT, HOM_ASSOC])
+    assert tuple(r.total_failures for r in reports) == failures
+    with pytest.raises(NotEndomorphism) as info:
+        yau_twist(algebra, phi)
+    assert info.value.args == (f"map is not multiplicative at {refused} basis pairs",)
+
+
+@pytest.mark.parametrize("diagonal, failing, refused", [
+    ([1, 2, 3, 5], {"DELTA_MULTIPLICATIVITY": 1, "HOM_COASSOCIATIVITY": 1,
+                    "GAMMA_MULTIPLICATIVITY": 1, "HOM_COLEIBNIZ": 1}, 2),
+    ([2] * 4, {"DELTA_MULTIPLICATIVITY": 4, "GAMMA_MULTIPLICATIVITY": 1}, 5),
+])
+def test_the_coalgebra_twist_along_a_non_coendomorphism(diagonal, failing, refused):
+    coalgebra, phi = catalog.get("poisson_dual4").payload, LinearMap.diagonal(diagonal)
+    twisted = rebuild(coalgebra, coalgebras._YAU_TWIST, ("delta", "gamma"), {"alpha": phi}, phi=phi)
+    report = laws.check(twisted, coalgebras.HOM_POISSON_COALGEBRA)
+    assert {p.axiom: p.total_failures for p in report.parts if not p.holds} == failing
+    with pytest.raises(NotCoendomorphism) as info:
+        yau_twist_coalgebra(coalgebra, phi)
+    assert info.value.args == (f"map fails the coalgebra map laws at {refused} basis vectors",)
 
 
 # --- laws(id) of an id the structure does not hold -----------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from homstruct import exact
 from homstruct.algebras import HomAlgebra
 from homstruct.catalog import CatalogEntry
 from homstruct.coalgebras import HomPoissonCoalgebra
@@ -19,6 +20,7 @@ from homstruct.exact import (
     MulTensor,
     Record,
     Vector,
+    _set,
 )
 from homstruct.fileformat import StructureFile
 from homstruct.modules import HomModule
@@ -122,3 +124,31 @@ def test_replace_changes_only_the_named_field():
     assert doubled != alg
     mu, d = MulTensor.from_entries([[[1]]]), ComulTensor.from_entries([[[1]]])
     assert dataclasses.astuple(mu) == dataclasses.astuple(d) and mu != d
+
+
+class Point(Record):
+    """A record declared by subclassing alone."""
+
+    x: int
+    y: int
+
+    def __init__(self, x, y):
+        _set(self, "x", x)
+        _set(self, "y", y)
+
+
+def test_subclassing_record_declares_its_fields():
+    assert Point._fields == ("x", "y") == Point.__match_args__
+    assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]
+    p = Point(1, 2)
+    moved = dataclasses.replace(p, y=3)
+    assert (moved.x, moved.y) == (1, 3) and moved != p and hash(Point(1, 2)) == hash(p)
+    assert repr(moved) == f"{Point.__qualname__}(x=1, y=3)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.x = 0
+
+
+def test_the_tensor_mixins_declare_no_field():
+    for mixin in (exact._Tensor, exact._SquareCube):
+        assert not dataclasses.is_dataclass(mixin) and not issubclass(mixin, Record)
+    assert not hasattr(exact, "record")
