@@ -151,8 +151,12 @@ def cmd_check_morphism(args) -> int:
     check = _MORPHISMS.get(type(src))
     if check is None or type(dst) is not type(src):
         raise KindMismatch("morphism endpoints have different or unsupported kinds")
+    base = TYPES[type(src)].base  # a module or comodule: the map acts on its dim_mod
+    dims = [getattr(end, "dim_mod" if base else "dim") for end in (src, dst)]
+    if [f.dim_in, f.dim_out] != dims:
+        raise FormatError(f"morphism {args.map!r} does not take dim {dims[0]} to dim {dims[1]}")
     # --strict reaches (co)module morphisms only: an algebra's or coalgebra's always checks alpha
-    report = check(f, src, dst, strict=args.strict) if TYPES[type(src)].base else check(f, src, dst)
+    report = check(f, src, dst, strict=args.strict) if base else check(f, src, dst)
     _print("\n".join(format_report(report, args.max_witnesses)))
     return 0 if report.holds else 1
 

@@ -540,11 +540,10 @@ def _compile(spec: str) -> tuple:
     """Plan for ``contract``: one step per joined operand, and the sink places.
 
     A step holds the left join key, the left letters kept (None: all), the
-    right join key, the right letters kept, and whether every right letter
-    is joined on (then each join key has one right value).  The sink places
-    give, for each letter of the last join's left key and of its right
-    operand's key (of a lone operand's key, with no right), that letter's
-    place in the output, or -1 where it is joined on or summed.
+    right join key and the right letters kept.  The sink places give, for
+    each letter of the last join's left key and of its right operand's key
+    (of a lone operand's key, with no right), that letter's place in the
+    output, or -1 where it is joined on or summed.
     """
     joins, letters, out = _joins(spec)
     steps = [
@@ -553,7 +552,6 @@ def _compile(spec: str) -> tuple:
             None if keep == left else _tuple_of(left, keep),
             _join_key(right, shared),
             _tuple_of(right, new),
-            len(shared) == len(right),
         )
         for left, right, shared, keep, new in joins
     ]
@@ -595,12 +593,10 @@ def contract(spec: str, *tensors: dict, into: tuple) -> None:
     Values are ``int``; a ``pack``-ed operand's values are ints whose packed
     axes ride along through every product and sum.  Operands are joined
     pairwise in the order the spec lists them, and a letter is summed over as
-    soon as no later operand and not the output needs it.  A join on every
-    letter of its right operand (``t.kab`` then the packed ``t.b``) finds at
-    most one right value per left key, so it is one dict lookup per left key.
-    Any other join whose factor and right values are all +-1 adds or subtracts
-    each left value with no multiply.  Plans are compiled once per spec
-    (``compiled``).
+    soon as no later operand and not the output needs it.  A join whose
+    factor and right values are all +-1 adds or subtracts each left value with
+    no multiply; any other join groups the right entries by join key.  Plans
+    are compiled once per spec (``compiled``).
 
     ``into`` is ``(sink, offsets(spec, strides), factor)``: the last join adds
     ``factor`` times the entry at output key ``k`` into the list ``sink`` at
@@ -618,20 +614,11 @@ def contract(spec: str, *tensors: dict, into: tuple) -> None:
         for key, v in acc.items():
             sink[head_at(key)] += factor * v
         return
-    for t, ((left_join, left_keep, right_join, right_keep, lookup), right) in enumerate(
-        zip(steps, tensors[1:]), 1
-    ):
+    for t, (step, right) in enumerate(zip(steps, tensors[1:]), 1):
+        left_join, left_keep, right_join, right_keep = step
         out, f = defaultdict(int), 1
         if t == len(steps):
             out, left_keep, right_keep, f = sink, head_at, tail_at, factor
-        if lookup:
-            get = {right_join(key): w if f == 1 else f * w for key, w in right.items()}.get
-            for key, v in acc.items():
-                w = get(left_join(key))
-                if w is not None:
-                    out[key if left_keep is None else left_keep(key)] += v * w
-            acc = out
-            continue
         if (f == 1 or f == -1) and all(map({1, -1}.__contains__, right.values())):
             units = defaultdict(lambda: ([], []))  # join key: tails weighted +1, tails weighted -1
             for key, w in right.items():

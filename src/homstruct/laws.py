@@ -391,7 +391,7 @@ def transposed(law: Law, sign: int = 1, **names: str) -> Law:
     """The dual law of ``law`` times ``sign``: index and residual letters exchanged, each operand's
     last letter moved first (``mu.abo`` to ``t.oab``), its name renamed by ``names``.  A term
     starts at the operand holding the first index letter, then takes the first operand whose
-    unpacked letters are all held (a lookup join), else the first left, in stated order."""
+    unpacked letters are all held (a join adding no letter), else the first left, in stated order."""
     index, residual, terms = law.residual, law.index, []
     for plus, operands in law._parsed:
         rest = [(names.get(name, name), letters[-1] + letters[:-1]) for name, letters in operands]

@@ -711,6 +711,21 @@ def test_check_morphism_with_non_map_entry_exits_2():
     assert run("check-morphism", CORPUS, "octonions", "dual_numbers", "dual_numbers") == 2
 
 
+@pytest.mark.parametrize("f, src, dst, dims", [
+    ("dual_scale", "octonions", "octonions", "dim 8 to dim 8"),
+    ("dual_scale", "poisson_dual4", "poisson_dual4", "dim 4 to dim 4"),
+    ("unit_map1", "dual_regular", "dual_regular", "dim 2 to dim 2"),
+    ("line_embed", "dual_regular", "mod_beta2", "dim 2 to dim 1"),
+    ("line_embed", "primitive2_regular", "primitive2_regular", "dim 2 to dim 2"),
+])
+def test_a_morphism_of_the_wrong_size_is_a_format_error(capsys, f, src, dst, dims):
+    # as ``twist --endo``: a map entry named on the command line that does not fit is input
+    assert run("check-morphism", CORPUS, f, src, dst) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: FORMAT_ERROR: morphism {f!r} does not take {dims}\n")
+
+
 # --- catalog ----------------------------------------------------------------------
 
 def test_catalog_list(capsys):

@@ -571,9 +571,11 @@ def test_unpack_reads_slots_across_block_boundaries(slots, bits):
 
 # --- unit weights and shared zero rows --------------------------------------------
 
-# Specs whose every join keeps a right letter, so ``contract`` groups the right
-# values by join key: the loop whose ±1 case joins without a multiply.
-GROUPED = ("ij,jk->ik", "ijk,kl->ijl", "ij,jk->k", "ab,bc,cd->ad", "i,ij->j")
+# Specs for ``contract``'s join loop, which groups the right values by join key, and
+# its ±1 case, which joins without a multiply; the last two join on every right
+# letter, so each right tail is empty.
+GROUPED = ("ij,jk->ik", "ijk,kl->ijl", "ij,jk->k", "ab,bc,cd->ad", "i,ij->j",
+           "abc,c->ab", "ij,ij->i")
 
 
 def einsum_reference(spec: str, *operands: dict) -> dict:

@@ -578,9 +578,9 @@ def weighted(abc: str, sign: int) -> list[str]:
 # Rows that exercise each way a contraction writes into the residual list.
 LIST_ROWS = {
     # t.kpq alone is a lone operand (the packed t); s.kpa f.aq ends in a join
-    # on every letter of the packed f.a, a lookup join; k, p, q and a all
-    # draw their own sizes.
-    "lone and lookup": Law("kp", "q", "+ t.kpq", "- s.kpa f.aq"),
+    # on every letter of the packed f.a, whose tail is empty; k, p, q and a
+    # all draw their own sizes.
+    "lone and full-key join": Law("kp", "q", "+ t.kpq", "- s.kpa f.aq"),
     # One class of three permutations whose row weighs t by 3 and s by -2:
     # the identity and a 3-cycle add, its square (the inverse) subtracts.
     "cyclic": Law("ijk", "o", *weighted("ijk", 1), *weighted("jki", 1), *weighted("kij", -1)),
@@ -599,10 +599,8 @@ LIST_ROWS = {
 
 
 def test_list_rows_compile_as_intended():
-    from homstruct.exact import _compile
-
-    lone, lookup = compiled_row(LIST_ROWS["lone and lookup"])[0]
-    assert lone[1] == "ab->ab" and _compile(lookup[1])[0][-1][4]
+    lone, full_key = compiled_row(LIST_ROWS["lone and full-key join"])[0]
+    assert lone[1] == "ab->ab" and full_key[1] == "abc,c->ab"
     assert compiled_row(LIST_ROWS["cyclic"])[1] == (
         (((0, 3), (1, -2)), ((1, (0, 1, 2)), (1, (2, 0, 1)), (-1, (1, 2, 0)))),
     )
