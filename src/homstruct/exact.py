@@ -482,10 +482,10 @@ class CoactionTensor(_Tensor, Record):
 @lru_cache(maxsize=512)
 def compiled(build, *key):
     """``build(*key)``, worked out once per process while ``key`` is among the 512
-    most recently used: the one cache of what a contraction spec (``_compile``),
-    its sink strides (``offsets``), a law's row (``laws._row``), a check's rows
+    most recently used: the one cache of what a contraction spec fixes (``_compile``),
+    a law with its operand numbers and identity maps (``laws._row``), a check's rows
     (``laws._program``), a permutation's spread (``laws._spread``) or a construction's
-    term (``laws._reading``) fix with its operands' numbers and shapes, and of each width's
+    term (``laws._reading``) with its operands' shapes, and of each width's
     shared zero row (``_zeros``), each shape's row keys (``_row_keys``) and each slot count
     and width's ``unpack`` layout (``_slot_layout``).  Keys hold laws, letters, operand
     numbers, names, shapes and slot counts and widths, never entry values."""

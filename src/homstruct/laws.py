@@ -179,30 +179,28 @@ def _terms(law: Law, maps: tuple) -> list:
 
 
 def _row(law: Law, numbers: tuple, maps: tuple) -> tuple:
-    """``(groups, classes, residual axis sizes, loads)`` of ``law`` with operand
+    """``(groups, classes, residual axis sizes)`` of ``law`` with operand
     ``law.names[i]`` numbered ``numbers[i]``, less the identity maps named in
-    ``maps`` (``_terms``).  ``groups`` lists the distinct contractions, each as
-    ``(operands, contract spec, summed, uses)``: an operand is ``(number, packed)``,
-    ``packed`` holding an ``(axis, p)`` pair for each packed letter it has, ``p``
-    that letter's place among the packed ones (empty: unpacked); the spec's output
-    is the unpacked output letters in order; ``summed`` holds one ``(number, axis)``
-    per summed letter, to size it; a use is one term's sign (True: +).  ``classes``
-    lists the assembly: ``(row, permutations)`` with ``row`` the ``(group,
-    coefficient)`` pairs, none zero, summed into ``W`` and each permutation a
-    ``(sign, positions)`` pair, residual letter ``i`` being output letter
-    ``positions[i]`` of ``W``.  ``loads`` holds, per group, an ``(operand, packing
-    or None)`` pair for each of its operands."""
+    ``maps`` (``_terms``): all that those fix, and nothing a shape fixes.
+    ``groups`` lists the distinct contractions, each as ``(operands, contract spec,
+    summed, uses)``: an operand is ``(number, packed)``, ``packed`` holding an
+    ``(axis, p)`` pair for each packed letter it has, ``p`` that letter's place
+    among the packed ones (empty: unpacked); the spec's output is the unpacked
+    output letters in order; ``summed`` holds one ``(number, axis)`` per summed
+    letter, to size it; a use is one term's sign (True: +).  ``classes`` lists the
+    assembly: ``(row, permutations)`` with ``row`` the ``(group, coefficient)``
+    pairs, none zero, summed into ``W`` and each permutation a ``(sign,
+    positions)`` pair, residual letter ``i`` being output letter ``positions[i]``
+    of ``W``."""
     number = dict(zip(law.names, numbers))
     packed = law.residual[-2:]
     out = law.index + law.residual[: -len(packed)]
     groups: dict[tuple, tuple] = {}
     rows: dict[tuple, dict] = {}  # key permutation -> {group: signed use count}
-    arity: dict[int, int] = {}
     for plus, operands in _terms(law, maps):
         numbered = [(number[name], sub) for name, sub in operands]
         local = {}  # letter -> (number, axis) of an operand of this term that has it
         for n, sub in numbered:
-            arity[n] = len(sub)
             for axis, c in enumerate(sub):
                 local.setdefault(c, (n, axis))
         ids = tuple((n, tuple((sub.index(c), p) for p, c in enumerate(packed) if c in sub))
@@ -235,9 +233,7 @@ def _row(law: Law, numbers: tuple, maps: tuple) -> tuple:
             by_row.setdefault(tuple((g, s * c) for g, c in row), []).append((s, permutation))
     classes = tuple((row, tuple(perms)) for row, perms in by_row.items())
     sizes = tuple([local[c] for c in out + packed])  # every term holds every output letter
-    loads = [[(op, packing(arity[op[0]], op[1]) if op[1] else None) for op in ids]
-             for ids, _, _, _ in compiled_groups]
-    return compiled_groups, classes, sizes, loads
+    return compiled_groups, classes, sizes
 
 
 def _layout(classes: tuple, shape: tuple[int, ...]) -> tuple:
@@ -444,15 +440,15 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
     read.  A row packs its last ``k`` letters, the last of size ``n``, into
     ``slots``; ``size`` places, ``outer`` per witness index.  ``packs`` holds
     ``(number, operand number, packing)`` per operand its classes pack, numbered
-    after the operands; a class is ``(its number if another row holds it, spreads,
+    after the operands; a class is ``(its key if another row holds it, spreads,
     terms)``, a term ``(shared, spec, loads, sink offsets, product, coefficient)``,
     ``loads`` its operands' numbers.  A contraction is numbered by spec and packed
-    operands; ``shared`` is its number when two distinct classes hold it: contracted
-    once into a list laid out as their ``W``, which the operands' shapes fix, and
-    added into each ``W``."""
+    operands, and a class keyed by its ``(number, coefficient)`` pairs; ``shared`` is
+    a contraction's number when two distinct classes hold it: contracted once into a
+    list laid out as their ``W``, fixed by the shapes, and added into each ``W``."""
+    compiles = [compiled(_row, law, numbers, maps) for _, law, numbers, maps in rows]
     numbered, uses, keyed = {}, {}, []
-    for _, law, numbers, maps in rows:
-        groups, classes, _, _ = compiled(_row, law, numbers, maps)
+    for groups, classes, _ in compiles:
         keys = [numbered.setdefault((spec, *ids), len(numbered)) for ids, spec, _, _ in groups]
         keyed.append((keys, [tuple([(keys[g], c) for g, c in row]) for row, _ in classes]))
         for key in keyed[-1][1]:
@@ -460,32 +456,30 @@ def _program(rows: tuple, shapes: tuple) -> tuple:
     owned = [contraction for key in uses for contraction, _ in key]  # once per distinct class
     shared = {n for i, n in enumerate(owned) if n in owned[:i]}
     products, bounds, programs, packed_ids = {}, {}, {}, {}  # packed loads after operands
-    for (axiom, law, numbers, maps), (keys, class_keys) in zip(rows, keyed):
-        groups, classes, sizes, loads = compiled(_row, law, numbers, maps)
+    for (axiom, law, _, _), (groups, classes, sizes), (keys, sums) in zip(rows, compiles, keyed):
         full = [shapes[n][axis] for n, axis in sizes]  # every term holds every letter
         k = len(law.residual[-2:])
         out, width = tuple(full[:-k]), len(law.index)
         strides, spreads = _layout(classes, out)
         held = {g for row, _ in classes for g, _ in row}  # else neither read nor bounded
-        bound, packings, terms = {}, {}, {}
+        bound, packs, terms = {}, {}, {}
         for g in sorted(held):
             ids, spec, summed, used = groups[g]
             p = products.setdefault(tuple(sorted([n for n, _ in ids])), len(products))
             bound[p] = bound.get(p, 0) + len(used) * prod([shapes[n][axis] for n, axis in summed])
-            load = [n if layout is None else packed_ids.setdefault(
+            load = [n if not packed else packed_ids.setdefault(
                         (n, packed, (full[-1], 1)[-k:]), len(shapes) + len(packed_ids))
-                    for (n, packed), layout in loads[g]]
-            packings[g] = [(number, n, layout) for number, ((n, _), layout)
-                           in zip(load, loads[g]) if layout is not None]
+                    for n, packed in ids]
+            packs.update({m: (m, n, packing(len(shapes[n]), packed))
+                          for m, (n, packed) in zip(load, ids) if packed})
             share = keys[g] if keys[g] in shared else None
-            terms[g] = (share, spec, tuple(load), compiled(offsets, spec, strides), p)
+            terms[g] = (share, spec, tuple(load), offsets(spec, strides), p)
         bounds[tuple(bound.items())] = None
-        packs = {item[0]: item for row, _ in classes for g, _ in row for item in packings[g]}
         programs[axiom] = (k, full[-1], prod(out), out[:width], prod(out[width:]),
                            prod(full[-k:]), tuple(packs.values()), tuple([
-                               (list(uses).index(key) if uses[key] > 1 else None, spread,
+                               (key if uses[key] > 1 else None, spread,
                                 tuple([(*terms[g], c) for g, c in row]))
-                               for (row, _), spread, key in zip(classes, spreads, class_keys)]))
+                               for (row, _), spread, key in zip(classes, spreads, sums)]))
     return tuple(products), tuple(bounds), programs, frozenset([n for ops in products for n in ops])
 
 
@@ -549,7 +543,7 @@ def _reading(row: Law, shapes: tuple) -> tuple:
     spec = ",".join(letters for _, letters in pairs) + "->" + out
     shape = tuple([holders[c] for c in out])
     names = tuple([name for name, _ in pairs])
-    return spec, 1 if plus else -1, names, shape, compiled(offsets, spec, _strides(shape))
+    return spec, 1 if plus else -1, names, shape, offsets(spec, _strides(shape))
 
 
 def construct(row: Law, **operands) -> tuple:

@@ -30,7 +30,7 @@ def check_row(law: Law, axiom: str, **operands) -> AxiomReport:
 
 def compiled_row(law: Law, maps: tuple = ()) -> tuple:
     """``laws._row`` of ``law``, less the identity maps named in ``maps``, with operand
-    number ``n`` being ``law.names[n]``: ``(groups, classes, sizes, loads)``."""
+    number ``n`` being ``law.names[n]``: ``(groups, classes, sizes)``."""
     return _row(law, tuple(range(len(law.names))), maps)
 
 

@@ -110,13 +110,16 @@ def test_a_plan_reports_what_each_row_reports_alone(data, structure):
 # --- what a plan builds once ----------------------------------------------------
 
 
-def recorded(monkeypatch):
-    """Record the law core's contractions ``(spec, operands)`` and packings."""
+def recorded(monkeypatch, sinks: list | None = None):
+    """Record the law core's contractions ``(spec, operands)`` and packings, and into
+    ``sinks`` the list each contraction adds into."""
     contractions, packings = [], []
     contract, pack = laws.contract, laws.pack
 
     def counting_contract(spec, *tensors, **kwargs):
         contractions.append((spec, tensors))
+        if sinks is not None:
+            sinks.append(kwargs["into"][0])
         return contract(spec, *tensors, **kwargs)
 
     def counting_pack(entries, layout, steps):
@@ -129,7 +132,8 @@ def recorded(monkeypatch):
 
 
 def test_an_algebra_suite_contracts_twice(monkeypatch):
-    contractions, packings = recorded(monkeypatch)
+    sinks = []
+    contractions, packings = recorded(monkeypatch, sinks)
     # A = alpha.ai mu.abo mu.jkb and B = alpha.bk mu.abo mu.ija: all ten terms.  Under
     # alpha = id they are A = mu.ibo mu.jkb and B = mu.ako mu.ija.  A spec spells its
     # letters a, b, c, ... in order of first appearance: A's ai,ab,jkb->ijk is
@@ -138,11 +142,13 @@ def test_an_algebra_suite_contracts_twice(monkeypatch):
     for name, specs in (("matrix2_twisted", twisted), ("dual_numbers_twisted", twisted),
                         ("octonions", untwisted), ("non_alternative2", untwisted)):
         structure = catalog.get(name).payload
-        del contractions[:], packings[:]
+        del contractions[:], packings[:], sinks[:]
         reports = axioms.verify(structure, axioms.native_suite(structure))
         assert [r.axiom for r in reports] == ["LEFT_HOM_ALT", "RIGHT_HOM_ALT", "HOM_ASSOC"]
         assert sorted(spec for spec, _ in contractions) == specs, name
         assert len(packings) == 1  # mu over o
+        # Both add into one list, the W = A - B that the three rows' one class sums.
+        assert len(sinks) == 2 and sinks[0] is sinks[1], name
 
 
 def test_the_mixed_poisson_comodule_term_is_contracted_once(monkeypatch):

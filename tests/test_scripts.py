@@ -66,6 +66,18 @@ def test_ab_replay_reads_a_tree_against_itself_and_exits_1_on_another_output(tmp
     assert other.returncode == 1 and "DIFFERS round 0 verify:" in other.stderr, other.stderr
 
 
+def test_ab_suites_reads_a_tree_against_itself():
+    src = ROOT / "src"
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_suites.py"), "2", "1",
+                          f"a={src}", f"b={src}"], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0 and run.stderr == "", run.stdout + run.stderr
+    (line,) = run.stdout.splitlines()
+    dim, *fields = line.split()
+    assert dim == "2" and fields[::3] == ["algebra", "left", "right", "coalgebra", "comodule"]
+    assert all(ratio.endswith("x") and ms.endswith("ms") for ratio, ms in zip(fields[1::3],
+                                                                              fields[2::3]))
+
+
 def time_laws(*argv):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "time_laws.py"), *argv],
