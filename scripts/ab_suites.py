@@ -1,6 +1,6 @@
-"""Time the dense ``--suite all`` of each structure through two source trees, interleaved.
+"""Time the dense ``--suite all`` of each structure through several source trees, interleaved.
 
-    python scripts/ab_suites.py DIMS ROUNDS NAME=SRC NAME=SRC
+    python scripts/ab_suites.py DIMS ROUNDS NAME=SRC NAME=SRC [NAME=SRC ...]
 
 ``DIMS`` is a comma-separated list of dims.  Each ``SRC`` is a tree's ``src``
 directory, imported side by side in one process as ``scripts/ab_replay.py`` does
@@ -10,12 +10,15 @@ left and a right module, a Hom-Poisson coalgebra and a Poisson comodule) are
 written once as one file (``structure_file``).  In each of ``ROUNDS`` rounds, each
 tree parses those bytes afresh, so no tensor's ``scaled`` entries are kept from an
 earlier round, and times ``axioms.verify`` of each structure's native suite, with
-the collector off, after a full collection.  The order of the trees alternates
-from structure to structure and from round to round.
+the collector off, after a full collection.  The order of the trees rotates by
+one from structure to structure and from round to round.
 
-Prints one line per dim: the dim, then for each structure its best time through
-the second tree over its best time through the first (``1.0123x``) and the first
-tree's best time in ms.  Exits 1 if any report differs between the trees.
+Prints one line per dim and later tree: the dim, the tree's name, then for each
+structure its best time through that tree over its best time through the first
+(``1.0123x``) and the first tree's best time in ms.  One tree named twice
+(``parent=A again=A change=B``) reads the first tree against itself in the same
+interleaved run, a control for the other ratios.  Exits 1 if any report differs
+from the first tree's.
 """
 
 from __future__ import annotations
@@ -47,11 +50,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dims", type=dims)
     parser.add_argument("rounds", type=int)
-    parser.add_argument("trees", type=tree, nargs=2, metavar="NAME=SRC")
+    parser.add_argument("trees", type=tree, nargs="+", metavar="NAME=SRC")
     args = parser.parse_args(argv)
     names = [name for name, _ in args.trees]
-    if args.rounds < 1 or names[0] == names[1]:
-        parser.error("needs ROUNDS >= 1 and two trees of distinct names")
+    if args.rounds < 1 or len(names) < 2 or len(set(names)) != len(names):
+        parser.error("needs ROUNDS >= 1 and two or more trees of distinct names")
     packages = [load(name, src).__package__ for name, src in args.trees]
     parse = [importlib.import_module(f"{p}.fileformat").parse_bytes for p in packages]
     axioms = [importlib.import_module(f"{p}.axioms") for p in packages]
@@ -63,7 +66,7 @@ def main(argv=None) -> int:
             files = [parse_bytes(data) for parse_bytes in parse]
             for i, name in enumerate(NAMES):
                 reports = {}
-                for t in [(t + r + i) % 2 for t in range(2)]:
+                for t in [(t + r + i) % len(names) for t in range(len(names))]:
                     structure = files[t].get(name)
                     suite = axioms[t].native_suite(structure)
                     gc.collect()
@@ -72,11 +75,14 @@ def main(argv=None) -> int:
                     reports[t] = repr(axioms[t].verify(structure, suite))
                     best[t][i] = min(best[t][i], time.perf_counter() - start)
                     gc.enable()
-                if reports[0] != reports[1]:
-                    print(f"DIFFERS dim {n} round {r} {name}", file=sys.stderr)
-                    differs = True
-        print(f"{n:>3}  " + "  ".join(f"{name} {change / parent:.4f}x {parent * 1000:.2f}ms"
-                                      for name, parent, change in zip(NAMES, *best)), flush=True)
+                for t in range(1, len(names)):
+                    if reports[t] != reports[0]:
+                        print(f"DIFFERS dim {n} round {r} {name} {names[t]}", file=sys.stderr)
+                        differs = True
+        for later, times in zip(names[1:], best[1:]):
+            print(f"{n:>3}  {later}  " + "  ".join(
+                f"{name} {time / first:.4f}x {first * 1000:.2f}ms"
+                for name, first, time in zip(NAMES, best[0], times)), flush=True)
     return 1 if differs else 0
 
 

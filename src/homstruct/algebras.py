@@ -43,8 +43,8 @@ class HomAlgebra(Record):
         _set(self, "alpha", alpha)
 
     def laws(self, axiom: str) -> list[tuple]:
-        """The ``laws.Plan`` row of ``axiom`` on this algebra."""
-        return [(axiom, _LAWS[axiom], {"mu": self.mu, "alpha": self.alpha})]
+        """The ``laws.Plan`` row of ``axiom``, on this algebra's fields."""
+        return [(axiom, _LAWS[axiom], vars(self))]
 
 
 # Every algebra row; every other row is one ``laws.restricted``, ``laws.transposed`` or both.

@@ -69,29 +69,25 @@ class HomPoissonCoalgebra(Record):
         _set(self, "cocommutative_expected", cocommutative_expected)
 
     def laws(self, axiom: str) -> list[tuple]:
-        """The ``laws.Plan`` rows of ``axiom``'s parts; each one-map law names its map ``t``,
-        and a map row (multiplicativity) its ends ``src`` and ``dst`` and its map ``f``."""
+        """The ``laws.Plan`` rows of ``axiom``'s parts, on this coalgebra's fields."""
         parts = _PARTS.get(axiom, (axiom,))
         if axiom == HOM_POISSON_COALGEBRA and not self.cocommutative_expected:
             parts = parts[1:]
-        maps = {"delta": self.delta, "gamma": self.gamma, "alpha": self.alpha, "f": self.alpha}
-        ts = [maps["delta" if part in _ON_DELTA else "gamma"] for part in parts]
-        return [(part, _LAWS[part], {**maps, "t": t, "src": t, "dst": t}) for part, t in zip(parts, ts)]
+        return [(part, _LAWS[part], vars(self)) for part in parts]
 
 
-# Every coalgebra law: six on one comultiplication t and the twist alpha, then
-# co-Leibniz on delta and gamma; multiplicativity is a map row, of f = alpha on t.
-_MULTIPLICATIVE = transposed(_ALGEBRA_MULTIPLICATIVE)
+# Every coalgebra law, on its fields: three on delta and alpha, three on gamma and alpha,
+# then co-Leibniz on both; multiplicativity is a map row of alpha, from delta or gamma to itself.
 _LAWS = {
-    COCOMMUTATIVITY: transposed(_COMMUTATOR, mu="t"),
-    DELTA_MULTIPLICATIVITY: _MULTIPLICATIVE,
-    HOM_COASSOCIATIVITY: transposed(_ASSOCIATOR, mu="t"),
-    SKEW_COSYMMETRY: transposed(_ANTICOMMUTATOR, mu="t"),
-    GAMMA_MULTIPLICATIVITY: _MULTIPLICATIVE,
-    HOM_COJACOBI: transposed(_JACOBI, br="t"),
+    COCOMMUTATIVITY: transposed(_COMMUTATOR, mu="delta"),
+    DELTA_MULTIPLICATIVITY: transposed(_ALGEBRA_MULTIPLICATIVE, src="delta", dst="delta", f="alpha"),
+    HOM_COASSOCIATIVITY: transposed(_ASSOCIATOR, mu="delta"),
+    SKEW_COSYMMETRY: transposed(_ANTICOMMUTATOR, mu="gamma"),
+    GAMMA_MULTIPLICATIVITY: transposed(_ALGEBRA_MULTIPLICATIVE, src="gamma", dst="gamma", f="alpha"),
+    HOM_COJACOBI: transposed(_JACOBI, br="gamma"),
     HOM_COLEIBNIZ: transposed(_LEIBNIZ, br="gamma", mu="delta"),
 }
-_ON_DELTA = (COCOMMUTATIVITY, DELTA_MULTIPLICATIVITY, HOM_COASSOCIATIVITY)
+_MULTIPLICATIVE = transposed(_ALGEBRA_MULTIPLICATIVE)  # src . f = (f @ f) . dst, f a coendomorphism
 # (f @ f) . src = dst . f for a map f between coalgebras: minus multiplicativity, its ends exchanged.
 _MORPHISM = transposed(_ALGEBRA_MULTIPLICATIVE, -1, src="dst", dst="src")
 _MORPHISM_PARTS = ((COALGEBRA_MORPHISM_DELTA, _MORPHISM, "delta"),

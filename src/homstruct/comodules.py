@@ -1,21 +1,22 @@
 """Comodules over Hom-coassociative, Hom-Lie, and Hom-Poisson coalgebras.
 
 A comodule is (M, beta) with one or two coactions M -> A @ M, written
-``dm(m) = m(-1) @ m(0)`` for the comultiplication side and ``gm(m) =
+``delta_m(m) = m(-1) @ m(0)`` for the comultiplication side and ``gamma_m(m) =
 m[-1] @ m[0]`` for the cobracket side.  The checked laws, per basis vector
 of M and with residuals flattened lexicographically:
 
-    coassociative kind (dm only):
-        dm . beta = (alpha @ beta) . dm
-        (alpha @ dm) . dm = (delta @ beta) . dm
-    lie kind (gm only):
-        gm . beta = (alpha @ beta) . gm
-        (gamma @ beta) . gm = (alpha @ gm) . gm - (tau @ id) . (alpha @ gm) . gm
+    coassociative kind (delta_m only):
+        delta_m . beta = (alpha @ beta) . delta_m
+        (alpha @ delta_m) . delta_m = (delta @ beta) . delta_m
+    lie kind (gamma_m only):
+        gamma_m . beta = (alpha @ beta) . gamma_m
+        (gamma @ beta) . gamma_m = (alpha @ gamma_m) . gamma_m
+                                   - (tau @ id) . (alpha @ gamma_m) . gamma_m
     poisson kind (both maps), additionally:
-        alpha(m[-1]) @ dm(m[0])  =  gamma(m(-1)) @ beta(m(0))
-                                  + swap12( alpha(m(-1)) @ gm(m(0)) )
-        delta(m[-1]) @ beta(m[0]) =  alpha(m(-1)) @ gm(m(0))
-                                  + swap12( alpha(m(-1)) @ gm(m(0)) )
+        alpha(m[-1]) @ delta_m(m[0])  =  gamma(m(-1)) @ beta(m(0))
+                                       + swap12( alpha(m(-1)) @ gamma_m(m(0)) )
+        delta(m[-1]) @ beta(m[0])     =  alpha(m(-1)) @ gamma_m(m(0))
+                                       + swap12( alpha(m(-1)) @ gamma_m(m(0)) )
 
 Each law is a row of ``laws.Law`` in exactly these component (Sweedler) forms, swap12
 exchanging the first two tensor legs: the block of an ``algebras`` row that the coextension
@@ -90,25 +91,23 @@ class HomComodule(Record):
         coactions, parts, message = _PARTS[axiom]
         if not set(coactions) <= set(COACTIONS[self.kind]):
             raise KindMismatch(message)
-        base = self.coalgebra
-        operands = {"delta": base.delta, "gamma": base.gamma, "alpha": base.alpha,
-                    "beta": self.beta, "dm": self.delta_m, "gm": self.gamma_m}
-        return [(part, _LAWS[part], {**operands, "t": operands[
-            "dm" if part == DELTA_COACTION_MULTIPLICATIVITY else "gm"]}) for part in parts]
+        operands = {**vars(self.coalgebra), **vars(self)}
+        return [(part, _LAWS[part], operands) for part in parts]
 
 
-# C + M's operands: delta and gamma with one argument in M are dm and gm, mirrored (gm
-# negated), alpha on M is beta.  (x, y, m) and (y, z, x) at x in M have legs (C, C, M).
-_COEXTENSION = {"mu.AAA": "delta", "mu.AMM": "dm", "mu.MAM": "dm.bac", "br.AAA": "gamma",
-                "br.AMM": "gm", "br.MAM": "-gm.bac", "alpha.MM": "beta"}
+# C + M's operands, the comodule's fields: delta and gamma with one argument in M are delta_m
+# and gamma_m, mirrored (gamma_m negated), alpha on M is beta.  (x, y, m) and (y, z, x) at x
+# in M have legs (C, C, M).
+_COEXTENSION = {"mu.AAA": "delta", "mu.AMM": "delta_m", "mu.MAM": "delta_m.bac", "br.AAA": "gamma",
+                "br.AMM": "gamma_m", "br.MAM": "-gamma_m.bac", "alpha.MM": "beta"}
 _AT_M, _AT_X = dict(i="A", j="A", k="M"), dict(j="A", k="A", i="M")
-_MULTIPLICATIVE = transposed(restricted(_ALGEBRA_MULTIPLICATIVE, dict(i="A", j="M"), {
-    "src.AMM": "t", "dst.AMM": "t", "f.AA": "alpha", "f.MM": "beta"}))  # t the coaction
+_MULTIPLICATIVE = {name: transposed(restricted(_ALGEBRA_MULTIPLICATIVE, dict(i="A", j="M"), {
+    "src.AMM": name, "dst.AMM": name, "f.AA": "alpha", "f.MM": "beta"})) for name in COACTIONS["poisson"]}
 _COMULT = transposed(restricted(_LEIBNIZ, _AT_X, _COEXTENSION, -1))
 _LAWS = {
-    DELTA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
+    DELTA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE["delta_m"],
     DELTA_COACTION_COASSOCIATIVITY: transposed(restricted(_ASSOCIATOR, _AT_M, _COEXTENSION)),
-    GAMMA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE,
+    GAMMA_COACTION_MULTIPLICATIVITY: _MULTIPLICATIVE["gamma_m"],
     GAMMA_COACTION_COMPATIBILITY: transposed(restricted(_JACOBI, _AT_X, _COEXTENSION, -1)),
     COMODULE_COLEIBNIZ: transposed(restricted(_LEIBNIZ, _AT_M, _COEXTENSION)),
     # Hom-Leibniz lists its last two terms the other way round.
@@ -157,13 +156,13 @@ def _twisted(c: HomComodule, coactions: tuple, message: str) -> HomComodule:
 
 
 def twist_coassoc_comodule(c: HomComodule) -> HomComodule:
-    """Replace dm by (alpha^2 @ id) . dm; beta and the base stay put."""
+    """Replace delta_m by (alpha^2 @ id) . delta_m; beta and the base stay put."""
     return _twisted(c, ("delta_m",),
                     "comultiplication-side twist needs a coassociative or poisson comodule")
 
 
 def twist_lie_comodule(c: HomComodule) -> HomComodule:
-    """Replace gm by (alpha^2 @ id) . gm."""
+    """Replace gamma_m by (alpha^2 @ id) . gamma_m."""
     return _twisted(c, ("gamma_m",), "cobracket-side twist needs a lie or poisson comodule")
 
 
@@ -173,7 +172,7 @@ def twist_poisson_comodule(c: HomComodule) -> HomComodule:
 
 
 def negate_poisson_comodule(c: HomComodule) -> HomComodule:
-    """(M, -dm, -gm, beta) over the negated base coalgebra."""
+    """(M, -delta_m, -gamma_m, beta) over the negated base coalgebra."""
     if c.kind != "poisson":
         raise KindMismatch("negation construction is stated for poisson comodules")
     return rebuild(c, NEGATE, COACTIONS["poisson"], {"coalgebra": negate_coalgebra(c.coalgebra)})

@@ -178,6 +178,7 @@ class Kind:
 
     def __init__(self, wire: str, noun: str | None, verbs: dict | None, fields: tuple):
         self.wire, self.noun, self.verbs, self.fields = wire, noun, verbs, fields
+        self.keys = frozenset(["kind", *[key for key, _, _ in fields]])
         self.suites = verbs and verbs["suites"]
         self.base = next((key for key, _, read in fields
                           if isinstance(read, type) and read not in (int, bool)), None)
@@ -254,6 +255,8 @@ def _read(name: str, entry: dict, numerals: _Numerals, structures: dict, base_of
             _require(isinstance(base, read), f"{name}: {key} {value!r} not found")
             value, named["base.dim"], base_of[name] = base, base.dim, value
         named[key] = value
+    if not entry.keys() <= kind.keys:  # writing would drop the key: two files, one structure file
+        raise FormatError(f"{name}: unknown key {min(entry.keys() - kind.keys)!r}")
     built = {attribute: named[key] for key, attribute, _ in kind.fields}
     structures[name] = built[None] if None in built else cls(**built)
 
@@ -289,6 +292,8 @@ def parse_bytes(data: bytes) -> StructureFile:
             pending.append((name, entry))
     for name, entry in pending:
         _read(name, entry, numerals, structures, base_of)
+    if not doc.keys() <= {"version", "structures"}:
+        raise FormatError(f"top level: unknown key {min(doc.keys() - {'version', 'structures'})!r}")
 
     return StructureFile(FILE_VERSION, structures, base_of)
 

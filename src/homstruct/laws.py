@@ -16,7 +16,7 @@ summed over.  A law with a repeated argument is stated by its multilinear
 form and the two letters to exchange (``polarized``): ``LEFT_HOM_ALT`` is the
 row above followed by its terms with ``i`` and ``j`` swapped.  Every other law is an
 algebra row ``restricted`` to an extension's blocks, ``transposed`` to the dual algebra
-(``HOM_COASSOCIATIVITY`` is the row above, ``mu`` named ``t``), or both.
+(``HOM_COASSOCIATIVITY`` is the row above, ``mu`` renamed to the field ``delta``), or both.
 A ``Plan`` evaluates the rows of one check on one structure together.
 A construction is a one-term ``Law`` over the letters, index then residual, of
 the tensor it builds (``construct``): ``Law("ij", "o", "+ t.ijq phi.oq")`` is
@@ -49,7 +49,7 @@ letters (``+ alpha.aj mu.abo mu.ikb`` is the first term above with ``i``
 and ``j`` swapped) are contracted once; a term that moves a packed letter
 is a contraction of its own.  In a plan, an operand is numbered by its entry
 tuple and shape (``ident``), which fix its ``scaled``, so a regular module's
-``act`` is its algebra's ``mu``, and terms that differ only in names of one
+``action`` is its algebra's ``mu``, and terms that differ only in names of one
 operand are one contraction.  A row's residual is one list of packed ints in
 the lexicographic order of its unpacked letters.  For each key permutation
 the terms add under, the signed count of its uses of each contraction is its
@@ -76,7 +76,7 @@ An operand bound to an identity map (``is_identity``) is a relabelling: the
 compile drops it from each term of two or more operands where another operand
 holds its summed letter, renamed to its other letter (``_terms``).
 ``HOM_ASSOC`` under ``alpha = id`` is ``+ mu.ibo mu.jkb - mu.ako mu.ija``; a
-multiplicativity row is ``+ src.oij - dst.oij``, which cancels on one tensor.
+multiplicativity row is ``+ delta.oij - delta.oij``, which cancels.
 A renaming that repeats a letter in an operand is not made, and a row that
 would then hold a packed letter twice in a term is compiled as stated.
 
@@ -385,7 +385,7 @@ def _signed(index: str, residual: str, terms: list, sign: int) -> Law:
 
 def transposed(law: Law, sign: int = 1, **names: str) -> Law:
     """The dual law of ``law`` times ``sign``: index and residual letters exchanged, each operand's
-    last letter moved first (``mu.abo`` to ``t.oab``), its name renamed by ``names``.  A term
+    last letter moved first (``mu.abo`` to ``mu.oab``), its name renamed by ``names``.  A term
     starts at the operand holding the first index letter, then takes the first operand whose
     unpacked letters are all held (a join adding no letter), else the first left, in stated order."""
     index, residual, terms = law.residual, law.index, []
@@ -405,7 +405,7 @@ def restricted(law: Law, blocks: dict, names: dict, sign: int = 1) -> Law:
     """The row ``law`` times ``sign`` at index letters in the blocks (``"A"``, ``"M"``) that
     ``blocks`` lists, in its order.  A map's letters share a block, a product (three letters) is M
     when exactly one argument is, and a term with a product of two M letters is dropped.  An operand
-    in blocks ``P`` is ``names["name.P"]``: ``"act"``, or ``"-gm.bac"`` negated, legs swapped."""
+    in blocks ``P`` is ``names["name.P"]``: ``"action"``, or ``"-gamma_m.bac"`` negated, mirrored."""
     terms = []
     for term, (plus, operands) in zip(law.terms, law._parsed):
         block, size, held = dict(blocks), -1, set("".join([letters for _, letters in operands]))

@@ -62,14 +62,12 @@ class HomModule(Record):
         law, side = _LAWS[axiom], "left" if axiom == LEFT_MODULE else "right"
         if self.side != side:
             raise WrongSide(f"{side} check on a {self.side} module")
-        alg = self.algebra
-        operands = {"mu": alg.mu, "alpha": alg.alpha, "act": self.action, "beta": self.beta}
-        return [(axiom, law, operands)]
+        return [(axiom, law, {**vars(self.algebra), **vars(self)})]
 
 
-# A + M's operands (mu with one argument in M is act, alpha on M beta); the associators are
-# the Hom-associator at (x, y, m) (left) and minus it at (m, x, y) (right).
-_EXTENSION = {"mu.AMM": "act", "mu.MAM": "act", "alpha.MM": "beta"}
+# A + M's operands (mu with one argument in M is action, alpha on M beta); the associators
+# are the Hom-associator at (x, y, m) (left) and minus it at (m, x, y) (right).
+_EXTENSION = {"mu.AMM": "action", "mu.MAM": "action", "alpha.MM": "beta"}
 _LEFT, _RIGHT = dict(i="A", j="A", k="M"), dict(i="M", j="A", k="A")
 _LAWS = {LEFT_MODULE: polarized(restricted(_ASSOCIATOR, _LEFT, _EXTENSION), swap="ij"),
          RIGHT_MODULE: polarized(restricted(_ASSOCIATOR, _RIGHT, _EXTENSION, -1), swap="jk")}

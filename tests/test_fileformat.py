@@ -298,6 +298,31 @@ def test_duplicate_keys_rejected_at_every_level():
         parse_bytes(zero2.replace('{"version":1', '{"version":1,"version":1').encode())
 
 
+def test_a_key_no_field_states_is_format_error_naming_it(tmp_path, capsys):
+    # The writer drops such a key, so two byte files would read as one structure file.
+    from homstruct.cli import main
+
+    body = ('{"version":1,"structures":{"a":{"kind":"hom_algebra","dim":1,'
+            '"mul":[[["0"]]],"alpha":[["1"]]%s}}%s}\n')
+    for extra, message in [(',"note":"x"', "a: unknown key 'note'"),
+                           (',"structure":"left"', "a: unknown key 'structure'")]:
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_bytes((body % (extra, "")).encode())
+    with pytest.raises(FormatError, match="^top level: unknown key 'extra'$"):
+        parse_bytes((body % ("", ',"extra":[]')).encode())
+    # A field's fault comes first, as the walk reports it; then the entry's keys, then the file's.
+    with pytest.raises(FormatError, match="a: bad dim"):
+        parse_bytes((body % (',"note":"x"', ',"extra":[]')).replace('"dim":1', '"dim":-1').encode())
+    with pytest.raises(FormatError, match="a: unknown key 'note'"):
+        parse_bytes((body % (',"note":"x"', ',"extra":[]')).encode())
+    path = tmp_path / "extra.json"
+    path.write_text(body % ("", ',"extra":[]'))
+    assert main(["verify", str(path), "a"]) == 2
+    captured = capsys.readouterr()
+    assert "FORMAT_ERROR" in captured.err and "'extra'" in captured.err and captured.out == ""
+    assert serialize(parse_bytes((body % ("", "")).encode())) == (body % ("", "")).encode()
+
+
 def test_deep_nesting_is_format_error():
     with pytest.raises(FormatError):
         parse_bytes(b"[" * 200_000)

@@ -311,6 +311,28 @@ def test_each_kind_states_its_verbs_once():
             assert not (defined and value.__module__ in homes), (module.__name__, name)
 
 
+def test_every_row_names_only_fields_of_its_structure_or_its_base():
+    # A row's operands are the fields of the structure it checks, or of its base, bound as
+    # themselves: no laws() renames a field or builds an operand of its own.
+    seen = set()
+    for entry in catalog.entries():
+        structure = entry.payload
+        kind = fileformat.TYPES[type(structure)]
+        owners = [structure] + [getattr(structure, attribute) for key, attribute, _ in kind.fields
+                                if key == kind.base]
+        for axiom in kind.verbs["checks"]:
+            with contextlib.suppress(KindMismatch, WrongSide):
+                for part, law, operands in structure.laws(axiom):
+                    seen.add((type(structure), part))
+                    for name in law.names:
+                        owner = next((o for o in owners if name in o._fields), None)
+                        assert owner is not None, (entry.name, part, name)
+                        assert operands[name] is getattr(owner, name), (entry.name, part, name)
+    rows = {**algebras._LAWS, **modules._LAWS, **coalgebras._LAWS, **comodules._LAWS}
+    assert {part for _, part in seen} == set(rows)
+    assert {cls for cls, _ in seen} == {cls for cls, kind in fileformat.TYPES.items() if kind.verbs}
+
+
 def test_every_morphism_check_binds_each_tensor_field_of_its_kind_once():
     # (part id, law, field) lists, one per side of a module: a kind added to the
     # table without a part list, or a part list without one of its maps, fails here.

@@ -61,7 +61,9 @@ ROWS = {
     "HOM_COJACOBI": (coalgebras._LAWS[coalgebras.HOM_COJACOBI], 3, 3, "jk"),
     "HOM_COLEIBNIZ": (coalgebras._LAWS[coalgebras.HOM_COLEIBNIZ], 3, 3, "jk"),
     "coalgebra morphism": (coalgebras._MORPHISM, 2, 2, "ij"),
-    "coaction multiplicative": (comodules._MULTIPLICATIVE, 2, 2, "ij"),
+    "coaction multiplicative": (
+        comodules._LAWS[comodules.DELTA_COACTION_MULTIPLICATIVITY], 2, 2, "ij"
+    ),
     "DELTA_COACTION_COASSOCIATIVITY": (
         comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY], 2, 2, "jk"
     ),
@@ -176,27 +178,28 @@ def test_restricted_mirrors_a_bracket_and_applies_the_overall_sign():
 HAND_WRITTEN = {
     "LEFT_MODULE": (
         modules._LAWS[modules.LEFT_MODULE],
-        ("ijp", "q", "+ alpha.ai act.arq act.jpr", "- beta.rp act.arq mu.ija",
-         "+ alpha.aj act.arq act.ipr", "- beta.rp act.arq mu.jia"),
+        ("ijp", "q", "+ alpha.ai action.arq action.jpr", "- beta.rp action.arq mu.ija",
+         "+ alpha.aj action.arq action.ipr", "- beta.rp action.arq mu.jia"),
     ),
     "RIGHT_MODULE": (
         modules._LAWS[modules.RIGHT_MODULE],
-        ("pij", "q", "+ alpha.aj act.raq act.pir", "- beta.rp act.raq mu.ija",
-         "+ alpha.ai act.raq act.pjr", "- beta.rp act.raq mu.jia"),
+        ("pij", "q", "+ alpha.aj action.raq action.pir", "- beta.rp action.raq mu.ija",
+         "+ alpha.ai action.raq action.pjr", "- beta.rp action.raq mu.jia"),
     ),
     "COCOMMUTATIVITY": (
-        coalgebras._LAWS[coalgebras.COCOMMUTATIVITY], ("k", "ij", "+ t.kij", "- t.kji"),
+        coalgebras._LAWS[coalgebras.COCOMMUTATIVITY], ("k", "ij", "+ delta.kij", "- delta.kji"),
     ),
     "HOM_COASSOCIATIVITY": (
         coalgebras._LAWS[coalgebras.HOM_COASSOCIATIVITY],
-        ("k", "ijl", "+ t.kab t.bjl alpha.ia", "- t.kab alpha.lb t.aij"),
+        ("k", "ijl", "+ delta.kab delta.bjl alpha.ia", "- delta.kab alpha.lb delta.aij"),
     ),
     "SKEW_COSYMMETRY": (
-        coalgebras._LAWS[coalgebras.SKEW_COSYMMETRY], ("k", "ij", "+ t.kij", "+ t.kji"),
+        coalgebras._LAWS[coalgebras.SKEW_COSYMMETRY], ("k", "ij", "+ gamma.kij", "+ gamma.kji"),
     ),
     "HOM_COJACOBI": (
         coalgebras._LAWS[coalgebras.HOM_COJACOBI],
-        ("k", "ijl", "+ t.kab t.bjl alpha.ia", "+ t.kab alpha.ja t.bli", "+ t.kab alpha.la t.bij"),
+        ("k", "ijl", "+ gamma.kab gamma.bjl alpha.ia", "+ gamma.kab alpha.ja gamma.bli",
+         "+ gamma.kab alpha.la gamma.bij"),
     ),
     "HOM_COLEIBNIZ": (
         coalgebras._LAWS[coalgebras.HOM_COLEIBNIZ],
@@ -210,26 +213,27 @@ HAND_WRITTEN = {
         coalgebras._MORPHISM, ("k", "ij", "+ src.kab f.ia f.jb", "- f.lk dst.lij"),
     ),
     "coaction multiplicative": (
-        comodules._MULTIPLICATIVE, ("p", "iq", "+ beta.rp t.riq", "- t.pas alpha.ia beta.qs"),
+        comodules._LAWS[comodules.DELTA_COACTION_MULTIPLICATIVITY],
+        ("p", "iq", "+ beta.rp delta_m.riq", "- delta_m.pas alpha.ia beta.qs"),
     ),
     "DELTA_COACTION_COASSOCIATIVITY": (
         comodules._LAWS[comodules.DELTA_COACTION_COASSOCIATIVITY],
-        ("p", "ijq", "+ dm.pas dm.sjq alpha.ia", "- dm.pas beta.qs delta.aij"),
+        ("p", "ijq", "+ delta_m.pas delta_m.sjq alpha.ia", "- delta_m.pas beta.qs delta.aij"),
     ),
     "GAMMA_COACTION_COMPATIBILITY": (
         comodules._LAWS[comodules.GAMMA_COACTION_COMPATIBILITY],
-        ("p", "ijq", "+ gm.pas beta.qs gamma.aij", "- gm.pas gm.sjq alpha.ia",
-         "+ gm.pas alpha.ja gm.siq"),
+        ("p", "ijq", "+ gamma_m.pas beta.qs gamma.aij", "- gamma_m.pas gamma_m.sjq alpha.ia",
+         "+ gamma_m.pas alpha.ja gamma_m.siq"),
     ),
     "COMODULE_COLEIBNIZ": (
         comodules._LAWS[comodules.COMODULE_COLEIBNIZ],
-        ("p", "ijq", "+ gm.pas dm.sjq alpha.ia", "- dm.pas beta.qs gamma.aij",
-         "- dm.pas alpha.ja gm.siq"),
+        ("p", "ijq", "+ gamma_m.pas delta_m.sjq alpha.ia", "- delta_m.pas beta.qs gamma.aij",
+         "- delta_m.pas alpha.ja gamma_m.siq"),
     ),
     "COMODULE_COMULT_COMPAT": (
         comodules._LAWS[comodules.COMODULE_COMULT_COMPAT],
-        ("p", "ijq", "+ gm.pas beta.qs delta.aij", "- dm.pas gm.sjq alpha.ia",
-         "- dm.pas alpha.ja gm.siq"),
+        ("p", "ijq", "+ gamma_m.pas beta.qs delta.aij", "- delta_m.pas gamma_m.sjq alpha.ia",
+         "- delta_m.pas alpha.ja gamma_m.siq"),
     ),
     "comodule intertwines": (
         comodules._INTERTWINES, ("p", "iq", "+ src.pis f.qs", "- f.rp dst.riq"),
@@ -719,7 +723,7 @@ def test_every_slot_at_the_bound(sign, n):
     assert all(x == 8 * sign * TOP for w in report.witnesses for x in w.residual.entries)
     # Three terms of one sign add up with no cancellation: sum 3 n^2 TOP^3 per slot.
     cojacobi = ROWS["HOM_COJACOBI"][0]
-    operands = {"t": t, "alpha": filled((n, n), sign * TOP)}
+    operands = {"gamma": t, "alpha": filled((n, n), sign * TOP)}
     report = check_row(cojacobi, "HOM_COJACOBI", **operands)
     assert {x for w in report.witnesses for x in w.residual.entries} == {3 * n * n * (sign * TOP) ** 3}
     assert report == UnpackedLaw.of(cojacobi).check("HOM_COJACOBI", **operands)
@@ -771,7 +775,7 @@ def test_nonzero_terms_that_cancel_exactly_pass():
            [[0] * 3] * 3]
     law = ROWS["COCOMMUTATIVITY"][0]
     t = ComulTensor.from_entries(sym)
-    assert check_row(law, "COCOMMUTATIVITY", t=t).holds
+    assert check_row(law, "COCOMMUTATIVITY", delta=t).holds
     assert not check_row(COPY, "COPY", t=t).holds
     # Hom-associativity of the 2x2 matrices with large twisting-free scales:
     # both terms are nonzero and equal.

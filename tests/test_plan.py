@@ -261,52 +261,58 @@ UNTWISTED = {
                            "- mu.ajo mu.ika"),
     "HOM_ASSOC": alike("+ mu.ibo mu.jkb", "- mu.ako mu.ija"),
     "LEFT_MODULE": (
-        ("+ act.ibo act.jkb", "- beta.bk act.abo mu.ija", "+ act.jbo act.ikb",
-         "- beta.bk act.abo mu.jia"),
-        ("+ act.ibo act.jkb", "- act.ako mu.ija", "+ act.jbo act.ikb", "- act.ako mu.jia"),
+        ("+ action.ibo action.jkb", "- beta.bk action.abo mu.ija", "+ action.jbo action.ikb",
+         "- beta.bk action.abo mu.jia"),
+        ("+ action.ibo action.jkb", "- action.ako mu.ija", "+ action.jbo action.ikb",
+         "- action.ako mu.jia"),
     ),
     "RIGHT_MODULE": (
-        ("+ act.ako act.ija", "- beta.ai act.abo mu.jkb", "+ act.ajo act.ika",
-         "- beta.ai act.abo mu.kjb"),
-        ("+ act.ako act.ija", "- act.ibo mu.jkb", "+ act.ajo act.ika", "- act.ibo mu.kjb"),
+        ("+ action.ako action.ija", "- beta.ai action.abo mu.jkb", "+ action.ajo action.ika",
+         "- beta.ai action.abo mu.kjb"),
+        ("+ action.ako action.ija", "- action.ibo mu.jkb", "+ action.ajo action.ika",
+         "- action.ibo mu.kjb"),
     ),
-    "COCOMMUTATIVITY": alike("+ t.kij", "- t.kji"),
-    "DELTA_MULTIPLICATIVITY": alike("+ src.oij", "- dst.oij"),
-    "HOM_COASSOCIATIVITY": alike("+ t.oib t.bjk", "- t.oak t.aij"),
-    "SKEW_COSYMMETRY": alike("+ t.kij", "+ t.kji"),
-    "GAMMA_MULTIPLICATIVITY": alike("+ src.oij", "- dst.oij"),
-    "HOM_COJACOBI": alike("+ t.oib t.bjk", "+ t.ojb t.bki", "+ t.okb t.bij"),
+    "COCOMMUTATIVITY": alike("+ delta.kij", "- delta.kji"),
+    "DELTA_MULTIPLICATIVITY": alike("+ delta.oij", "- delta.oij"),
+    "HOM_COASSOCIATIVITY": alike("+ delta.oib delta.bjk", "- delta.oak delta.aij"),
+    "SKEW_COSYMMETRY": alike("+ gamma.kij", "+ gamma.kji"),
+    "GAMMA_MULTIPLICATIVITY": alike("+ gamma.oij", "- gamma.oij"),
+    "HOM_COJACOBI": alike("+ gamma.oib gamma.bjk", "+ gamma.ojb gamma.bki",
+                          "+ gamma.okb gamma.bij"),
     "HOM_COLEIBNIZ": alike("+ gamma.oib delta.bjk", "- delta.oak gamma.aij",
                            "- delta.ojb gamma.bik"),
-    "DELTA_COACTION_MULTIPLICATIVITY": (("+ beta.ao t.aij", "- t.oib beta.jb"),
-                                        ("+ t.oij", "- t.oij")),
-    "DELTA_COACTION_COASSOCIATIVITY": (("+ dm.oib dm.bjk", "- dm.oab beta.kb delta.aij"),
-                                       ("+ dm.oib dm.bjk", "- dm.oak delta.aij")),
-    "GAMMA_COACTION_MULTIPLICATIVITY": (("+ beta.ao t.aij", "- t.oib beta.jb"),
-                                        ("+ t.oij", "- t.oij")),
+    "DELTA_COACTION_MULTIPLICATIVITY": (("+ beta.ao delta_m.aij", "- delta_m.oib beta.jb"),
+                                        ("+ delta_m.oij", "- delta_m.oij")),
+    "DELTA_COACTION_COASSOCIATIVITY": (
+        ("+ delta_m.oib delta_m.bjk", "- delta_m.oab beta.kb delta.aij"),
+        ("+ delta_m.oib delta_m.bjk", "- delta_m.oak delta.aij"),
+    ),
+    "GAMMA_COACTION_MULTIPLICATIVITY": (("+ beta.ao gamma_m.aij", "- gamma_m.oib beta.jb"),
+                                        ("+ gamma_m.oij", "- gamma_m.oij")),
     "GAMMA_COACTION_COMPATIBILITY": (
-        ("+ gm.oba beta.ia gamma.bjk", "- gm.ojb gm.bki", "+ gm.okb gm.bji"),
-        ("+ gm.obi gamma.bjk", "- gm.ojb gm.bki", "+ gm.okb gm.bji"),
+        ("+ gamma_m.oba beta.ia gamma.bjk", "- gamma_m.ojb gamma_m.bki",
+         "+ gamma_m.okb gamma_m.bji"),
+        ("+ gamma_m.obi gamma.bjk", "- gamma_m.ojb gamma_m.bki", "+ gamma_m.okb gamma_m.bji"),
     ),
     "COMODULE_COLEIBNIZ": (
-        ("+ gm.oib dm.bjk", "- dm.oab beta.kb gamma.aij", "- dm.ojb gm.bik"),
-        ("+ gm.oib dm.bjk", "- dm.oak gamma.aij", "- dm.ojb gm.bik"),
+        ("+ gamma_m.oib delta_m.bjk", "- delta_m.oab beta.kb gamma.aij",
+         "- delta_m.ojb gamma_m.bik"),
+        ("+ gamma_m.oib delta_m.bjk", "- delta_m.oak gamma.aij", "- delta_m.ojb gamma_m.bik"),
     ),
     "COMODULE_COMULT_COMPAT": (
-        ("+ gm.oba beta.ia delta.bjk", "- dm.ojb gm.bki", "- dm.oka gm.aji"),
-        ("+ gm.obi delta.bjk", "- dm.ojb gm.bki", "- dm.oka gm.aji"),
+        ("+ gamma_m.oba beta.ia delta.bjk", "- delta_m.ojb gamma_m.bki",
+         "- delta_m.oka gamma_m.aji"),
+        ("+ gamma_m.obi delta.bjk", "- delta_m.ojb gamma_m.bki", "- delta_m.oka gamma_m.aji"),
     ),
 }
 
 
 def cancelled(law: laws.Law, maps: tuple) -> bool:
     """Whether a plan keeps no class of ``law`` less the identity maps named in ``maps``,
-    its ``src`` and ``dst`` one operand as a coalgebra binds its multiplicativity rows,
-    every axis of size 2."""
+    each operand a tensor of its own, every axis of size 2."""
     names = law.names
     arity = {name: len(letters) for _, ops in law._parsed for name, letters in ops}
-    numbers = tuple([names.index("dst" if name == "src" and "dst" in names else name)
-                     for name in names])
+    numbers = tuple(range(len(names)))
     shapes = tuple([(2,) * arity[name] for name in names])
     return compiled(laws._program, (("R", law, numbers, maps),), shapes)[2]["R"][-1] == ()
 

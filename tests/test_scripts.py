@@ -67,15 +67,19 @@ def test_ab_replay_reads_a_tree_against_itself_and_exits_1_on_another_output(tmp
 
 
 def test_ab_suites_reads_a_tree_against_itself():
+    # Three trees: each later one is read against the first, so a control rides along.
     src = ROOT / "src"
     run = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_suites.py"), "2", "1",
-                          f"a={src}", f"b={src}"], capture_output=True, text=True, timeout=300)
+                          f"a={src}", f"b={src}", f"c={src}"],
+                         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0 and run.stderr == "", run.stdout + run.stderr
-    (line,) = run.stdout.splitlines()
-    dim, *fields = line.split()
-    assert dim == "2" and fields[::3] == ["algebra", "left", "right", "coalgebra", "comodule"]
-    assert all(ratio.endswith("x") and ms.endswith("ms") for ratio, ms in zip(fields[1::3],
-                                                                              fields[2::3]))
+    lines = run.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [["2", "b"], ["2", "c"]]
+    for line in lines:
+        dim, _, *fields = line.split()
+        assert dim == "2" and fields[::3] == ["algebra", "left", "right", "coalgebra", "comodule"]
+        assert all(ratio.endswith("x") and ms.endswith("ms") for ratio, ms in zip(fields[1::3],
+                                                                                  fields[2::3]))
 
 
 def time_laws(*argv):
