@@ -17,9 +17,15 @@ bytecode cache.  Then one ``exec`` line (dim ``-``): for each of those
 modules but ``__main__``, the best of 7 runs in ms of its compiled body in a
 fresh module namespace, every import it makes already loaded, so what is
 left is class creation and other module-level work, and their sum
-(``total_ms``).  Then one ``catalog`` line (dim ``-``): ``axioms.verify`` of
-each catalogue entry's pinned suite on warm tensors (its ``scaled`` entries
-and plan programs already built), best of ``--repeat`` per entry, summed over
+(``total_ms``).  Then one ``records`` line (dim ``-``): the best of 9 in ns of
+one construction, from fixed arguments (the fields of a built one), of each of
+``HomAlgebra``, ``HomModule``, ``HomPoissonCoalgebra``, ``HomComodule``,
+``Witness``, ``AxiomReport`` and a dim-8 ``MulTensor`` and ``LinearMap``
+(``algebra_ns`` ... ``linear_map_ns``): what every record's ``__init__``, with
+its checks and its ``Record._store``, costs.  Then one ``catalog`` line (dim
+``-``): ``axioms.verify`` of each catalogue entry's pinned suite on warm tensors
+(its ``scaled`` entries and plan programs already built), best of ``--repeat``
+per entry, summed over
 the entries (``catalog_ms``), the slowest entry (``slowest``, its
 ``slowest_ms``): the fixed cost of small checks, and the summed first
 ``verify`` of each entry in the process (``first_ms``), which also reads the
@@ -77,8 +83,10 @@ import gc
 import pathlib
 import sys
 import time
+import timeit
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
@@ -95,12 +103,14 @@ from homstruct.exact import (  # noqa: E402
 from homstruct.fileformat import FILE_VERSION, StructureFile, parse_bytes, serialize  # noqa: E402
 from homstruct.laws import construct  # noqa: E402
 from homstruct.modules import LEFT_MODULE, HomModule, regular_module, twist_module  # noqa: E402
-from homstruct.report import WITNESS_CAP, format_report  # noqa: E402
+from homstruct.report import WITNESS_CAP, AxiomReport, Witness, format_report  # noqa: E402
 
 
 NAMES = ("algebra", "left", "right", "coalgebra", "comodule")
 BASES = {"left": "algebra", "right": "algebra", "comodule": "coalgebra"}
 CONSTRUCTIONS = ("twist_module", "twist_comodule", "then_map", "precompose")
+RECORDS = ("algebra", "module", "coalgebra", "comodule", "witness", "report", "mul_tensor",
+           "linear_map")
 
 
 def dense_entries(n: int) -> list:
@@ -257,6 +267,20 @@ def time_exec() -> list[tuple[str, float]]:
             seconds = min(seconds, time.perf_counter() - start)
         best.append((path.stem, seconds))
     gc.enable()
+    return best
+
+
+def time_records() -> list[tuple[str, float]]:
+    """(record, best of 9 seconds per construction) for each of ``RECORDS``, each built
+    anew from the fields of one built from the dim-8 drawn entries."""
+    alg, left, _, coalg, comod = build_structures(8, dense_entries(8))
+    witness = Witness((0, 1, 2), (2, -4, 6), 6)
+    records = [alg, left, coalg, comod, witness, AxiomReport(LEFT_MODULE, False, (witness,), 1),
+               alg.mu, alg.alpha]
+    best = []
+    for name, record in zip(RECORDS, records):  # timeit turns the collector off
+        times = timeit.Timer(partial(type(record), *record._values())).repeat(9, 2000)
+        best.append((name, min(times) / 2000))
     return best
 
 
@@ -443,6 +467,8 @@ def main(argv=None) -> int:
     execs.append(("total", sum(seconds for _, seconds in execs)))
     execs = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in execs)
     print(f"{'-':>3}  {'exec':<32} {execs}", flush=True)
+    records = " ".join(f"{name}_ns={seconds * 1e9:.0f}" for name, seconds in time_records())
+    print(f"{'-':>3}  {'records':<32} {records}", flush=True)
     total, slowest, slowest_seconds, first = time_catalog(args.repeat)
     print(f"{'-':>3}  {'catalog':<32} catalog_ms={total * 1000:.3f} slowest={slowest}"
           f" slowest_ms={slowest_seconds * 1000:.3f} first_ms={first * 1000:.3f}", flush=True)

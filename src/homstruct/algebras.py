@@ -13,7 +13,7 @@ its letters ``ij`` (left) or ``jk`` (right).
 from __future__ import annotations
 
 from .errors import AlreadyTwisted, DimensionMismatch, NotEndomorphism
-from .exact import LinearMap, MulTensor, Record, _set
+from .exact import LinearMap, MulTensor, Record
 from .laws import COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, polarized, rebuild
 from .report import AxiomReport
 
@@ -38,9 +38,7 @@ class HomAlgebra(Record):
             raise DimensionMismatch("multiplication tensor does not match dim")
         if not alpha.is_square(dim):
             raise DimensionMismatch("alpha is not square of size dim")
-        _set(self, "dim", dim)
-        _set(self, "mu", mu)
-        _set(self, "alpha", alpha)
+        self._store(dim, mu, alpha)
 
     def laws(self, axiom: str) -> list[tuple]:
         """The ``laws.Plan`` row of ``axiom``, on this algebra's fields."""

@@ -31,7 +31,7 @@ def _kind(structure):
 def native_suite(structure) -> list[str]:
     """The ids ``--suite all`` runs on ``structure``, by its side or comodule kind."""
     kind = _kind(structure)
-    return list(kind.suites[kind.variant and getattr(structure, kind.variant)])
+    return list(kind.suites[kind.variant_of(structure)])
 
 
 def verify(structure, suite: list[str]) -> list[AxiomReport]:

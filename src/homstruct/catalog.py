@@ -35,7 +35,6 @@ from .exact import (
     LinearMap,
     MulTensor,
     Record,
-    _set,
     rat,
 )
 from .modules import HomModule, regular_module
@@ -53,10 +52,8 @@ class CatalogEntry(Record):
     expected_verdicts: Mapping[str, bool]
 
     def __init__(self, name, payload, expected_verdicts=MappingProxyType({})):
-        _set(self, "name", name)
-        _set(self, "payload", payload)
         # entries are built once and shared, so their verdicts are read-only
-        _set(self, "expected_verdicts", MappingProxyType(dict(expected_verdicts)))
+        self._store(name, payload, MappingProxyType(dict(expected_verdicts)))
 
 
 def _cube(n: int, constants: dict[tuple[int, int, int], int]) -> list:

@@ -100,18 +100,20 @@ def cmd_twist(args) -> int:
         raise FormatError("--as needs a nonempty name")
     if args.rename in sf.structures:
         raise FormatError(f"--as {args.rename!r} names an entry already in the file")
-    twist = _TWISTS.get((type(structure), getattr(structure, "kind", None)))
+    kind = TYPES[type(structure)]
+    variant = kind.variant_of(structure)
+    twist = _TWISTS.get((type(structure), variant))
     if twist is None:
         raise KindMismatch("entry cannot be twisted")
-    if TYPES[type(structure)].base is None:  # an algebra or coalgebra twists along a map
+    if kind.base is None:  # an algebra or coalgebra twists along a map
         if args.endo is None:
             raise FormatError("this twist needs --endo")
         twisted = twist(structure, _resolve_endo(sf, args.endo, structure.dim))
     elif args.endo is not None:
-        raise FormatError(f"{TYPES[type(structure)].noun} twists take no endomorphism")
+        raise FormatError(f"{kind.noun} twists take no endomorphism")
     else:
         twisted = twist(structure)
-    if getattr(structure, "side", None) == "right":
+    if variant == "right":
         _print("note: right-module twist uses the mirrored composition"
                " (algebra argument fed through alpha^2)")
     write_file(args.out, _replace(sf, args.name, twisted, args.rename))

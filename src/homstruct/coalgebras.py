@@ -29,7 +29,7 @@ from functools import partial
 from .algebras import _ANTICOMMUTATOR, _ASSOCIATOR, _COMMUTATOR, _JACOBI, _LEIBNIZ
 from .algebras import _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE, _YAU_TWIST as _ALGEBRA_YAU_TWIST
 from .errors import AlreadyTwisted, DimensionMismatch, NotCoendomorphism
-from .exact import ComulTensor, LinearMap, Record, _set
+from .exact import ComulTensor, LinearMap, Record
 from .laws import COMMUTES, NEGATE, SWAP, Plan, check, check_map, rebuild, transposed
 from .report import AxiomReport
 
@@ -62,11 +62,7 @@ class HomPoissonCoalgebra(Record):
     def __init__(self, dim, delta, gamma, alpha, cocommutative_expected=True):
         if delta.dim != dim or gamma.dim != dim or not alpha.is_square(dim):
             raise DimensionMismatch("coalgebra components have inconsistent sizes")
-        _set(self, "dim", dim)
-        _set(self, "delta", delta)
-        _set(self, "gamma", gamma)
-        _set(self, "alpha", alpha)
-        _set(self, "cocommutative_expected", cocommutative_expected)
+        self._store(dim, delta, gamma, alpha, cocommutative_expected)
 
     def laws(self, axiom: str) -> list[tuple]:
         """The ``laws.Plan`` rows of ``axiom``'s parts, on this coalgebra's fields."""

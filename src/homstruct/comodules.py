@@ -30,7 +30,7 @@ from typing import Optional
 from .algebras import _ASSOCIATOR, _JACOBI, _LEIBNIZ, _MULTIPLICATIVE as _ALGEBRA_MULTIPLICATIVE
 from .coalgebras import HomPoissonCoalgebra, negate_coalgebra
 from .errors import CoalgebraMismatch, DimensionMismatch, KindMismatch
-from .exact import CoactionTensor, LinearMap, Record, _set
+from .exact import CoactionTensor, LinearMap, Record
 from .laws import COMMUTES, NEGATE, Law, Plan, check, check_map, compose, rebuild, restricted, transposed
 from .modules import _INTERTWINES as _MODULE_INTERTWINES, _TWIST as _MODULE_TWIST
 from .report import AxiomReport
@@ -79,12 +79,7 @@ class HomComodule(Record):
                 raise DimensionMismatch("coaction tensor does not match coalgebra/module dims")
         if not beta.is_square(dim_mod):
             raise DimensionMismatch("beta is not square of size dim_mod")
-        _set(self, "coalgebra", coalgebra)
-        _set(self, "dim_mod", dim_mod)
-        _set(self, "beta", beta)
-        _set(self, "kind", kind)
-        _set(self, "delta_m", delta_m)
-        _set(self, "gamma_m", gamma_m)
+        self._store(coalgebra, dim_mod, beta, kind, delta_m, gamma_m)
 
     def laws(self, axiom: str) -> list[tuple]:
         """The ``laws.Plan`` rows of ``axiom``'s parts; ``KindMismatch`` if the kind lacks it."""

@@ -20,7 +20,7 @@ conventions are pinned here once:
 
 Maps and tensors share one mixin, ``_Tensor``, that states their shape guard,
 freezing (``from_entries``) and zeros once; each is also a ``Record``, the
-frozen base of every value type of the package.  They expose ``shape`` (axis
+frozen base of all value types, set by ``_store``.  They expose ``shape`` (axis
 sizes in the index order above) and ``scaled``, their one integer reading:
 the nonzero entries times the lcm ``s`` of their denominators, as ``{index
 tuple: int}``, with ``s`` kept beside them.  That is the form ``contract``,
@@ -178,9 +178,6 @@ class lazy:
         return value
 
 
-_set = object.__setattr__  # how a record's ``__init__`` stores each of its fields
-
-
 class Record:
     """A frozen record of the fields its subclass annotates, with the methods
     ``dataclass(frozen=True)`` would generate for it, written once.
@@ -191,7 +188,7 @@ class Record:
     would write one).  Equality (same class, equal fields in order), hashing
     and ``repr`` read the fields; assigning or deleting an attribute raises
     ``FrozenInstanceError``.  Each record has its own ``__init__``, which
-    checks its arguments and stores each field with ``_set``.
+    checks its arguments and ends by passing its fields' values to ``_store``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -200,6 +197,12 @@ class Record:
         super().__init_subclass__()
         dataclass(init=False, repr=False, eq=False)(cls)
         cls._fields = tuple([f.name for f in fields(cls)])
+
+    def _store(self, *values):
+        """Set the fields to ``values`` in declared order: one value each, else ``ValueError``."""
+        if len(values) != len(self._fields):
+            raise ValueError(f"{len(values)} values for the fields {self._fields}")
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -320,7 +323,7 @@ class Vector(_Tensor, Record):
     _nested, _axes = "entries", 1
 
     def __init__(self, entries):
-        _set(self, "entries", entries)
+        self._store(entries)
         self._check_shape()
 
     @property
@@ -347,8 +350,7 @@ class LinearMap(_Tensor, Record):
     _nested, _axes, _misfit = "entries", 2, (None, "matrix rows are not all {0.dim_in} wide")
 
     def __init__(self, entries, dim_in=None):
-        _set(self, "entries", entries)
-        _set(self, "dim_in", max(map(len, entries), default=0) if dim_in is None else dim_in)
+        self._store(entries, max(map(len, entries), default=0) if dim_in is None else dim_in)
         self._check_shape()
 
     @property
@@ -406,7 +408,7 @@ class MulTensor(_SquareCube, Record):
     _nested, _misfit = "c", (None, "multiplication tensor is not n x n x n")
 
     def __init__(self, c):
-        _set(self, "c", c)
+        self._store(c)
         self._check_shape()
 
 
@@ -417,7 +419,7 @@ class ComulTensor(_SquareCube, Record):
     _nested, _misfit = "d", (None, "comultiplication tensor is not n x n x n")
 
     def __init__(self, d):
-        _set(self, "d", d)
+        self._store(d)
         self._check_shape()
 
 
@@ -440,10 +442,7 @@ class ActionTensor(_Tensor, Record):
     def __init__(self, a, dim_alg, dim_mod, side):
         if side not in ("left", "right"):
             raise WrongSide(f"unknown side {side!r}")
-        _set(self, "a", a)
-        _set(self, "dim_alg", dim_alg)
-        _set(self, "dim_mod", dim_mod)
-        _set(self, "side", side)
+        self._store(a, dim_alg, dim_mod, side)
         self._check_shape()
 
     @property
@@ -465,9 +464,7 @@ class CoactionTensor(_Tensor, Record):
     _misfit = ("coaction tensor first index has wrong size", "coaction tensor is not m x n x m")
 
     def __init__(self, g, dim_coalg, dim_mod):
-        _set(self, "g", g)
-        _set(self, "dim_coalg", dim_coalg)
-        _set(self, "dim_mod", dim_mod)
+        self._store(g, dim_coalg, dim_mod)
         self._check_shape()
 
     @property

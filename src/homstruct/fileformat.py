@@ -56,7 +56,6 @@ from .exact import (
     LinearMap,
     MulTensor,
     Record,
-    _set,
     _nest,
     _Tensor,
     _zeros,
@@ -80,9 +79,7 @@ class StructureFile(Record):
     base_of: dict[str, str]
 
     def __init__(self, version, structures, base_of):
-        _set(self, "version", version)
-        _set(self, "structures", structures)
-        _set(self, "base_of", base_of)
+        self._store(version, structures, base_of)
 
     def get(self, name: str):
         if name not in self.structures:
@@ -174,7 +171,7 @@ class Kind:
     of that type, a string for the variant (naming it in errors), or an ``_Array``; a None
     attribute is the structure itself.  ``suites`` holds the ids ``--suite all`` runs, by
     variant; ``base`` is the field naming the base entry, and ``variant`` the attribute
-    ``suites`` is keyed by, if any."""
+    ``suites`` and the ``twists`` of ``verbs`` are keyed by, if any (``variant_of``)."""
 
     def __init__(self, wire: str, noun: str | None, verbs: dict | None, fields: tuple):
         self.wire, self.noun, self.verbs, self.fields = wire, noun, verbs, fields
@@ -183,6 +180,10 @@ class Kind:
         self.base = next((key for key, _, read in fields
                           if isinstance(read, type) and read not in (int, bool)), None)
         self.variant = next((attribute for _, attribute, read in fields if isinstance(read, str)), None)
+
+    def variant_of(self, structure):
+        """``structure``'s side or comodule kind, None for a kind without variants."""
+        return self.variant and getattr(structure, self.variant)
 
 
 _COACTION = "dim base.dim dim", "base.dim dim"  # shape, arguments
@@ -366,9 +367,13 @@ def _entry_text(name: str, structure, sf: StructureFile, dump) -> str:
 
 def serialize(sf: StructureFile) -> bytes:
     _require(all(isinstance(name, str) and name for name in sf.structures), _NAMES)  # as the reader
-    for name in sf.base_of.values():
-        if name not in sf.structures:
-            raise FormatError(f"dangling reference to {name!r}")
+    _require(type(sf.version) is int and sf.version == FILE_VERSION, f"unsupported version {sf.version!r}")
+    for name, ref in sf.base_of.items():
+        kind = TYPES.get(type(sf.structures.get(name)))
+        if kind is None or kind.base is None:  # written, the key would be dropped: another file
+            raise FormatError(f"base_of key {name!r} is not a module or comodule entry")
+        if ref not in sf.structures:
+            raise FormatError(f"dangling reference to {ref!r}")
     written: dict[tuple, str] = {}  # (id of an entry tuple, shape): its text
 
     def dump(tensor) -> str:

@@ -21,7 +21,7 @@ from .algebras import (
     opposite as opposite_algebra,
 )
 from .errors import AlgebraMismatch, DimensionMismatch, NotEndomorphism, WrongSide
-from .exact import ActionTensor, LinearMap, Record, _set
+from .exact import ActionTensor, LinearMap, Record
 from .laws import (COMMUTES, NEGATE, SWAP, Law, Plan, check, check_map, compose, construct,
                    polarized, rebuild, restricted)
 from .report import AxiomReport
@@ -51,11 +51,7 @@ class HomModule(Record):
             raise DimensionMismatch("action tensor does not match algebra/module dims")
         if not beta.is_square(dim_mod):
             raise DimensionMismatch("beta is not square of size dim_mod")
-        _set(self, "algebra", algebra)
-        _set(self, "dim_mod", dim_mod)
-        _set(self, "beta", beta)
-        _set(self, "action", action)
-        _set(self, "side", side)
+        self._store(algebra, dim_mod, beta, action, side)
 
     def laws(self, axiom: str) -> list[tuple]:
         """The ``laws.Plan`` row of ``axiom``, the module law of this module's side."""
@@ -148,11 +144,11 @@ def regular_module(alg: HomAlgebra, side: str = "left") -> HomModule:
     return HomModule(alg, alg.dim, alg.alpha, ActionTensor(alg.mu.c, alg.dim, alg.dim, side), side)
 
 
-# What each verb runs on a module, as ``algebras.VERBS``; one twist serves both sides.
+# What each verb runs on a module, as ``algebras.VERBS``, by its side; one twist serves both.
 VERBS = {
     "suites": {"left": (LEFT_MODULE,), "right": (RIGHT_MODULE,)},
     "checks": {LEFT_MODULE: check_left_module, RIGHT_MODULE: check_right_module},
-    "twists": {None: twist_module},
+    "twists": {"left": twist_module, "right": twist_module},
     "transforms": {"negate": negate_module, "opposite": opposite_module},
     "morphism": check_module_morphism,
 }

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .exact import _ZERO, Record, Vector, _set, format_ratio, lazy
+from .exact import _ZERO, Record, Vector, format_ratio, lazy
 
 WITNESS_CAP = 16
 
@@ -34,9 +34,7 @@ class Witness(Record):
         g = gcd(scale, *digits)
         if g != 1:
             digits, scale = tuple([d // g for d in digits]), scale // g
-        _set(self, "index", index)
-        _set(self, "digits", digits)
-        _set(self, "scale", scale)
+        self._store(index, digits, scale)
 
     @lazy
     def residual(self) -> Vector:
@@ -55,11 +53,7 @@ class AxiomReport(Record):
     parts: tuple["AxiomReport", ...]
 
     def __init__(self, axiom, holds, witnesses, total_failures, parts=()):
-        _set(self, "axiom", axiom)
-        _set(self, "holds", holds)
-        _set(self, "witnesses", witnesses)
-        _set(self, "total_failures", total_failures)
-        _set(self, "parts", parts)
+        self._store(axiom, holds, witnesses, total_failures, parts)
 
     @classmethod
     def aggregate(cls, axiom: str, parts: Iterable["AxiomReport"]) -> "AxiomReport":

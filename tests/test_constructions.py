@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homstruct import algebras, catalog, cli, coalgebras, comodules, modules
+from homstruct import algebras, catalog, cli, coalgebras, comodules, fileformat, modules
 from homstruct.comodules import regular_comodule
 from homstruct.errors import KernelError
 from homstruct.exact import (
@@ -256,7 +256,7 @@ ALONG_A_MAP = (algebras.yau_twist, coalgebras.yau_twist_coalgebra)
 def test_a_construction_keeps_every_field_it_does_not_rebuild(name):
     assert set(REBUILDS) == {*cli._TWISTS.values(), *cli._TRANSFORMS.values()}
     payload = catalog.get(name).payload
-    runs = [cli._TWISTS[type(payload), getattr(payload, "kind", None)]]
+    runs = [cli._TWISTS[type(payload), fileformat.TYPES[type(payload)].variant_of(payload)]]
     runs += [f for (kind, _), f in cli._TRANSFORMS.items() if kind is type(payload)]
     for construction in runs:
         endo = (LinearMap.identity(payload.dim),) if construction in ALONG_A_MAP else ()

@@ -230,6 +230,30 @@ def test_the_writer_refuses_the_names_the_reader_refuses():
     assert serialize(parsed) == data
 
 
+@pytest.mark.parametrize("version", [2, True, "1", 1.0, None])
+def test_the_writer_refuses_the_versions_the_reader_refuses(version):
+    alg = dual_numbers(2)[0]
+    with pytest.raises(FormatError) as info:
+        serialize(StructureFile(version, {"a": alg}, {}))
+    assert info.value.args == (f"unsupported version {version!r}",)
+    with pytest.raises(FormatError, match="^unsupported version"):
+        parse_bytes(('{"version":%s,"structures":{}}' % json.dumps(version)).encode())
+
+
+def test_the_writer_refuses_a_base_of_key_that_is_not_a_module_or_comodule_entry():
+    alg, octo = dual_numbers(2)[0], octonions()
+    module, comodule = regular_module(alg), regular_comodule(lie_only_coalgebra(), "lie")
+    structures = {"o": octo, "A": alg, "M": module, "C": comodule.coalgebra, "K": comodule}
+    bases = {"M": "A", "K": "C"}
+    for key, ref in (("ghost", "o"), ("o", "o"), ("A", "A"), ("C", "A"), ("", "o")):
+        # written, the key would be dropped: the bytes would read back as another file
+        with pytest.raises(FormatError) as info:
+            serialize(StructureFile(1, structures, {**bases, key: ref}))
+        assert info.value.args == (f"base_of key {key!r} is not a module or comodule entry",)
+    assert parse_bytes(serialize(StructureFile(1, structures, bases))) == \
+        StructureFile(1, structures, bases)
+
+
 def test_write_file_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
     path = tmp_path / "out.json"
     long = single_structure_file("octo", octonions())

@@ -73,6 +73,7 @@ COALG = HomPoissonCoalgebra(1, ComulTensor.zero(1), ComulTensor.zero(1), ONE)
 CO = CoactionTensor.zero(1, 1)
 DOUBLE = LinearMap.diagonal([2])
 LIE = HomComodule(COALG, 1, ONE, "lie", None, CO)
+COASSOC = HomComodule(COALG, 1, ONE, "coassociative", CO)
 
 
 def module(side: str) -> HomModule:
@@ -121,13 +122,29 @@ GUARDS = {
                                                    DOUBLE), 1, ONE, "lie", None, CO)),
                                             CoalgebraMismatch,
                                             "comodules live over different coalgebras"),
-    "comodule morphism across kinds": (lambda: check_comodule_morphism(
-        ONE, LIE, HomComodule(COALG, 1, ONE, "coassociative", CO)), KindMismatch,
-                                       "comodules have different kinds"),
+    "comodule morphism across kinds": (lambda: check_comodule_morphism(ONE, LIE, COASSOC),
+                                       KindMismatch, "comodules have different kinds"),
     "comodule morphism shape": (lambda: check_comodule_morphism(TWO, LIE, LIE), DimensionMismatch,
                                 "morphism candidate has wrong shape"),
     "negation of a lie comodule": (lambda: negate_poisson_comodule(LIE), KindMismatch,
                                    "negation construction is stated for poisson comodules"),
+    "comultiplication-side check of a lie comodule": (
+        lambda: LIE.laws(comodules.COASSOC_COMODULE), KindMismatch,
+        "comultiplication-side check needs a coassociative or poisson comodule"),
+    "cobracket-side check of a coassociative comodule": (
+        lambda: COASSOC.laws(comodules.LIE_COMODULE), KindMismatch,
+        "cobracket-side check needs a lie or poisson comodule"),
+    "poisson check of a lie comodule": (lambda: LIE.laws(comodules.POISSON_COMODULE), KindMismatch,
+                                        "poisson check needs a poisson comodule"),
+    "comultiplication-side twist of a lie comodule": (
+        lambda: comodules.twist_coassoc_comodule(LIE), KindMismatch,
+        "comultiplication-side twist needs a coassociative or poisson comodule"),
+    "cobracket-side twist of a coassociative comodule": (
+        lambda: comodules.twist_lie_comodule(COASSOC), KindMismatch,
+        "cobracket-side twist needs a lie or poisson comodule"),
+    "poisson twist of a coassociative comodule": (
+        lambda: comodules.twist_poisson_comodule(COASSOC), KindMismatch,
+        "poisson twist needs a poisson comodule"),
     "module side": (lambda: HomModule(ALG, 1, ONE, ActionTensor.zero(1, 1), "up"), WrongSide,
                     "unknown side 'up'"),
     "module action side": (lambda: HomModule(ALG, 1, ONE, ActionTensor.zero(1, 1, "right"),
@@ -297,7 +314,7 @@ def test_each_kind_states_its_verbs_once():
             if type(payload) is cls:
                 variant = fileformat.TYPES[cls].variant
                 variants.setdefault(variant and getattr(payload, variant), payload)
-        assert set(variants) == set(held["suites"]), cls
+        assert set(variants) == set(held["suites"]) == set(held["twists"]), cls
         for axiom in held["checks"]:
             resolved = []
             for structure in variants.values():

@@ -3,6 +3,7 @@ order, no generated method, frozen fields, ``replace``, hashing and ``repr``."""
 
 import dataclasses
 import inspect
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from homstruct.exact import (
     MulTensor,
     Record,
     Vector,
-    _set,
 )
 from homstruct.fileformat import StructureFile
 from homstruct.modules import HomModule
@@ -133,8 +133,7 @@ class Point(Record):
     y: int
 
     def __init__(self, x, y):
-        _set(self, "x", x)
-        _set(self, "y", y)
+        self._store(x, y)
 
 
 def test_subclassing_record_declares_its_fields():
@@ -146,6 +145,26 @@ def test_subclassing_record_declares_its_fields():
     assert repr(moved) == f"{Point.__qualname__}(x=1, y=3)"
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.x = 0
+
+
+def test_store_takes_one_value_per_field_in_order():
+    p = Point(1, 2)
+    for values in ((), (3,), (3, 4, 5)):
+        with pytest.raises(ValueError):
+            Point._store(p, *values)
+    assert (p.x, p.y) == (1, 2)
+    Point._store(p, 4, 5)
+    assert (p.x, p.y) == (4, 5)
+
+
+def test_only_exact_sets_a_record_attribute():
+    # ``Record._store`` is the one way a record's fields are set
+    package = pathlib.Path(exact.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "exact.py":
+            source = path.read_text()
+            assert "_set" not in source.split() and "_set(" not in source, path.name
+            assert "object.__setattr__" not in source, path.name
 
 
 def test_the_tensor_mixins_declare_no_field():
