@@ -58,10 +58,10 @@ Then one ``suite`` line: the best time in ms of ``verify
 packings are built once per suite, and the ``tracemalloc`` size in KB of what
 ``exact.compiled`` holds after one more, untimed run of the five suites started
 on an emptied cache (``compiled_kb``): programs, row compiles, contraction
-plans, sink offsets and spreads, but not the row keys of each shape, which
-``scaled`` read before the cache was emptied.  Then one ``untwisted`` line, the same
-on the five structures with ``alpha`` and ``beta`` replaced by the
-identity, whose plans drop those operands.  Then one ``construct`` line: the best
+plans, sink offsets, spreads and ``unpack`` layouts, but not the row keys of
+each shape, which ``scaled`` read before the cache was emptied.  Then one
+``untwisted`` line, the same on the five structures with ``alpha`` and ``beta``
+replaced by the identity, whose plans drop those operands.  Then one ``construct`` line: the best
 time in ms of ``modules.twist_module`` on the left module rebased on a dense
 algebra whose dense alpha is multiplicative (``multiplicative_algebra``; the
 twist checks that first), ``twist_module_ms``, of
@@ -71,9 +71,9 @@ for the algebra's ``mu`` and on the coalgebra Yau twist's row for the
 coalgebra's ``delta``, each along the structure's own ``alpha``
 (``then_map_ms``, ``precompose_ms``: ``phi . mu`` and ``delta . phi``).  The
 first run on each structure also builds its tensors' cached scaled entries;
-with ``--repeat`` above 1 the best time leaves that out.  Each law (and each timed layer) starts after a
-full garbage collection and runs with the collector off, so no collection
-pause lands in its time.
+with ``--repeat`` above 1 the best time leaves that out.  Every timed call runs
+with the collector off, after one full garbage collection per line and per law
+(``quiet``), on objects made untimed just before it (``best``).
 
     python3 scripts/time_laws.py --dims 6,10,16 [--repeat 3] [--laws ID[,ID...]]
 """
@@ -85,6 +85,7 @@ import sys
 import time
 import timeit
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 
@@ -111,6 +112,51 @@ BASES = {"left": "algebra", "right": "algebra", "comodule": "coalgebra"}
 CONSTRUCTIONS = ("twist_module", "twist_comodule", "then_map", "precompose")
 RECORDS = ("algebra", "module", "coalgebra", "comodule", "witness", "report", "mul_tensor",
            "linear_map")
+
+
+def dims(text: str) -> list[int]:
+    """The dims of a comma-separated list, as an ``argparse`` type: none empty or negative."""
+    try:
+        values = [int(d) for d in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not comma-separated dims") from None
+    if any(d < 0 for d in values):
+        raise argparse.ArgumentTypeError(f"{text!r} holds a negative dim")
+    return values
+
+
+@contextmanager
+def quiet():
+    """One full garbage collection, then the collector off until the block ends, raising or not."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def best(run, repeat: int, setup=None) -> tuple[float, object]:
+    """(Best ``perf_counter`` seconds over ``repeat`` calls of ``run``, the last call's value);
+    with ``setup``, each call is ``run(setup())``, its argument made untimed just before it."""
+    seconds = float("inf")
+    for _ in range(repeat):
+        value = args = None  # what the last call made or got is freed untimed
+        args = () if setup is None else (setup(),)
+        start = time.perf_counter()
+        value = run(*args)
+        seconds = min(seconds, time.perf_counter() - start)
+    return seconds, value
+
+
+def line(dim, label: str, fields: list[str]):
+    """Print one line: ``dim``, ``label``, then ``fields``."""
+    print(f"{dim:>3}  {label:<32} {' '.join(fields)}", flush=True)
+
+
+def ms(times, places: int = 2) -> list[str]:
+    """A ``<name>_ms=`` field for each (name, seconds) of ``times``."""
+    return [f"{name}_ms={seconds * 1000:.{places}f}" for name, seconds in times]
 
 
 def dense_entries(n: int) -> list:
@@ -201,181 +247,107 @@ def sparse_file() -> StructureFile:
     return StructureFile(FILE_VERSION, structures, {"left": "algebra", "comodule": "coalgebra"})
 
 
+def parsed(data: bytes) -> tuple[StructureFile, list]:
+    """A fresh parse of ``data`` and its structures' tensors, for ``read_scaled``."""
+    sf = parse_bytes(data)
+    return sf, [value for structure in sf.structures.values()
+                for value in vars(structure).values() if isinstance(value, _Tensor)]
+
+
+def read_scaled(held: tuple[StructureFile, list]) -> StructureFile:
+    """The file of a ``parsed`` pair, once its tensors' ``scaled`` entries are read."""
+    for tensor in held[1]:
+        tensor.scaled
+    return held[0]
+
+
 def time_sparse(repeat: int) -> list[tuple[str, float]]:
-    """(column, best seconds) for the ``sparse`` line: serialize, parse, ``scaled``, then
-    the suites."""
-    best = dict.fromkeys(["serialize", "parse", "scaled"], float("inf"))
-    gc.collect()
-    gc.disable()
-    for _ in range(repeat):
-        sf = sparse_file()  # fresh tensors: nothing written yet
-        start = time.perf_counter()
-        data = serialize(sf)
-        best["serialize"] = min(best["serialize"], time.perf_counter() - start)
-        start = time.perf_counter()
-        sf = parse_bytes(data)
-        best["parse"] = min(best["parse"], time.perf_counter() - start)
-        tensors = [value for structure in sf.structures.values()
-                   for value in vars(structure).values() if isinstance(value, _Tensor)]
-        start = time.perf_counter()
-        for tensor in tensors:
-            tensor.scaled
-        best["scaled"] = min(best["scaled"], time.perf_counter() - start)
-    for name in ("algebra", "left", "coalgebra", "comodule"):
-        structure = sf.get(name)
-        suite, best[name] = native_suite(structure), float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            verify(structure, suite)
-            best[name] = min(best[name], time.perf_counter() - start)
-    gc.enable()
-    return list(best.items())
+    """(column, best seconds) for the ``sparse`` line: serialize, parse, ``scaled``, suites."""
+    names = ("algebra", "left", "coalgebra", "comodule")
+    with quiet():
+        write, data = best(serialize, repeat, sparse_file)  # fresh tensors: nothing written yet
+        read = best(partial(parse_bytes, data), repeat)[0]
+        scaled, sf = best(read_scaled, repeat, partial(parsed, data))
+        suites = [best(partial(verify, s, native_suite(s)), repeat)[0] for s in map(sf.get, names)]
+    return [("serialize", write), ("parse", read), ("scaled", scaled), *zip(names, suites)]
 
 
 def time_compile() -> list[tuple[str, float]]:
     """(module name, best of 7 ``compile()`` seconds) for each ``src/homstruct/*.py``, sorted."""
-    best = []
-    gc.collect()
-    gc.disable()
-    for path in sorted((SRC / "homstruct").glob("*.py")):
-        source, seconds = path.read_bytes(), float("inf")
-        for _ in range(7):
-            start = time.perf_counter()
-            compile(source, str(path), "exec", dont_inherit=True)
-            seconds = min(seconds, time.perf_counter() - start)
-        best.append((path.stem, seconds))
-    gc.enable()
-    return best
+    with quiet():
+        return [(path.stem, best(partial(compile, path.read_bytes(), str(path), "exec",
+                                         dont_inherit=True), 7)[0])
+                for path in sorted((SRC / "homstruct").glob("*.py"))]
 
 
 def time_exec() -> list[tuple[str, float]]:
     """(module name, best of 7 seconds to run its compiled body in a fresh module
     namespace) for each ``src/homstruct/*.py`` but ``__main__.py``, sorted."""
-    best = []
-    gc.collect()
-    gc.disable()
-    for path in sorted((SRC / "homstruct").glob("*.py")):
-        if path.stem == "__main__":
-            continue
-        code = compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
-        seconds = float("inf")
-        name = "homstruct" if path.stem == "__init__" else f"homstruct.{path.stem}"
-        for _ in range(7):
+    times = []
+    with quiet():
+        for path in [p for p in sorted((SRC / "homstruct").glob("*.py")) if p.stem != "__main__"]:
+            code = compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
+            name = "homstruct" if path.stem == "__init__" else f"homstruct.{path.stem}"
             namespace = {"__name__": name, "__package__": "homstruct", "__file__": str(path)}
-            start = time.perf_counter()
-            exec(code, namespace)
-            seconds = min(seconds, time.perf_counter() - start)
-        best.append((path.stem, seconds))
-    gc.enable()
-    return best
+            times.append((path.stem, best(partial(exec, code), 7, namespace.copy)[0]))
+    return times
 
 
 def time_records() -> list[tuple[str, float]]:
-    """(record, best of 9 seconds per construction) for each of ``RECORDS``, each built
-    anew from the fields of one built from the dim-8 drawn entries."""
+    """(record, best of 9 seconds per construction, of 2,000 each) for each of ``RECORDS``,
+    each built anew from the fields of one built from the dim-8 drawn entries."""
     alg, left, _, coalg, comod = build_structures(8, dense_entries(8))
     witness = Witness((0, 1, 2), (2, -4, 6), 6)
     records = [alg, left, coalg, comod, witness, AxiomReport(LEFT_MODULE, False, (witness,), 1),
                alg.mu, alg.alpha]
-    best = []
-    for name, record in zip(RECORDS, records):  # timeit turns the collector off
-        times = timeit.Timer(partial(type(record), *record._values())).repeat(9, 2000)
-        best.append((name, min(times) / 2000))
-    return best
+    runs = [partial(timeit.Timer(partial(type(r), *r._values())).timeit, 2000) for r in records]
+    with quiet():
+        return [(name, best(run, 9)[0] / 2000) for name, run in zip(RECORDS, runs)]
 
 
 def time_catalog(repeat: int) -> tuple[float, str, float, float]:
-    """(summed best seconds of ``verify`` of each catalogue entry's pinned suite,
-    warm, the slowest entry's name and best seconds, and the summed seconds of
-    each entry's first ``verify`` in the process)."""
-    best, first = {}, 0.0
-    gc.collect()
-    gc.disable()
-    for entry in catalog.entries():
-        structure, suite = entry.payload, list(entry.expected_verdicts)
-        start = time.perf_counter()
-        verify(structure, suite)  # the first: scaled entries read, rows and programs compiled
-        first += time.perf_counter() - start
-        seconds = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            verify(structure, suite)
-            seconds = min(seconds, time.perf_counter() - start)
-        best[entry.name] = seconds
-    gc.enable()
-    slowest = max(best, key=best.get)
-    return sum(best.values()), slowest, best[slowest], first
+    """(summed best seconds of ``verify`` of each catalogue entry's pinned suite, warm, the
+    slowest entry's name and best seconds, and the summed seconds of each one's first)."""
+    times, first = {}, 0.0
+    with quiet():
+        for entry in catalog.entries():
+            run = partial(verify, entry.payload, list(entry.expected_verdicts))
+            first += best(run, 1)[0]  # the first: scaled entries read, rows and programs compiled
+            times[entry.name] = best(run, repeat)[0]
+    slowest = max(times, key=times.get)
+    return sum(times.values()), slowest, times[slowest], first
 
 
-def time_write(n: int, repeat: int) -> tuple[float, float, float, int]:
-    """(best seconds to build the five dim-n structures from their entries,
-    best ``serialize`` seconds of their file, and of ``regular_file``'s, and the
-    ``tracemalloc`` peak in bytes of serializing ``regular_file``'s)."""
-    entries = dense_entries(n)
-    best_build = best_write = best_regular = float("inf")
-    gc.collect()
-    gc.disable()
-    for _ in range(repeat):
-        start = time.perf_counter()
-        structures = build_structures(n, entries)
-        best_build = min(best_build, time.perf_counter() - start)
-        sf = structure_file(structures)
-        start = time.perf_counter()
-        serialize(sf)
-        best_write = min(best_write, time.perf_counter() - start)
-        sf = regular_file(build_structures(n, entries))  # fresh tensors: nothing formatted yet
-        start = time.perf_counter()
-        serialize(sf)
-        best_regular = min(best_regular, time.perf_counter() - start)
-    gc.enable()
-    sf = regular_file(build_structures(n, entries))
+def time_write(n: int, repeat: int) -> tuple[list[tuple[str, float]], int]:
+    """((column, best seconds) to build the five dim-n structures from their entries, to
+    ``serialize`` their file and ``regular_file``'s; the ``tracemalloc`` peak of the last)."""
+    build = partial(build_structures, n, dense_entries(n))
+    with quiet():  # fresh tensors for each write: nothing formatted yet
+        times = [("build", best(build, repeat)[0]),
+                 ("serialize", best(serialize, repeat, lambda: structure_file(build()))[0]),
+                 ("regular", best(serialize, repeat, lambda: regular_file(build()))[0])]
+    sf = regular_file(build())
     tracemalloc.start()
     serialize(sf)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return best_build, best_write, best_regular, peak
+    return times, peak
 
 
-def time_ingest(n: int, repeat: int) -> tuple[float, float, float]:
-    """(best ``parse_bytes`` seconds, best seconds to build ``scaled``, best
-    ``serialize`` seconds of the parsed file) for the five dim-n structures,
-    serialized as one file."""
+def time_ingest(n: int, repeat: int) -> list[tuple[str, float]]:
+    """(column, best seconds) of ``parse_bytes`` on the five dim-n structures' file, of
+    building ``scaled`` on a fresh parse, and of ``serialize`` of one once that is read."""
     data = serialize(structure_file(build_structures(n, dense_entries(n))))
-    best_parse = best_build = best_rewrite = float("inf")
-    gc.collect()
-    gc.disable()
-    for _ in range(repeat):
-        start = time.perf_counter()
-        sf = parse_bytes(data)
-        best_parse = min(best_parse, time.perf_counter() - start)
-        alg, left, right, coalg, comod = map(sf.get, NAMES)
-        tensors = [alg.mu, alg.alpha, left.beta, left.action, right.beta, right.action,
-                   coalg.delta, coalg.gamma, coalg.alpha, comod.beta, comod.delta_m, comod.gamma_m]
-        start = time.perf_counter()
-        for tensor in tensors:
-            tensor.scaled
-        best_build = min(best_build, time.perf_counter() - start)
-        start = time.perf_counter()
-        serialize(sf)
-        best_rewrite = min(best_rewrite, time.perf_counter() - start)
-    gc.enable()
-    return best_parse, best_build, best_rewrite
+    with quiet():
+        return [("parse", best(partial(parse_bytes, data), repeat)[0]),
+                ("scaled", best(read_scaled, repeat, partial(parsed, data))[0]),
+                ("rewrite", best(serialize, repeat, lambda: read_scaled(parsed(data)))[0])]
 
 
 def time_suites(structures: list, repeat: int) -> list[float]:
     """Best seconds of ``--suite all`` on each of ``structures``."""
-    best = []
-    gc.collect()
-    gc.disable()
-    for structure in structures:
-        suite, seconds = native_suite(structure), float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            verify(structure, suite)
-            seconds = min(seconds, time.perf_counter() - start)
-        best.append(seconds)
-    gc.enable()
-    return best
+    with quiet():
+        return [best(partial(verify, s, native_suite(s)), repeat)[0] for s in structures]
 
 
 def compiled_bytes(structures: list) -> int:
@@ -397,52 +369,32 @@ def time_constructions(n: int, repeat: int) -> list[float]:
     """Best seconds of each of ``CONSTRUCTIONS`` on the dim-n structures."""
     alg, left, _, coalg, comod = build_structures(n, dense_entries(n))
     left = HomModule(multiplicative_algebra(n), n, left.beta, left.action, "left")
-    runs = [lambda: twist_module(left), lambda: twist_poisson_comodule(comod),
-            lambda: construct(algebras._YAU_TWIST, t=alg.mu, phi=alg.alpha),
-            lambda: construct(coalgebras._YAU_TWIST, t=coalg.delta, phi=coalg.alpha)]
-    best = []
-    gc.collect()
-    gc.disable()
-    for run in runs:
-        seconds = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            run()
-            seconds = min(seconds, time.perf_counter() - start)
-        best.append(seconds)
-    gc.enable()
-    return best
+    runs = [partial(twist_module, left), partial(twist_poisson_comodule, comod),
+            partial(construct, algebras._YAU_TWIST, t=alg.mu, phi=alg.alpha),
+            partial(construct, coalgebras._YAU_TWIST, t=coalg.delta, phi=coalg.alpha)]
+    with quiet():
+        return [best(run, repeat)[0] for run in runs]
 
 
-def time_laws(n: int, repeat: int, laws=None) -> list[tuple[str, float, float, int]]:
-    """(law id, best check seconds, best format seconds, total_failures) at dim n,
-    for every registered law or only the ids in ``laws``."""
+def time_laws(n: int, repeat: int, laws=None):
+    """Yield (law id, best check seconds, best format seconds, total_failures) at dim n,
+    for every registered law or only the ids in ``laws``, each as it is timed."""
     alg, left, right, coalg, comod = build_structures(n, dense_entries(n))
     by_type = {HomAlgebra: alg, HomPoissonCoalgebra: coalg, HomComodule: comod}
-    rows = []
     for (kind, axiom), checker in AXIOMS.items():
         if laws is not None and axiom not in laws:
             continue
         structure = by_type.get(kind) or (left if axiom == LEFT_MODULE else right)
-        best = best_fmt = float("inf")
-        gc.collect()
-        gc.disable()
-        for _ in range(repeat):
-            start = time.perf_counter()
-            report = checker(structure)
-            best = min(best, time.perf_counter() - start)
-        for _ in range(repeat):
-            start = time.perf_counter()
-            format_report(report, WITNESS_CAP)
-            best_fmt = min(best_fmt, time.perf_counter() - start)
-        gc.enable()
-        rows.append((axiom, best, best_fmt, report.total_failures))
-    return rows
+        with quiet():
+            seconds, report = best(partial(checker, structure), repeat)
+            fmt_seconds = best(partial(format_report, report, WITNESS_CAP), repeat)[0]
+        yield axiom, seconds, fmt_seconds, report.total_failures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dims", default="6,10,16", help="comma-separated dims (default 6,10,16)")
+    parser.add_argument("--dims", type=dims, default="6,10,16",
+                        help="comma-separated dims (default 6,10,16)")
     parser.add_argument("--repeat", type=int, default=1, help="runs per law; the best is printed")
     parser.add_argument("--laws", help="comma-separated registry ids to time (default: all)")
     args = parser.parse_args(argv)
@@ -452,52 +404,29 @@ def main(argv=None) -> int:
         unknown = sorted(laws - {axiom for _, axiom in AXIOMS})
         if unknown:
             parser.error(f"--laws names unknown ids: {', '.join(unknown)}")
-    try:
-        dims = [int(d) for d in args.dims.split(",")]
-    except ValueError:
-        parser.error(f"--dims must be comma-separated integers, not {args.dims!r}")
-    if args.repeat < 1 or any(d < 0 for d in dims):
-        parser.error("--repeat must be >= 1 and every dim >= 0")
-    print(f"{'dim':>3}  {'law':<32} {'ms':>10} {'fmt_ms':>8}  failures")
-    compiles = time_compile()
-    compiles.append(("total", sum(seconds for _, seconds in compiles)))
-    compiles = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in compiles)
-    print(f"{'-':>3}  {'compile':<32} {compiles}", flush=True)
-    execs = time_exec()
-    execs.append(("total", sum(seconds for _, seconds in execs)))
-    execs = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in execs)
-    print(f"{'-':>3}  {'exec':<32} {execs}", flush=True)
-    records = " ".join(f"{name}_ns={seconds * 1e9:.0f}" for name, seconds in time_records())
-    print(f"{'-':>3}  {'records':<32} {records}", flush=True)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    line("dim", "law", [f"{'ms':>10}", f"{'fmt_ms':>8}", " failures"])
+    for label, timer in (("compile", time_compile), ("exec", time_exec)):
+        times = timer()
+        line("-", label, ms(times + [("total", sum(seconds for _, seconds in times))]))
+    line("-", "records", [f"{name}_ns={seconds * 1e9:.0f}" for name, seconds in time_records()])
     total, slowest, slowest_seconds, first = time_catalog(args.repeat)
-    print(f"{'-':>3}  {'catalog':<32} catalog_ms={total * 1000:.3f} slowest={slowest}"
-          f" slowest_ms={slowest_seconds * 1000:.3f} first_ms={first * 1000:.3f}", flush=True)
-    sparse = " ".join(f"{name}_ms={seconds * 1000:.2f}"
-                      for name, seconds in time_sparse(args.repeat))
-    print(f"{16:>3}  {'sparse':<32} {sparse}", flush=True)
-    for n in dims:
-        build_seconds, write_seconds, regular_seconds, peak = time_write(n, args.repeat)
-        print(f"{n:>3}  {'write':<32} build_ms={build_seconds * 1000:.2f}"
-              f" serialize_ms={write_seconds * 1000:.2f}"
-              f" regular_ms={regular_seconds * 1000:.2f} regular_kb={peak / 1024:.1f}", flush=True)
-        parse_seconds, build_seconds, rewrite_seconds = time_ingest(n, args.repeat)
-        print(f"{n:>3}  {'ingest':<32} parse_ms={parse_seconds * 1000:.2f}"
-              f" scaled_ms={build_seconds * 1000:.2f}"
-              f" rewrite_ms={rewrite_seconds * 1000:.2f}", flush=True)
+    line("-", "catalog", [f"catalog_ms={total * 1000:.3f}", f"slowest={slowest}",
+                          *ms([("slowest", slowest_seconds), ("first", first)], 3)])
+    line(16, "sparse", ms(time_sparse(args.repeat)))
+    for n in args.dims:
+        times, peak = time_write(n, args.repeat)
+        line(n, "write", ms(times) + [f"regular_kb={peak / 1024:.1f}"])
+        line(n, "ingest", ms(time_ingest(n, args.repeat)))
         structures = build_structures(n, dense_entries(n))
-        suites = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds
-                          in zip(NAMES, time_suites(structures, args.repeat)))
-        held = compiled_bytes(structures)
-        print(f"{n:>3}  {'suite':<32} {suites} compiled_kb={held / 1024:.1f}", flush=True)
-        suites = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in zip(
-            NAMES, time_suites(untwisted(build_structures(n, dense_entries(n))), args.repeat)))
-        print(f"{n:>3}  {'untwisted':<32} {suites}", flush=True)
-        constructs = zip(CONSTRUCTIONS, time_constructions(n, args.repeat))
-        constructs = " ".join(f"{name}_ms={seconds * 1000:.2f}" for name, seconds in constructs)
-        print(f"{n:>3}  {'construct':<32} {constructs}", flush=True)
-        for axiom, seconds, fmt_seconds, failures in time_laws(n, args.repeat, laws):
-            print(f"{n:>3}  {axiom:<32} {seconds * 1000:>10.2f} {fmt_seconds * 1000:>8.2f}"
-                  f"  {failures}", flush=True)
+        suites = ms(zip(NAMES, time_suites(structures, args.repeat)))
+        line(n, "suite", suites + [f"compiled_kb={compiled_bytes(structures) / 1024:.1f}"])
+        structures = untwisted(build_structures(n, dense_entries(n)))
+        line(n, "untwisted", ms(zip(NAMES, time_suites(structures, args.repeat))))
+        line(n, "construct", ms(zip(CONSTRUCTIONS, time_constructions(n, args.repeat))))
+        for axiom, check, fmt, failures in time_laws(n, args.repeat, laws):
+            line(n, axiom, [f"{check * 1000:>10.2f}", f"{fmt * 1000:>8.2f}", f" {failures}"])
     return 0
 
 

@@ -368,12 +368,10 @@ def _entry_text(name: str, structure, sf: StructureFile, dump) -> str:
 def serialize(sf: StructureFile) -> bytes:
     _require(all(isinstance(name, str) and name for name in sf.structures), _NAMES)  # as the reader
     _require(type(sf.version) is int and sf.version == FILE_VERSION, f"unsupported version {sf.version!r}")
-    for name, ref in sf.base_of.items():
+    for name in sf.base_of:
         kind = TYPES.get(type(sf.structures.get(name)))
         if kind is None or kind.base is None:  # written, the key would be dropped: another file
             raise FormatError(f"base_of key {name!r} is not a module or comodule entry")
-        if ref not in sf.structures:
-            raise FormatError(f"dangling reference to {ref!r}")
     written: dict[tuple, str] = {}  # (id of an entry tuple, shape): its text
 
     def dump(tensor) -> str:

@@ -207,8 +207,9 @@ def test_missing_file_is_format_error():
 
 def test_dangling_reference_rejected_on_write():
     sf = StructureFile(1, {"m": regular_module(dual_numbers(2)[0])}, {"m": "ghost"})
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as info:
         serialize(sf)
+    assert info.value.args == ("m: base_of names 'ghost', not the entry of its base",)
 
 
 def test_the_writer_refuses_the_names_the_reader_refuses():

@@ -1,10 +1,12 @@
 """The maintenance scripts under scripts/ still run against the library."""
 
 import functools
+import gc
 import importlib.util
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -98,14 +100,19 @@ def time_laws_at_small_dims():
     return time_laws("--dims", "0,1,2,3")
 
 
-def time_laws_refuses(capsys, *argv):
-    """Whether ``time_laws.py``'s ``main`` ends ``argv`` as a usage error: exit 2,
+def script(name: str):
+    """``scripts/<name>.py``, loaded as a module of its own (not put in ``sys.modules``)."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def refuses(capsys, name: str, *argv):
+    """Whether ``scripts/<name>.py``'s ``main`` ends ``argv`` as a usage error: exit 2,
     usage on stderr and nothing on stdout (in process, as no timing starts)."""
-    spec = importlib.util.spec_from_file_location("time_laws", ROOT / "scripts" / "time_laws.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     with pytest.raises(SystemExit) as exit_:
-        script.main(list(argv))
+        script(name).main(list(argv))
     captured = capsys.readouterr()
     return exit_.value.code == 2 and captured.out == "" and "usage:" in captured.err
 
@@ -160,8 +167,8 @@ def test_time_laws_prints_one_line_per_law(capsys):
             continue
         _, _, ms, fmt_ms, failures = row.split()
         assert float(ms) >= 0 and float(fmt_ms) >= 0 and int(failures) >= 0
-    for dims in ("6,,10", "x", "-1"):
-        assert time_laws_refuses(capsys, "--dims", dims), dims
+    for dims in ("6,,10", "x", "-1", ""):
+        assert refuses(capsys, "time_laws", "--dims", dims), dims
 
 
 def test_time_laws_at_dims_zero_and_one():
@@ -201,4 +208,70 @@ def test_time_laws_times_only_the_named_laws(capsys):
     total, slowest, first = layer_ms(rows[3])
     assert 0 < slowest <= total < first and rows[3].split()[3].split("=")[1] in [entry.name for entry in catalog.entries()]
     for laws in ("NO_SUCH_LAW", "HOM_ASSOC,NO_SUCH_LAW", ""):
-        assert time_laws_refuses(capsys, "--dims", "2", "--laws", laws), laws
+        assert refuses(capsys, "time_laws", "--dims", "2", "--laws", laws), laws
+
+
+def test_ab_suites_refuses_the_dims_time_laws_refuses(capsys, monkeypatch):
+    # ab_suites imports its neighbours by name: sys.path and sys.modules are restored after
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for name in ("ab_replay", "time_laws"):
+        monkeypatch.setitem(sys.modules, name, script(name))
+    src = ROOT / "src"
+    for dims in ("6,,10", "x", "-1", ""):
+        assert refuses(capsys, "ab_suites", dims, "1", f"a={src}", f"b={src}"), dims
+
+
+def test_quiet_collects_once_then_keeps_the_collector_off_raising_or_not():
+    quiet, seen = script("time_laws").quiet, []
+
+    def record(phase, info):
+        seen.append((phase, info["generation"]))
+
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        with quiet():
+            assert seen[-2:] == [("start", 2), ("stop", 2)] and not gc.isenabled()
+        assert gc.isenabled()
+        with pytest.raises(ZeroDivisionError):
+            with quiet():
+                assert not gc.isenabled()
+                1 / 0
+        assert gc.isenabled()
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable()
+
+
+def test_best_times_each_call_alone_on_a_fresh_setup_value(monkeypatch):
+    time_laws, events = script("time_laws"), []
+    clock, made = iter([0.0, 5.0, 10.0, 12.0, 20.0, 27.0, 30.0, 31.0]), iter("abc")
+
+    class Made:
+        def __init__(self, tag):
+            self.tag = tag
+
+        def __del__(self):
+            events.append("free " + self.tag)
+
+    def perf_counter():
+        events.append("clock")
+        return next(clock)
+
+    def setup():
+        events.append("setup")
+        return next(made)
+
+    def run(value):
+        events.append(value)
+        return Made(value.upper())
+
+    monkeypatch.setattr(time_laws, "time", types.SimpleNamespace(perf_counter=perf_counter))
+    # spans of 5, 2 and 7: the best, and the last call's value; each earlier value is
+    # freed, and each setup made, outside every span
+    seconds, last = time_laws.best(run, 3, setup)
+    assert (seconds, last.tag) == (2.0, "C")
+    assert events == ["setup", "clock", "a", "clock", "free A", "setup", "clock", "b", "clock",
+                      "free B", "setup", "clock", "c", "clock"]
+    assert time_laws.best(lambda: events.append("alone") or 9, 1) == (1.0, 9)
+    assert events[-3:] == ["clock", "alone", "clock"]
